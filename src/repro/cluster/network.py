@@ -102,8 +102,7 @@ class _GuardedDelivery:
             # Mid-flight partition: re-arm and retry when it heals (the
             # horizon may move again if the partition is extended).
             self.callbacks = [self._on_fire]
-            env._timers.push(horizon, env._seq, self)
-            env._seq += 1
+            env.push_at(horizon, typing.cast(Event, self))  # duck-typed
             return
         env._ready.append((env._seq, self.event))
         env._seq += 1
@@ -287,10 +286,7 @@ class NetworkFabric:
         event._value = None
         if src_node == dst_node:
             self.local_bytes_by_purpose[purpose]._total += int(nbytes)
-            env._timers.push(
-                env._now + self.LOCAL_DELIVERY_LATENCY, env._seq, event
-            )
-            env._seq += 1
+            env.push_at(env._now + self.LOCAL_DELIVERY_LATENCY, event)
             return event
         self.bytes_by_purpose[purpose]._total += int(nbytes)
         now = env._now
@@ -339,11 +335,7 @@ class NetworkFabric:
         payload: typing.Any = event
         if self._guard_deliveries:
             payload = _GuardedDelivery(self, event, src_node, dst_node)
-        if delay > 0.0:
-            env._timers.push(env._now + delay, env._seq, payload)
-        else:
-            env._ready.append((env._seq, payload))
-        env._seq += 1
+        env.push_at(now + delay, payload)
         return event
 
     def transfer_duration_estimate(self, src_node: int, dst_node: int, nbytes: float) -> float:

@@ -243,7 +243,7 @@ class _TaskPipeline(Event):
     Replaces two generators per task — ``Task._run`` and the executor's
     ``process_batch`` — with a single slotted FSM driven entirely by
     event callbacks: get an item, burn the CPU cost (a bare wake event on
-    the timer wheel), apply state + logic, then hand emissions to the
+    the timer heap), apply state + logic, then hand emissions to the
     emitter queue.  The per-batch event footprint (get, wake, emission
     puts) is identical to the generator pair, so simulation ordering is
     unchanged; the ~3 generator resumes per batch disappear.
@@ -327,8 +327,7 @@ class _TaskPipeline(Event):
             wake.callbacks = [self._on_wake_cb]
             wake._ok = True
             wake._value = None
-            env._timers.push(env._now + cost, env._seq, wake)
-            env._seq += 1
+            env.push_at(env._now + cost, wake)
             self._waiting = wake
             return
         self._execute()
@@ -674,8 +673,7 @@ class ElasticExecutor:
             wake.callbacks = []
             wake._ok = True
             wake._value = None
-            env._timers.push(env._now + cost, env._seq, wake)
-            env._seq += 1
+            env.push_at(env._now + cost, wake)
             yield wake
         shard_id = self._shard_lookup[batch.key]
         self._shard_cost_accum[shard_id] += cost
@@ -886,8 +884,16 @@ class ElasticExecutor:
                 yield from self._spread_by_count()
                 span.finish(status="ok", mode="spread_by_count")
                 return
+            # Plan over live tasks only: a crash overlapping remove_core can
+            # leave a shard pointing at a task that is already gone.  Like
+            # _reassign's ``src_task is None`` case, recovery owns it.
+            assignment = {
+                shard_id: task
+                for shard_id, task in self.routing.assignment().items()
+                if task.task_id in self.tasks
+            }
             moves = self._balancer.plan(
-                shard_loads, self.routing.assignment(), list(self.tasks.values())
+                shard_loads, assignment, list(self.tasks.values())
             )
             for move in moves:
                 yield from self._reassign(move.shard_id, move.dst)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import typing
+from heapq import heappush
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -126,7 +127,7 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         if delay > 0.0:
-            env._timers.push(env._now + delay, env._seq, self)
+            heappush(env._timers, (env._now + delay, env._seq, self))
         else:
             env._ready.append((env._seq, self))
         env._seq += 1

@@ -8,7 +8,7 @@ hold: same-key tuples process in arrival order, and nothing is lost.
 
 import typing
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
@@ -124,6 +124,13 @@ fault_actions = st.lists(
 
 @settings(max_examples=20, deadline=None)
 @given(workload=workload_spec, churn=churn_actions, crashes=fault_actions)
+# A task crash during remove_core's evacuation leaves a shard routed to a
+# task that is gone; the next add_core must plan around it, not raise.
+@example(
+    workload=[(0, 1)] * 20,
+    churn=[(1.2734375, "remove"), (1.0, "add_local")],
+    crashes=[1.28125],
+)
 def test_exactly_once_or_counted_lost_under_crashes(workload, churn, crashes):
     """§2.1 extended through failures: random task crashes (dead cores)
     interleave with elasticity churn and the balancer's own reassignments.

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel: events, clock, processes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Environment,
@@ -13,6 +15,17 @@ from repro.sim import (
 @pytest.fixture
 def env():
     return Environment()
+
+
+def bare(env, value, sink):
+    # A pre-triggered event that has NOT self-scheduled — the shape
+    # push_at/push_ready exist for (compiled pipelines build these).
+    event = Event.__new__(Event)
+    event.env = env
+    event.callbacks = [lambda e: sink.append(e.value)]
+    event._ok = True
+    event._value = value
+    return event
 
 
 class TestEnvironment:
@@ -50,10 +63,6 @@ class TestEnvironment:
         with pytest.raises(SimulationError):
             env.run(until=0.5)
 
-    def test_step_without_events_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
-
     def test_peek_empty_is_inf(self, env):
         assert env.peek() == float("inf")
 
@@ -73,6 +82,116 @@ class TestEnvironment:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
+
+    def test_environment_push_at(self, env):
+        order = []
+        env.push_at(3.0, bare(env, "late", order))
+        env.push_at(1.0, bare(env, "soon", order))
+        env.push_at(0.0, bare(env, "now", order))  # time == now: ready-deque path
+        env.push_ready(bare(env, "also-now", order))
+        env.run()
+        assert order == ["now", "also-now", "soon", "late"]
+        assert env.now == 3.0
+        with pytest.raises(SimulationError):
+            env.push_at(1.0, bare(env, "past", order))
+
+    def test_same_time_timers_are_fifo(self, env):
+        # Equal times leave the timer queue in push order — the
+        # determinism guarantee, at a size where heap reshuffling shows.
+        order = []
+        for seq in range(100):
+            env.push_at(5.0, bare(env, seq, order))
+        env.run()
+        assert order == list(range(100))
+
+    def test_far_future_timers(self, env):
+        fired = []
+        for delay in (2e6, 1e6):
+            env.timeout(delay).callbacks.append(lambda ev: fired.append(env.now))
+        env.run()
+        assert fired == [1e6, 2e6]
+        assert env.now == 2e6
+
+    def test_timer_due_now_with_smaller_seq_beats_ready_head(self, env):
+        # Both timers are due at t=1; the first one's callback queues a
+        # zero-delay event.  The second timer was scheduled earlier, so
+        # it runs before that ready-deque entry.
+        order = []
+        first = env.timeout(1.0, value="timer-1")
+        second = env.timeout(1.0, value="timer-2")
+        second.callbacks.append(lambda ev: order.append(ev.value))
+
+        def on_first(ev):
+            order.append(ev.value)
+            ready = env.event()
+            ready.callbacks.append(lambda e: order.append("ready"))
+            ready.succeed()
+
+        first.callbacks.append(on_first)
+        env.run()
+        assert order == ["timer-1", "timer-2", "ready"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fanout=st.lists(
+            st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), max_size=3),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_processing_follows_global_time_seq_order(self, fanout):
+        """Ready deque + timer heap process in strict (time, seq) order.
+
+        Each processed event schedules ``fanout[i]`` children (zero and
+        positive delays mixed), so same-time ties between the two queues
+        are frequent.  A new event always sorts after the one being
+        processed, so the processed keys must be strictly increasing.
+        """
+        env = Environment()
+        processed = []
+        scheduled = []
+
+        def spawn(delay):
+            key = (env.now + delay, len(scheduled))
+            scheduled.append(key)
+            event = env.timeout(delay, value=key)
+            event.callbacks.append(on_event)
+
+        def on_event(ev):
+            processed.append(ev.value)
+            if len(processed) <= len(fanout):
+                for delay in fanout[len(processed) - 1]:
+                    spawn(delay)
+
+        spawn(0.0)
+        env.run()
+        assert processed == sorted(scheduled)
+        assert all(a < b for a, b in zip(processed, processed[1:]))
+
+    def test_identical_runs_are_event_for_event_identical(self):
+        """End-to-end determinism: a small elastic run, twice."""
+        from repro import MicroBenchmarkWorkload, Paradigm, StreamSystem, SystemConfig
+
+        def run_once():
+            workload = MicroBenchmarkWorkload(
+                rate=2000.0, num_keys=64, skew=0.8, omega=4.0, batch_size=10,
+                seed=3,
+            )
+            topology = workload.build_topology(
+                executors_per_operator=2, shards_per_executor=4
+            )
+            config = SystemConfig(
+                paradigm=Paradigm("elasticutor"), num_nodes=4, cores_per_node=4
+            )
+            system = StreamSystem(topology, workload, config)
+            result = system.run(duration=8.0, warmup=2.0)
+            return (
+                system.env.events_processed,
+                result.processed_tuples,
+                round(result.latency["p99"], 9),
+            )
+
+        assert run_once() == run_once()
 
 
 class TestEvent:
