@@ -14,9 +14,9 @@ from repro.cluster import Cluster, TransferPurpose
 from repro.executors import ElasticExecutor
 from repro.executors.config import ExecutorConfig
 from repro.logic.base import SyntheticLogic
-from repro.metrics import LatencyReservoir
 from repro.sim import Environment
 from repro.state import ExternalStateService
+from repro.telemetry import QuantileSketch
 from repro.topology import OperatorSpec, TupleBatch
 from repro.workloads import KeyShuffler, ZipfKeyDistribution
 
@@ -80,7 +80,7 @@ def run_variant(external: bool):
 
     def reset_latency():
         yield env.timeout(8.0)
-        executor.metrics.queue_latency = LatencyReservoir(capacity=4096, seed=5)
+        executor.metrics.queue_latency = QuantileSketch()
 
     env.process(reset_latency())
     marks = {}
@@ -95,7 +95,7 @@ def run_variant(external: bool):
     return {
         "throughput": processed / 12.0,
         "mean_latency": executor.metrics.queue_latency.mean,
-        "p99_latency": executor.metrics.queue_latency.percentile(99),
+        "p99_latency": executor.metrics.queue_latency.quantile(0.99),
         "migrated": cluster.network.bytes_by_purpose[
             TransferPurpose.STATE_MIGRATION
         ].total,

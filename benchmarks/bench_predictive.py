@@ -1,6 +1,6 @@
 """Predictive-scheduler benchmark: time to steady state after a burst.
 
-Four scheduling strategies (docs/scheduling.md) run the *identical*
+Three scheduling strategies (docs/scheduling.md) run the *identical*
 recorded bursty SSE stream — a deterministic scheduled hotspot ramp
 concentrates a large fraction of the order rate onto the stocks owned
 by one transactor executor — and each is scored by how quickly
@@ -9,8 +9,6 @@ throughput returns to the pre-burst baseline
 
 - ``reactive``   — the paper's measure→model→assign loop (baseline);
 - ``predictive`` — Holt-Winters forecast demand + DRR placement;
-- ``proactive``  — predictive + forecast-triggered shard rebalancing
-  *before* the burst crosses the headroom threshold;
 - ``naive-ec``   — the paper's naive-EC ablation.
 
 The cluster is sized tight (no standing free cores) and transactor
@@ -50,7 +48,7 @@ from repro import (  # noqa: E402
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_predictive.json"
 
-STRATEGIES = ("reactive", "predictive", "proactive", "naive-ec")
+STRATEGIES = ("reactive", "predictive", "naive-ec")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,7 +195,6 @@ def run_strategy(
         "forecast_mean_abs_error": report.rounds[-1].forecast_error
         if report.rounds
         else 0.0,
-        "proactive_triggers": sum(r.proactive_triggers for r in report.rounds),
         "migration_bytes": result.migration_bytes,
     }
 
@@ -207,10 +204,7 @@ def run_scenario(scenario: Scenario) -> typing.Dict[str, typing.Any]:
     rows = [run_strategy(scenario, recording, strategy) for strategy in STRATEGIES]
     by_name = {row["strategy"]: row for row in rows}
     reactive = by_name["reactive"]["time_to_steady_state"]
-    improved = any(
-        by_name[name]["time_to_steady_state"] < reactive
-        for name in ("predictive", "proactive")
-    )
+    improved = by_name["predictive"]["time_to_steady_state"] < reactive
     return {
         "scenario": dataclasses.asdict(scenario),
         "strategies": rows,
@@ -247,7 +241,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         report["scenarios"].append(outcome)
         header = (
             f"{'strategy':<12} {'steady (s)':>10} {'recovered':>9} "
-            f"{'thr (t/s)':>10} {'p99 (ms)':>9} {'triggers':>8}"
+            f"{'thr (t/s)':>10} {'p99 (ms)':>9}"
         )
         print(header)
         print("-" * len(header))
@@ -255,10 +249,10 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             print(
                 f"{row['strategy']:<12} {row['time_to_steady_state']:>10.2f} "
                 f"{str(row['recovered']):>9} {row['throughput_tps']:>10.0f} "
-                f"{row['p99_latency_ms']:>9.1f} {row['proactive_triggers']:>8d}"
+                f"{row['p99_latency_ms']:>9.1f}"
             )
         print(
-            f"improved vs reactive: {outcome['improved']} "
+            f"predictive improved vs reactive: {outcome['improved']} "
             f"(reactive {outcome['reactive_time_to_steady_state']:.2f} s)"
         )
 

@@ -16,8 +16,8 @@ from repro.cluster import Cluster, TransferPurpose
 from repro.executors import ElasticExecutor
 from repro.executors.config import ExecutorConfig
 from repro.logic.base import SyntheticLogic
-from repro.metrics import LatencyReservoir
 from repro.sim import Environment
+from repro.telemetry import QuantileSketch
 from repro.topology import OperatorSpec, TupleBatch
 from repro.workloads import KeyShuffler, ZipfKeyDistribution
 
@@ -144,8 +144,8 @@ class SingleExecutorHarness:
         def marker():
             yield env.timeout(warmup)
             marks["processed_at_warmup"] = executor.metrics.processed_tuples.total
-            # Fresh reservoir: percentile over the measurement window only.
-            executor.metrics.queue_latency = LatencyReservoir(capacity=4096, seed=23)
+            # Fresh sketch: percentile over the measurement window only.
+            executor.metrics.queue_latency = QuantileSketch()
 
         env.process(marker())
         env.run(until=feed_started + duration)
@@ -155,14 +155,14 @@ class SingleExecutorHarness:
             - marks.get("processed_at_warmup", 0)
         )
         window = duration - warmup
-        reservoir = executor.metrics.queue_latency
+        latency = executor.metrics.queue_latency
         return {
             "cores": cores,
             "throughput": processed / window,
             "nominal_capacity": nominal_capacity,
             "efficiency": (processed / window) / nominal_capacity,
-            "latency_mean": reservoir.mean,
-            "latency_p99": reservoir.percentile(99),
+            "latency_mean": latency.mean,
+            "latency_p99": latency.quantile(0.99),
             "migrated_bytes": cluster.network.bytes_by_purpose[
                 TransferPurpose.STATE_MIGRATION
             ].total,

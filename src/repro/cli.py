@@ -75,7 +75,6 @@ def _build_config(args: argparse.Namespace, paradigm: Paradigm) -> SystemConfig:
         forecast_gamma=getattr(args, "forecast_gamma", 0.0),
         forecast_season=getattr(args, "forecast_season", 0),
         forecast_horizon=getattr(args, "forecast_horizon", 3),
-        proactive_headroom=getattr(args, "proactive_headroom", 1.25),
         fault_spec=getattr(args, "fault_spec", None),
         network_profile=getattr(args, "net_profile", None),
         detection_delay=getattr(args, "detection_delay", 0.25),
@@ -502,9 +501,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="season length in scheduler rounds (0 = off)")
     parser.add_argument("--forecast-horizon", type=int, default=3,
                         help="forecast horizon in scheduler rounds")
-    parser.add_argument("--proactive-headroom", type=float, default=1.25,
-                        help="proactive burst threshold as a multiple of "
-                             "current executor capacity (>= 1.0)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--fault-spec", default=None,

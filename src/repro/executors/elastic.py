@@ -360,7 +360,7 @@ class _TaskPipeline(Event):
         if reference is None:
             reference = batch.created_at
         waited = now - reference
-        metrics.queue_latency.record(waited if waited > 0.0 else 0.0)
+        metrics.queue_latency.add(waited if waited > 0.0 else 0.0)
         if ex.operator_in_flight is not None:
             ex.operator_in_flight.decrement()
         if batch.trace is not None:
@@ -695,7 +695,7 @@ class ElasticExecutor:
         if reference is None:
             reference = batch.created_at
         waited = now - reference
-        metrics.queue_latency.record(waited if waited > 0.0 else 0.0)
+        metrics.queue_latency.add(waited if waited > 0.0 else 0.0)
         if self.operator_in_flight is not None:
             self.operator_in_flight.decrement()
         if batch.trace is not None:
@@ -853,23 +853,6 @@ class ElasticExecutor:
                     yield from self._rebalance_locked()
             finally:
                 self._control.release()
-
-    def rebalance_now(self) -> typing.Generator:
-        """One immediate balancing round (simulation process body).
-
-        The proactive scheduler's forecast-triggered path: spread this
-        executor's shards over its cores *now* instead of waiting for
-        the periodic balance loop to observe the imbalance.  Plans on
-        the last snapshotted shard loads — taking a fresh snapshot
-        mid-interval would divide a partial accumulation window by the
-        full interval and under-estimate every load.
-        """
-        yield self._control.request()
-        try:
-            if self.alive:
-                yield from self._rebalance_locked()
-        finally:
-            self._control.release()
 
     def _rebalance_locked(self) -> typing.Generator:
         """Plan and execute shard moves.  Caller must hold the control lock."""

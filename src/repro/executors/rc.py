@@ -162,7 +162,7 @@ class RCExecutor:
         now = self.env.now
         self.metrics.on_processed(now, batch.count, cost)
         reference = batch.admitted_at if batch.admitted_at is not None else batch.created_at
-        self.metrics.queue_latency.record(max(0.0, now - reference))
+        self.metrics.queue_latency.add(max(0.0, now - reference))
         # Commit point: state applied and accounted — settle the operator
         # ledger before emissions yield, so a crash landing mid-emission
         # neither re-applies the batch nor strands the in-flight counter.

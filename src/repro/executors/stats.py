@@ -5,7 +5,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.metrics import EWMA, Counter, LatencyReservoir, PairedWindowedRate, WindowedRate
+from repro.metrics import EWMA, Counter, PairedWindowedRate, WindowedRate
+from repro.telemetry.sketch import QuantileSketch
 
 
 class ExecutorMetrics:
@@ -29,7 +30,7 @@ class ExecutorMetrics:
         self.service_cost = EWMA(half_life=cost_half_life, initial=1e-3)
         self.processed_tuples = Counter()
         self.processed_batches = Counter()
-        self.queue_latency = LatencyReservoir(capacity=2048, seed=17)
+        self.queue_latency = QuantileSketch()
 
     def on_arrival(self, now: float, count: int, nbytes: int) -> None:
         self._in_rates.record(now, count, nbytes)

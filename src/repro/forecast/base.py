@@ -68,8 +68,8 @@ class Forecaster(abc.ABC):
         return self._project(horizon)
 
     def peak(self, horizon: int) -> float:
-        """Max forecast over steps ``1..horizon`` (proactive headroom
-        checks care about the worst point of the window, not its end)."""
+        """Max forecast over steps ``1..horizon`` (predictive demand
+        provisions for the worst point of the window, not its end)."""
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if self.observations == 0:

@@ -8,7 +8,6 @@ corresponding virtual-time-aware meters.
 """
 
 from repro.metrics.counters import ByteCounter, Counter
-from repro.metrics.latency import LatencyReservoir
 from repro.metrics.rates import EWMA, PairedWindowedRate, WindowedRate
 from repro.metrics.recovery import RecoveryEvent, RecoveryStats
 from repro.metrics.timeseries import TimeSeries
@@ -17,7 +16,6 @@ __all__ = [
     "ByteCounter",
     "Counter",
     "EWMA",
-    "LatencyReservoir",
     "PairedWindowedRate",
     "RecoveryEvent",
     "RecoveryStats",

@@ -45,11 +45,10 @@ class SystemConfig:
     phi: float = 512 * 1024.0
     #: Scheduling strategy for the executor-centric paradigms
     #: (docs/scheduling.md): "reactive" (the paper's scheduler),
-    #: "predictive" (forecast-driven allocation + DRR placement),
-    #: "proactive" (predictive + forecast-triggered rebalancing), or
+    #: "predictive" (forecast-driven allocation + DRR placement), or
     #: "naive-ec" (forced when the paradigm is NAIVE_EC).
     scheduler_strategy: str = "reactive"
-    #: Forecast knobs (predictive/proactive): level / trend / seasonal
+    #: Forecast knobs (predictive): level / trend / seasonal
     #: smoothing factors, season length in scheduler rounds (0 = no
     #: seasonality), and the forecast horizon in rounds.
     forecast_alpha: float = 0.5
@@ -57,9 +56,6 @@ class SystemConfig:
     forecast_gamma: float = 0.0
     forecast_season: int = 0
     forecast_horizon: int = 3
-    #: Proactive burst threshold: rebalance an executor early when its
-    #: peak forecast exceeds this multiple of its current capacity.
-    proactive_headroom: float = 1.25
     #: RC manager cadence.
     rc_manage_interval: float = 1.0
     #: Static paradigm: executors per operator; None = fill the cluster.
@@ -139,8 +135,6 @@ class SystemConfig:
             raise ValueError("forecast_season must be 0 (off) or >= 2")
         if self.forecast_horizon < 1:
             raise ValueError("forecast_horizon must be >= 1")
-        if self.proactive_headroom < 1.0:
-            raise ValueError("proactive_headroom must be >= 1.0")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
         if self.telemetry_sample_interval <= 0:

@@ -23,12 +23,12 @@ from repro.executors import (
 )
 from repro.faults import FaultCoordinator, FaultInjector
 from repro.faults.spec import FaultKind
-from repro.metrics import LatencyReservoir, RecoveryStats, TimeSeries
+from repro.metrics import RecoveryStats, TimeSeries
 from repro.runtime.config import Paradigm, SystemConfig
 from repro.scheduler import DynamicScheduler
 from repro.scheduler.model import MMKModel
 from repro.sim import Environment
-from repro.telemetry import Telemetry
+from repro.telemetry import QuantileSketch, Telemetry
 from repro.topology import Topology
 from repro.topology.batch import reset_batch_ids
 
@@ -219,8 +219,8 @@ class StreamSystem:
             # before any channel is built so every transfer is re-checked.
             self.cluster.network.enable_delivery_guard()
         self.reassignment_stats = ReassignmentStats()
-        self.sink_latency = LatencyReservoir(capacity=8192, seed=11)
-        self.sink_residence = LatencyReservoir(capacity=8192, seed=13)
+        self.sink_latency = QuantileSketch()
+        self.sink_residence = QuantileSketch()
         self.sink_completions = TimeSeries("sink_completions")
         #: Completed latency-breakdown traces (config.trace_every > 0).
         self.traces: typing.List[typing.Dict[str, float]] = []
@@ -396,7 +396,6 @@ class StreamSystem:
                     gamma=config.forecast_gamma,
                     season_length=config.forecast_season,
                     horizon=config.forecast_horizon,
-                    burst_headroom=config.proactive_headroom,
                 ),
             )
             self.scheduler.start()
@@ -544,12 +543,12 @@ class StreamSystem:
             self.traces.append(dict(batch.trace))
         if now >= self._warmup:
             age = now - batch.created_at
-            self.sink_latency.record(age if age > 0.0 else 0.0)
+            self.sink_latency.add(age if age > 0.0 else 0.0)
             admitted = batch.admitted_at
             if admitted is None:
                 admitted = batch.created_at
             residence = now - admitted
-            self.sink_residence.record(residence if residence > 0.0 else 0.0)
+            self.sink_residence.add(residence if residence > 0.0 else 0.0)
 
     def operator_summary(self) -> typing.List[typing.Dict[str, typing.Any]]:
         """Per-operator snapshot: executors, cores, work done, latency.
@@ -656,8 +655,8 @@ class StreamSystem:
             duration=duration,
             warmup=self._warmup,
             throughput_tps=measured / window,
-            latency=self.sink_latency.snapshot(),
-            residence=self.sink_residence.snapshot(),
+            latency=self.sink_latency.summary(),
+            residence=self.sink_residence.summary(),
             throughput_series=self.throughput_series,
             sink_completions=self.sink_completions,
             migration_bytes=network[TransferPurpose.STATE_MIGRATION].total,

@@ -19,9 +19,7 @@ Steps 2 and 3 are strategy hooks (:mod:`repro.scheduler.strategies`):
 besides the reactive default and the naive-EC ablation, the
 ``predictive`` strategy allocates against Holt-Winters forecast demand
 and places by dominant remaining resource
-(:func:`~repro.scheduler.predictive.drr_assignment`), and ``proactive``
-additionally rebalances executors ahead of forecast bursts
-(docs/scheduling.md).
+(:func:`~repro.scheduler.predictive.drr_assignment`; docs/scheduling.md).
 """
 
 from repro.scheduler.model import JacksonNetworkModel, MMKModel, erlang_c
@@ -39,7 +37,6 @@ from repro.scheduler.strategies import (
     STRATEGY_NAMES,
     NaiveECStrategy,
     PredictiveStrategy,
-    ProactiveStrategy,
     ReactiveStrategy,
     SchedulingStrategy,
     make_strategy,
@@ -57,7 +54,6 @@ __all__ = [
     "NaiveAssigner",
     "NaiveECStrategy",
     "PredictiveStrategy",
-    "ProactiveStrategy",
     "ReactiveStrategy",
     "STRATEGY_NAMES",
     "SchedulerReport",

@@ -21,11 +21,7 @@ from repro.cluster.node import Cluster
 from repro.executors.elastic import ElasticExecutor
 from repro.scheduler.allocation import ExecutorDemand, GreedyAllocator
 from repro.scheduler.assignment import DEFAULT_PHI, AssignmentInput
-from repro.scheduler.strategies import (
-    NaiveECStrategy,
-    ReactiveStrategy,
-    SchedulingStrategy,
-)
+from repro.scheduler.strategies import ReactiveStrategy, SchedulingStrategy
 from repro.sim import Environment
 
 
@@ -45,8 +41,6 @@ class SchedulerRound:
     #: Mean absolute one-step forecast error (0.0 for non-forecasting
     #: strategies — the reactive baseline has no forecast to be wrong).
     forecast_error: float = 0.0
-    #: Executors rebalanced ahead of a forecast burst this round.
-    proactive_triggers: int = 0
 
 
 class SchedulerReport:
@@ -80,7 +74,6 @@ class DynamicScheduler:
         interval: float = 1.0,
         latency_target: float = 0.05,
         phi: float = DEFAULT_PHI,
-        naive: bool = False,
         reserved_by_node: typing.Optional[typing.Dict[int, int]] = None,
         demand_headroom: float = 1.2,
         strategy: typing.Optional[SchedulingStrategy] = None,
@@ -95,13 +88,8 @@ class DynamicScheduler:
         self.interval = interval
         self.allocator = GreedyAllocator(latency_target)
         self.phi = phi
-        #: Round policy (docs/scheduling.md).  ``naive=True`` is the
-        #: legacy spelling of the naive-EC strategy, kept for callers
-        #: predating the strategy layer.
-        if strategy is None:
-            strategy = NaiveECStrategy() if naive else ReactiveStrategy()
-        self.strategy = strategy
-        self.naive = strategy.needs_transition_slack
+        #: Round policy (docs/scheduling.md).
+        self.strategy = strategy or ReactiveStrategy()
         #: Inflation on measured λ: the M/M/k model assumes perfectly
         #: balanced tasks, but the balancer only guarantees δ ≤ θ, so each
         #: executor needs ~θ× the model's capacity to keep its hottest
@@ -179,12 +167,6 @@ class DynamicScheduler:
                         service_rate=service,
                     )
                 )
-            # Forecast-burst flags: treated like congestion (no shrinking
-            # an executor a burst is about to hit), plus an early
-            # rebalance after the plan is applied.
-            flagged = strategy.burst_flagged(live, now)
-            for executor in flagged:
-                self._last_congested_round[executor.name] = self._round
             budget = self.cluster.cores.total_capacity - sum(
                 self.reserved_by_node.values()
             )
@@ -230,25 +212,10 @@ class DynamicScheduler:
                     cores_removed=cores_removed,
                     strategy=strategy.name,
                     forecast_error=strategy.forecast_error(),
-                    proactive_triggers=len(flagged),
                 )
             )
             span.mark("planned")
             yield from self._apply(added, removed)
-            if flagged:
-                # Proactive path: spread the flagged executors' shards
-                # over their (possibly just-grown) cores before the burst
-                # lands, not when the balance loop next notices skew.
-                procs = []
-                for executor in flagged:
-                    if executor.alive:
-                        bus.emit(
-                            "proactive_rebalance", source="scheduler",
-                            executor=executor.name,
-                        )
-                        procs.append(self.env.process(executor.rebalance_now()))
-                if procs:
-                    yield self.env.all_of(procs)
             span.finish(
                 status="ok",
                 wall_seconds=wall_seconds,
@@ -259,7 +226,6 @@ class DynamicScheduler:
                 cores_removed=cores_removed,
                 strategy=strategy.name,
                 forecast_error=strategy.forecast_error(),
-                proactive_triggers=len(flagged),
             )
         finally:
             span.finish(status="aborted")

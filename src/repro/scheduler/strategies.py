@@ -3,19 +3,16 @@ into a core plan.
 
 The :class:`~repro.scheduler.scheduler.DynamicScheduler` daemon owns the
 round *mechanics* (measure, damp, diff, apply); a strategy owns the
-round *policy* at three hook points:
+round *policy* at two hook points:
 
 - :meth:`~SchedulingStrategy.demand` — what λ to model an executor at
   (reactive: the inflated measurement; predictive: the forecast peak);
 - :meth:`~SchedulingStrategy.assign` — how to place the granted cores
-  (Algorithm 1, naive round-robin, or dominant-remaining-resource);
-- :meth:`~SchedulingStrategy.burst_flagged` — which executors should be
-  rebalanced *now*, ahead of a forecast burst (proactive only).
+  (Algorithm 1, naive round-robin, or dominant-remaining-resource).
 
-Four strategies ship (docs/scheduling.md): ``reactive`` (the paper's
-Elasticutor scheduler), ``naive-ec`` (the §5.4 ablation), ``predictive``
-(Elasecutor-style forecast-driven allocation) and ``proactive``
-(predictive plus forecast-triggered early shard rebalancing).
+Three strategies ship (docs/scheduling.md): ``reactive`` (the paper's
+Elasticutor scheduler), ``naive-ec`` (the §5.4 ablation) and
+``predictive`` (Elasecutor-style forecast-driven allocation).
 """
 
 from __future__ import annotations
@@ -30,11 +27,8 @@ from repro.scheduler.assignment import (
 )
 from repro.scheduler.predictive import drr_assignment
 
-if typing.TYPE_CHECKING:
-    from repro.executors.elastic import ElasticExecutor
-
 #: CLI / config names, in presentation order.
-STRATEGY_NAMES = ("reactive", "predictive", "proactive", "naive-ec")
+STRATEGY_NAMES = ("reactive", "predictive", "naive-ec")
 
 AssignmentMatrix = typing.Dict[str, typing.Dict[int, int]]
 
@@ -60,13 +54,6 @@ class SchedulingStrategy:
     ) -> typing.Tuple[AssignmentMatrix, float]:
         """Place the granted cores; returns (matrix, φ actually used)."""
         return solve_assignment(inp)
-
-    def burst_flagged(
-        self, live: typing.Sequence["ElasticExecutor"], now: float
-    ) -> typing.List["ElasticExecutor"]:
-        """Executors whose forecast crosses the burst threshold — the
-        scheduler holds their shrinks and rebalances them immediately."""
-        return []
 
     def forecast_error(self) -> float:
         """Mean absolute one-step forecast error (0.0 when not forecasting)."""
@@ -136,56 +123,6 @@ class PredictiveStrategy(SchedulingStrategy):
         return self.bank.mean_abs_error()
 
 
-class ProactiveStrategy(PredictiveStrategy):
-    """Predictive allocation plus forecast-triggered early rebalancing.
-
-    When an executor's peak forecast exceeds ``burst_headroom`` times its
-    current capacity (cores × measured service rate), the scheduler
-    treats it like a congested executor (shrinks held) and triggers an
-    immediate shard-rebalance round — spreading the executor's hot
-    shards across its cores *before* the burst lands instead of waiting
-    for the periodic balance loop to observe the imbalance.
-    """
-
-    name = "proactive"
-
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        beta: float = 0.3,
-        gamma: float = 0.0,
-        season_length: int = 0,
-        horizon: int = 3,
-        headroom: float = 1.2,
-        burst_headroom: float = 1.25,
-    ) -> None:
-        if burst_headroom < 1.0:
-            raise ValueError(
-                f"burst_headroom must be >= 1.0, got {burst_headroom}"
-            )
-        super().__init__(
-            alpha=alpha, beta=beta, gamma=gamma,
-            season_length=season_length, horizon=horizon, headroom=headroom,
-        )
-        self.burst_headroom = burst_headroom
-        #: (time, executor name) of every forecast-triggered rebalance.
-        self.triggers: typing.List[typing.Tuple[float, str]] = []
-
-    def burst_flagged(
-        self, live: typing.Sequence["ElasticExecutor"], now: float
-    ) -> typing.List["ElasticExecutor"]:
-        flagged = []
-        for executor in live:
-            service = executor.metrics.service_rate()
-            capacity = executor.num_cores * service
-            if capacity <= 0:
-                continue
-            if self.bank.predict(executor.name) > self.burst_headroom * capacity:
-                flagged.append(executor)
-                self.triggers.append((now, executor.name))
-        return flagged
-
-
 def make_strategy(
     name: str,
     *,
@@ -195,7 +132,6 @@ def make_strategy(
     season_length: int = 0,
     horizon: int = 3,
     headroom: float = 1.2,
-    burst_headroom: float = 1.25,
 ) -> SchedulingStrategy:
     """Build a strategy by CLI/config name (see :data:`STRATEGY_NAMES`)."""
     if name == "reactive":
@@ -206,12 +142,6 @@ def make_strategy(
         return PredictiveStrategy(
             alpha=alpha, beta=beta, gamma=gamma,
             season_length=season_length, horizon=horizon, headroom=headroom,
-        )
-    if name == "proactive":
-        return ProactiveStrategy(
-            alpha=alpha, beta=beta, gamma=gamma,
-            season_length=season_length, horizon=horizon, headroom=headroom,
-            burst_headroom=burst_headroom,
         )
     raise ValueError(
         f"unknown scheduler strategy {name!r}; choose from {STRATEGY_NAMES}"

@@ -319,7 +319,7 @@ class LatencyProbe:
         self.relative_accuracy = relative_accuracy
         self.max_buckets = max_buckets
         #: Observations before this virtual time are dropped, mirroring
-        #: the warmup window of the run's reservoir metrics.
+        #: the warmup window of the run's headline sink-latency sketches.
         self.warmup = warmup
         self._sketches: typing.Dict[int, QuantileSketch] = {}
         #: Interleaved (shard_id, latency, count) triples awaiting a fold.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import EWMA, ByteCounter, Counter, LatencyReservoir, TimeSeries, WindowedRate
+from repro.metrics import EWMA, ByteCounter, Counter, TimeSeries, WindowedRate
 
 
 class TestCounter:
@@ -96,45 +96,6 @@ class TestEWMA:
     def test_invalid_half_life(self):
         with pytest.raises(ValueError):
             EWMA(half_life=0.0)
-
-
-class TestLatencyReservoir:
-    def test_mean_over_all_samples(self):
-        reservoir = LatencyReservoir(capacity=4)
-        for value in [1.0, 2.0, 3.0, 4.0, 5.0]:
-            reservoir.record(value)
-        assert reservoir.count == 5
-        assert reservoir.mean == pytest.approx(3.0)
-        assert reservoir.max == 5.0
-
-    def test_percentiles_small(self):
-        reservoir = LatencyReservoir()
-        for value in range(1, 101):
-            reservoir.record(float(value))
-        assert reservoir.percentile(50) == pytest.approx(50.5)
-        assert reservoir.percentile(99) == pytest.approx(99.01)
-        assert reservoir.percentile(0) == 1.0
-        assert reservoir.percentile(100) == 100.0
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyReservoir().record(-0.1)
-
-    def test_invalid_percentile(self):
-        with pytest.raises(ValueError):
-            LatencyReservoir().percentile(101)
-
-    def test_empty_snapshot(self):
-        snapshot = LatencyReservoir().snapshot()
-        assert snapshot["count"] == 0
-        assert snapshot["p99"] == 0.0
-
-    def test_reservoir_approximates_distribution(self):
-        reservoir = LatencyReservoir(capacity=500, seed=7)
-        for value in range(10_000):
-            reservoir.record(float(value))
-        # Median of 0..9999 is ~5000; reservoir should land nearby.
-        assert abs(reservoir.percentile(50) - 5000) < 1000
 
 
 class TestTimeSeries:

@@ -6,7 +6,7 @@ from repro.cluster import Cluster
 from repro.executors import ElasticExecutor
 from repro.executors.config import ExecutorConfig
 from repro.logic.base import OperatorLogic
-from repro.scheduler import DynamicScheduler
+from repro.scheduler import DynamicScheduler, NaiveECStrategy
 from repro.sim import Environment
 from repro.topology import OperatorSpec, TupleBatch
 
@@ -142,7 +142,7 @@ class TestDynamicScheduler:
         for executor in executors:
             feed(env, executor, rate=2500, cost=1e-3)
         scheduler = DynamicScheduler(
-            env, cluster, executors, interval=0.5, naive=True
+            env, cluster, executors, interval=0.5, strategy=NaiveECStrategy()
         )
         scheduler.start()
         env.run(until=8.0)

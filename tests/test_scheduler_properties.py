@@ -1,7 +1,7 @@
 """Property battery over ALL scheduling strategies (docs/scheduling.md).
 
 One parametrized fixture drives every strategy — reactive, predictive,
-proactive, naive-EC — through the same invariants:
+naive-EC — through the same invariants:
 
 - core conservation: every assignment plan grants each executor exactly
   its target and never oversubscribes a node;
@@ -270,7 +270,7 @@ def run_world(strategy_name, until=8.0):
         cluster,
         executors,
         interval=0.5,
-        strategy=make_strategy(strategy_name, horizon=2, burst_headroom=1.05),
+        strategy=make_strategy(strategy_name, horizon=2),
     )
     scheduler.start()
     env.run(until=until)
@@ -321,7 +321,6 @@ class TestShardIntegrity:
                             r.cores_removed,
                             r.strategy,
                             r.forecast_error,
-                            r.proactive_triggers,
                         )
                         for r in scheduler.report.rounds
                     ],

@@ -13,9 +13,27 @@ from repro import (
     StreamSystem,
     SystemConfig,
 )
+from repro.telemetry.report import percentile
 
 
-def make_micro(paradigm, rate=6000, omega=0.0, duration=None, seed=3, **workload_kwargs):
+class AgeRecordingSystem(StreamSystem):
+    """Keeps every post-warmup sink age beside the headline sketch."""
+
+    def __init__(self, *args, **kwargs):
+        self.ages = []
+        super().__init__(*args, **kwargs)
+
+    def _record_sink(self, batch, now):
+        super()._record_sink(batch, now)
+        if now >= self._warmup:
+            age = now - batch.created_at
+            self.ages.append(age if age > 0.0 else 0.0)
+
+
+def make_micro(
+    paradigm, rate=6000, omega=0.0, duration=None, seed=3,
+    system_cls=StreamSystem, **workload_kwargs,
+):
     workload = MicroBenchmarkWorkload(
         rate=rate, num_keys=2000, skew=0.8, omega=omega, batch_size=20, seed=seed,
         **workload_kwargs,
@@ -26,7 +44,7 @@ def make_micro(paradigm, rate=6000, omega=0.0, duration=None, seed=3, **workload
     config = SystemConfig(
         paradigm=paradigm, num_nodes=4, cores_per_node=4, source_instances=2,
     )
-    return StreamSystem(topology, workload, config)
+    return system_cls(topology, workload, config)
 
 
 class TestStreamSystemBasics:
@@ -98,6 +116,25 @@ class TestStreamSystemBasics:
             elastic_result.migration_bytes + elastic_result.remote_task_bytes
         )
         assert naive_traffic >= elastic_traffic
+
+    def test_headline_latency_matches_exact_sink_ages(self):
+        system = make_micro(
+            Paradigm.ELASTICUTOR, omega=8.0, system_cls=AgeRecordingSystem
+        )
+        result = system.run(duration=12.0, warmup=4.0)
+        ages = system.ages
+        assert result.latency["count"] == len(ages) > 1000
+        ordered = sorted(ages)
+        bound = system.sink_latency.relative_accuracy * (1.0 + 1e-9)
+        for key, q in (("p50", 0.50), ("p99", 0.99)):
+            exact = percentile(ordered, q)
+            assert abs(result.latency[key] - exact) <= bound * exact, key
+        # Left-to-right running sum, the order the sketch accumulates in
+        # (builtin sum() compensates rounding on newer Pythons).
+        total = 0.0
+        for age in ages:
+            total += age
+        assert result.latency["mean"] == total / len(ages)
 
     def test_result_summary_renders(self):
         result = make_micro(Paradigm.ELASTICUTOR).run(10.0, warmup=4.0)
