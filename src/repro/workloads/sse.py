@@ -20,6 +20,13 @@ million-stock key spaces.  The per-tick RNG consumption is *fixed shape*
 (three full-width vectors) regardless of which stocks burst, which keeps
 parameter changes from silently desynchronizing unrelated draws.
 
+The draws stay full-width, but the state derived from them is sparse:
+decay, the burst cut-off and onsets touch only the bursting stocks.
+Each tick ends in one cumulative weight table, written into a recycled
+buffer and shared by every source instance, which sample stocks from it
+by inverse CDF; the draws themselves land in preallocated scratch, so a
+tick allocates nothing per stock.
+
 Topology: orders -> transactor -> 6 statistics + 5 event operators,
 keyed by stock id throughout.
 """
@@ -111,6 +118,16 @@ class SSEWorkload:
     ) -> None:
         if rate <= 0 or num_stocks < 1 or batch_size < 1 or tick <= 0:
             raise ValueError("invalid workload parameters")
+        for name, value, valid, rule in (
+            ("burst_decay", burst_decay, 0 < burst_decay <= 1, "in (0, 1]"),
+            ("burst_probability", burst_probability, burst_probability >= 0, ">= 0"),
+            ("drift_sigma", drift_sigma, drift_sigma >= 0, ">= 0"),
+            ("burst_magnitude", burst_magnitude, burst_magnitude > 0, "> 0"),
+            ("popularity_skew", popularity_skew, popularity_skew >= 0, ">= 0"),
+            ("match_ratio", match_ratio, 0 <= match_ratio <= 1, "in [0, 1]"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
         self.rate = rate
         self.num_stocks = num_stocks
         self.order_cost = order_cost
@@ -134,11 +151,12 @@ class SSEWorkload:
         #: Off by default at million-key scale: the counters would
         #: dominate the workload's own memory footprint.
         self.track_arrivals = track_arrivals
-        #: Retain only the last N ticks of per-stock weight vectors.
-        #: Each vector is 8 bytes/stock, so unbounded retention at a
-        #: million stocks costs ~8 MB *per tick*; source instances all
-        #: read within a tick or two of each other, so a small window
-        #: suffices for generation.  None keeps every tick (analysis).
+        #: Retain only the last N ticks' cumulative weight tables.  Each
+        #: table is 8 bytes/stock, so unbounded retention at a million
+        #: stocks costs ~8 MB *per tick*; source instances all read
+        #: within a tick or two of each other, so a small window suffices
+        #: for generation, and evicted tables are recycled for new ticks.
+        #: None keeps every tick (analysis).
         if weights_window is not None and weights_window < 2:
             raise ValueError("weights_window must be >= 2")
         self.weights_window = weights_window
@@ -157,8 +175,16 @@ class SSEWorkload:
         self.popularity = weights / weights.sum()
         self._multiplier = np.ones(num_stocks)
         self._burst = np.zeros(num_stocks)
+        #: Stocks whose burst is nonzero: ``_burst[s] != 0`` iff s is here.
+        self._bursting = np.empty(0, dtype=np.intp)
+        #: Scratch every tick's full-width draws land in.
+        self._draws = np.empty(num_stocks)
+        self._onset_mask = np.empty(num_stocks, dtype=bool)
+        self._boosted_stocks = sorted({b.stock for b in self.scheduled_bursts})
         self._advanced_ticks = 0
-        self._tick_weights: typing.List[typing.Optional[np.ndarray]] = []
+        #: tick index -> cumulative weight table (None once evicted).
+        self._tick_tables: typing.List[typing.Optional[np.ndarray]] = []
+        self._spare_tables: typing.List[np.ndarray] = []
         self._reference_price = 10.0 + 90.0 * self._rng.random(num_stocks)
         self._next_order_id = 0
         self.generated_tuples = 0
@@ -188,77 +214,113 @@ class SSEWorkload:
                     boost += tail
         return boost
 
-    def _scheduled_boost(self, time: float) -> typing.Union[float, np.ndarray]:
-        """Scheduled-burst boosts for all stocks (0.0 when none are due)."""
-        if not self.scheduled_bursts:
-            return 0.0
-        boost = np.zeros(self.num_stocks)
-        for stock in sorted({burst.stock for burst in self.scheduled_bursts}):
-            boost[stock] = self._scheduled_envelope(stock, time)
-        return boost
+    def _scheduled_boost(self, time: float) -> np.ndarray:
+        """Scheduled-burst boosts of ``_boosted_stocks`` at ``time``."""
+        return np.array(
+            [self._scheduled_envelope(stock, time) for stock in self._boosted_stocks]
+        )
 
     def _advance_to(self, tick_index: int) -> None:
         """Advance the per-stock rate processes up to ``tick_index``.
 
         One market tick costs three vectorized draws over all stocks
         (drift, burst-onset mask, burst magnitudes) — the RNG stream
-        shape never depends on the data, only on the tick count.
+        shape never depends on the data, only on the tick count — and
+        one pass that writes the tick's cumulative weight table.
         """
         rng = self._rng
         n = self.num_stocks
         sigma = self.drift_sigma * math.sqrt(self.tick)
         decay_per_tick = self.burst_decay ** self.tick
+        floor = 0.05 * decay_per_tick
         onset_probability = self.burst_probability * self.tick
+        popularity = self.popularity
         multiplier = self._multiplier
         burst = self._burst
+        draws = self._draws
+        boosted = self._boosted_stocks
         while self._advanced_ticks <= tick_index:
-            drift = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
-            np.exp(drift, out=drift)
-            multiplier *= drift
-            np.clip(multiplier, 0.2, 5.0, out=multiplier)
-            np.multiply(burst, decay_per_tick, out=burst)
-            burst[burst <= 0.05 * decay_per_tick] = 0.0
-            onset = rng.random(n) < onset_probability
-            magnitudes = self.burst_magnitude * (0.5 + rng.random(n))
-            burst[onset] = magnitudes[onset]
-            now = self._advanced_ticks * self.tick
-            weights = (
-                self.popularity
-                * multiplier
-                * (1.0 + burst + self._scheduled_boost(now))
+            # Same values as exp(rng.normal(0.0, sigma, n)), without the
+            # per-tick array.
+            if sigma > 0:
+                rng.standard_normal(n, out=draws)
+                draws *= sigma
+                np.exp(draws, out=draws)
+                multiplier *= draws
+                np.clip(multiplier, 0.2, 5.0, out=multiplier)
+            bursting = self._bursting
+            decayed = burst[bursting] * decay_per_tick
+            alive = decayed > floor
+            burst[bursting] = np.where(alive, decayed, 0.0)
+            bursting = bursting[alive]
+            rng.random(n, out=draws)
+            onset = np.flatnonzero(
+                np.less(draws, onset_probability, out=self._onset_mask)
             )
-            self._tick_weights.append(weights)
+            rng.random(n, out=draws)
+            fresh = onset[burst[onset] == 0.0]
+            burst[onset] = self.burst_magnitude * (0.5 + draws[onset])
+            bursting = np.concatenate((bursting, fresh))
+            self._bursting = bursting
+            # weights = popularity * multiplier * ((1 + burst) + boost):
+            # the factor is exactly 1.0 off the bursting and boosted
+            # stocks, so only those are touched after the dense product.
+            self._evict(self._advanced_ticks + 1)
+            table = self._spare_tables.pop() if self._spare_tables else np.empty(n)
+            np.multiply(popularity, multiplier, out=table)
+            table[bursting] *= 1.0 + burst[bursting]
+            if boosted:
+                boost = self._scheduled_boost(self._advanced_ticks * self.tick)
+                table[boosted] = (popularity[boosted] * multiplier[boosted]) * (
+                    (1.0 + burst[boosted]) + boost
+                )
+            np.cumsum(table, out=table)
+            self._tick_tables.append(table)
             self._advanced_ticks += 1
-        window = self.weights_window
-        if window is not None:
-            keep_from = self._advanced_ticks - window
-            if self._instance_ticks:
-                keep_from = min(keep_from, min(self._instance_ticks.values()))
-            drop = keep_from - self._evicted_ticks
-            if drop > 0:
-                # Free the arrays but keep list indexing tick-aligned.
-                for i in range(self._evicted_ticks, self._evicted_ticks + drop):
-                    self._tick_weights[i] = None
-                self._evicted_ticks += drop
+        self._evict(self._advanced_ticks)
 
-    def stock_weights(self, tick_index: int) -> np.ndarray:
+    def _evict(self, advanced_ticks: int) -> None:
+        """Recycle tables behind both the window and the slowest instance."""
+        window = self.weights_window
+        if window is None:
+            return
+        keep_from = advanced_ticks - window
+        if self._instance_ticks:
+            keep_from = min(keep_from, min(self._instance_ticks.values()))
+        # Keep list indexing tick-aligned: evicted slots read None.
+        for i in range(self._evicted_ticks, keep_from):
+            self._spare_tables.append(self._tick_tables[i])
+            self._tick_tables[i] = None
+        self._evicted_ticks = max(self._evicted_ticks, keep_from)
+
+    def _table(self, tick_index: int) -> np.ndarray:
+        """Cumulative weight table of one tick.
+
+        The array is recycled once the tick leaves the window, so
+        callers must read it before the workload advances again.
+        """
         self._advance_to(tick_index)
-        weights = self._tick_weights[tick_index]
-        if weights is None:
+        table = self._tick_tables[tick_index]
+        if table is None:
             raise ValueError(
                 f"tick {tick_index} weights were evicted "
                 f"(weights_window={self.weights_window}); widen the window "
                 "or query before advancing past it"
             )
+        return table
+
+    def stock_weights(self, tick_index: int) -> np.ndarray:
+        """Per-stock weights of one tick (a fresh array the caller owns)."""
+        table = self._table(tick_index)
+        weights = table.copy()
+        weights[1:] -= table[:-1]
         return weights
 
     def stock_rate(self, stock: int, tick_index: int) -> float:
         """Instantaneous arrival rate of one stock (tuples/s)."""
-        weights = self.stock_weights(tick_index)
-        total = weights.sum()
-        if total == 0:
-            return 0.0
-        return float(self.rate * weights[stock] / total)
+        table = self._table(tick_index)
+        weight = table[stock] - table[stock - 1] if stock else table[0]
+        return float(self.rate * weight / table[-1])
 
     # -- order synthesis ------------------------------------------------------
 
@@ -305,7 +367,8 @@ class SSEWorkload:
 
         Lazy at tick granularity: each tick draws the stock ids and
         creation times as whole arrays (inverse-CDF over the tick's
-        weight vector), then yields the batch objects one by one.
+        shared cumulative table), then yields the batch objects one by
+        one.
         """
         if not 0 <= instance_index < num_instances:
             raise ValueError("instance_index out of range")
@@ -320,13 +383,12 @@ class SSEWorkload:
         try:
             while duration is None or tick_index * self.tick < duration:
                 self._instance_ticks[instance_index] = tick_index
-                weights = self.stock_weights(tick_index)
+                cumulative = self._table(tick_index)
                 tick_start = tick_index * self.tick
                 wanted = tuples_per_tick + carry
                 num_batches = int(wanted / batch_size)
                 carry = wanted - num_batches * batch_size
                 if num_batches > 0:
-                    cumulative = np.cumsum(weights)
                     draws = rng.random(num_batches) * cumulative[-1]
                     stocks = np.minimum(
                         np.searchsorted(cumulative, draws), self.num_stocks - 1

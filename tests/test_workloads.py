@@ -1,5 +1,8 @@
 """Unit tests for the workload generators."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.sim import Environment
@@ -218,6 +221,152 @@ class TestSSEWorkload:
             SSEWorkload(rate=0)
         with pytest.raises(ValueError):
             SSEWorkload(num_stocks=0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("burst_decay", 0.0),
+            ("burst_decay", 1.5),
+            ("burst_probability", -0.1),
+            ("drift_sigma", -0.01),
+            ("burst_magnitude", 0.0),
+            ("burst_magnitude", -2.0),
+            ("popularity_skew", -0.5),
+            ("match_ratio", -0.1),
+            ("match_ratio", 1.1),
+        ],
+    )
+    def test_rejects_out_of_range_rate_parameters(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SSEWorkload(**{name: value})
+
+    def test_accepts_range_edges(self):
+        SSEWorkload(
+            burst_decay=1.0,
+            burst_probability=0.0,
+            drift_sigma=0.0,
+            popularity_skew=0.0,
+            match_ratio=1.0,
+        )
+        SSEWorkload(match_ratio=0.0)
+
+
+def _stream(workload, num_instances=3, duration=30.0):
+    """(created, key, count) of every batch, instances consumed round-robin."""
+    env = Environment()
+    live = [
+        workload.schedule(env, i, num_instances, duration=duration)
+        for i in range(num_instances)
+    ]
+    while live:
+        for generator in list(live):
+            try:
+                created, batch = next(generator)
+            except StopIteration:
+                live.remove(generator)
+                continue
+            yield created, batch.key, batch.count
+
+
+class TestSSEStreamIdentity:
+    """Golden digests of the order stream, pinned before the sparse rewrite.
+
+    The per-tick path keeps burst state sparse, shares one cumulative
+    table per tick and recycles its buffers; none of that may change a
+    single stock id or creation time, nor the RNG consumption."""
+
+    CASES = [
+        (dict(num_stocks=500, seed=3), "64aa1d932d73c74b"),
+        (
+            dict(
+                num_stocks=2000,
+                seed=5,
+                scheduled_bursts=[
+                    ScheduledBurst(start=1.0, stock=3, magnitude=6.0, ramp=1.0, hold=2.0),
+                    ScheduledBurst(start=2.0, stock=1500, magnitude=20.0),
+                ],
+            ),
+            "70b7912a6dda804d",
+        ),
+        (dict(num_stocks=300, drift_sigma=0.0, seed=9), "cffbda54fbab85fd"),
+        (dict(num_stocks=300, burst_probability=0.0, seed=11), "6b9042ce841d6f19"),
+        (
+            dict(num_stocks=5000, burst_probability=2.0, burst_decay=0.5, seed=13),
+            "cc73dbe0dde3e9c5",
+        ),
+        (dict(num_stocks=1000, weights_window=2, seed=17), "cbeab33c3ed28752"),
+    ]
+
+    @pytest.mark.parametrize(
+        "params, expected", CASES, ids=[f"case{i}" for i in range(len(CASES))]
+    )
+    def test_stream_digest(self, params, expected):
+        workload = SSEWorkload(rate=20_000, batch_size=10, **params)
+        digest = hashlib.sha256()
+        for record in _stream(workload):
+            digest.update(repr(record).encode())
+        assert digest.hexdigest()[:16] == expected
+
+
+class TestSSEWeightsWindow:
+    PARAMS = dict(rate=20_000, num_stocks=1000, batch_size=10, seed=17)
+
+    def test_skewed_instances_match_unbounded_window(self):
+        # Instance 0 runs 10 ticks ahead of the others: the slowest
+        # instance pins eviction, so recycled tables never reach a tick
+        # anyone still samples from.
+        def streams(weights_window):
+            workload = SSEWorkload(weights_window=weights_window, **self.PARAMS)
+            env = Environment()
+            generators = [workload.schedule(env, i, 3, duration=5.0) for i in range(3)]
+            out = [[], [], []]
+
+            def pull(i):
+                created, batch = next(generators[i])
+                out[i].append((created, batch.key, batch.count))
+                return created
+
+            for i in range(3):
+                pull(i)  # every instance registers at tick 0
+            while pull(0) < 1.0:
+                pass
+            lead = workload._advanced_ticks
+            live = [0, 1, 2]
+            while live:  # round-robin, so instance 0 keeps its lead
+                for i in list(live):
+                    try:
+                        pull(i)
+                    except StopIteration:
+                        live.remove(i)
+            return out, workload, lead
+
+        bounded, workload, lead = streams(2)
+        unbounded, _, _ = streams(None)
+        assert lead == 11
+        assert bounded == unbounded
+        # 50 ticks ran on at most lead + window tables: eviction recycled.
+        live = sum(table is not None for table in workload._tick_tables)
+        assert workload._evicted_ticks > 0
+        assert live + len(workload._spare_tables) <= lead + 2
+
+    def test_evicted_tick_raises_and_returned_weights_stay_put(self):
+        workload = SSEWorkload(weights_window=2, **self.PARAMS)
+        early = workload.stock_weights(3)
+        kept = early.copy()
+        rate = workload.stock_rate(7, 3)
+        assert rate == pytest.approx(self.PARAMS["rate"] * early[7] / early.sum())
+        workload.stock_weights(40)  # recycles tick 3's table, and more
+        with pytest.raises(ValueError, match="evicted"):
+            workload.stock_weights(3)
+        assert np.array_equal(early, kept)
+
+    def test_weights_match_unbounded_window(self):
+        bounded = SSEWorkload(weights_window=2, **self.PARAMS)
+        unbounded = SSEWorkload(**self.PARAMS)
+        for tick in range(0, 50, 7):
+            assert np.array_equal(
+                bounded.stock_weights(tick), unbounded.stock_weights(tick)
+            )
 
 
 class TestZipfBoosts:
