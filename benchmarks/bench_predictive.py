@@ -8,7 +8,7 @@ throughput returns to the pre-burst baseline
 (:meth:`StreamSystem.steady_state_after` in stable mode):
 
 - ``reactive``   — the paper's measure→model→assign loop (baseline);
-- ``predictive`` — Holt-Winters forecast demand + DRR placement;
+- ``predictive`` — Holt forecast demand + DRR placement;
 - ``naive-ec``   — the paper's naive-EC ablation.
 
 The cluster is sized tight (no standing free cores) and transactor

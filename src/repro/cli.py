@@ -70,11 +70,6 @@ def _build_config(args: argparse.Namespace, paradigm: Paradigm) -> SystemConfig:
             "naive-ec" if paradigm is Paradigm.NAIVE_EC
             else getattr(args, "scheduler", "reactive")
         ),
-        forecast_alpha=getattr(args, "forecast_alpha", 0.5),
-        forecast_beta=getattr(args, "forecast_beta", 0.3),
-        forecast_gamma=getattr(args, "forecast_gamma", 0.0),
-        forecast_season=getattr(args, "forecast_season", 0),
-        forecast_horizon=getattr(args, "forecast_horizon", 3),
         fault_spec=getattr(args, "fault_spec", None),
         network_profile=getattr(args, "net_profile", None),
         detection_delay=getattr(args, "detection_delay", 0.25),
@@ -192,28 +187,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _git_changed_paths(base: str) -> typing.Optional[typing.Set[str]]:
-    """Repo-relative ``.py`` paths changed vs ``base`` (plus untracked)."""
-    import subprocess
-
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base],
-            capture_output=True, text=True, check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return {
-        line.strip()
-        for line in (diff.stdout + untracked.stdout).splitlines()
-        if line.strip().endswith(".py")
-    }
-
-
 def _lint_model(args: argparse.Namespace, paths: typing.List[str]) -> int:
     """`repro lint --model`: exhaustively check the protocol tables."""
     import pathlib
@@ -228,7 +201,7 @@ def _lint_model(args: argparse.Namespace, paths: typing.List[str]) -> int:
             modules.append(ParsedModule(file, _relpath(file)))
         except (SyntaxError, UnicodeDecodeError):
             continue
-    project = build_project(modules, cache_path=args.graph_cache)
+    project = build_project(modules)
     violations = model_mod.check_protocols(modules, project=project)
     if args.json:
         print(json.dumps(
@@ -276,7 +249,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.graph_report:
         from repro.lint.graph import project_from_paths
 
-        project = project_from_paths(paths, cache_path=args.graph_cache)
+        project = project_from_paths(paths)
         print(project.unresolved_report())
         return 0
     selected = None
@@ -287,17 +260,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if unknown:
             print(f"unknown rule(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return 2
-    changed = None
-    if args.changed is not None:
-        changed = _git_changed_paths(args.changed)
-        if changed is None:
-            print("--changed requires a git checkout", file=sys.stderr)
-            return 2
     stats: typing.Dict[str, int] = {}
-    findings = run_lint(
-        paths, rules=selected, graph_cache=args.graph_cache,
-        changed=changed, stats=stats,
-    )
+    findings = run_lint(paths, rules=selected, stats=stats)
     if stats:
         summary = ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
         print(f"graph: {summary}", file=sys.stderr)
@@ -491,16 +455,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "(docs/scheduling.md); naive-ec is forced for the naive-ec "
              "paradigm",
     )
-    parser.add_argument("--forecast-alpha", type=float, default=0.5,
-                        help="forecast level smoothing factor, (0, 1]")
-    parser.add_argument("--forecast-beta", type=float, default=0.3,
-                        help="forecast trend smoothing factor, [0, 1]")
-    parser.add_argument("--forecast-gamma", type=float, default=0.0,
-                        help="forecast seasonal smoothing factor, [0, 1]")
-    parser.add_argument("--forecast-season", type=int, default=0,
-                        help="season length in scheduler rounds (0 = off)")
-    parser.add_argument("--forecast-horizon", type=int, default=3,
-                        help="forecast horizon in scheduler rounds")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--fault-spec", default=None,
@@ -677,14 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="model-check the protocol transition tables "
                                   "(deadlock/termination/fault-product/dead "
                                   "transitions) instead of linting")
-    lint_parser.add_argument("--graph-cache", metavar="PATH",
-                             help="JSON call-graph summary cache keyed by "
-                                  "file-content fingerprints")
-    lint_parser.add_argument("--changed", nargs="?", const="HEAD",
-                             metavar="BASE",
-                             help="only report findings in files changed vs "
-                                  "BASE (default HEAD) and their reverse "
-                                  "call-graph dependents")
     lint_parser.add_argument("--graph-report", action="store_true",
                              help="print call-graph statistics and the "
                                   "unresolved-edge report, then exit")

@@ -2,8 +2,8 @@
 
 The predictive scheduler paradigm (docs/scheduling.md) feeds each
 executor's measured arrival rate — one observation per scheduling round —
-into a per-executor forecaster and allocates cores against the
-horizon-``h`` *predicted* demand instead of the last measurement.
+into a per-executor :class:`HoltForecaster` and allocates cores against
+the horizon-``h`` *predicted* demand instead of the last measurement.
 
 Everything here is replay-safe by construction: state is a pure fold
 over the observation sequence (no wall clock, no RNG), so the same
@@ -11,14 +11,7 @@ seeded run produces bit-identical forecasts, and incremental vs batch
 fitting agree exactly.
 """
 
-from repro.forecast.base import Forecaster
 from repro.forecast.bank import ForecastBank
-from repro.forecast.ewma import EWMAForecaster
-from repro.forecast.holtwinters import HoltWintersForecaster
+from repro.forecast.holt import HoltForecaster
 
-__all__ = [
-    "EWMAForecaster",
-    "ForecastBank",
-    "Forecaster",
-    "HoltWintersForecaster",
-]
+__all__ = ["ForecastBank", "HoltForecaster"]

@@ -1,43 +1,42 @@
 """Per-series forecaster collection with forecast-vs-actual accounting.
 
 The scheduler tracks one rate series per executor.  A :class:`ForecastBank`
-owns one forecaster per named series (created lazily from a factory so
-every series gets identical hyper-parameters), and scores each round's
-one-step-ahead forecast against the observation that arrives next — the
-forecast-error telemetry surfaced as the ``forecast_abs_error`` gauge.
+owns one :class:`~repro.forecast.holt.HoltForecaster` per named series
+(created lazily, every series with the same smoothing factors), and
+scores each round's one-step-ahead forecast against the observation that
+arrives next — the forecast-error telemetry surfaced as the
+``forecast_abs_error`` gauge.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.forecast.base import Forecaster
+from repro.forecast.holt import HoltForecaster
 
 
 class ForecastBank:
     """Named forecasters plus one-step forecast-error bookkeeping."""
 
     def __init__(
-        self,
-        factory: typing.Callable[[], Forecaster],
-        horizon: int = 1,
+        self, alpha: float = 0.5, beta: float = 0.3, horizon: int = 1
     ) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        self._factory = factory
+        self.alpha = alpha
+        self.beta = beta
         self.horizon = horizon
-        self._forecasters: typing.Dict[str, Forecaster] = {}
+        self._forecasters: typing.Dict[str, HoltForecaster] = {}
         self._error_sum: typing.Dict[str, float] = {}
         self._error_count: typing.Dict[str, int] = {}
-        self._last_error: typing.Dict[str, float] = {}
-        self._last_forecast: typing.Dict[str, float] = {}
-        self._last_actual: typing.Dict[str, float] = {}
 
-    def forecaster(self, name: str) -> Forecaster:
+    def forecaster(self, name: str) -> HoltForecaster:
         """The (lazily created) forecaster behind series ``name``."""
         forecaster = self._forecasters.get(name)
         if forecaster is None:
-            forecaster = self._forecasters[name] = self._factory()
+            forecaster = self._forecasters[name] = HoltForecaster(
+                self.alpha, self.beta
+            )
         return forecaster
 
     def observe(self, name: str, value: float) -> None:
@@ -45,14 +44,10 @@ class ForecastBank:
         absorb ``value`` into the series' forecaster."""
         forecaster = self.forecaster(name)
         if forecaster.observations > 0:
-            predicted = forecaster.forecast(1)
-            error = abs(predicted - value)
+            error = abs(forecaster.forecast(1) - value)
             self._error_sum[name] = self._error_sum.get(name, 0.0) + error
             self._error_count[name] = self._error_count.get(name, 0) + 1
-            self._last_error[name] = error
-            self._last_forecast[name] = predicted
         forecaster.update(value)
-        self._last_actual[name] = value
 
     def predict(self, name: str) -> float:
         """Peak forecast over the bank's horizon, clamped at zero (a
@@ -63,20 +58,11 @@ class ForecastBank:
         return max(0.0, forecaster.peak(self.horizon))
 
     def abs_error(self, name: str) -> float:
-        """Mean absolute one-step forecast error of series ``name``."""
+        """Mean absolute one-step error of series ``name``."""
         count = self._error_count.get(name, 0)
         if not count:
             return 0.0
         return self._error_sum[name] / count
-
-    def last_error(self, name: str) -> float:
-        return self._last_error.get(name, 0.0)
-
-    def last_forecast(self, name: str) -> float:
-        return self._last_forecast.get(name, 0.0)
-
-    def last_actual(self, name: str) -> float:
-        return self._last_actual.get(name, 0.0)
 
     def names(self) -> typing.List[str]:
         return sorted(self._forecasters)

@@ -36,7 +36,7 @@ SUP002    Framework rule: every justified suppression still silences a
 ========  ==============================================================
 
 The interprocedural rules run on the whole-project call graph built by
-:mod:`repro.lint.graph` (cacheable via ``repro lint --graph-cache``).
+:mod:`repro.lint.graph`.
 The protocol tables additionally get an exhaustive model check —
 deadlock freedom, termination, fault-product liveness, dead-transition
 detection — via ``repro lint --model`` (:mod:`repro.lint.model`).

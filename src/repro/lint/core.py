@@ -192,8 +192,6 @@ def collect_files(paths: typing.Sequence[pathlib.Path]) -> typing.List[pathlib.P
 def run_lint(
     paths: typing.Sequence[typing.Union[str, pathlib.Path]],
     rules: typing.Optional[typing.Sequence[Rule]] = None,
-    graph_cache: typing.Optional[typing.Union[str, pathlib.Path]] = None,
-    changed: typing.Optional[typing.Collection[str]] = None,
     stats: typing.Optional[typing.Dict[str, int]] = None,
 ) -> typing.List[Finding]:
     """Lint ``paths`` (files or directories); returns surviving findings.
@@ -205,12 +203,8 @@ def run_lint(
     findings — a waiver that outlived its finding is debt (the audit is
     skipped under ``--select`` because unselected rules cannot fire).
 
-    ``graph_cache`` points at a JSON summary cache keyed by file-content
-    fingerprints (see :mod:`repro.lint.graph`).  ``changed`` is a set of
-    repo-relative paths: all files are still parsed (the graph needs the
-    whole project) but findings are filtered to the changed files plus
-    their reverse call-graph dependents.  ``stats``, when given, is
-    filled with the linked project's statistics.
+    ``stats``, when given, is filled with the linked project's
+    statistics (see :mod:`repro.lint.graph`).
     """
     full_audit = rules is None
     if rules is None:
@@ -247,10 +241,10 @@ def run_lint(
                     findings.append(finding)
     project = None
     project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-    if project_rules or changed is not None:
+    if project_rules:
         from repro.lint.graph import build_project
 
-        project = build_project(parsed, cache_path=graph_cache)
+        project = build_project(parsed)
         if stats is not None:
             stats.update(project.stats())
     by_rel = {module.rel: module for module in parsed}
@@ -289,18 +283,5 @@ def run_lint(
                             "marker",
                         )
                     )
-    if changed is not None and project is not None:
-        module_by_rel = {
-            summary.rel: summary.module
-            for summary in project.modules.values()
-        }
-        rel_by_module = {
-            module: rel for rel, module in module_by_rel.items()
-        }
-        scoped = project.module_dependents(
-            {module_by_rel[rel] for rel in changed if rel in module_by_rel}
-        )
-        scope_rels = {rel_by_module[module] for module in scoped} | set(changed)
-        findings = [f for f in findings if f.path in scope_rels]
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings

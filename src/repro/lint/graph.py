@@ -5,14 +5,12 @@ function at a time and miss anything hidden one call away.  This module
 gives the interprocedural passes (SIM001-transitive, DET002, OWN001, the
 protocol model checker's liveness check) a shared project-wide view:
 
-- **Extraction** walks each module once and produces a JSON-serializable
+- **Extraction** walks each module once and produces a
   :class:`ModuleSummary`: imports, classes with textual bases, and one
   :class:`FunctionInfo` per function/method holding its call sites and
   semantic *facts* (nondeterminism sources, RNG sanitizers, artifact
   writes, process spawns, discarded blocking calls, shard-state
   mutations, ownership attestations).
-- **Caching** keys summaries by a content fingerprint so repeated runs
-  (CI, ``--graph-cache``) skip extraction for unchanged files.
 - **Linking** resolves call sites into edges with an explicit confidence
   level: ``call``/``ref`` edges are *resolved* (module-level names,
   imports with re-export chasing, ``self`` dispatch through the class
@@ -32,8 +30,6 @@ from __future__ import annotations
 import ast
 import builtins
 import dataclasses
-import hashlib
-import json
 import pathlib
 import typing
 
@@ -47,9 +43,6 @@ from repro.lint.rules.det001 import (
     _is_set_expr,
 )
 from repro.lint.rules.sim001 import _BLOCKING_ATTRS
-
-#: Bump when the summary schema changes; stale caches are discarded.
-CACHE_VERSION = 1
 
 #: The pseudo-function holding a module's top-level statements.
 MODULE_SCOPE = "<module>"
@@ -102,11 +95,6 @@ def module_name_for(rel: str) -> str:
     return ".".join(parts) if parts else rel
 
 
-def fingerprint(source: str) -> str:
-    """Content fingerprint used as the summary cache key."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
 # -- summary data model ------------------------------------------------------
 
 
@@ -117,13 +105,6 @@ class Fact:
     kind: str
     line: int
     detail: str
-
-    def to_json(self) -> typing.List[object]:
-        return [self.kind, self.line, self.detail]
-
-    @staticmethod
-    def from_json(data: typing.Sequence[object]) -> "Fact":
-        return Fact(str(data[0]), int(data[1]), str(data[2]))  # type: ignore[arg-type]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -142,16 +123,6 @@ class CallSite:
     target: str
     is_call: bool
     discarded: bool
-
-    def to_json(self) -> typing.List[object]:
-        return [self.line, self.kind, self.target, self.is_call, self.discarded]
-
-    @staticmethod
-    def from_json(data: typing.Sequence[object]) -> "CallSite":
-        return CallSite(
-            int(data[0]), str(data[1]), str(data[2]),  # type: ignore[arg-type]
-            bool(data[3]), bool(data[4]),
-        )
 
 
 @dataclasses.dataclass(slots=True)
@@ -182,26 +153,6 @@ class FunctionInfo:
     def has_fact(self, kind: str) -> bool:
         return any(fact.kind == kind for fact in self.facts)
 
-    def to_json(self) -> typing.Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "generator": self.is_generator,
-            "calls": [c.to_json() for c in self.calls],
-            "facts": [f.to_json() for f in self.facts],
-        }
-
-    @staticmethod
-    def from_json(module: str, data: typing.Mapping[str, object]) -> "FunctionInfo":
-        return FunctionInfo(
-            module=module,
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            is_generator=bool(data["generator"]),
-            calls=[CallSite.from_json(c) for c in data["calls"]],  # type: ignore[union-attr]
-            facts=[Fact.from_json(f) for f in data["facts"]],  # type: ignore[union-attr]
-        )
-
 
 @dataclasses.dataclass(slots=True)
 class ClassInfo:
@@ -217,24 +168,6 @@ class ClassInfo:
     def cid(self) -> str:
         return f"{self.module}:{self.qualname}"
 
-    def to_json(self) -> typing.Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-        }
-
-    @staticmethod
-    def from_json(module: str, data: typing.Mapping[str, object]) -> "ClassInfo":
-        return ClassInfo(
-            module=module,
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            bases=[str(b) for b in data["bases"]],  # type: ignore[union-attr]
-            methods=[str(m) for m in data["methods"]],  # type: ignore[union-attr]
-        )
-
 
 @dataclasses.dataclass(slots=True)
 class ModuleSummary:
@@ -242,42 +175,9 @@ class ModuleSummary:
 
     module: str
     rel: str
-    fingerprint: str
     imports: typing.Dict[str, str] = dataclasses.field(default_factory=dict)
     functions: typing.List[FunctionInfo] = dataclasses.field(default_factory=list)
     classes: typing.List[ClassInfo] = dataclasses.field(default_factory=list)
-
-    def to_json(self) -> typing.Dict[str, object]:
-        return {
-            "module": self.module,
-            "rel": self.rel,
-            "imports": dict(self.imports),
-            "functions": [f.to_json() for f in self.functions],
-            "classes": [c.to_json() for c in self.classes],
-        }
-
-    @staticmethod
-    def from_json(
-        fp: str, data: typing.Mapping[str, object]
-    ) -> "ModuleSummary":
-        module = str(data["module"])
-        return ModuleSummary(
-            module=module,
-            rel=str(data["rel"]),
-            fingerprint=fp,
-            imports={
-                str(k): str(v)
-                for k, v in data["imports"].items()  # type: ignore[union-attr]
-            },
-            functions=[
-                FunctionInfo.from_json(module, f)
-                for f in data["functions"]  # type: ignore[union-attr]
-            ],
-            classes=[
-                ClassInfo.from_json(module, c)
-                for c in data["classes"]  # type: ignore[union-attr]
-            ],
-        )
 
 
 # -- extraction --------------------------------------------------------------
@@ -324,8 +224,8 @@ class _Scope:
 class _Extractor:
     """Single-pass module summarizer (facts + call sites + symbols)."""
 
-    def __init__(self, module: str, rel: str, fp: str) -> None:
-        self.summary = ModuleSummary(module=module, rel=rel, fingerprint=fp)
+    def __init__(self, module: str, rel: str) -> None:
+        self.summary = ModuleSummary(module=module, rel=rel)
         self._module = module
 
     def run(self, tree: ast.Module) -> ModuleSummary:
@@ -711,9 +611,9 @@ class _Extractor:
         scope.info.facts.append(Fact(kind, line, detail))
 
 
-def extract_summary(rel: str, source: str, tree: ast.Module) -> ModuleSummary:
+def extract_summary(rel: str, tree: ast.Module) -> ModuleSummary:
     """Summarize one parsed module."""
-    return _Extractor(module_name_for(rel), rel, fingerprint(source)).run(tree)
+    return _Extractor(module_name_for(rel), rel).run(tree)
 
 
 # -- linked project ----------------------------------------------------------
@@ -745,7 +645,6 @@ class _SourceModule(typing.Protocol):
     """Structural input: ``ParsedModule`` satisfies this."""
 
     rel: str
-    source: str
     tree: ast.Module
 
 
@@ -761,11 +660,7 @@ class Project:
     def __init__(
         self,
         summaries: typing.Sequence[ModuleSummary],
-        cache_hits: int = 0,
-        cache_misses: int = 0,
     ) -> None:
-        self.cache_hits = cache_hits
-        self.cache_misses = cache_misses
         self.modules: typing.Dict[str, ModuleSummary] = {}
         for summary in summaries:
             self.modules.setdefault(summary.module, summary)
@@ -1099,30 +994,6 @@ class Project:
         path.reverse()
         return path
 
-    def module_dependents(
-        self, changed: typing.Set[str]
-    ) -> typing.Set[str]:
-        """Transitive reverse closure at module granularity.
-
-        Returns ``changed`` plus every module with a call/ref/heuristic
-        edge (transitively) into it — the blast radius of an edit.
-        """
-        reverse: typing.Dict[str, typing.Set[str]] = {}
-        for edge in self.edges:
-            src = edge.caller.split(":", 1)[0]
-            dst = edge.callee.split(":", 1)[0]
-            if src != dst:
-                reverse.setdefault(dst, set()).add(src)
-        result = set(changed) & set(self.modules)
-        pending = list(result)
-        while pending:
-            module = pending.pop()
-            for dependent in reverse.get(module, ()):
-                if dependent not in result:
-                    result.add(dependent)
-                    pending.append(dependent)
-        return result
-
     def stats(self) -> typing.Dict[str, int]:
         kinds: typing.Dict[str, int] = {}
         for edge in self.edges:
@@ -1137,8 +1008,6 @@ class Project:
             "external_calls": self.external_calls,
             "ambiguous_calls": self.ambiguous_calls,
             "unresolved": len(self.unresolved),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
         }
 
     def unresolved_report(self, limit: int = 25) -> str:
@@ -1163,82 +1032,18 @@ class Project:
         return "\n".join(lines)
 
 
-# -- cache + builders --------------------------------------------------------
+# -- builders ----------------------------------------------------------------
 
 
-def _load_cache(path: pathlib.Path) -> typing.Dict[str, typing.Dict[str, object]]:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-        return {}
-    modules = data.get("modules")
-    return modules if isinstance(modules, dict) else {}
-
-
-def _save_cache(
-    path: pathlib.Path,
-    entries: typing.Mapping[str, typing.Tuple[str, ModuleSummary]],
-) -> None:
-    payload = {
-        "version": CACHE_VERSION,
-        "modules": {
-            rel: {"fingerprint": fp, "summary": summary.to_json()}
-            for rel, (fp, summary) in sorted(entries.items())
-        },
-    }
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload), encoding="utf-8")
-    except OSError:
-        pass  # a read-only checkout just skips the cache
-
-
-def build_project(
-    modules: typing.Sequence[_SourceModule],
-    cache_path: typing.Optional[typing.Union[str, pathlib.Path]] = None,
-) -> Project:
-    """Extract (with caching) and link a set of parsed modules."""
-    cache: typing.Dict[str, typing.Dict[str, object]] = {}
-    path: typing.Optional[pathlib.Path] = None
-    if cache_path is not None:
-        path = pathlib.Path(cache_path)
-        cache = _load_cache(path)
-    summaries: typing.List[ModuleSummary] = []
-    entries: typing.Dict[str, typing.Tuple[str, ModuleSummary]] = {}
-    hits = misses = 0
-    for module in modules:
-        fp = fingerprint(module.source)
-        cached = cache.get(module.rel)
-        summary: typing.Optional[ModuleSummary] = None
-        if (
-            isinstance(cached, dict)
-            and cached.get("fingerprint") == fp
-            and isinstance(cached.get("summary"), dict)
-        ):
-            try:
-                summary = ModuleSummary.from_json(
-                    fp, typing.cast(
-                        typing.Mapping[str, object], cached["summary"]
-                    )
-                )
-                hits += 1
-            except (KeyError, TypeError, ValueError):
-                summary = None
-        if summary is None:
-            summary = extract_summary(module.rel, module.source, module.tree)
-            misses += 1
-        summaries.append(summary)
-        entries[module.rel] = (fp, summary)
-    if path is not None:
-        _save_cache(path, entries)
-    return Project(summaries, cache_hits=hits, cache_misses=misses)
+def build_project(modules: typing.Sequence[_SourceModule]) -> Project:
+    """Extract and link a set of parsed modules."""
+    return Project(
+        [extract_summary(module.rel, module.tree) for module in modules]
+    )
 
 
 def project_from_paths(
     paths: typing.Sequence[typing.Union[str, pathlib.Path]],
-    cache_path: typing.Optional[typing.Union[str, pathlib.Path]] = None,
 ) -> Project:
     """Parse files/directories and build a project (CLI/test helper)."""
     from repro.lint.core import ParsedModule, _relpath, collect_files
@@ -1249,4 +1054,4 @@ def project_from_paths(
             modules.append(ParsedModule(file, _relpath(file)))
         except (SyntaxError, UnicodeDecodeError):
             continue
-    return build_project(modules, cache_path=cache_path)
+    return build_project(modules)

@@ -48,18 +48,8 @@ class SystemConfig:
     #: "predictive" (forecast-driven allocation + DRR placement), or
     #: "naive-ec" (forced when the paradigm is NAIVE_EC).
     scheduler_strategy: str = "reactive"
-    #: Forecast knobs (predictive): level / trend / seasonal
-    #: smoothing factors, season length in scheduler rounds (0 = no
-    #: seasonality), and the forecast horizon in rounds.
-    forecast_alpha: float = 0.5
-    forecast_beta: float = 0.3
-    forecast_gamma: float = 0.0
-    forecast_season: int = 0
-    forecast_horizon: int = 3
     #: RC manager cadence.
     rc_manage_interval: float = 1.0
-    #: Static paradigm: executors per operator; None = fill the cluster.
-    static_executors_per_operator: typing.Optional[int] = None
     #: Static paradigm: optional per-operator weights for splitting the
     #: core budget (e.g. give the transactor half the cluster).  A fair
     #: "well-tuned" static deployment; operators not listed get weight 1.
@@ -93,23 +83,6 @@ class SystemConfig:
     #: bus and spawn no sampler, so behavior and results are bit-identical
     #: to a build without telemetry.
     telemetry: bool = False
-    #: Metric-registry sampling period (virtual seconds).
-    telemetry_sample_interval: float = 0.5
-    #: Ring-buffer capacity per telemetry series (oldest points drop).
-    telemetry_ring_capacity: int = 4096
-    #: Sample per-shard load series too (per-executor series are always
-    #: sampled when telemetry is on).
-    telemetry_per_shard: bool = True
-    #: Relative-error bound of the per-tuple latency sketches
-    #: (:mod:`repro.telemetry.sketch`): reported p50/p95/p99 are within
-    #: this fraction of the exact sorted-percentile answer.
-    telemetry_sketch_accuracy: float = 0.01
-    #: Flight-recorder ring capacity: the most recent events/spans/samples
-    #: kept for the post-mortem dump (telemetry runs only).
-    flight_recorder_capacity: int = 1024
-    #: Directory the post-mortem lands in when the run dies (overridable
-    #: with the ``REPRO_FLIGHT_DIR`` environment variable).
-    flight_recorder_dir: str = "flight-recorder"
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1 or self.cores_per_node < 1:
@@ -125,26 +98,8 @@ class SystemConfig:
                 f"scheduler_strategy must be one of {STRATEGY_NAMES}, "
                 f"got {self.scheduler_strategy!r}"
             )
-        if not 0.0 < self.forecast_alpha <= 1.0:
-            raise ValueError("forecast_alpha must be in (0, 1]")
-        if not 0.0 <= self.forecast_beta <= 1.0:
-            raise ValueError("forecast_beta must be in [0, 1]")
-        if not 0.0 <= self.forecast_gamma <= 1.0:
-            raise ValueError("forecast_gamma must be in [0, 1]")
-        if self.forecast_season < 0 or self.forecast_season == 1:
-            raise ValueError("forecast_season must be 0 (off) or >= 2")
-        if self.forecast_horizon < 1:
-            raise ValueError("forecast_horizon must be >= 1")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
-        if self.telemetry_sample_interval <= 0:
-            raise ValueError("telemetry_sample_interval must be positive")
-        if self.telemetry_ring_capacity < 8:
-            raise ValueError("telemetry_ring_capacity must be >= 8")
-        if not 0.0 < self.telemetry_sketch_accuracy < 1.0:
-            raise ValueError("telemetry_sketch_accuracy must be in (0, 1)")
-        if self.flight_recorder_capacity < 1:
-            raise ValueError("flight_recorder_capacity must be >= 1")
         if self.detection_delay < 0:
             raise ValueError("detection_delay must be >= 0")
         if self.state_rebuild_bytes_per_s <= 0:

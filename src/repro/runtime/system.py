@@ -34,6 +34,10 @@ from repro.topology.batch import reset_batch_ids
 
 SOURCE_OWNER = "__sources__"
 
+#: Where the flight-recorder post-mortem lands when a run dies, unless
+#: the ``REPRO_FLIGHT_DIR`` environment variable names another directory.
+FLIGHT_RECORDER_DIR = "flight-recorder"
+
 
 @dataclasses.dataclass
 class SystemResult:
@@ -238,15 +242,7 @@ class StreamSystem:
         #: The observability layer (docs/observability.md).  Disabled by
         #: default: the no-op bus is installed and no sampler runs, so
         #: results are bit-identical with telemetry on or off.
-        self.telemetry = Telemetry(
-            self.env,
-            enabled=self.config.telemetry,
-            sample_interval=self.config.telemetry_sample_interval,
-            ring_capacity=self.config.telemetry_ring_capacity,
-            per_shard=self.config.telemetry_per_shard,
-            sketch_accuracy=self.config.telemetry_sketch_accuracy,
-            flight_capacity=self.config.flight_recorder_capacity,
-        )
+        self.telemetry = Telemetry(self.env, enabled=self.config.telemetry)
         self.telemetry.attach(self)
         self._build()
         if self.config.fault_spec is not None:
@@ -389,14 +385,7 @@ class StreamSystem:
                 latency_target=config.latency_target,
                 phi=config.phi,
                 reserved_by_node=self._reserved_by_node,
-                strategy=make_strategy(
-                    strategy_name,
-                    alpha=config.forecast_alpha,
-                    beta=config.forecast_beta,
-                    gamma=config.forecast_gamma,
-                    season_length=config.forecast_season,
-                    horizon=config.forecast_horizon,
-                ),
+                strategy=make_strategy(strategy_name),
             )
             self.scheduler.start()
             # attach() ran before the scheduler existed; forecast gauges
@@ -479,8 +468,6 @@ class StreamSystem:
     def _static_executor_count(
         self, num_operators: int, name: str, specs
     ) -> int:
-        if self.config.static_executors_per_operator is not None:
-            return self.config.static_executors_per_operator
         budget = self.config.total_cores - self.config.source_instances
         weights = self.config.static_weights
         if weights:
@@ -626,7 +613,7 @@ class StreamSystem:
             # dumps the flight ring before propagating (no-op when
             # telemetry is off).
             self.telemetry.flight_dump(
-                os.environ.get("REPRO_FLIGHT_DIR", self.config.flight_recorder_dir),
+                os.environ.get("REPRO_FLIGHT_DIR", FLIGHT_RECORDER_DIR),
                 reason=f"{type(exc).__name__}: {exc}",
                 meta={
                     "paradigm": self.config.paradigm.value,

@@ -17,7 +17,7 @@ k_j allocation but placement that ignores migration cost and locality.
 
 Steps 2 and 3 are strategy hooks (:mod:`repro.scheduler.strategies`):
 besides the reactive default and the naive-EC ablation, the
-``predictive`` strategy allocates against Holt-Winters forecast demand
+``predictive`` strategy allocates against Holt forecast demand
 and places by dominant remaining resource
 (:func:`~repro.scheduler.predictive.drr_assignment`; docs/scheduling.md).
 """

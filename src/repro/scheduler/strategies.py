@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.forecast import ForecastBank, HoltWintersForecaster
+from repro.forecast import ForecastBank
 from repro.scheduler.assignment import (
     AssignmentInput,
     NaiveAssigner,
@@ -31,6 +31,10 @@ from repro.scheduler.predictive import drr_assignment
 STRATEGY_NAMES = ("reactive", "predictive", "naive-ec")
 
 AssignmentMatrix = typing.Dict[str, typing.Dict[int, int]]
+
+#: Predictive demand multiplier on the forecast peak: the same imbalance
+#: headroom the reactive path applies to measurements.
+HEADROOM = 1.2
 
 
 class SchedulingStrategy:
@@ -79,40 +83,26 @@ class NaiveECStrategy(SchedulingStrategy):
 class PredictiveStrategy(SchedulingStrategy):
     """Allocate by forecast demand, place by dominant remaining resource.
 
-    Each executor's measured arrival rate feeds a Holt(-Winters)
-    forecaster; the modeled demand is the *peak* forecast over the next
-    ``horizon`` rounds (times the same imbalance headroom the reactive
-    path applies to measurements), floored at the measurement so a
-    forecaster that lags a step change can never under-provision below
-    the reactive baseline.
+    Each executor's measured arrival rate feeds a Holt forecaster; the
+    modeled demand is the *peak* forecast over the next ``horizon``
+    rounds (times the same imbalance headroom the reactive path applies
+    to measurements), floored at the measurement so a forecaster that
+    lags a step change can never under-provision below the reactive
+    baseline.
     """
 
     name = "predictive"
 
     def __init__(
-        self,
-        alpha: float = 0.5,
-        beta: float = 0.3,
-        gamma: float = 0.0,
-        season_length: int = 0,
-        horizon: int = 3,
-        headroom: float = 1.2,
+        self, alpha: float = 0.5, beta: float = 0.3, horizon: int = 3
     ) -> None:
-        if headroom < 1.0:
-            raise ValueError(f"headroom must be >= 1.0, got {headroom}")
-        self.headroom = headroom
-        self.bank = ForecastBank(
-            lambda: HoltWintersForecaster(
-                alpha=alpha, beta=beta, gamma=gamma, season_length=season_length
-            ),
-            horizon=horizon,
-        )
+        self.bank = ForecastBank(alpha=alpha, beta=beta, horizon=horizon)
 
     def observe(self, name: str, now: float, measured: float) -> None:
         self.bank.observe(name, measured)
 
     def demand(self, name: str, arrival: float) -> float:
-        return max(arrival, self.bank.predict(name) * self.headroom)
+        return max(arrival, self.bank.predict(name) * HEADROOM)
 
     def assign(
         self, inp: AssignmentInput
@@ -123,26 +113,14 @@ class PredictiveStrategy(SchedulingStrategy):
         return self.bank.mean_abs_error()
 
 
-def make_strategy(
-    name: str,
-    *,
-    alpha: float = 0.5,
-    beta: float = 0.3,
-    gamma: float = 0.0,
-    season_length: int = 0,
-    horizon: int = 3,
-    headroom: float = 1.2,
-) -> SchedulingStrategy:
+def make_strategy(name: str) -> SchedulingStrategy:
     """Build a strategy by CLI/config name (see :data:`STRATEGY_NAMES`)."""
     if name == "reactive":
         return ReactiveStrategy()
     if name == "naive-ec":
         return NaiveECStrategy()
     if name == "predictive":
-        return PredictiveStrategy(
-            alpha=alpha, beta=beta, gamma=gamma,
-            season_length=season_length, horizon=horizon, headroom=headroom,
-        )
+        return PredictiveStrategy()
     raise ValueError(
         f"unknown scheduler strategy {name!r}; choose from {STRATEGY_NAMES}"
     )

@@ -196,8 +196,9 @@ def _guarded(
 
 
 #: A trial queued for (re-)execution: attempts counts executions started,
-#: deaths counts worker-process deaths it was in flight for.
-_Pending = collections.namedtuple("_Pending", "trial attempts deaths")
+#: deaths counts worker-process deaths during its solo runs, and suspect
+#: marks a trial that was in flight when the pool broke (it reruns alone).
+_Pending = collections.namedtuple("_Pending", "trial attempts deaths suspect")
 
 
 @dataclasses.dataclass
@@ -467,16 +468,18 @@ class SweepRunner:
     ) -> None:
         context = multiprocessing.get_context(self.mp_context)
         queue: typing.Deque[_Pending] = collections.deque(
-            _Pending(trial, 1, 0) for trial in pending
+            _Pending(trial, 1, 0, False) for trial in pending
         )
+        #: Trials in flight when the pool broke, each rerun alone.
+        suspects: typing.Deque[_Pending] = collections.deque()
         inflight: typing.Dict[concurrent.futures.Future, _Pending] = {}
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers, mp_context=context
         )
-        # Worker deaths get their own (small) budget: when the pool
-        # breaks, the culprit cannot be told apart from innocent in-flight
-        # trials, so every victim is resubmitted — least-suspected first —
-        # until its budget runs out.
+        # When the pool breaks, the culprit cannot be told apart from the
+        # innocent trials in flight with it.  So every victim reruns with
+        # nothing else in flight, and only a break during such a solo run
+        # is charged to the trial's (small) death budget.
         max_deaths = self.retries + 1
 
         def rebuild_pool() -> None:
@@ -487,35 +490,60 @@ class SweepRunner:
             )
 
         def requeue_victims(victims: typing.List[_Pending]) -> None:
-            victims.sort(key=lambda v: v.deaths)
-            for victim in victims:
-                if victim.deaths + 1 > max_deaths:
-                    finish(
-                        victim.trial,
-                        "failed",
-                        None,
-                        TrialFailure(
-                            kind="worker-died",
-                            type="BrokenProcessPool",
-                            message=(
-                                "worker process died while running this "
-                                f"trial (x{victim.deaths + 1})"
-                            ),
-                        ).to_dict(),
-                    )
-                else:
+            if len(victims) > 1:
+                for victim in victims:
                     counters["retried"] += 1
-                    queue.append(
-                        _Pending(victim.trial, victim.attempts, victim.deaths + 1)
-                    )
+                    suspects.append(victim._replace(suspect=True))
+                return
+            victim = victims[0]
+            if victim.deaths + 1 > max_deaths:
+                finish(
+                    victim.trial,
+                    "failed",
+                    None,
+                    TrialFailure(
+                        kind="worker-died",
+                        type="BrokenProcessPool",
+                        message=(
+                            "worker process died while running this "
+                            f"trial alone (x{victim.deaths + 1})"
+                        ),
+                    ).to_dict(),
+                )
+            else:
+                counters["retried"] += 1
+                suspects.append(
+                    victim._replace(deaths=victim.deaths + 1, suspect=True)
+                )
+
+        def retry_or_finish(
+            item: _Pending,
+            status: str,
+            result: typing.Any,
+            error: typing.Optional[typing.Dict[str, str]],
+        ) -> None:
+            if status != "ok" and self._should_retry(status, item.attempts):
+                counters["retried"] += 1
+                # A completed run cleared the trial of killing the pool.
+                queue.append(
+                    item._replace(attempts=item.attempts + 1, suspect=False)
+                )
+            else:
+                finish(item.trial, status, result, error)
 
         try:
-            while queue or inflight:
+            while queue or suspects or inflight:
                 broken_victims: typing.List[_Pending] = []
-                while queue and len(inflight) < self.workers * 2:
-                    item = queue.popleft()
+                solo_running = any(item.suspect for item in inflight.values())
+                to_submit: typing.List[_Pending] = []
+                if suspects:
+                    if not inflight:
+                        to_submit.append(suspects.popleft())
+                elif not solo_running:
+                    while queue and len(inflight) + len(to_submit) < self.workers * 2:
+                        to_submit.append(queue.popleft())
+                for index, item in enumerate(to_submit):
                     try:
-                        counters["executed"] += 1
                         future = pool.submit(
                             _guarded,
                             self.trial_fn,
@@ -523,9 +551,10 @@ class SweepRunner:
                             self._timeout_for(item.trial),
                         )
                     except (BrokenProcessPool, RuntimeError):
-                        counters["executed"] -= 1
                         broken_victims.append(item)
+                        queue.extendleft(reversed(to_submit[index + 1:]))
                         break
+                    counters["executed"] += 1
                     inflight[future] = item
                 if not broken_victims and inflight:
                     done, _ = concurrent.futures.wait(
@@ -539,37 +568,18 @@ class SweepRunner:
                         elif exc is not None:
                             # Orchestration error (e.g. unpicklable
                             # result), not a pool death: fail the trial.
-                            if self._should_retry("failed", item.attempts):
-                                counters["retried"] += 1
-                                queue.append(
-                                    _Pending(
-                                        item.trial, item.attempts + 1, item.deaths
-                                    )
-                                )
-                            else:
-                                finish(
-                                    item.trial,
-                                    "failed",
-                                    None,
-                                    TrialFailure(
-                                        kind="exception",
-                                        type=type(exc).__name__,
-                                        message=str(exc),
-                                    ).to_dict(),
-                                )
+                            retry_or_finish(
+                                item,
+                                "failed",
+                                None,
+                                TrialFailure(
+                                    kind="exception",
+                                    type=type(exc).__name__,
+                                    message=str(exc),
+                                ).to_dict(),
+                            )
                         else:
-                            status, result, error = future.result()
-                            if status != "ok" and self._should_retry(
-                                status, item.attempts
-                            ):
-                                counters["retried"] += 1
-                                queue.append(
-                                    _Pending(
-                                        item.trial, item.attempts + 1, item.deaths
-                                    )
-                                )
-                            else:
-                                finish(item.trial, status, result, error)
+                            retry_or_finish(item, *future.result())
                 if broken_victims:
                     # Every other in-flight trial is doomed with the pool.
                     broken_victims.extend(inflight.values())

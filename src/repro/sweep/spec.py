@@ -33,13 +33,19 @@ import json
 import pathlib
 import typing
 
-from repro.runtime.config import Paradigm
+from repro.runtime.config import Paradigm, SystemConfig
 
 #: Accepted ``paradigm`` spellings -> canonical value.
 _PARADIGM_ALIASES = {p.value: p.value for p in Paradigm}
 _PARADIGM_ALIASES.update({"rc": Paradigm.RC.value, "naive": Paradigm.NAIVE_EC.value})
 
 _WORKLOADS = ("micro", "sse")
+
+#: SystemConfig fields every trial sets itself (``sweep.trial._build_system``):
+#: a ``system_args`` entry for one of them would collide.
+_TRIAL_SET_SYSTEM_FIELDS = (
+    "paradigm", "num_nodes", "cores_per_node", "source_instances", "telemetry",
+)
 
 
 def canonical_json(value: typing.Any) -> str:
@@ -127,6 +133,16 @@ class TrialConfig:
             )
         for name in ("workload_args", "topology_args", "system_args"):
             object.__setattr__(self, name, dict(getattr(self, name)))
+        system_fields = {field.name for field in dataclasses.fields(SystemConfig)}
+        for key in sorted(self.system_args):
+            if key not in system_fields:
+                raise ValueError(
+                    f"system_args key {key!r} is not a SystemConfig field"
+                )
+            if key in _TRIAL_SET_SYSTEM_FIELDS:
+                raise ValueError(
+                    f"system_args key {key!r} is set by the trial itself"
+                )
 
     def to_dict(self) -> typing.Dict[str, typing.Any]:
         """JSON-safe dict of every field (the hashed identity)."""

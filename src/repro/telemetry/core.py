@@ -8,7 +8,7 @@ it attaches a live :class:`~repro.telemetry.events.EventBus` to the
 simulation environment (``env.telemetry`` — how the bus is *threaded
 through the sim kernel*: every component holding the environment reaches
 the same bus), registers the standard gauges over the system's executors
-and cluster, and runs a sampler process on ``sample_interval``.
+and cluster, and runs a sampler process every :data:`SAMPLE_INTERVAL`.
 
 The sampler only *reads* simulation state, so enabling telemetry never
 perturbs results: same seed → bit-identical ``SystemResult`` either way.
@@ -23,32 +23,21 @@ from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.registry import MetricRegistry, RingSeries
 from repro.telemetry.sketch import LatencyProbe
 
+#: Metric-registry sampling period (virtual seconds).
+SAMPLE_INTERVAL = 0.5
+
 
 class Telemetry:
     """Bus + registry + sampler + probes for one system run."""
 
-    def __init__(
-        self,
-        env: typing.Any,
-        enabled: bool = False,
-        sample_interval: float = 0.5,
-        ring_capacity: int = 4096,
-        per_shard: bool = True,
-        sketch_accuracy: float = 0.01,
-        flight_capacity: int = 1024,
-    ) -> None:
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
+    def __init__(self, env: typing.Any, enabled: bool = False) -> None:
         self.env = env
         self.enabled = enabled
-        self.sample_interval = sample_interval
-        self.per_shard = per_shard
-        self.sketch_accuracy = sketch_accuracy
         self.bus: EventBus = EventBus(env) if enabled else NULL_BUS
-        self.registry = MetricRegistry(ring_capacity=ring_capacity)
+        self.registry = MetricRegistry()
         self.flight: typing.Optional[FlightRecorder] = None
         if enabled:
-            self.flight = FlightRecorder(capacity=flight_capacity)
+            self.flight = FlightRecorder()
             self.bus.subscribe(self.flight.on_record)
         self._probes: typing.Dict[str, LatencyProbe] = {}
         self._probe_warmup = 0.0
@@ -123,11 +112,7 @@ class Telemetry:
             return None
         existing = self._probes.get(name)
         if existing is None:
-            existing = LatencyProbe(
-                name,
-                relative_accuracy=self.sketch_accuracy,
-                warmup=self._probe_warmup,
-            )
+            existing = LatencyProbe(name, warmup=self._probe_warmup)
             self._probes[name] = existing
         return existing
 
@@ -196,28 +181,27 @@ class Telemetry:
 
     def _sampler_loop(self) -> typing.Generator:
         while True:
-            yield self.env.timeout(self.sample_interval)
+            yield self.env.timeout(SAMPLE_INTERVAL)
             self.sample()
 
     def sample(self) -> None:
-        """One tick: per-executor (and optionally per-shard) series plus
-        every registered gauge.  Read-only by construction."""
+        """One tick: per-executor and per-shard series plus every
+        registered gauge.  Read-only by construction."""
         now = self.env.now
         system = self._system
         if system is not None:
             for op_name in system.executors_by_operator:
                 for executor in system.executors_by_operator[op_name]:
                     self._sample_executor(now, executor)
-            if self.per_shard:
-                # RC tracks shard loads at the operator manager, not the
-                # (single-core) executors.
-                for op_name in getattr(system, "rc_managers", {}):
-                    manager = system.rc_managers[op_name]
-                    shard_series = self._shard_series_for(
-                        op_name, len(manager._shard_load)
-                    )
-                    for shard_id, load in enumerate(manager._shard_load):
-                        shard_series[shard_id].record(now, load)
+            # RC tracks shard loads at the operator manager, not the
+            # (single-core) executors.
+            for op_name in getattr(system, "rc_managers", {}):
+                manager = system.rc_managers[op_name]
+                shard_series = self._shard_series_for(
+                    op_name, len(manager._shard_load)
+                )
+                for shard_id, load in enumerate(manager._shard_load):
+                    shard_series[shard_id].record(now, load)
         self.registry.sample(now)
         flight = self.flight
         if flight is not None and system is not None:
@@ -274,12 +258,11 @@ class Telemetry:
         cached[5].record(now, float(metrics.processed_tuples.total))
         if cached[6] is not None:
             cached[6].record(now, float(executor.state_bytes()))
-        if self.per_shard:
-            shard_load = getattr(executor, "_shard_load", None)
-            if shard_load is not None:
-                shard_series = self._shard_series_for(name, len(shard_load))
-                for shard_id, load in enumerate(shard_load):
-                    shard_series[shard_id].record(now, load)
+        shard_load = getattr(executor, "_shard_load", None)
+        if shard_load is not None:
+            shard_series = self._shard_series_for(name, len(shard_load))
+            for shard_id, load in enumerate(shard_load):
+                shard_series[shard_id].record(now, load)
 
     # -- convenience views -------------------------------------------------
 

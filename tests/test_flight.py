@@ -17,7 +17,7 @@ from repro.telemetry.events import EventBus
 from repro.telemetry.flight import DUMP_FILE, FlightRecorder, load_dump
 
 
-def small_system(telemetry=True, flight_capacity=1024):
+def small_system(telemetry=True):
     workload = MicroBenchmarkWorkload(
         rate=3000, num_keys=500, skew=0.8, omega=4.0, batch_size=20, seed=7
     )
@@ -27,7 +27,6 @@ def small_system(telemetry=True, flight_capacity=1024):
     config = SystemConfig(
         paradigm=Paradigm.ELASTICUTOR, num_nodes=4, cores_per_node=2,
         source_instances=2, telemetry=telemetry,
-        flight_recorder_capacity=flight_capacity,
     )
     return StreamSystem(topology, workload, config)
 
@@ -156,7 +155,7 @@ class TestDumpOnFault:
 
     def test_healthy_run_never_dumps(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        system = small_system(telemetry=True, flight_capacity=64)
+        system = small_system(telemetry=True)
         system.run(duration=8, warmup=2)
         assert not (tmp_path / DUMP_FILE).exists()
         flight = system.telemetry.flight

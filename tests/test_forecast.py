@@ -1,47 +1,50 @@
 """Forecasting layer: convergence, horizons, rejection, determinism."""
 
+import hashlib
 import math
 
 import pytest
 
-from repro.forecast import (
-    EWMAForecaster,
-    ForecastBank,
-    HoltWintersForecaster,
-)
+from repro.forecast import ForecastBank, HoltForecaster
+from repro.scheduler.strategies import PredictiveStrategy
+
+
+def level_only(alpha):
+    """Holt with ``beta=0``: the trend stays 0, leaving a plain EWMA."""
+    return HoltForecaster(alpha=alpha, beta=0.0)
 
 
 class TestEWMA:
     def test_validates_alpha(self):
         with pytest.raises(ValueError):
-            EWMAForecaster(alpha=0.0)
+            level_only(0.0)
         with pytest.raises(ValueError):
-            EWMAForecaster(alpha=1.5)
+            level_only(1.5)
 
     def test_seeds_with_first_observation(self):
-        f = EWMAForecaster(alpha=0.3)
+        f = level_only(0.3)
         f.update(42.0)
         assert f.forecast() == 42.0
 
     def test_converges_on_step_series(self):
-        f = EWMAForecaster(alpha=0.5)
+        f = level_only(0.5)
         f.fit([10.0] * 5 + [100.0] * 30)
         assert f.forecast() == pytest.approx(100.0, rel=1e-3)
 
     def test_alpha_one_tracks_last_value(self):
-        f = EWMAForecaster(alpha=1.0)
+        f = level_only(1.0)
         f.fit([1.0, 7.0, 3.0])
         assert f.forecast() == 3.0
 
     def test_flat_forecast_at_any_horizon(self):
-        f = EWMAForecaster(alpha=0.5)
+        f = level_only(0.5)
         f.fit([5.0, 6.0, 7.0])
         assert f.forecast(1) == f.forecast(10)
 
     def test_lags_on_ramp(self):
-        # EWMA has no trend term: on a ramp it underestimates, which is
-        # exactly the deficiency Holt-Winters fixes.
-        f = EWMAForecaster(alpha=0.5)
+        # Without a trend term a ramp is underestimated, which is
+        # exactly the deficiency beta > 0 fixes.
+        f = level_only(0.5)
         f.fit([float(i) for i in range(1, 21)])
         assert f.forecast() < 20.0
 
@@ -49,45 +52,28 @@ class TestEWMA:
 class TestHoltWinters:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
-            HoltWintersForecaster(alpha=0.0)
+            HoltForecaster(alpha=0.0)
         with pytest.raises(ValueError):
-            HoltWintersForecaster(beta=1.5)
+            HoltForecaster(beta=1.5)
         with pytest.raises(ValueError):
-            HoltWintersForecaster(gamma=-0.1)
-        with pytest.raises(ValueError):
-            HoltWintersForecaster(season_length=1)
-        with pytest.raises(ValueError):
-            # seasonal smoothing needs a season
-            HoltWintersForecaster(gamma=0.5, season_length=0)
+            HoltForecaster(beta=-0.1)
 
     def test_tracks_ramp(self):
         # On a linear ramp the trend term locks on: the one-step
         # forecast leads the last observation instead of lagging it.
-        f = HoltWintersForecaster(alpha=0.5, beta=0.3)
+        f = HoltForecaster(alpha=0.5, beta=0.3)
         series = [10.0 + 3.0 * i for i in range(40)]
         f.fit(series)
         assert f.forecast(1) == pytest.approx(series[-1] + 3.0, rel=0.05)
         assert f.forecast(5) == pytest.approx(series[-1] + 5 * 3.0, rel=0.05)
 
     def test_converges_on_step_series(self):
-        f = HoltWintersForecaster(alpha=0.5, beta=0.3)
+        f = HoltForecaster(alpha=0.5, beta=0.3)
         f.fit([10.0] * 5 + [100.0] * 50)
         assert f.forecast() == pytest.approx(100.0, rel=1e-2)
 
-    def test_learns_seasonal_pattern(self):
-        season = [0.0, 10.0, 50.0, 10.0]
-        f = HoltWintersForecaster(
-            alpha=0.3, beta=0.1, gamma=0.4, season_length=4
-        )
-        f.fit(season * 25)
-        # After 25 periods the forecast should reproduce the cycle shape:
-        # the horizon aligned with the peak must dominate the others.
-        forecasts = [f.forecast(h) for h in (1, 2, 3, 4)]
-        assert max(forecasts) == pytest.approx(50.0, rel=0.25)
-        assert max(forecasts) > 2.0 * min(forecasts)
-
     def test_peak_is_max_over_horizons(self):
-        f = HoltWintersForecaster(alpha=0.3, beta=0.2)
+        f = HoltForecaster(alpha=0.3, beta=0.2)
         f.fit([1.0, 2.0, 3.0, 4.0])
         assert f.peak(4) == max(f.forecast(h) for h in (1, 2, 3, 4))
         with pytest.raises(ValueError):
@@ -95,14 +81,12 @@ class TestHoltWinters:
 
 
 class TestForecasterContract:
-    """Behaviours shared by every Forecaster implementation."""
+    """Behaviours that hold for every smoothing configuration."""
 
     FACTORIES = [
-        lambda: EWMAForecaster(alpha=0.4),
-        lambda: HoltWintersForecaster(alpha=0.4, beta=0.2),
-        lambda: HoltWintersForecaster(
-            alpha=0.4, beta=0.2, gamma=0.3, season_length=3
-        ),
+        lambda: level_only(0.4),
+        lambda: HoltForecaster(alpha=0.4, beta=0.2),
+        lambda: HoltForecaster(),  # the predictive scheduler's 0.5 / 0.3
     ]
 
     @pytest.mark.parametrize("factory", FACTORIES)
@@ -155,34 +139,81 @@ class TestForecasterContract:
 class TestForecastBank:
     def test_requires_positive_horizon(self):
         with pytest.raises(ValueError):
-            ForecastBank(EWMAForecaster, horizon=0)
+            ForecastBank(horizon=0)
 
     def test_predict_unknown_series_is_zero(self):
-        bank = ForecastBank(EWMAForecaster, horizon=2)
+        bank = ForecastBank(horizon=2)
         assert bank.predict("nope") == 0.0
         assert bank.abs_error("nope") == 0.0
 
     def test_scores_one_step_error_before_updating(self):
-        bank = ForecastBank(lambda: EWMAForecaster(alpha=1.0), horizon=1)
+        bank = ForecastBank(alpha=1.0, beta=0.0, horizon=1)
         bank.observe("x", 10.0)  # first observation: nothing to score
         assert bank.abs_error("x") == 0.0
         bank.observe("x", 16.0)  # forecast was 10 -> error 6
         assert bank.abs_error("x") == pytest.approx(6.0)
-        assert bank.last_forecast("x") == pytest.approx(10.0)
-        assert bank.last_actual("x") == pytest.approx(16.0)
 
     def test_predict_clamps_negative_forecasts(self):
-        bank = ForecastBank(
-            lambda: HoltWintersForecaster(alpha=0.9, beta=0.9), horizon=5
-        )
+        bank = ForecastBank(alpha=0.9, beta=0.9, horizon=5)
         for value in (100.0, 50.0, 10.0, 1.0):
             bank.observe("down", value)
         assert bank.predict("down") >= 0.0
 
     def test_names_sorted_and_mean_error(self):
-        bank = ForecastBank(lambda: EWMAForecaster(alpha=1.0), horizon=1)
+        bank = ForecastBank(alpha=1.0, beta=0.0, horizon=1)
         for name in ("b", "a"):
             bank.observe(name, 1.0)
             bank.observe(name, 3.0)
         assert bank.names() == ["a", "b"]
         assert bank.mean_abs_error() == pytest.approx(2.0)
+
+
+#: A ramp, a dip to zero, a spike, and two non-finite observations.
+GOLDEN_SERIES = [
+    100.0, 120.0, 150.0, float("nan"), 190.0, 260.0, 250.0, 400.0,
+    390.0, 380.0, 0.0, 50.0, 700.0, 640.0, float("inf"), 655.5,
+]
+
+
+def digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+class TestGolden:
+    """Exact forecasts, pinned as float hex digests: any change to the
+    smoothing arithmetic or its defaults shows up here bit for bit."""
+
+    def test_default_forecaster(self):
+        f = HoltForecaster()
+        rows = []
+        for x in GOLDEN_SERIES:
+            f.update(x)
+            rows.append(
+                (f.forecast(0).hex(), f.forecast(1).hex(), f.peak(3).hex())
+            )
+        assert digest(rows) == "bfabb51d5e80dcd3"
+        assert f.rejected == 2
+
+    def test_tuned_predictive_strategy(self):
+        strategy = PredictiveStrategy(alpha=0.8, beta=0.6, horizon=5)
+        rows = []
+        for i, x in enumerate(GOLDEN_SERIES):
+            strategy.observe("e0", i, x)
+            strategy.observe("e1", i, 0.5 * x + 3)
+            rows.append((
+                strategy.demand("e0", 10.0).hex(),
+                strategy.demand("e1", 10.0).hex(),
+                strategy.forecast_error().hex(),
+            ))
+        assert digest(rows) == "16b9d11ee5a52197"
+
+    def test_default_predictive_strategy(self):
+        strategy = PredictiveStrategy()
+        rows = []
+        for i, x in enumerate(GOLDEN_SERIES):
+            strategy.observe("e0", i, x)
+            rows.append((
+                strategy.demand("e0", 10.0).hex(),
+                strategy.forecast_error().hex(),
+            ))
+        assert digest(rows) == "f1ea3c115a4f8e27"

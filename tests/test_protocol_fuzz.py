@@ -319,7 +319,7 @@ def _run_predictive_fuzz_example(crashes, base_rate, ramp):
     from repro.faults.recovery import DeadLetterReaper
     from repro.metrics.recovery import RecoveryStats
     from repro.scheduler import DynamicScheduler
-    from repro.scheduler.strategies import make_strategy
+    from repro.scheduler.strategies import PredictiveStrategy
 
     env = Environment()
     # One core per node caps capacity at 3 cores: the ramp outruns what
@@ -339,7 +339,7 @@ def _run_predictive_fuzz_example(crashes, base_rate, ramp):
 
     # Aggressive smoothing + a long horizon: the trend forecast runs
     # ahead of the measurement mid-ramp, so growth is forecast-driven.
-    strategy = make_strategy("predictive", alpha=0.8, beta=0.6, horizon=5)
+    strategy = PredictiveStrategy(alpha=0.8, beta=0.6, horizon=5)
     scheduler = DynamicScheduler(
         env, cluster, [executor], interval=0.5, strategy=strategy,
     )

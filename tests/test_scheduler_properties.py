@@ -30,7 +30,11 @@ from repro.logic.base import OperatorLogic
 from repro.scheduler import DynamicScheduler, GreedyAllocator
 from repro.scheduler.allocation import ExecutorDemand
 from repro.scheduler.assignment import AssignmentInput
-from repro.scheduler.strategies import STRATEGY_NAMES, make_strategy
+from repro.scheduler.strategies import (
+    STRATEGY_NAMES,
+    PredictiveStrategy,
+    make_strategy,
+)
 from repro.sim import Environment
 from repro.topology import OperatorSpec, TupleBatch
 
@@ -270,7 +274,11 @@ def run_world(strategy_name, until=8.0):
         cluster,
         executors,
         interval=0.5,
-        strategy=make_strategy(strategy_name, horizon=2),
+        strategy=(
+            PredictiveStrategy(horizon=2)
+            if strategy_name == "predictive"
+            else make_strategy(strategy_name)
+        ),
     )
     scheduler.start()
     env.run(until=until)

@@ -134,6 +134,21 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(timeout_seconds=0.0)
 
+    def test_system_args_must_name_a_config_field(self):
+        # A removed SystemConfig field fails at load time, naming the
+        # key, instead of as a TypeError inside every worker.
+        with pytest.raises(ValueError, match="'forecast_alpha'"):
+            TrialConfig(system_args={"forecast_alpha": 0.8})
+
+    def test_system_args_cannot_override_trial_fields(self):
+        with pytest.raises(ValueError, match="'paradigm'"):
+            TrialConfig(system_args={"paradigm": "static"})
+
+    def test_system_args_accepts_config_fields(self):
+        # The Table 3 benchmark's weighted static deployment.
+        weights = {"static_weights": {"transactor": 10.0}}
+        assert TrialConfig(system_args=weights).system_args == weights
+
 
 class TestSweepSpec:
     def test_grid_expansion_order(self):
