@@ -3,7 +3,7 @@
 Run single experiments or paradigm comparisons without writing code::
 
     python -m repro run --paradigm elasticutor --rate 17000 --duration 60
-    python -m repro compare --workload sse --rate 25000
+    python -m repro compare --workload sse --rate 25000 --nodes 16
     python -m repro scale-out --cores 1 2 4 8 16
     python -m repro faults --fault-spec "node_crash@30:node=5"
     python -m repro run --telemetry-out out/run1 && python -m repro report out/run1
@@ -26,7 +26,7 @@ import typing
 
 from repro.analysis import ResultTable, SingleExecutorHarness
 from repro.faults import FaultSpec
-from repro.runtime import Paradigm, StreamSystem, SystemConfig
+from repro.runtime import Paradigm, PlacementError, StreamSystem, SystemConfig
 from repro.scheduler.strategies import STRATEGY_NAMES
 from repro.workloads import MicroBenchmarkWorkload, SSEWorkload
 
@@ -641,7 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PlacementError as exc:
+        # The topology does not fit the cluster flags: a usage error.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,7 +37,7 @@ import typing
 import numpy as np
 
 from repro.cluster.profile import LatencySpec, NetworkProfile
-from repro.metrics import ByteCounter
+from repro.metrics import Counter
 from repro.sim import Environment, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -192,13 +192,13 @@ class NetworkFabric:
         self._guard_deliveries = False
         self._flat_latency = True
         self._refresh_fast_path()
-        self.bytes_by_purpose: typing.Dict[TransferPurpose, ByteCounter] = {
-            purpose: ByteCounter() for purpose in TransferPurpose
+        self.bytes_by_purpose: typing.Dict[TransferPurpose, Counter] = {
+            purpose: Counter() for purpose in TransferPurpose
         }
         #: Same-node transfer bytes (no NIC crossed; kept out of the
         #: Table-2 network accounting above, but auditable here).
-        self.local_bytes_by_purpose: typing.Dict[TransferPurpose, ByteCounter] = {
-            purpose: ByteCounter() for purpose in TransferPurpose
+        self.local_bytes_by_purpose: typing.Dict[TransferPurpose, Counter] = {
+            purpose: Counter() for purpose in TransferPurpose
         }
 
     # -- realism state -------------------------------------------------
@@ -405,15 +405,3 @@ class NetworkFabric:
         too; without it only new reservations see the outage.
         """
         self._outage_until[node_id] = max(self._outage_until[node_id], until)
-
-    def utilization_snapshot(self) -> typing.Dict[str, float]:
-        """Busy horizons per link relative to now (diagnostics)."""
-        now = self.env.now
-        return {
-            "max_egress_backlog": max(
-                (link.busy_until - now for link in self._egress), default=0.0
-            ),
-            "max_ingress_backlog": max(
-                (link.busy_until - now for link in self._ingress), default=0.0
-            ),
-        }

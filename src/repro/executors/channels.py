@@ -86,12 +86,10 @@ class _RemoteSend:
     """Callback registered on the window-grant event.
 
     Starts the network transfer and hands off to :class:`_Delivery` the
-    moment the window slot is granted — replacing the ``send()``
-    subgenerator for callers that can yield a single event.  It runs
-    during the grant event's processing, *before* the waiting caller's
-    resume callback (callbacks fire in append order), which is exactly
-    when the subgenerator version would have issued the transfer, so the
-    event/sequence footprint is unchanged.
+    moment the window slot is granted.  It runs during the grant event's
+    processing, *before* the waiting caller's resume callback (callbacks
+    fire in append order), so the transfer is issued before the caller
+    continues.
     """
 
     __slots__ = ("sender", "dst_node", "queue", "item", "nbytes", "purpose")
@@ -123,7 +121,7 @@ class _RemoteSend:
 class WindowedSender:
     """Pipelined sends from a fixed source node.
 
-    FIFO guarantee: a single caller process that issues ``send`` calls in
+    FIFO guarantee: a single caller that issues ``send_event`` calls in
     order gets in-order delivery per (source, destination-node) pair — the
     fabric's links are FIFO and destination-store put-waiters are FIFO.
     Same-node sends bypass the network and block directly on the queue.
@@ -147,27 +145,6 @@ class WindowedSender:
     def in_flight(self) -> int:
         return self._window.in_use
 
-    def send(
-        self,
-        dst_node: int,
-        queue: Store,
-        item: typing.Any,
-        nbytes: float,
-        purpose: TransferPurpose,
-    ) -> typing.Generator:
-        """Deliver ``item`` into ``queue`` on ``dst_node``.
-
-        A generator: ``yield from`` it.  Returns once the send is admitted
-        (local: enqueued; remote: window slot acquired and transfer
-        started), so the caller can pipeline subsequent sends.
-        """
-        if dst_node == self.src_node:
-            yield queue.put(item)
-            return
-        yield self._window.request()
-        transfer = self.fabric.transfer(self.src_node, dst_node, nbytes, purpose)
-        _Delivery(self, transfer, queue, item)
-
     def send_event(
         self,
         dst_node: int,
@@ -176,12 +153,13 @@ class WindowedSender:
         nbytes: float,
         purpose: TransferPurpose,
     ) -> Event:
-        """Single-event form of :meth:`send` for hot-path callers.
+        """Deliver ``item`` into ``queue`` on ``dst_node``.
 
-        Returns one event to yield: the put (local) or the window grant
-        (remote, with a :class:`_RemoteSend` callback continuing the
-        delivery).  Semantically identical to ``yield from send(...)``
-        without the subgenerator frame.
+        Returns the one event to wait on: the put (local) or the window
+        grant (remote, with a :class:`_RemoteSend` callback starting the
+        transfer).  It fires once the send is admitted (local: enqueued;
+        remote: window slot acquired and transfer started), so the caller
+        can pipeline subsequent sends.
         """
         if dst_node == self.src_node:
             return queue.put(item)

@@ -19,6 +19,7 @@ from repro.cluster.node import Cluster
 from repro.executors.balancer import ShardBalancer
 from repro.executors.channels import WindowedSender, _Delivery
 from repro.executors.config import ExecutorConfig
+from repro.executors.group import submit_when_open
 from repro.executors.routing import RoutingTable
 from repro.executors.stats import ExecutorMetrics, ReassignmentRecord, ReassignmentStats
 from repro.executors.task import STOP, StopSignal, Task
@@ -157,10 +158,10 @@ class _EmitterLoop:
     """Callback-compiled emitter daemon (replaces the generator loop).
 
     Pulls finished batches off the emitter queue and submits them to
-    every downstream group via the one-event ``submit_event`` fast path;
-    a closed repartition gate (rare — hybrid controller only) falls back
-    to the group's generator form in a short-lived process that can wait
-    the gate open.  Kill contract matches ``Process.kill``.
+    every downstream group via the one-event ``submit_event``; a closed
+    repartition gate (rare — hybrid controller only) hands the submit to
+    :func:`submit_when_open` in a short-lived process that waits the gate
+    open.  Kill contract matches ``Process.kill``.
     """
 
     __slots__ = (
@@ -209,9 +210,8 @@ class _EmitterLoop:
         group = groups[gi]
         event = group.submit_event(self._batch, self.local_node, self.sender)
         if event is None:
-            # Gate closed: the generator form can wait it open.
             event = self.env.process(  # repro: allow[SIM001]: gate-closed slow path — one process frame per reopen wait, not per tuple
-                group.submit(self._batch, self.local_node, self.sender)
+                submit_when_open(group, self._batch, self.local_node, self.sender)
             )
         self._waiting = event
         event.callbacks.append(self._on_sent_cb)
@@ -240,25 +240,24 @@ class _EmitterLoop:
 class _TaskPipeline(Event):
     """Callback-compiled task loop + batch execution (one per task).
 
-    Replaces two generators per task — ``Task._run`` and the executor's
-    ``process_batch`` — with a single slotted FSM driven entirely by
-    event callbacks: get an item, burn the CPU cost (a bare wake event on
-    the timer heap), apply state + logic, then hand emissions to the
-    emitter queue.  The per-batch event footprint (get, wake, emission
-    puts) is identical to the generator pair, so simulation ordering is
-    unchanged; the ~3 generator resumes per batch disappear.
+    The elastic executor's only data path: a slotted FSM driven entirely
+    by event callbacks.  Get an item, burn the CPU cost (a bare wake
+    event on the timer heap), apply state + logic, then hand emissions to
+    the emitter queue.  With an external state store the state access is
+    the :meth:`ExternalStateService.access` generator, stepped from a
+    callback exactly as ``Process._resume`` steps a process body.
 
     The pipeline *is* the task's completion event (like ``Process``): it
     succeeds when a :class:`StopSignal` is consumed, so ``remove_core``'s
     ``yield victim.process`` and the hybrid controller's drain waits work
-    unmodified.  Executors with an external state store keep the
-    generator path (the state access itself yields network events).
+    unmodified.
     """
 
     __slots__ = (
         "task", "ex", "queue",
         "_waiting", "_item", "_cost", "_started", "_emissions", "_ei", "_dead",
-        "_on_item_cb", "_on_wake_cb", "_on_eput_cb",
+        "_access", "_shard",
+        "_on_item_cb", "_on_wake_cb", "_on_eput_cb", "_on_access_cb",
     )
 
     def __init__(self, executor: "ElasticExecutor", task: "Task") -> None:
@@ -273,9 +272,14 @@ class _TaskPipeline(Event):
         self._emissions: typing.Sequence[typing.Any] = ()
         self._ei = 0
         self._dead = False
+        #: The in-progress external state access, and the shard it
+        #: returned (set only while ``_execute`` resumes after it).
+        self._access: typing.Optional[typing.Generator] = None
+        self._shard: typing.Optional[ShardState] = None
         self._on_item_cb = self._on_item
         self._on_wake_cb = self._on_wake
         self._on_eput_cb = self._on_emit_put
+        self._on_access_cb = self._on_access
         self._pump()
 
     def _pump(self) -> None:
@@ -344,14 +348,26 @@ class _TaskPipeline(Event):
         task = self.task
         batch = self._item
         cost = self._cost
-        shard_id = ex._shard_lookup[batch.key]
-        ex._shard_cost_accum[shard_id] += cost
-        if ex._san is not None:
-            ex._san.on_access(shard_id, task.task_id, batch)
-        emissions: typing.Sequence[typing.Any] = ()
         logic = ex.logic
+        shard = self._shard
+        if shard is None:
+            shard_id = ex._shard_lookup[batch.key]
+            ex._shard_cost_accum[shard_id] += cost
+            if ex._san is not None:
+                ex._san.on_access(shard_id, task.task_id, batch)
+            if logic is not None:
+                if ex.external_state is not None:
+                    self._access = ex.external_state.access(
+                        ex.name, shard_id, task.node_id
+                    )
+                    self._on_access(None)
+                    return
+                shard = ex.stores[task.node_id].get(shard_id)
+        else:
+            self._shard = None
+            shard_id = shard.shard_id
+        emissions: typing.Sequence[typing.Any] = ()
         if logic is not None:
-            shard = ex.stores[task.node_id].get(shard_id)
             emissions = logic.process(batch, StateAccess(shard))
         now = env._now
         metrics = ex.metrics
@@ -384,6 +400,33 @@ class _TaskPipeline(Event):
             self._next_emission()
             return
         self._finish()
+
+    def _on_access(self, event: typing.Optional[Event]) -> None:
+        """Step the external state access until it blocks or returns."""
+        if self._dead:
+            return
+        self._waiting = None
+        access = self._access
+        while True:
+            try:
+                if event is None:
+                    target = next(access)
+                elif event._ok:
+                    target = access.send(event._value)
+                else:
+                    target = access.throw(event._value)
+            except StopIteration as done:
+                self._access = None
+                self._shard = done.value
+                self._execute()
+                return
+            if target.callbacks is None:
+                # Already fired: consume its value and keep stepping.
+                event = target
+                continue
+            self._waiting = target
+            target.callbacks.append(self._on_access_cb)
+            return
 
     def _next_emission(self) -> None:
         ex = self.ex
@@ -442,12 +485,18 @@ class _TaskPipeline(Event):
         waiting = self._waiting
         self._waiting = None
         if waiting is not None and waiting.callbacks is not None:
-            for callback in (self._on_item_cb, self._on_wake_cb, self._on_eput_cb):
+            for callback in (
+                self._on_item_cb, self._on_wake_cb, self._on_eput_cb,
+                self._on_access_cb,
+            ):
                 try:
                     waiting.callbacks.remove(callback)
                     break
                 except ValueError:
                     pass
+        if self._access is not None:
+            self._access.close()
+            self._access = None
         self.succeed(None)
         return waiting
 
@@ -490,9 +539,8 @@ class ElasticExecutor:
         self.reassignment_stats = reassignment_stats or ReassignmentStats()
         self.migration_clock = migration_clock or MigrationClock()
         self.num_shards = spec.shards_per_executor
-        #: Tier-2 routing (key -> shard).  The hash is static; with a
-        #: declared dense key space the table is precomputed and shared
-        #: across the operator's executors instead of memoized per key.
+        #: Tier-2 routing (key -> shard).  The hash is static, so the
+        #: table is precomputed and shared across the operator's executors.
         self._shard_lookup = shard_lookup(
             self.num_shards, spec.key_space.num_keys
         )
@@ -628,111 +676,17 @@ class ElasticExecutor:
 
     # -- data plane -------------------------------------------------------
 
-    def make_pipeline(self, task: Task) -> typing.Optional["_TaskPipeline"]:
-        """Build the compiled task pipeline, or ``None`` for the generator.
-
-        External state stores keep the generator path: the state access
-        itself yields network events, which the compiled pipeline does
-        not model.
-        """
-        if self.external_state is not None:
-            return None
+    def make_pipeline(self, task: Task) -> "_TaskPipeline":
+        """Build the task's compiled pipeline (see :class:`Task`)."""
         return _TaskPipeline(self, task)
 
-    def _forward(
-        self, item: typing.Any, task: Task, nbytes: typing.Optional[float] = None
-    ) -> typing.Generator:
-        """Route an item to a task, over the network for remote tasks."""
-        if task.node_id == self.local_node:
-            yield task.queue.put(item)
-            return
-        if nbytes is None:
-            nbytes = item.total_bytes if isinstance(item, TupleBatch) else self.config.control_bytes
-        yield from self._receiver_sender.send(
+    def _forward(self, item: typing.Any, task: Task) -> Event:
+        """Route an item to a task, over the network for remote tasks;
+        returns the one event to wait on."""
+        nbytes = item.total_bytes if isinstance(item, TupleBatch) else self.config.control_bytes
+        return self._receiver_sender.send_event(
             task.node_id, task.queue, item, nbytes, TransferPurpose.REMOTE_TASK
         )
-
-    def process_batch(self, task: Task, batch: TupleBatch) -> typing.Generator:
-        """Execute one batch on ``task``'s core (called from Task loop)."""
-        env = self.env
-        logic = self.logic
-        if batch.trace is not None:
-            batch.trace["task_start"] = env._now
-        cost = logic.cpu_seconds(batch) if logic is not None else 0.0
-        # Wall time on this core; slow nodes (stragglers) and injected
-        # stalls take longer, and everything downstream — shard loads, µ,
-        # the scheduler — sees the measured reality, not the nominal cost.
-        # cluster.speed is read per batch on purpose: straggler injection
-        # changes it mid-run.
-        cost = cost / (self.cluster.speed(task.node_id) * self.stall_factor)
-        if cost > 0:
-            # Inlined timeout (one per processed batch): a bare triggered
-            # event pushed at now + cost, skipping the Timeout frames.
-            wake = Event.__new__(Event)
-            wake.env = env
-            wake.callbacks = []
-            wake._ok = True
-            wake._value = None
-            env.push_at(env._now + cost, wake)
-            yield wake
-        shard_id = self._shard_lookup[batch.key]
-        self._shard_cost_accum[shard_id] += cost
-        if self._san is not None:
-            self._san.on_access(shard_id, task.task_id, batch)
-        emissions = ()
-        if logic is not None:
-            if self.external_state is not None:
-                shard = yield from self.external_state.access(
-                    self.name, shard_id, task.node_id
-                )
-            else:
-                shard = self.stores[task.node_id].get(shard_id)
-            emissions = logic.process(batch, StateAccess(shard))
-        now = env._now
-        metrics = self.metrics
-        metrics.on_processed(now, batch.count, cost)
-        reference = batch.admitted_at
-        if reference is None:
-            reference = batch.created_at
-        waited = now - reference
-        metrics.queue_latency.add(waited if waited > 0.0 else 0.0)
-        if self.operator_in_flight is not None:
-            self.operator_in_flight.decrement()
-        if batch.trace is not None:
-            batch.trace["done"] = now
-        # Commit point: state applied and accounted.  A crash from here on
-        # must not count the batch as lost (and must not re-apply it).
-        task.current_item = None
-        if self.is_sink:
-            probe = self.latency_probe
-            if probe is not None:
-                probe.record(shard_id, now - batch.created_at, batch.count, now)
-            if self._sink_recorder is not None:
-                self._sink_recorder(batch, now)
-            return
-        for emission in emissions:
-            out = TupleBatch(
-                key=emission.key,
-                count=emission.count,
-                cpu_cost=0.0,
-                size_bytes=emission.size_bytes,
-                created_at=batch.created_at,
-                payload=emission.payload,
-                admitted_at=batch.admitted_at,
-                trace=batch.trace,
-            )
-            self.metrics.on_emit(now, out.total_bytes)
-            if task.node_id == self.local_node:
-                yield self._emitter_queue.put(out)
-            else:
-                sender = self._remote_senders[task.node_id]
-                yield from sender.send(
-                    self.local_node,
-                    self._emitter_queue,
-                    out,
-                    out.total_bytes,
-                    TransferPurpose.REMOTE_TASK,
-                )
 
     # -- elasticity: core membership --------------------------------------
 
@@ -799,7 +753,7 @@ class ElasticExecutor:
             )
             for shard_id, dst_task in sorted(placement.items()):
                 yield from self._reassign(shard_id, dst_task)
-            yield from self._forward(STOP, victim)
+            yield self._forward(STOP, victim)
             yield victim.process
             if victim.task_id not in self.tasks:
                 # A crash destroyed the victim while its queue drained;
@@ -929,7 +883,7 @@ class ElasticExecutor:
                 san.on_pause(shard_id, src_task.task_id)
             # 2. Drain: a labeling tuple chases all pending tuples of the shard.
             label_event = self.env.event()
-            yield from self._forward(LabelTuple(shard_id, label_event), src_task)
+            yield self._forward(LabelTuple(shard_id, label_event), src_task)
             yield label_event
             sync_done = self.env.now
             span.mark("drain")
@@ -951,7 +905,7 @@ class ElasticExecutor:
                     if san is not None:
                         san.on_resume(shard_id)
                     while entry.buffer:
-                        yield from self._forward(entry.buffer.popleft(), src_task)
+                        yield self._forward(entry.buffer.popleft(), src_task)
                     entry.paused = False
                     return
             # 3. Migrate state only across processes (intra-process sharing).
@@ -986,7 +940,7 @@ class ElasticExecutor:
                 san.on_assign(shard_id, dst_task.task_id)
             while entry.buffer:
                 item = entry.buffer.popleft()
-                yield from self._forward(item, dst_task)
+                yield self._forward(item, dst_task)
             entry.paused = False
             span.mark("routing_update")
             proto.advance("routing_update")
@@ -1234,7 +1188,7 @@ class ElasticExecutor:
                     item = entry.buffer.popleft()
                     if isinstance(item, TupleBatch):
                         flushed += item.count
-                    yield from self._forward(item, dst_task)
+                    yield self._forward(item, dst_task)
                 entry.paused = False
                 if flushed:
                     stats.tuples_rerouted.add(flushed)

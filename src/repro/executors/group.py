@@ -69,40 +69,14 @@ class ElasticGroup:
             return self.router.route(key)
         return self.executors[self._lookup[key]]
 
-    def submit(
-        self, batch: TupleBatch, src_node: int, sender: WindowedSender
-    ) -> typing.Generator:
-        """Deliver ``batch`` into the owning executor's input queue."""
-        if self.gate is not None:
-            while self.gate.closed:
-                yield self.gate.wait_open()
-        if self.router is not None:
-            executor = self.router.route(batch.key)
-        else:
-            executor = self.executors[self._lookup[batch.key]]
-        if self.in_flight is not None:
-            self.in_flight.increment()
-        if executor.local_node == src_node:
-            # Same-node delivery: skip the WindowedSender generator frame —
-            # its local branch is exactly this put.
-            yield executor.input_queue.put(batch)
-        else:
-            yield sender.send_event(
-                executor.local_node,
-                executor.input_queue,
-                batch,
-                batch.count * batch.size_bytes,
-                TransferPurpose.STREAM,
-            )
-
     def submit_event(
         self, batch: TupleBatch, src_node: int, sender: WindowedSender
     ) -> typing.Optional[typing.Any]:
-        """One-event fast path of :meth:`submit`.
+        """Deliver ``batch`` into the owning executor's input queue.
 
-        Returns a single event to yield, or ``None`` when the gate is
-        closed (caller falls back to the :meth:`submit` generator, which
-        can wait the gate open).
+        Returns the one event to wait on (the put, or the window grant of
+        a remote send), or ``None`` when the gate is closed — see
+        :func:`submit_when_open`.
         """
         gate = self.gate
         if gate is not None and gate.closed:
@@ -138,34 +112,15 @@ class RCGroup:
         self.name = name
         self.manager = manager
 
-    def submit(
-        self, batch: TupleBatch, src_node: int, sender: WindowedSender
-    ) -> typing.Generator:
-        # Respect the repartitioning pause: upstream executors block here
-        # while the operator's key space is being repartitioned.
-        manager = self.manager
-        gate = manager.gate
-        while gate.closed:
-            yield gate.wait_open()
-        shard_id = manager.shard_lookup[batch.key]
-        executor = manager._assignment[shard_id]
-        manager.record_arrival(executor, batch)
-        manager.in_flight.increment()
-        if executor.node_id == src_node:
-            yield executor.input_queue.put(batch)
-        else:
-            yield sender.send_event(
-                executor.node_id,
-                executor.input_queue,
-                batch,
-                batch.count * batch.size_bytes,
-                TransferPurpose.STREAM,
-            )
+    @property
+    def gate(self) -> typing.Any:
+        """The manager's repartitioning gate (upstreams block while closed)."""
+        return self.manager.gate
 
     def submit_event(
         self, batch: TupleBatch, src_node: int, sender: WindowedSender
     ) -> typing.Optional[typing.Any]:
-        """One-event fast path of :meth:`submit` (``None`` = gate closed)."""
+        """Same contract as :meth:`ElasticGroup.submit_event`."""
         manager = self.manager
         if manager.gate.closed:
             return None
@@ -182,6 +137,24 @@ class RCGroup:
             batch.count * batch.size_bytes,
             TransferPurpose.STREAM,
         )
+
+
+def submit_when_open(
+    group: typing.Any, batch: TupleBatch, src_node: int, sender: WindowedSender
+) -> typing.Generator:
+    """Submit ``batch`` to ``group``, first waiting out a closed gate.
+
+    A generator (``yield from`` it, or run it as a process): the
+    callback-compiled emitters use it only when ``submit_event`` reports
+    the gate closed, so the wait costs a process frame per reopen, not
+    per tuple.
+    """
+    while True:
+        event = group.submit_event(batch, src_node, sender)
+        if event is not None:
+            yield event
+            return
+        yield group.gate.wait_open()
 
 
 class SourceInstance:
@@ -335,9 +308,8 @@ class _SourceLoop:
         group = groups[gi]
         event = group.submit_event(self._batch, src.node_id, src.sender)
         if event is None:
-            # Gate closed: the generator form can wait it open.
             event = self.env.process(  # repro: allow[SIM001]: gate-closed slow path — one process frame per reopen wait, not per tuple
-                group.submit(self._batch, src.node_id, src.sender)
+                submit_when_open(group, self._batch, src.node_id, src.sender)
             )
         event.callbacks.append(self._on_sent_cb)
 

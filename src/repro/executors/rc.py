@@ -24,6 +24,7 @@ from repro.executors.balancer import ShardBalancer
 from repro.executors.channels import WindowedSender
 from repro.executors.config import ExecutorConfig
 from repro.executors.gate import OperatorGate
+from repro.executors.group import submit_when_open
 from repro.executors.stats import ExecutorMetrics, ReassignmentRecord, ReassignmentStats
 from repro.executors.task import STOP, Task
 from repro.logic.base import OperatorLogic, StateAccess
@@ -192,7 +193,9 @@ class RCExecutor:
         while True:
             batch = yield self._emitter_queue.get()
             for group in self._downstream_groups:
-                yield from group.submit(batch, self.node_id, self._emitter_sender)
+                yield from submit_when_open(
+                    group, batch, self.node_id, self._emitter_sender
+                )
 
     def crash(self, reaper: typing.Any) -> None:
         """Fail-stop this executor: its core (or whole node) died.
@@ -271,8 +274,8 @@ class RCOperatorManager:
         self.manager_node = manager_node
         self._logic_factory = logic_factory
         self.total_shards = spec.total_shards
-        #: Operator-level key -> shard table (static hash); precomputed
-        #: and shared for a declared dense key space, memoized otherwise.
+        #: Operator-level key -> shard table (static hash), precomputed
+        #: and shared.
         self.shard_lookup = shard_lookup(
             self.total_shards, spec.key_space.num_keys
         )

@@ -60,13 +60,12 @@ class Task:
         # The executor clears it at the commit point, so a crash knows
         # whether the in-progress batch was applied or must count as lost.
         self.current_item: typing.Optional[typing.Any] = None
-        # Owners that support it supply a callback-compiled pipeline (an
-        # Event with the Process kill/completion contract); otherwise the
-        # portable generator loop below drives the task.
+        # Elastic executors supply a callback-compiled pipeline (an Event
+        # with the Process kill/completion contract); other owners (the RC
+        # executor) drive the task with the generator loop below.
         make_pipeline = getattr(owner, "make_pipeline", None)
-        pipeline = make_pipeline(self) if make_pipeline is not None else None
-        if pipeline is not None:
-            self.process = pipeline
+        if make_pipeline is not None:
+            self.process = make_pipeline(self)
         else:
             self.process = env.process(self._run())
 

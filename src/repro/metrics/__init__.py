@@ -7,13 +7,12 @@ remote-transfer bytes) used in the evaluation.  This package provides the
 corresponding virtual-time-aware meters.
 """
 
-from repro.metrics.counters import ByteCounter, Counter
+from repro.metrics.counters import Counter
 from repro.metrics.rates import EWMA, PairedWindowedRate, WindowedRate
 from repro.metrics.recovery import RecoveryEvent, RecoveryStats
 from repro.metrics.timeseries import TimeSeries
 
 __all__ = [
-    "ByteCounter",
     "Counter",
     "EWMA",
     "PairedWindowedRate",

@@ -1,20 +1,15 @@
-"""Monotonic counters with interval-delta support."""
+"""Monotonic counters."""
 
 from __future__ import annotations
 
 
 class Counter:
-    """A monotonically increasing event counter.
+    """A monotonically increasing event counter."""
 
-    Supports marking a checkpoint so callers (the scheduler, benchmark
-    harnesses) can read per-interval deltas without resetting history.
-    """
-
-    __slots__ = ("_total", "_checkpoint")
+    __slots__ = ("_total",)
 
     def __init__(self) -> None:
         self._total = 0
-        self._checkpoint = 0
 
     @property
     def total(self) -> int:
@@ -24,25 +19,3 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         self._total += amount
-
-    def delta(self) -> int:
-        """Count accumulated since the previous :meth:`delta` call."""
-        value = self._total - self._checkpoint
-        self._checkpoint = self._total
-        return value
-
-    def peek_delta(self) -> int:
-        """Like :meth:`delta` but without moving the checkpoint."""
-        return self._total - self._checkpoint
-
-
-class ByteCounter(Counter):
-    """A counter for byte volumes with rate helpers."""
-
-    __slots__ = ()
-
-    def rate_since(self, elapsed: float) -> float:
-        """Average bytes/second over ``elapsed`` seconds, consuming the delta."""
-        if elapsed <= 0:
-            raise ValueError(f"elapsed must be positive, got {elapsed}")
-        return self.delta() / elapsed

@@ -43,36 +43,5 @@ class TimeSeries:
         hi = bisect.bisect_left(self._times, end)
         return sum(self._values[lo:hi])
 
-    def window_mean(self, start: float, end: float) -> float:
-        """Mean of values with timestamps in ``[start, end)``; 0 when empty."""
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, end)
-        if hi == lo:
-            return 0.0
-        return sum(self._values[lo:hi]) / (hi - lo)
-
-    def sliding_rate(
-        self, window: float, step: float, start: float, end: float
-    ) -> typing.List[typing.Tuple[float, float]]:
-        """Event rate (window_sum / window) sampled every ``step`` seconds.
-
-        Returns (window_end_time, rate) pairs — the paper's "instantaneous
-        throughput, measured in a sliding time window of 1 second".
-        """
-        if window <= 0 or step <= 0:
-            raise ValueError("window and step must be positive")
-        # Sample times come from an integer index (start + window + i*step),
-        # not a `t += step` accumulator: repeated float addition drifts, so
-        # long series would skip or duplicate the final window.
-        points = []
-        i = 0
-        while True:
-            t = start + window + i * step
-            if t > end + 1e-9:
-                break
-            points.append((t, self.window_sum(t - window, t) / window))
-            i += 1
-        return points
-
     def to_rows(self) -> typing.List[typing.Tuple[float, float]]:
         return list(zip(self._times, self._values))

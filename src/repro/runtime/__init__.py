@@ -12,6 +12,6 @@
 """
 
 from repro.runtime.config import Paradigm, SystemConfig
-from repro.runtime.system import StreamSystem, SystemResult
+from repro.runtime.system import PlacementError, StreamSystem, SystemResult
 
-__all__ = ["Paradigm", "StreamSystem", "SystemConfig", "SystemResult"]
+__all__ = ["Paradigm", "PlacementError", "StreamSystem", "SystemConfig", "SystemResult"]

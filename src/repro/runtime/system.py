@@ -39,6 +39,10 @@ SOURCE_OWNER = "__sources__"
 FLIGHT_RECORDER_DIR = "flight-recorder"
 
 
+class PlacementError(ValueError):
+    """The cluster has too few free cores for the initial executors."""
+
+
 @dataclasses.dataclass
 class SystemResult:
     """Measured outcome of one run (all rates in tuples/second)."""
@@ -75,10 +79,6 @@ class SystemResult:
     #: Seconds from the first fault until throughput is back to >= 90% of
     #: its pre-fault mean (0 when no faults were injected).
     time_to_steady_state: float = 0.0
-
-    @property
-    def measure_window(self) -> float:
-        return self.duration - self.warmup
 
     #: Trace stamps a breakdown needs; traces missing any are incomplete
     #: (sampled mid-flight at run end, or stamps lost to a crash).
@@ -276,9 +276,28 @@ class StreamSystem:
         non_source_ops = [
             spec for spec in self.topology if not spec.is_source
         ]
+        counts = {
+            spec.name: (
+                self._static_executor_count(
+                    len(non_source_ops), spec.name, non_source_ops
+                )
+                if config.paradigm is Paradigm.STATIC
+                else spec.num_executors
+            )
+            for spec in non_source_ops
+        }
+        demand = sum(counts.values())
+        free = self.cluster.cores.total_free
+        if demand > free:
+            raise PlacementError(
+                f"cannot place {demand} executors: only {free} free cores "
+                f"({config.num_nodes} nodes x {config.cores_per_node} cores, "
+                f"{config.source_instances} held by source instances)"
+            )
 
         groups: typing.Dict[str, typing.Any] = {}
         for spec in non_source_ops:
+            count = counts[spec.name]
             if config.paradigm is Paradigm.RC:
                 manager = RCOperatorManager(
                     self.env, self.cluster, spec, config=config.executor,
@@ -287,22 +306,18 @@ class StreamSystem:
                     manager_node=0,
                     logic_factory=(lambda s=spec: copy.deepcopy(s.logic)),
                 )
-                nodes = self._place_on_free_cores(spec.num_executors)
-                manager.bootstrap(spec.num_executors, nodes)
+                nodes = self._place_on_free_cores(count)
+                manager.bootstrap(count, nodes)
                 manager.target_executors_fn = self._make_rc_policy(manager)
                 manager.latency_probe = self.telemetry.probe(spec.name)
                 self.rc_managers[spec.name] = manager
                 self.executors_by_operator[spec.name] = manager.executors
                 groups[spec.name] = RCGroup(spec.name, manager)
             else:
-                if config.paradigm is Paradigm.STATIC:
-                    count = self._static_executor_count(
-                        len(non_source_ops), spec.name, non_source_ops
-                    )
-                    executor_cls = StaticExecutor
-                else:
-                    count = spec.num_executors
-                    executor_cls = ElasticExecutor
+                executor_cls = (
+                    StaticExecutor if config.paradigm is Paradigm.STATIC
+                    else ElasticExecutor
+                )
                 executors = []
                 placement = self._place_on_free_cores(count)
                 for i in range(count):
@@ -450,14 +465,15 @@ class StreamSystem:
         the actual :class:`CoreManager` allocations in the same order.
         """
         free = self.cluster.cores.free_by_node()
+        available = sum(free.values())
+        if count > available:
+            raise PlacementError(
+                f"cannot place {count} executors: only {available} free cores"
+            )
         node_ids = sorted(free)
         nodes: typing.List[int] = []
         cursor = 0
         while len(nodes) < count:
-            if all(remaining == 0 for remaining in free.values()):
-                raise ValueError(
-                    f"cannot place {count} executors: only {len(nodes)} free cores"
-                )
             node = node_ids[cursor % len(node_ids)]
             cursor += 1
             if free[node] > 0:
@@ -536,37 +552,6 @@ class StreamSystem:
                 admitted = batch.created_at
             residence = now - admitted
             self.sink_residence.add(residence if residence > 0.0 else 0.0)
-
-    def operator_summary(self) -> typing.List[typing.Dict[str, typing.Any]]:
-        """Per-operator snapshot: executors, cores, work done, latency.
-
-        Useful for diagnosing multi-operator topologies (which operator is
-        the bottleneck, where the scheduler put the cores).
-        """
-        now = self.env.now
-        rows = []
-        for name, executors in self.executors_by_operator.items():
-            cores = sum(
-                getattr(ex, "num_cores", 1) for ex in executors
-            )
-            rows.append(
-                {
-                    "operator": name,
-                    "executors": len(executors),
-                    "cores": cores,
-                    "processed_tuples": sum(
-                        ex.metrics.processed_tuples.total for ex in executors
-                    ),
-                    "arrival_rate": sum(
-                        ex.metrics.arrival_rate(now) for ex in executors
-                    ),
-                    "mean_latency": (
-                        sum(ex.metrics.queue_latency.mean for ex in executors)
-                        / len(executors)
-                    ),
-                }
-            )
-        return rows
 
     def _sampler(self) -> typing.Generator:
         """Instantaneous system throughput.

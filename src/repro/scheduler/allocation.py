@@ -10,10 +10,9 @@ procedure is optimal for this objective [Fu et al., ICDCS'15].
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 
-from repro.scheduler.model import MMKModel
+from repro.scheduler.model import JacksonNetworkModel, MMKModel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,16 +93,14 @@ class GreedyAllocator:
             )
             cores[victim.name] -= 1
 
+        model = JacksonNetworkModel(lam0)
+        arrival_rates = [d.arrival_rate for d in demands]
+        service_rates = [d.service_rate for d in demands]
+
         def network_latency() -> float:
-            total = 0.0
-            for d in demands:
-                sojourn = MMKModel.mean_sojourn(
-                    d.arrival_rate, d.service_rate, cores[d.name]
-                )
-                if math.isinf(sojourn):
-                    return math.inf
-                total += d.arrival_rate * sojourn
-            return total / lam0
+            return model.mean_latency(
+                arrival_rates, service_rates, [cores[d.name] for d in demands]
+            )
 
         latency = network_latency()
         while latency > self.latency_target and sum(cores.values()) < total_cores:

@@ -14,13 +14,19 @@ The design follows the classic event/process model (as in SimPy):
 - :class:`Store` is a bounded FIFO channel — the building block for task
   pending queues and backpressure.
 - :class:`Resource` is a counted semaphore over virtual time.
+- :class:`AllOf` fires once every one of several events has fired.
+
+Processes drive the control plane (reassignment, scheduling, recovery).
+The per-batch data path instead runs as callback state machines that
+append to ``Event.callbacks`` directly (see :mod:`repro.executors`); they
+wait on the same events a process would, so the event order is the same.
 
 Event ordering is fully deterministic: ties in time are broken by a
 monotonically increasing sequence number, so two runs with the same seed
 produce identical traces.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
+from repro.sim.events import AllOf, Event, SimulationError, Timeout
 from repro.sim.environment import Environment
 from repro.sim.process import Process, ProcessCrash
 from repro.sim.resources import Resource
@@ -28,7 +34,6 @@ from repro.sim.stores import Store, StoreFull
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Process",

@@ -6,7 +6,7 @@ import collections
 import heapq
 import typing
 
-from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
+from repro.sim.events import AllOf, Event, SimulationError, Timeout
 from repro.sim.process import Process
 from repro.telemetry.events import NULL_BUS
 
@@ -78,16 +78,6 @@ class Environment:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
 
-    def push_ready(self, event: Event) -> None:
-        """Queue a triggered event for processing at the current time.
-
-        The sanctioned zero-delay fast path for kernel-adjacent code
-        (stores, channels, compiled executor pipelines): equivalent to
-        ``schedule(event)`` without the delay dispatch.
-        """
-        self._ready.append((self._seq, event))
-        self._seq += 1
-
     def push_at(self, time: float, event: Event) -> None:
         """Queue a triggered event for processing at absolute virtual ``time``.
 
@@ -105,14 +95,6 @@ class Environment:
             )
         heapq.heappush(self._timers, (time, self._seq, event))
         self._seq += 1
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        if self._ready:
-            return self._now
-        if self._timers:
-            return self._timers[0][0]
-        return float("inf")
 
     def run(self, until: typing.Optional[float] = None) -> None:
         """Run until the queue drains, or until virtual time ``until``.
@@ -202,7 +184,3 @@ class Environment:
     def all_of(self, events: typing.Iterable[Event]) -> AllOf:
         """An event that fires once all ``events`` have succeeded."""
         return AllOf(self, events)
-
-    def any_of(self, events: typing.Iterable[Event]) -> AnyOf:
-        """An event that fires once any of ``events`` has succeeded."""
-        return AnyOf(self, events)

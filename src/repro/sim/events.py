@@ -133,8 +133,8 @@ class Timeout(Event):
         env._seq += 1
 
 
-class _Condition(Event):
-    """Base for events composed of several child events."""
+class AllOf(Event):
+    """Succeeds once every child event has succeeded; fails on first failure."""
 
     __slots__ = ("_events", "_remaining")
 
@@ -162,15 +162,6 @@ class _Condition(Event):
         }
 
     def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Succeeds once every child event has succeeded; fails on first failure."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
         if self.triggered:
             return
         if not event.ok:
@@ -179,17 +170,3 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Succeeds as soon as one child event succeeds; fails on first failure."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self.succeed(self._collect())

@@ -17,10 +17,12 @@ trade-off the ablation benchmark quantifies.
 from __future__ import annotations
 
 import typing
+import zlib
 
 from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.sim import Environment
 from repro.state.shard import ShardState
+from repro.topology.keys import stable_hash
 
 
 class ExternalStateService:
@@ -58,8 +60,11 @@ class ExternalStateService:
         self._shards[key] = shard
 
     def storage_node_for(self, owner: str, shard_id: int) -> int:
+        # Builtin ``hash`` of a str is salted per process; this placement
+        # must not depend on PYTHONHASHSEED.
+        salt = zlib.crc32(owner.encode())
         return self.storage_nodes[
-            hash((owner, shard_id)) % len(self.storage_nodes)
+            stable_hash(shard_id, salt) % len(self.storage_nodes)
         ]
 
     def access(

@@ -49,32 +49,6 @@ def shard_of_key(key: int, num_shards: int) -> int:
     return stable_hash(key, _SHARD_SALT) % num_shards
 
 
-class ShardLookup(dict):
-    """Memoized key -> bucket table for one partition tier.
-
-    Both partition tiers are static, so the salted hash of a key never
-    changes: computing it more than once is waste.  A ``ShardLookup``
-    validates the bucket count once at construction and then serves
-    ``lookup[key]`` as a plain dict hit — the splitmix64 mix runs only on
-    the first sighting of each key (via ``__missing__``).  The per-batch
-    hot path in the executors is therefore a single dict index with no
-    validation branch.
-    """
-
-    __slots__ = ("num_buckets", "salt")
-
-    def __init__(self, num_buckets: int, salt: int = _SHARD_SALT) -> None:
-        if num_buckets < 1:
-            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-        super().__init__()
-        self.num_buckets = num_buckets
-        self.salt = salt
-
-    def __missing__(self, key: int) -> int:
-        bucket = self[key] = stable_hash(key, self.salt) % self.num_buckets
-        return bucket
-
-
 def stable_hash_array(keys: np.ndarray, salt: int = 0) -> np.ndarray:
     """Vectorized :func:`stable_hash` over a uint64 array.
 
@@ -91,14 +65,14 @@ def stable_hash_array(keys: np.ndarray, salt: int = 0) -> np.ndarray:
     return x
 
 
-#: Above this key-space size a dense table costs more than the memo
-#: dicts it replaces ever would; fall back to lazy memoization.
+#: Largest key domain tabulated; keys at or beyond it are hashed per
+#: lookup instead.
 _DENSE_TABLE_LIMIT = 1 << 26
 
 #: (num_keys, num_buckets, salt) -> (int32 bucket array, bucket list).
 #: Shared across every executor of every operator with the same partition
-#: geometry — at million-key scale the per-executor memo dicts this
-#: replaces would each outweigh the whole table.
+#: geometry, so a million-key space is tabulated once per geometry, not
+#: once per executor.
 _DENSE_TABLES: typing.Dict[
     typing.Tuple[int, int, int], typing.Tuple[typing.Any, typing.List[int]]
 ] = {}
@@ -120,13 +94,13 @@ def _dense_table(
 class DenseLookup:
     """Precomputed key -> bucket table for a dense ``0..num_keys-1`` domain.
 
-    The whole partition is materialized once (vectorized splitmix64 over
+    The partition is materialized once (vectorized splitmix64 over
     ``arange``) into a table shared by every lookup with the same
-    geometry, so executors stop growing private per-key memo dicts.
-    Scalar hits index a plain list (small cached ints, no numpy boxing);
-    :attr:`array` exposes the int32 table for vectorized routing.  Keys
-    outside the dense domain fall back to the scalar hash — correctness
-    never depends on the declared key space being exhaustive.
+    geometry.  Scalar hits index a plain list (small cached ints, no
+    numpy boxing); :attr:`array` exposes the int32 table for vectorized
+    routing.  The table covers at most ``_DENSE_TABLE_LIMIT`` keys, and
+    keys outside it fall back to the scalar hash — correctness never
+    depends on the declared key space being exhaustive.
     """
 
     __slots__ = ("num_keys", "num_buckets", "salt", "array", "_list")
@@ -136,10 +110,11 @@ class DenseLookup:
             raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
         if num_keys < 1:
             raise ValueError(f"num_keys must be >= 1, got {num_keys}")
-        self.num_keys = num_keys
+        #: Size of the tabulated domain (the declared one, capped).
+        self.num_keys = min(num_keys, _DENSE_TABLE_LIMIT)
         self.num_buckets = num_buckets
         self.salt = salt
-        self.array, self._list = _dense_table(num_keys, num_buckets, salt)
+        self.array, self._list = _dense_table(self.num_keys, num_buckets, salt)
 
     def __getitem__(self, key: int) -> int:
         if 0 <= key < self.num_keys:
@@ -153,36 +128,16 @@ class DenseLookup:
         )
 
 
-#: Either lookup flavour serves ``lookup[key]`` on the hot path.
-KeyLookup = typing.Union[ShardLookup, DenseLookup]
+def shard_lookup(num_shards: int, num_keys: int) -> DenseLookup:
+    """A tier-2 (key -> shard) table over ``0..num_keys-1``; validates
+    once, here."""
+    return DenseLookup(num_keys, num_shards, _SHARD_SALT)
 
 
-def _lookup(num_buckets: int, salt: int, num_keys: typing.Optional[int]) -> KeyLookup:
-    if num_keys is not None and num_keys <= _DENSE_TABLE_LIMIT:
-        return DenseLookup(num_keys, num_buckets, salt)
-    return ShardLookup(num_buckets, salt)
-
-
-def shard_lookup(
-    num_shards: int, num_keys: typing.Optional[int] = None
-) -> KeyLookup:
-    """A tier-2 (key -> shard) table; validates once, here.
-
-    With ``num_keys`` (a dense key space) the table is precomputed and
-    shared; without, it memoizes lazily per instance.
-    """
-    return _lookup(num_shards, _SHARD_SALT, num_keys)
-
-
-def executor_lookup(
-    num_executors: int, num_keys: typing.Optional[int] = None
-) -> KeyLookup:
-    """A tier-1 (key -> executor) table; validates once, here.
-
-    With ``num_keys`` (a dense key space) the table is precomputed and
-    shared; without, it memoizes lazily per instance.
-    """
-    return _lookup(num_executors, _EXECUTOR_SALT, num_keys)
+def executor_lookup(num_executors: int, num_keys: int) -> DenseLookup:
+    """A tier-1 (key -> executor) table over ``0..num_keys-1``; validates
+    once, here."""
+    return DenseLookup(num_keys, num_executors, _EXECUTOR_SALT)
 
 
 class KeySpace:

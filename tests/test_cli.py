@@ -88,6 +88,25 @@ class TestExecution:
         for name in ("static", "resource-centric", "elasticutor", "naive-ec"):
             assert name in out
 
+    SMALL_CLUSTER = [
+        "--nodes", "1", "--cores-per-node", "4", "--sources", "1",
+        "--executors", "4", "--duration", "2", "--warmup", "1",
+    ]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", *SMALL_CLUSTER], "cannot place 4 executors: only 3 free cores"),
+        (["compare", *SMALL_CLUSTER], "cannot place 4 executors: only 3 free cores"),
+        (["faults", *SMALL_CLUSTER], "cannot place 4 executors: only 3 free cores"),
+        # The documented SSE topology (8 transactor + 11x2 analytics
+        # executors) on the default 8 x 4 cluster, 4 cores held by sources.
+        (["run", "--workload", "sse"], "cannot place 30 executors: only 28 free cores"),
+    ], ids=["run", "compare", "faults", "sse-default"])
+    def test_topology_larger_than_cluster_is_a_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     @staticmethod

@@ -75,7 +75,7 @@ class TestWindowedSender:
         queue = Store(env)
 
         def body():
-            yield from sender.send(0, queue, "item", 100, TransferPurpose.STREAM)
+            yield sender.send_event(0, queue, "item", 100, TransferPurpose.STREAM)
 
         env.process(body())
         env.run()
@@ -88,7 +88,7 @@ class TestWindowedSender:
         queue = Store(env)
 
         def body():
-            yield from sender.send(1, queue, "item", 1000, TransferPurpose.STREAM)
+            yield sender.send_event(1, queue, "item", 1000, TransferPurpose.STREAM)
 
         env.process(body())
         env.run()
@@ -103,7 +103,7 @@ class TestWindowedSender:
 
         def producer():
             for i in range(20):
-                yield from sender.send(1, queue, i, 500, TransferPurpose.STREAM)
+                yield sender.send_event(1, queue, i, 500, TransferPurpose.STREAM)
 
         def consumer():
             for _ in range(20):
@@ -123,7 +123,7 @@ class TestWindowedSender:
 
         def producer():
             for i in range(4):
-                yield from sender.send(1, queue, i, 1000, TransferPurpose.STREAM)
+                yield sender.send_event(1, queue, i, 1000, TransferPurpose.STREAM)
                 admitted.append((i, env.now))
 
         env.process(producer())
@@ -138,8 +138,8 @@ class TestWindowedSender:
         deliveries = {}
 
         def producer():
-            yield from sender.send(1, queues[1], "a", 1_000_000, TransferPurpose.STREAM)
-            yield from sender.send(2, queues[2], "b", 1_000_000, TransferPurpose.STREAM)
+            yield sender.send_event(1, queues[1], "a", 1_000_000, TransferPurpose.STREAM)
+            yield sender.send_event(2, queues[2], "b", 1_000_000, TransferPurpose.STREAM)
 
         def watch(node):
             yield queues[node].get()

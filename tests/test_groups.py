@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.executors import ElasticExecutor, ElasticGroup, OperatorGate, SubspaceRouter
 from repro.executors.channels import WindowedSender
-from repro.executors.group import SourceInstance
+from repro.executors.group import SourceInstance, submit_when_open
 from repro.executors.rc import InFlightCounter
 from repro.logic.base import SyntheticLogic
 from repro.sim import Environment
@@ -63,7 +63,7 @@ class TestElasticGroup:
         delivered = []
 
         def producer():
-            yield from group.submit(batch(key=1), 0, sender)
+            yield from submit_when_open(group, batch(key=1), 0, sender)
             delivered.append(env.now)
 
         def opener():
@@ -86,7 +86,7 @@ class TestElasticGroup:
 
         def producer():
             for key in range(10):
-                yield from group.submit(batch(key=key), 0, sender)
+                yield from submit_when_open(group, batch(key=key), 0, sender)
 
         env.process(producer())
         env.run(until=2.0)

@@ -14,6 +14,7 @@ from repro.executors import (
 )
 from repro.executors.channels import WindowedSender
 from repro.executors.config import ExecutorConfig
+from repro.executors.group import submit_when_open
 from repro.logic.base import OperatorLogic
 from repro.sim import Environment
 from repro.topology import OperatorSpec, TupleBatch
@@ -82,7 +83,7 @@ class World:
         def body():
             for item in batches:
                 item.admitted_at = self.env.now
-                yield from self.group.submit(item, 0, self.sender)
+                yield from submit_when_open(self.group, item, 0, self.sender)
                 if spacing:
                     yield self.env.timeout(spacing)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import EWMA, ByteCounter, Counter, TimeSeries, WindowedRate
+from repro.metrics import EWMA, Counter, TimeSeries, WindowedRate
 
 
 class TestCounter:
@@ -19,24 +19,6 @@ class TestCounter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Counter().add(-1)
-
-    def test_delta_consumes(self):
-        counter = Counter()
-        counter.add(10)
-        assert counter.delta() == 10
-        assert counter.delta() == 0
-        counter.add(3)
-        assert counter.peek_delta() == 3
-        assert counter.delta() == 3
-
-    def test_byte_counter_rate(self):
-        counter = ByteCounter()
-        counter.add(1000)
-        assert counter.rate_since(2.0) == 500.0
-
-    def test_byte_counter_rate_requires_positive_elapsed(self):
-        with pytest.raises(ValueError):
-            ByteCounter().rate_since(0.0)
 
 
 class TestWindowedRate:
@@ -112,18 +94,3 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             series.record(4.0, 1.0)
 
-    def test_window_mean_empty(self):
-        assert TimeSeries().window_mean(0.0, 1.0) == 0.0
-
-    def test_sliding_rate(self):
-        series = TimeSeries()
-        for i in range(100):
-            series.record(i * 0.1, 1.0)  # 10 events/s for 10s
-        points = series.sliding_rate(window=1.0, step=1.0, start=0.0, end=9.9)
-        assert len(points) == 9
-        for _, rate in points:
-            assert rate == pytest.approx(10.0)
-
-    def test_sliding_rate_validates(self):
-        with pytest.raises(ValueError):
-            TimeSeries().sliding_rate(window=0, step=1, start=0, end=10)

@@ -8,6 +8,7 @@ from repro.cluster import Cluster, TransferPurpose
 from repro.executors import RCGroup, RCOperatorManager
 from repro.executors.channels import WindowedSender
 from repro.executors.config import ExecutorConfig
+from repro.executors.group import submit_when_open
 from repro.logic.base import OperatorLogic
 from repro.sim import Environment
 from repro.topology import OperatorSpec, TupleBatch
@@ -74,7 +75,7 @@ def drive(env, cluster, group, batches, src_node=0, spacing=0.0):
 
     def body():
         for item in batches:
-            yield from group.submit(item, src_node, sender)
+            yield from submit_when_open(group, item, src_node, sender)
             if spacing > 0:
                 yield env.timeout(spacing)
 

@@ -19,7 +19,7 @@ def env():
 
 def bare(env, value, sink):
     # A pre-triggered event that has NOT self-scheduled — the shape
-    # push_at/push_ready exist for (compiled pipelines build these).
+    # push_at exists for (compiled pipelines build these).
     event = Event.__new__(Event)
     event.env = env
     event.callbacks = [lambda e: sink.append(e.value)]
@@ -63,14 +63,6 @@ class TestEnvironment:
         with pytest.raises(SimulationError):
             env.run(until=0.5)
 
-    def test_peek_empty_is_inf(self, env):
-        assert env.peek() == float("inf")
-
-    def test_peek_returns_next_event_time(self, env):
-        env.timeout(4.0)
-        env.timeout(2.0)
-        assert env.peek() == 2.0
-
     def test_equal_time_events_fire_in_schedule_order(self, env):
         order = []
         for tag in range(5):
@@ -88,7 +80,7 @@ class TestEnvironment:
         env.push_at(3.0, bare(env, "late", order))
         env.push_at(1.0, bare(env, "soon", order))
         env.push_at(0.0, bare(env, "now", order))  # time == now: ready-deque path
-        env.push_ready(bare(env, "also-now", order))
+        env.push_at(env.now, bare(env, "also-now", order))
         env.run()
         assert order == ["now", "also-now", "soon", "late"]
         assert env.now == 3.0
@@ -350,14 +342,6 @@ class TestConditions:
         def body():
             yield env.all_of([env.timeout(1.0), env.timeout(3.0), env.timeout(2.0)])
             assert env.now == 3.0
-
-        env.process(body())
-        env.run()
-
-    def test_any_of_fires_on_first(self, env):
-        def body():
-            yield env.any_of([env.timeout(5.0), env.timeout(1.0)])
-            assert env.now == 1.0
 
         env.process(body())
         env.run()

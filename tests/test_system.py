@@ -158,6 +158,37 @@ class TestStreamSystemBasics:
         with pytest.raises(ValueError):
             StreamSystem(builder.build(), MicroBenchmarkWorkload(), SystemConfig())
 
+    @pytest.mark.parametrize(
+        # Static sizes itself to the free cores instead.
+        "paradigm", [p for p in Paradigm if p is not Paradigm.STATIC],
+    )
+    def test_initial_demand_checked_before_placement(self, paradigm):
+        from repro.runtime import PlacementError
+
+        # 5 executors on 4 nodes x 1 core, 1 core held by the source.
+        workload = MicroBenchmarkWorkload(rate=1000, num_keys=100)
+        topology = workload.build_topology(executors_per_operator=5)
+        config = SystemConfig(
+            paradigm=paradigm, num_nodes=4, cores_per_node=1,
+            source_instances=1,
+        )
+        with pytest.raises(
+            PlacementError,
+            match=r"cannot place 5 executors: only 3 free cores",
+        ):
+            StreamSystem(topology, workload, config)
+
+    def test_place_on_free_cores_reports_free_cores(self):
+        from repro.runtime import PlacementError
+
+        system = make_micro(Paradigm.ELASTICUTOR)
+        free = system.cluster.cores.total_free
+        with pytest.raises(
+            PlacementError,
+            match=f"cannot place {free + 1} executors: only {free} free cores",
+        ):
+            system._place_on_free_cores(free + 1)
+
 
 class TestWorkloadDynamicsResponse:
     def test_elasticutor_survives_shuffles(self):

@@ -297,23 +297,3 @@ class TestSpansUnderFaults:
         breakdown = phase_breakdown(spans)
         assert breakdown["count"] == len(spans)
         assert breakdown["total"] >= breakdown["drain"]
-
-
-# -- TimeSeries.sliding_rate drift fix --------------------------------------
-
-
-class TestSlidingRate:
-    def test_no_float_accumulation_drift(self):
-        from repro.metrics.timeseries import TimeSeries
-
-        series = TimeSeries("t")
-        series.record(0.05, 1.0)
-        points = series.sliding_rate(window=1.0, step=0.1, start=0.0, end=600.0)
-        # 0.1 is not exactly representable: a += accumulator drifts and
-        # eventually skips the final window.  The integer-index form
-        # yields exactly one point per step.
-        assert len(points) == 5991
-        assert points[-1][0] == pytest.approx(600.0, abs=1e-9)
-        times = [t for t, _ in points]
-        deltas = {round(b - a, 9) for a, b in zip(times, times[1:])}
-        assert deltas == {0.1}

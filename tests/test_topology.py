@@ -64,33 +64,30 @@ class TestStableHash:
 
 class TestShardLookup:
     def test_matches_module_functions(self):
-        shards = keys_module.shard_lookup(256)
-        executors = keys_module.executor_lookup(32)
-        for key in range(2000):
+        # The table covers keys 0..999; keys past it (and negative ones)
+        # are hashed per lookup and must agree with the table's hash.
+        shards = keys_module.shard_lookup(256, 1000)
+        executors = keys_module.executor_lookup(32, 1000)
+        for key in [*range(-5, 2000), 2**40 + 3]:
             assert shards[key] == shard_of_key(key, 256)
             assert executors[key] == executor_of_key(key, 32)
 
-    def test_memoizes(self):
-        lookup = keys_module.shard_lookup(16)
-        assert 7 not in lookup
-        value = lookup[7]
-        assert lookup.get(7) == value  # cached: plain dict hit from now on
-
     def test_validates_at_construction(self):
         with pytest.raises(ValueError):
-            keys_module.shard_lookup(0)
+            keys_module.shard_lookup(0, 100)
         with pytest.raises(ValueError):
-            keys_module.executor_lookup(-1)
+            keys_module.executor_lookup(-1, 100)
+        with pytest.raises(ValueError):
+            keys_module.shard_lookup(4, 0)
 
-    def test_hot_path_stays_validation_free(self):
-        # The per-call path is dict.__getitem__ plus (on first sighting of
-        # a key) __missing__ — neither may grow a validation branch.
-        import inspect
-
-        source = inspect.getsource(keys_module.ShardLookup.__missing__)
-        assert "raise" not in source
-        assert keys_module.ShardLookup.__bases__ == (dict,)
-        assert "__getitem__" not in keys_module.ShardLookup.__dict__
+    def test_table_is_capped(self, monkeypatch):
+        # A declared key space past the cap tabulates only the cap; the
+        # keys beyond it still route by the scalar hash.
+        monkeypatch.setattr(keys_module, "_DENSE_TABLE_LIMIT", 64)
+        lookup = keys_module.shard_lookup(16, 10_000)
+        assert lookup.num_keys == 64
+        for key in range(10_000):
+            assert lookup[key] == shard_of_key(key, 16)
 
 
 class TestKeySpace:
