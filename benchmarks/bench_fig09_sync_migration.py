@@ -15,7 +15,6 @@ import pytest
 from repro.analysis import ResultTable
 from repro.cluster import Cluster, TransferPurpose
 from repro.executors import RCOperatorManager
-from repro.executors.config import ExecutorConfig
 from repro.logic import SyntheticLogic
 from repro.sim import Environment
 from repro.state import MigrationClock, ProcessStateStore, ShardState, migrate_shard
@@ -45,7 +44,7 @@ def rc_sync_time(upstreams: int) -> float:
     cluster = Cluster(env, num_nodes=8, cores_per_node=8)
     spec = OperatorSpec("op", logic=SyntheticLogic(), num_executors=2,
                         shards_per_executor=8)
-    manager = RCOperatorManager(env, cluster, spec, config=ExecutorConfig())
+    manager = RCOperatorManager(env, cluster, spec)
     manager.connect([], None)
     manager.bootstrap(2, nodes=[0, 1])
     manager.connect_upstreams([_FakeUpstream(i % 8) for i in range(upstreams)])
@@ -76,8 +75,7 @@ def elasticutor_sync_time(upstreams: int) -> float:
     cluster = Cluster(env, num_nodes=4, cores_per_node=8)
     spec = OperatorSpec("op", logic=SyntheticLogic(), num_executors=1,
                         shards_per_executor=8)
-    executor = ElasticExecutor(env, cluster, spec, index=0, local_node=0,
-                               config=ExecutorConfig())
+    executor = ElasticExecutor(env, cluster, spec, index=0, local_node=0)
     executor.connect([], None)
     executor.start(initial_cores=1)
 

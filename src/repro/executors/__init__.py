@@ -9,6 +9,11 @@
 - :class:`RCExecutor` / :class:`RCOperatorManager` — the resource-centric
   baseline: single-core executors plus operator-level key repartitioning
   with global synchronization.
+
+All three run one data path: every :class:`Task` is the compiled task
+loop of :mod:`repro.executors.task` and every executor's emitter the
+compiled emitter loop of :mod:`repro.executors.group`.  The paradigms
+differ only in how they move keys.
 """
 
 from repro.executors.balancer import BalanceMove, ShardBalancer

@@ -18,16 +18,27 @@ from repro.cluster.network import TransferPurpose
 from repro.cluster.node import Cluster
 from repro.executors.balancer import ShardBalancer
 from repro.executors.channels import WindowedSender, _Delivery
-from repro.executors.config import ExecutorConfig
-from repro.executors.group import submit_when_open
+from repro.executors.config import (
+    BALANCE_TRIGGER_MARGIN,
+    CONTROL_BYTES,
+    EMITTER_QUEUE_CAPACITY,
+    INPUT_QUEUE_CAPACITY,
+    LOAD_SMOOTHING,
+    REASSIGNMENT_OVERHEAD,
+    REMOTE_PROCESS_SPAWN_SECONDS,
+    SEND_WINDOW,
+    TASK_QUEUE_CAPACITY,
+    THETA,
+    ExecutorConfig,
+)
+from repro.executors.group import _EmitterLoop, stop_loop
 from repro.executors.routing import RoutingTable
 from repro.executors.stats import ExecutorMetrics, ReassignmentRecord, ReassignmentStats
-from repro.executors.task import STOP, StopSignal, Task
-from repro.logic.base import OperatorLogic, StateAccess
+from repro.executors.task import STOP, Task
+from repro.logic.base import OperatorLogic
 from repro.protocol import REHOME, SHARD_REASSIGN
 from repro.sanitize import ShardSanitizer
 from repro.sim import Environment, Event, Resource, Store
-from repro.sim.events import PENDING
 from repro.state import MigrationClock, ProcessStateStore, ShardState, migrate_shard
 from repro.topology.batch import LabelTuple, TupleBatch
 from repro.topology.keys import shard_lookup
@@ -141,364 +152,7 @@ class _ReceiverLoop:
         from whatever it was blocked on so the caller can cancel the
         store bookkeeping tied to it.
         """
-        self._dead = True
-        waiting = self._waiting
-        self._waiting = None
-        if waiting is not None and waiting.callbacks is not None:
-            for callback in (self._on_batch_cb, self._on_put_cb, self._on_window_cb):
-                try:
-                    waiting.callbacks.remove(callback)
-                    break
-                except ValueError:
-                    pass
-        return waiting
-
-
-class _EmitterLoop:
-    """Callback-compiled emitter daemon (replaces the generator loop).
-
-    Pulls finished batches off the emitter queue and submits them to
-    every downstream group via the one-event ``submit_event``; a closed
-    repartition gate (rare — hybrid controller only) hands the submit to
-    :func:`submit_when_open` in a short-lived process that waits the gate
-    open.  Kill contract matches ``Process.kill``.
-    """
-
-    __slots__ = (
-        "env", "ex", "queue", "local_node", "sender",
-        "_waiting", "_batch", "_gi", "_dead", "_on_batch_cb", "_on_sent_cb",
-    )
-
-    def __init__(self, executor: "ElasticExecutor") -> None:
-        self.env = executor.env
-        # ``_downstream_groups`` is read per batch through the executor:
-        # start() runs before connect() wires the topology, which swaps
-        # the list object.
-        self.ex = executor
-        self.queue = executor._emitter_queue
-        self.local_node = executor.local_node
-        self.sender = executor._emitter_sender
-        self._waiting: typing.Optional[Event] = None
-        self._batch: typing.Optional[TupleBatch] = None
-        self._gi = 0
-        self._dead = False
-        self._on_batch_cb = self._on_batch
-        self._on_sent_cb = self._on_sent
-        self._pump()
-
-    def _pump(self) -> None:
-        event = self.queue.get()
-        self._waiting = event
-        event.callbacks.append(self._on_batch_cb)
-
-    def _on_batch(self, event: Event) -> None:
-        if self._dead:
-            return
-        self._waiting = None
-        self._batch = event._value
-        self._gi = 0
-        self._next_group()
-
-    def _next_group(self) -> None:
-        groups = self.ex._downstream_groups
-        gi = self._gi
-        if gi >= len(groups):
-            self._batch = None
-            self._pump()
-            return
-        self._gi = gi + 1
-        group = groups[gi]
-        event = group.submit_event(self._batch, self.local_node, self.sender)
-        if event is None:
-            event = self.env.process(  # repro: allow[SIM001]: gate-closed slow path — one process frame per reopen wait, not per tuple
-                submit_when_open(group, self._batch, self.local_node, self.sender)
-            )
-        self._waiting = event
-        event.callbacks.append(self._on_sent_cb)
-
-    def _on_sent(self, _event: Event) -> None:
-        if self._dead:
-            return
-        self._waiting = None
-        self._next_group()
-
-    def kill(self) -> typing.Optional[Event]:
-        """Stop the loop (crash semantics); returns the awaited event."""
-        self._dead = True
-        waiting = self._waiting
-        self._waiting = None
-        if waiting is not None and waiting.callbacks is not None:
-            for callback in (self._on_batch_cb, self._on_sent_cb):
-                try:
-                    waiting.callbacks.remove(callback)
-                    break
-                except ValueError:
-                    pass
-        return waiting
-
-
-class _TaskPipeline(Event):
-    """Callback-compiled task loop + batch execution (one per task).
-
-    The elastic executor's only data path: a slotted FSM driven entirely
-    by event callbacks.  Get an item, burn the CPU cost (a bare wake
-    event on the timer heap), apply state + logic, then hand emissions to
-    the emitter queue.  With an external state store the state access is
-    the :meth:`ExternalStateService.access` generator, stepped from a
-    callback exactly as ``Process._resume`` steps a process body.
-
-    The pipeline *is* the task's completion event (like ``Process``): it
-    succeeds when a :class:`StopSignal` is consumed, so ``remove_core``'s
-    ``yield victim.process`` and the hybrid controller's drain waits work
-    unmodified.
-    """
-
-    __slots__ = (
-        "task", "ex", "queue",
-        "_waiting", "_item", "_cost", "_started", "_emissions", "_ei", "_dead",
-        "_access", "_shard",
-        "_on_item_cb", "_on_wake_cb", "_on_eput_cb", "_on_access_cb",
-    )
-
-    def __init__(self, executor: "ElasticExecutor", task: "Task") -> None:
-        Event.__init__(self, executor.env)
-        self.task = task
-        self.ex = executor
-        self.queue = task.queue
-        self._waiting: typing.Optional[Event] = None
-        self._item: typing.Optional[TupleBatch] = None
-        self._cost = 0.0
-        self._started = 0.0
-        self._emissions: typing.Sequence[typing.Any] = ()
-        self._ei = 0
-        self._dead = False
-        #: The in-progress external state access, and the shard it
-        #: returned (set only while ``_execute`` resumes after it).
-        self._access: typing.Optional[typing.Generator] = None
-        self._shard: typing.Optional[ShardState] = None
-        self._on_item_cb = self._on_item
-        self._on_wake_cb = self._on_wake
-        self._on_eput_cb = self._on_emit_put
-        self._on_access_cb = self._on_access
-        self._pump()
-
-    def _pump(self) -> None:
-        event = self.queue.get()
-        self._waiting = event
-        event.callbacks.append(self._on_item_cb)
-
-    def _on_item(self, event: Event) -> None:
-        if self._dead:
-            return
-        self._waiting = None
-        item = event._value
-        task = self.task
-        cls = item.__class__
-        if cls is not TupleBatch:
-            # Control items are rare; exact class checks keep the common
-            # batch path to a single pointer comparison.
-            if cls is StopSignal:
-                task.stopped = True
-                self.succeed(None)
-                return
-            if cls is LabelTuple:
-                # FIFO guarantees every tuple routed to this task before
-                # the label has been processed — signal the drain.
-                item.event.succeed()
-                self._pump()
-                return
-        ex = self.ex
-        env = ex.env
-        self._started = env._now
-        task.current_item = item
-        if item.trace is not None:
-            item.trace["task_start"] = env._now
-        logic = ex.logic
-        cost = logic.cpu_seconds(item) if logic is not None else 0.0
-        # Wall time on this core; slow nodes (stragglers) and injected
-        # stalls take longer, and everything downstream — shard loads, µ,
-        # the scheduler — sees the measured reality, not the nominal
-        # cost.  cluster.speed is read per batch on purpose: straggler
-        # injection changes it mid-run.
-        cost = cost / (ex.cluster.speed(task.node_id) * ex.stall_factor)
-        self._item = item
-        self._cost = cost
-        if cost > 0:
-            # Inlined timeout (one per processed batch): a bare triggered
-            # event pushed at now + cost, skipping the Timeout frames.
-            wake = Event.__new__(Event)
-            wake.env = env
-            wake.callbacks = [self._on_wake_cb]
-            wake._ok = True
-            wake._value = None
-            env.push_at(env._now + cost, wake)
-            self._waiting = wake
-            return
-        self._execute()
-
-    def _on_wake(self, _event: Event) -> None:
-        if self._dead:
-            return
-        self._waiting = None
-        self._execute()
-
-    def _execute(self) -> None:
-        ex = self.ex
-        env = ex.env
-        task = self.task
-        batch = self._item
-        cost = self._cost
-        logic = ex.logic
-        shard = self._shard
-        if shard is None:
-            shard_id = ex._shard_lookup[batch.key]
-            ex._shard_cost_accum[shard_id] += cost
-            if ex._san is not None:
-                ex._san.on_access(shard_id, task.task_id, batch)
-            if logic is not None:
-                if ex.external_state is not None:
-                    self._access = ex.external_state.access(
-                        ex.name, shard_id, task.node_id
-                    )
-                    self._on_access(None)
-                    return
-                shard = ex.stores[task.node_id].get(shard_id)
-        else:
-            self._shard = None
-            shard_id = shard.shard_id
-        emissions: typing.Sequence[typing.Any] = ()
-        if logic is not None:
-            emissions = logic.process(batch, StateAccess(shard))
-        now = env._now
-        metrics = ex.metrics
-        metrics.on_processed(now, batch.count, cost)
-        reference = batch.admitted_at
-        if reference is None:
-            reference = batch.created_at
-        waited = now - reference
-        metrics.queue_latency.add(waited if waited > 0.0 else 0.0)
-        if ex.operator_in_flight is not None:
-            ex.operator_in_flight.decrement()
-        if batch.trace is not None:
-            batch.trace["done"] = now
-        # Commit point: state applied and accounted.  A crash from here
-        # on must not count the batch as lost (and must not re-apply it).
-        task.current_item = None
-        if ex.is_sink:
-            probe = ex.latency_probe
-            if probe is not None:
-                probe.record(shard_id, now - batch.created_at, batch.count, now)
-            if ex._sink_recorder is not None:
-                ex._sink_recorder(batch, now)
-            self._finish()
-            return
-        if emissions:
-            if not isinstance(emissions, (list, tuple)):
-                emissions = tuple(emissions)
-            self._emissions = emissions
-            self._ei = 0
-            self._next_emission()
-            return
-        self._finish()
-
-    def _on_access(self, event: typing.Optional[Event]) -> None:
-        """Step the external state access until it blocks or returns."""
-        if self._dead:
-            return
-        self._waiting = None
-        access = self._access
-        while True:
-            try:
-                if event is None:
-                    target = next(access)
-                elif event._ok:
-                    target = access.send(event._value)
-                else:
-                    target = access.throw(event._value)
-            except StopIteration as done:
-                self._access = None
-                self._shard = done.value
-                self._execute()
-                return
-            if target.callbacks is None:
-                # Already fired: consume its value and keep stepping.
-                event = target
-                continue
-            self._waiting = target
-            target.callbacks.append(self._on_access_cb)
-            return
-
-    def _next_emission(self) -> None:
-        ex = self.ex
-        task = self.task
-        batch = self._item
-        emissions = self._emissions
-        ei = self._ei
-        if ei >= len(emissions):
-            self._emissions = ()
-            self._finish()
-            return
-        self._ei = ei + 1
-        emission = emissions[ei]
-        out = TupleBatch(
-            key=emission.key,
-            count=emission.count,
-            cpu_cost=0.0,
-            size_bytes=emission.size_bytes,
-            created_at=batch.created_at,
-            payload=emission.payload,
-            admitted_at=batch.admitted_at,
-            trace=batch.trace,
-        )
-        ex.metrics.on_emit(ex.env._now, out.total_bytes)
-        if task.node_id == ex.local_node:
-            event = ex._emitter_queue.put(out)
-        else:
-            sender = ex._remote_senders[task.node_id]
-            event = sender.send_event(
-                ex.local_node, ex._emitter_queue, out,
-                out.total_bytes, TransferPurpose.REMOTE_TASK,
-            )
-        self._waiting = event
-        event.callbacks.append(self._on_eput_cb)
-
-    def _on_emit_put(self, _event: Event) -> None:
-        if self._dead:
-            return
-        self._waiting = None
-        self._next_emission()
-
-    def _finish(self) -> None:
-        task = self.task
-        task.busy_seconds += self.ex.env._now - self._started
-        self._item = None
-        self._pump()
-
-    def kill(self) -> typing.Optional[Event]:
-        """Terminate abruptly (crash semantics); same contract as
-        ``Process.kill``: succeeds the completion event so waiters are
-        not stranded and returns the event the pipeline was blocked on
-        so the caller can cancel store bookkeeping tied to it."""
-        if self._value is not PENDING:
-            return None
-        self._dead = True
-        waiting = self._waiting
-        self._waiting = None
-        if waiting is not None and waiting.callbacks is not None:
-            for callback in (
-                self._on_item_cb, self._on_wake_cb, self._on_eput_cb,
-                self._on_access_cb,
-            ):
-                try:
-                    waiting.callbacks.remove(callback)
-                    break
-                except ValueError:
-                    pass
-        if self._access is not None:
-            self._access.close()
-            self._access = None
-        self.succeed(None)
-        return waiting
+        return stop_loop(self, self._on_batch_cb, self._on_put_cb, self._on_window_cb)
 
 
 class ElasticExecutor:
@@ -549,8 +203,8 @@ class ElasticExecutor:
         #: when set, shard state lives in the external store (every batch
         #: pays an access round trip; reassignment migrates nothing).
         self.external_state = external_state
-        self.input_queue = Store(env, capacity=self.config.input_queue_capacity)
-        self._emitter_queue = Store(env, capacity=self.config.emitter_queue_capacity)
+        self.input_queue = Store(env, capacity=INPUT_QUEUE_CAPACITY)
+        self._emitter_queue = Store(env, capacity=EMITTER_QUEUE_CAPACITY)
         self.routing = RoutingTable(self.num_shards)
         self.metrics = ExecutorMetrics()
         self.tasks: typing.Dict[int, Task] = {}
@@ -572,15 +226,15 @@ class ElasticExecutor:
         #: Senders: the main process's (receiver + emitter share the node's
         #: connections but have independent windows) and one per remote node.
         self._receiver_sender = WindowedSender(
-            env, cluster.network, local_node, window=self.config.send_window
+            env, cluster.network, local_node, window=SEND_WINDOW
         )
         self._emitter_sender = WindowedSender(
-            env, cluster.network, local_node, window=self.config.send_window
+            env, cluster.network, local_node, window=SEND_WINDOW
         )
         self._remote_senders: typing.Dict[int, WindowedSender] = {}
         #: Serializes membership changes and balancing rounds.
         self._control = Resource(env)
-        self._balancer = ShardBalancer(theta=self.config.theta)
+        self._balancer = ShardBalancer(theta=THETA)
         self._shard_cost_accum = [0.0] * self.num_shards
         self._shard_load = [0.0] * self.num_shards
         self._downstream_groups: typing.List[typing.Any] = []
@@ -650,7 +304,7 @@ class ElasticExecutor:
         """
         return (
             self.input_queue.pending_puts > 0
-            or len(self.input_queue) >= self.config.input_queue_capacity
+            or len(self.input_queue) >= INPUT_QUEUE_CAPACITY
         )
 
     def start(self, initial_cores: int = 1) -> None:
@@ -676,14 +330,10 @@ class ElasticExecutor:
 
     # -- data plane -------------------------------------------------------
 
-    def make_pipeline(self, task: Task) -> "_TaskPipeline":
-        """Build the task's compiled pipeline (see :class:`Task`)."""
-        return _TaskPipeline(self, task)
-
     def _forward(self, item: typing.Any, task: Task) -> Event:
         """Route an item to a task, over the network for remote tasks;
         returns the one event to wait on."""
-        nbytes = item.total_bytes if isinstance(item, TupleBatch) else self.config.control_bytes
+        nbytes = item.total_bytes if isinstance(item, TupleBatch) else CONTROL_BYTES
         return self._receiver_sender.send_event(
             task.node_id, task.queue, item, nbytes, TransferPurpose.REMOTE_TASK
         )
@@ -696,7 +346,7 @@ class ElasticExecutor:
             self._next_task_id,
             node_id,
             owner=self,
-            queue_capacity=self.config.task_queue_capacity,
+            queue_capacity=TASK_QUEUE_CAPACITY,
         )
         self._next_task_id += 1
         self.tasks[task.task_id] = task
@@ -716,10 +366,9 @@ class ElasticExecutor:
                 self.stores[node_id] = ProcessStateStore(self.name, node_id)
                 self._remote_senders[node_id] = WindowedSender(
                     self.env, self.cluster.network, node_id,
-                    window=self.config.send_window,
+                    window=SEND_WINDOW,
                 )
-                if self.config.remote_process_spawn_seconds > 0:
-                    yield self.env.timeout(self.config.remote_process_spawn_seconds)
+                yield self.env.timeout(REMOTE_PROCESS_SPAWN_SECONDS)
                 if not self.cluster.node(node_id).alive:
                     self.stores.pop(node_id, None)
                     self._remote_senders.pop(node_id, None)
@@ -776,7 +425,7 @@ class ElasticExecutor:
 
     def _snapshot_loads(self) -> typing.Dict[int, float]:
         """Blend the accumulated per-shard cost into smoothed loads."""
-        alpha = self.config.load_smoothing
+        alpha = LOAD_SMOOTHING
         interval = max(self.config.balance_interval, 1e-9)
         for shard_id in range(self.num_shards):
             observed = self._shard_cost_accum[shard_id] / interval
@@ -797,7 +446,7 @@ class ElasticExecutor:
             yield self._control.request()
             try:
                 self._snapshot_loads()
-                trigger = self.config.theta * self.config.balance_trigger_margin
+                trigger = THETA * BALANCE_TRIGGER_MARGIN
                 delta = self.imbalance()
                 if delta > trigger:
                     self.env.telemetry.emit(
@@ -873,8 +522,7 @@ class ElasticExecutor:
         proto = SHARD_REASSIGN.tracker()
         try:
             started = self.env.now
-            if self.config.reassignment_overhead > 0:
-                yield self.env.timeout(self.config.reassignment_overhead)
+            yield self.env.timeout(REASSIGNMENT_OVERHEAD)
             # 1. Pause routing for the shard; new arrivals buffer in the entry.
             entry.paused = True
             span.mark("pause")
@@ -1069,15 +717,15 @@ class ElasticExecutor:
         """
         started = self.env.now
         self.local_node = new_node
-        self.input_queue = Store(self.env, capacity=self.config.input_queue_capacity)
+        self.input_queue = Store(self.env, capacity=INPUT_QUEUE_CAPACITY)
         self._emitter_queue = Store(
-            self.env, capacity=self.config.emitter_queue_capacity
+            self.env, capacity=EMITTER_QUEUE_CAPACITY
         )
         self._receiver_sender = WindowedSender(
-            self.env, self.cluster.network, new_node, window=self.config.send_window
+            self.env, self.cluster.network, new_node, window=SEND_WINDOW
         )
         self._emitter_sender = WindowedSender(
-            self.env, self.cluster.network, new_node, window=self.config.send_window
+            self.env, self.cluster.network, new_node, window=SEND_WINDOW
         )
         self._remote_senders = {}
         self._control = Resource(self.env)
@@ -1095,7 +743,7 @@ class ElasticExecutor:
                 self.stores[node_id] = ProcessStateStore(self.name, node_id)
                 self._remote_senders[node_id] = WindowedSender(
                     self.env, self.cluster.network, node_id,
-                    window=self.config.send_window,
+                    window=SEND_WINDOW,
                 )
             tasks.append(self._create_task(node_id))
         per_store: typing.Dict[int, int] = {}

@@ -12,6 +12,11 @@ emitter and the downstream executor live on different nodes).
   in-flight tuples so the manager can drain the operator.
 - :class:`SourceInstance`: an upstream executor instance of a source
   operator, driven by a workload schedule.
+
+The compiled loops that submit into groups live here too: the source
+emit loop and the executor emitter loop share :func:`submit_or_wait`,
+and every compiled loop (task, receiver, emitter) dies through
+:func:`stop_loop`.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import typing
 
 from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.executors.channels import WindowedSender
-from repro.executors.config import ExecutorConfig
-from repro.sim import Environment, Timeout
+from repro.executors.config import SEND_WINDOW
+from repro.sim import Environment, Event, Process, Timeout
 from repro.topology.batch import TupleBatch
 from repro.topology.keys import executor_lookup
 
@@ -157,6 +162,44 @@ def submit_when_open(
         yield group.gate.wait_open()
 
 
+def submit_or_wait(
+    group: typing.Any, batch: TupleBatch, src_node: int, sender: WindowedSender
+) -> Event:
+    """Submit ``batch`` to ``group``; returns the one event to wait on.
+
+    The compiled emitters' single submit path: ``submit_event``'s own
+    event, or — when the gate is closed — a short-lived
+    :func:`submit_when_open` process that waits the gate open.
+    """
+    event = group.submit_event(batch, src_node, sender)
+    if event is None:
+        event = sender.env.process(  # repro: allow[SIM001]: gate-closed slow path — one process frame per reopen wait, not per tuple
+            submit_when_open(group, batch, src_node, sender)
+        )
+    return event
+
+
+def stop_loop(loop: typing.Any, *callbacks: typing.Callable) -> typing.Optional[Event]:
+    """The compiled loops' shared kill step (crash semantics).
+
+    Marks ``loop`` dead and unhooks whichever of its ``callbacks`` sits
+    on the event it was blocked on.  Returns that event — the
+    ``Process.kill`` contract — so the caller can cancel store
+    bookkeeping tied to it.
+    """
+    loop._dead = True
+    waiting = loop._waiting
+    loop._waiting = None
+    if waiting is not None and waiting.callbacks is not None:
+        for callback in callbacks:
+            try:
+                waiting.callbacks.remove(callback)
+                break
+            except ValueError:
+                pass
+    return waiting
+
+
 class SourceInstance:
     """An executor instance of a source operator.
 
@@ -179,15 +222,13 @@ class SourceInstance:
         name: str,
         index: int,
         node_id: int,
-        config: typing.Optional[ExecutorConfig] = None,
         trace_every: int = 0,
     ) -> None:
-        config = config or ExecutorConfig()
         self.env = env
         self.name = f"{name}[{index}]"
         self.index = index
         self.node_id = node_id
-        self.sender = WindowedSender(env, fabric, node_id, window=config.send_window)
+        self.sender = WindowedSender(env, fabric, node_id, window=SEND_WINDOW)
         self._groups: typing.List[typing.Any] = []
         self.emitted_tuples = 0
         #: Attach a latency-breakdown trace to every Nth batch (0 = off).
@@ -305,13 +346,80 @@ class _SourceLoop:
             self._pump()
             return
         self._gi = gi + 1
-        group = groups[gi]
-        event = group.submit_event(self._batch, src.node_id, src.sender)
-        if event is None:
-            event = self.env.process(  # repro: allow[SIM001]: gate-closed slow path — one process frame per reopen wait, not per tuple
-                submit_when_open(group, self._batch, src.node_id, src.sender)
-            )
+        event = submit_or_wait(groups[gi], self._batch, src.node_id, src.sender)
         event.callbacks.append(self._on_sent_cb)
 
     def _on_sent(self, _event: typing.Any) -> None:
         self._next_group()
+
+
+class _EmitterLoop:
+    """Callback-compiled emitter daemon of an elastic or RC executor.
+
+    Pulls finished batches off the emitter queue and submits them to
+    every downstream group through :func:`submit_or_wait`.  Kill
+    contract matches ``Process.kill``.
+    """
+
+    __slots__ = (
+        "ex", "queue", "local_node", "sender",
+        "_waiting", "_batch", "_gi", "_dead", "_on_batch_cb", "_on_sent_cb",
+    )
+
+    def __init__(self, executor: typing.Any) -> None:
+        # ``_downstream_groups`` is read per batch through the executor:
+        # start() runs before connect() wires the topology, which swaps
+        # the list object.
+        self.ex = executor
+        self.queue = executor._emitter_queue
+        self.local_node = executor.local_node
+        self.sender = executor._emitter_sender
+        self._waiting: typing.Optional[Event] = None
+        self._batch: typing.Optional[TupleBatch] = None
+        self._gi = 0
+        self._dead = False
+        self._on_batch_cb = self._on_batch
+        self._on_sent_cb = self._on_sent
+        self._pump()
+
+    def _pump(self) -> None:
+        event = self.queue.get()
+        self._waiting = event
+        event.callbacks.append(self._on_batch_cb)
+
+    def _on_batch(self, event: Event) -> None:
+        if self._dead:
+            return
+        self._waiting = None
+        self._batch = event._value
+        self._gi = 0
+        self._next_group()
+
+    def _next_group(self) -> None:
+        groups = self.ex._downstream_groups
+        gi = self._gi
+        if gi >= len(groups):
+            self._batch = None
+            self._pump()
+            return
+        self._gi = gi + 1
+        event = submit_or_wait(groups[gi], self._batch, self.local_node, self.sender)
+        self._waiting = event
+        event.callbacks.append(self._on_sent_cb)
+
+    def _on_sent(self, _event: Event) -> None:
+        if self._dead:
+            return
+        self._waiting = None
+        self._next_group()
+
+    def kill(self) -> typing.Optional[Event]:
+        """Stop the loop (crash semantics); returns the awaited event.
+
+        A gate wait dies with the loop: the batch it holds is never
+        submitted from the dead process.
+        """
+        waiting = stop_loop(self, self._on_batch_cb, self._on_sent_cb)
+        if isinstance(waiting, Process):
+            waiting = waiting.kill()
+        return waiting

@@ -22,6 +22,7 @@ import typing
 
 from repro.cluster.network import TransferPurpose
 from repro.cluster.node import Cluster
+from repro.executors.config import CONTROL_BYTES
 from repro.executors.elastic import ElasticExecutor
 from repro.executors.gate import OperatorGate
 from repro.executors.group import ElasticGroup
@@ -39,7 +40,7 @@ class HybridController:
     __slots__ = (
         "env", "cluster", "group", "router", "executor_factory", "interval",
         "split_threshold_cores", "merge_threshold_cores", "manager_node",
-        "control_bytes", "scheduler", "_upstream_instances", "_next_index",
+        "scheduler", "_upstream_instances", "_next_index",
         "_merge_streak", "splits", "merges",
     )
 
@@ -54,7 +55,6 @@ class HybridController:
         split_threshold_cores: typing.Optional[int] = None,
         merge_threshold_cores: float = 0.5,
         manager_node: int = 0,
-        control_bytes: int = 64,
         scheduler: typing.Optional[typing.Any] = None,
     ) -> None:
         """``executor_factory(index, local_node)`` must create, register
@@ -74,7 +74,6 @@ class HybridController:
         )
         self.merge_threshold_cores = merge_threshold_cores
         self.manager_node = manager_node
-        self.control_bytes = control_bytes
         self.scheduler = scheduler
         self._upstream_instances: typing.List[typing.Any] = []
         self._next_index = len(group.executors)
@@ -155,11 +154,11 @@ class HybridController:
 
     def _command_and_ack(self, node: int) -> typing.Generator:
         yield self.cluster.network.transfer(
-            self.manager_node, node, self.control_bytes,
+            self.manager_node, node, CONTROL_BYTES,
             purpose=TransferPurpose.CONTROL,
         )
         yield self.cluster.network.transfer(
-            node, self.manager_node, self.control_bytes,
+            node, self.manager_node, CONTROL_BYTES,
             purpose=TransferPurpose.CONTROL,
         )
 

@@ -22,12 +22,18 @@ from repro.cluster.network import TransferPurpose
 from repro.cluster.node import Cluster
 from repro.executors.balancer import ShardBalancer
 from repro.executors.channels import WindowedSender
-from repro.executors.config import ExecutorConfig
+from repro.executors.config import (
+    CONTROL_BYTES,
+    EMITTER_QUEUE_CAPACITY,
+    INPUT_QUEUE_CAPACITY,
+    SEND_WINDOW,
+    THETA,
+)
 from repro.executors.gate import OperatorGate
-from repro.executors.group import submit_when_open
+from repro.executors.group import _EmitterLoop
 from repro.executors.stats import ExecutorMetrics, ReassignmentRecord, ReassignmentStats
 from repro.executors.task import STOP, Task
-from repro.logic.base import OperatorLogic, StateAccess
+from repro.logic.base import OperatorLogic
 from repro.protocol import RC_RECOVERY, RC_SYNC
 from repro.sim import Environment, Event, Resource, Store
 from repro.state import MigrationClock, ProcessStateStore, ShardState, migrate_shard
@@ -90,13 +96,21 @@ class InFlightCounter:
 
 
 class RCExecutor:
-    """A single-core executor under operator-level key repartitioning."""
+    """A single-core executor under operator-level key repartitioning.
+
+    Runs the shared compiled data path (:class:`_TaskPipeline` and
+    :class:`_EmitterLoop`).  Of the loops' owner contract, the shard
+    table, state store, in-flight ledger and latency probe are the
+    manager's operator-level ones.
+    """
 
     __slots__ = (
-        "env", "cluster", "spec", "index", "name", "node_id", "manager",
-        "logic", "config", "metrics", "task", "input_queue",
+        "env", "cluster", "spec", "index", "name", "node_id", "local_node",
+        "manager", "logic", "metrics", "task", "input_queue",
         "_emitter_queue", "_emitter_sender", "_downstream_groups",
-        "_sink_recorder", "alive", "stall_factor", "_emitter_proc",
+        "_sink_recorder", "alive", "stall_factor", "_emitter",
+        "_shard_lookup", "stores", "operator_in_flight", "_shard_cost_accum",
+        "_remote_senders", "_san", "external_state",
     )
 
     def __init__(
@@ -108,7 +122,6 @@ class RCExecutor:
         node_id: int,
         manager: "RCOperatorManager",
         logic: typing.Optional[OperatorLogic] = None,
-        config: typing.Optional[ExecutorConfig] = None,
     ) -> None:
         self.env = env
         self.cluster = cluster
@@ -116,26 +129,39 @@ class RCExecutor:
         self.index = index
         self.name = f"{spec.name}[rc{index}]"
         self.node_id = node_id
+        self.local_node = node_id
         self.manager = manager
         self.logic = logic if logic is not None else spec.logic
-        self.config = config or ExecutorConfig()
         self.metrics = ExecutorMetrics()
-        # One thread, one queue: the input queue *is* the task queue.
-        self.task = Task(
-            env, task_id=index, node_id=node_id, owner=self,
-            queue_capacity=self.config.input_queue_capacity,
-        )
-        self.input_queue = self.task.queue
-        self._emitter_queue = Store(env, capacity=self.config.emitter_queue_capacity)
+        self._shard_lookup = manager.shard_lookup
+        self.stores = {node_id: manager.store_for_node(node_id)}
+        self.operator_in_flight = manager.in_flight
+        #: Shard load is charged at admission (:meth:`RCOperatorManager.record_arrival`).
+        self._shard_cost_accum = None
+        self._remote_senders: typing.Dict[int, WindowedSender] = {}
+        self._san = None
+        self.external_state = None
+        self._emitter_queue = Store(env, capacity=EMITTER_QUEUE_CAPACITY)
         self._emitter_sender = WindowedSender(
-            env, cluster.network, node_id, window=self.config.send_window
+            env, cluster.network, node_id, window=SEND_WINDOW
         )
         self._downstream_groups: typing.List[typing.Any] = []
         self._sink_recorder: typing.Optional[typing.Callable] = None
         self.alive = True
         #: Gray-failure hook: relative processing speed (0.25 = 4x slower).
         self.stall_factor = 1.0
-        self._emitter_proc = env.process(self._emitter_loop())
+        # One thread, one queue: the input queue *is* the task queue.
+        self.task = Task(
+            env, task_id=index, node_id=node_id, owner=self,
+            queue_capacity=INPUT_QUEUE_CAPACITY,
+        )
+        self.input_queue = self.task.queue
+        self._emitter = _EmitterLoop(self)
+
+    @property
+    def latency_probe(self) -> typing.Optional[typing.Any]:
+        """The manager's probe (the runtime attaches it after bootstrap)."""
+        return self.manager.latency_probe
 
     def connect(
         self,
@@ -149,54 +175,6 @@ class RCExecutor:
     def is_sink(self) -> bool:
         return not self._downstream_groups
 
-    def process_batch(self, task: Task, batch: TupleBatch) -> typing.Generator:
-        cost = self.logic.cpu_seconds(batch) if self.logic else 0.0
-        cost = cost / (self.cluster.speed(self.node_id) * self.stall_factor)
-        if cost > 0:
-            yield self.env.timeout(cost)
-        shard_id = self.manager.shard_lookup[batch.key]
-        emissions = []
-        if self.logic is not None:
-            store = self.manager.store_for_node(self.node_id)
-            state = StateAccess(store.get(shard_id))
-            emissions = self.logic.process(batch, state)
-        now = self.env.now
-        self.metrics.on_processed(now, batch.count, cost)
-        reference = batch.admitted_at if batch.admitted_at is not None else batch.created_at
-        self.metrics.queue_latency.add(max(0.0, now - reference))
-        # Commit point: state applied and accounted — settle the operator
-        # ledger before emissions yield, so a crash landing mid-emission
-        # neither re-applies the batch nor strands the in-flight counter.
-        self.manager.in_flight.decrement()
-        task.current_item = None
-        if self.is_sink:
-            probe = self.manager.latency_probe
-            if probe is not None:
-                probe.record(shard_id, now - batch.created_at, batch.count, now)
-            if self._sink_recorder is not None:
-                self._sink_recorder(batch, now)
-        else:
-            for emission in emissions:
-                out = TupleBatch(
-                    key=emission.key,
-                    count=emission.count,
-                    cpu_cost=0.0,
-                    size_bytes=emission.size_bytes,
-                    created_at=batch.created_at,
-                    payload=emission.payload,
-                    admitted_at=batch.admitted_at,
-                )
-                self.metrics.on_emit(now, out.total_bytes)
-                yield self._emitter_queue.put(out)
-
-    def _emitter_loop(self) -> typing.Generator:
-        while True:
-            batch = yield self._emitter_queue.get()
-            for group in self._downstream_groups:
-                yield from submit_when_open(
-                    group, batch, self.node_id, self._emitter_sender
-                )
-
     def crash(self, reaper: typing.Any) -> None:
         """Fail-stop this executor: its core (or whole node) died.
 
@@ -208,7 +186,7 @@ class RCExecutor:
         for item in self.task.kill():
             reaper.account(item)
         reaper.watch(self.task.queue)
-        waiting = self._emitter_proc.kill()
+        waiting = self._emitter.kill()
         if waiting is not None:
             self._emitter_queue.cancel(waiting)
         # Emitter-queue batches were already committed (counted processed,
@@ -242,7 +220,7 @@ class RCOperatorManager:
     LOAD_SMOOTHING = 0.3
 
     __slots__ = (
-        "env", "cluster", "spec", "config", "reassignment_stats",
+        "env", "cluster", "spec", "reassignment_stats",
         "migration_clock", "manage_interval", "manager_node",
         "_logic_factory", "total_shards", "shard_lookup", "gate",
         "in_flight", "executors", "_assignment", "_stores",
@@ -257,7 +235,6 @@ class RCOperatorManager:
         env: Environment,
         cluster: Cluster,
         spec: OperatorSpec,
-        config: typing.Optional[ExecutorConfig] = None,
         reassignment_stats: typing.Optional[ReassignmentStats] = None,
         migration_clock: typing.Optional[MigrationClock] = None,
         manage_interval: float = 1.0,
@@ -267,7 +244,6 @@ class RCOperatorManager:
         self.env = env
         self.cluster = cluster
         self.spec = spec
-        self.config = config or ExecutorConfig()
         self.reassignment_stats = reassignment_stats or ReassignmentStats()
         self.migration_clock = migration_clock or MigrationClock()
         self.manage_interval = manage_interval
@@ -285,7 +261,7 @@ class RCOperatorManager:
         self._assignment: typing.Dict[int, RCExecutor] = {}
         self._stores: typing.Dict[int, ProcessStateStore] = {}
         self._upstream_instances: typing.List[typing.Any] = []
-        self._balancer = ShardBalancer(theta=self.config.theta)
+        self._balancer = ShardBalancer(theta=THETA)
         self._shard_cost_accum = [0.0] * self.total_shards
         self._shard_load = [0.0] * self.total_shards
         self._next_index = 0
@@ -382,7 +358,7 @@ class RCOperatorManager:
         logic = self._logic_factory() if self._logic_factory else self.spec.logic
         executor = RCExecutor(
             self.env, self.cluster, self.spec, self._next_index, node_id,
-            manager=self, logic=logic, config=self.config,
+            manager=self, logic=logic,
         )
         self._next_index += 1
         executor.connect(self._downstream_groups, self._sink_recorder)
@@ -448,7 +424,7 @@ class RCOperatorManager:
                 for e in survivors
             )
             if membership_changed or self._imbalance(shard_loads) > (
-                self.config.theta * self.REBALANCE_TRIGGER_MARGIN
+                THETA * self.REBALANCE_TRIGGER_MARGIN
             ):
                 moves = self._plan_moves(shard_loads, survivors, removed)
                 if moves or removed:
@@ -506,11 +482,11 @@ class RCOperatorManager:
 
     def _command_and_ack(self, upstream_node: int) -> typing.Generator:
         yield self.cluster.network.transfer(
-            self.manager_node, upstream_node, self.config.control_bytes,
+            self.manager_node, upstream_node, CONTROL_BYTES,
             purpose=TransferPurpose.CONTROL,
         )
         yield self.cluster.network.transfer(
-            upstream_node, self.manager_node, self.config.control_bytes,
+            upstream_node, self.manager_node, CONTROL_BYTES,
             purpose=TransferPurpose.CONTROL,
         )
 
@@ -566,7 +542,7 @@ class RCOperatorManager:
                     # overhead the executor-centric design avoids (its moves
                     # are local to one executor's main process).
                     yield self.cluster.network.transfer(
-                        self.manager_node, src.node_id, self.config.control_bytes,
+                        self.manager_node, src.node_id, CONTROL_BYTES,
                         purpose=TransferPurpose.CONTROL,
                     )
                     src_store = self.store_for_node(src.node_id)

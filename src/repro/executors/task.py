@@ -2,15 +2,21 @@
 
 One task per assigned CPU core (paper §3).  A task pulls items from its
 pending queue strictly FIFO — the property the labeling-tuple drain
-protocol relies on — and delegates actual batch processing to its owning
-executor, so the same Task class serves all three paradigms.
+protocol relies on — and runs each batch through :class:`_TaskPipeline`,
+the one callback-compiled task loop shared by every paradigm: elastic and
+static executors own many or one task, an RC executor owns exactly one.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.sim import Environment, Store
+from repro.cluster.network import TransferPurpose
+from repro.executors.group import stop_loop
+from repro.logic.base import StateAccess
+from repro.sim import Environment, Event, Store
+from repro.sim.events import PENDING
+from repro.state import ShardState
 from repro.topology.batch import LabelTuple, TupleBatch
 
 
@@ -57,48 +63,17 @@ class Task:
         self.stopped = False
         self.busy_seconds = 0.0
         # Batch currently being processed but not yet committed to state.
-        # The executor clears it at the commit point, so a crash knows
+        # The loop clears it at the commit point, so a crash knows
         # whether the in-progress batch was applied or must count as lost.
         self.current_item: typing.Optional[typing.Any] = None
-        # Elastic executors supply a callback-compiled pipeline (an Event
-        # with the Process kill/completion contract); other owners (the RC
-        # executor) drive the task with the generator loop below.
-        make_pipeline = getattr(owner, "make_pipeline", None)
-        if make_pipeline is not None:
-            self.process = make_pipeline(self)
-        else:
-            self.process = env.process(self._run())
-
-    def _run(self) -> typing.Generator:
-        env = self.env
-        get = self.queue.get
-        process_batch = self.owner.process_batch
-        while True:
-            item = yield get()
-            cls = item.__class__
-            if cls is not TupleBatch:
-                # Control items are rare; exact class checks keep the
-                # common batch path to a single pointer comparison.
-                if cls is StopSignal:
-                    self.stopped = True
-                    return
-                if cls is LabelTuple:
-                    # FIFO guarantees every tuple routed to this task before
-                    # the label has already been processed — signal the drain.
-                    item.event.succeed()
-                    continue
-            started = env._now
-            self.current_item = item
-            yield from process_batch(self, item)
-            self.current_item = None
-            self.busy_seconds += env._now - started
+        self.process = _TaskPipeline(owner, self)
 
     def kill(self) -> typing.List[typing.Any]:
         """Abruptly terminate the task (hardware failure semantics).
 
         Returns every unprocessed item: the uncommitted in-progress batch
         (if any) plus everything still queued.  The task's pending get is
-        cancelled so late deliveries are not swallowed by a dead coroutine.
+        cancelled so late deliveries are not swallowed by a dead loop.
         """
         self.stopped = True
         items: typing.List[typing.Any] = []
@@ -113,3 +88,275 @@ class Task:
 
     def __repr__(self) -> str:
         return f"Task(id={self.task_id}, node={self.node_id})"
+
+
+class _TaskPipeline(Event):
+    """Callback-compiled task loop + batch execution (one per task).
+
+    The only data path of every paradigm: a slotted FSM driven entirely
+    by event callbacks.  Get an item, burn the CPU cost (a bare wake
+    event on the timer heap), apply state + logic, then hand emissions to
+    the emitter queue.  With an external state store the state access is
+    the :meth:`ExternalStateService.access` generator, stepped from a
+    callback exactly as ``Process._resume`` steps a process body.
+
+    The pipeline *is* the task's completion event (like ``Process``): it
+    succeeds when a :class:`StopSignal` is consumed, so ``remove_core``'s
+    ``yield victim.process`` and the hybrid controller's drain waits work
+    unmodified.
+
+    The owning executor provides, read per batch:
+
+    - ``env``, ``name``, ``cluster``, ``logic``, ``metrics``, ``stall_factor``;
+    - ``_shard_lookup`` (key -> shard) and ``stores`` (node -> the
+      :class:`ProcessStateStore` holding that process's shards);
+    - ``_shard_cost_accum``: per-shard cost charged here, or ``None``
+      when the owner charges load elsewhere (RC, at admission);
+    - ``_san`` (shard sanitizer), ``external_state``,
+      ``operator_in_flight`` and ``latency_probe``, each ``None`` when off;
+    - ``is_sink``, ``_sink_recorder``, ``_emitter_queue``, ``local_node``
+      and ``_remote_senders`` (node -> sender back to ``local_node``).
+    """
+
+    __slots__ = (
+        "task", "ex", "queue",
+        "_waiting", "_item", "_cost", "_started", "_emissions", "_ei", "_dead",
+        "_access", "_shard",
+        "_on_item_cb", "_on_wake_cb", "_on_eput_cb", "_on_access_cb",
+    )
+
+    def __init__(self, executor: typing.Any, task: Task) -> None:
+        Event.__init__(self, executor.env)
+        self.task = task
+        self.ex = executor
+        self.queue = task.queue
+        self._waiting: typing.Optional[Event] = None
+        self._item: typing.Optional[TupleBatch] = None
+        self._cost = 0.0
+        self._started = 0.0
+        self._emissions: typing.Sequence[typing.Any] = ()
+        self._ei = 0
+        self._dead = False
+        #: The in-progress external state access, and the shard it
+        #: returned (set only while ``_execute`` resumes after it).
+        self._access: typing.Optional[typing.Generator] = None
+        self._shard: typing.Optional[ShardState] = None
+        self._on_item_cb = self._on_item
+        self._on_wake_cb = self._on_wake
+        self._on_eput_cb = self._on_emit_put
+        self._on_access_cb = self._on_access
+        self._pump()
+
+    def _pump(self) -> None:
+        event = self.queue.get()
+        self._waiting = event
+        event.callbacks.append(self._on_item_cb)
+
+    def _on_item(self, event: Event) -> None:
+        if self._dead:
+            return
+        self._waiting = None
+        item = event._value
+        task = self.task
+        cls = item.__class__
+        if cls is not TupleBatch:
+            # Control items are rare; exact class checks keep the common
+            # batch path to a single pointer comparison.
+            if cls is StopSignal:
+                task.stopped = True
+                self.succeed(None)
+                return
+            if cls is LabelTuple:
+                # FIFO guarantees every tuple routed to this task before
+                # the label has been processed — signal the drain.
+                item.event.succeed()
+                self._pump()
+                return
+        ex = self.ex
+        env = ex.env
+        self._started = env._now
+        task.current_item = item
+        trace = item.trace
+        if trace is not None:
+            # Owners without a receiver thread (RC) never stamp
+            # ``received``; their queue wait then counts as delivery.
+            trace.setdefault("received", env._now)
+            trace["task_start"] = env._now
+        logic = ex.logic
+        cost = logic.cpu_seconds(item) if logic is not None else 0.0
+        # Wall time on this core; slow nodes (stragglers) and injected
+        # stalls take longer, and everything downstream — shard loads, µ,
+        # the scheduler — sees the measured reality, not the nominal
+        # cost.  cluster.speed is read per batch on purpose: straggler
+        # injection changes it mid-run.
+        cost = cost / (ex.cluster.speed(task.node_id) * ex.stall_factor)
+        self._item = item
+        self._cost = cost
+        if cost > 0:
+            # Inlined timeout (one per processed batch): a bare triggered
+            # event pushed at now + cost, skipping the Timeout frames.
+            wake = Event.__new__(Event)
+            wake.env = env
+            wake.callbacks = [self._on_wake_cb]
+            wake._ok = True
+            wake._value = None
+            env.push_at(env._now + cost, wake)
+            self._waiting = wake
+            return
+        self._execute()
+
+    def _on_wake(self, _event: Event) -> None:
+        if self._dead:
+            return
+        self._waiting = None
+        self._execute()
+
+    def _execute(self) -> None:
+        ex = self.ex
+        env = ex.env
+        task = self.task
+        batch = self._item
+        cost = self._cost
+        logic = ex.logic
+        shard = self._shard
+        if shard is None:
+            shard_id = ex._shard_lookup[batch.key]
+            if ex._shard_cost_accum is not None:
+                ex._shard_cost_accum[shard_id] += cost
+            if ex._san is not None:
+                ex._san.on_access(shard_id, task.task_id, batch)
+            if logic is not None:
+                if ex.external_state is not None:
+                    self._access = ex.external_state.access(
+                        ex.name, shard_id, task.node_id
+                    )
+                    self._on_access(None)
+                    return
+                shard = ex.stores[task.node_id].get(shard_id)
+        else:
+            self._shard = None
+            shard_id = shard.shard_id
+        emissions: typing.Sequence[typing.Any] = ()
+        if logic is not None:
+            emissions = logic.process(batch, StateAccess(shard))
+        now = env._now
+        metrics = ex.metrics
+        metrics.on_processed(now, batch.count, cost)
+        reference = batch.admitted_at
+        if reference is None:
+            reference = batch.created_at
+        waited = now - reference
+        metrics.queue_latency.add(waited if waited > 0.0 else 0.0)
+        if ex.operator_in_flight is not None:
+            ex.operator_in_flight.decrement()
+        if batch.trace is not None:
+            batch.trace["done"] = now
+        # Commit point: state applied and accounted.  A crash from here
+        # on must not count the batch as lost (and must not re-apply it).
+        task.current_item = None
+        if ex.is_sink:
+            probe = ex.latency_probe
+            if probe is not None:
+                probe.record(shard_id, now - batch.created_at, batch.count, now)
+            if ex._sink_recorder is not None:
+                ex._sink_recorder(batch, now)
+            self._finish()
+            return
+        if emissions:
+            if not isinstance(emissions, (list, tuple)):
+                emissions = tuple(emissions)
+            self._emissions = emissions
+            self._ei = 0
+            self._next_emission()
+            return
+        self._finish()
+
+    def _on_access(self, event: typing.Optional[Event]) -> None:
+        """Step the external state access until it blocks or returns."""
+        if self._dead:
+            return
+        self._waiting = None
+        access = self._access
+        while True:
+            try:
+                if event is None:
+                    target = next(access)
+                elif event._ok:
+                    target = access.send(event._value)
+                else:
+                    target = access.throw(event._value)
+            except StopIteration as done:
+                self._access = None
+                self._shard = done.value
+                self._execute()
+                return
+            if target.callbacks is None:
+                # Already fired: consume its value and keep stepping.
+                event = target
+                continue
+            self._waiting = target
+            target.callbacks.append(self._on_access_cb)
+            return
+
+    def _next_emission(self) -> None:
+        ex = self.ex
+        task = self.task
+        batch = self._item
+        emissions = self._emissions
+        ei = self._ei
+        if ei >= len(emissions):
+            self._emissions = ()
+            self._finish()
+            return
+        self._ei = ei + 1
+        emission = emissions[ei]
+        out = TupleBatch(
+            key=emission.key,
+            count=emission.count,
+            cpu_cost=0.0,
+            size_bytes=emission.size_bytes,
+            created_at=batch.created_at,
+            payload=emission.payload,
+            admitted_at=batch.admitted_at,
+            trace=batch.trace,
+        )
+        ex.metrics.on_emit(ex.env._now, out.total_bytes)
+        if task.node_id == ex.local_node:
+            event = ex._emitter_queue.put(out)
+        else:
+            sender = ex._remote_senders[task.node_id]
+            event = sender.send_event(
+                ex.local_node, ex._emitter_queue, out,
+                out.total_bytes, TransferPurpose.REMOTE_TASK,
+            )
+        self._waiting = event
+        event.callbacks.append(self._on_eput_cb)
+
+    def _on_emit_put(self, _event: Event) -> None:
+        if self._dead:
+            return
+        self._waiting = None
+        self._next_emission()
+
+    def _finish(self) -> None:
+        task = self.task
+        task.busy_seconds += self.ex.env._now - self._started
+        self._item = None
+        self._pump()
+
+    def kill(self) -> typing.Optional[Event]:
+        """Terminate abruptly (crash semantics); same contract as
+        ``Process.kill``: succeeds the completion event so waiters are
+        not stranded and returns the event the pipeline was blocked on
+        so the caller can cancel store bookkeeping tied to it."""
+        if self._value is not PENDING:
+            return None
+        waiting = stop_loop(
+            self, self._on_item_cb, self._on_wake_cb, self._on_eput_cb,
+            self._on_access_cb,
+        )
+        if self._access is not None:
+            self._access.close()
+            self._access = None
+        self.succeed(None)
+        return waiting

@@ -26,6 +26,7 @@ from __future__ import annotations
 import typing
 
 from repro.cluster.cores import CoreAllocationError
+from repro.executors.config import REMOTE_PROCESS_SPAWN_SECONDS
 from repro.faults.spec import FaultEvent, FaultKind
 from repro.protocol import FAULT_RECOVERY
 from repro.topology.batch import LabelTuple, TupleBatch
@@ -526,7 +527,7 @@ class FaultCoordinator:
                 if seized is None:
                     break
                 extras.append(seized)
-            spawn_delay = executor.config.remote_process_spawn_seconds
+            spawn_delay = REMOTE_PROCESS_SPAWN_SECONDS
             if isinstance(executor, StaticExecutor):
                 spawn_delay += self.static_restart_seconds
             yield self.env.process(

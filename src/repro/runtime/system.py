@@ -99,7 +99,9 @@ class SystemResult:
 
         Stages: ``source_wait`` (nominal arrival -> admission),
         ``delivery`` (admission -> last receiver), ``queue`` (receiver ->
-        task), ``service`` (task start -> completion).  Only complete
+        task), ``service`` (task start -> completion).  RC executors have
+        no receiver thread: the first task to start a traced batch stamps
+        ``received``, so RC queue wait counts as ``delivery``.  Only complete
         traces contribute; :attr:`incomplete_traces` counts the excluded.
         """
         stages = {"source_wait": 0.0, "delivery": 0.0, "queue": 0.0, "service": 0.0}
@@ -267,7 +269,7 @@ class StreamSystem:
             node = i % config.num_nodes
             instance = SourceInstance(
                 self.env, self.cluster.network, self._source_name, i, node,
-                config=config.executor, trace_every=config.trace_every,
+                trace_every=config.trace_every,
             )
             self.cluster.cores.allocate(SOURCE_OWNER, node, 1)
             self._reserved_by_node[node] = self._reserved_by_node.get(node, 0) + 1
@@ -300,7 +302,7 @@ class StreamSystem:
             count = counts[spec.name]
             if config.paradigm is Paradigm.RC:
                 manager = RCOperatorManager(
-                    self.env, self.cluster, spec, config=config.executor,
+                    self.env, self.cluster, spec,
                     reassignment_stats=self.reassignment_stats,
                     manage_interval=config.rc_manage_interval,
                     manager_node=0,

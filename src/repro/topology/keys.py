@@ -69,26 +69,18 @@ def stable_hash_array(keys: np.ndarray, salt: int = 0) -> np.ndarray:
 #: lookup instead.
 _DENSE_TABLE_LIMIT = 1 << 26
 
-#: (num_keys, num_buckets, salt) -> (int32 bucket array, bucket list).
-#: Shared across every executor of every operator with the same partition
-#: geometry, so a million-key space is tabulated once per geometry, not
-#: once per executor.
-_DENSE_TABLES: typing.Dict[
-    typing.Tuple[int, int, int], typing.Tuple[typing.Any, typing.List[int]]
-] = {}
+#: (num_keys, num_buckets, salt) -> bucket list.  Shared across every
+#: executor of every operator with the same partition geometry, so a
+#: million-key space is tabulated once per geometry, not once per executor.
+_DENSE_TABLES: typing.Dict[typing.Tuple[int, int, int], typing.List[int]] = {}
 
 
-def _dense_table(
-    num_keys: int, num_buckets: int, salt: int
-) -> typing.Tuple[typing.Any, typing.List[int]]:
-    entry = _DENSE_TABLES.get((num_keys, num_buckets, salt))
-    if entry is None:
+def _dense_table(num_keys: int, num_buckets: int, salt: int) -> typing.List[int]:
+    geometry = (num_keys, num_buckets, salt)
+    if geometry not in _DENSE_TABLES:
         hashed = stable_hash_array(np.arange(num_keys, dtype=np.uint64), salt)
-        array = (hashed % np.uint64(num_buckets)).astype(np.int32)
-        entry = _DENSE_TABLES[(num_keys, num_buckets, salt)] = (
-            array, array.tolist()
-        )
-    return entry
+        _DENSE_TABLES[geometry] = (hashed % np.uint64(num_buckets)).tolist()
+    return _DENSE_TABLES[geometry]
 
 
 class DenseLookup:
@@ -96,14 +88,13 @@ class DenseLookup:
 
     The partition is materialized once (vectorized splitmix64 over
     ``arange``) into a table shared by every lookup with the same
-    geometry.  Scalar hits index a plain list (small cached ints, no
-    numpy boxing); :attr:`array` exposes the int32 table for vectorized
-    routing.  The table covers at most ``_DENSE_TABLE_LIMIT`` keys, and
+    geometry.  Lookups index a plain list (small cached ints, no numpy
+    boxing).  The table covers at most ``_DENSE_TABLE_LIMIT`` keys, and
     keys outside it fall back to the scalar hash — correctness never
     depends on the declared key space being exhaustive.
     """
 
-    __slots__ = ("num_keys", "num_buckets", "salt", "array", "_list")
+    __slots__ = ("num_keys", "num_buckets", "salt", "_list")
 
     def __init__(self, num_keys: int, num_buckets: int, salt: int) -> None:
         if num_buckets < 1:
@@ -114,7 +105,7 @@ class DenseLookup:
         self.num_keys = min(num_keys, _DENSE_TABLE_LIMIT)
         self.num_buckets = num_buckets
         self.salt = salt
-        self.array, self._list = _dense_table(self.num_keys, num_buckets, salt)
+        self._list = _dense_table(self.num_keys, num_buckets, salt)
 
     def __getitem__(self, key: int) -> int:
         if 0 <= key < self.num_keys:

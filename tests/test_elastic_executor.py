@@ -211,7 +211,7 @@ class TestConsistency:
     def test_per_key_order_preserved_under_reassignment(self, env, cluster):
         """The paper's core correctness requirement (§2.1, §3.3)."""
         logic = RecordingLogic(cost_per_tuple=2e-3)
-        config = ExecutorConfig(balance_interval=0.1, reassignment_overhead=1e-3)
+        config = ExecutorConfig(balance_interval=0.1)
         executor = make_executor(env, cluster, logic, shards=16, cores=1, config=config)
 
         # Skewed stream: key 0 is hot, so the balancer keeps moving shards.

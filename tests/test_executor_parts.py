@@ -1,14 +1,21 @@
-"""Unit tests for executor building blocks: gate, sender, task, routing."""
+"""Unit tests for executor building blocks: gate, sender, task, routing.
+
+Task behaviour is checked on the real tasks of an elastic and an RC
+executor: both paradigms run the one compiled task loop.
+"""
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.network import TransferPurpose
+from repro.executors import ElasticExecutor, RCOperatorManager
 from repro.executors.channels import WindowedSender
 from repro.executors.gate import OperatorGate
 from repro.executors.routing import RoutingTable
 from repro.executors.task import STOP, StopSignal, Task
+from repro.logic.base import OperatorLogic
 from repro.sim import Environment, Store
+from repro.topology import OperatorSpec
 from repro.topology.batch import LabelTuple, TupleBatch
 
 
@@ -154,66 +161,104 @@ class TestWindowedSender:
         assert deliveries[2] == pytest.approx(2.0)
 
 
-class _FakeOwner:
-    """Minimal executor stand-in for Task tests."""
+class _RecordingLogic(OperatorLogic):
+    """Charges a fixed cost per batch and records what it processed."""
 
-    def __init__(self, env, cost=0.01):
-        self.env = env
+    def __init__(self, cost):
         self.cost = cost
         self.processed = []
 
-    def process_batch(self, task, item):
-        yield self.env.timeout(self.cost)
-        self.processed.append(item)
+    def cpu_seconds(self, batch):
+        return self.cost
+
+    def process(self, batch, state):
+        self.processed.append(batch)
+        return []
+
+
+def _spec(logic):
+    return OperatorSpec("op", logic=logic, num_executors=1, shards_per_executor=4)
+
+
+def elastic_task(env, logic):
+    """The single task of a started elastic executor, fed directly."""
+    executor = ElasticExecutor(env, Cluster(env, num_nodes=1), _spec(logic), 0, 0)
+    executor.connect([], sink_recorder=lambda batch, now: None)
+    executor.start(initial_cores=1)
+    (task,) = executor.tasks.values()
+    return task, task.queue.put_nowait
+
+
+def rc_task(env, logic):
+    """The task of an RC executor; batches enter the operator's ledger
+    the way :class:`RCGroup` admits them."""
+    manager = RCOperatorManager(env, Cluster(env, num_nodes=1), _spec(logic))
+    manager.connect([], sink_recorder=lambda batch, now: None)
+    manager.bootstrap(1, nodes=[0])
+    task = manager.executors[0].task
+
+    def put(item):
+        if isinstance(item, TupleBatch):
+            manager.in_flight.increment()
+        task.queue.put_nowait(item)
+
+    return task, put
+
+
+def each_paradigm(cost):
+    """(env, task, put) for a fresh elastic task, then a fresh RC task."""
+    for make in (elastic_task, rc_task):
+        env = Environment()
+        yield (env, *make(env, _RecordingLogic(cost)))
 
 
 class TestTask:
-    def test_fifo_processing(self, env):
-        owner = _FakeOwner(env)
-        task = Task(env, 0, node_id=0, owner=owner)
-        for i in range(3):
-            task.queue.put_nowait(batch(key=i))
-        env.run(until=1.0)
-        assert [b.key for b in owner.processed] == [0, 1, 2]
+    def test_fifo_processing(self):
+        for env, task, put in each_paradigm(0.01):
+            for i in range(3):
+                put(batch(key=i))
+            env.run(until=1.0)
+            assert [b.key for b in task.owner.logic.processed] == [0, 1, 2]
 
-    def test_label_tuple_fires_after_pending_work(self, env):
-        owner = _FakeOwner(env, cost=0.1)
-        task = Task(env, 0, node_id=0, owner=owner)
-        drained = []
-        label_event = env.event()
-        label_event.callbacks.append(lambda ev: drained.append(env.now))
-        task.queue.put_nowait(batch())
-        task.queue.put_nowait(batch())
-        task.queue.put_nowait(LabelTuple(0, label_event))
-        env.run(until=1.0)
-        assert drained == [pytest.approx(0.2)]
-        assert len(owner.processed) == 2
+    def test_label_tuple_fires_after_pending_work(self):
+        for env, task, put in each_paradigm(0.1):
+            drained = []
+            label_event = env.event()
+            label_event.callbacks.append(lambda ev: drained.append(env.now))
+            put(batch())
+            put(batch())
+            put(LabelTuple(0, label_event))
+            env.run(until=1.0)
+            assert drained == [pytest.approx(0.2)]
+            assert len(task.owner.logic.processed) == 2
 
-    def test_stop_signal_ends_task(self, env):
-        owner = _FakeOwner(env)
-        task = Task(env, 0, node_id=0, owner=owner)
-        task.queue.put_nowait(batch())
-        task.queue.put_nowait(STOP)
-        task.queue.put_nowait(batch())  # never processed
-        env.run(until=1.0)
-        assert task.stopped
-        assert len(owner.processed) == 1
+    def test_stop_signal_ends_task(self):
+        for env, task, put in each_paradigm(0.01):
+            put(batch())
+            put(STOP)
+            put(batch())  # never processed
+            env.run(until=1.0)
+            assert task.stopped
+            assert task.process.triggered
+            assert len(task.owner.logic.processed) == 1
 
     def test_stop_signal_is_singleton(self):
         assert StopSignal() is STOP
 
-    def test_busy_seconds_accumulates(self, env):
-        owner = _FakeOwner(env, cost=0.25)
-        task = Task(env, 0, node_id=0, owner=owner)
-        task.queue.put_nowait(batch())
-        task.queue.put_nowait(batch())
-        env.run(until=1.0)
-        assert task.busy_seconds == pytest.approx(0.5)
+    def test_busy_seconds_accumulates(self):
+        for env, task, put in each_paradigm(0.25):
+            put(batch())
+            put(batch())
+            env.run(until=1.0)
+            assert task.busy_seconds == pytest.approx(0.5)
 
 
 class TestRoutingTable:
     def make_task(self, env, tid=0, node=0):
-        return Task(env, tid, node, owner=_FakeOwner(env))
+        owner = ElasticExecutor(
+            env, Cluster(env, num_nodes=1), _spec(_RecordingLogic(0.0)), 0, 0
+        )
+        return Task(env, tid, node, owner=owner)
 
     def test_assign_and_lookup(self, env):
         table = RoutingTable(4)

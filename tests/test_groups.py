@@ -3,11 +3,19 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.executors import ElasticExecutor, ElasticGroup, OperatorGate, SubspaceRouter
+from repro.executors import (
+    ElasticExecutor,
+    ElasticGroup,
+    OperatorGate,
+    RCOperatorManager,
+    SubspaceRouter,
+)
 from repro.executors.channels import WindowedSender
 from repro.executors.group import SourceInstance, submit_when_open
 from repro.executors.rc import InFlightCounter
+from repro.faults.recovery import DeadLetterReaper
 from repro.logic.base import SyntheticLogic
+from repro.metrics.recovery import RecoveryStats
 from repro.sim import Environment
 from repro.topology import OperatorSpec, TupleBatch
 from repro.topology.keys import executor_of_key
@@ -95,6 +103,28 @@ class TestElasticGroup:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             ElasticGroup("op", [])
+
+
+class TestEmitterLoop:
+    def test_crash_drops_the_batch_waiting_on_a_closed_gate(self, env):
+        cluster = Cluster(env, num_nodes=2, cores_per_node=2)
+        downstream = make_executors(env, cluster)
+        group = ElasticGroup("down", downstream)
+        group.gate = OperatorGate(env)
+        group.gate.close()
+        spec = OperatorSpec("up", logic=SyntheticLogic(), num_executors=1,
+                            shards_per_executor=4)
+        manager = RCOperatorManager(env, cluster, spec)
+        manager.connect([group])
+        manager.bootstrap(1, nodes=[0])
+        (upstream,) = manager.executors
+        upstream._emitter_queue.put_nowait(batch(key=1))
+        env.run(until=1.0)  # the emitter now holds the batch at the gate
+        upstream.crash(DeadLetterReaper(env, RecoveryStats()))
+        group.gate.open()
+        env.run(until=2.0)
+        # A dead emitter submits nothing, gate wait included.
+        assert all(ex.metrics.processed_batches.total == 0 for ex in downstream)
 
 
 class TestSourceInstance:

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster import Cluster, TransferPurpose
 from repro.executors import RCGroup, RCOperatorManager
 from repro.executors.channels import WindowedSender
-from repro.executors.config import ExecutorConfig
 from repro.executors.group import submit_when_open
 from repro.logic.base import OperatorLogic
 from repro.sim import Environment
@@ -59,7 +58,7 @@ def make_rc(env, cluster, logic, num_executors=2, shards_per_executor=8,
         shards_per_executor=shards_per_executor, shard_state_bytes=state_bytes,
     )
     manager = RCOperatorManager(
-        env, cluster, spec, config=ExecutorConfig(),
+        env, cluster, spec,
         manage_interval=manage_interval,
     )
     manager.connect([], sink_recorder=lambda b, now: None)

@@ -148,7 +148,7 @@ class TestElasticIntegration:
         )
         executor = ElasticExecutor(
             env, cluster, spec, index=0, local_node=0,
-            config=ExecutorConfig(balance_interval=0.1, reassignment_overhead=1e-3),
+            config=ExecutorConfig(balance_interval=0.1),
         )
         executor.connect([], sink_recorder=lambda batch, now: None)
         executor.start(initial_cores=1)

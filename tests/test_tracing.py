@@ -26,8 +26,9 @@ class TestTracing:
         assert result.traces == []
         assert result.trace_breakdown()["service"] == 0.0
 
-    def test_sampled_traces_collected(self):
-        result = run(trace_every=20)
+    @pytest.mark.parametrize("paradigm", [Paradigm.ELASTICUTOR, Paradigm.RC])
+    def test_sampled_traces_collected(self, paradigm):
+        result = run(trace_every=20, paradigm=paradigm)
         assert len(result.traces) > 10
         for trace in result.traces:
             assert {"created", "admitted", "received", "task_start", "done"} <= set(
