@@ -120,10 +120,20 @@ class PriceAlarmLogic(_SinkAnalyticsLogic):
     ) -> None:
         super().__init__(cost_per_record)
         # Either a sparse dict (a few watched keys) or a dense per-key
-        # array (every key watched — million-key workloads hand one flat
-        # array instead of a million-entry dict).
+        # array (keys 0..len-1 watched — million-key workloads hand one
+        # flat array instead of a million-entry dict).  The array is kept
+        # as a read-only view, so executor replicas share one buffer.
         if thresholds is None:
             thresholds = {}
+        elif not isinstance(thresholds, dict):
+            thresholds = np.asarray(thresholds, dtype=np.float64)
+            if thresholds.ndim != 1:
+                raise ValueError(
+                    "dense thresholds must be a 1-D array, got shape "
+                    f"{thresholds.shape}"
+                )
+            thresholds = thresholds.view()
+            thresholds.flags.writeable = False
         self.thresholds = thresholds
         self.alarms: typing.List[typing.Tuple[float, int, float]] = []
 
@@ -131,8 +141,10 @@ class PriceAlarmLogic(_SinkAnalyticsLogic):
         thresholds = self.thresholds
         if isinstance(thresholds, dict):
             threshold = thresholds.get(batch.key)
-        else:
+        elif 0 <= batch.key < len(thresholds):
             threshold = float(thresholds[batch.key])
+        else:
+            return  # outside the dense array: unwatched
         if threshold is None:
             return
         armed = state.get(batch.key, True)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import abc
+import copy
 import typing
+
+import numpy as np
 
 from repro.topology.batch import Emission, TupleBatch
 
@@ -44,6 +47,11 @@ class OperatorLogic(abc.ABC):
     ``cpu_seconds`` tells the simulator how long a batch occupies a core;
     ``process`` performs the (optional) real computation and returns the
     emissions forwarded to every downstream operator.
+
+    Each executor runs its own replica made by :func:`replicate`.  A
+    read-only numpy array attribute (``flags.writeable`` false) is one
+    buffer shared by every replica of the operator; every other attribute
+    (alarm lists, counters, writable arrays) is deep-copied per replica.
     """
 
     def cpu_seconds(self, batch: TupleBatch) -> float:
@@ -55,6 +63,17 @@ class OperatorLogic(abc.ABC):
         self, batch: TupleBatch, state: StateAccess
     ) -> typing.List[Emission]:
         """Consume a batch, update state, emit downstream batches."""
+
+
+def replicate(logic: OperatorLogic) -> OperatorLogic:
+    """One executor's copy of ``logic``: its read-only arrays are shared,
+    everything else is deep-copied."""
+    shared = {
+        id(value): value
+        for value in vars(logic).values()
+        if isinstance(value, np.ndarray) and not value.flags.writeable
+    }
+    return copy.deepcopy(logic, shared)
 
 
 class SyntheticLogic(OperatorLogic):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import os
 import statistics
@@ -23,6 +22,7 @@ from repro.executors import (
 )
 from repro.faults import FaultCoordinator, FaultInjector
 from repro.faults.spec import FaultKind
+from repro.logic.base import replicate
 from repro.metrics import RecoveryStats, TimeSeries
 from repro.runtime.config import Paradigm, SystemConfig
 from repro.scheduler import DynamicScheduler
@@ -306,7 +306,7 @@ class StreamSystem:
                     reassignment_stats=self.reassignment_stats,
                     manage_interval=config.rc_manage_interval,
                     manager_node=0,
-                    logic_factory=(lambda s=spec: copy.deepcopy(s.logic)),
+                    logic_factory=(lambda s=spec: replicate(s.logic)),
                 )
                 nodes = self._place_on_free_cores(count)
                 manager.bootstrap(count, nodes)
@@ -326,7 +326,7 @@ class StreamSystem:
                     node = placement[i]
                     executor = executor_cls(
                         self.env, self.cluster, spec, index=i, local_node=node,
-                        logic=copy.deepcopy(spec.logic),
+                        logic=replicate(spec.logic),
                         config=config.executor,
                         reassignment_stats=self.reassignment_stats,
                     )
@@ -447,7 +447,7 @@ class StreamSystem:
         def factory(index: int, node: int) -> ElasticExecutor:
             executor = ElasticExecutor(
                 self.env, self.cluster, spec, index=index, local_node=node,
-                logic=copy.deepcopy(spec.logic),
+                logic=replicate(spec.logic),
                 config=self.config.executor,
                 reassignment_stats=self.reassignment_stats,
             )

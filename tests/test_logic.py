@@ -1,5 +1,6 @@
 """Unit tests for operator logic: synthetic, order book, analytics."""
 
+import numpy as np
 import pytest
 
 from repro.logic import (
@@ -219,6 +220,30 @@ class TestAnalyticsLogics:
         state = make_state()
         logic.process(batch(key=3, count=1, payload=[txn(100.0)]), state)
         assert logic.alarms == []
+
+    def test_price_alarm_dense_thresholds_fire(self):
+        logic = PriceAlarmLogic(thresholds=np.array([50.0, 15.0, 50.0]))
+        logic.process(batch(key=1, count=1, payload=[txn(16.0)]), make_state())
+        assert len(logic.alarms) == 1
+
+    # key = len(thresholds), and -1, which numpy would wrap to the last
+    # stock's threshold.
+    @pytest.mark.parametrize("key", [3, -1])
+    def test_price_alarm_dense_key_outside_array_is_unwatched(self, key):
+        logic = PriceAlarmLogic(thresholds=np.array([50.0, 50.0, 15.0]))
+        logic.process(batch(key=key, count=1, payload=[txn(100.0)]), make_state())
+        assert logic.alarms == []
+
+    def test_price_alarm_rejects_non_1d_thresholds(self):
+        with pytest.raises(ValueError, match="1-D"):
+            PriceAlarmLogic(thresholds=np.full((2, 3), 15.0))
+
+    def test_price_alarm_dense_thresholds_are_read_only(self):
+        source = np.array([15.0, 20.0])
+        logic = PriceAlarmLogic(thresholds=source)
+        with pytest.raises(ValueError):
+            logic.thresholds[0] = 1.0
+        assert source.flags.writeable  # the caller's array is untouched
 
     def test_fraud_self_trade_flagged(self):
         logic = FraudDetectionLogic()

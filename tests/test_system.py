@@ -4,6 +4,7 @@ Scaled-down versions of the paper's setups: small cluster, short runs.
 Each test checks behaviour the evaluation section depends on.
 """
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -245,3 +246,120 @@ class TestSSEApplication:
         from repro.logic import OrderBook
 
         assert all(isinstance(book, OrderBook) for book in books)
+
+    @pytest.mark.parametrize(
+        ("paradigm", "expected"),
+        [
+            (Paradigm.ELASTICUTOR, {
+                "price_alarm": [17, 0, 0],
+                "circuit_breaker": [0, 0, 0],
+                "volume_spike": [25, 24, 1],
+                "fraud_flags": 3,
+            }),
+            (Paradigm.RC, {
+                "price_alarm": [0],
+                "circuit_breaker": [0],
+                "volume_spike": [12],
+                "fraud_flags": 3,
+            }),
+        ],
+    )
+    def test_real_payload_analytics_outputs_pinned(self, paradigm, expected):
+        """Per-replica alarm and fraud outputs of a multi-replica run with
+        real order books; any change to how replicas hold their logic
+        state must leave them untouched."""
+        workload = SSEWorkload(
+            rate=3000, num_stocks=300, batch_size=4, seed=7,
+            real_payloads=True, order_cost=0.5e-3,
+        )
+        topology = workload.build_topology(
+            executors_per_operator=4, shards_per_executor=16,
+            analytics_executors=3,
+        )
+        config = SystemConfig(
+            paradigm=paradigm, num_nodes=8, cores_per_node=6, source_instances=2,
+        )
+        system = StreamSystem(topology, workload, config)
+        system.run(duration=10.0, warmup=3.0)
+        by_op = system.executors_by_operator
+        outputs = {
+            name: [len(executor.logic.alarms) for executor in by_op[name]]
+            for name in ("price_alarm", "circuit_breaker", "volume_spike")
+        }
+        outputs["fraud_flags"] = sum(
+            len(executor.logic.flags) for executor in by_op["fraud_detection"]
+        )
+        assert outputs == expected
+
+
+class TestLogicReplicas:
+    """Executor replicas share an operator's read-only arrays and copy the
+    rest of its logic state."""
+
+    REPLICAS = 4
+
+    def make_topology(self):
+        workload = SSEWorkload(rate=4000, num_stocks=2000, batch_size=10, seed=5)
+        topology = workload.build_topology(
+            executors_per_operator=4, shards_per_executor=8,
+            analytics_executors=self.REPLICAS,
+        )
+        return workload, topology
+
+    def make_system(self, paradigm, workload, topology, enable_hybrid=False):
+        config = SystemConfig(
+            paradigm=paradigm, num_nodes=8, cores_per_node=7, source_instances=2,
+            enable_hybrid=enable_hybrid,
+        )
+        return StreamSystem(topology, workload, config)
+
+    def assert_thresholds_shared(self, original, replicas):
+        for replica in replicas:
+            assert replica is not original
+            assert np.shares_memory(replica.thresholds, original.thresholds)
+            with pytest.raises(ValueError):
+                replica.thresholds[0] = 0.0
+            assert replica.alarms is not original.alarms
+        assert len({id(replica.alarms) for replica in replicas}) == len(replicas)
+
+    @pytest.mark.parametrize(
+        "paradigm", [Paradigm.ELASTICUTOR, Paradigm.STATIC, Paradigm.RC]
+    )
+    def test_replicas_share_read_only_thresholds(self, paradigm):
+        workload, topology = self.make_topology()
+        system = self.make_system(paradigm, workload, topology)
+        for name in ("price_alarm", "circuit_breaker", "volume_spike"):
+            replicas = [
+                executor.logic for executor in system.executors_by_operator[name]
+            ]
+            assert len(replicas) == self.REPLICAS
+            self.assert_thresholds_shared(topology.spec(name).logic, replicas)
+
+    def test_hybrid_split_replica_shares_read_only_thresholds(self):
+        workload, topology = self.make_topology()
+        system = self.make_system(
+            Paradigm.ELASTICUTOR, workload, topology, enable_hybrid=True
+        )
+        free = system.cluster.cores.free_by_node()
+        node = next(node for node, cores in free.items() if cores)
+        controller = system.hybrid_controllers["price_alarm"]
+        sibling = controller.executor_factory(self.REPLICAS, node)
+        replicas = [
+            executor.logic
+            for executor in system.executors_by_operator["price_alarm"]
+        ]
+        assert sibling.logic is replicas[-1]
+        self.assert_thresholds_shared(topology.spec("price_alarm").logic, replicas)
+
+    def test_writable_arrays_are_copied_per_replica(self):
+        workload, topology = self.make_topology()
+        logic = topology.spec("momentum").logic
+        logic.counts = np.zeros(16)
+        system = self.make_system(Paradigm.ELASTICUTOR, workload, topology)
+        arrays = [logic.counts] + [
+            executor.logic.counts
+            for executor in system.executors_by_operator["momentum"]
+        ]
+        for i, array in enumerate(arrays):
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(array, other)
