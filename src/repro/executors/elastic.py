@@ -39,7 +39,13 @@ from repro.logic.base import OperatorLogic
 from repro.protocol import REHOME, SHARD_REASSIGN
 from repro.sanitize import ShardSanitizer
 from repro.sim import Environment, Event, Resource, Store
-from repro.state import MigrationClock, ProcessStateStore, ShardState, migrate_shard
+from repro.state import (
+    MigrationClock,
+    ProcessStateStore,
+    ShardState,
+    migrate_shard,
+    restore_shard,
+)
 from repro.topology.batch import LabelTuple, TupleBatch
 from repro.topology.keys import shard_lookup
 from repro.topology.operator import OperatorSpec
@@ -214,11 +220,7 @@ class ElasticExecutor:
             local_node: ProcessStateStore(self.name, local_node)
         }
         for shard_id in range(self.num_shards):
-            shard = ShardState(
-                shard_id,
-                nominal_bytes=spec.shard_state_bytes,
-                hot_entries=spec.hot_state_entries,
-            )
+            shard = ShardState.fresh(shard_id, spec)
             if self.external_state is not None:
                 self.external_state.register_shard(self.name, shard)
             else:
@@ -401,7 +403,12 @@ class ElasticExecutor:
                 initial_loads={t: self._task_load(t) for t in survivors},
             )
             for shard_id, dst_task in sorted(placement.items()):
-                yield from self._reassign(shard_id, dst_task)
+                yield from self._reassign(shard_id, dst_task, draining=victim)
+            if self.routing.shards_of(victim):
+                # Every other task crashed mid-evacuation, so the victim
+                # kept the shards it could not hand over: it is the last
+                # core now.
+                raise ValueError(f"{self.name} cannot drop its last core")
             yield self._forward(STOP, victim)
             yield victim.process
             if victim.task_id not in self.tasks:
@@ -507,7 +514,14 @@ class ElasticExecutor:
 
     # -- consistent shard reassignment (paper §3.3) ------------------------
 
-    def _reassign(self, shard_id: int, dst_task: Task) -> typing.Generator:
+    def _reassign(
+        self,
+        shard_id: int,
+        dst_task: Task,
+        draining: typing.Optional[Task] = None,
+    ) -> typing.Generator:
+        """Move one shard to ``dst_task`` (paper §3.3).  Should ``dst_task``
+        die mid-move, the fallback is never ``draining``, a task being removed."""
         entry = self.routing.entry(shard_id)
         src_task = entry.task
         if src_task is dst_task:
@@ -542,20 +556,12 @@ class ElasticExecutor:
                 # Crash recovery orphaned or already re-homed the shard —
                 # abandon this move, recovery owns it now.
                 return
-            if dst_task.stopped or dst_task.task_id not in self.tasks:
-                live = [t for t in self.tasks.values() if not t.stopped]
-                if not live:
-                    # Every core died mid-move; leave the shard paused for the
-                    # fault coordinator to re-home or rebuild.
-                    return
-                dst_task = min(live, key=lambda t: (self._task_load(t), t.task_id))
-                if dst_task is src_task:
-                    if san is not None:
-                        san.on_resume(shard_id)
-                    while entry.buffer:
-                        yield self._forward(entry.buffer.popleft(), src_task)
-                    entry.paused = False
-                    return
+            # The source is alive here, so with no other live task the
+            # move falls back to it and the shard resumes where it was.
+            dst_task = self._live_destination(dst_task, draining) or src_task
+            if dst_task is src_task:
+                yield from self._install(entry, src_task)
+                return
             # 3. Migrate state only across processes (intra-process sharing).
             # With an external state store nothing ever moves — that design's
             # whole appeal (its cost lives in every state access instead).
@@ -583,13 +589,7 @@ class ElasticExecutor:
             span.mark("migration")
             proto.advance("migration")
             # 4. Update the routing table, flush buffered tuples, resume.
-            self.routing.assign(shard_id, dst_task)
-            if san is not None:
-                san.on_assign(shard_id, dst_task.task_id)
-            while entry.buffer:
-                item = entry.buffer.popleft()
-                yield self._forward(item, dst_task)
-            entry.paused = False
+            yield from self._install(entry, dst_task)
             span.mark("routing_update")
             proto.advance("routing_update")
             self.reassignment_stats.record(
@@ -750,11 +750,7 @@ class ElasticExecutor:
         for shard_id in range(self.num_shards):
             task = tasks[shard_id % len(tasks)]
             if self.external_state is None:
-                shard = ShardState(
-                    shard_id,
-                    nominal_bytes=self.spec.shard_state_bytes,
-                    hot_entries=self.spec.hot_state_entries,
-                )
+                shard = ShardState.fresh(shard_id, self.spec)
                 self.stores[task.node_id].add(shard)
                 per_store[task.node_id] = (
                     per_store.get(task.node_id, 0) + shard.nominal_bytes
@@ -793,7 +789,6 @@ class ElasticExecutor:
         intra-process sharing, serialization + transfer otherwise.
         """
         bus = self.env.telemetry
-        san = self._san
         span = bus.begin_span(
             "rehome", source=self.name, failed_node=failed_node,
             lose_state=lose_state,
@@ -819,25 +814,21 @@ class ElasticExecutor:
             )
             proto.advance("placed")
             for shard_id, dst_task in sorted(placement.items()):
-                if dst_task.stopped or dst_task.task_id not in self.tasks:
-                    live = [t for t in self.tasks.values() if not t.stopped]
-                    if not live:
-                        return
-                    dst_task = min(live, key=lambda t: (self._task_load(t), t.task_id))
+                dst_task = self._live_destination(dst_task)
+                if dst_task is None:
+                    return
                 entry = self.routing.entry(shard_id)
-                yield from self._restore_shard_state(
-                    shard_id, dst_task, stats, rebuild_rate, lose_state
-                )
-                self.routing.assign(shard_id, dst_task)
-                if san is not None:
-                    san.on_assign(shard_id, dst_task.task_id)
-                flushed = 0
-                while entry.buffer:
-                    item = entry.buffer.popleft()
-                    if isinstance(item, TupleBatch):
-                        flushed += item.count
-                    yield self._forward(item, dst_task)
-                entry.paused = False
+                # State living off-cluster never saw the failure; state that
+                # died with its process (lose_state) is rebuilt.
+                if self.external_state is None:
+                    node = dst_task.node_id
+                    yield from restore_shard(
+                        self.env, self.cluster.network,
+                        {} if lose_state else self.stores,
+                        self.stores.setdefault(node, ProcessStateStore(self.name, node)),
+                        shard_id, self.spec, stats, rebuild_rate, self.migration_clock,
+                    )
+                flushed = yield from self._install(entry, dst_task)
                 if flushed:
                     stats.tuples_rerouted.add(flushed)
             proto.advance("restored")
@@ -848,53 +839,42 @@ class ElasticExecutor:
             proto.close("aborted")
             self._control.release()
 
-    def _restore_shard_state(
-        self,
-        shard_id: int,
-        dst_task: Task,
-        stats: typing.Any,
-        rebuild_rate: float,
-        lose_state: bool,
-    ) -> typing.Generator:
-        """Make ``shard_id``'s state available at ``dst_task``'s process."""
-        if self.external_state is not None:
-            return  # state lives off-cluster; the failure never touched it
-        dst_store = self.stores.get(dst_task.node_id)
-        if dst_store is None:
-            dst_store = self.stores[dst_task.node_id] = ProcessStateStore(
-                self.name, dst_task.node_id
-            )
-        if shard_id in dst_store:
-            return
-        src_node = None
-        if not lose_state:
-            for node_id in sorted(self.stores):
-                if shard_id in self.stores[node_id]:
-                    src_node = node_id
-                    break
-        if src_node is None:
-            # Only replica died: pay the rebuild penalty (replay/recompute).
-            shard = ShardState(
-                    shard_id,
-                    nominal_bytes=self.spec.shard_state_bytes,
-                    hot_entries=self.spec.hot_state_entries,
-                )
-            if rebuild_rate > 0 and shard.nominal_bytes:
-                yield self.env.timeout(shard.nominal_bytes / rebuild_rate)
-            dst_store.add(shard)
-            stats.shards_rebuilt.add(1)
-            stats.state_bytes_rebuilt.add(shard.nominal_bytes)
-            return
-        nbytes = self.stores[src_node].get(shard_id).nominal_bytes
-        yield from migrate_shard(
-            self.env,
-            self.cluster.network,
-            self.stores[src_node],
-            dst_store,
-            shard_id,
-            self.migration_clock,
-        )
-        stats.bytes_remigrated.add(nbytes)
+    # -- shared steps of reassignment and re-homing ------------------------
+
+    def _live_destination(
+        self, task: Task, draining: typing.Optional[Task] = None
+    ) -> typing.Optional[Task]:
+        """``task`` if it still runs, else the least-loaded live task other
+        than ``draining`` (None when there is none)."""
+        if not task.stopped and task.task_id in self.tasks:
+            return task
+        live = [
+            t for t in self.tasks.values() if not t.stopped and t is not draining
+        ]
+        if not live:
+            return None
+        return min(live, key=lambda t: (self._task_load(t), t.task_id))
+
+    def _install(self, entry: typing.Any, task: Task) -> typing.Generator:
+        """Route ``entry``'s shard to ``task``, flush its pause buffer there
+        and resume it.  Returns the number of buffered tuples flushed."""
+        shard_id = entry.shard_id
+        san = self._san
+        if entry.task is task:
+            if san is not None:
+                san.on_resume(shard_id)
+        else:
+            self.routing.assign(shard_id, task)
+            if san is not None:
+                san.on_assign(shard_id, task.task_id)
+        flushed = 0
+        while entry.buffer:
+            item = entry.buffer.popleft()
+            if isinstance(item, TupleBatch):
+                flushed += item.count
+            yield self._forward(item, task)
+        entry.paused = False
+        return flushed
 
     def __repr__(self) -> str:
         return f"ElasticExecutor({self.name}, cores={self.num_cores})"

@@ -22,15 +22,13 @@ import typing
 
 from repro.cluster.network import TransferPurpose
 from repro.cluster.node import Cluster
-from repro.executors.config import CONTROL_BYTES
 from repro.executors.elastic import ElasticExecutor
-from repro.executors.gate import OperatorGate
+from repro.executors.gate import OperatorBarrier
 from repro.executors.group import ElasticGroup
-from repro.executors.rc import InFlightCounter
 from repro.executors.subspace import SubspaceRouter, slot_of_key
 from repro.executors.task import STOP
-from repro.protocol import RC_SYNC
 from repro.sim import Environment
+from repro.telemetry.events import NULL_SPAN
 from repro.topology.keys import shard_of_key
 
 
@@ -39,8 +37,8 @@ class HybridController:
 
     __slots__ = (
         "env", "cluster", "group", "router", "executor_factory", "interval",
-        "split_threshold_cores", "merge_threshold_cores", "manager_node",
-        "scheduler", "_upstream_instances", "_next_index",
+        "split_threshold_cores", "merge_threshold_cores",
+        "scheduler", "barrier", "_next_index",
         "_merge_streak", "splits", "merges",
     )
 
@@ -73,21 +71,20 @@ class HybridController:
             else int(1.5 * cluster.nodes[0].num_cores)
         )
         self.merge_threshold_cores = merge_threshold_cores
-        self.manager_node = manager_node
         self.scheduler = scheduler
-        self._upstream_instances: typing.List[typing.Any] = []
         self._next_index = len(group.executors)
         self._merge_streak = 0
         self.splits = 0
         self.merges = 0
         # Install the global-synchronization hooks.
-        group.gate = OperatorGate(env)
-        group.in_flight = InFlightCounter(env)
+        self.barrier = OperatorBarrier(env, cluster, manager_node)
+        group.gate = self.barrier.gate
+        group.in_flight = self.barrier.in_flight
         for executor in group.executors:
             executor.operator_in_flight = group.in_flight
 
     def connect_upstreams(self, instances: typing.Sequence[typing.Any]) -> None:
-        self._upstream_instances = list(instances)
+        self.barrier.upstreams = list(instances)
 
     def start(self) -> None:
         self.env.process(self._loop())
@@ -142,37 +139,6 @@ class HybridController:
             else:
                 self._merge_streak = 0
 
-    # -- the global synchronization (operator-level repartitioning) ----------
-
-    def _control_round(self) -> typing.Generator:
-        procs = []
-        for instance in self._upstream_instances:
-            procs.append(self.env.process(self._command_and_ack(instance.node_id)))
-            yield self.env.timeout(1e-3)  # serial dispatch at the manager
-        if procs:
-            yield self.env.all_of(procs)
-
-    def _command_and_ack(self, node: int) -> typing.Generator:
-        yield self.cluster.network.transfer(
-            self.manager_node, node, CONTROL_BYTES,
-            purpose=TransferPurpose.CONTROL,
-        )
-        yield self.cluster.network.transfer(
-            node, self.manager_node, CONTROL_BYTES,
-            purpose=TransferPurpose.CONTROL,
-        )
-
-    def _synchronize(self) -> typing.Generator:
-        """Pause upstreams and drain the whole operator."""
-        self.group.gate.close()
-        yield from self._control_round()
-        yield self.group.in_flight.wait_zero()
-
-    def _resume(self) -> typing.Generator:
-        """Update upstream routing tables and reopen the operator."""
-        yield from self._control_round()
-        self.group.gate.open()
-
     # -- split ----------------------------------------------------------------
 
     def split(self, executor: ElasticExecutor) -> typing.Generator:
@@ -198,36 +164,36 @@ class HybridController:
         # grab it while the operator drains.
         reservation = f"__hybrid_split_{self._next_index}"
         self.cluster.cores.allocate(reservation, target_node, 1)
-        # The split is a full RC-style global synchronization; walk the
-        # checked-in table so an out-of-order refactor fails fast.
-        proto = RC_SYNC.tracker()
+        # The split is a full RC-style global synchronization.
+        yield from self.barrier.synchronize(
+            self._split_move(executor, slots, target_node, reservation),
+            NULL_SPAN,
+        )
+
+    def _split_move(
+        self,
+        executor: ElasticExecutor,
+        slots: typing.List[int],
+        target_node: int,
+        reservation: str,
+    ) -> typing.Generator:
+        # Lock out the executor's own balancer during state surgery.
+        yield executor._control.request()
         try:
-            yield from self._synchronize()
-            proto.advance("pause")
-            proto.advance("drain")
-            # Lock out the executor's own balancer during state surgery.
-            yield executor._control.request()
-            try:
-                # Hand the reserved core to the factory (same event: atomic).
-                self.cluster.cores.release(reservation, target_node, 1)
-                sibling = self.executor_factory(self._next_index, target_node)
-                self._next_index += 1
-                sibling.operator_in_flight = self.group.in_flight
-                moved_slots = slots[len(slots) // 2:]
-                yield from self._move_subspace(executor, sibling, moved_slots)
-                proto.advance("migration")
-                self.router.reassign_slots(moved_slots, sibling)
-                self.group.executors.append(sibling)
-                if self.scheduler is not None:
-                    self.scheduler.executors.append(sibling)
-                self.splits += 1
-            finally:
-                executor._control.release()
-            yield from self._resume()
-            proto.advance("routing_update")
-            proto.advance("done")
+            # Hand the reserved core to the factory (same event: atomic).
+            self.cluster.cores.release(reservation, target_node, 1)
+            sibling = self.executor_factory(self._next_index, target_node)
+            self._next_index += 1
+            sibling.operator_in_flight = self.group.in_flight
+            moved_slots = slots[len(slots) // 2:]
+            yield from self._move_subspace(executor, sibling, moved_slots)
+            self.router.reassign_slots(moved_slots, sibling)
+            self.group.executors.append(sibling)
+            if self.scheduler is not None:
+                self.scheduler.executors.append(sibling)
+            self.splits += 1
         finally:
-            proto.close("aborted")
+            executor._control.release()
 
     # -- merge ----------------------------------------------------------------
 
@@ -237,31 +203,27 @@ class HybridController:
         """Fold ``victim``'s key subspace into ``survivor`` and retire it."""
         if survivor is victim:
             raise ValueError("cannot merge an executor with itself")
-        proto = RC_SYNC.tracker()
+        yield from self.barrier.synchronize(
+            self._merge_move(survivor, victim), NULL_SPAN
+        )
+
+    def _merge_move(
+        self, survivor: ElasticExecutor, victim: ElasticExecutor
+    ) -> typing.Generator:
+        yield survivor._control.request()
+        yield victim._control.request()
         try:
-            yield from self._synchronize()
-            proto.advance("pause")
-            proto.advance("drain")
-            yield survivor._control.request()
-            yield victim._control.request()
-            try:
-                moved_slots = self.router.slots_of(victim)
-                yield from self._move_subspace(victim, survivor, moved_slots)
-                proto.advance("migration")
-                self.router.reassign_slots(moved_slots, survivor)
-                self.group.executors.remove(victim)
-                if self.scheduler is not None:
-                    self.scheduler.remove_executor(victim)
-                yield from self._retire(victim)
-                self.merges += 1
-            finally:
-                victim._control.release()
-                survivor._control.release()
-            yield from self._resume()
-            proto.advance("routing_update")
-            proto.advance("done")
+            moved_slots = self.router.slots_of(victim)
+            yield from self._move_subspace(victim, survivor, moved_slots)
+            self.router.reassign_slots(moved_slots, survivor)
+            self.group.executors.remove(victim)
+            if self.scheduler is not None:
+                self.scheduler.remove_executor(victim)
+            yield from self._retire(victim)
+            self.merges += 1
         finally:
-            proto.close("aborted")
+            victim._control.release()
+            survivor._control.release()
 
     def _retire(self, executor: ElasticExecutor) -> typing.Generator:
         """Stop all tasks and release the executor's cores."""

@@ -29,70 +29,22 @@ from repro.executors.config import (
     SEND_WINDOW,
     THETA,
 )
-from repro.executors.gate import OperatorGate
+from repro.executors.gate import STALLED, OperatorBarrier
 from repro.executors.group import _EmitterLoop
 from repro.executors.stats import ExecutorMetrics, ReassignmentRecord, ReassignmentStats
 from repro.executors.task import STOP, Task
 from repro.logic.base import OperatorLogic
-from repro.protocol import RC_RECOVERY, RC_SYNC
-from repro.sim import Environment, Event, Resource, Store
-from repro.state import MigrationClock, ProcessStateStore, ShardState, migrate_shard
+from repro.sim import Environment, Resource, Store
+from repro.state import (
+    MigrationClock,
+    ProcessStateStore,
+    ShardState,
+    migrate_shard,
+    restore_shard,
+)
 from repro.topology.batch import TupleBatch
 from repro.topology.keys import shard_lookup
 from repro.topology.operator import OperatorSpec
-
-
-class InFlightCounter:
-    """Counts tuples admitted but not yet fully processed by an operator.
-
-    The repartitioning protocol closes the gate and then waits for this
-    counter to hit zero — the "wait for all in-flight tuples" drain step.
-    """
-
-    __slots__ = ("env", "_count", "_zero_waiters")
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._count = 0
-        self._zero_waiters: typing.List[Event] = []
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def increment(self) -> None:
-        self._count += 1
-
-    def decrement(self) -> None:
-        if self._count == 0:
-            raise RuntimeError("in-flight counter underflow")
-        self._count -= 1
-        if self._count == 0:
-            waiters, self._zero_waiters = self._zero_waiters, []
-            for event in waiters:
-                event.succeed()
-
-    def forget(self, count: int = 1) -> None:
-        """Drop tuples that died with crashed hardware from the ledger.
-
-        Without this the drain step of repartitioning/recovery would wait
-        forever for tuples that no longer exist.  Clamped at zero.
-        """
-        if count <= 0:
-            return
-        self._count = max(0, self._count - count)
-        if self._count == 0:
-            waiters, self._zero_waiters = self._zero_waiters, []
-            for event in waiters:
-                event.succeed()
-
-    def wait_zero(self) -> Event:
-        event = self.env.event()
-        if self._count == 0:
-            event.succeed()
-        else:
-            self._zero_waiters.append(event)
-        return event
 
 
 class RCExecutor:
@@ -208,9 +160,6 @@ class RCOperatorManager:
     resource-allocation policy.
     """
 
-    #: Serial control-handling cost at the manager per upstream executor,
-    #: per synchronization round (command dispatch + ack bookkeeping).
-    PAUSE_HANDLING_SECONDS = 1e-3
     #: Rebalance only when δ exceeds θ by this factor (noise hysteresis).
     #: Each RC rebalance pays a full global synchronization, so the margin
     #: is set well above shard-load sampling noise.
@@ -221,10 +170,10 @@ class RCOperatorManager:
 
     __slots__ = (
         "env", "cluster", "spec", "reassignment_stats",
-        "migration_clock", "manage_interval", "manager_node",
-        "_logic_factory", "total_shards", "shard_lookup", "gate",
+        "migration_clock", "manage_interval",
+        "_logic_factory", "total_shards", "shard_lookup", "barrier", "gate",
         "in_flight", "executors", "_assignment", "_stores",
-        "_upstream_instances", "_balancer", "_shard_cost_accum",
+        "_balancer", "_shard_cost_accum",
         "_shard_load", "_next_index", "_downstream_groups",
         "_sink_recorder", "target_executors_fn", "_placement_cursor",
         "repartition_count", "_protocol_lock", "_recovering", "latency_probe",
@@ -247,7 +196,6 @@ class RCOperatorManager:
         self.reassignment_stats = reassignment_stats or ReassignmentStats()
         self.migration_clock = migration_clock or MigrationClock()
         self.manage_interval = manage_interval
-        self.manager_node = manager_node
         self._logic_factory = logic_factory
         self.total_shards = spec.total_shards
         #: Operator-level key -> shard table (static hash), precomputed
@@ -255,12 +203,13 @@ class RCOperatorManager:
         self.shard_lookup = shard_lookup(
             self.total_shards, spec.key_space.num_keys
         )
-        self.gate = OperatorGate(env)
-        self.in_flight = InFlightCounter(env)
+        self.barrier = OperatorBarrier(env, cluster, manager_node)
+        #: The barrier's gate and ledger, read per batch by :class:`RCGroup`.
+        self.gate = self.barrier.gate
+        self.in_flight = self.barrier.in_flight
         self.executors: typing.List[RCExecutor] = []
         self._assignment: typing.Dict[int, RCExecutor] = {}
         self._stores: typing.Dict[int, ProcessStateStore] = {}
-        self._upstream_instances: typing.List[typing.Any] = []
         self._balancer = ShardBalancer(theta=THETA)
         self._shard_cost_accum = [0.0] * self.total_shards
         self._shard_load = [0.0] * self.total_shards
@@ -293,7 +242,7 @@ class RCOperatorManager:
 
     def connect_upstreams(self, instances: typing.Sequence[typing.Any]) -> None:
         """Register the upstream executor instances to synchronize with."""
-        self._upstream_instances = list(instances)
+        self.barrier.upstreams = list(instances)
 
     def bootstrap(self, num_executors: int, nodes: typing.Sequence[int]) -> None:
         """Create the initial executors and spread shards round-robin."""
@@ -305,11 +254,7 @@ class RCOperatorManager:
             executor = self.executors[shard_id % len(self.executors)]
             self._assignment[shard_id] = executor
             self.store_for_node(executor.node_id).add(
-                ShardState(
-                    shard_id,
-                    nominal_bytes=self.spec.shard_state_bytes,
-                    hot_entries=self.spec.hot_state_entries,
-                )
+                ShardState.fresh(shard_id, self.spec)
             )
 
     def start(self) -> None:
@@ -366,6 +311,15 @@ class RCOperatorManager:
         self.cluster.cores.allocate(executor.name, node_id, 1)
         return executor
 
+    def _drop_executor(self, executor: RCExecutor) -> None:
+        """Forget a retired or crashed executor and return its core."""
+        if executor in self.executors:
+            self.executors.remove(executor)
+        try:
+            self.cluster.cores.release(executor.name, executor.node_id, 1)
+        except CoreAllocationError:
+            pass  # its node crashed; the holdings were already withdrawn
+
     def _pick_node_for_new_executor(self) -> typing.Optional[int]:
         free_nodes = self.cluster.cores.nodes_with_free_cores()
         if not free_nodes:
@@ -388,8 +342,8 @@ class RCOperatorManager:
     def _manage_loop(self) -> typing.Generator:
         while True:
             yield self.env.timeout(self.manage_interval)
-            if self._recovering:
-                continue
+            if self._recovering or not self.executors:
+                continue  # mid-recovery, or down for good after a stall
             shard_loads = self._snapshot_loads()
             removed: typing.List[RCExecutor] = []
             # 1. Operator scaling: create/delete executors per the policy.
@@ -402,15 +356,8 @@ class RCOperatorManager:
                     self._create_executor(node)
                 while len(self.executors) - len(removed) > target:
                     live = [e for e in self.executors if e not in removed]
-                    victim = min(
-                        live,
-                        key=lambda e: sum(
-                            shard_loads[s]
-                            for s, owner in self._assignment.items()
-                            if owner is e
-                        ),
-                    )
-                    removed.append(victim)
+                    loads = self._executor_loads(shard_loads, live)
+                    removed.append(min(live, key=loads.__getitem__))
             # 2. Load balancing over the surviving executors.  A margin
             # above θ avoids paying a global synchronization for shard-load
             # measurement noise.
@@ -430,6 +377,15 @@ class RCOperatorManager:
                 if moves or removed:
                     yield from self._repartition(moves, removed)
 
+    def _executor_loads(
+        self, shard_loads: typing.Dict[int, float], executors: typing.List[RCExecutor]
+    ) -> typing.Dict[RCExecutor, float]:
+        """Executor -> summed load of the shards it owns."""
+        return {
+            e: sum(shard_loads[s] for s, owner in self._assignment.items() if owner is e)
+            for e in executors
+        }
+
     def _imbalance(self, shard_loads) -> float:
         """Executor-level δ under the current assignment."""
         loads: typing.Dict[int, float] = {id(e): 0.0 for e in self.executors}
@@ -446,16 +402,9 @@ class RCOperatorManager:
             evacuating = [
                 s for s, owner in assignment.items() if id(owner) in removed_set
             ]
-            survivor_loads = {
-                e: sum(
-                    shard_loads[s]
-                    for s, owner in assignment.items()
-                    if owner is e
-                )
-                for e in survivors
-            }
             placement = self._balancer.spread_plan(
-                shard_loads, evacuating, survivors, initial_loads=survivor_loads
+                shard_loads, evacuating, survivors,
+                initial_loads=self._executor_loads(shard_loads, survivors),
             )
             for shard_id, dst in placement.items():
                 forced.append((shard_id, assignment[shard_id], dst))
@@ -466,47 +415,13 @@ class RCOperatorManager:
 
     # -- the global synchronization protocol --------------------------------
 
-    def _control_round(self) -> typing.Generator:
-        """One command/ack round with every upstream executor instance."""
-        acks = []
-        for instance in self._upstream_instances:
-            acks.append(
-                self.env.process(
-                    self._command_and_ack(getattr(instance, "node_id", 0))
-                )
-            )
-            # Serial dispatch/bookkeeping at the manager.
-            yield self.env.timeout(self.PAUSE_HANDLING_SECONDS)
-        if acks:
-            yield self.env.all_of(acks)
-
-    def _command_and_ack(self, upstream_node: int) -> typing.Generator:
-        yield self.cluster.network.transfer(
-            self.manager_node, upstream_node, CONTROL_BYTES,
-            purpose=TransferPurpose.CONTROL,
-        )
-        yield self.cluster.network.transfer(
-            upstream_node, self.manager_node, CONTROL_BYTES,
-            purpose=TransferPurpose.CONTROL,
-        )
-
     def _repartition(
         self,
         moves: typing.List[typing.Tuple[int, RCExecutor, RCExecutor]],
         removed: typing.List[RCExecutor],
     ) -> typing.Generator:
-        yield self._protocol_lock.request()
-        try:
-            yield from self._repartition_locked(moves, removed)
-        finally:
-            self._protocol_lock.release()
-
-    def _repartition_locked(
-        self,
-        moves: typing.List[typing.Tuple[int, RCExecutor, RCExecutor]],
-        removed: typing.List[RCExecutor],
-    ) -> typing.Generator:
         """Operator-level key repartitioning with global synchronization."""
+        yield self._protocol_lock.request()
         started = self.env.now
         self.repartition_count += 1
         bus = self.env.telemetry
@@ -514,67 +429,16 @@ class RCOperatorManager:
             "rc_sync", source=self.spec.name,
             moves=len(moves), removed=len(removed),
         )
-        proto = RC_SYNC.tracker()
         try:
-            # (a) Pause all upstream executors.
-            self.gate.close()
-            yield from self._control_round()
-            span.mark("pause")
-            proto.advance("pause")
-            # (b) Wait for all in-flight tuples to be processed.
-            yield self.in_flight.wait_zero()
-            drain_done = self.env.now
-            span.mark("drain")
-            proto.advance("drain")
-            # (c) Migrate state between node-level stores.
             migrations: typing.List[typing.Tuple[int, bool, float, int]] = []
-            for shard_id, src, dst in moves:
-                if not src.alive or not dst.alive:
-                    # A crash intervened while this round was planned/running;
-                    # crash recovery re-homes the shard, don't touch it here.
-                    continue
-                inter_node = src.node_id != dst.node_id
-                migration_started = self.env.now
-                migrated_bytes = 0
-                if inter_node:
-                    # The manager orchestrates each cross-node move with a
-                    # control command to the source node — the coordination
-                    # overhead the executor-centric design avoids (its moves
-                    # are local to one executor's main process).
-                    yield self.cluster.network.transfer(
-                        self.manager_node, src.node_id, CONTROL_BYTES,
-                        purpose=TransferPurpose.CONTROL,
-                    )
-                    src_store = self.store_for_node(src.node_id)
-                    dst_store = self.store_for_node(dst.node_id)
-                    if shard_id not in src_store:
-                        continue  # state died with a crashed node mid-round
-                    migrated_bytes = src_store.get(shard_id).nominal_bytes
-                    yield from migrate_shard(
-                        self.env, self.cluster.network, src_store, dst_store,
-                        shard_id, self.migration_clock,
-                    )
-                migrations.append(
-                    (shard_id, inter_node, self.env.now - migration_started, migrated_bytes)
-                )
-                self._assignment[shard_id] = dst
-            span.mark("migration")
-            proto.advance("migration")
-            # (d) Update the routing tables of all upstream executors.
-            yield from self._control_round()
+            drain_done = yield from self.barrier.synchronize(
+                self._migrate(moves, migrations), span
+            )
             update_done = self.env.now
-            self.gate.open()
-            span.mark("routing_update")
-            proto.advance("routing_update")
             # Retire removed executors (their queues are drained by now).
             for executor in removed:
                 executor.input_queue.put_nowait(STOP)
-                if executor in self.executors:
-                    self.executors.remove(executor)
-                try:
-                    self.cluster.cores.release(executor.name, executor.node_id, 1)
-                except CoreAllocationError:
-                    pass  # its node crashed; the holdings were already withdrawn
+                self._drop_executor(executor)
             sync_seconds = (drain_done - started) + (update_done - drain_done) - sum(
                 duration for _, _, duration, _ in migrations
             )
@@ -598,10 +462,46 @@ class RCOperatorManager:
                 )
             span.finish(status="ok", migrations=len(migrations),
                         sync_seconds=sync_seconds)
-            proto.advance("done")
         finally:
             span.finish(status="aborted")
-            proto.close("aborted")
+            self._protocol_lock.release()
+
+    def _migrate(
+        self,
+        moves: typing.List[typing.Tuple[int, RCExecutor, RCExecutor]],
+        migrations: typing.List[typing.Tuple[int, bool, float, int]],
+    ) -> typing.Generator:
+        """Repartitioning's move step: migrate state between node stores."""
+        for shard_id, src, dst in moves:
+            if not src.alive or not dst.alive:
+                # A crash intervened while this round was planned/running;
+                # crash recovery re-homes the shard, don't touch it here.
+                continue
+            inter_node = src.node_id != dst.node_id
+            migration_started = self.env.now
+            migrated_bytes = 0
+            if inter_node:
+                # The manager orchestrates each cross-node move with a
+                # control command to the source node — the coordination
+                # overhead the executor-centric design avoids (its moves
+                # are local to one executor's main process).
+                yield self.cluster.network.transfer(
+                    self.barrier.manager_node, src.node_id, CONTROL_BYTES,
+                    purpose=TransferPurpose.CONTROL,
+                )
+                src_store = self.store_for_node(src.node_id)
+                dst_store = self.store_for_node(dst.node_id)
+                if shard_id not in src_store:
+                    continue  # state died with a crashed node mid-round
+                migrated_bytes = src_store.get(shard_id).nominal_bytes
+                yield from migrate_shard(
+                    self.env, self.cluster.network, src_store, dst_store,
+                    shard_id, self.migration_clock,
+                )
+            migrations.append(
+                (shard_id, inter_node, self.env.now - migration_started, migrated_bytes)
+            )
+            self._assignment[shard_id] = dst
 
     # -- crash recovery (the slow, global path — see repro.faults) ----------
 
@@ -630,109 +530,61 @@ class RCOperatorManager:
             "rc_recovery", source=self.spec.name, dead=len(dead),
             state_lost=state_lost,
         )
-        proto = RC_RECOVERY.tracker()
         yield self._protocol_lock.request()
         self._recovering = True
         try:
-            failed_nodes = set()
             for executor in dead:
-                if executor in self.executors:
-                    self.executors.remove(executor)
+                self._drop_executor(executor)
                 if state_lost:
-                    failed_nodes.add(executor.node_id)
-                try:
-                    self.cluster.cores.release(executor.name, executor.node_id, 1)
-                except CoreAllocationError:
-                    pass  # node crash: holdings were already withdrawn
-            if state_lost:
-                for node_id in sorted(failed_nodes):
-                    self._stores.pop(node_id, None)
-            # (a) Pause all upstream executors.
-            self.gate.close()
-            yield from self._control_round()
-            span.mark("pause")
-            proto.advance("pause")
-            # (b) Drain: losses surface via the dead-letter reapers, which
-            # forget them from the in-flight ledger.
-            yield self.in_flight.wait_zero()
-            span.mark("drain")
-            proto.advance("drain")
-            # (c) Re-home every orphaned shard onto the survivors.
+                    self._stores.pop(executor.node_id, None)
             dead_ids = {id(e) for e in dead}
             orphans = sorted(
                 s for s, owner in self._assignment.items() if id(owner) in dead_ids
             )
-            if not self.executors:
-                node = self._pick_node_for_new_executor()
-                if node is None:
-                    # No capacity anywhere: the operator is down for good.
-                    # The gate reopens so upstreams keep flowing (and the
-                    # reapers keep exact loss counts) instead of deadlocking.
-                    stats.record_event(
-                        self.env.now, "rc_recovery_stalled", self.spec.name
-                    )
-                    span.finish(status="stalled")
-                    proto.close("stalled")
-                    return
-                self._create_executor(node)
-            shard_loads = {i: self._shard_load[i] for i in range(self.total_shards)}
-            survivor_loads = {
-                e: sum(
-                    shard_loads[s]
-                    for s, owner in self._assignment.items()
-                    if owner is e
-                )
-                for e in self.executors
-            }
-            placement = self._balancer.spread_plan(
-                shard_loads, orphans, self.executors, initial_loads=survivor_loads
+            # Drain: losses surface via the dead-letter reapers, which
+            # forget them from the in-flight ledger.
+            drained = yield from self.barrier.synchronize(
+                self._rehome(orphans, stats, rebuild_rate), span
             )
-            for shard_id in sorted(placement):
-                dst = placement[shard_id]
-                dst_store = self.store_for_node(dst.node_id)
-                if shard_id not in dst_store:
-                    src_store = None
-                    for node_id in sorted(self._stores):
-                        if shard_id in self._stores[node_id]:
-                            src_store = self._stores[node_id]
-                            break
-                    if src_store is None:
-                        # Only replica died: serial rebuild at the manager —
-                        # part of why RC recovery is slow.
-                        shard = ShardState(
-                            shard_id,
-                            nominal_bytes=self.spec.shard_state_bytes,
-                            hot_entries=self.spec.hot_state_entries,
-                        )
-                        if rebuild_rate > 0 and shard.nominal_bytes:
-                            yield self.env.timeout(shard.nominal_bytes / rebuild_rate)
-                        dst_store.add(shard)
-                        stats.shards_rebuilt.add(1)
-                        stats.state_bytes_rebuilt.add(shard.nominal_bytes)
-                    elif src_store is not dst_store:
-                        nbytes = src_store.get(shard_id).nominal_bytes
-                        yield from migrate_shard(
-                            self.env,
-                            self.cluster.network,
-                            src_store,
-                            dst_store,
-                            shard_id,
-                            self.migration_clock,
-                        )
-                        stats.bytes_remigrated.add(nbytes)
-                self._assignment[shard_id] = dst
-            span.mark("migration")
-            proto.advance("migration")
-            # (d) Push updated routing tables to every upstream, resume.
-            yield from self._control_round()
-            span.mark("routing_update")
-            proto.advance("routing_update")
+            if drained is None:
+                # No capacity anywhere: the operator is down for good.
+                # The barrier reopened the gate so upstreams keep flowing
+                # (and the reapers keep exact loss counts) instead of
+                # deadlocking.
+                stats.record_event(
+                    self.env.now, "rc_recovery_stalled", self.spec.name
+                )
+                span.finish(status="stalled")
+                return
             span.finish(status="ok", orphans=len(orphans))
-            proto.advance("done")
         finally:
             span.finish(status="aborted")
-            proto.close("aborted")
-            self.gate.open()
             self._recovering = False
             self._protocol_lock.release()
         stats.add_downtime(self.env.now - started)
+
+    def _rehome(
+        self, orphans: typing.List[int], stats: typing.Any, rebuild_rate: float
+    ) -> typing.Generator:
+        """Recovery's move step: re-home every orphaned shard onto the
+        survivors, migrating surviving state and rebuilding lost state."""
+        if not self.executors:
+            node = self._pick_node_for_new_executor()
+            if node is None:
+                return STALLED
+            self._create_executor(node)
+        shard_loads = {i: self._shard_load[i] for i in range(self.total_shards)}
+        placement = self._balancer.spread_plan(
+            shard_loads, orphans, self.executors,
+            initial_loads=self._executor_loads(shard_loads, self.executors),
+        )
+        for shard_id in sorted(placement):
+            dst = placement[shard_id]
+            # Migrate a surviving replica, else rebuild serially at the
+            # manager — part of why RC recovery is slow.
+            yield from restore_shard(
+                self.env, self.cluster.network, self._stores,
+                self.store_for_node(dst.node_id), shard_id, self.spec,
+                stats, rebuild_rate, self.migration_clock,
+            )
+            self._assignment[shard_id] = dst

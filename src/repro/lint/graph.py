@@ -59,8 +59,9 @@ FACT_OWN_MUTATION = "own_mutation"      #: shard-state mutation site
 FACT_OWN_ATTEST = "own_attest"          #: ownership-epoch attestation
 
 #: Runtime attestations that a function executes inside an ownership
-#: epoch: starting a protocol tracker, or calling the shard sanitizer's
-#: ownership hooks (the static complement of ``REPRO_SANITIZE=1``).
+#: epoch: starting a protocol tracker (directly, or by handing a move step
+#: to an operator barrier's ``synchronize``), or calling the shard
+#: sanitizer's ownership hooks (the static complement of ``REPRO_SANITIZE=1``).
 _SANITIZER_HOOKS = frozenset(
     {"on_assign", "on_orphan", "on_pause", "on_resume", "on_route"}
 )
@@ -556,6 +557,13 @@ class _Extractor:
             self._fact(
                 scope, FACT_OWN_ATTEST, node.lineno,
                 f"{receiver}.tracker() protocol epoch",
+            )
+        elif last == "synchronize" and receiver.endswith("barrier"):
+            # OperatorBarrier.synchronize holds the RC_SYNC tracker and runs
+            # the move step its caller hands it inside that epoch.
+            self._fact(
+                scope, FACT_OWN_ATTEST, node.lineno,
+                f"{receiver}.synchronize() protocol epoch",
             )
         elif last in _SANITIZER_HOOKS:
             self._fact(

@@ -7,8 +7,10 @@ This rule is the static complement: every shard-state mutation site
 (store ``add``/``remove``, ``.data`` subscript writes and dict mutation,
 ``migrate_shard``) in ``repro/executors/`` must be reachable **only**
 through functions that attest to an ownership epoch — starting a
-protocol tracker (``SHARD_REASSIGN.tracker()`` et al.) or invoking the
-sanitizer's ownership hooks (``on_assign``/``on_orphan``/...).
+protocol tracker (``SHARD_REASSIGN.tracker()`` et al.), handing a move
+step to ``barrier.synchronize(...)`` (the operator barrier runs it inside
+its ``RC_SYNC`` tracker) or invoking the sanitizer's ownership hooks
+(``on_assign``/``on_orphan``/...).
 
 The check walks the call graph *upward* from each mutation site.  A
 path that hits a caller-less root without passing a single attesting

@@ -186,28 +186,15 @@ SHARD_REASSIGN = _table(
     ["done", "aborted"],
 )
 
-#: RC operator-level repartitioning: pause every upstream, wait for the
-#: in-flight ledger to drain, migrate state between node stores, push new
-#: routing tables to all upstreams.
+#: The RC global synchronization — operator-level repartitioning, RC crash
+#: recovery and hybrid split/merge alike: pause every upstream, wait for
+#: the in-flight ledger to drain, move state, push new routing tables to
+#: all upstreams.  That recovery pays the same round as a repartitioning
+#: *is* the baseline's cost.  ``stalled`` is recovery's escape hatch when
+#: no capacity exists anywhere after the drain.  (``SHARD_REASSIGN`` has
+#: the same phases but stays separate: a per-shard move never stalls.)
 RC_SYNC = _table(
     "rc_sync",
-    "start",
-    {
-        "start": ["pause"],
-        "pause": ["drain"],
-        "drain": ["migration"],
-        "migration": ["routing_update"],
-        "routing_update": ["done"],
-    },
-    ["done", "aborted"],
-)
-
-#: RC crash recovery runs the same global synchronization as a
-#: repartitioning round — that sameness *is* the baseline's cost — so it
-#: shares the phase graph, with an extra escape hatch: when no capacity
-#: exists anywhere the operator parks in ``stalled`` after the drain.
-RC_RECOVERY = _table(
-    "rc_recovery",
     "start",
     {
         "start": ["pause"],
@@ -255,7 +242,6 @@ TABLES: typing.Dict[str, ProtocolTable] = {
     for table in (
         SHARD_REASSIGN,
         RC_SYNC,
-        RC_RECOVERY,
         FAULT_RECOVERY,
         REHOME,
     )

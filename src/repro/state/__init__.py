@@ -10,7 +10,7 @@ process reassignment migrates the shard's state over the network.
 from repro.state.flat import SpillableKeyStore
 from repro.state.shard import ShardState
 from repro.state.store import ProcessStateStore, StateError
-from repro.state.migration import MigrationClock, migrate_shard
+from repro.state.migration import MigrationClock, migrate_shard, restore_shard
 from repro.state.external import ExternalStateService
 
 __all__ = [
@@ -21,4 +21,5 @@ __all__ = [
     "SpillableKeyStore",
     "StateError",
     "migrate_shard",
+    "restore_shard",
 ]

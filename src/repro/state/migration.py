@@ -2,7 +2,9 @@
 
 Same-node reassignments are free thanks to intra-process state sharing.
 Cross-node migration pays serialization, a tagged network transfer, and
-deserialization — the costs that dominate Figure 9b of the paper.
+deserialization — the costs that dominate Figure 9b of the paper.  Crash
+recovery restores a shard the same way, or rebuilds it when its only
+replica died.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import typing
 
 from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.sim import Environment
+from repro.state.shard import ShardState
 from repro.state.store import ProcessStateStore
 
 
@@ -68,3 +71,38 @@ def migrate_shard(
             yield env.timeout(serialize)  # deserialization on the receiver
     dst.add(shard)
     return env.now - started
+
+
+def restore_shard(
+    env: Environment,
+    fabric: NetworkFabric,
+    replicas: typing.Mapping[int, ProcessStateStore],
+    dst: ProcessStateStore,
+    shard_id: int,
+    spec: typing.Any,
+    stats: typing.Any,
+    rebuild_rate: float,
+    clock: typing.Optional[MigrationClock] = None,
+) -> typing.Generator:
+    """Make ``shard_id``'s state present in ``dst`` after a crash.
+
+    A simulation process body: migrate the shard from the first store of
+    ``replicas`` (by node id) holding it, else — the only replica died —
+    rebuild a fresh one at ``rebuild_rate`` bytes/s.  ``stats`` (a
+    :class:`repro.metrics.recovery.RecoveryStats`) counts either cost.
+    """
+    if shard_id in dst:
+        return
+    for node_id in sorted(replicas):
+        src = replicas[node_id]
+        if shard_id in src:
+            nbytes = src.get(shard_id).nominal_bytes
+            yield from migrate_shard(env, fabric, src, dst, shard_id, clock)
+            stats.bytes_remigrated.add(nbytes)
+            return
+    shard = ShardState.fresh(shard_id, spec)
+    if rebuild_rate > 0 and shard.nominal_bytes:
+        yield env.timeout(shard.nominal_bytes / rebuild_rate)
+    dst.add(shard)
+    stats.shards_rebuilt.add(1)
+    stats.state_bytes_rebuilt.add(shard.nominal_bytes)

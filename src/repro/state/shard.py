@@ -36,6 +36,15 @@ class ShardState:
             SpillableKeyStore(hot_entries) if hot_entries is not None else {}
         )
 
+    @classmethod
+    def fresh(cls, shard_id: int, spec: typing.Any) -> "ShardState":
+        """An empty shard sized by an :class:`~repro.topology.OperatorSpec`."""
+        return cls(
+            shard_id,
+            nominal_bytes=spec.shard_state_bytes,
+            hot_entries=spec.hot_state_entries,
+        )
+
     def resize(self, nominal_bytes: int) -> None:
         if nominal_bytes < 0:
             raise ValueError(f"nominal_bytes must be >= 0, got {nominal_bytes}")

@@ -3,7 +3,8 @@
 ``hot_path_steal`` moves a shard between stores with no protocol
 tracker or sanitizer hook anywhere on its (absent) caller chain;
 ``guarded_steal`` performs the same mutation under a tracker and stays
-clean, as does constructor-time population.
+clean, as does ``_barrier_move`` (its only caller hands it to an operator
+barrier's ``synchronize``) and constructor-time population.
 """
 
 from repro.protocol import SHARD_REASSIGN
@@ -17,10 +18,11 @@ class ShardStore:
 
 
 class Rebalancer:
-    __slots__ = ("stores",)
+    __slots__ = ("stores", "barrier")
 
-    def __init__(self, stores):
+    def __init__(self, stores, barrier):
         self.stores = stores
+        self.barrier = barrier
 
     def hot_path_steal(self, shard, src, dst):
         self.stores[dst].add(shard)
@@ -34,3 +36,11 @@ class Rebalancer:
             proto.advance("pause")
         finally:
             proto.close("aborted")
+
+    def barrier_steal(self, shard, src, dst, span):
+        yield from self.barrier.synchronize(self._barrier_move(shard, src, dst), span)
+
+    def _barrier_move(self, shard, src, dst):
+        self.stores[dst].add(shard)
+        self.stores[src].remove(shard)
+        yield

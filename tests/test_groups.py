@@ -12,7 +12,7 @@ from repro.executors import (
 )
 from repro.executors.channels import WindowedSender
 from repro.executors.group import SourceInstance, submit_when_open
-from repro.executors.rc import InFlightCounter
+from repro.executors.gate import InFlightCounter
 from repro.faults.recovery import DeadLetterReaper
 from repro.logic.base import SyntheticLogic
 from repro.metrics.recovery import RecoveryStats

@@ -120,8 +120,8 @@ class TestFixturesTripRules:
     def test_own001_fixture(self):
         findings = lint_fixture("repro/executors/own001_bad.py")
         assert rules_of(findings) == {"OWN001"}
-        # hot_path_steal's two mutations; guarded_steal and the
-        # constructors stay clean.
+        # hot_path_steal's two mutations; guarded_steal, the
+        # barrier-driven move and the constructors stay clean.
         assert len(findings) == 2
         assert all("ownership epoch" in f.message for f in findings)
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.protocol import (
     FAULT_RECOVERY,
-    RC_RECOVERY,
     RC_SYNC,
     REHOME,
     SHARD_REASSIGN,
@@ -16,8 +15,7 @@ from repro.protocol import (
 class TestTables:
     def test_registry_is_complete(self):
         assert set(TABLES) == {
-            "shard_reassign", "rc_sync", "rc_recovery", "fault_recovery",
-            "rehome",
+            "shard_reassign", "rc_sync", "fault_recovery", "rehome",
         }
         for name, table in TABLES.items():
             assert table.name == name
@@ -28,6 +26,13 @@ class TestTables:
         assert SHARD_REASSIGN.allows("start", "pause")
         assert SHARD_REASSIGN.allows("pause", "drain")
         assert not SHARD_REASSIGN.allows("pause", "routing_update")
+
+    def test_only_the_global_sync_can_stall(self):
+        # RC recovery parks in ``stalled`` when the drain finds no capacity;
+        # a per-shard reassignment always has its source to fall back to.
+        assert RC_SYNC.transitions["drain"] == {"migration", "stalled"}
+        assert "stalled" in RC_SYNC.terminal
+        assert "stalled" not in SHARD_REASSIGN.states
 
     def test_terminal_reachable_from_anywhere(self):
         for table in TABLES.values():
@@ -66,7 +71,7 @@ class TestTracker:
             proto.close("detected")
 
     def test_close_is_noop_when_finished(self):
-        proto = RC_RECOVERY.tracker()
+        proto = RC_SYNC.tracker()
         proto.advance("pause")
         proto.advance("drain")
         proto.advance("migration")

@@ -131,6 +131,14 @@ fault_actions = st.lists(
     churn=[(1.2734375, "remove"), (1.0, "add_local")],
     crashes=[1.28125],
 )
+# The same crash must not hand the evacuated shard back to the task being
+# removed: key 21 (shard 15) keeps arriving after the removal, and none of
+# it may vanish into the stopped task.
+@example(
+    workload=[(0, 1)] * 260 + [(21, 1)] * 3,
+    churn=[(1.2734375, "remove"), (1.0, "add_local")],
+    crashes=[1.28125],
+)
 def test_exactly_once_or_counted_lost_under_crashes(workload, churn, crashes):
     """§2.1 extended through failures: random task crashes (dead cores)
     interleave with elasticity churn and the balancer's own reassignments.

@@ -230,20 +230,20 @@ class TestRCScaling:
 
 class TestInFlightCounter:
     def test_underflow_rejected(self, env):
-        from repro.executors.rc import InFlightCounter
+        from repro.executors.gate import InFlightCounter
 
         counter = InFlightCounter(env)
         with pytest.raises(RuntimeError):
             counter.decrement()
 
     def test_wait_zero_immediate_when_idle(self, env):
-        from repro.executors.rc import InFlightCounter
+        from repro.executors.gate import InFlightCounter
 
         counter = InFlightCounter(env)
         assert counter.wait_zero().triggered
 
     def test_wait_zero_fires_on_drain(self, env):
-        from repro.executors.rc import InFlightCounter
+        from repro.executors.gate import InFlightCounter
 
         counter = InFlightCounter(env)
         counter.increment()
