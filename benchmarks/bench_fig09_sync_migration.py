@@ -88,7 +88,7 @@ def elasticutor_sync_time(upstreams: int) -> float:
 
     def reassign():
         shard = next(iter(executor.routing.shards_of(tasks[0])))
-        yield from executor._reassign(shard, tasks[1])
+        yield from executor._move_shard(shard, tasks[0], tasks[1])
 
     env.process(reassign())
     env.run(until=10.0)

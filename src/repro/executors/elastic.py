@@ -36,7 +36,7 @@ from repro.executors.routing import RoutingTable
 from repro.executors.stats import ExecutorMetrics, ReassignmentRecord, ReassignmentStats
 from repro.executors.task import STOP, Task
 from repro.logic.base import OperatorLogic
-from repro.protocol import REHOME, SHARD_REASSIGN
+from repro.protocol import SHARD_REASSIGN
 from repro.sanitize import ShardSanitizer
 from repro.sim import Environment, Event, Resource, Store
 from repro.state import (
@@ -46,6 +46,7 @@ from repro.state import (
     migrate_shard,
     restore_shard,
 )
+from repro.telemetry.events import NULL_SPAN
 from repro.topology.batch import LabelTuple, TupleBatch
 from repro.topology.keys import shard_lookup
 from repro.topology.operator import OperatorSpec
@@ -151,14 +152,25 @@ class _ReceiverLoop:
         _Delivery(self.sender, hop, task.queue, batch)
         self._pump()
 
-    def kill(self) -> typing.Optional[Event]:
-        """Stop the loop (crash semantics); returns the awaited event.
+    def kill(self) -> typing.List[typing.Any]:
+        """Stop the loop (crash semantics); returns the batch its get
+        held (see :func:`stop_loop`)."""
+        return stop_loop(
+            self, self.input_queue, self._on_batch_cb, self._on_put_cb,
+            self._on_window_cb,
+        )
 
-        Same contract as ``Process.kill``: the loop's callback is removed
-        from whatever it was blocked on so the caller can cancel the
-        store bookkeeping tied to it.
-        """
-        return stop_loop(self, self._on_batch_cb, self._on_put_cb, self._on_window_cb)
+
+class _Recovery(typing.NamedTuple):
+    """How re-homing brings back an orphaned shard's state."""
+
+    #: node -> store that may still hold the state (empty when the only
+    #: replica died with its process).
+    replicas: typing.Mapping[int, ProcessStateStore]
+    #: :class:`repro.metrics.recovery.RecoveryStats` counting the cost.
+    stats: typing.Any
+    #: Bytes/s of a rebuild from scratch.
+    rebuild_rate: float
 
 
 class ElasticExecutor:
@@ -171,7 +183,8 @@ class ElasticExecutor:
         "routing", "metrics", "tasks", "_next_task_id", "stores",
         "_receiver_sender", "_emitter_sender", "_remote_senders", "_control",
         "_balancer", "_shard_cost_accum", "_shard_load", "_downstream_groups",
-        "_sink_recorder", "_started", "_enable_balancer", "_daemons", "alive",
+        "_sink_recorder", "_started", "_enable_balancer", "_receiver", "_emitter",
+        "_balance_daemon", "alive",
         "stall_factor", "operator_in_flight", "_san", "latency_probe",
     )
 
@@ -243,7 +256,12 @@ class ElasticExecutor:
         self._sink_recorder: typing.Optional[typing.Callable] = None
         self._started = False
         self._enable_balancer = True
-        self._daemons: typing.List[typing.Any] = []
+        #: The receiver and emitter loops and the balance process, set by
+        #: :meth:`_start_daemons`.  A crash leaves the dead ones in place:
+        #: killing them again is a no-op.
+        self._receiver: typing.Any = None
+        self._emitter: typing.Any = None
+        self._balance_daemon: typing.Any = None
         #: False between a fatal crash and the completed restart; the
         #: scheduler ignores dead executors.
         self.alive = True
@@ -316,19 +334,24 @@ class ElasticExecutor:
         if initial_cores < 1:
             raise ValueError("an executor needs at least one core")
         self._started = True
-        for _ in range(initial_cores):
-            self._create_task(self.local_node)
-        # Initial placement: shards spread round-robin over initial tasks.
-        tasks = list(self.tasks.values())
+        tasks = [self._create_task(self.local_node) for _ in range(initial_cores)]
+        self._assign_round_robin(tasks)
+        self._start_daemons()
+
+    def _assign_round_robin(self, tasks: typing.Sequence[Task]) -> None:
+        """Initial placement: shards spread round-robin over ``tasks``."""
         san = self._san
         for shard_id in range(self.num_shards):
             task = tasks[shard_id % len(tasks)]
             self.routing.assign(shard_id, task)
             if san is not None:
                 san.on_assign(shard_id, task.task_id)
-        self._daemons = [_ReceiverLoop(self), _EmitterLoop(self)]
+
+    def _start_daemons(self) -> None:
+        self._receiver = _ReceiverLoop(self)
+        self._emitter = _EmitterLoop(self)
         if self._enable_balancer:
-            self._daemons.append(self.env.process(self._balance_loop()))
+            self._balance_daemon = self.env.process(self._balance_loop())
 
     # -- data plane -------------------------------------------------------
 
@@ -355,6 +378,18 @@ class ElasticExecutor:
         self.routing.register_task(task)
         return task
 
+    def _open_process(self, node_id: int) -> bool:
+        """Give ``node_id`` a process of this executor — its state store
+        and a sender back to the main process — unless it has one; True
+        when a remote process is new (it pays the spawn delay)."""
+        if node_id == self.local_node or node_id in self.stores:
+            return False
+        self.stores[node_id] = ProcessStateStore(self.name, node_id)
+        self._remote_senders[node_id] = WindowedSender(
+            self.env, self.cluster.network, node_id, window=SEND_WINDOW,
+        )
+        return True
+
     def add_core(self, node_id: int) -> typing.Generator:
         """Grow by one task on ``node_id`` and rebalance shards onto it.
 
@@ -364,12 +399,7 @@ class ElasticExecutor:
         try:
             if not self.cluster.node(node_id).alive:
                 return  # the node crashed after this growth was planned
-            if node_id != self.local_node and node_id not in self.stores:
-                self.stores[node_id] = ProcessStateStore(self.name, node_id)
-                self._remote_senders[node_id] = WindowedSender(
-                    self.env, self.cluster.network, node_id,
-                    window=SEND_WINDOW,
-                )
+            if self._open_process(node_id):
                 yield self.env.timeout(REMOTE_PROCESS_SPAWN_SECONDS)
                 if not self.cluster.node(node_id).alive:
                     self.stores.pop(node_id, None)
@@ -403,7 +433,7 @@ class ElasticExecutor:
                 initial_loads={t: self._task_load(t) for t in survivors},
             )
             for shard_id, dst_task in sorted(placement.items()):
-                yield from self._reassign(shard_id, dst_task, draining=victim)
+                yield from self._move_shard(shard_id, victim, dst_task, draining=victim)
             if self.routing.shards_of(victim):
                 # Every other task crashed mid-evacuation, so the victim
                 # kept the shards it could not hand over: it is the last
@@ -478,8 +508,8 @@ class ElasticExecutor:
                 span.finish(status="ok", mode="spread_by_count")
                 return
             # Plan over live tasks only: a crash overlapping remove_core can
-            # leave a shard pointing at a task that is already gone.  Like
-            # _reassign's ``src_task is None`` case, recovery owns it.
+            # leave a shard pointing at a task that is already gone, and
+            # recovery owns it.
             assignment = {
                 shard_id: task
                 for shard_id, task in self.routing.assignment().items()
@@ -489,7 +519,7 @@ class ElasticExecutor:
                 shard_loads, assignment, list(self.tasks.values())
             )
             for move in moves:
-                yield from self._reassign(move.shard_id, move.dst)
+                yield from self._move_shard(move.shard_id, move.src, move.dst)
             span.finish(status="ok", moves=len(moves))
         finally:
             span.finish(status="aborted")
@@ -510,68 +540,94 @@ class ElasticExecutor:
                     deficits.pop(0)
                 if not deficits:
                     return
-                yield from self._reassign(shard_id, deficits[0])
+                yield from self._move_shard(shard_id, task, deficits[0])
 
     # -- consistent shard reassignment (paper §3.3) ------------------------
 
-    def _reassign(
+    def _move_shard(
         self,
         shard_id: int,
+        src_task: typing.Optional[Task],
         dst_task: Task,
         draining: typing.Optional[Task] = None,
+        recovery: typing.Any = None,
     ) -> typing.Generator:
-        """Move one shard to ``dst_task`` (paper §3.3).  Should ``dst_task``
-        die mid-move, the fallback is never ``draining``, a task being removed."""
+        """Move one shard from ``src_task`` to ``dst_task`` (paper §3.3).
+
+        The one shard move of balancing, shrinking and crash re-homing.
+        ``src_task`` is the owner the caller planned with; the move gives
+        up (returns False) if the shard's owner is no longer that task.
+        A live source is drained by the labeling-tuple chase and migrates
+        its state.  A shard orphaned by a crash (``src_task`` None) has
+        nothing to chase — the reaper already dead-lettered its queue —
+        and gets its state back through :func:`restore_shard`, as
+        ``recovery`` (a :class:`_Recovery`) says.  Should ``dst_task``
+        die mid-move, the fallback is the least-loaded live task other
+        than ``draining`` (a task being removed); with none left a live
+        source keeps the shard and an orphan stays orphaned (returns
+        False).
+        """
         entry = self.routing.entry(shard_id)
-        src_task = entry.task
+        if entry.task is not src_task:
+            # A crash orphaned the shard, or recovery re-homed it, since
+            # the caller planned: recovery owns it now.
+            return False
         if src_task is dst_task:
-            return
-        if src_task is None:
-            # The shard was orphaned by a crash; recovery owns it (state
-            # may need rebuilding first), so balancing leaves it alone.
-            return
+            return True
         bus = self.env.telemetry
         san = self._san
-        span = bus.begin_span("reassign", source=self.name, shard=shard_id)
+        # An orphaned move is one step of the caller's ``rehome`` span.
+        span = NULL_SPAN if src_task is None else bus.begin_span(
+            "reassign", source=self.name, shard=shard_id
+        )
         proto = SHARD_REASSIGN.tracker()
         try:
             started = self.env.now
-            yield self.env.timeout(REASSIGNMENT_OVERHEAD)
-            # 1. Pause routing for the shard; new arrivals buffer in the entry.
-            entry.paused = True
+            if src_task is not None:
+                yield self.env.timeout(REASSIGNMENT_OVERHEAD)
+                # 1. Pause routing for the shard; new arrivals buffer in the
+                # entry.  (The crash already paused an orphan.)
+                entry.paused = True
+                if san is not None:
+                    san.on_pause(shard_id, src_task.task_id)
             span.mark("pause")
             proto.advance("pause")
-            if san is not None:
-                san.on_pause(shard_id, src_task.task_id)
-            # 2. Drain: a labeling tuple chases all pending tuples of the shard.
-            label_event = self.env.event()
-            yield self._forward(LabelTuple(shard_id, label_event), src_task)
-            yield label_event
+            if src_task is not None:
+                # 2. Drain: a labeling tuple chases all pending tuples of
+                # the shard.
+                label_event = self.env.event()
+                yield self._forward(LabelTuple(shard_id, label_event), src_task)
+                yield label_event
             sync_done = self.env.now
             span.mark("drain")
             proto.advance("drain")
             # Re-validate after the drain: a crash may have intervened (dead
             # queues succeed their labels via the dead-letter reaper).
             if entry.task is not src_task:
-                # Crash recovery orphaned or already re-homed the shard —
-                # abandon this move, recovery owns it now.
-                return
-            # The source is alive here, so with no other live task the
-            # move falls back to it and the shard resumes where it was.
-            dst_task = self._live_destination(dst_task, draining) or src_task
-            if dst_task is src_task:
-                yield from self._install(entry, src_task)
-                return
-            # 3. Migrate state only across processes (intra-process sharing).
-            # With an external state store nothing ever moves — that design's
+                return False
+            dst = self._live_destination(dst_task, draining) or src_task
+            if dst is None:
+                return False
+            if dst is src_task:
+                yield from self._install(entry, dst)
+                return True
+            # 3. State: an orphan's is restored or rebuilt; a live source's
+            # migrates only across processes (intra-process sharing).  With
+            # an external state store nothing ever moves — that design's
             # whole appeal (its cost lives in every state access instead).
             migrated_bytes = 0
-            inter_node = src_task.node_id != dst_task.node_id
+            inter_node = src_task is not None and src_task.node_id != dst.node_id
             if self.external_state is not None:
                 pass
+            elif src_task is None:
+                yield from restore_shard(
+                    self.env, self.cluster.network, recovery.replicas,
+                    self.stores[dst.node_id], shard_id, self.spec,
+                    recovery.stats, recovery.rebuild_rate, self.migration_clock,
+                )
             elif inter_node:
                 src_store = self.stores[src_task.node_id]
-                dst_store = self.stores[dst_task.node_id]
+                dst_store = self.stores[dst.node_id]
                 migrated_bytes = src_store.get(shard_id).nominal_bytes
                 yield from migrate_shard(
                     self.env, self.cluster.network, src_store, dst_store,
@@ -589,28 +645,33 @@ class ElasticExecutor:
             span.mark("migration")
             proto.advance("migration")
             # 4. Update the routing table, flush buffered tuples, resume.
-            yield from self._install(entry, dst_task)
+            flushed = yield from self._install(entry, dst)
             span.mark("routing_update")
             proto.advance("routing_update")
-            self.reassignment_stats.record(
-                ReassignmentRecord(
-                    time=started,
-                    shard_id=shard_id,
-                    inter_node=inter_node,
-                    sync_seconds=sync_done - started,
-                    migration_seconds=migration_done - sync_done,
-                    migrated_bytes=migrated_bytes,
+            if src_task is None:
+                if flushed:
+                    recovery.stats.tuples_rerouted.add(flushed)
+            else:
+                self.reassignment_stats.record(
+                    ReassignmentRecord(
+                        time=started,
+                        shard_id=shard_id,
+                        inter_node=inter_node,
+                        sync_seconds=sync_done - started,
+                        migration_seconds=migration_done - sync_done,
+                        migrated_bytes=migrated_bytes,
+                    )
                 )
-            )
-            span.finish(status="ok", inter_node=inter_node,
-                        migrated_bytes=migrated_bytes)
-            bus.emit(
-                "reassignment", source=self.name, shard=shard_id,
-                inter_node=inter_node, sync_seconds=sync_done - started,
-                migration_seconds=migration_done - sync_done,
-                migrated_bytes=migrated_bytes, started=started,
-            )
+                span.finish(status="ok", inter_node=inter_node,
+                            migrated_bytes=migrated_bytes)
+                bus.emit(
+                    "reassignment", source=self.name, shard=shard_id,
+                    inter_node=inter_node, sync_seconds=sync_done - started,
+                    migration_seconds=migration_done - sync_done,
+                    migrated_bytes=migrated_bytes, started=started,
+                )
             proto.advance("done")
+            return True
         finally:
             # Early returns and crash kills land here with the span still
             # open: close it as aborted so exported logs stay well-formed.
@@ -662,12 +723,12 @@ class ElasticExecutor:
         until :meth:`restart_on_node` rebuilds it elsewhere.
         """
         self.alive = False
-        for daemon in self._daemons:
-            waiting = daemon.kill()
-            if waiting is not None:
-                self.input_queue.cancel(waiting)
-                self._emitter_queue.cancel(waiting)
-        self._daemons = []
+        # A batch the receiver or the emitter took in this very instant
+        # dies ahead of the rest of its queue.
+        held_input = self._receiver.kill()
+        held_emitted = self._emitter.kill()
+        if self._balance_daemon is not None:
+            self._balance_daemon.kill()
         for task in sorted(self.tasks.values(), key=lambda t: t.task_id):
             for item in task.kill():
                 reaper.account(item)
@@ -684,12 +745,12 @@ class ElasticExecutor:
             entry.paused = True
             if san is not None:
                 san.on_orphan(shard_id)
-        for item in self.input_queue.drain():
+        for item in [*held_input, *self.input_queue.drain()]:
             reaper.account(item)
             if san is not None:
                 san.forget(item)
         reaper.watch(self.input_queue)
-        for item in self._emitter_queue.drain():
+        for item in [*held_emitted, *self._emitter_queue.drain()]:
             reaper.account(item)
         reaper.watch(self._emitter_queue)
 
@@ -739,25 +800,17 @@ class ElasticExecutor:
             yield self.env.timeout(spawn_delay)
         tasks = []
         for node_id in [new_node, *extra_nodes]:
-            if node_id != new_node and node_id not in self.stores:
-                self.stores[node_id] = ProcessStateStore(self.name, node_id)
-                self._remote_senders[node_id] = WindowedSender(
-                    self.env, self.cluster.network, node_id,
-                    window=SEND_WINDOW,
-                )
+            self._open_process(node_id)
             tasks.append(self._create_task(node_id))
+        self._assign_round_robin(tasks)
         per_store: typing.Dict[int, int] = {}
-        for shard_id in range(self.num_shards):
-            task = tasks[shard_id % len(tasks)]
-            if self.external_state is None:
+        if self.external_state is None:
+            for shard_id, task in self.routing.assignment().items():
                 shard = ShardState.fresh(shard_id, self.spec)
                 self.stores[task.node_id].add(shard)
                 per_store[task.node_id] = (
                     per_store.get(task.node_id, 0) + shard.nominal_bytes
                 )
-            self.routing.assign(shard_id, task)
-            if self._san is not None:
-                self._san.on_assign(shard_id, task.task_id)
         rebuilt_bytes = sum(per_store.values())
         if rebuilt_bytes and rebuild_rate > 0:
             # One rebuild stream per process, all running concurrently.
@@ -766,9 +819,7 @@ class ElasticExecutor:
             stats.shards_rebuilt.add(self.num_shards)
             stats.state_bytes_rebuilt.add(rebuilt_bytes)
         self.alive = True
-        self._daemons = [_ReceiverLoop(self), _EmitterLoop(self)]
-        if self._enable_balancer:
-            self._daemons.append(self.env.process(self._balance_loop()))
+        self._start_daemons()
         stats.add_downtime(self.env.now - started)
 
     def rehome_orphans(
@@ -781,19 +832,20 @@ class ElasticExecutor:
     ) -> typing.Generator:
         """Re-home orphaned shards onto the surviving tasks.
 
-        Simulation process body.  ``lose_state=True`` models the only
-        state replica dying with its process (node crash): each shard is
-        rebuilt from scratch at ``rebuild_rate`` bytes/s.  With
-        ``lose_state=False`` (core failure — the hosting process lives)
-        state migrates instead: free to a same-node task thanks to
-        intra-process sharing, serialization + transfer otherwise.
+        Simulation process body: spread the orphans over the survivors,
+        then move each one (:meth:`_move_shard`).  ``lose_state=True``
+        models the only state replica dying with its process (node
+        crash): each shard is rebuilt from scratch at ``rebuild_rate``
+        bytes/s.  With ``lose_state=False`` (core failure — the hosting
+        process lives) state migrates instead: free to a same-node task
+        thanks to intra-process sharing, serialization + transfer
+        otherwise.
         """
         bus = self.env.telemetry
         span = bus.begin_span(
             "rehome", source=self.name, failed_node=failed_node,
             lose_state=lose_state,
         )
-        proto = REHOME.tracker()
         yield self._control.request()
         try:
             if lose_state and failed_node != self.local_node:
@@ -812,34 +864,21 @@ class ElasticExecutor:
                 survivors,
                 initial_loads={t: self._task_load(t) for t in survivors},
             )
-            proto.advance("placed")
+            # State living off-cluster never saw the failure; state that
+            # died with its process (lose_state) is rebuilt.
+            recovery = _Recovery({} if lose_state else self.stores, stats, rebuild_rate)
             for shard_id, dst_task in sorted(placement.items()):
-                dst_task = self._live_destination(dst_task)
-                if dst_task is None:
+                moved = yield from self._move_shard(
+                    shard_id, None, dst_task, recovery=recovery
+                )
+                if not moved:
                     return
-                entry = self.routing.entry(shard_id)
-                # State living off-cluster never saw the failure; state that
-                # died with its process (lose_state) is rebuilt.
-                if self.external_state is None:
-                    node = dst_task.node_id
-                    yield from restore_shard(
-                        self.env, self.cluster.network,
-                        {} if lose_state else self.stores,
-                        self.stores.setdefault(node, ProcessStateStore(self.name, node)),
-                        shard_id, self.spec, stats, rebuild_rate, self.migration_clock,
-                    )
-                flushed = yield from self._install(entry, dst_task)
-                if flushed:
-                    stats.tuples_rerouted.add(flushed)
-            proto.advance("restored")
             span.finish(status="ok", orphans=len(orphans))
-            proto.advance("done")
         finally:
             span.finish(status="aborted")
-            proto.close("aborted")
             self._control.release()
 
-    # -- shared steps of reassignment and re-homing ------------------------
+    # -- steps of the shard move ------------------------------------------
 
     def _live_destination(
         self, task: Task, draining: typing.Optional[Task] = None

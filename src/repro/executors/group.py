@@ -16,7 +16,8 @@ emitter and the downstream executor live on different nodes).
 The compiled loops that submit into groups live here too: the source
 emit loop and the executor emitter loop share :func:`submit_or_wait`,
 and every compiled loop (task, receiver, emitter) dies through
-:func:`stop_loop`.
+:func:`stop_loop`, which hands back a batch its get took in the crash's
+instant.
 """
 
 from __future__ import annotations
@@ -179,25 +180,34 @@ def submit_or_wait(
     return event
 
 
-def stop_loop(loop: typing.Any, *callbacks: typing.Callable) -> typing.Optional[Event]:
+def stop_loop(
+    loop: typing.Any, queue: typing.Any, on_get: typing.Callable,
+    *callbacks: typing.Callable,
+) -> typing.List[typing.Any]:
     """The compiled loops' shared kill step (crash semantics).
 
-    Marks ``loop`` dead and unhooks whichever of its ``callbacks`` sits
-    on the event it was blocked on.  Returns that event — the
-    ``Process.kill`` contract — so the caller can cancel store
-    bookkeeping tied to it.
+    Marks ``loop`` dead and unhooks whichever of ``on_get`` (its callback
+    on ``queue.get()``) and ``callbacks`` sits on the event it was blocked
+    on.  A get still pending on ``queue`` is withdrawn, so a later
+    delivery is not swallowed by the dead loop.  A get that already fired
+    was handed an item in the crash's instant, before the loop could run:
+    that item is returned (as a one-item list, empty otherwise) for the
+    caller to dead-letter ahead of the rest of ``queue``.
     """
     loop._dead = True
     waiting = loop._waiting
     loop._waiting = None
-    if waiting is not None and waiting.callbacks is not None:
-        for callback in callbacks:
-            try:
-                waiting.callbacks.remove(callback)
-                break
-            except ValueError:
-                pass
-    return waiting
+    if waiting is None or waiting.callbacks is None:
+        return []
+    for callback in (on_get, *callbacks):
+        try:
+            waiting.callbacks.remove(callback)
+        except ValueError:
+            continue
+        if callback is on_get and not queue.cancel(waiting):
+            return [waiting._value]
+        break
+    return []
 
 
 class SourceInstance:
@@ -413,13 +423,14 @@ class _EmitterLoop:
         self._waiting = None
         self._next_group()
 
-    def kill(self) -> typing.Optional[Event]:
-        """Stop the loop (crash semantics); returns the awaited event.
+    def kill(self) -> typing.List[typing.Any]:
+        """Stop the loop (crash semantics); returns the batch its get held.
 
         A gate wait dies with the loop: the batch it holds is never
         submitted from the dead process.
         """
-        waiting = stop_loop(self, self._on_batch_cb, self._on_sent_cb)
+        waiting = self._waiting
+        held = stop_loop(self, self.queue, self._on_batch_cb, self._on_sent_cb)
         if isinstance(waiting, Process):
-            waiting = waiting.kill()
-        return waiting
+            waiting.kill()
+        return held

@@ -138,12 +138,9 @@ class RCExecutor:
         for item in self.task.kill():
             reaper.account(item)
         reaper.watch(self.task.queue)
-        waiting = self._emitter.kill()
-        if waiting is not None:
-            self._emitter_queue.cancel(waiting)
         # Emitter-queue batches were already committed (counted processed,
         # settled in the in-flight ledger) — only their emission is lost.
-        for item in self._emitter_queue.drain():
+        for item in [*self._emitter.kill(), *self._emitter_queue.drain()]:
             reaper.account(item, committed=True)
         reaper.watch(self._emitter_queue, committed=True)
 

@@ -72,17 +72,16 @@ class Task:
         """Abruptly terminate the task (hardware failure semantics).
 
         Returns every unprocessed item: the uncommitted in-progress batch
-        (if any) plus everything still queued.  The task's pending get is
-        cancelled so late deliveries are not swallowed by a dead loop.
+        (if any), the item a get took in this very instant (if any), then
+        everything still queued.  The task's pending get is cancelled so
+        late deliveries are not swallowed by a dead loop.
         """
         self.stopped = True
         items: typing.List[typing.Any] = []
         if self.current_item is not None:
             items.append(self.current_item)
             self.current_item = None
-        waiting = self.process.kill()
-        if waiting is not None:
-            self.queue.cancel(waiting)
+        items.extend(self.process.kill())
         items.extend(self.queue.drain())
         return items
 
@@ -344,19 +343,19 @@ class _TaskPipeline(Event):
         self._item = None
         self._pump()
 
-    def kill(self) -> typing.Optional[Event]:
+    def kill(self) -> typing.List[typing.Any]:
         """Terminate abruptly (crash semantics); same contract as
-        ``Process.kill``: succeeds the completion event so waiters are
-        not stranded and returns the event the pipeline was blocked on
-        so the caller can cancel store bookkeeping tied to it."""
+        ``Process.kill`` except for the return: succeeds the completion
+        event so waiters are not stranded, withdraws a pending get and
+        returns the item a fired get already holds (see :func:`stop_loop`)."""
         if self._value is not PENDING:
-            return None
-        waiting = stop_loop(
-            self, self._on_item_cb, self._on_wake_cb, self._on_eput_cb,
-            self._on_access_cb,
+            return []
+        held = stop_loop(
+            self, self.queue, self._on_item_cb, self._on_wake_cb,
+            self._on_eput_cb, self._on_access_cb,
         )
         if self._access is not None:
             self._access.close()
             self._access = None
         self.succeed(None)
-        return waiting
+        return held

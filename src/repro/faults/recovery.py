@@ -9,7 +9,9 @@ Two pieces live here:
   either processed or counted lost, never silently dropped.
 - :class:`FaultCoordinator` — translates :class:`~repro.faults.spec.FaultEvent`
   occurrences into cluster/executor actions and drives the matching
-  recovery protocol.  The executor-centric paradigms recover locally
+  recovery protocol; node crashes and core failures share one repair
+  path (:meth:`FaultCoordinator._recover`).  The executor-centric
+  paradigms recover locally
   (re-home orphaned shards onto surviving tasks, or restart the executor
   process elsewhere); the RC baseline pays its operator-level global
   synchronization even for a single dead core; the static paradigm
@@ -163,7 +165,7 @@ class FaultCoordinator:
         self._reapers[id(executor)] = reaper
         return reaper
 
-    # -- node crash --------------------------------------------------------
+    # -- node crash and core failure ---------------------------------------
 
     def _node_crash(self, event: FaultEvent) -> typing.Generator:
         node = event.node
@@ -172,118 +174,21 @@ class FaultCoordinator:
         if not cluster.is_alive(node):
             return
         cluster.fail_node(node)
-        bus = self.env.telemetry
-        span = bus.begin_span("recovery", source="faults",
-                              fault="node_crash", detail=f"node={node}")
-        proto = FAULT_RECOVERY.tracker()
         self._event("node_crash", f"node={node}")
-
-        try:
-            # Destruction is immediate: processes on the node die now, and
-            # their queued/in-flight work dead-letters with exact counters.
-            rehomes: typing.List[typing.Tuple[typing.Any, typing.List[int]]] = []
-            restarts: typing.List[typing.Any] = []
-            rc_dead: typing.Dict[str, typing.List[typing.Any]] = {}
-            for op_name in sorted(system.executors_by_operator):
-                executors = system.executors_by_operator[op_name]
-                manager = system.rc_managers.get(op_name)
-                if manager is not None:
-                    for executor in list(executors):
-                        if executor.alive and executor.node_id == node:
-                            executor.crash(self._reaper_for(executor))
-                            rc_dead.setdefault(op_name, []).append(executor)
+        # Every process on the node dies: the tasks it ran, and the main
+        # process of each executor hosted there.
+        victims = []
+        for op_name in sorted(system.executors_by_operator):
+            for executor in system.executors_by_operator[op_name]:
+                if not getattr(executor, "alive", True):
                     continue
-                for executor in executors:
-                    if not getattr(executor, "alive", True):
-                        continue
-                    reaper = self._reaper_for(executor)
-                    prev_cores = max(1, len(executor.tasks))
-                    if executor.local_node == node:
-                        executor.crash_main(reaper)
-                        restarts.append((executor, prev_cores))
-                        continue
-                    victims = [
-                        t for t in executor.tasks.values() if t.node_id == node
-                    ]
-                    if not victims:
-                        continue
-                    orphans = executor.crash_tasks(victims, reaper)
-                    if executor.tasks:
-                        rehomes.append((executor, orphans))
-                    else:
-                        # Every worker lived on the dead node: nothing left to
-                        # re-home onto, so the executor restarts from scratch.
-                        executor.crash_main(reaper)
-                        restarts.append((executor, prev_cores))
-            span.mark("destroyed")
-            proto.advance("destroyed")
-
-            yield self.env.timeout(self.detection_delay)
-            span.mark("detected")
-            proto.advance("detected")
-
-            # Sources are backed by a replayable input; they re-host and
-            # catch up rather than lose tuples.
-            self._relocate_sources(node)
-
-            procs = []
-            for executor, orphans in rehomes:
-                procs.append(
-                    self.env.process(
-                        executor.rehome_orphans(
-                            orphans, node, self.stats, self.rebuild_rate,
-                            lose_state=True,
-                        )
-                    )
-                )
-            for executor, prev_cores in restarts:
-                procs.append(
-                    self.env.process(
-                        self._restart_executor(
-                            executor, target_cores=prev_cores, parent_span=span
-                        )
-                    )
-                )
-            for op_name in sorted(rc_dead):
-                manager = system.rc_managers[op_name]
-                procs.append(
-                    self.env.process(
-                        manager.recover_from_crash(
-                            rc_dead[op_name], self.stats, self.rebuild_rate,
-                            state_lost=True,
-                        )
-                    )
-                )
-            for proc in procs:
-                if not proc.triggered:
-                    yield proc
-            if restarts and not rehomes and not rc_dead and not any(
-                executor.alive for executor, _ in restarts
-            ):
-                # Every repair path was a restart and none found capacity
-                # anywhere: park in the table's declared escape hatch
-                # instead of claiming a repair happened.  Losses keep
-                # counting; conservation remains exact.
-                self._event("recovery_stalled", f"node={node}")
-                span.finish(status="stalled", restarts=len(restarts))
-                proto.close("stalled")
-                return
-            span.mark("repaired")
-            proto.advance("repaired")
-
-            # Re-run global allocation over the surviving cores.
-            if system.scheduler is not None:
-                yield from system.scheduler.reschedule()
-            self._event("node_recovered", f"node={node}")
-            span.finish(status="ok", rehomes=len(rehomes),
-                        restarts=len(restarts), rc_operators=len(rc_dead))
-            proto.advance("done")
-        finally:
-            # A kill mid-recovery lands here with the span still open.
-            span.finish(status="aborted")
-            proto.close("aborted")
-
-    # -- single-core failure -----------------------------------------------
+                if getattr(executor, "manager", None) is not None:  # RC
+                    tasks = [executor.task] if executor.node_id == node else []
+                else:
+                    tasks = [t for t in executor.tasks.values() if t.node_id == node]
+                if tasks or executor.local_node == node:
+                    victims.append((executor, tasks))
+        yield from self._recover("node_crash", f"node={node}", node, victims)
 
     def _core_failure(self, event: FaultEvent) -> typing.Generator:
         node = event.node
@@ -298,91 +203,133 @@ class FaultCoordinator:
         if owner == SOURCE_OWNER:
             # A reserved source core died: re-host one source instance.
             yield self.env.timeout(self.detection_delay)
-            victims = [s for s in system.sources if s.node_id == node]
-            if victims:
+            sources = [s for s in system.sources if s.node_id == node]
+            if sources:
                 self._relocate_one_source(
-                    min(victims, key=lambda s: s.index), node
+                    min(sources, key=lambda s: s.index), node
                 )
             return
 
         executor = self._find_executor(owner)
         if executor is None:
             return  # owner is not a tracked executor (e.g. test scaffolding)
+        # The task pinned to the dead core dies; its process lives on.
+        if getattr(executor, "manager", None) is not None:
+            tasks = [executor.task]  # RC: single-core executors die whole
+        else:
+            tasks = [t for t in executor.tasks.values() if t.node_id == node]
+            if tasks:
+                tasks = [min(
+                    tasks,
+                    key=lambda t: (len(executor.routing.shards_of(t)), t.task_id),
+                )]
+        yield from self._recover(
+            "core_failure", f"node={node} executor={executor.name}", node,
+            [(executor, tasks)] if tasks else [],
+        )
 
+    def _recover(
+        self,
+        fault: str,
+        detail: str,
+        node: int,
+        victims: typing.Sequence[typing.Tuple[typing.Any, typing.List[typing.Any]]],
+    ) -> typing.Generator:
+        """The one repair path of node crashes and core failures.
+
+        ``victims`` pairs each executor hit with its tasks that died.  A
+        core failure kills tasks and leaves their processes, and so their
+        state, alive; a crashed node also takes the state living on it,
+        its executor main processes and its sources.  Each dead executor
+        is repaired its paradigm's way: the survivors re-home its orphaned
+        shards, or it restarts from scratch (its main process or every
+        worker died), or — RC — its operator runs a global recovery.
+        """
+        system = self.system
+        node_dead = not system.cluster.is_alive(node)
         span = self.env.telemetry.begin_span(
-            "recovery", source="faults", fault="core_failure",
-            detail=f"node={node} executor={executor.name}",
+            "recovery", source="faults", fault=fault, detail=detail
         )
         proto = FAULT_RECOVERY.tracker()
         try:
-            manager = getattr(executor, "manager", None)
-            if manager is not None:  # RC: single-core executors die whole
-                executor.crash(self._reaper_for(executor))
-                span.mark("destroyed")
-                proto.advance("destroyed")
-                yield self.env.timeout(self.detection_delay)
-                span.mark("detected")
-                proto.advance("detected")
-                yield self.env.process(
-                    manager.recover_from_crash(
-                        [executor], self.stats, self.rebuild_rate,
-                        state_lost=False,
-                    )
-                )
-                span.mark("repaired")
-                proto.advance("repaired")
-                span.finish(status="ok", path="rc_global_sync")
-                proto.advance("done")
-                return
-
-            # Executor-centric: kill the task pinned to the dead core.  The
-            # hosting process survives, so state migrates instead of rebuilding.
-            reaper = self._reaper_for(executor)
-            victims = [t for t in executor.tasks.values() if t.node_id == node]
-            if not victims:
-                return
-            victim = min(
-                victims,
-                key=lambda t: (len(executor.routing.shards_of(t)), t.task_id),
-            )
-            orphans = executor.crash_tasks([victim], reaper)
+            if not victims and not node_dead:
+                return  # the executor ran no task on the failed core
+            # Destruction is immediate: the victims die now, and their
+            # queued/in-flight work dead-letters with exact counters.
+            rehomes: typing.List[typing.Tuple[typing.Any, typing.List[int]]] = []
+            restarts: typing.List[typing.Tuple[typing.Any, int]] = []
+            rc_dead: typing.Dict[typing.Any, typing.List[typing.Any]] = {}
+            for executor, tasks in victims:
+                reaper = self._reaper_for(executor)
+                manager = getattr(executor, "manager", None)
+                if manager is not None:
+                    executor.crash(reaper)
+                    rc_dead.setdefault(manager, []).append(executor)
+                    continue
+                prev_cores = max(1, len(executor.tasks))
+                if not (node_dead and executor.local_node == node):
+                    orphans = executor.crash_tasks(tasks, reaper)
+                    if executor.tasks:
+                        rehomes.append((executor, orphans))
+                        continue
+                # The main process died, or every worker did and nothing
+                # is left to re-home onto: the executor restarts from
+                # scratch.
+                executor.crash_main(reaper)
+                restarts.append((executor, prev_cores))
             span.mark("destroyed")
             proto.advance("destroyed")
-            if executor.tasks:
-                yield self.env.timeout(self.detection_delay)
-                span.mark("detected")
-                proto.advance("detected")
-                yield self.env.process(
-                    executor.rehome_orphans(
-                        orphans, node, self.stats, self.rebuild_rate,
-                        lose_state=False,
-                    )
-                )
-                span.mark("repaired")
-                proto.advance("repaired")
-                span.finish(status="ok", path="rehome")
-                proto.advance("done")
-            else:
-                # Its only worker died (static executors always land here):
-                # the process cannot limp on, so it restarts on a fresh core.
-                executor.crash_main(reaper)
-                yield self.env.timeout(self.detection_delay)
-                span.mark("detected")
-                proto.advance("detected")
-                yield self.env.process(
-                    self._restart_executor(executor, parent_span=span)
-                )
-                if not executor.alive:
-                    # The restart found no capacity anywhere: the executor
-                    # stays down in the declared ``stalled`` phase.
-                    span.finish(status="stalled", path="restart")
-                    proto.close("stalled")
-                    return
-                span.mark("repaired")
-                proto.advance("repaired")
-                span.finish(status="ok", path="restart")
-                proto.advance("done")
+
+            yield self.env.timeout(self.detection_delay)
+            span.mark("detected")
+            proto.advance("detected")
+
+            if node_dead:
+                # Sources are backed by a replayable input; they re-host
+                # and catch up rather than lose tuples.
+                self._relocate_sources(node)
+            procs = []
+            for executor, orphans in rehomes:
+                procs.append(self.env.process(executor.rehome_orphans(
+                    orphans, node, self.stats, self.rebuild_rate,
+                    lose_state=node_dead,
+                )))
+            for executor, prev_cores in restarts:
+                procs.append(self.env.process(self._restart_executor(
+                    executor, target_cores=prev_cores, parent_span=span
+                )))
+            for manager, dead in rc_dead.items():
+                procs.append(self.env.process(manager.recover_from_crash(
+                    dead, self.stats, self.rebuild_rate, state_lost=node_dead,
+                )))
+            for proc in procs:
+                if not proc.triggered:
+                    yield proc
+            if restarts and not rehomes and not rc_dead and not any(
+                executor.alive for executor, _ in restarts
+            ):
+                # Every repair was a restart and none found capacity
+                # anywhere: park in the table's declared escape hatch
+                # instead of claiming a repair happened.  Losses keep
+                # counting; conservation remains exact.
+                if node_dead:
+                    self._event("recovery_stalled", f"node={node}")
+                span.finish(status="stalled", restarts=len(restarts))
+                proto.close("stalled")
+                return
+            span.mark("repaired")
+            proto.advance("repaired")
+
+            if node_dead:
+                # Re-run global allocation over the surviving cores.
+                if system.scheduler is not None:
+                    yield from system.scheduler.reschedule()
+                self._event("node_recovered", f"node={node}")
+            span.finish(status="ok", rehomes=len(rehomes),
+                        restarts=len(restarts), rc_operators=len(rc_dead))
+            proto.advance("done")
         finally:
+            # A kill mid-recovery lands here with the span still open.
             span.finish(status="aborted")
             proto.close("aborted")
 
@@ -486,23 +433,9 @@ class FaultCoordinator:
         )
         try:
             node = None
-            for attempt in range(self.RESTART_ATTEMPTS):
-                candidate = self._pick_restart_node()
-                if candidate is not None:
-                    try:
-                        self.system.cluster.cores.allocate(owner, candidate, 1)
-                        node = candidate
-                        break
-                    except CoreAllocationError:
-                        pass
-                # No spare capacity: rapid reallocation at core granularity is
-                # exactly what the executor-centric design buys — seize a core
-                # from the best-endowed live executor (milliseconds of
-                # reassignment protocol) instead of waiting for the
-                # scheduler's damped shrink cycle to free one.
-                seized = yield from self._seize_core(executor)
-                if seized is not None:
-                    node = seized
+            for _ in range(self.RESTART_ATTEMPTS):
+                node = yield from self._acquire_core(executor)
+                if node is not None:
                     break
                 yield self.env.timeout(self.RESTART_RETRY_SECONDS)
             if node is None:
@@ -515,18 +448,10 @@ class FaultCoordinator:
             # restart so the recovered key range is not a one-core hotspot.
             extras = []
             for _ in range(target_cores - 1):
-                candidate = self._pick_restart_node()
-                if candidate is not None:
-                    try:
-                        self.system.cluster.cores.allocate(owner, candidate, 1)
-                        extras.append(candidate)
-                        continue
-                    except CoreAllocationError:
-                        pass
-                seized = yield from self._seize_core(executor)
-                if seized is None:
+                extra = yield from self._acquire_core(executor)
+                if extra is None:
                     break
-                extras.append(seized)
+                extras.append(extra)
             spawn_delay = REMOTE_PROCESS_SPAWN_SECONDS
             if isinstance(executor, StaticExecutor):
                 spawn_delay += self.static_restart_seconds
@@ -544,6 +469,24 @@ class FaultCoordinator:
         finally:
             # A kill mid-restart (second crash) must not leak the span.
             span.finish(status="aborted")
+
+    def _acquire_core(self, executor: typing.Any) -> typing.Generator:
+        """Allocate ``executor`` one core; returns its node, or None.
+
+        A free core on the best node if there is one.  Otherwise rapid
+        reallocation at core granularity is exactly what the
+        executor-centric design buys: seize a core from the best-endowed
+        live executor (milliseconds of reassignment protocol) instead of
+        waiting for the scheduler's damped shrink cycle to free one.
+        """
+        candidate = self._pick_restart_node()
+        if candidate is not None:
+            try:
+                self.system.cluster.cores.allocate(executor.name, candidate, 1)
+                return candidate
+            except CoreAllocationError:
+                pass
+        return (yield from self._seize_core(executor))
 
     def _seize_core(self, needy: typing.Any) -> typing.Generator:
         """Shrink the live executor with the most tasks by one core and

@@ -47,10 +47,10 @@ import typing
 from repro.lint.graph import ALL_KINDS, MODULE_SCOPE, Project, module_name_for
 from repro.protocol import TABLES, ProtocolTable
 
-#: Protocol phases that require the network: state migration, routing
-#: pushes, shard restoration, executor repair.  A partition blocks them.
+#: Protocol phases that require the network: state migration (or
+#: restoration), routing pushes, executor repair.  A partition blocks them.
 NETWORK_BLOCKED_PHASES = frozenset(
-    {"migration", "routing_update", "restored", "repaired"}
+    {"migration", "routing_update", "repaired"}
 )
 
 #: Transient fault kinds crossed into the product (see repro/faults/):

@@ -169,10 +169,11 @@ def _table(
     )
 
 
-#: Consistent shard reassignment (paper §3.3): pause routing, drain with a
-#: labeling tuple, migrate state across processes, update the routing
-#: table.  ``aborted`` may interrupt any phase (crash recovery owns the
-#: shard afterwards).
+#: The one shard move (paper §3.3) of balancing, shrinking and crash
+#: re-homing: pause routing, drain (a labeling-tuple chase from a live
+#: source; nothing to chase for a shard orphaned by a crash), migrate or
+#: restore state, update the routing table.  ``aborted`` may interrupt any
+#: phase (crash recovery owns the shard afterwards).
 SHARD_REASSIGN = _table(
     "shard_reassign",
     "start",
@@ -222,19 +223,6 @@ FAULT_RECOVERY = _table(
     ["done", "aborted", "stalled"],
 )
 
-#: Elastic orphan re-homing after a crash: the surviving tasks absorb the
-#: orphaned shards (state rebuilt or re-migrated), then routing resumes.
-REHOME = _table(
-    "rehome",
-    "start",
-    {
-        "start": ["placed"],
-        "placed": ["restored"],
-        "restored": ["done"],
-    },
-    ["done", "aborted"],
-)
-
 #: All checked-in tables, keyed by name — the registry the PROTO001
 #: checker (and tooling like docs generation) iterates.
 TABLES: typing.Dict[str, ProtocolTable] = {
@@ -243,6 +231,5 @@ TABLES: typing.Dict[str, ProtocolTable] = {
         SHARD_REASSIGN,
         RC_SYNC,
         FAULT_RECOVERY,
-        REHOME,
     )
 }

@@ -13,7 +13,9 @@ from repro.executors.channels import WindowedSender
 from repro.executors.gate import OperatorGate
 from repro.executors.routing import RoutingTable
 from repro.executors.task import STOP, StopSignal, Task
+from repro.faults.recovery import DeadLetterReaper
 from repro.logic.base import OperatorLogic
+from repro.metrics.recovery import RecoveryStats
 from repro.sim import Environment, Store
 from repro.topology import OperatorSpec
 from repro.topology.batch import LabelTuple, TupleBatch
@@ -251,6 +253,50 @@ class TestTask:
             put(batch())
             env.run(until=1.0)
             assert task.busy_seconds == pytest.approx(0.5)
+
+    def test_kill_returns_the_batch_handed_over_in_the_same_instant(self):
+        # The put hands the batch to the idle loop's pending get; the kill
+        # lands before the loop's callback runs.  The batch must come back
+        # for dead-lettering, not vanish with the unhooked callback.
+        for env, task, put in each_paradigm(0.01):
+            env.run(until=0.5)
+            handed = batch(key=3)
+            put(handed)
+            assert task.kill() == [handed]
+            env.run(until=1.0)
+            assert task.owner.logic.processed == []
+
+
+class TestCrashInTheHandOffInstant:
+    """A crash in the instant a daemon's get takes a batch dead-letters it."""
+
+    def test_receiver_batch_is_counted_lost(self, env):
+        logic = _RecordingLogic(0.01)
+        executor = ElasticExecutor(env, Cluster(env, num_nodes=1), _spec(logic), 0, 0)
+        executor.connect([], sink_recorder=lambda batch, now: None)
+        executor.start(initial_cores=1)
+        env.run(until=0.5)
+        stats = RecoveryStats()
+        executor.input_queue.put_nowait(batch(key=3))
+        executor.crash_main(DeadLetterReaper(env, stats))
+        env.run(until=1.0)
+        assert logic.processed == []
+        assert stats.batches_lost.total == 1
+
+    def test_rc_emitter_batch_is_lost_but_settled(self, env):
+        manager = RCOperatorManager(env, Cluster(env, num_nodes=1),
+                                    _spec(_RecordingLogic(0.01)))
+        manager.connect([], sink_recorder=lambda batch, now: None)
+        manager.bootstrap(1, nodes=[0])
+        executor = manager.executors[0]
+        env.run(until=0.5)
+        stats = RecoveryStats()
+        forgotten = []
+        executor._emitter_queue.put_nowait(batch(key=3))
+        executor.crash(DeadLetterReaper(env, stats, on_lost=forgotten.append))
+        env.run(until=1.0)
+        assert stats.batches_lost.total == 1
+        assert forgotten == []  # committed: already settled in the ledger
 
 
 class TestRoutingTable:

@@ -2,21 +2,25 @@
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.executors import ElasticExecutor
+from repro.faults.recovery import DeadLetterReaper
+from repro.logic import SyntheticLogic
+from repro.metrics.recovery import RecoveryStats
 from repro.protocol import (
     FAULT_RECOVERY,
     RC_SYNC,
-    REHOME,
     SHARD_REASSIGN,
     TABLES,
     ProtocolError,
 )
+from repro.sim import Environment
+from repro.topology import OperatorSpec
 
 
 class TestTables:
     def test_registry_is_complete(self):
-        assert set(TABLES) == {
-            "shard_reassign", "rc_sync", "fault_recovery", "rehome",
-        }
+        assert set(TABLES) == {"shard_reassign", "rc_sync", "fault_recovery"}
         for name, table in TABLES.items():
             assert table.name == name
             assert table.initial in table.states
@@ -60,10 +64,10 @@ class TestTracker:
             proto.advance("warmup")
 
     def test_advance_after_finish_raises(self):
-        proto = REHOME.tracker()
+        proto = SHARD_REASSIGN.tracker()
         proto.advance("aborted")
         with pytest.raises(ProtocolError, match="after terminal"):
-            proto.advance("placed")
+            proto.advance("pause")
 
     def test_close_requires_terminal(self):
         proto = FAULT_RECOVERY.tracker()
@@ -92,3 +96,52 @@ class TestTracker:
         proto.advance("pause")
         proto.advance("drain")
         assert proto.history == ("start", "pause", "drain")
+
+
+class _RecordingTable:
+    """Stands in for a table and keeps every tracker it hands out."""
+
+    def __init__(self, table):
+        self.table = table
+        self.trackers = []
+
+    def tracker(self):
+        proto = self.table.tracker()
+        self.trackers.append(proto)
+        return proto
+
+
+class TestOneShardMove:
+    def test_rehoming_walks_the_shard_move_table(self, monkeypatch):
+        # Balancing and crash re-homing walk one table: an orphaned shard's
+        # drain is empty, but it passes every phase of a live move.
+        import repro.executors.elastic as elastic
+
+        recording = _RecordingTable(SHARD_REASSIGN)
+        monkeypatch.setattr(elastic, "SHARD_REASSIGN", recording)
+        env = Environment()
+        cluster = Cluster(env, num_nodes=2, cores_per_node=4)
+        spec = OperatorSpec("op", logic=SyntheticLogic(), num_executors=1,
+                            shards_per_executor=8)
+        executor = ElasticExecutor(env, cluster, spec, index=0, local_node=0)
+        executor.connect([], sink_recorder=lambda batch, now: None)
+        executor.start(initial_cores=1)
+        stats = RecoveryStats()
+
+        def script():
+            yield from executor.add_core(1)
+            moved = len(recording.trackers)
+            victim = next(t for t in executor.tasks.values() if t.node_id == 1)
+            orphans = executor.crash_tasks([victim], DeadLetterReaper(env, stats))
+            yield from executor.rehome_orphans(orphans, 1, stats, rebuild_rate=1e9)
+            return moved, orphans
+
+        proc = env.process(script())
+        env.run(until=5.0)
+        moved, orphans = proc.value
+        walk = ("start", "pause", "drain", "migration", "routing_update", "done")
+        assert moved == len(orphans) == 4  # spread_by_count onto the new core
+        assert len(recording.trackers) == 2 * len(orphans)
+        assert all(proto.history == walk for proto in recording.trackers)
+        assert stats.shards_rebuilt.total == len(orphans)
+        assert all(executor.routing.entry(s).task is not None for s in orphans)

@@ -306,8 +306,9 @@ def test_predictive_scheduling_under_crashes_and_sanitizer(
     loop reassigns shards onto the new cores) on forecast demand; random
     task crashes land in between (and sometimes mid-reassignment).  With
     REPRO_SANITIZE=1 the owner-epoch sanitizer and the checked-in
-    REHOME/SHARD_REASSIGN protocol tables must stay silent, and every
-    batch is processed exactly once or counted lost."""
+    SHARD_REASSIGN table (balancing and re-homing walk it alike) must
+    stay silent, and every batch is processed exactly once or counted
+    lost."""
     import os
 
     # monkeypatch is function-scoped and so fights hypothesis; set and
