@@ -26,6 +26,7 @@ import typing
 
 from repro.analysis import ResultTable, SingleExecutorHarness
 from repro.faults import FaultSpec
+from repro.faults.spec import FaultSpecError
 from repro.runtime import Paradigm, PlacementError, StreamSystem, SystemConfig
 from repro.scheduler.strategies import STRATEGY_NAMES
 from repro.workloads import MicroBenchmarkWorkload, SSEWorkload
@@ -187,51 +188,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_model(args: argparse.Namespace, paths: typing.List[str]) -> int:
-    """`repro lint --model`: exhaustively check the protocol tables."""
-    import pathlib
-
-    from repro.lint import model as model_mod
-    from repro.lint.core import ParsedModule, _relpath, collect_files
-    from repro.lint.graph import build_project
-
-    modules = []
-    for file in collect_files([pathlib.Path(p) for p in paths]):
-        try:
-            modules.append(ParsedModule(file, _relpath(file)))
-        except (SyntaxError, UnicodeDecodeError):
-            continue
-    project = build_project(modules)
-    violations = model_mod.check_protocols(modules, project=project)
-    if args.json:
-        print(json.dumps(
-            [
-                {"table": v.table, "kind": v.kind, "message": v.message,
-                 "trace": list(v.trace)}
-                for v in violations
-            ],
-            indent=2,
-        ))
-        return 1 if violations else 0
-    bad_tables = {v.table for v in violations}
-    for name in sorted(model_mod.TABLES):
-        table = model_mod.TABLES[name]
-        edges = sum(len(d) for d in table.transitions.values())
-        if name in bad_tables:
-            print(f"protocol {name}: FAILED")
-        else:
-            print(
-                f"protocol {name}: {len(table.states)} states, "
-                f"{edges} transitions — deadlock-free, terminating, "
-                "fault-live, every transition exercised"
-            )
-    for violation in violations:
-        print(violation.format())
-    if violations:
-        print(f"{len(violations)} violation(s)")
-    return 1 if violations else 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the repo's AST invariant checks (docs/static-analysis.md)."""
     from repro.lint import ALL_RULES, run_lint
@@ -244,8 +200,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print("SUP002  every justified suppression still silences a finding")
         return 0
     paths = args.paths or ["src/repro"]
-    if args.model:
-        return _lint_model(args, paths)
     if args.graph_report:
         from repro.lint.graph import project_from_paths
 
@@ -627,10 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print the rule catalog and exit")
     lint_parser.add_argument("--json", action="store_true",
                              help="machine-readable findings")
-    lint_parser.add_argument("--model", action="store_true",
-                             help="model-check the protocol transition tables "
-                                  "(deadlock/termination/fault-product/dead "
-                                  "transitions) instead of linting")
     lint_parser.add_argument("--graph-report", action="store_true",
                              help="print call-graph statistics and the "
                                   "unresolved-edge report, then exit")
@@ -643,8 +593,9 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PlacementError as exc:
-        # The topology does not fit the cluster flags: a usage error.
+    except (PlacementError, FaultSpecError) as exc:
+        # The topology does not fit the cluster flags, or the fault spec
+        # is malformed: a usage error.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

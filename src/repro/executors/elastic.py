@@ -70,7 +70,7 @@ class _ReceiverLoop:
 
     __slots__ = (
         "env", "input_queue", "lookup", "entries", "on_arrival",
-        "local_node", "sender", "window_request", "transfer", "san",
+        "local_node", "sender", "window_request", "transfer",
         "_waiting", "_batch", "_task", "_dead",
         "_on_batch_cb", "_on_put_cb", "_on_window_cb",
     )
@@ -86,7 +86,6 @@ class _ReceiverLoop:
         self.sender = sender
         self.window_request = sender._window.request
         self.transfer = sender.fabric.transfer
-        self.san = executor._san
         self._waiting: typing.Optional[Event] = None
         self._batch: typing.Optional[TupleBatch] = None
         self._task: typing.Optional[Task] = None
@@ -113,8 +112,6 @@ class _ReceiverLoop:
         self.on_arrival(env._now, count, count * batch.size_bytes)
         shard_id = self.lookup[batch.key]
         entry = self.entries[shard_id]
-        if self.san is not None:
-            self.san.on_route(batch, shard_id)
         if entry.paused:
             entry.buffer.append(batch)
             self._pump()
@@ -271,8 +268,8 @@ class ElasticExecutor:
         #: decremented as this executor completes batches.
         self.operator_in_flight: typing.Optional[typing.Any] = None
         #: Shard-ownership race detector; None unless REPRO_SANITIZE is set
-        #: (every hook site below is a single ``is not None`` test).
-        self._san = ShardSanitizer.from_env(self.name, self.num_shards, env)
+        #: (each check site is a single ``is not None`` test).
+        self._san = ShardSanitizer.from_env(self.name, env)
         #: Per-shard end-to-end latency sketches; None unless telemetry is
         #: enabled (the sink path pays a single ``is not None`` test).
         self.latency_probe: typing.Optional[typing.Any] = None
@@ -340,12 +337,8 @@ class ElasticExecutor:
 
     def _assign_round_robin(self, tasks: typing.Sequence[Task]) -> None:
         """Initial placement: shards spread round-robin over ``tasks``."""
-        san = self._san
         for shard_id in range(self.num_shards):
-            task = tasks[shard_id % len(tasks)]
-            self.routing.assign(shard_id, task)
-            if san is not None:
-                san.on_assign(shard_id, task.task_id)
+            self.routing.assign(shard_id, tasks[shard_id % len(tasks)])
 
     def _start_daemons(self) -> None:
         self._receiver = _ReceiverLoop(self)
@@ -575,7 +568,6 @@ class ElasticExecutor:
         if src_task is dst_task:
             return True
         bus = self.env.telemetry
-        san = self._san
         # An orphaned move is one step of the caller's ``rehome`` span.
         span = NULL_SPAN if src_task is None else bus.begin_span(
             "reassign", source=self.name, shard=shard_id
@@ -587,9 +579,9 @@ class ElasticExecutor:
                 yield self.env.timeout(REASSIGNMENT_OVERHEAD)
                 # 1. Pause routing for the shard; new arrivals buffer in the
                 # entry.  (The crash already paused an orphan.)
+                if self._san is not None:
+                    self._san.on_pause(entry)
                 entry.paused = True
-                if san is not None:
-                    san.on_pause(shard_id, src_task.task_id)
             span.mark("pause")
             proto.advance("pause")
             if src_task is not None:
@@ -688,15 +680,9 @@ class ElasticExecutor:
         blocked on a label sitting in this very queue — the reaper
         releases it.
         """
-        san = self._san
         for item in task.kill():
             reaper.account(item)
-            if san is not None:
-                san.forget(item)
         orphans = self.routing.orphan_task(task)
-        if san is not None:
-            for shard_id in orphans:
-                san.on_orphan(shard_id)
         self.tasks.pop(task.task_id, None)
         reaper.watch(task.queue)  # late network deliveries die with the core
         return orphans
@@ -734,21 +720,13 @@ class ElasticExecutor:
                 reaper.account(item)
             reaper.watch(task.queue)
         self.tasks.clear()
-        san = self._san
-        for shard_id, entry in enumerate(self.routing._entries):
+        for entry in self.routing._entries:
             while entry.buffer:
-                item = entry.buffer.popleft()
-                reaper.account(item)
-                if san is not None:
-                    san.forget(item)
+                reaper.account(entry.buffer.popleft())
             entry.task = None
             entry.paused = True
-            if san is not None:
-                san.on_orphan(shard_id)
         for item in [*held_input, *self.input_queue.drain()]:
             reaper.account(item)
-            if san is not None:
-                san.forget(item)
         reaper.watch(self.input_queue)
         for item in [*held_emitted, *self._emitter_queue.drain()]:
             reaper.account(item)
@@ -794,8 +772,6 @@ class ElasticExecutor:
         self.routing = RoutingTable(self.num_shards)
         self._shard_cost_accum = [0.0] * self.num_shards
         self._shard_load = [0.0] * self.num_shards
-        if self._san is not None:
-            self._san.reset()
         if spawn_delay > 0:
             yield self.env.timeout(spawn_delay)
         tasks = []
@@ -897,15 +873,8 @@ class ElasticExecutor:
     def _install(self, entry: typing.Any, task: Task) -> typing.Generator:
         """Route ``entry``'s shard to ``task``, flush its pause buffer there
         and resume it.  Returns the number of buffered tuples flushed."""
-        shard_id = entry.shard_id
-        san = self._san
-        if entry.task is task:
-            if san is not None:
-                san.on_resume(shard_id)
-        else:
-            self.routing.assign(shard_id, task)
-            if san is not None:
-                san.on_assign(shard_id, task.task_id)
+        if entry.task is not task:
+            self.routing.assign(entry.shard_id, task)
         flushed = 0
         while entry.buffer:
             item = entry.buffer.popleft()

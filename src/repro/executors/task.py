@@ -111,7 +111,7 @@ class _TaskPipeline(Event):
       :class:`ProcessStateStore` holding that process's shards);
     - ``_shard_cost_accum``: per-shard cost charged here, or ``None``
       when the owner charges load elsewhere (RC, at admission);
-    - ``_san`` (shard sanitizer), ``external_state``,
+    - ``_san`` (shard sanitizer, which reads ``routing``), ``external_state``,
       ``operator_in_flight`` and ``latency_probe``, each ``None`` when off;
     - ``is_sink``, ``_sink_recorder``, ``_emitter_queue``, ``local_node``
       and ``_remote_senders`` (node -> sender back to ``local_node``).
@@ -223,7 +223,7 @@ class _TaskPipeline(Event):
             if ex._shard_cost_accum is not None:
                 ex._shard_cost_accum[shard_id] += cost
             if ex._san is not None:
-                ex._san.on_access(shard_id, task.task_id, batch)
+                ex._san.on_access(ex.routing.entry(shard_id), task)
             if logic is not None:
                 if ex.external_state is not None:
                     self._access = ex.external_state.access(

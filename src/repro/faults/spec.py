@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import random
 import typing
 
@@ -70,6 +71,11 @@ class FaultEvent:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("time", "factor", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise FaultSpecError(
+                    f"fault {name} must be finite, got {getattr(self, name)}"
+                )
         if self.time < 0:
             raise FaultSpecError(f"fault time must be >= 0, got {self.time}")
         if self.factor <= 0:
@@ -100,19 +106,47 @@ class FaultEvent:
         return data
 
     @classmethod
-    def from_dict(cls, data: typing.Mapping[str, typing.Any]) -> "FaultEvent":
+    def from_dict(cls, data: typing.Any) -> "FaultEvent":
+        """One event from its dict form (:class:`FaultSpecError` for any
+        malformed field; callers add which event it was)."""
+        if not isinstance(data, typing.Mapping):
+            raise FaultSpecError("a fault event must be an object")
+        unknown = sorted(str(key) for key in data if key not in _EVENT_KEYS)
+        if unknown:
+            raise FaultSpecError(f"unknown key(s) {unknown}")
         try:
             kind = FaultKind(data["kind"])
-        except (KeyError, ValueError) as exc:
-            raise FaultSpecError(f"bad fault kind in {dict(data)!r}") from exc
+        except (KeyError, TypeError, ValueError):
+            raise FaultSpecError("bad fault kind") from None
+        target = data.get("target")
+        if target is not None and not isinstance(target, str):
+            raise FaultSpecError(f"target must be a string, got {target!r}")
+        node = data.get("node")
         return cls(
-            time=float(data.get("time", 0.0)),
+            time=_number(data, "time", 0.0, float),
             kind=kind,
-            node=None if data.get("node") is None else int(data["node"]),
-            target=data.get("target"),
-            factor=float(data.get("factor", 1.0)),
-            duration=float(data.get("duration", 0.0)),
+            node=None if node is None else _number(data, "node", None, int),
+            target=target,
+            factor=_number(data, "factor", 1.0, float),
+            duration=_number(data, "duration", 0.0, float),
         )
+
+
+#: The keys of an event's dict form (and of its DSL ``key=value`` pairs).
+_EVENT_KEYS = frozenset({"time", "kind", "node", "target", "factor", "duration"})
+
+
+def _number(
+    data: typing.Mapping[str, typing.Any],
+    key: str,
+    default: typing.Any,
+    convert: typing.Callable[[typing.Any], typing.Any],
+) -> typing.Any:
+    value = data.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FaultSpecError(f"bad {key} {value!r}") from None
 
 
 class FaultSpec:
@@ -156,10 +190,18 @@ class FaultSpec:
         return ";".join(parts)
 
     @classmethod
-    def from_dicts(
-        cls, data: typing.Iterable[typing.Mapping[str, typing.Any]]
-    ) -> "FaultSpec":
-        return cls(FaultEvent.from_dict(item) for item in data)
+    def from_dicts(cls, data: typing.Any) -> "FaultSpec":
+        if not isinstance(data, (list, tuple)):
+            raise FaultSpecError(
+                f"fault events must be a list of objects, got {data!r}"
+            )
+        events = []
+        for item in data:
+            try:
+                events.append(FaultEvent.from_dict(item))
+            except FaultSpecError as exc:
+                raise FaultSpecError(f"{exc} in {item!r}") from None
+        return cls(events)
 
     @classmethod
     def parse(cls, text: str) -> "FaultSpec":
@@ -168,7 +210,10 @@ class FaultSpec:
         if not text:
             return cls([])
         if text[0] in "[{":
-            payload = json.loads(text)
+            try:
+                payload = json.loads(text)
+            except (ValueError, RecursionError) as exc:
+                raise FaultSpecError(f"bad fault JSON: {exc}") from None
             if isinstance(payload, dict):
                 payload = payload.get("events", [])
             return cls.from_dicts(payload)
@@ -186,7 +231,7 @@ class FaultSpec:
             except ValueError as exc:
                 raise FaultSpecError(f"unknown fault kind {kind_name!r}") from exc
             fields: typing.Dict[str, typing.Any] = {
-                "time": float(time_text),
+                "time": time_text.strip(),
                 "kind": kind.value,
             }
             if tail:
@@ -195,7 +240,10 @@ class FaultSpec:
                     if eq != "=":
                         raise FaultSpecError(f"missing '=' in {pair!r} ({chunk!r})")
                     fields[key.strip()] = value.strip()
-            events.append(FaultEvent.from_dict(fields))
+            try:
+                events.append(FaultEvent.from_dict(fields))
+            except FaultSpecError as exc:
+                raise FaultSpecError(f"{exc} in {chunk!r}") from None
         return cls(events)
 
     @classmethod

@@ -18,14 +18,14 @@ HOT001    Classes in hot modules declare ``__slots__`` and never grow
           attributes outside ``__init__``.
 OWN001    Interprocedural: shard-state mutation sites in
           ``repro/executors/`` are reachable only through functions
-          attesting to an ownership epoch (protocol tracker or
-          sanitizer hook) — the static complement of
-          ``REPRO_SANITIZE=1``.
+          attesting to an ownership epoch (a protocol tracker) — the
+          static complement of ``REPRO_SANITIZE=1``.
 TEL001    Every telemetry span is closed on all paths, and no expensive
           argument construction reaches a bus call unguarded by the
           ``NULL_BUS`` fast path.
 PROTO001  Control-plane state machines only perform transitions declared
-          in :mod:`repro.protocol` (the checked-in tables).
+          in :mod:`repro.protocol` (the checked-in tables), and live
+          call sites walk every declared edge.
 SIM001    Callback-compiled delivery paths never block, spawn processes,
           or turn into generators — syntactically in the callback body
           and transitively through the call graph.
@@ -36,10 +36,8 @@ SUP002    Framework rule: every justified suppression still silences a
 ========  ==============================================================
 
 The interprocedural rules run on the whole-project call graph built by
-:mod:`repro.lint.graph`.
-The protocol tables additionally get an exhaustive model check —
-deadlock freedom, termination, fault-product liveness, dead-transition
-detection — via ``repro lint --model`` (:mod:`repro.lint.model`).
+:mod:`repro.lint.graph`.  The protocol tables check their own shape
+(termination, reachability, no wedged state) when they are built.
 
 Findings are suppressed inline with ``# repro: allow[RULE]: reason`` on
 the offending line; the reason is mandatory.  See

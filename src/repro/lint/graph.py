@@ -2,8 +2,8 @@
 
 The per-module rules (DET001, SIM001, ...) are syntactic: they see one
 function at a time and miss anything hidden one call away.  This module
-gives the interprocedural passes (SIM001-transitive, DET002, OWN001, the
-protocol model checker's liveness check) a shared project-wide view:
+gives the interprocedural passes (SIM001-transitive, DET002, OWN001,
+PROTO001's dead-edge liveness check) a shared project-wide view:
 
 - **Extraction** walks each module once and produces a
   :class:`ModuleSummary`: imports, classes with textual bases, and one
@@ -57,14 +57,6 @@ FACT_PROCESS_SPAWN = "process_spawn"    #: `.process(...)` call
 FACT_AWAIT = "await"                    #: await expression
 FACT_OWN_MUTATION = "own_mutation"      #: shard-state mutation site
 FACT_OWN_ATTEST = "own_attest"          #: ownership-epoch attestation
-
-#: Runtime attestations that a function executes inside an ownership
-#: epoch: starting a protocol tracker (directly, or by handing a move step
-#: to an operator barrier's ``synchronize``), or calling the shard
-#: sanitizer's ownership hooks (the static complement of ``REPRO_SANITIZE=1``).
-_SANITIZER_HOOKS = frozenset(
-    {"on_assign", "on_orphan", "on_pause", "on_resume", "on_route"}
-)
 
 #: Attribute calls that persist data into an artifact.
 _ARTIFACT_WRITE_ATTRS = frozenset({"write", "writelines", "write_text", "dump"})
@@ -564,11 +556,6 @@ class _Extractor:
             self._fact(
                 scope, FACT_OWN_ATTEST, node.lineno,
                 f"{receiver}.synchronize() protocol epoch",
-            )
-        elif last in _SANITIZER_HOOKS:
-            self._fact(
-                scope, FACT_OWN_ATTEST, node.lineno,
-                f"sanitizer hook .{last}(...)",
             )
         if last in ("add", "remove") and "store" in receiver.lower():
             self._fact(

@@ -7,10 +7,9 @@ This rule is the static complement: every shard-state mutation site
 (store ``add``/``remove``, ``.data`` subscript writes and dict mutation,
 ``migrate_shard``) in ``repro/executors/`` must be reachable **only**
 through functions that attest to an ownership epoch — starting a
-protocol tracker (``SHARD_REASSIGN.tracker()`` et al.), handing a move
+protocol tracker (``SHARD_REASSIGN.tracker()`` et al.) or handing a move
 step to ``barrier.synchronize(...)`` (the operator barrier runs it inside
-its ``RC_SYNC`` tracker) or invoking the sanitizer's ownership hooks
-(``on_assign``/``on_orphan``/...).
+its ``RC_SYNC`` tracker).
 
 The check walks the call graph *upward* from each mutation site.  A
 path that hits a caller-less root without passing a single attesting
@@ -77,8 +76,8 @@ class Own001(ProjectRule):
                 yield Finding(
                     self.name, rel, fact.line,
                     f"shard-state mutation {fact.detail} is reachable "
-                    "without an ownership epoch (no protocol tracker or "
-                    f"sanitizer hook on the path {chain_text})",
+                    "without an ownership epoch (no protocol tracker on "
+                    f"the path {chain_text})",
                 )
 
     def _unattested_chain(

@@ -15,6 +15,15 @@ Control-flow joins reset the tracked state to "unknown" (branches may
 diverge), so cross-branch sequences are checked by the runtime tracker
 instead — this rule is deliberately a sound approximation that never
 false-positives on reachable code.
+
+When the linted tree contains ``repro/protocol.py``, the rule also
+reports **dead edges**: every declared transition must be walked by a
+*live* call site, one the call graph shows a caller for.  A function
+walks ``src -> dst`` when its checked ``advance``/``close`` literals name
+``src`` before ``dst`` in source order — ordered, not adjacent, pairs, so
+a ``close("stalled")`` branch between ``advance("drain")`` and
+``advance("migration")`` still witnesses ``drain -> migration``.  The
+finding sits at the table's line in ``protocol.py``.
 """
 
 from __future__ import annotations
@@ -22,11 +31,19 @@ from __future__ import annotations
 import ast
 import typing
 
-from repro.lint.core import Finding, ParsedModule, Rule
-from repro.protocol import ProtocolTable
+from repro.lint.core import Finding, ParsedModule, ProjectRule
+from repro.protocol import TABLES, ProtocolTable
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lint.graph import Project
 
 #: Files that host the protocol implementations.
 PROTOCOL_PATH_SUFFIXES = ("repro/executors/", "repro/faults/recovery.py")
+
+#: The module that declares the tables (enables the dead-edge check).
+PROTOCOL_MODULE = "repro/protocol.py"
+
+_Edge = typing.Tuple[str, str]
 
 
 def _table_symbols() -> typing.Dict[str, ProtocolTable]:
@@ -40,24 +57,106 @@ def _table_symbols() -> typing.Dict[str, ProtocolTable]:
     }
 
 
-class Proto001(Rule):
+def table_lines(tree: ast.Module) -> typing.Dict[str, int]:
+    """Table name -> line of its ``_table(...)`` assignment."""
+    lines: typing.Dict[str, int] = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            continue
+        call = node.value
+        if (
+            isinstance(call.func, ast.Name)
+            and call.func.id == "_table"
+            and call.args
+            and isinstance(call.args[0], ast.Constant)
+            and isinstance(call.args[0].value, str)
+        ):
+            lines[call.args[0].value] = node.lineno
+    return lines
+
+
+def _walked_edges(
+    table: ProtocolTable, sequence: typing.Sequence[str]
+) -> typing.Set[_Edge]:
+    """Declared edges between any two states in source order."""
+    return {
+        (src, dst)
+        for i, src in enumerate(sequence)
+        for dst in sequence[i + 1:]
+        if dst in table.transitions.get(src, frozenset())
+    }
+
+
+class Proto001(ProjectRule):
     name = "PROTO001"
-    description = "protocol advance() sequences match the checked-in tables"
+    description = (
+        "protocol advance() sequences match the checked-in tables, and "
+        "live call sites walk every declared edge"
+    )
 
     def __init__(self) -> None:
         self._symbols = _table_symbols()
+        #: (module, function def line, table name, edges it walks).
+        self._walks: typing.List[
+            typing.Tuple[str, int, str, typing.Set[_Edge]]
+        ] = []
+        #: (rel, table name -> line) of the linted ``repro/protocol.py``.
+        self._protocol: typing.Optional[
+            typing.Tuple[str, typing.Dict[str, int]]
+        ] = None
 
     def check(self, module: ParsedModule) -> typing.Iterator[Finding]:
+        if module.in_package(PROTOCOL_MODULE):
+            self._protocol = (module.rel, table_lines(module.tree))
         if not module.in_package(*PROTOCOL_PATH_SUFFIXES):
             return
+        from repro.lint.graph import module_name_for
+
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 trackers = self._tracker_vars(node)
                 if trackers:
                     findings: typing.List[Finding] = []
                     states = {var: None for var in trackers}
-                    self._check_body(module, node.body, trackers, states, findings)
+                    walked = {var: [table.initial] for var, table in trackers.items()}
+                    self._check_body(
+                        module, node.body, trackers, states, walked, findings
+                    )
                     yield from findings
+                    for var, table in trackers.items():
+                        self._walks.append((
+                            module_name_for(module.rel), node.lineno,
+                            table.name, _walked_edges(table, walked[var]),
+                        ))
+
+    def check_project(self, project: "Project") -> typing.Iterator[Finding]:
+        """Dead edges: declared transitions no live call site walks."""
+        if self._protocol is None:
+            return
+        from repro.lint.graph import ALL_KINDS
+
+        rel, lines = self._protocol
+        fid_at = {
+            (func.module, func.line): fid
+            for fid, func in project.functions.items()
+        }
+        walked: typing.Dict[str, typing.Set[_Edge]] = {name: set() for name in TABLES}
+        for module_name, line, table_name, edges in self._walks:
+            fid = fid_at.get((module_name, line))
+            if fid is not None and not project.in_edges(fid, kinds=ALL_KINDS):
+                continue  # nothing calls it: dead code walks nothing
+            walked[table_name] |= edges
+        for name in sorted(TABLES):
+            table = TABLES[name]
+            for src in sorted(table.transitions):
+                for dst in sorted(table.transitions[src]):
+                    if (src, dst) not in walked[name]:
+                        yield Finding(
+                            self.name, rel, lines.get(name, 1),
+                            f"declared transition {src!r} -> {dst!r} of "
+                            f"protocol {name!r} is walked by no live "
+                            "call site",
+                        )
 
     def _tracker_vars(
         self, func: ast.AST
@@ -94,9 +193,13 @@ class Proto001(Rule):
         body: typing.Sequence[ast.stmt],
         trackers: typing.Mapping[str, ProtocolTable],
         states: typing.Dict[str, typing.Optional[str]],
+        walked: typing.Dict[str, typing.List[str]],
         findings: typing.List[Finding],
     ) -> None:
-        """Walk one statement list, threading known tracker states."""
+        """Walk one statement list, threading known tracker states.
+
+        ``walked`` collects each tracker's checked state literals in
+        source order (the dead-edge evidence)."""
         for stmt in body:
             if self._tracker_table(stmt) is not None:
                 assert isinstance(stmt, ast.Assign)
@@ -108,7 +211,9 @@ class Proto001(Rule):
             if nested is None:
                 # Simple statement: check calls in source order.
                 for call in self._calls_in(stmt):
-                    self._check_call(module, call, trackers, states, findings)
+                    self._check_call(
+                        module, call, trackers, states, walked, findings
+                    )
             else:
                 touched = self._touched_vars(stmt, trackers)
                 for branch_body, entry_known in nested:
@@ -117,7 +222,9 @@ class Proto001(Rule):
                         if entry_known
                         else {var: None for var in states}
                     )
-                    self._check_body(module, branch_body, trackers, entry, findings)
+                    self._check_body(
+                        module, branch_body, trackers, entry, walked, findings
+                    )
                 # Join point: branches may have advanced differently.
                 for var in touched:
                     states[var] = None
@@ -169,6 +276,7 @@ class Proto001(Rule):
         call: ast.Call,
         trackers: typing.Mapping[str, ProtocolTable],
         states: typing.Dict[str, typing.Optional[str]],
+        walked: typing.Dict[str, typing.List[str]],
         findings: typing.List[Finding],
     ) -> None:
         func = call.func
@@ -204,6 +312,7 @@ class Proto001(Rule):
             )
             states[var] = None
             return
+        walked[var].append(state)
         if func.attr == "close":
             if state not in table.terminal:
                 findings.append(

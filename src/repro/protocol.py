@@ -17,6 +17,10 @@ explicit data:
   ``src/repro/executors/`` and ``src/repro/faults/recovery.py`` only use
   declared states and edges.
 
+- :class:`ProtocolTable` checks each table's shape when it is built, so
+  a table that cannot terminate fails at import.  PROTO001 additionally
+  reports a declared edge that no live call site walks.
+
 The tables are therefore the single source of truth: changing a protocol
 means changing its table here, and both the runtime assertion and the
 static checker follow automatically.
@@ -41,6 +45,12 @@ class ProtocolTable:
     aborts/completions that can interrupt the protocol at any phase, e.g.
     a crash landing in a ``finally`` block) and allow no further
     transitions.
+
+    Construction rejects (``ValueError``) a table with no terminal state,
+    an unreachable state, a reachable non-terminal state with no outgoing
+    edge, or a state with no declared path to a terminal one (only the
+    abort edge would end it).  Each message names the state and the path
+    that reaches it.
     """
 
     __slots__ = ("name", "initial", "transitions", "terminal", "states")
@@ -62,17 +72,51 @@ class ProtocolTable:
         for nexts in self.transitions.values():
             states |= nexts
         self.states: typing.FrozenSet[str] = frozenset(states)
-        undeclared = {
-            nxt
-            for nexts in self.transitions.values()
-            for nxt in nexts
-            if nxt not in self.transitions and nxt not in self.terminal
-        }
-        if undeclared:
+        self._check_shape()
+
+    def _check_shape(self) -> None:
+        """Raise ``ValueError`` on a table no protocol run could finish."""
+        if not self.terminal:
             raise ValueError(
-                f"protocol {name!r}: states {sorted(undeclared)} are "
-                "reachable but declare no outgoing transitions and are "
-                "not terminal"
+                f"protocol {self.name!r}: no terminal state, so a crash in "
+                f"{self.initial!r} (or any later state) has nothing to "
+                "close() into"
+            )
+        # Declared-edge paths from the initial state; terminal states are
+        # also enterable from every reachable state (the close() edge).
+        paths = {self.initial: (self.initial,)}
+        frontier = [self.initial]
+        while frontier:
+            state = frontier.pop(0)
+            nexts = sorted(self.transitions.get(state, ()))
+            for nxt in [*nexts, *sorted(self.terminal)]:
+                if nxt not in paths:
+                    paths[nxt] = paths[state] + (nxt,)
+                    frontier.append(nxt)
+        for state in sorted(self.states - set(paths)):
+            raise ValueError(
+                f"protocol {self.name!r}: state {state!r} is unreachable "
+                f"from {self.initial!r}"
+            )
+        finishes = set(self.terminal)
+        grew = True
+        while grew:
+            grew = False
+            for state, nexts in self.transitions.items():
+                if state not in finishes and nexts & finishes:
+                    finishes.add(state)
+                    grew = True
+        for state in sorted(self.states - self.terminal):
+            if not self.transitions.get(state):
+                raise ValueError(
+                    f"protocol {self.name!r}: state {state!r} is not "
+                    "terminal and has no outgoing transition (path: "
+                    f"{' -> '.join(paths[state])})"
+                )
+        for state in sorted(self.states - finishes):
+            raise ValueError(
+                f"protocol {self.name!r}: state {state!r} has no declared "
+                f"path to a terminal state (path: {' -> '.join(paths[state])})"
             )
 
     def allows(self, src: str, dst: str) -> bool:

@@ -1,42 +1,34 @@
 """Runtime shard-ownership race sanitizer (``REPRO_SANITIZE=1``).
 
 The consistent-reassignment protocol (paper §3.3) promises exclusivity:
-at any instant exactly one task owns a shard's state, and during a
-labeling-tuple drain the shard is paused — only the draining source task
-may still touch it, and no tuple routed under an older routing epoch may
-be processed after the table moved on.  The protocol's correctness is
-otherwise only visible indirectly (conservation counters, determinism
-tests); with the sanitizer enabled every violation aborts *at the access
-that broke the invariant*, with a per-shard ownership trace.
+at any instant exactly one task owns a shard's state, and only that task
+touches it.  The routing table already records who that task is
+(:class:`~repro.executors.routing.ShardEntry`), so the sanitizer keeps
+no state of its own: it checks the entry at the two sites where the
+invariant can break, and aborts there with a :class:`ShardRaceError`.
 
-The sanitizer tracks, per shard:
+- **State access** (``_TaskPipeline._execute``, before the operator
+  touches the shard): the accessing task must be ``entry.task``.  An
+  orphaned shard (its owner died) is owned by nobody, so any access
+  aborts.  This covers a task processing a tuple routed before an
+  ownership change as well as two tasks touching one shard mid-move.
+- **Drain start** (``ElasticExecutor._move_shard``, before a live move
+  pauses the shard): an owned shard that is already paused is already
+  being moved, and a second labeling-tuple drain would race the first.
 
-- the **owner epoch** — bumped on every ownership change (assignment,
-  orphaning, re-home), so each routing decision can be stamped with the
-  epoch it was made under;
-- the **drain window** — open between the pause that starts a
-  reassignment and the routing update that ends it.
-
-Violations raised as :class:`ShardRaceError`:
-
-- a task touches a shard's state while another task owns it
-  (double-owner access — e.g. two tasks processing one shard's tuples
-  mid-migration);
-- a batch is processed under a **stale routing epoch** (routed before an
-  ownership change, processed after) by a task that no longer owns the
-  shard;
-- a non-draining task accesses a shard inside its drain window.
-
-Zero overhead when disabled: executors hold ``None`` and every hook site
-is a single ``is not None`` test.  Enabled, the cost is a few dict/list
-operations per batch — strictly a debugging/CI tool, never on by default.
+Zero overhead when disabled: executors hold ``None`` and each check site
+is a single ``is not None`` test.  The checks only read the routing
+table and the clock, so enabling them cannot perturb simulation results.
 """
 
 from __future__ import annotations
 
-import collections
 import os
 import typing
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.executors.routing import ShardEntry
+    from repro.executors.task import Task
 
 
 def sanitize_enabled() -> bool:
@@ -52,166 +44,46 @@ class ShardRaceError(AssertionError):
 
 
 class ShardSanitizer:
-    """Owner-epoch tracker for one executor's shards.
+    """Checks one executor's shard accesses against its routing table."""
 
-    All hooks take the simulation's current time purely for the trace;
-    the sanitizer never touches virtual time, RNG, or the event queue, so
-    enabling it cannot perturb simulation results.
-    """
-
-    __slots__ = (
-        "executor_name", "num_shards", "clock",
-        "_owner", "_epoch", "_drain_src", "_trace", "_pending",
-    )
-
-    #: Ownership-history entries kept per shard for the abort trace.
-    TRACE_DEPTH = 16
+    __slots__ = ("executor_name", "clock")
 
     def __init__(
-        self,
-        executor_name: str,
-        num_shards: int,
-        clock: typing.Optional[typing.Any] = None,
+        self, executor_name: str, clock: typing.Optional[typing.Any] = None
     ) -> None:
         self.executor_name = executor_name
-        self.num_shards = num_shards
         #: Anything with a ``now`` attribute (an Environment in practice).
         self.clock = clock
-        #: shard -> owning task id (None = orphaned / pre-assignment).
-        self._owner: typing.List[typing.Optional[int]] = [None] * num_shards
-        #: shard -> ownership epoch, bumped on every owner change.
-        self._epoch: typing.List[int] = [0] * num_shards
-        #: shard -> draining source task id; absent = not draining.
-        self._drain_src: typing.Dict[int, typing.Optional[int]] = {}
-        self._trace: typing.List[typing.Deque[str]] = [
-            collections.deque(maxlen=self.TRACE_DEPTH) for _ in range(num_shards)
-        ]
-        #: id(batch) -> (shard, epoch) stamped at routing time, consumed
-        #: at processing time for stale-epoch detection.
-        self._pending: typing.Dict[int, typing.Tuple[int, int]] = {}
 
     @classmethod
     def from_env(
-        cls,
-        executor_name: str,
-        num_shards: int,
-        clock: typing.Optional[typing.Any] = None,
+        cls, executor_name: str, clock: typing.Optional[typing.Any] = None
     ) -> typing.Optional["ShardSanitizer"]:
         """The sanitizer, or ``None`` unless ``REPRO_SANITIZE`` is set."""
         if not sanitize_enabled():
             return None
-        return cls(executor_name, num_shards, clock)
+        return cls(executor_name, clock)
 
-    # -- trace --------------------------------------------------------------
+    def on_access(self, entry: "ShardEntry", task: "Task") -> None:
+        """``task`` is about to touch the state of ``entry``'s shard."""
+        if entry.task is not task:
+            self._abort(entry, f"task {task.task_id} accessed its state")
 
-    def _now(self) -> float:
-        return getattr(self.clock, "now", 0.0) if self.clock is not None else 0.0
+    def on_pause(self, entry: "ShardEntry") -> None:
+        """A live move is about to pause ``entry``'s shard for its drain.
 
-    def _record(self, shard_id: int, message: str) -> None:
-        self._trace[shard_id].append(f"[t={self._now():g}] {message}")
+        An orphaned entry is paused too, by a crash landing in the move's
+        set-up delay; that is not a second drain, and the move gives up
+        once its chase returns."""
+        if entry.paused and entry.task is not None:
+            self._abort(entry, "drain started while a move already paused it")
 
-    def trace(self, shard_id: int) -> typing.Tuple[str, ...]:
-        """The retained ownership history of one shard (newest last)."""
-        return tuple(self._trace[shard_id])
-
-    def _abort(self, shard_id: int, message: str) -> typing.NoReturn:
-        history = "\n  ".join(self._trace[shard_id]) or "(no events recorded)"
+    def _abort(self, entry: "ShardEntry", what: str) -> typing.NoReturn:
+        now = getattr(self.clock, "now", 0.0)
+        owner = (
+            "orphaned" if entry.task is None else f"task {entry.task.task_id}"
+        )
         raise ShardRaceError(
-            f"{self.executor_name} shard {shard_id}: {message}\n"
-            f"ownership trace (newest last):\n  {history}"
+            f"{self.executor_name} shard {entry.shard_id}: {what} "
+            f"(routing owner: {owner}, paused: {entry.paused}, t={now:g})"
         )
-
-    # -- ownership hooks ----------------------------------------------------
-
-    def on_assign(self, shard_id: int, task_id: int) -> None:
-        """Routing table points the shard at ``task_id`` (new epoch)."""
-        self._epoch[shard_id] += 1
-        self._owner[shard_id] = task_id
-        self._drain_src.pop(shard_id, None)
-        self._record(
-            shard_id, f"assigned to task {task_id} (epoch {self._epoch[shard_id]})"
-        )
-
-    def on_orphan(self, shard_id: int) -> None:
-        """The owning task died; the shard pauses with no owner."""
-        self._epoch[shard_id] += 1
-        self._owner[shard_id] = None
-        self._drain_src.pop(shard_id, None)
-        self._record(
-            shard_id, f"orphaned (epoch {self._epoch[shard_id]})"
-        )
-
-    def on_pause(self, shard_id: int, src_task_id: typing.Optional[int]) -> None:
-        """A labeling-tuple drain begins; only ``src_task_id`` may access."""
-        if shard_id in self._drain_src:
-            self._abort(
-                shard_id,
-                f"drain started while already draining "
-                f"(src task {self._drain_src[shard_id]})",
-            )
-        self._drain_src[shard_id] = src_task_id
-        self._record(shard_id, f"drain started (src task {src_task_id})")
-
-    def on_resume(self, shard_id: int) -> None:
-        """The drain window closes (routing updated, buffers flushed)."""
-        self._drain_src.pop(shard_id, None)
-        self._record(shard_id, "drain finished, routing resumed")
-
-    def reset(self) -> None:
-        """Forget everything (executor restarted with a fresh table)."""
-        for shard_id in range(self.num_shards):
-            self._epoch[shard_id] += 1
-            self._owner[shard_id] = None
-            self._record(shard_id, "sanitizer reset (executor restart)")
-        self._drain_src.clear()
-        self._pending.clear()
-
-    # -- data-plane hooks ----------------------------------------------------
-
-    def on_route(self, batch: typing.Any, shard_id: int) -> None:
-        """Stamp a batch with the epoch its routing decision was made under."""
-        self._pending[id(batch)] = (shard_id, self._epoch[shard_id])
-
-    def on_access(
-        self, shard_id: int, task_id: int, batch: typing.Any = None
-    ) -> None:
-        """A task is about to touch the shard's state for ``batch``.
-
-        Order of checks matters for diagnosability: a stale routing epoch
-        names the root cause (the tuple was routed before an ownership
-        change), so it is reported in preference to the bare
-        wrong-owner/drain symptoms it produces.
-        """
-        routed = self._pending.pop(id(batch), None) if batch is not None else None
-        owner = self._owner[shard_id]
-        epoch = self._epoch[shard_id]
-        if routed is not None and routed[1] != epoch and owner != task_id:
-            self._abort(
-                shard_id,
-                f"task {task_id} processed a tuple routed under stale "
-                f"epoch {routed[1]} (current epoch {epoch}, owner "
-                f"{owner})",
-            )
-        drain_src = self._drain_src.get(shard_id, _NOT_DRAINING)
-        if drain_src is not _NOT_DRAINING and drain_src != task_id:
-            self._abort(
-                shard_id,
-                f"task {task_id} accessed state mid-drain (drain src is "
-                f"task {drain_src})",
-            )
-        if owner is not None and owner != task_id:
-            self._abort(
-                shard_id,
-                f"task {task_id} accessed state owned by task {owner} "
-                f"(epoch {epoch})",
-            )
-        self._record(shard_id, f"access by task {task_id} (epoch {epoch})")
-
-    def forget(self, batch: typing.Any) -> None:
-        """Drop a routing stamp for a batch that died (crash dead-letter)."""
-        self._pending.pop(id(batch), None)
-
-
-#: Distinguishes "not draining" from "draining with owner None" in
-#: :meth:`ShardSanitizer.on_access` (an orphaned shard drains ownerless).
-_NOT_DRAINING = object()

@@ -1,7 +1,7 @@
 """Fixture: shard-state mutation outside any ownership epoch (OWN001).
 
 ``hot_path_steal`` moves a shard between stores with no protocol
-tracker or sanitizer hook anywhere on its (absent) caller chain;
+tracker anywhere on its (absent) caller chain;
 ``guarded_steal`` performs the same mutation under a tracker and stays
 clean, as does ``_barrier_move`` (its only caller hands it to an operator
 barrier's ``synchronize``) and constructor-time population.

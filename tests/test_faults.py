@@ -15,6 +15,8 @@ Three layers of coverage:
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     FaultEvent,
@@ -118,6 +120,53 @@ class TestFaultSpec:
     def test_rejects_malformed(self, bad):
         with pytest.raises(FaultSpecError):
             FaultSpec.parse(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet="node_crash@:=,;.-+0123456789einf[]{}\" "),
+        )
+    )
+    @example("[1]")
+    @example('{"events": 5}')
+    @example("node_crash@x:node=1")
+    @example("node_crash@5:node=abc")
+    @example("node_crash@nan:node=1")
+    @example("node_crash@5:node=1,bogus=2")
+    @example("node_crash@5:node=99")
+    def test_any_text_parses_or_raises_fault_spec_error(self, text):
+        try:
+            spec = FaultSpec.parse(text)
+        except FaultSpecError:
+            return
+        # Whatever parses round-trips through the DSL.
+        assert FaultSpec.parse(spec.to_dsl()).to_dsl() == spec.to_dsl()
+
+    @pytest.mark.parametrize(
+        "bad, names",
+        [
+            ("[1]", "in 1"),
+            ('{"events": 5}', "got 5"),
+            ("node_crash@x:node=1", "'node_crash@x:node=1'"),
+            ("node_crash@5:node=abc", "'node_crash@5:node=abc'"),
+            ("node_crash@nan:node=1", "must be finite"),
+            ("node_crash@5:node=1,bogus=2", "unknown key(s) ['bogus']"),
+        ],
+    )
+    def test_malformed_input_names_the_culprit(self, bad, names):
+        with pytest.raises(FaultSpecError) as exc_info:
+            FaultSpec.parse(bad)
+        assert names in str(exc_info.value)
+
+    def test_cli_reports_bad_spec_as_usage_error(self, capsys):
+        from repro.cli import main
+
+        argv = ["run", "--duration", "1", "--warmup", "0", "--nodes", "4"]
+        assert main([*argv, "--fault-spec", "node_crash@5:node=99"]) == 2
+        assert "targets node 99" in capsys.readouterr().err
+        assert main([*argv, "--fault-spec", "[1]"]) == 2
+        assert "must be an object" in capsys.readouterr().err
 
     def test_config_rejects_out_of_range_node(self):
         # Caught at construction, not as an IndexError mid-simulation.

@@ -1,27 +1,24 @@
-"""Tests for the protocol model checker (``repro lint --model``).
+"""Tests for the protocol model checks.
 
-The five checked-in tables must be proven clean; seeded mutations of
-them must be rejected with a counterexample trace; and the dead-
-transition check must tie table edges to live runtime call sites.
+The tables in :mod:`repro.protocol` check their own shape when they are
+built (termination, reachability, no wedged state), and PROTO001 ties
+every declared edge to a live runtime call site (dead edges).  The
+checked-in tables must pass both; mutated tables must be rejected with
+the offending state and the path to it, and dead edges must be named at
+the table's line in ``protocol.py``.
 """
 
 import ast
 import pathlib
+import shutil
 import textwrap
 
 import pytest
 
 from repro.cli import main
-from repro.lint.graph import build_project
-from repro.lint.model import (
-    EvidenceSite,
-    check_protocols,
-    check_table,
-    collect_evidence,
-    live_evidence_pairs,
-    table_lines,
-)
-from repro.protocol import SHARD_REASSIGN, TABLES, ProtocolTable
+from repro.lint import run_lint
+from repro.lint.rules.proto001 import Proto001, table_lines
+from repro.protocol import TABLES, ProtocolTable
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 
@@ -30,122 +27,136 @@ def fs(*states):
     return frozenset(states)
 
 
-def kinds_of(violations):
-    return {v.kind for v in violations}
+def all_edges():
+    return [
+        (name, src, dst)
+        for name, table in sorted(TABLES.items())
+        for src, dsts in sorted(table.transitions.items())
+        for dst in sorted(dsts)
+    ]
 
 
-def all_edges(table):
-    return {
-        (src, dst)
-        for src, dsts in table.transitions.items()
-        for dst in dsts
-    }
+def lint_tree(tmp_path, walks_source=None):
+    """PROTO001 findings on ``protocol.py`` plus an optional executors
+    module, laid out as ``src/repro/...`` like the real tree."""
+    root = tmp_path / "src" / "repro"
+    (root / "executors").mkdir(parents=True)
+    shutil.copy(SRC / "protocol.py", root / "protocol.py")
+    if walks_source is not None:
+        (root / "executors" / "walks.py").write_text(textwrap.dedent(walks_source))
+    return run_lint([str(root)], rules=[Proto001()])
 
 
-class _Src:
-    def __init__(self, rel, source):
-        self.rel = rel
-        self.source = textwrap.dedent(source)
-        self.tree = ast.parse(self.source)
+def edge_walker(skip=()):
+    """Source walking every declared edge (bar ``skip``) from a live
+    function.  Each walk sits in an exception handler, which starts from
+    an unknown state, so walking ``src`` first is not itself checked."""
+    lines = ["from repro.protocol import " + ", ".join(
+        name.upper() for name in sorted(TABLES)
+    )]
+    walks = []
+    for i, (name, src, dst) in enumerate(all_edges()):
+        if (name, src, dst) in skip:
+            continue
+        walks.append(f"walk_{i}")
+        lines += [
+            f"def walk_{i}():",
+            f"    proto = {name.upper()}.tracker()",
+            "    try:",
+            "        pass",
+            "    except RuntimeError:",
+            f"        proto.advance({src!r})",
+            f"        proto.advance({dst!r})",
+        ]
+    lines += ["def caller():"] + [f"    {walk}()" for walk in walks]
+    return "\n".join(lines) + "\n"
+
+
+def dead_edges(findings, table):
+    return sorted(
+        f.message.split(" of protocol")[0]
+        for f in findings
+        if f.rule == "PROTO001" and f"protocol {table!r}" in f.message
+    )
 
 
 class TestRealTables:
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_table_is_proven_clean(self, name):
-        assert check_table(TABLES[name]) == []
+        table = TABLES[name]
+        rebuilt = ProtocolTable(
+            table.name, table.initial, table.transitions, table.terminal
+        )
+        assert rebuilt.states == table.states
 
     def test_whole_tree_evidence_covers_every_edge(self):
-        from repro.lint.core import ParsedModule, _relpath, collect_files
-
-        modules = [
-            ParsedModule(path, _relpath(path))
-            for path in collect_files([SRC])
-        ]
-        project = build_project(modules)
-        assert check_protocols(modules, project=project) == []
+        assert run_lint([str(SRC)], rules=[Proto001()]) == []
 
     def test_table_lines_locates_every_table(self):
-        path = SRC / "protocol.py"
-        lines = table_lines("src/repro/protocol.py", ast.parse(path.read_text()))
+        lines = table_lines(ast.parse((SRC / "protocol.py").read_text()))
         assert set(lines) == set(TABLES)
         assert all(line > 0 for line in lines.values())
 
 
 class TestMutatedTables:
     def test_deadlock_state_is_rejected_with_trace(self):
-        bad = ProtocolTable(
-            "bad", "start",
-            {"start": fs("wedge"), "wedge": frozenset()},
-            fs("done"),
-        )
-        violations = check_table(bad)
-        dead = [v for v in violations if v.kind == "deadlock"]
-        assert len(dead) == 1
-        assert "wedge" in dead[0].message
-        assert dead[0].trace[0] == "start"
-        assert "wedge" in dead[0].trace[-1]
+        with pytest.raises(ValueError) as exc_info:
+            ProtocolTable(
+                "bad", "start", {"start": fs("wedge"), "wedge": frozenset()},
+                fs("done"),
+            )
+        text = str(exc_info.value)
+        assert "'wedge' is not terminal and has no outgoing" in text
+        assert "path: start -> wedge" in text
 
     def test_livelock_cycle_is_rejected(self):
-        bad = ProtocolTable(
-            "bad", "start",
-            {"start": fs("loop"), "loop": fs("loop")},
-            fs("done"),
-        )
-        violations = check_table(bad)
-        live = [v for v in violations if v.kind == "livelock"]
-        assert any("loop" in v.message for v in live)
-        assert all(v.trace for v in live)
-        # The fault product wedges the same way: its counterexamples
-        # carry the inject/heal event path.
-        assert "fault_livelock" in kinds_of(violations)
+        with pytest.raises(ValueError, match="'loop' has no declared path") as exc_info:
+            ProtocolTable(
+                "bad", "start", {"start": fs("loop"), "loop": fs("loop")},
+                fs("done"),
+            )
+        assert "path: start -> loop" in str(exc_info.value)
 
     def test_unreachable_island_is_rejected(self):
-        bad = ProtocolTable(
-            "bad", "start",
-            {"start": fs("mid"), "mid": fs("done"), "limbo": fs("mid")},
-            fs("done"),
-        )
-        violations = check_table(bad)
-        assert kinds_of(violations) == {
-            "unreachable_state", "unreachable_transition",
-        }
-        assert any("limbo" in v.message for v in violations)
+        with pytest.raises(ValueError, match="'limbo' is unreachable from 'start'"):
+            ProtocolTable(
+                "bad", "start",
+                {"start": fs("mid"), "mid": fs("done"), "limbo": fs("mid")},
+                fs("done"),
+            )
 
     def test_terminal_free_cycle_fails_crash_safety(self):
-        bad = ProtocolTable(
-            "bad", "a", {"a": fs("b"), "b": fs("a")}, frozenset()
-        )
-        violations = check_table(bad)
-        assert "crash_safety" in kinds_of(violations)
-        assert "livelock" in kinds_of(violations)
+        with pytest.raises(ValueError, match="no terminal state"):
+            ProtocolTable("bad", "a", {"a": fs("b"), "b": fs("a")}, frozenset())
 
     def test_violation_format_includes_trace(self):
-        bad = ProtocolTable(
-            "bad", "start",
-            {"start": fs("wedge"), "wedge": frozenset()},
-            fs("done"),
-        )
-        dead = [v for v in check_table(bad) if v.kind == "deadlock"][0]
-        text = dead.format()
-        assert "[bad] deadlock" in text
-        assert "trace:" in text
+        with pytest.raises(ValueError) as exc_info:
+            ProtocolTable(
+                "bad", "start",
+                {"start": fs("mid"), "mid": fs("wedge"), "wedge": frozenset()},
+                fs("done"),
+            )
+        text = str(exc_info.value)
+        assert text.startswith("protocol 'bad': ")
+        assert text.endswith("(path: start -> mid -> wedge)")
 
 
 class TestDeadTransitions:
-    def test_no_evidence_means_every_edge_is_dead(self):
-        violations = check_table(SHARD_REASSIGN, evidence=set())
-        dead = [v for v in violations if v.kind == "dead_transition"]
-        assert len(dead) == len(all_edges(SHARD_REASSIGN))
+    def test_no_evidence_means_every_edge_is_dead(self, tmp_path):
+        findings = lint_tree(tmp_path)
+        assert len(findings) == len(all_edges())
+        assert {f.path for f in findings} == {"src/repro/protocol.py"}
 
-    def test_full_evidence_clears_the_table(self):
-        evidence = all_edges(SHARD_REASSIGN)
-        assert check_table(SHARD_REASSIGN, evidence=evidence) == []
+    def test_full_evidence_clears_the_table(self, tmp_path):
+        assert lint_tree(tmp_path, edge_walker()) == []
 
-    def test_one_missing_edge_is_named(self):
-        evidence = all_edges(SHARD_REASSIGN) - {("pause", "drain")}
-        violations = check_table(SHARD_REASSIGN, evidence=evidence)
-        assert len(violations) == 1
-        assert "'pause' -> 'drain'" in violations[0].message
+    def test_one_missing_edge_is_named(self, tmp_path):
+        missing = ("shard_reassign", "pause", "drain")
+        findings = lint_tree(tmp_path, edge_walker(skip={missing}))
+        assert len(findings) == 1
+        assert "'pause' -> 'drain'" in findings[0].message
+        lines = table_lines(ast.parse((SRC / "protocol.py").read_text()))
+        assert findings[0].line == lines["shard_reassign"]
 
 
 class TestEvidence:
@@ -166,67 +177,68 @@ class TestEvidence:
             finally:
                 proto.close("aborted")
     """
+    CALLER = """
+        def caller():
+            return run(False)
+    """
 
-    def test_sequence_is_source_ordered(self):
-        sites = collect_evidence([_Src("src/repro/x.py", self.TRACKER_SRC)])
-        assert len(sites) == 1
-        site = sites[0]
-        assert site.table == "rc_sync"
-        assert site.sequence == (
-            "start", "pause", "drain", "aborted", "migration",
-            "routing_update", "done", "aborted",
-        )
+    def test_sequence_is_source_ordered(self, tmp_path):
+        findings = lint_tree(tmp_path, self.TRACKER_SRC + self.CALLER)
+        # Only the stall edge goes unwalked.
+        assert dead_edges(findings, "rc_sync") == [
+            "declared transition 'drain' -> 'stalled'"
+        ]
 
-    def test_pairs_skip_the_interleaved_close(self):
-        # drain -> migration is witnessed even though a close("aborted")
+    def test_pairs_skip_the_interleaved_close(self, tmp_path):
+        # drain -> migration is walked even though a close("aborted")
         # branch sits between them in source order.
-        sites = collect_evidence([_Src("src/repro/x.py", self.TRACKER_SRC)])
-        pairs = sites[0].pairs(TABLES["rc_sync"])
-        assert ("drain", "migration") in pairs
-        assert pairs >= {
-            ("start", "pause"), ("pause", "drain"),
-            ("migration", "routing_update"), ("routing_update", "done"),
-        }
-
-    def test_dead_call_site_contributes_no_evidence(self):
-        src = _Src("src/repro/x.py", self.TRACKER_SRC)
-        sites = collect_evidence([src])
-        # Nothing calls run(): with a project, its evidence is discarded.
-        project = build_project([src])
-        assert live_evidence_pairs(sites, project, TABLES)["rc_sync"] == set()
-        # Without call-graph liveness, the same site counts.
-        assert live_evidence_pairs(sites, None, TABLES)["rc_sync"] != set()
-
-    def test_live_call_site_contributes_evidence(self):
-        live_src = self.TRACKER_SRC + (
-            "\n        def driver():\n            return run(False)\n"
+        findings = lint_tree(tmp_path, self.TRACKER_SRC + self.CALLER)
+        assert not any(
+            "'drain' -> 'migration'" in edge
+            for edge in dead_edges(findings, "rc_sync")
         )
-        src = _Src("src/repro/x.py", live_src)
-        sites = collect_evidence([src])
-        project = build_project([src])
-        assert live_evidence_pairs(sites, project, TABLES)["rc_sync"] != set()
 
-    def test_fid_points_into_the_graph(self):
-        site = EvidenceSite(
-            rel="src/repro/executors/hybrid.py",
-            qualname="HybridController.split",
-            line=1, table="rc_sync", sequence=("start",),
+    def test_dead_call_site_contributes_no_evidence(self, tmp_path):
+        # Nothing calls run(): its walk counts for nothing.
+        findings = lint_tree(tmp_path, self.TRACKER_SRC)
+        assert len(dead_edges(findings, "rc_sync")) == len(
+            [e for e in all_edges() if e[0] == "rc_sync"]
         )
-        assert site.fid == "repro.executors.hybrid:HybridController.split"
+
+    def test_live_call_site_contributes_evidence(self, tmp_path):
+        findings = lint_tree(tmp_path, self.TRACKER_SRC + self.CALLER)
+        assert len(dead_edges(findings, "rc_sync")) == 1
+
+    def test_fid_points_into_the_graph(self, tmp_path):
+        # A method's walk is live through its self-dispatch caller.
+        source = """
+            from repro.protocol import RC_SYNC
+
+            class Controller:
+                def split(self):
+                    proto = RC_SYNC.tracker()
+                    proto.advance("pause")
+                    proto.advance("drain")
+                    proto.close("stalled")
+
+                def run(self):
+                    return self.split()
+        """
+        findings = lint_tree(tmp_path, source)
+        assert "declared transition 'drain' -> 'stalled'" not in dead_edges(
+            findings, "rc_sync"
+        )
 
 
 class TestCli:
     def test_model_gate_passes_on_the_tree(self, capsys):
-        assert main(["lint", "--model"]) == 0
-        out = capsys.readouterr().out
-        for name in TABLES:
-            assert f"protocol {name}:" in out
-        assert "every transition exercised" in out
+        assert main(["lint", "--select", "PROTO001"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_model_json_output_is_empty_on_success(self, capsys):
         import json
 
-        assert main(["lint", "--model", "--json"]) == 0
+        assert main(["lint", "--select", "PROTO001", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == []
 
     def test_graph_report_runs(self, capsys):

@@ -13,6 +13,7 @@ from repro.protocol import (
     SHARD_REASSIGN,
     TABLES,
     ProtocolError,
+    _table,
 )
 from repro.sim import Environment
 from repro.topology import OperatorSpec
@@ -43,6 +44,31 @@ class TestTables:
             for state in table.states:
                 for terminal in table.terminal:
                     assert table.allows(state, terminal)
+
+    @pytest.mark.parametrize(
+        "edges, terminal, problem",
+        [
+            ({"start": ["a"], "a": ["start"]}, [], "no terminal state"),
+            (
+                {"start": ["done"], "island": ["done"]}, ["done"],
+                "'island' is unreachable",
+            ),
+            (
+                {"start": ["wedge"], "wedge": []}, ["done"],
+                "'wedge' is not terminal and has no outgoing transition",
+            ),
+            (
+                {"start": ["loop"], "loop": ["loop"]}, ["done"],
+                "'loop' has no declared path to a terminal state",
+            ),
+        ],
+        ids=["no-terminal", "unreachable", "wedged", "no-path-to-terminal"],
+    )
+    def test_malformed_table_fails_at_declaration(self, edges, terminal, problem):
+        """A malformed table fails where it is declared — importing
+        :mod:`repro.protocol` — not when some run first walks it."""
+        with pytest.raises(ValueError, match=problem):
+            _table("bad", "start", edges, terminal)
 
 
 class TestTracker:
