@@ -20,7 +20,8 @@ import os
 import pathlib
 import typing
 
-from repro import MicroBenchmarkWorkload, Paradigm, StreamSystem, SystemConfig
+from repro import Paradigm
+from repro.sweep import TrialConfig
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -92,55 +93,6 @@ SCALES = {"quick": QUICK, "paper": PAPER}
 CURRENT: BenchScale = SCALES[SCALE]
 
 
-def build_micro_system(
-    paradigm: Paradigm,
-    rate: typing.Optional[float] = None,
-    omega: float = 2.0,
-    scale: BenchScale = CURRENT,
-    seed: int = 42,
-    telemetry: bool = False,
-    **workload_overrides: typing.Any,
-) -> typing.Tuple[StreamSystem, MicroBenchmarkWorkload]:
-    """A micro-benchmark system at the suite's scale."""
-    workload = MicroBenchmarkWorkload(
-        rate=rate if rate is not None else scale.rate,
-        num_keys=workload_overrides.pop("num_keys", scale.num_keys),
-        skew=workload_overrides.pop("skew", scale.skew),
-        omega=omega,
-        batch_size=workload_overrides.pop("batch_size", 20),
-        seed=seed,
-        **workload_overrides,
-    )
-    topology = workload.build_topology(
-        executors_per_operator=scale.executors_per_operator,
-        shards_per_executor=scale.shards_per_executor,
-    )
-    config = SystemConfig(
-        paradigm=paradigm,
-        num_nodes=scale.num_nodes,
-        cores_per_node=scale.cores_per_node,
-        source_instances=scale.source_instances,
-        telemetry=telemetry,
-    )
-    return StreamSystem(topology, workload, config), workload
-
-
-def run_micro(
-    paradigm: Paradigm,
-    rate: typing.Optional[float] = None,
-    omega: float = 2.0,
-    scale: BenchScale = CURRENT,
-    seed: int = 42,
-    telemetry: bool = False,
-    **workload_overrides: typing.Any,
-):
-    system, _ = build_micro_system(
-        paradigm, rate=rate, omega=omega, scale=scale, seed=seed,
-        telemetry=telemetry, **workload_overrides,
-    )
-    return system.run(duration=scale.duration, warmup=scale.warmup), system
-
-
 def bench_workers() -> int:
     """Worker processes for sweep-based benchmarks.
 
@@ -162,12 +114,16 @@ def micro_trial(
     seed: int = 42,
     duration: typing.Optional[float] = None,
     warmup: typing.Optional[float] = None,
+    system_args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
     **overrides: typing.Any,
-):
-    """A sweep TrialConfig mirroring :func:`build_micro_system` exactly,
-    so sweep-ported benchmarks reproduce the pre-sweep results."""
-    from repro.sweep import TrialConfig
+) -> TrialConfig:
+    """A micro-benchmark trial at the suite's scale.
 
+    ``overrides`` replace the scale's ``TrialConfig`` fields (y, z, key
+    population, skew, tuple size, batch size); any other keyword is a
+    workload constructor argument.  Run it with
+    ``repro.sweep.run_trial`` or as one cell of a sweep.
+    """
     return TrialConfig(
         workload="micro",
         paradigm=paradigm.value,
@@ -190,6 +146,7 @@ def micro_trial(
         tuple_bytes=overrides.pop("tuple_bytes", 128),
         batch_size=overrides.pop("batch_size", 20),
         workload_args=overrides,
+        system_args=system_args or {},
     )
 
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import typing
-
-from repro import Paradigm, SSEWorkload, StreamSystem, SystemConfig
+from repro import Paradigm
+from repro.sweep import TrialConfig
 
 from _config import SCALE
 
 
-def run_sse(
+def sse_trial(
     paradigm: Paradigm,
     rate: float = 25_000.0,
     num_nodes: int = 8,
@@ -18,34 +17,38 @@ def run_sse(
     duration: float = 60.0,
     warmup: float = 25.0,
     seed: int = 7,
-) -> typing.Tuple[typing.Any, StreamSystem]:
-    """One SSE run; returns (SystemResult, StreamSystem)."""
+) -> TrialConfig:
+    """One SSE trial; run it with ``repro.sweep.run_trial`` or as one
+    cell of a sweep."""
     if SCALE == "paper":
         num_nodes, cores_per_node, source_instances = 32, 8, 16
         rate *= 4
-    # Popularity kept flat enough that no single stock exceeds one core's
-    # capacity at the largest driven rate (per-key load cannot be split
-    # across tasks — the same granularity limit the real SSE trace obeys).
-    workload = SSEWorkload(
-        rate=rate, num_stocks=2000, popularity_skew=0.5,
-        burst_magnitude=4.0, order_cost=0.5e-3, batch_size=10, seed=seed,
-    )
-    # One transactor executor per node, analytics executors scaled to the
-    # cluster (the topology must fit the core budget at every size).
-    topology = workload.build_topology(
-        executors_per_operator=num_nodes,
-        shards_per_executor=32,
-        analytics_executors=max(1, num_nodes // 4),
-    )
-    config = SystemConfig(
-        paradigm=paradigm,
+    return TrialConfig(
+        workload="sse",
+        paradigm=paradigm.value,
+        rate=rate,
+        omega=0.0,  # SSE has no key shuffles
+        seed=seed,
+        duration=duration,
+        warmup=warmup,
         num_nodes=num_nodes,
         cores_per_node=cores_per_node,
         source_instances=source_instances,
+        # One transactor executor per node, analytics executors scaled to
+        # the cluster (the topology must fit the core budget at every size).
+        executors_per_operator=num_nodes,
+        shards_per_executor=32,
+        num_keys=2000,  # stocks
+        # Popularity kept flat enough that no single stock exceeds one
+        # core's capacity at the largest driven rate (per-key load cannot
+        # be split across tasks — the same granularity limit the real SSE
+        # trace obeys).
+        skew=0.5,
+        cost_ms=0.5,  # per order
+        batch_size=10,
+        workload_args={"burst_magnitude": 4.0},
+        topology_args={"analytics_executors": max(1, num_nodes // 4)},
         # A well-tuned static deployment gives the transactor (the heavy
         # operator) about half the cluster.
-        static_weights={"transactor": 10.0},
+        system_args={"static_weights": {"transactor": 10.0}},
     )
-    system = StreamSystem(topology, workload, config)
-    result = system.run(duration=duration, warmup=warmup)
-    return result, system

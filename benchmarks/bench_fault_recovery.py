@@ -21,12 +21,11 @@ paradigm and compares the §6.6-style recovery metrics:
 
 import pytest
 
-from repro import FaultSpec, Paradigm
+from repro import Paradigm
 from repro.analysis import ResultTable
-from repro.runtime import StreamSystem, SystemConfig
-from repro.workloads import MicroBenchmarkWorkload
+from repro.sweep import run_trial
 
-from _config import CURRENT, SCALE, emit
+from _config import CURRENT, SCALE, emit, micro_trial
 
 CRASH_TIME = 30.0
 #: ~50% utilization: recovery speed is measured with normal headroom, not
@@ -35,32 +34,13 @@ FAULT_RATE = {"quick": 12_000.0, "paper": 110_000.0}[SCALE]
 
 
 def run_with_crash(paradigm: Paradigm):
-    scale = CURRENT
-    workload = MicroBenchmarkWorkload(
-        rate=FAULT_RATE,
-        num_keys=scale.num_keys,
-        skew=scale.skew,
-        omega=2.0,
-        batch_size=20,
-        seed=42,
-    )
-    topology = workload.build_topology(
-        executors_per_operator=scale.executors_per_operator,
-        shards_per_executor=scale.shards_per_executor,
-    )
-    config = SystemConfig(
-        paradigm=paradigm,
-        num_nodes=scale.num_nodes,
-        cores_per_node=scale.cores_per_node,
-        source_instances=scale.source_instances,
-        fault_spec=FaultSpec.parse(
-            f"node_crash@{CRASH_TIME}:node={scale.num_nodes - 1}"
-        ),
-        sample_interval=0.25,
-    )
-    system = StreamSystem(topology, workload, config)
-    result = system.run(duration=scale.duration, warmup=scale.warmup)
-    return result
+    return run_trial(micro_trial(
+        paradigm, rate=FAULT_RATE, omega=2.0,
+        system_args={
+            "fault_spec": f"node_crash@{CRASH_TIME}:node={CURRENT.num_nodes - 1}",
+            "sample_interval": 0.25,
+        },
+    ))[0]
 
 
 @pytest.mark.benchmark

@@ -9,8 +9,9 @@ import pytest
 
 from repro import Paradigm
 from repro.analysis import ResultTable
+from repro.sweep import run_trial
 
-from _config import CURRENT, build_micro_system, emit
+from _config import CURRENT, emit, micro_trial
 
 PARADIGMS = (Paradigm.STATIC, Paradigm.RC, Paradigm.ELASTICUTOR)
 
@@ -20,11 +21,11 @@ def run_timelines():
     series = {}
     shuffle_times = None
     for paradigm in PARADIGMS:
-        system, workload = build_micro_system(
-            paradigm, rate=CURRENT.saturation_rate, omega=2.0
-        )
-        system.config.sample_interval = 1.0
-        result = system.run(duration=duration, warmup=duration * 0.2)
+        result, _ = run_trial(micro_trial(
+            paradigm, rate=CURRENT.saturation_rate, omega=2.0,
+            duration=duration, warmup=duration * 0.2,
+            system_args={"sample_interval": 1.0},
+        ))
         series[paradigm] = dict(result.throughput_series.to_rows())
         shuffle_times = [t for t in range(30, int(duration) + 1, 30)]
     return series, shuffle_times

@@ -16,21 +16,22 @@ import pytest
 
 from repro import Paradigm
 from repro.analysis import ResultTable
-from repro.telemetry.exporters import export_run, load_artifact
+from repro.sweep import run_trial
+from repro.telemetry.exporters import load_artifact
 from repro.telemetry.report import reassignment_breakdown
 
-from _config import CURRENT, RESULTS_DIR, emit, run_micro
+from _config import CURRENT, RESULTS_DIR, emit, micro_trial
 
 
 def collect():
     # ω = 8 produces plenty of reassignments in one run.
     results = {}
     for paradigm in (Paradigm.ELASTICUTOR, Paradigm.RC):
-        result, system = run_micro(
-            paradigm, rate=CURRENT.latency_rate, omega=8.0, telemetry=True
-        )
         out_dir = RESULTS_DIR / "telemetry" / f"fig08_{paradigm.value}"
-        export_run(out_dir, system.telemetry, summary=result.to_dict())
+        _, system = run_trial(
+            micro_trial(paradigm, rate=CURRENT.latency_rate, omega=8.0),
+            telemetry_out=str(out_dir),
+        )
         results[paradigm] = (system.reassignment_stats, load_artifact(str(out_dir)))
     return results
 

@@ -10,8 +10,9 @@ import pytest
 
 from repro import Paradigm
 from repro.analysis import ResultTable
+from repro.sweep import run_trial
 
-from _sse import run_sse
+from _sse import sse_trial
 from _config import emit
 
 PARADIGMS = (
@@ -27,10 +28,10 @@ def run_all():
     # Saturation drive for throughput + the same run's latency (arrival
     # lag), as in the paper's Figure 16 timelines.
     for paradigm in PARADIGMS:
-        results[paradigm] = run_sse(paradigm, rate=40_000.0)[0]
+        results[paradigm] = run_trial(sse_trial(paradigm, rate=40_000.0))[0]
     latency = {}
     for paradigm in PARADIGMS:
-        latency[paradigm] = run_sse(paradigm, rate=22_000.0)[0]
+        latency[paradigm] = run_trial(sse_trial(paradigm, rate=22_000.0))[0]
     return results, latency
 
 

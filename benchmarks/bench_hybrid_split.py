@@ -15,38 +15,21 @@ as a working extension.
 
 import pytest
 
-from repro import (
-    MicroBenchmarkWorkload,
-    Paradigm,
-    StreamSystem,
-    SystemConfig,
-)
+from repro import Paradigm
 from repro.analysis import ResultTable
+from repro.sweep import run_trial
 
-from _config import CURRENT, emit
+from _config import CURRENT, emit, micro_trial
 
 
 def run_variant(enable_hybrid: bool):
-    workload = MicroBenchmarkWorkload(
-        rate=CURRENT.saturation_rate, num_keys=CURRENT.num_keys,
-        skew=CURRENT.skew, omega=2.0, batch_size=20,
+    return run_trial(micro_trial(
+        Paradigm.ELASTICUTOR, rate=CURRENT.saturation_rate, omega=2.0,
+        duration=60.0, warmup=30.0,
         tuple_bytes=32 * 1024,  # data-intensive (scaled; see Fig 13 notes)
-        seed=42,
-    )
-    topology = workload.build_topology(
-        executors_per_operator=1, shards_per_executor=64
-    )
-    config = SystemConfig(
-        paradigm=Paradigm.ELASTICUTOR,
-        num_nodes=CURRENT.num_nodes,
-        cores_per_node=CURRENT.cores_per_node,
-        source_instances=CURRENT.source_instances,
-        enable_hybrid=enable_hybrid,
-        hybrid_interval=8.0,
-    )
-    system = StreamSystem(topology, workload, config)
-    result = system.run(duration=60.0, warmup=30.0)
-    return result, system
+        executors_per_operator=1, shards_per_executor=64,
+        system_args={"enable_hybrid": enable_hybrid, "hybrid_interval": 8.0},
+    ))
 
 
 def run_pair():

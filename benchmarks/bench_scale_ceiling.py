@@ -109,46 +109,31 @@ SMOKE_GRID: typing.Tuple[Cell, ...] = (
 
 def run_cell(cell: Cell) -> typing.Dict[str, typing.Any]:
     """Run one grid cell in-process and return its measurements."""
-    from repro import Paradigm, StreamSystem, SystemConfig
-    from repro.workloads import MicroBenchmarkWorkload, SSEWorkload
+    from repro.sweep import TrialConfig, build_system
 
-    if cell.workload == "sse":
-        workload: typing.Any = SSEWorkload(
-            rate=cell.rate,
-            num_stocks=cell.num_keys,
-            batch_size=20,
-            # Bounded structures make the million-stock cells feasible:
-            # arrival tracking off (O(keys * ticks)), small weights
-            # window (O(keys) per retained tick).
-            track_arrivals=False,
-            weights_window=16,
-            seed=11,
-        )
-        topology = workload.build_topology(
-            executors_per_operator=cell.executors_per_operator,
-            shards_per_executor=cell.shards_per_executor,
-            hot_state_entries=1024,
-        )
-    elif cell.workload == "micro":
-        workload = MicroBenchmarkWorkload(
-            rate=cell.rate, num_keys=cell.num_keys, skew=0.8,
-            omega=2.0, batch_size=20, seed=11,
-        )
-        topology = workload.build_topology(
-            executors_per_operator=cell.executors_per_operator,
-            shards_per_executor=cell.shards_per_executor,
-            hot_state_entries=1024,
-        )
-    else:  # pragma: no cover - grid construction guards this
-        raise ValueError(f"unknown workload {cell.workload!r}")
-
-    config = SystemConfig(
-        paradigm=Paradigm.ELASTICUTOR,
+    sse = cell.workload == "sse"
+    system = build_system(TrialConfig(
+        workload=cell.workload,
+        paradigm="elasticutor",
+        rate=cell.rate,
+        seed=11,
+        duration=cell.duration,
+        warmup=cell.warmup,
         num_nodes=cell.num_nodes,
         cores_per_node=cell.cores_per_node,
         source_instances=cell.source_instances,
-    )
-    system = StreamSystem(topology, workload, config)
+        executors_per_operator=cell.executors_per_operator,
+        shards_per_executor=cell.shards_per_executor,
+        num_keys=cell.num_keys,
+        skew=0.7 if sse else 0.8,  # SSE keeps its default popularity skew
+        # Bounded structures make the million-stock cells feasible:
+        # arrival tracking off (O(keys * ticks)), small weights
+        # window (O(keys) per retained tick).
+        workload_args=(
+            {"track_arrivals": False, "weights_window": 16} if sse else {}
+        ),
+        topology_args={"hot_state_entries": 1024},
+    ))
     started = time.perf_counter()
     result = system.run(duration=cell.duration, warmup=cell.warmup)
     wall = time.perf_counter() - started

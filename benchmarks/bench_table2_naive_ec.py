@@ -9,14 +9,15 @@ import pytest
 
 from repro import Paradigm
 from repro.analysis import ResultTable
+from repro.sweep import run_trial
 
-from _sse import run_sse
+from _sse import sse_trial
 from _config import emit
 
 
 def run_pair():
     return {
-        paradigm: run_sse(paradigm, rate=25_000.0)[0]
+        paradigm: run_trial(sse_trial(paradigm, rate=25_000.0))[0]
         for paradigm in (Paradigm.NAIVE_EC, Paradigm.ELASTICUTOR)
     }
 

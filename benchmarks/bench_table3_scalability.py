@@ -14,50 +14,25 @@ with caching under ``benchmarks/results/sweeps/table3/``.
 
 import pytest
 
+from repro import Paradigm
 from repro.analysis import ResultTable
-from repro.sweep import SweepSpec, TrialConfig
+from repro.sweep import SweepSpec
 
-from _config import SCALE, emit, run_bench_sweep
+from _config import emit, run_bench_sweep
+from _sse import sse_trial
 
 # (nodes, offered rate): offered scales with the cluster so each size is
 # driven to saturation.
 SIZES = ((4, 25_000.0), (8, 50_000.0), (16, 100_000.0))
 
 
-def sse_trial(nodes: int, rate: float) -> TrialConfig:
-    """One Elasticutor SSE cell, mirroring benchmarks/_sse.py exactly."""
-    cores_per_node = 6
-    source_instances = max(2, nodes // 2)
-    if SCALE == "paper":
-        nodes, cores_per_node, source_instances = 32, 8, 16
-        rate *= 4
-    return TrialConfig(
-        workload="sse",
-        paradigm="elasticutor",
-        rate=rate,
-        omega=0.0,
-        seed=7,
-        duration=45.0,
-        warmup=20.0,
-        num_nodes=nodes,
-        cores_per_node=cores_per_node,
-        source_instances=source_instances,
-        executors_per_operator=nodes,
-        shards_per_executor=32,
-        num_keys=2000,  # stocks
-        skew=0.5,  # popularity skew
-        cost_ms=0.5,  # order cost
-        batch_size=10,
-        workload_args={"burst_magnitude": 4.0},
-        topology_args={"analytics_executors": max(1, nodes // 4)},
-        system_args={"static_weights": {"transactor": 10.0}},
-    )
-
-
 def run_sizes():
     trials, index = [], {}
     for nodes, rate in SIZES:
-        trial = sse_trial(nodes, rate)
+        trial = sse_trial(
+            Paradigm.ELASTICUTOR, rate, num_nodes=nodes,
+            source_instances=max(2, nodes // 2), duration=45.0, warmup=20.0,
+        )
         trials.append(trial)
         index[nodes] = trial.trial_id
     records = run_bench_sweep(

@@ -19,6 +19,7 @@ docs/observability.md).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -26,98 +27,104 @@ import typing
 
 from repro.analysis import ResultTable, SingleExecutorHarness
 from repro.faults import FaultSpec
-from repro.faults.spec import FaultSpecError
-from repro.runtime import Paradigm, PlacementError, StreamSystem, SystemConfig
+from repro.runtime import Paradigm, SystemResult
 from repro.scheduler.strategies import STRATEGY_NAMES
-from repro.workloads import MicroBenchmarkWorkload, SSEWorkload
-
-PARADIGM_NAMES = {p.value: p for p in Paradigm}
-PARADIGM_NAMES.update({"rc": Paradigm.RC, "naive": Paradigm.NAIVE_EC})
-
-
-def _build_workload(args: argparse.Namespace):
-    if args.workload == "micro":
-        workload = MicroBenchmarkWorkload(
-            rate=args.rate,
-            num_keys=args.keys,
-            skew=args.skew,
-            cost_per_tuple=args.cost_ms / 1000.0,
-            omega=args.omega,
-            seed=args.seed,
-        )
-    else:
-        workload = SSEWorkload(
-            rate=args.rate,
-            num_stocks=args.keys,
-            order_cost=args.cost_ms / 1000.0,
-            seed=args.seed,
-        )
-    topology = workload.build_topology(
-        executors_per_operator=args.executors,
-        shards_per_executor=args.shards,
-    )
-    return workload, topology
+from repro.sweep import TrialConfig, build_system
+from repro.sweep.spec import PARADIGM_ALIASES
+from repro.sweep.trial import export_trial
 
 
-def _build_config(args: argparse.Namespace, paradigm: Paradigm) -> SystemConfig:
-    return SystemConfig(
+class UsageError(Exception):
+    """The flags describe no system that can be built."""
+
+
+@contextlib.contextmanager
+def _load_step() -> typing.Iterator[None]:
+    """Turning flags into a system is the load step: a ``ValueError``
+    there (a bad flag value, ``PlacementError``, ``FaultSpecError``) is a
+    usage error.  Errors raised while the system runs propagate."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _trial(args: argparse.Namespace, paradigm: str) -> TrialConfig:
+    """The :class:`TrialConfig` a run-style command's flags describe
+    (docs/sweeps.md maps each flag to its field)."""
+    return TrialConfig(
+        workload=args.workload,
         paradigm=paradigm,
+        rate=args.rate,
+        omega=args.omega,
+        seed=args.seed,
+        duration=args.duration,
+        warmup=args.warmup,
         num_nodes=args.nodes,
         cores_per_node=args.cores_per_node,
         source_instances=args.sources,
-        latency_target=args.latency_target_ms / 1000.0,
-        enable_hybrid=args.hybrid,
-        scheduler_strategy=(
-            "naive-ec" if paradigm is Paradigm.NAIVE_EC
-            else getattr(args, "scheduler", "reactive")
-        ),
-        fault_spec=getattr(args, "fault_spec", None),
-        network_profile=getattr(args, "net_profile", None),
-        detection_delay=getattr(args, "detection_delay", 0.25),
-        state_rebuild_bytes_per_s=getattr(args, "rebuild_mbps", 100.0) * 1e6,
-        telemetry=bool(getattr(args, "telemetry_out", None)),
-    )
-
-
-def _run_once(args: argparse.Namespace, paradigm: Paradigm):
-    workload, topology = _build_workload(args)
-    system = StreamSystem(topology, workload, _build_config(args, paradigm))
-    result = system.run(duration=args.duration, warmup=args.warmup)
-    return result, system
-
-
-def _export_telemetry(
-    args: argparse.Namespace,
-    system: StreamSystem,
-    result: typing.Any,
-    subdir: typing.Optional[str] = None,
-) -> None:
-    out = getattr(args, "telemetry_out", None)
-    if not out:
-        return
-    from repro.telemetry.exporters import export_run
-
-    out_dir = os.path.join(out, subdir) if subdir else out
-    export_run(
-        out_dir,
-        system.telemetry,
-        summary=result.to_dict(),
-        meta={
-            "paradigm": system.config.paradigm.value,
-            "workload": args.workload,
-            "rate": args.rate,
-            "duration": args.duration,
-            "warmup": args.warmup,
-            "seed": args.seed,
+        executors_per_operator=args.executors,
+        shards_per_executor=args.shards,
+        num_keys=args.keys,
+        skew=args.skew,
+        cost_ms=args.cost_ms,
+        # Each workload's own default batch size.
+        batch_size=10 if args.workload == "sse" else 20,
+        system_args={
+            "latency_target": args.latency_target_ms / 1000.0,
+            "enable_hybrid": args.hybrid,
+            "scheduler_strategy": args.scheduler,
+            "fault_spec": args.fault_spec,
+            "network_profile": args.net_profile,
+            "detection_delay": args.detection_delay,
+            "state_rebuild_bytes_per_s": args.rebuild_mbps * 1e6,
         },
     )
-    print(f"... telemetry exported to {out_dir}", file=sys.stderr)
+
+
+def _run_paradigms(
+    args: argparse.Namespace,
+    paradigms: typing.Sequence[str],
+    per_paradigm: bool = True,
+) -> typing.Dict[str, SystemResult]:
+    """Build and run the flags' trial once per paradigm, keyed by the
+    canonical paradigm name.  ``per_paradigm`` exports telemetry to one
+    subdirectory per paradigm and reports progress on stderr."""
+    results = {}
+    for name in paradigms:
+        with _load_step():
+            trial = _trial(args, name)
+            system = build_system(trial, telemetry=bool(args.telemetry_out))
+        result = system.run(duration=trial.duration, warmup=trial.warmup)
+        if args.telemetry_out:
+            out_dir = args.telemetry_out
+            if per_paradigm:
+                out_dir = os.path.join(out_dir, trial.paradigm)
+            export_trial(out_dir, trial, system, result)
+            print(f"... telemetry exported to {out_dir}", file=sys.stderr)
+        if per_paradigm:
+            print(f"... {trial.paradigm} done", file=sys.stderr)
+        results[trial.paradigm] = result
+    return results
+
+
+def _print_results(
+    args: argparse.Namespace,
+    table: ResultTable,
+    results: typing.Mapping[str, SystemResult],
+) -> int:
+    if args.json:
+        print(json.dumps(
+            {name: r.to_dict() for name, r in results.items()},
+            indent=2, sort_keys=True,
+        ))
+    else:
+        print(table.render())
+    return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    paradigm = PARADIGM_NAMES[args.paradigm]
-    result, system = _run_once(args, paradigm)
-    _export_telemetry(args, system, result)
+    [result] = _run_paradigms(args, [args.paradigm], per_paradigm=False).values()
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
@@ -132,32 +139,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ["paradigm", "throughput (t/s)", "mean latency (ms)", "p99 (ms)",
          "migration (MB/s)", "remote (MB/s)"],
     )
-    results = {}
-    for paradigm in Paradigm:
-        result, system = _run_once(args, paradigm)
-        _export_telemetry(args, system, result, subdir=paradigm.value)
-        results[paradigm.value] = result.to_dict()
+    results = _run_paradigms(args, [p.value for p in Paradigm])
+    for paradigm, result in results.items():
         table.add_row(
-            paradigm.value,
+            paradigm,
             result.throughput_tps,
             result.latency["mean"] * 1e3,
             result.latency["p99"] * 1e3,
             result.migration_rate / 1e6,
             result.remote_transfer_rate / 1e6,
         )
-        print(f"... {paradigm.value} done", file=sys.stderr)
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
-    else:
-        print(table.render())
-    return 0
+    return _print_results(args, table, results)
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Fault-injection demo: same fault schedule, one row per paradigm."""
-    spec_text = args.fault_spec or f"node_crash@{args.fault_time}:node={args.nodes - 1}"
-    spec = FaultSpec.load(spec_text)
-    args.fault_spec = spec
+    args.fault_spec = (
+        args.fault_spec or f"node_crash@{args.fault_time}:node={args.nodes - 1}"
+    )
+    with _load_step():
+        spec = FaultSpec.load(args.fault_spec)
     print(f"fault schedule: {spec.to_dsl()}", file=sys.stderr)
     table = ResultTable(
         f"fault recovery — {args.workload} workload, "
@@ -165,14 +166,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
         ["paradigm", "throughput (t/s)", "p99 (ms)", "tuples lost",
          "rerouted", "downtime (s)", "steady state (s)"],
     )
-    results = {}
-    for name in args.paradigms:
-        result, system = _run_once(args, PARADIGM_NAMES[name])
-        _export_telemetry(args, system, result, subdir=PARADIGM_NAMES[name].value)
-        results[PARADIGM_NAMES[name].value] = result.to_dict()
+    results = _run_paradigms(args, args.paradigms)
+    for paradigm, result in results.items():
         recovery = result.recovery
         table.add_row(
-            PARADIGM_NAMES[name].value,
+            paradigm,
             result.throughput_tps,
             result.latency["p99"] * 1e3,
             recovery["tuples_lost"],
@@ -180,12 +178,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             recovery["downtime_seconds"],
             result.time_to_steady_state,
         )
-        print(f"... {name} done", file=sys.stderr)
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
-    else:
-        print(table.render())
-    return 0
+    return _print_results(args, table, results)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -296,7 +289,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a declarative trial sweep in parallel (docs/sweeps.md)."""
-    import os as _os
     import pathlib
 
     from repro.sweep import SweepRunner, SweepSpec
@@ -309,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     out = pathlib.Path(args.out or f"sweep_results/{spec.name}")
     cache_dir = pathlib.Path(args.cache) if args.cache else out / "cache"
-    workers = args.workers if args.workers > 0 else (_os.cpu_count() or 1)
+    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     workers = min(workers, len(spec))
 
     def progress(done: int, total: int, record, cached: bool) -> None:
@@ -386,7 +378,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="offered tuples/second")
     parser.add_argument("--keys", type=int, default=10_000,
                         help="distinct keys (micro) or stocks (sse)")
-    parser.add_argument("--skew", type=float, default=0.8, help="zipf skew")
+    parser.add_argument("--skew", type=float, default=0.8,
+                        help="zipf skew (micro) or stock popularity skew (sse)")
     parser.add_argument("--cost-ms", type=float, default=1.0,
                         help="CPU cost per tuple in ms")
     parser.add_argument("--omega", type=float, default=2.0,
@@ -444,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one paradigm once")
     run_parser.add_argument(
-        "--paradigm", choices=sorted(PARADIGM_NAMES), default="elasticutor"
+        "--paradigm", choices=sorted(PARADIGM_ALIASES), default="elasticutor"
     )
     _add_common(run_parser)
     run_parser.set_defaults(func=cmd_run)
@@ -457,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="fault-injection demo across paradigms"
     )
     faults_parser.add_argument(
-        "--paradigms", nargs="+", choices=sorted(PARADIGM_NAMES),
+        "--paradigms", nargs="+", choices=sorted(PARADIGM_ALIASES),
         default=["elasticutor", "rc", "static"],
     )
     faults_parser.add_argument(
@@ -593,9 +586,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PlacementError, FaultSpecError) as exc:
-        # The topology does not fit the cluster flags, or the fault spec
-        # is malformed: a usage error.
+    except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

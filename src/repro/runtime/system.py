@@ -320,20 +320,10 @@ class StreamSystem:
                     StaticExecutor if config.paradigm is Paradigm.STATIC
                     else ElasticExecutor
                 )
-                executors = []
-                placement = self._place_on_free_cores(count)
-                for i in range(count):
-                    node = placement[i]
-                    executor = executor_cls(
-                        self.env, self.cluster, spec, index=i, local_node=node,
-                        logic=replicate(spec.logic),
-                        config=config.executor,
-                        reassignment_stats=self.reassignment_stats,
-                    )
-                    executor.latency_probe = self.telemetry.probe(executor.name)
-                    self.cluster.cores.allocate(executor.name, node, 1)
-                    executor.start(initial_cores=1)
-                    executors.append(executor)
+                executors = [
+                    self._start_executor(executor_cls, spec, i, node)
+                    for i, node in enumerate(self._place_on_free_cores(count))
+                ]
                 self.executors_by_operator[spec.name] = executors
                 group_cls = (
                     StaticGroup if config.paradigm is Paradigm.STATIC else ElasticGroup
@@ -365,19 +355,8 @@ class StreamSystem:
             )
 
         # RC managers synchronize with their upstream executor instances.
-        for spec in non_source_ops:
-            if config.paradigm is not Paradigm.RC:
-                break
-            upstream_instances: typing.List[typing.Any] = []
-            for upstream_name in self.topology.upstream(spec.name):
-                if upstream_name == self._source_name:
-                    upstream_instances.extend(self.sources)
-                else:
-                    upstream_instances.extend(
-                        self.executors_by_operator[upstream_name]
-                    )
-            manager = self.rc_managers[spec.name]
-            manager.connect_upstreams(upstream_instances)
+        for name, manager in self.rc_managers.items():
+            manager.connect_upstreams(self._upstream_instances(name))
             manager.start()
 
         # Global scheduler for the executor-centric paradigms.
@@ -431,30 +410,38 @@ class StreamSystem:
                 interval=self.config.hybrid_interval,
                 scheduler=self.scheduler,
             )
-            upstream_instances: typing.List[typing.Any] = []
-            for upstream_name in self.topology.upstream(spec.name):
-                if upstream_name == self._source_name:
-                    upstream_instances.extend(self.sources)
-                else:
-                    upstream_instances.extend(
-                        self.executors_by_operator[upstream_name]
-                    )
-            controller.connect_upstreams(upstream_instances)
+            controller.connect_upstreams(self._upstream_instances(spec.name))
             controller.start()
             self.hybrid_controllers[spec.name] = controller
 
+    def _upstream_instances(self, name: str) -> typing.List[typing.Any]:
+        """Every source instance or executor feeding operator ``name``."""
+        instances: typing.List[typing.Any] = []
+        for upstream_name in self.topology.upstream(name):
+            if upstream_name == self._source_name:
+                instances.extend(self.sources)
+            else:
+                instances.extend(self.executors_by_operator[upstream_name])
+        return instances
+
+    def _start_executor(self, executor_cls, spec, index: int, node: int):
+        """Build executor ``index`` of ``spec`` on ``node``, give it one
+        core there and start it (initial placement and hybrid splits)."""
+        executor = executor_cls(
+            self.env, self.cluster, spec, index=index, local_node=node,
+            logic=replicate(spec.logic),
+            config=self.config.executor,
+            reassignment_stats=self.reassignment_stats,
+        )
+        executor.latency_probe = self.telemetry.probe(executor.name)
+        self.cluster.cores.allocate(executor.name, node, 1)
+        executor.start(initial_cores=1)
+        return executor
+
     def _make_hybrid_factory(self, spec, downstream_groups, recorder):
         def factory(index: int, node: int) -> ElasticExecutor:
-            executor = ElasticExecutor(
-                self.env, self.cluster, spec, index=index, local_node=node,
-                logic=replicate(spec.logic),
-                config=self.config.executor,
-                reassignment_stats=self.reassignment_stats,
-            )
+            executor = self._start_executor(ElasticExecutor, spec, index, node)
             executor.connect(downstream_groups, recorder)
-            executor.latency_probe = self.telemetry.probe(executor.name)
-            self.cluster.cores.allocate(executor.name, node, 1)
-            executor.start(initial_cores=1)
             self.executors_by_operator[spec.name].append(executor)
             return executor
 
@@ -579,6 +566,10 @@ class StreamSystem:
         if duration <= 0:
             raise ValueError("duration must be positive")
         self._warmup = duration * 0.25 if warmup is None else warmup
+        if not 0 <= self._warmup < duration:
+            raise ValueError(
+                f"warmup must lie in [0, duration), got {self._warmup}"
+            )
         if hasattr(self.workload, "start_dynamics"):
             self.workload.start_dynamics(self.env)
         for i, source in enumerate(self.sources):

@@ -27,7 +27,7 @@ from repro.sweep.runner import (
     TrialTimeout,
 )
 from repro.sweep.spec import SweepSpec, TrialConfig
-from repro.sweep.trial import execute_trial
+from repro.sweep.trial import build_system, execute_trial, run_trial
 
 __all__ = [
     "ResultCache",
@@ -38,6 +38,8 @@ __all__ = [
     "TrialFailure",
     "TrialRecord",
     "TrialTimeout",
+    "build_system",
     "code_fingerprint",
     "execute_trial",
+    "run_trial",
 ]

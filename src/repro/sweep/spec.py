@@ -36,12 +36,12 @@ import typing
 from repro.runtime.config import Paradigm, SystemConfig
 
 #: Accepted ``paradigm`` spellings -> canonical value.
-_PARADIGM_ALIASES = {p.value: p.value for p in Paradigm}
-_PARADIGM_ALIASES.update({"rc": Paradigm.RC.value, "naive": Paradigm.NAIVE_EC.value})
+PARADIGM_ALIASES = {p.value: p.value for p in Paradigm}
+PARADIGM_ALIASES.update({"rc": Paradigm.RC.value, "naive": Paradigm.NAIVE_EC.value})
 
 _WORKLOADS = ("micro", "sse")
 
-#: SystemConfig fields every trial sets itself (``sweep.trial._build_system``):
+#: SystemConfig fields every trial sets itself (``sweep.trial.build_system``):
 #: a ``system_args`` entry for one of them would collide.
 _TRIAL_SET_SYSTEM_FIELDS = (
     "paradigm", "num_nodes", "cores_per_node", "source_instances", "telemetry",
@@ -101,11 +101,11 @@ class TrialConfig:
             raise ValueError(
                 f"workload must be one of {_WORKLOADS}, got {self.workload!r}"
             )
-        paradigm = _PARADIGM_ALIASES.get(self.paradigm)
+        paradigm = PARADIGM_ALIASES.get(self.paradigm)
         if paradigm is None:
             raise ValueError(
                 f"unknown paradigm {self.paradigm!r}; "
-                f"expected one of {sorted(_PARADIGM_ALIASES)}"
+                f"expected one of {sorted(PARADIGM_ALIASES)}"
             )
         object.__setattr__(self, "paradigm", paradigm)
         if self.rate <= 0:

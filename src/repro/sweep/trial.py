@@ -1,19 +1,19 @@
-"""Execute one sweep trial: a params dict in, a JSON-safe result out.
+"""The one path from an experiment description to a running system.
 
-``execute_trial`` is the default trial function of
-:class:`repro.sweep.SweepRunner`.  It is a *pure* function of its
-parameters — it builds a fresh workload, topology and
-:class:`StreamSystem`, runs for the configured virtual duration, and
-returns ``SystemResult.to_dict()``.  Being module-level and
-dict-in/dict-out makes it picklable for process-pool workers and keeps
-results byte-identical between serial and parallel execution.
+:func:`build_system` maps a :class:`TrialConfig` onto a workload,
+topology and :class:`StreamSystem`; :func:`run_trial` builds, runs and
+exports.  The CLI, the sweep runner and the benchmarks all build here.
+``execute_trial``, the default trial function of
+:class:`repro.sweep.SweepRunner`, is its dict-in/dict-out form: pure in
+its parameters and picklable for process-pool workers, so results are
+byte-identical between serial and parallel execution.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.runtime import Paradigm, StreamSystem, SystemConfig
+from repro.runtime import Paradigm, StreamSystem, SystemConfig, SystemResult
 from repro.sweep.spec import TrialConfig
 from repro.workloads import MicroBenchmarkWorkload, SSEWorkload
 
@@ -28,47 +28,48 @@ TELEMETRY_KEY = "telemetry_out"
 TIMING_KEY = "_timing"
 
 
-def _build_system(
-    config: TrialConfig, telemetry: bool
-) -> StreamSystem:
-    system_args = dict(config.system_args)
+def build_system(trial: TrialConfig, telemetry: bool = False) -> StreamSystem:
+    """The system ``trial`` describes, built but not run.  A fault-spec
+    string is loaded here; a description that cannot be built raises
+    ``ValueError`` (e.g. ``PlacementError``, ``FaultSpecError``)."""
+    system_args = dict(trial.system_args)
     fault_spec = system_args.pop("fault_spec", None)
     if isinstance(fault_spec, str):
         from repro.faults import FaultSpec
 
         fault_spec = FaultSpec.load(fault_spec)
-    if config.workload == "micro":
+    if trial.workload == "micro":
         workload: typing.Any = MicroBenchmarkWorkload(
-            rate=config.rate,
-            num_keys=config.num_keys,
-            skew=config.skew,
-            cost_per_tuple=config.cost_ms / 1000.0,
-            tuple_bytes=config.tuple_bytes,
-            omega=config.omega,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            **config.workload_args,
+            rate=trial.rate,
+            num_keys=trial.num_keys,
+            skew=trial.skew,
+            cost_per_tuple=trial.cost_ms / 1000.0,
+            tuple_bytes=trial.tuple_bytes,
+            omega=trial.omega,
+            batch_size=trial.batch_size,
+            seed=trial.seed,
+            **trial.workload_args,
         )
     else:  # "sse" — omega and tuple_bytes do not apply
         workload = SSEWorkload(
-            rate=config.rate,
-            num_stocks=config.num_keys,
-            popularity_skew=config.skew,
-            order_cost=config.cost_ms / 1000.0,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            **config.workload_args,
+            rate=trial.rate,
+            num_stocks=trial.num_keys,
+            popularity_skew=trial.skew,
+            order_cost=trial.cost_ms / 1000.0,
+            batch_size=trial.batch_size,
+            seed=trial.seed,
+            **trial.workload_args,
         )
     topology = workload.build_topology(
-        executors_per_operator=config.executors_per_operator,
-        shards_per_executor=config.shards_per_executor,
-        **config.topology_args,
+        executors_per_operator=trial.executors_per_operator,
+        shards_per_executor=trial.shards_per_executor,
+        **trial.topology_args,
     )
     system_config = SystemConfig(
-        paradigm=Paradigm(config.paradigm),
-        num_nodes=config.num_nodes,
-        cores_per_node=config.cores_per_node,
-        source_instances=config.source_instances,
+        paradigm=Paradigm(trial.paradigm),
+        num_nodes=trial.num_nodes,
+        cores_per_node=trial.cores_per_node,
+        source_instances=trial.source_instances,
         fault_spec=fault_spec,
         telemetry=telemetry,
         **system_args,
@@ -76,23 +77,34 @@ def _build_system(
     return StreamSystem(topology, workload, system_config)
 
 
+def export_trial(
+    out_dir: str, trial: TrialConfig, system: StreamSystem, result: SystemResult
+) -> None:
+    """Write a telemetry-enabled run's artifact to ``out_dir``."""
+    from repro.telemetry.exporters import export_run
+
+    meta = {"trial_id": trial.trial_id, "paradigm": trial.paradigm,
+            "params": trial.to_dict()}
+    export_run(out_dir, system.telemetry, summary=result.to_dict(), meta=meta)
+
+
+def run_trial(
+    trial: TrialConfig, telemetry_out: typing.Optional[str] = None
+) -> typing.Tuple[SystemResult, StreamSystem]:
+    """Build and run ``trial``; with ``telemetry_out``, telemetry is on
+    and the run's artifact is exported to that directory."""
+    system = build_system(trial, telemetry=bool(telemetry_out))
+    result = system.run(duration=trial.duration, warmup=trial.warmup)
+    if telemetry_out:
+        export_trial(telemetry_out, trial, system, result)
+    return result, system
+
+
 def execute_trial(params: typing.Mapping[str, typing.Any]) -> typing.Dict[str, typing.Any]:
     """Run one trial described by ``TrialConfig.to_dict()`` output."""
     params = dict(params)
     telemetry_out = params.pop(TELEMETRY_KEY, None)
-    config = TrialConfig.from_dict(params)
-    system = _build_system(config, telemetry=bool(telemetry_out))
-    result = system.run(duration=config.duration, warmup=config.warmup)
-    payload = result.to_dict()
-    if telemetry_out:
-        from repro.telemetry.exporters import export_run
-
-        export_run(
-            telemetry_out,
-            system.telemetry,
-            summary=payload,
-            meta={"trial_id": config.trial_id, "params": config.to_dict()},
-        )
+    payload = run_trial(TrialConfig.from_dict(params), telemetry_out)[0].to_dict()
     # Everything in ``SystemResult.to_dict`` is a deterministic function
     # of the trial parameters except the scheduler's real wall-clock cost
     # per round — route that through the timing side channel.

@@ -100,12 +100,41 @@ class TestExecution:
         # The documented SSE topology (8 transactor + 11x2 analytics
         # executors) on the default 8 x 4 cluster, 4 cores held by sources.
         (["run", "--workload", "sse"], "cannot place 30 executors: only 28 free cores"),
-    ], ids=["run", "compare", "faults", "sse-default"])
-    def test_topology_larger_than_cluster_is_a_usage_error(self, argv, message, capsys):
+        # Flag values no system can be built from fail before anything runs.
+        (["run", "--warmup", "30", "--duration", "10", "--json"],
+         "warmup must lie in [0, duration), got 30.0"),
+        (["run", "--rate", "-5"], "rate must be positive, got -5.0"),
+        (["run", "--keys", "0"], "num_keys must be >= 1, got 0"),
+        (["run", "--sources", "0"], "source_instances must be >= 1, got 0"),
+        (["run", "--executors", "0"], "executors_per_operator must be >= 1, got 0"),
+        (["run", "--net-profile", "bogus"], "unknown network profile 'bogus'"),
+    ], ids=[
+        "run", "compare", "faults", "sse-default", "warmup-past-duration",
+        "negative-rate", "no-keys", "no-sources", "no-executors",
+        "unknown-net-profile",
+    ])
+    def test_malformed_flags_are_a_usage_error(self, argv, message, capsys):
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"repro: error: {message}" in err
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert f"repro: error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_skew_reaches_the_sse_workload(self, monkeypatch):
+        from repro.runtime import StreamSystem
+
+        class Built(Exception):
+            pass
+
+        def stop_at_run(system, duration, warmup=None):
+            raise Built(system)
+
+        monkeypatch.setattr(StreamSystem, "run", stop_at_run)
+        with pytest.raises(Built) as built:
+            main(["run", "--workload", "sse", "--nodes", "16", "--skew", "0.5"])
+        popularity = built.value.args[0].workload.popularity
+        # Zipf popularity: rank 1 over rank 2 is 2 ** skew.
+        assert popularity[0] / popularity[1] == pytest.approx(2 ** 0.5)
 
 
 class TestSweepCommand:

@@ -148,6 +148,11 @@ class TestStreamSystemBasics:
         with pytest.raises(ValueError):
             system.run(duration=0.0)
 
+    def test_run_rejects_warmup_past_duration(self):
+        system = make_micro(Paradigm.STATIC)
+        with pytest.raises(ValueError, match=r"warmup must lie in \[0, duration\)"):
+            system.run(10.0, warmup=30.0)
+
     def test_multiple_sources_rejected(self):
         from repro.logic import SyntheticLogic
         from repro.topology import TopologyBuilder
