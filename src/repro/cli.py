@@ -293,7 +293,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.sweep import SweepRunner, SweepSpec
 
-    spec = SweepSpec.from_file(args.spec)
+    with _load_step():
+        spec = SweepSpec.from_file(args.spec)
     if args.dry_run:
         print(f"sweep {spec.name!r}: {len(spec)} trials")
         for trial in spec:

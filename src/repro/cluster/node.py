@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import typing
 
 from repro.sim import Environment
@@ -11,6 +13,30 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cores import CoreManager
     from repro.cluster.network import NetworkFabric
     from repro.cluster.profile import NetworkProfile
+
+
+def check_finite(field: str, value: typing.Any) -> None:
+    """``ValueError`` naming ``field`` unless ``value`` is a finite real
+    number (bools are not numbers here)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+
+
+def checked_fields(
+    kind: str, payload: typing.Any, known: typing.Collection[str]
+) -> typing.Dict[str, typing.Any]:
+    """``payload`` as a dict, or ``ValueError`` if it is not a mapping or
+    has keys outside ``known``."""
+    if not isinstance(payload, typing.Mapping):
+        raise ValueError(f"{kind} must be an object, got {payload!r}")
+    unknown = sorted(str(key) for key in payload if key not in known)
+    if unknown:
+        raise ValueError(f"unknown {kind} keys: {unknown}")
+    return dict(payload)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -32,8 +58,11 @@ class NodeProfile:
     latency_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"node class name must be a string, got {self.name!r}")
         for field in ("speed_factor", "egress_factor", "ingress_factor", "latency_factor"):
             value = getattr(self, field)
+            check_finite(field, value)
             if value <= 0:
                 raise ValueError(f"{field} must be positive, got {value}")
 
@@ -41,12 +70,9 @@ class NodeProfile:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: typing.Mapping[str, typing.Any]) -> "NodeProfile":
+    def from_dict(cls, payload: typing.Any) -> "NodeProfile":
         known = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown NodeProfile keys: {sorted(unknown)}")
-        return cls(**dict(payload))
+        return cls(**checked_fields("NodeProfile", payload, known))
 
 
 class Node:

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import typing
 
-from repro.cluster.node import NodeProfile
+from repro.cluster.node import NodeProfile, check_finite, checked_fields
 
 #: Supported latency distribution families.
 DISTRIBUTIONS: typing.Tuple[str, ...] = ("constant", "uniform", "lognormal")
@@ -60,6 +61,8 @@ class LatencySpec:
                 f"unknown latency distribution {self.distribution!r}; "
                 f"expected one of {DISTRIBUTIONS}"
             )
+        for field in ("base", "jitter", "sigma"):
+            check_finite(field, getattr(self, field))
         if self.base < 0:
             raise ValueError(f"base latency must be >= 0, got {self.base}")
         if self.jitter < 0:
@@ -92,12 +95,9 @@ class LatencySpec:
         }
 
     @classmethod
-    def from_dict(cls, payload: typing.Mapping[str, typing.Any]) -> "LatencySpec":
+    def from_dict(cls, payload: typing.Any) -> "LatencySpec":
         known = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown LatencySpec keys: {sorted(unknown)}")
-        return cls(**dict(payload))
+        return cls(**checked_fields("LatencySpec", payload, known))
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -121,10 +121,18 @@ class NetworkProfile:
     seed: int = 7001
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps is not None and self.bandwidth_bps <= 0:
-            raise ValueError(
-                f"bandwidth_bps must be positive, got {self.bandwidth_bps}"
-            )
+        if not isinstance(self.name, str):
+            raise ValueError(f"profile name must be a string, got {self.name!r}")
+        if self.bandwidth_bps is not None:
+            check_finite("bandwidth_bps", self.bandwidth_bps)
+            if self.bandwidth_bps <= 0:
+                raise ValueError(
+                    f"bandwidth_bps must be positive, got {self.bandwidth_bps}"
+                )
+        for name, values in (("seed", (self.seed,)), ("assignment", self.assignment)):
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.assignment and not self.classes:
             raise ValueError("assignment given without node classes")
         for index in self.assignment:
@@ -155,26 +163,25 @@ class NetworkProfile:
         }
 
     @classmethod
-    def from_dict(cls, payload: typing.Mapping[str, typing.Any]) -> "NetworkProfile":
+    def from_dict(cls, payload: typing.Any) -> "NetworkProfile":
+        """A profile from its dict form; ``ValueError`` naming the field
+        for anything malformed."""
         known = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown NetworkProfile keys: {sorted(unknown)}")
-        data: typing.Dict[str, typing.Any] = dict(payload)
-        latency = data.get("latency")
-        if isinstance(latency, typing.Mapping):
+        data = checked_fields("NetworkProfile", payload, known)
+        latency = data.get("latency", LatencySpec())
+        if not isinstance(latency, LatencySpec):
+            if not isinstance(latency, typing.Mapping):
+                raise ValueError(f"latency must be an object, got {latency!r}")
             data["latency"] = LatencySpec.from_dict(latency)
-        classes = data.get("classes")
-        if classes is not None:
-            data["classes"] = tuple(
-                node_cls
-                if isinstance(node_cls, NodeProfile)
-                else NodeProfile.from_dict(node_cls)
-                for node_cls in classes
-            )
-        assignment = data.get("assignment")
-        if assignment is not None:
-            data["assignment"] = tuple(int(i) for i in assignment)
+        for name in ("classes", "assignment"):
+            value = data.get(name, ())
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            data[name] = tuple(value)
+        data["classes"] = tuple(
+            node_cls if isinstance(node_cls, NodeProfile) else NodeProfile.from_dict(node_cls)
+            for node_cls in data["classes"]
+        )
         return cls(**data)
 
     @classmethod
@@ -196,14 +203,21 @@ class NetworkProfile:
         if builtin is not None:
             return builtin
         if text.startswith("{") or text.startswith("["):
-            return cls.from_dict(json.loads(text))
+            return cls.from_dict(_parse_json(text))
         if os.path.isfile(text):
             with open(text, "r", encoding="utf-8") as handle:
-                return cls.from_dict(json.load(handle))
+                return cls.from_dict(_parse_json(handle.read()))
         raise ValueError(
             f"unknown network profile {text!r}: expected one of "
             f"{sorted(BUILTIN_PROFILES)}, a JSON spec file, or inline JSON"
         )
+
+
+def _parse_json(text: str) -> typing.Any:
+    try:
+        return json.loads(text)
+    except RecursionError:  # nesting too deep to parse
+        raise ValueError("network profile JSON nests too deeply") from None
 
 
 def _builtin_profiles() -> typing.Dict[str, NetworkProfile]:

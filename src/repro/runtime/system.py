@@ -570,26 +570,25 @@ class StreamSystem:
             raise ValueError(
                 f"warmup must lie in [0, duration), got {self._warmup}"
             )
-        if hasattr(self.workload, "start_dynamics"):
-            self.workload.start_dynamics(self.env)
-        for i, source in enumerate(self.sources):
-            source.start(
-                self.workload.schedule(
-                    self.env, i, len(self.sources), duration=duration
-                )
-            )
-        self.env.process(self._sampler())
-        self.telemetry.set_warmup(self._warmup)
-        self.telemetry.start()
-        if self.fault_injector is not None:
-            self.fault_injector.start()
         try:
+            if hasattr(self.workload, "start_dynamics"):
+                self.workload.start_dynamics(self.env)
+            for i, source in enumerate(self.sources):
+                source.start(
+                    self.workload.schedule(
+                        self.env, i, len(self.sources), duration=duration
+                    )
+                )
+            self.env.process(self._sampler())
+            self.telemetry.set_warmup(self._warmup)
+            self.telemetry.start()
+            if self.fault_injector is not None:
+                self.fault_injector.start()
             self.env.run(until=duration)
         except BaseException as exc:
-            # Post-mortem: anything escaping the simulation loop — a
-            # fault-coordinator abort, a REPRO_SANITIZE violation, a bug —
-            # dumps the flight ring before propagating (no-op when
-            # telemetry is off).
+            # Post-mortem: anything escaping the run — a fault-coordinator
+            # abort, a REPRO_SANITIZE violation, a bug — dumps the flight
+            # ring before propagating (no-op when telemetry is off).
             self.telemetry.flight_dump(
                 os.environ.get("REPRO_FLIGHT_DIR", FLIGHT_RECORDER_DIR),
                 reason=f"{type(exc).__name__}: {exc}",
@@ -600,6 +599,12 @@ class StreamSystem:
                 },
             )
             raise
+        finally:
+            # The workload may draw ahead on a worker thread (SSE ticks):
+            # no thread outlives the run, however it ends.
+            close = getattr(self.workload, "close", None)
+            if close is not None:
+                close()
         return self.result(duration)
 
     def result(self, duration: float) -> SystemResult:

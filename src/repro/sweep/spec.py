@@ -30,6 +30,8 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
+import numbers
 import pathlib
 import typing
 
@@ -46,6 +48,42 @@ _WORKLOADS = ("micro", "sse")
 _TRIAL_SET_SYSTEM_FIELDS = (
     "paradigm", "num_nodes", "cores_per_node", "source_instances", "telemetry",
 )
+
+
+#: TrialConfig fields by the type a loaded spec must give them.
+_STRING_FIELDS = ("workload", "paradigm")
+_NUMBER_FIELDS = ("rate", "omega", "duration", "warmup", "skew", "cost_ms")
+_INTEGER_FIELDS = (
+    "seed", "num_nodes", "cores_per_node", "source_instances",
+    "executors_per_operator", "shards_per_executor", "num_keys",
+    "tuple_bytes", "batch_size",
+)
+_DICT_FIELDS = ("workload_args", "topology_args", "system_args")
+
+
+_KINDS = {
+    "string": "a string",
+    "integer": "an integer",
+    "number": "a finite number",
+    "object": "an object",
+}
+
+
+def _check_type(name: str, value: typing.Any, kind: str) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is of ``kind``
+    (a key of ``_KINDS``); bools are neither integers nor numbers."""
+    if kind == "string":
+        ok = isinstance(value, str)
+    elif kind == "object":
+        ok = isinstance(value, typing.Mapping)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind == "integer":
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not ok:
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
 
 
 def canonical_json(value: typing.Any) -> str:
@@ -97,6 +135,16 @@ class TrialConfig:
     )
 
     def __post_init__(self) -> None:
+        for names, kind in (
+            (_STRING_FIELDS, "string"),
+            (_NUMBER_FIELDS, "number"),
+            (_INTEGER_FIELDS, "integer"),
+            (_DICT_FIELDS, "object"),
+        ):
+            for name in names:
+                _check_type(name, getattr(self, name), kind)
+        if self.timeout_seconds is not None:
+            _check_type("timeout_seconds", self.timeout_seconds, "number")
         if self.workload not in _WORKLOADS:
             raise ValueError(
                 f"workload must be one of {_WORKLOADS}, got {self.workload!r}"
@@ -131,7 +179,7 @@ class TrialConfig:
             raise ValueError(
                 f"timeout_seconds must be positive, got {self.timeout_seconds}"
             )
-        for name in ("workload_args", "topology_args", "system_args"):
+        for name in _DICT_FIELDS:
             object.__setattr__(self, name, dict(getattr(self, name)))
         system_fields = {field.name for field in dataclasses.fields(SystemConfig)}
         for key in sorted(self.system_args):
@@ -155,11 +203,12 @@ class TrialConfig:
         return digest.hexdigest()[:16]
 
     @classmethod
-    def from_dict(cls, data: typing.Mapping[str, typing.Any]) -> "TrialConfig":
+    def from_dict(cls, data: typing.Any) -> "TrialConfig":
+        _check_type("a trial", data, "object")
         known = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = sorted(str(key) for key in data if key not in known)
         if unknown:
-            raise ValueError(f"unknown trial parameters: {sorted(unknown)}")
+            raise ValueError(f"unknown trial parameters: {unknown}")
         return cls(**dict(data))
 
 
@@ -200,8 +249,8 @@ class SweepSpec:
     trials: typing.List[TrialConfig]
 
     def __post_init__(self) -> None:
-        if not self.name or not str(self.name).strip():
-            raise ValueError("sweep name must be non-empty")
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise ValueError(f"sweep name must be a non-empty string, got {self.name!r}")
         if not self.trials:
             raise ValueError("a sweep needs at least one trial")
         seen: typing.Dict[str, int] = {}
@@ -258,26 +307,41 @@ class SweepSpec:
         return cls(name=name, trials=expanded)
 
     @classmethod
-    def from_dict(cls, data: typing.Mapping[str, typing.Any]) -> "SweepSpec":
+    def from_dict(cls, data: typing.Any) -> "SweepSpec":
+        """A spec from its JSON form; ``ValueError`` naming the key for
+        anything malformed."""
+        _check_type("a sweep spec", data, "object")
         known = {"name", "base", "grid", "trials"}
-        unknown = set(data) - known
+        unknown = sorted(str(key) for key in data if key not in known)
         if unknown:
-            raise ValueError(f"unknown spec keys: {sorted(unknown)}")
+            raise ValueError(f"unknown spec keys: {unknown}")
         if "name" not in data:
             raise ValueError("spec needs a 'name'")
-        return cls.grid(
-            data["name"],
-            base=data.get("base"),
-            axes=data.get("grid"),
-            trials=data.get("trials", ()),
-        )
+        _check_type("name", data["name"], "string")
+        base = data.get("base", {})
+        axes = data.get("grid", {})
+        trials = data.get("trials", [])
+        _check_type("base", base, "object")
+        _check_type("grid", axes, "object")
+        for axis, values in axes.items():
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"grid axis {axis!r} must be a list, got {values!r}")
+        if not isinstance(trials, (list, tuple)):
+            raise ValueError(f"trials must be a list, got {trials!r}")
+        for index, entry in enumerate(trials):
+            _check_type(f"trials[{index}]", entry, "object")
+        return cls.grid(data["name"], base=base, axes=axes, trials=trials)
 
     @classmethod
     def from_file(
         cls, path: typing.Union[str, pathlib.Path]
     ) -> "SweepSpec":
         text = pathlib.Path(path).read_text()
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:  # nesting too deep to parse
+            raise ValueError(f"sweep spec {str(path)!r} nests too deeply") from None
+        return cls.from_dict(data)
 
     def to_dict(self) -> typing.Dict[str, typing.Any]:
         return {

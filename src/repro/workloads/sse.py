@@ -27,6 +27,20 @@ buffer and shared by every source instance, which sample stocks from it
 by inverse CDF; the draws themselves land in preallocated scratch, so a
 tick allocates nothing per stock.
 
+Ticks are pipelined.  While a ``schedule(duration=...)`` is registered,
+handing out the newest tick starts the next one on a worker thread
+(``_step``), so the draws overlap the simulator consuming the current
+tick: numpy's draws and passes release the GIL.  The worker owns the
+market state -- ``_rng``, ``_multiplier``, ``_burst``, ``_bursting``,
+``_draws``, ``_onset_mask`` -- and writes only the table buffer it was
+given.  The main thread owns the bookkeeping: ``_tick_tables``,
+``_spare_tables``, ``_evict``, ``_instance_ticks``, ``_horizons`` and
+``_advanced_ticks``.  At most one tick is in flight and none past the
+last tick a registered schedule reads, and ticks draw in order, so the
+stream is bit-identical to drawing every tick inline.  :meth:`close`
+joins the tick in flight (``StreamSystem.run`` calls it); afterwards
+ticks run inline.
+
 Topology: orders -> transactor -> 6 statistics + 5 event operators,
 keyed by stock id throughout.
 """
@@ -35,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import typing
 
 import numpy as np
@@ -81,6 +96,27 @@ class ScheduledBurst:
             raise ValueError("burst magnitude must be positive")
         if self.ramp < 0 or self.hold < 0:
             raise ValueError("burst ramp/hold must be >= 0")
+
+
+class _InFlightTick:
+    """One market tick being drawn on its own worker thread."""
+
+    __slots__ = ("tick", "table", "error", "thread")
+
+    def __init__(self, workload: "SSEWorkload", tick: int, table: np.ndarray) -> None:
+        self.tick = tick
+        self.table = table
+        self.error: typing.Optional[BaseException] = None
+        self.thread = threading.Thread(
+            target=self._run, args=(workload,), name=f"sse-tick-{tick}"
+        )
+        self.thread.start()
+
+    def _run(self, workload: "SSEWorkload") -> None:
+        try:
+            workload._step(self.tick, self.table)
+        except BaseException as exc:  # handed to the main thread by _land
+            self.error = exc
 
 
 class SSEWorkload:
@@ -167,6 +203,13 @@ class SSEWorkload:
         #: not advance the shared window past a tick a slow one still
         #: has to sample from.
         self._instance_ticks: typing.Dict[int, int] = {}
+        #: Registered instances' ``schedule`` durations (inf: unbounded).
+        #: The worker never draws a tick none of them will read.
+        self._horizons: typing.Dict[int, float] = {}
+        self._in_flight: typing.Optional[_InFlightTick] = None
+        #: What a tick drawn on the worker raised; the workload is spent.
+        self._failure: typing.Optional[BaseException] = None
+        self._closed = False
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._order_rng = np.random.Generator(np.random.PCG64(seed + 1))
         ranks = np.arange(1, num_stocks + 1, dtype=np.float64)
@@ -220,13 +263,14 @@ class SSEWorkload:
             [self._scheduled_envelope(stock, time) for stock in self._boosted_stocks]
         )
 
-    def _advance_to(self, tick_index: int) -> None:
-        """Advance the per-stock rate processes up to ``tick_index``.
+    def _step(self, tick_index: int, table: np.ndarray) -> None:
+        """Draw one market tick and write its cumulative weight table.
 
-        One market tick costs three vectorized draws over all stocks
-        (drift, burst-onset mask, burst magnitudes) — the RNG stream
-        shape never depends on the data, only on the tick count — and
-        one pass that writes the tick's cumulative weight table.
+        Three vectorized draws over all stocks (drift, burst-onset mask,
+        burst magnitudes) -- the RNG stream shape never depends on the
+        data, only on the tick count -- and one pass that writes
+        ``table``.  Runs on the worker thread when pipelined, so it
+        touches only the market state and ``table``.
         """
         rng = self._rng
         n = self.num_stocks
@@ -239,45 +283,92 @@ class SSEWorkload:
         burst = self._burst
         draws = self._draws
         boosted = self._boosted_stocks
-        while self._advanced_ticks <= tick_index:
-            # Same values as exp(rng.normal(0.0, sigma, n)), without the
-            # per-tick array.
-            if sigma > 0:
-                rng.standard_normal(n, out=draws)
-                draws *= sigma
-                np.exp(draws, out=draws)
-                multiplier *= draws
-                np.clip(multiplier, 0.2, 5.0, out=multiplier)
-            bursting = self._bursting
-            decayed = burst[bursting] * decay_per_tick
-            alive = decayed > floor
-            burst[bursting] = np.where(alive, decayed, 0.0)
-            bursting = bursting[alive]
-            rng.random(n, out=draws)
-            onset = np.flatnonzero(
-                np.less(draws, onset_probability, out=self._onset_mask)
+        # Same values as exp(rng.normal(0.0, sigma, n)), without the
+        # per-tick array.
+        if sigma > 0:
+            rng.standard_normal(n, out=draws)
+            draws *= sigma
+            np.exp(draws, out=draws)
+            multiplier *= draws
+            np.clip(multiplier, 0.2, 5.0, out=multiplier)
+        bursting = self._bursting
+        decayed = burst[bursting] * decay_per_tick
+        alive = decayed > floor
+        burst[bursting] = np.where(alive, decayed, 0.0)
+        bursting = bursting[alive]
+        rng.random(n, out=draws)
+        onset = np.flatnonzero(np.less(draws, onset_probability, out=self._onset_mask))
+        rng.random(n, out=draws)
+        fresh = onset[burst[onset] == 0.0]
+        burst[onset] = self.burst_magnitude * (0.5 + draws[onset])
+        bursting = np.concatenate((bursting, fresh))
+        self._bursting = bursting
+        # weights = popularity * multiplier * ((1 + burst) + boost):
+        # the factor is exactly 1.0 off the bursting and boosted
+        # stocks, so only those are touched after the dense product.
+        np.multiply(popularity, multiplier, out=table)
+        table[bursting] *= 1.0 + burst[bursting]
+        if boosted:
+            boost = self._scheduled_boost(tick_index * self.tick)
+            table[boosted] = (popularity[boosted] * multiplier[boosted]) * (
+                (1.0 + burst[boosted]) + boost
             )
-            rng.random(n, out=draws)
-            fresh = onset[burst[onset] == 0.0]
-            burst[onset] = self.burst_magnitude * (0.5 + draws[onset])
-            bursting = np.concatenate((bursting, fresh))
-            self._bursting = bursting
-            # weights = popularity * multiplier * ((1 + burst) + boost):
-            # the factor is exactly 1.0 off the bursting and boosted
-            # stocks, so only those are touched after the dense product.
+        np.cumsum(table, out=table)
+
+    def _advance_to(self, tick_index: int) -> None:
+        """Make every tick up to ``tick_index`` ready, landing the tick in
+        flight first if it is one of them."""
+        in_flight = self._in_flight
+        if in_flight is not None and in_flight.tick <= tick_index:
+            self._land(in_flight)
+        if self._failure is not None:
+            raise RuntimeError(
+                "a market tick failed on the worker thread; the workload "
+                "cannot advance"
+            ) from self._failure
+        while self._advanced_ticks <= tick_index:
             self._evict(self._advanced_ticks + 1)
-            table = self._spare_tables.pop() if self._spare_tables else np.empty(n)
-            np.multiply(popularity, multiplier, out=table)
-            table[bursting] *= 1.0 + burst[bursting]
-            if boosted:
-                boost = self._scheduled_boost(self._advanced_ticks * self.tick)
-                table[boosted] = (popularity[boosted] * multiplier[boosted]) * (
-                    (1.0 + burst[boosted]) + boost
-                )
-            np.cumsum(table, out=table)
+            table = self._spare_table()
+            self._step(self._advanced_ticks, table)
             self._tick_tables.append(table)
             self._advanced_ticks += 1
         self._evict(self._advanced_ticks)
+
+    def _spare_table(self) -> np.ndarray:
+        return self._spare_tables.pop() if self._spare_tables else np.empty(self.num_stocks)
+
+    def _prefetch(self) -> None:
+        """Start drawing the next tick on a worker thread, if none is in
+        flight and every registered schedule is bounded, one of them
+        reading that tick."""
+        if self._in_flight is not None or self._closed:
+            return
+        tick_index = self._advanced_ticks
+        horizon = max(self._horizons.values(), default=math.inf)
+        if horizon == math.inf or tick_index * self.tick >= horizon:
+            return
+        self._evict(tick_index + 1)
+        self._in_flight = _InFlightTick(self, tick_index, self._spare_table())
+
+    def _land(self, in_flight: _InFlightTick) -> None:
+        """Wait for the tick in flight and append its table."""
+        in_flight.thread.join()
+        self._in_flight = None
+        if in_flight.error is not None:
+            self._failure = in_flight.error
+            return
+        self._tick_tables.append(in_flight.table)
+        self._advanced_ticks += 1
+
+    def close(self) -> None:
+        """Join the tick in flight; from here on ticks run inline.
+
+        Idempotent.  A failure of the joined tick is raised by the next
+        tick query, not here.
+        """
+        self._closed = True
+        if self._in_flight is not None:
+            self._land(self._in_flight)
 
     def _evict(self, advanced_ticks: int) -> None:
         """Recycle tables behind both the window and the slowest instance."""
@@ -299,6 +390,8 @@ class SSEWorkload:
         The array is recycled once the tick leaves the window, so
         callers must read it before the workload advances again.
         """
+        if tick_index < 0:
+            raise ValueError(f"tick index must be >= 0, got {tick_index}")
         self._advance_to(tick_index)
         table = self._tick_tables[tick_index]
         if table is None:
@@ -307,6 +400,7 @@ class SSEWorkload:
                 f"(weights_window={self.weights_window}); widen the window "
                 "or query before advancing past it"
             )
+        self._prefetch()
         return table
 
     def stock_weights(self, tick_index: int) -> np.ndarray:
@@ -318,6 +412,10 @@ class SSEWorkload:
 
     def stock_rate(self, stock: int, tick_index: int) -> float:
         """Instantaneous arrival rate of one stock (tuples/s)."""
+        if not 0 <= stock < self.num_stocks:
+            raise ValueError(
+                f"stock must lie in 0..{self.num_stocks - 1}, got {stock}"
+            )
         table = self._table(tick_index)
         weight = table[stock] - table[stock - 1] if stock else table[0]
         return float(self.rate * weight / table[-1])
@@ -380,6 +478,7 @@ class SSEWorkload:
         rng = np.random.Generator(
             np.random.PCG64(hash((instance_index, 97)) & 0xFFFF)
         )
+        self._horizons[instance_index] = math.inf if duration is None else duration
         try:
             while duration is None or tick_index * self.tick < duration:
                 self._instance_ticks[instance_index] = tick_index
@@ -426,6 +525,7 @@ class SSEWorkload:
                 tick_index += 1
         finally:
             self._instance_ticks.pop(instance_index, None)
+            self._horizons.pop(instance_index, None)
 
     def arrival_series(
         self, stocks: typing.Sequence[int], window_ticks: int = 10

@@ -165,6 +165,14 @@ class TestSweepCommand:
         assert not args.retry_failed
         assert not args.dry_run
 
+    def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "bad", "grid": {"rate": 5}}')
+        assert main(["sweep", str(path), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert "repro: error: grid axis 'rate' must be a list, got 5" in err
+        assert "Traceback" not in err
+
     def test_sweep_dry_run(self, tmp_path, capsys):
         code = main(["sweep", str(self.spec_file(tmp_path)), "--dry-run"])
         assert code == 0

@@ -11,6 +11,8 @@ based scheduler cost model, and end-to-end profile threading through
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     BUILTIN_PROFILES,
@@ -127,6 +129,71 @@ class TestNetworkProfile:
             NetworkProfile(assignment=(0,))  # no classes
         with pytest.raises(ValueError):
             NetworkProfile(classes=(NodeProfile(),), assignment=(3,))
+
+    @pytest.mark.parametrize("bad, names", [
+        ("[]", "NetworkProfile must be an object, got []"),
+        ('{"seed": "x"}', "seed must be an integer, got 'x'"),
+        ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+        ('{"latency": {"base": NaN}}', "base must be a finite number, got nan"),
+        ('{"bandwidth_bps": Infinity}', "bandwidth_bps must be a finite number"),
+        ('{"latency": 5}', "latency must be an object, got 5"),
+        ('{"latency": {"sigma": "x"}}', "sigma must be a finite number, got 'x'"),
+        ('{"classes": 3}', "classes must be a list, got 3"),
+        ('{"classes": [5]}', "NodeProfile must be an object, got 5"),
+        ('{"classes": [{"speed_factor": NaN}]}', "speed_factor must be a finite number"),
+        ('{"classes": [{}], "assignment": ["0"]}', "assignment must be an integer"),
+        ('{"name": 5}', "profile name must be a string, got 5"),
+        ("[" * 100_000, "nests too deeply"),
+    ])
+    def test_malformed_input_names_the_field(self, bad, names):
+        with pytest.raises(ValueError) as exc_info:
+            NetworkProfile.load(bad)
+        assert names in str(exc_info.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet='{}[]":, 0123456789.-eE' "latencybsjtrgmiopwdNI"),
+            st.dictionaries(
+                st.sampled_from([
+                    "name", "latency", "bandwidth_bps", "classes", "assignment",
+                    "seed", "distribution", "base", "jitter", "sigma",
+                    "speed_factor", "egress_factor",
+                ]),
+                st.recursive(
+                    st.none() | st.booleans() | st.integers(-3, 5)
+                    | st.floats() | st.sampled_from(["", "lan", "uniform", "x"]),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(
+                        st.sampled_from(["base", "jitter", "sigma", "distribution",
+                                         "name", "speed_factor", "bogus"]),
+                        inner, max_size=3,
+                    ),
+                    max_leaves=6,
+                ),
+                max_size=4,
+            ).map(json.dumps),
+        )
+    )
+    @example('{"classes": 3}')
+    @example('{"latency": {"distribution": "uniform", "base": 1, "jitter": 2}}')
+    def test_any_text_loads_or_raises_value_error(self, text):
+        try:
+            profile = NetworkProfile.load(text)
+        except ValueError:
+            return
+        # Whatever loads round-trips through its dict form.
+        assert NetworkProfile.from_dict(profile.to_dict()) == profile
+
+    def test_cli_reports_bad_profile_as_usage_error(self, capsys):
+        from repro.cli import main
+
+        argv = ["run", "--duration", "1", "--warmup", "0", "--nodes", "4"]
+        assert main([*argv, "--net-profile", '{"classes": 3}']) == 2
+        err = capsys.readouterr().err
+        assert "repro: error: classes must be a list, got 3" in err
+        assert "Traceback" not in err
 
 
 class TestJitterStream:

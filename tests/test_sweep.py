@@ -12,6 +12,8 @@ import os
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sweep import (
     ResultCache,
@@ -203,6 +205,59 @@ class TestSweepSpec:
         assert [t.seed for t in spec] == [1, 2, 9]
         with pytest.raises(ValueError, match="unknown spec keys"):
             SweepSpec.from_dict({"name": "x", "grdi": {}})
+
+    @pytest.mark.parametrize("bad, names", [
+        ({"name": "x", "base": 3}, "base must be an object, got 3"),
+        ({"name": "x", "grid": []}, "grid must be an object, got []"),
+        ({"name": "x", "grid": {"rate": 5}}, "grid axis 'rate' must be a list, got 5"),
+        ({"name": "x", "grid": {"rate": "x"}}, "grid axis 'rate' must be a list, got 'x'"),
+        ({"name": "x", "grid": {"rate": ["x"]}}, "rate must be a finite number, got 'x'"),
+        ({"name": 5}, "name must be a string, got 5"),
+        ({"name": "x", "trials": [3]}, "trials[0] must be an object, got 3"),
+        ({"name": "x", "base": {"paradigm": []}}, "paradigm must be a string, got []"),
+        ({"name": "x", "base": {"rate": float("nan")}}, "rate must be a finite number"),
+        ({"name": "x", "base": {"num_nodes": 2.5}}, "num_nodes must be an integer, got 2.5"),
+        ({"name": "x", "base": {"seed": True}}, "seed must be an integer, got True"),
+        ({"name": "x", "base": {"system_args": []}}, "system_args must be an object"),
+        ([], "a sweep spec must be an object, got []"),
+    ])
+    def test_malformed_spec_names_the_key(self, bad, names):
+        with pytest.raises(ValueError) as exc_info:
+            SweepSpec.from_dict(bad)
+        assert names in str(exc_info.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet='{}[]":, 0123456789.-eE' "namebsgridtrialsewopx"),
+            st.dictionaries(
+                st.sampled_from(["name", "base", "grid", "trials", "bogus"]),
+                st.recursive(
+                    st.none() | st.booleans() | st.integers(-3, 5)
+                    | st.floats() | st.sampled_from(["", "demo", "sse", "static"]),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(
+                        st.sampled_from(["rate", "seed", "paradigm", "workload",
+                                         "num_nodes", "duration", "warmup",
+                                         "workload_args", "system_args"]),
+                        inner, max_size=3,
+                    ),
+                    max_leaves=6,
+                ),
+                max_size=4,
+            ).map(json.dumps),
+        )
+    )
+    @example('{"name": "x", "grid": {"rate": 5}}')
+    @example('{"name": "x", "base": {"duration": 1, "warmup": 0}}')
+    def test_any_text_loads_or_raises_value_error(self, text):
+        try:
+            spec = SweepSpec.from_dict(json.loads(text))
+        except ValueError:  # json.JSONDecodeError included
+            return
+        # Whatever loads keeps its trials' identities through their dicts.
+        assert [TrialConfig.from_dict(t.to_dict()) for t in spec] == spec.trials
 
 
 # ---------------------------------------------------------------------------

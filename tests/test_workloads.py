@@ -1,6 +1,10 @@
 """Unit tests for the workload generators."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -186,6 +190,18 @@ class TestSSEWorkload:
         rates = [workload.stock_rate(0, tick) for tick in range(0, 3000, 300)]
         assert max(rates) > 1.5 * min(rates)  # bursts + drift
 
+    def test_out_of_range_queries_raise(self):
+        workload = SSEWorkload(rate=10_000, num_stocks=20, seed=3)
+        workload.stock_weights(2)
+        with pytest.raises(ValueError, match="tick index must be >= 0, got -1"):
+            workload.stock_weights(-1)
+        with pytest.raises(ValueError, match="tick index must be >= 0, got -1"):
+            workload.stock_rate(0, -1)
+        for stock in (-1, 20):
+            with pytest.raises(ValueError, match=rf"stock must lie in 0..19, got {stock}"):
+                workload.stock_rate(stock, 0)
+        assert workload.stock_rate(19, 0) > 0
+
     def test_real_payload_mode_generates_orders(self):
         env = Environment()
         workload = SSEWorkload(rate=1000, num_stocks=10, real_payloads=True, seed=1)
@@ -367,6 +383,189 @@ class TestSSEWeightsWindow:
             assert np.array_equal(
                 bounded.stock_weights(tick), unbounded.stock_weights(tick)
             )
+
+
+def _tick_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("sse-tick")]
+
+
+class _Boom(Exception):
+    pass
+
+
+class _FailingSSE(SSEWorkload):
+    """Raises from the tick it is told to, recording the drawing thread."""
+
+    def __init__(self, fail_at, **kwargs):
+        super().__init__(**kwargs)
+        self.fail_at = fail_at
+        self.step_threads = set()
+
+    def _step(self, tick_index, table):
+        self.step_threads.add(threading.current_thread().name)
+        if tick_index == self.fail_at:
+            raise _Boom(tick_index)
+        super()._step(tick_index, table)
+
+
+class TestSSETickPipeline:
+    """Ticks drawn ahead on a worker thread: same stream, no stray threads."""
+
+    def test_next_tick_is_drawn_ahead_only_within_the_horizon(self):
+        env = Environment()
+        workload = SSEWorkload(rate=20_000, num_stocks=500, seed=3)
+        schedule = workload.schedule(env, 0, 1, duration=0.3)
+        next(schedule)  # hands out tick 0
+        assert workload._in_flight is not None and workload._in_flight.tick == 1
+        records = list(schedule)  # ticks 1 and 2; tick 3 is past the horizon
+        assert records
+        assert workload._in_flight is None
+        assert workload._advanced_ticks == 3
+        # Without a bounded schedule, ticks run inline.
+        unbounded = SSEWorkload(rate=20_000, num_stocks=500, seed=3)
+        stream = unbounded.schedule(env, 0, 1)
+        next(stream)
+        assert unbounded._in_flight is None
+        stream.close()
+        workload.stock_weights(5)
+        assert workload._in_flight is None
+
+    def test_concurrent_workloads_reproduce_the_digests(self):
+        # Six workloads, each with its own tick worker, on a two-core
+        # box, switching threads every microsecond.
+        digests = {}
+
+        def run(index, params):
+            workload = SSEWorkload(rate=20_000, batch_size=10, **params)
+            digest = hashlib.sha256()
+            try:
+                for record in _stream(workload):
+                    digest.update(repr(record).encode())
+            finally:
+                workload.close()
+            digests[index] = digest.hexdigest()[:16]
+
+        cases = TestSSEStreamIdentity.CASES
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(i, params))
+                for i, (params, _) in enumerate(cases)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests == {i: expected for i, (_, expected) in enumerate(cases)}
+
+    def test_worker_exception_reaches_the_caller(self):
+        env = Environment()
+        workload = _FailingSSE(fail_at=3, rate=20_000, num_stocks=500, seed=3)
+        with pytest.raises(RuntimeError, match="worker thread") as info:
+            for _ in workload.schedule(env, 0, 1, duration=1.0):
+                pass
+        assert isinstance(info.value.__cause__, _Boom)
+        assert "sse-tick-3" in workload.step_threads
+        # The workload stays spent, inline or not; close does not raise.
+        workload.close()
+        workload.close()
+        with pytest.raises(RuntimeError) as again:
+            workload.stock_weights(10)
+        assert isinstance(again.value.__cause__, _Boom)
+
+    def test_close_lands_the_tick_in_flight(self):
+        env = Environment()
+        workload = SSEWorkload(rate=20_000, num_stocks=500, seed=3)
+        next(workload.schedule(env, 0, 1, duration=5.0))
+        in_flight = workload._in_flight
+        assert in_flight is not None
+        workload.close()
+        assert workload._in_flight is None
+        assert not in_flight.thread.is_alive()
+        assert workload._advanced_ticks == 2
+        reference = SSEWorkload(rate=20_000, num_stocks=500, seed=3)
+        assert np.array_equal(workload.stock_weights(4), reference.stock_weights(4))
+
+
+class TestSSEWorkerLifecycle:
+    """No tick worker outlives ``StreamSystem.run``, however it ends."""
+
+    @staticmethod
+    def trial(**overrides):
+        from repro.sweep import TrialConfig
+
+        params = dict(
+            workload="sse", paradigm="elasticutor", rate=4000.0, seed=3,
+            duration=2.0, warmup=0.5, num_nodes=4, cores_per_node=4,
+            source_instances=2, executors_per_operator=1,
+            shards_per_executor=4, num_keys=500, batch_size=10,
+            topology_args={"analytics_executors": 1},
+        )
+        params.update(overrides)
+        return TrialConfig(**params)
+
+    def test_import_starts_no_thread(self):
+        code = (
+            "import threading, repro; "
+            "print(sorted(t.name for t in threading.enumerate()))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "['MainThread']"
+
+    def test_no_worker_after_run_returns(self):
+        from repro.sweep import build_system
+
+        system = build_system(self.trial())
+        system.run(duration=2.0, warmup=0.5)
+        assert _tick_threads() == []
+        assert system.workload._in_flight is None
+
+    def test_no_worker_after_run_raises(self, monkeypatch):
+        from repro.sweep import build_system
+
+        step = SSEWorkload._step
+
+        def failing_step(workload, tick_index, table):
+            if tick_index == 5:
+                raise _Boom(tick_index)
+            step(workload, tick_index, table)
+
+        monkeypatch.setattr(SSEWorkload, "_step", failing_step)
+        system = build_system(self.trial())
+        with pytest.raises(RuntimeError) as info:
+            system.run(duration=2.0, warmup=0.5)
+        assert isinstance(info.value.__cause__, _Boom)
+        assert _tick_threads() == []
+
+    def test_no_worker_after_a_run_cut_short(self, monkeypatch):
+        from repro.sweep import build_system
+
+        in_flight_at_close = []
+        close = SSEWorkload.close
+
+        def recording_close(workload):
+            in_flight_at_close.append(workload._in_flight is not None)
+            close(workload)
+
+        monkeypatch.setattr(SSEWorkload, "close", recording_close)
+        # Orders cost 20 ms each against 4000/s offered: the sources fall
+        # behind their schedule, so the run ends mid-schedule with the
+        # next tick still being drawn.
+        system = build_system(self.trial(cost_ms=20.0))
+        system.run(duration=2.0, warmup=0.5)
+        workload = system.workload
+        assert min(workload._instance_ticks.values()) < 19
+        assert in_flight_at_close == [True]
+        assert _tick_threads() == []
+        assert workload._in_flight is None
 
 
 class TestZipfBoosts:
