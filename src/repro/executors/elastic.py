@@ -881,7 +881,10 @@ class ElasticExecutor:
             if isinstance(item, TupleBatch):
                 flushed += item.count
             yield self._forward(item, task)
-        entry.paused = False
+        if entry.task is task:
+            # A crash of ``task`` during the flush orphaned the shard: it
+            # stays paused for recovery.
+            entry.paused = False
         return flushed
 
     def __repr__(self) -> str:

@@ -10,16 +10,8 @@ Rule      Invariant
 ========  ==============================================================
 DET001    No wall-clock / global-RNG / entropy / set-ordering
           nondeterminism inside ``src/repro`` (outside the allowlist).
-DET002    Interprocedural: no nondeterminism source taints an artifact
-          write (``results.jsonl``, BENCH emitters, telemetry exports)
-          through any resolved call chain; seeded RNG construction
-          sanitizes (:mod:`repro.lint.taint`).
 HOT001    Classes in hot modules declare ``__slots__`` and never grow
           attributes outside ``__init__``.
-OWN001    Interprocedural: shard-state mutation sites in
-          ``repro/executors/`` are reachable only through functions
-          attesting to an ownership epoch (a protocol tracker) — the
-          static complement of ``REPRO_SANITIZE=1``.
 TEL001    Every telemetry span is closed on all paths, and no expensive
           argument construction reaches a bus call unguarded by the
           ``NULL_BUS`` fast path.
@@ -35,9 +27,14 @@ SUP002    Framework rule: every justified suppression still silences a
           finding; stale waivers must be deleted (not suppressible).
 ========  ==============================================================
 
-The interprocedural rules run on the whole-project call graph built by
+PROTO001 and SIM001 also run on the whole-project call graph built by
 :mod:`repro.lint.graph`.  The protocol tables check their own shape
 (termination, reachability, no wedged state) when they are built.
+
+Each project rule catches at least one real bug that nothing else
+catches: ``tests/mutants.py`` scores each rule, the test suite, the
+protocol tracker and the ``REPRO_SANITIZE=1`` sanitizer against a set of
+this repository's real bugs (table in ``docs/static-analysis.md``).
 
 Findings are suppressed inline with ``# repro: allow[RULE]: reason`` on
 the offending line; the reason is mandatory.  See

@@ -93,6 +93,21 @@ class Suppressions:
         return rule in self._by_line.get(line, ())
 
 
+def rel_matches(rel: str, suffixes: typing.Sequence[str]) -> bool:
+    """True when the repo-relative path ``rel`` matches a suffix.
+
+    Suffixes ending in ``/`` match directories (``"executors/"``),
+    others match exact file tails (``"topology/batch.py"``).
+    """
+    for suffix in suffixes:
+        if suffix.endswith("/"):
+            if f"/{suffix}" in f"/{rel}":
+                return True
+        elif rel.endswith(suffix):
+            return True
+    return False
+
+
 class ParsedModule:
     """One source file, parsed once and shared by every rule."""
 
@@ -107,19 +122,8 @@ class ParsedModule:
         self.suppressions = Suppressions(self.lines)
 
     def in_package(self, *suffixes: str) -> bool:
-        """True when this file's repo-relative path matches a suffix.
-
-        Suffixes ending in ``/`` match directories (``"executors/"``),
-        others match exact file tails (``"topology/batch.py"``).
-        """
-        rel = self.rel
-        for suffix in suffixes:
-            if suffix.endswith("/"):
-                if f"/{suffix}" in f"/{rel}":
-                    return True
-            elif rel.endswith(suffix):
-                return True
-        return False
+        """True when this file's repo-relative path matches a suffix."""
+        return rel_matches(self.rel, suffixes)
 
 
 class Rule:

@@ -2,15 +2,14 @@
 
 The per-module rules (DET001, SIM001, ...) are syntactic: they see one
 function at a time and miss anything hidden one call away.  This module
-gives the interprocedural passes (SIM001-transitive, DET002, OWN001,
-PROTO001's dead-edge liveness check) a shared project-wide view:
+gives the two interprocedural passes (SIM001-transitive and PROTO001's
+dead-edge liveness check) a shared project-wide view:
 
 - **Extraction** walks each module once and produces a
   :class:`ModuleSummary`: imports, classes with textual bases, and one
   :class:`FunctionInfo` per function/method holding its call sites and
-  semantic *facts* (nondeterminism sources, RNG sanitizers, artifact
-  writes, process spawns, discarded blocking calls, shard-state
-  mutations, ownership attestations).
+  the *facts* SIM001 flags (process spawns, discarded blocking calls,
+  awaits).
 - **Linking** resolves call sites into edges with an explicit confidence
   level: ``call``/``ref`` edges are *resolved* (module-level names,
   imports with re-export chasing, ``self`` dispatch through the class
@@ -18,11 +17,13 @@ PROTO001's dead-edge liveness check) a shared project-wide view:
   calls by method name across the project, and everything else lands in
   an explicit unresolved report instead of being silently dropped.
 
-Soundness stance: passes that *flag* what a path reaches (SIM001, DET002
-taint) traverse only resolved edges — a by-name heuristic edge would
-manufacture false positives.  Passes that *search for* a guarantee on
-every path (OWN001's ownership attestation) also traverse heuristic
-edges — there an over-approximation of callers is the safe direction.
+Soundness stance: a pass that *flags* what a path reaches (SIM001)
+traverses only resolved edges — a by-name heuristic edge would
+manufacture false positives.  A pass that *asks whether* anything calls a
+function (PROTO001's liveness) also counts heuristic edges — there an
+over-approximation of callers is the safe direction: without them
+PROTO001 cannot see ``self.barrier.synchronize`` and reports the
+``rc_sync`` edges as dead.
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ import dataclasses
 import pathlib
 import typing
 
-from repro.lint.rules.det001 import (
-    _BANNED_ATTR_CALLS,
-    _GLOBAL_RANDOM_FNS,
-    _NUMPY_ALIASES,
-    _NUMPY_GLOBAL_FNS,
-    _NUMPY_SEEDED_CTORS,
-    _ORDERING_SINKS,
-    _is_set_expr,
-)
 from repro.lint.rules.sim001 import _BLOCKING_ATTRS
 
 #: The pseudo-function holding a module's top-level statements.
@@ -49,17 +41,9 @@ MODULE_SCOPE = "<module>"
 
 # -- fact kinds --------------------------------------------------------------
 
-FACT_DET_SOURCE = "det_source"          #: wall clock / global RNG / set order
-FACT_RNG_SANITIZER = "rng_sanitizer"    #: seeded Generator(PCG64) construction
-FACT_ARTIFACT_WRITE = "artifact_write"  #: writes results/telemetry artifacts
 FACT_BLOCKING_DISCARD = "blocking_discard"  #: bare `x.get(...)` statement
 FACT_PROCESS_SPAWN = "process_spawn"    #: `.process(...)` call
 FACT_AWAIT = "await"                    #: await expression
-FACT_OWN_MUTATION = "own_mutation"      #: shard-state mutation site
-FACT_OWN_ATTEST = "own_attest"          #: ownership-epoch attestation
-
-#: Attribute calls that persist data into an artifact.
-_ARTIFACT_WRITE_ATTRS = frozenset({"write", "writelines", "write_text", "dump"})
 
 #: Max heuristic candidates for a by-name attribute call; beyond this the
 #: call is reported as ambiguous instead of fanning out.
@@ -139,12 +123,6 @@ class FunctionInfo:
         if "." in self.qualname:
             return self.qualname.rsplit(".", 1)[0]
         return None
-
-    def facts_of(self, kind: str) -> typing.List[Fact]:
-        return [fact for fact in self.facts if fact.kind == kind]
-
-    def has_fact(self, kind: str) -> bool:
-        return any(fact.kind == kind for fact in self.facts)
 
 
 @dataclasses.dataclass(slots=True)
@@ -271,11 +249,6 @@ class _Extractor:
             headers.append(stmt.test)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             headers.append(stmt.iter)
-            if _is_set_expr(stmt.iter):
-                self._fact(
-                    scope, FACT_DET_SOURCE, stmt.iter.lineno,
-                    "iterating a set (hash-randomized order)",
-                )
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 headers.append(item.context_expr)
@@ -286,22 +259,6 @@ class _Extractor:
         discard: typing.Optional[ast.Call] = None
         if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
             discard = stmt.value
-        targets: typing.List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        for target in targets:
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Attribute)
-                and target.value.attr == "data"
-            ):
-                text = _expr_text(target.value) or "?.data"
-                self._fact(
-                    scope, FACT_OWN_MUTATION, target.lineno,
-                    f"writes {text}[...]",
-                )
         self._scan_expr_tree(stmt, scope, discard)
 
     # -- defs ----------------------------------------------------------------
@@ -417,7 +374,6 @@ class _Extractor:
                 info.calls.append(CallSite(line, "local", local, True, discarded))
             else:
                 info.calls.append(CallSite(line, "name", name, True, discarded))
-            self._name_call_facts(node, name, scope)
             return
         if not isinstance(func, ast.Attribute):
             return  # call of a call / subscript result: dynamic, skipped
@@ -455,34 +411,6 @@ class _Extractor:
                 CallSite(first.lineno, "self", first.attr, False, False)
             )
 
-    def _name_call_facts(
-        self, node: ast.Call, name: str, scope: _Scope
-    ) -> None:
-        if name in _ORDERING_SINKS and len(node.args) == 1:
-            if _is_set_expr(node.args[0]):
-                self._fact(
-                    scope, FACT_DET_SOURCE, node.lineno,
-                    f"{name}(set) materializes hash-randomized order",
-                )
-        elif name == "open":
-            mode = ""
-            if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant):
-                if isinstance(node.args[1].value, str):
-                    mode = node.args[1].value
-            for keyword in node.keywords:
-                if keyword.arg == "mode" and isinstance(keyword.value, ast.Constant):
-                    if isinstance(keyword.value.value, str):
-                        mode = keyword.value.value
-            if any(flag in mode for flag in ("w", "a", "x")):
-                self._fact(
-                    scope, FACT_ARTIFACT_WRITE, node.lineno,
-                    f"open(..., {mode!r})",
-                )
-        elif name == "migrate_shard":
-            self._fact(
-                scope, FACT_OWN_MUTATION, node.lineno, "migrate_shard(...)"
-            )
-
     def _attr_call_facts(
         self,
         node: ast.Call,
@@ -491,87 +419,17 @@ class _Extractor:
         discarded: bool,
     ) -> None:
         last = comps[-1]
-        receiver = ".".join(comps[:-1])
-        pair = (comps[-2], last) if len(comps) >= 2 else ("", last)
-        reason = _BANNED_ATTR_CALLS.get(pair)
-        if reason is not None:
-            self._fact(
-                scope, FACT_DET_SOURCE, node.lineno,
-                f"{'.'.join(pair)}() reads {reason}",
-            )
-        elif pair[0] == "random" and last in _GLOBAL_RANDOM_FNS:
-            self._fact(
-                scope, FACT_DET_SOURCE, node.lineno,
-                f"global random.{last}()",
-            )
-        elif (
-            len(comps) >= 3
-            and comps[-3] in _NUMPY_ALIASES
-            and comps[-2] == "random"
-        ):
-            if last in _NUMPY_GLOBAL_FNS:
-                self._fact(
-                    scope, FACT_DET_SOURCE, node.lineno,
-                    f"numpy.random.{last}() global RandomState",
-                )
-            elif last in _NUMPY_SEEDED_CTORS:
-                if node.args or node.keywords:
-                    self._fact(
-                        scope, FACT_RNG_SANITIZER, node.lineno,
-                        f"seeded numpy.random.{last}(...)",
-                    )
-                else:
-                    self._fact(
-                        scope, FACT_DET_SOURCE, node.lineno,
-                        f"numpy.random.{last}() without a seed",
-                    )
-        elif pair == ("random", "Random") and (node.args or node.keywords):
-            self._fact(
-                scope, FACT_RNG_SANITIZER, node.lineno,
-                "seeded random.Random(...)",
-            )
-        if last in _ARTIFACT_WRITE_ATTRS:
-            self._fact(
-                scope, FACT_ARTIFACT_WRITE, node.lineno, f".{last}(...)"
-            )
         if discarded and last in _BLOCKING_ATTRS:
             self._fact(
                 scope, FACT_BLOCKING_DISCARD, node.lineno,
                 f"discards the event returned by .{last}(...)",
             )
+        receiver = ".".join(comps[:-1])
         if last == "process" and receiver.split(".")[-1] in ("env", "environment"):
             # Only simulation-environment spawns: `logic.process(...)` is
             # operator CPU work, not a scheduler re-entry.
             self._fact(
                 scope, FACT_PROCESS_SPAWN, node.lineno, f"{receiver}.process(...)"
-            )
-        if last == "tracker" and comps[-2:][0].isupper() and len(comps) >= 2:
-            self._fact(
-                scope, FACT_OWN_ATTEST, node.lineno,
-                f"{receiver}.tracker() protocol epoch",
-            )
-        elif last == "synchronize" and receiver.endswith("barrier"):
-            # OperatorBarrier.synchronize holds the RC_SYNC tracker and runs
-            # the move step its caller hands it inside that epoch.
-            self._fact(
-                scope, FACT_OWN_ATTEST, node.lineno,
-                f"{receiver}.synchronize() protocol epoch",
-            )
-        if last in ("add", "remove") and "store" in receiver.lower():
-            self._fact(
-                scope, FACT_OWN_MUTATION, node.lineno,
-                f"{receiver}.{last}(shard)",
-            )
-        elif last in ("pop", "clear", "update", "setdefault") and (
-            receiver.endswith(".data") or receiver == "data"
-        ):
-            self._fact(
-                scope, FACT_OWN_MUTATION, node.lineno,
-                f"{receiver}.{last}(...)",
-            )
-        elif last == "migrate_shard":
-            self._fact(
-                scope, FACT_OWN_MUTATION, node.lineno, "migrate_shard(...)"
             )
 
     def _record_import(

@@ -5,9 +5,7 @@ from __future__ import annotations
 import typing
 
 from repro.lint.rules.det001 import Det001
-from repro.lint.rules.det002 import Det002
 from repro.lint.rules.hot001 import Hot001
-from repro.lint.rules.own001 import Own001
 from repro.lint.rules.proto001 import Proto001
 from repro.lint.rules.sim001 import Sim001
 from repro.lint.rules.tel001 import Tel001
@@ -18,15 +16,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 #: Every shipped rule, in catalog order.  Factories, not instances —
 #: rules may keep per-run state.
 ALL_RULES: typing.Tuple[typing.Callable[[], "Rule"], ...] = (
-    Det001, Det002, Hot001, Own001, Tel001, Proto001, Sim001,
+    Det001, Hot001, Tel001, Proto001, Sim001,
 )
 
 __all__ = [
     "ALL_RULES",
     "Det001",
-    "Det002",
     "Hot001",
-    "Own001",
     "Proto001",
     "Sim001",
     "Tel001",

@@ -15,6 +15,12 @@ Allowed escapes:
 - seeded ``random.Random(seed)`` instances (the supported RNG idiom);
 - ``sorted(...)`` over sets (ordering is then explicit);
 - inline ``# repro: allow[DET001]: why`` for measurement side channels.
+
+Unique catches in the mutation set (``tests/mutants.py``): node-crash
+victims collected in str-set order, ``_diff`` walking a union of node
+sets unsorted, and a wall-clock budget on the balancer's planning.  The
+test suite runs under one hash seed on fast hardware and sees none of
+them.
 """
 
 from __future__ import annotations
@@ -83,11 +89,17 @@ ALLOWED_PATH_SUFFIXES = (
 #: Constructors that materialize their argument in iteration order.
 _ORDERING_SINKS = frozenset({"list", "tuple"})
 
+#: Binary operators that return a set when either operand is one.
+_SET_ALGEBRA = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+
 
 def _is_set_expr(node: ast.AST) -> bool:
-    """A set display, set comprehension, or bare ``set(...)`` call."""
+    """A set display, set comprehension, bare ``set(...)`` call, or set
+    algebra (``|``/``&``/``-``/``^``) with such an operand."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_ALGEBRA):
+        return _is_set_expr(node.left) or _is_set_expr(node.right)
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)

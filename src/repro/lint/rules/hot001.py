@@ -17,6 +17,10 @@ The rule enforces both halves statically in the hot modules:
 
 Check 2 is skipped for classes whose bases cannot be resolved within the
 same module (inherited slots are then unknowable statically).
+
+Unique catch in the mutation set (``tests/mutants.py``): ``TupleBatch``
+losing its ``__slots__``.  Every test still passes; only memory and
+speed suffer.
 """
 
 from __future__ import annotations

@@ -24,6 +24,11 @@ walks ``src -> dst`` when its checked ``advance``/``close`` literals name
 a ``close("stalled")`` branch between ``advance("drain")`` and
 ``advance("migration")`` still witnesses ``drain -> migration``.  The
 finding sits at the table's line in ``protocol.py``.
+
+Unique catch in the mutation set (``tests/mutants.py``): a stalled
+global sync that closes its tracker as ``aborted`` instead of
+``stalled``, reported as the dead ``drain -> stalled`` edge of
+``rc_sync``.
 """
 
 from __future__ import annotations

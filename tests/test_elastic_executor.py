@@ -152,6 +152,38 @@ class TestScaling:
         assert migrated.total > 0
         assert len(executor.stores[1]) > 0
 
+    def test_routing_flips_only_after_state_migrates(self, env, cluster, monkeypatch):
+        # Paper §3.3 orders a move pause -> drain -> migrate -> route: while
+        # a shard's state crosses nodes, its arrivals must keep buffering
+        # behind the source task.
+        import repro.executors.elastic as elastic
+
+        logic = RecordingLogic()
+        config = ExecutorConfig(balance_interval=0.2)
+        executor = make_executor(env, cluster, logic, cores=1, config=config)
+        (source,) = executor.tasks.values()
+        observed = []
+        migrate_shard = elastic.migrate_shard
+
+        def spy(*args):
+            entry = executor.routing.entry(args[4])
+            observed.append((entry.task, entry.paused))
+            yield from migrate_shard(*args)
+            observed.append((entry.task, entry.paused))
+
+        monkeypatch.setattr(elastic, "migrate_shard", spy)
+        feed(env, executor, [batch(key=k % 16, cost=1e-3) for k in range(400)], spacing=0.002)
+
+        def grow():
+            yield env.timeout(0.5)
+            yield from executor.add_core(1)
+
+        env.process(grow())
+        env.run(until=3.0)
+        assert {t.node_id for t in executor.tasks.values()} == {0, 1}
+        assert observed
+        assert all(task is source and paused for task, paused in observed)
+
     def test_multi_core_scales_throughput(self, env, cluster):
         def run_with(cores):
             local_env = Environment()

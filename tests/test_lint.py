@@ -10,8 +10,6 @@ package matcher sees the suffix it keys on.
 import json
 import pathlib
 
-import pytest
-
 from repro.cli import main
 from repro.lint import ALL_RULES, run_lint
 from repro.lint.core import SUPPRESSION_RULE, ParsedModule, Suppressions, _relpath
@@ -48,6 +46,12 @@ class TestFixturesTripRules:
         messages = " | ".join(f.message for f in findings)
         assert "hidden global" in messages
         assert "without a seed" in messages
+
+    def test_det001_set_algebra_fixture(self):
+        # DynamicScheduler._apply's loop over a union of two key sets.
+        findings = lint_fixture("det001_set_algebra_bad.py")
+        assert rules_of(findings) == {"DET001"}
+        assert sorted(f.line for f in findings) == [11, 17]
 
     def test_det001_network_fixture(self):
         findings = lint_fixture("det001_network_bad.py")
@@ -160,26 +164,6 @@ def caller():
         messages = " | ".join(f.message for f in findings)
         assert "call chain" in messages
         assert "discards the result" in messages
-
-    def test_det002_fixture(self):
-        # The DET001 waiver on the clock read stays honored (and used, so
-        # SUP002 is quiet) — but the value still must not reach a write.
-        findings = lint_fixture("repro/sweep/det002_bad.py")
-        assert rules_of(findings) == {"DET002"}
-        assert len(findings) == 3
-        messages = " | ".join(f.message for f in findings)
-        assert "wall clock" in messages
-        assert "flow:" in messages
-        # The seeded_report write is sanitized and must stay clean.
-        assert not any(f.line > 40 for f in findings)
-
-    def test_own001_fixture(self):
-        findings = lint_fixture("repro/executors/own001_bad.py")
-        assert rules_of(findings) == {"OWN001"}
-        # hot_path_steal's two mutations; guarded_steal, the
-        # barrier-driven move and the constructors stay clean.
-        assert len(findings) == 2
-        assert all("ownership epoch" in f.message for f in findings)
 
     def test_sup002_fixture(self):
         findings = lint_fixture("sup002_stale.py")

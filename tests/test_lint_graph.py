@@ -1,4 +1,4 @@
-"""Tests for the whole-project call graph and the DET002 taint engine.
+"""Tests for the whole-project call graph.
 
 Projects are built from small in-memory sources so each test states the
 whole program it reasons about.  Paths use ``src/repro/...`` rels, the
@@ -8,7 +8,7 @@ same shape the linker sees for the real tree.
 import ast
 import textwrap
 
-from repro.lint import run_lint, taint
+from repro.lint import run_lint
 from repro.lint.graph import (
     ALL_KINDS,
     RESOLVED_KINDS,
@@ -38,8 +38,8 @@ class TestModuleNames:
         assert module_name_for("src/repro/lint/graph.py") == "repro.lint.graph"
 
     def test_fixture_layout_anchors_at_repro(self):
-        rel = "tests/fixtures/lint/repro/executors/own001_bad.py"
-        assert module_name_for(rel) == "repro.executors.own001_bad"
+        rel = "tests/fixtures/lint/repro/executors/sim001_bad.py"
+        assert module_name_for(rel) == "repro.executors.sim001_bad"
 
     def test_init_names_the_package(self):
         assert module_name_for("src/repro/lint/__init__.py") == "repro.lint"
@@ -165,95 +165,6 @@ class TestResolver:
         assert "use" in p.unresolved_report()
 
 
-class TestTaint:
-    def analyze(self, mods):
-        return taint.analyze(build(mods))
-
-    def test_return_value_propagation(self):
-        writes = self.analyze({
-            "src/repro/sweep/out.py": """
-                import time
-
-                def clock():
-                    return time.monotonic()
-
-                def report(path):
-                    path.write_text(str(clock()))
-            """,
-        })
-        assert [w.witness() for w in writes] == ["report -> clock"]
-
-    def test_closure_capture_propagation(self):
-        writes = self.analyze({
-            "src/repro/sweep/out.py": """
-                import time
-
-                def report(path):
-                    def clock():
-                        return time.monotonic()
-                    path.write_text(str(clock()))
-            """,
-        })
-        assert len(writes) == 1
-        assert writes[0].witness() == "report -> report.clock"
-
-    def test_argument_propagation_is_one_level(self):
-        writes = self.analyze({
-            "src/repro/sweep/out.py": """
-                import time
-
-                def emit(handle, value):
-                    handle.write(str(value))
-
-                def report(handle):
-                    emit(handle, time.monotonic())
-            """,
-        })
-        assert [w.witness() for w in writes] == ["emit -> report"]
-
-    def test_seeded_generator_is_a_barrier(self):
-        writes = self.analyze({
-            "src/repro/sweep/out.py": """
-                import time
-
-                import numpy as np
-
-                def clock():
-                    return time.monotonic()
-
-                def report(path, seed):
-                    rng = np.random.default_rng(seed)
-                    path.write_text(str(float(rng.random()) + clock()))
-            """,
-        })
-        assert writes == []
-
-    def test_sanitizer_with_own_source_stays_tainted(self):
-        writes = self.analyze({
-            "src/repro/sweep/out.py": """
-                import time
-
-                import numpy as np
-
-                def report(path, seed):
-                    rng = np.random.default_rng(seed)
-                    path.write_text(str(time.monotonic()))
-            """,
-        })
-        assert len(writes) == 1
-
-    def test_writes_outside_sink_paths_are_not_flagged(self):
-        writes = self.analyze({
-            "src/repro/scheduler/out.py": """
-                import time
-
-                def report(path):
-                    path.write_text(str(time.monotonic()))
-            """,
-        })
-        assert writes == []
-
-
 class TestChangedScoping:
     """Lint has no changed-file scoping: every run reports the whole tree."""
 
@@ -275,7 +186,7 @@ class TestStats:
     def test_run_lint_fills_stats(self):
         stats = {}
         run_lint(
-            ["tests/fixtures/lint/repro/executors/own001_bad.py"], stats=stats
+            ["tests/fixtures/lint/repro/executors/sim001_bad.py"], stats=stats
         )
         assert stats["modules"] == 1
         assert stats["functions"] > 0

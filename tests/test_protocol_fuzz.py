@@ -295,6 +295,10 @@ scheduling_crashes = st.lists(
     base_rate=st.integers(min_value=300, max_value=600),
     ramp=st.integers(min_value=200, max_value=400),
 )
+# The second crash (t=4) kills a shard move's target while the move flushes
+# the pause buffer onto it; the orphaned shard must stay paused for
+# recovery instead of resuming with no owner.
+@example(crashes=[2.0, 2.0], base_rate=403, ramp=282)
 def test_predictive_scheduling_under_crashes_and_sanitizer(
     crashes, base_rate, ramp
 ):
