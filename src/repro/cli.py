@@ -193,12 +193,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print("SUP002  every justified suppression still silences a finding")
         return 0
     paths = args.paths or ["src/repro"]
-    if args.graph_report:
-        from repro.lint.graph import project_from_paths
-
-        project = project_from_paths(paths)
-        print(project.unresolved_report())
-        return 0
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        raise UsageError(f"no such file or directory: {', '.join(missing)}")
     selected = None
     if args.select:
         wanted = {name.strip().upper() for name in args.select.split(",")}
@@ -207,11 +204,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if unknown:
             print(f"unknown rule(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return 2
-    stats: typing.Dict[str, int] = {}
-    findings = run_lint(paths, rules=selected, stats=stats)
-    if stats:
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-        print(f"graph: {summary}", file=sys.stderr)
+    findings = run_lint(paths, rules=selected)
     if args.json:
         print(json.dumps(
             [
@@ -231,12 +224,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render a run report from an exported telemetry artifact."""
+    from repro.telemetry.exporters import load_artifact
     from repro.telemetry.report import render_report, report_dict
 
+    try:
+        artifact = load_artifact(args.path)
+    except FileNotFoundError as exc:
+        raise UsageError(str(exc)) from exc
     if args.json:
-        print(json.dumps(report_dict(args.path), indent=2, sort_keys=True))
+        print(json.dumps(report_dict(artifact), indent=2, sort_keys=True))
     else:
-        print(render_report(args.path, sparkline_width=args.width))
+        print(render_report(artifact, sparkline_width=args.width))
     return 0
 
 
@@ -575,9 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print the rule catalog and exit")
     lint_parser.add_argument("--json", action="store_true",
                              help="machine-readable findings")
-    lint_parser.add_argument("--graph-report", action="store_true",
-                             help="print call-graph statistics and the "
-                                  "unresolved-edge report, then exit")
     lint_parser.set_defaults(func=cmd_lint)
     return parser
 

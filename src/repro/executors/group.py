@@ -174,7 +174,7 @@ def submit_or_wait(
     """
     event = group.submit_event(batch, src_node, sender)
     if event is None:
-        event = sender.env.process(  # repro: allow[SIM001]: gate-closed slow path — one process frame per reopen wait, not per tuple
+        event = sender.env.process(
             submit_when_open(group, batch, src_node, sender)
         )
     return event

@@ -16,19 +16,18 @@ TEL001    Every telemetry span is closed on all paths, and no expensive
           argument construction reaches a bus call unguarded by the
           ``NULL_BUS`` fast path.
 PROTO001  Control-plane state machines only perform transitions declared
-          in :mod:`repro.protocol` (the checked-in tables), and live
-          call sites walk every declared edge.
+          in :mod:`repro.protocol` (the checked-in tables), and call
+          sites walk every declared edge.
 SIM001    Callback-compiled delivery paths never block, spawn processes,
-          or turn into generators — syntactically in the callback body
-          and transitively through the call graph.
+          or turn into generators.
 SUP001    Framework rule: every inline suppression carries a
           justification (not suppressible).
 SUP002    Framework rule: every justified suppression still silences a
           finding; stale waivers must be deleted (not suppressible).
 ========  ==============================================================
 
-PROTO001 and SIM001 also run on the whole-project call graph built by
-:mod:`repro.lint.graph`.  The protocol tables check their own shape
+PROTO001's dead-edge check runs once over the whole linted tree, after
+every file is checked.  The protocol tables check their own shape
 (termination, reachability, no wedged state) when they are built.
 
 Each project rule catches at least one real bug that nothing else

@@ -14,9 +14,6 @@ import re
 import tokenize
 import typing
 
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.graph import Project
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Finding:
@@ -93,21 +90,6 @@ class Suppressions:
         return rule in self._by_line.get(line, ())
 
 
-def rel_matches(rel: str, suffixes: typing.Sequence[str]) -> bool:
-    """True when the repo-relative path ``rel`` matches a suffix.
-
-    Suffixes ending in ``/`` match directories (``"executors/"``),
-    others match exact file tails (``"topology/batch.py"``).
-    """
-    for suffix in suffixes:
-        if suffix.endswith("/"):
-            if f"/{suffix}" in f"/{rel}":
-                return True
-        elif rel.endswith(suffix):
-            return True
-    return False
-
-
 class ParsedModule:
     """One source file, parsed once and shared by every rule."""
 
@@ -122,8 +104,18 @@ class ParsedModule:
         self.suppressions = Suppressions(self.lines)
 
     def in_package(self, *suffixes: str) -> bool:
-        """True when this file's repo-relative path matches a suffix."""
-        return rel_matches(self.rel, suffixes)
+        """True when this file's repo-relative path matches a suffix.
+
+        Suffixes ending in ``/`` match directories (``"executors/"``),
+        others match exact file tails (``"topology/batch.py"``).
+        """
+        for suffix in suffixes:
+            if suffix.endswith("/"):
+                if f"/{suffix}" in f"/{self.rel}":
+                    return True
+            elif self.rel.endswith(suffix):
+                return True
+        return False
 
 
 class Rule:
@@ -149,20 +141,14 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """A rule that needs the whole-project call graph.
+    """A rule with a verdict over the whole linted tree.
 
-    ``check`` (per module) defaults to nothing; ``check_project`` runs
-    once after every file is parsed, against the linked
-    :class:`repro.lint.graph.Project`.  A rule may implement both — e.g.
-    SIM001 keeps its syntactic per-module pass and adds a transitive one.
+    ``check`` runs per module as usual and may collect evidence;
+    ``check_project`` runs once after every file is checked and reports
+    what only the whole tree can show (PROTO001's dead edges).
     """
 
-    def check(self, module: ParsedModule) -> typing.Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, project: "Project"
-    ) -> typing.Iterator[Finding]:
+    def check_project(self) -> typing.Iterator[Finding]:
         raise NotImplementedError
 
 
@@ -196,7 +182,6 @@ def collect_files(paths: typing.Sequence[pathlib.Path]) -> typing.List[pathlib.P
 def run_lint(
     paths: typing.Sequence[typing.Union[str, pathlib.Path]],
     rules: typing.Optional[typing.Sequence[Rule]] = None,
-    stats: typing.Optional[typing.Dict[str, int]] = None,
 ) -> typing.List[Finding]:
     """Lint ``paths`` (files or directories); returns surviving findings.
 
@@ -206,9 +191,6 @@ def run_lint(
     that silenced nothing surface as :data:`STALE_SUPPRESSION_RULE`
     findings — a waiver that outlived its finding is debt (the audit is
     skipped under ``--select`` because unselected rules cannot fire).
-
-    ``stats``, when given, is filled with the linked project's
-    statistics (see :mod:`repro.lint.graph`).
     """
     full_audit = rules is None
     if rules is None:
@@ -243,27 +225,18 @@ def run_lint(
                     used.add((module.rel, finding.line, finding.rule))
                 else:
                     findings.append(finding)
-    project = None
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-    if project_rules:
-        from repro.lint.graph import build_project
-
-        project = build_project(parsed)
-        if stats is not None:
-            stats.update(project.stats())
     by_rel = {module.rel: module for module in parsed}
-    if project is not None:
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                module_or_none = by_rel.get(finding.path)
-                if module_or_none is not None and (
-                    module_or_none.suppressions.allows(
-                        finding.rule, finding.line
-                    )
-                ):
-                    used.add((finding.path, finding.line, finding.rule))
-                else:
-                    findings.append(finding)
+    for rule in rules:
+        if not isinstance(rule, ProjectRule):
+            continue
+        for finding in rule.check_project():
+            module_or_none = by_rel.get(finding.path)
+            if module_or_none is not None and (
+                module_or_none.suppressions.allows(finding.rule, finding.line)
+            ):
+                used.add((finding.path, finding.line, finding.rule))
+            else:
+                findings.append(finding)
     if full_audit:
         known_rules = {rule.name for rule in rules} | {
             SUPPRESSION_RULE, STALE_SUPPRESSION_RULE, "PARSE",

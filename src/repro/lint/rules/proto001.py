@@ -17,18 +17,23 @@ instead — this rule is deliberately a sound approximation that never
 false-positives on reachable code.
 
 When the linted tree contains ``repro/protocol.py``, the rule also
-reports **dead edges**: every declared transition must be walked by a
-*live* call site, one the call graph shows a caller for.  A function
-walks ``src -> dst`` when its checked ``advance``/``close`` literals name
-``src`` before ``dst`` in source order — ordered, not adjacent, pairs, so
-a ``close("stalled")`` branch between ``advance("drain")`` and
-``advance("migration")`` still witnesses ``drain -> migration``.  The
-finding sits at the table's line in ``protocol.py``.
+reports **dead edges**: every declared transition must be walked by some
+checked call site.  A function walks ``src -> dst`` when its checked
+``advance``/``close`` literals name ``src`` before ``dst`` in source
+order — ordered, not adjacent, pairs, so a ``close("stalled")`` branch
+between ``advance("drain")`` and ``advance("migration")`` still
+witnesses ``drain -> migration``.  Every checked function counts,
+whether or not anything calls it.  The finding sits at the table's line
+in ``protocol.py``.
 
-Unique catch in the mutation set (``tests/mutants.py``): a stalled
-global sync that closes its tracker as ``aborted`` instead of
-``stalled``, reported as the dead ``drain -> stalled`` edge of
-``rc_sync``.
+Unique catches in the mutation set (``tests/mutants.py``), both dead
+edges of a ``stalled`` exit:
+
+- a stalled global sync that closes its tracker as ``aborted`` instead
+  of ``stalled`` (the dead ``drain -> stalled`` edge of ``rc_sync``);
+- a node-crash recovery whose restarts all failed returning without
+  ``close("stalled")`` (the dead ``detected -> stalled`` edge of
+  ``fault_recovery``).
 """
 
 from __future__ import annotations
@@ -38,9 +43,6 @@ import typing
 
 from repro.lint.core import Finding, ParsedModule, ProjectRule
 from repro.protocol import TABLES, ProtocolTable
-
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.graph import Project
 
 #: Files that host the protocol implementations.
 PROTOCOL_PATH_SUFFIXES = ("repro/executors/", "repro/faults/recovery.py")
@@ -96,15 +98,15 @@ class Proto001(ProjectRule):
     name = "PROTO001"
     description = (
         "protocol advance() sequences match the checked-in tables, and "
-        "live call sites walk every declared edge"
+        "call sites walk every declared edge"
     )
 
     def __init__(self) -> None:
         self._symbols = _table_symbols()
-        #: (module, function def line, table name, edges it walks).
-        self._walks: typing.List[
-            typing.Tuple[str, int, str, typing.Set[_Edge]]
-        ] = []
+        #: Table name -> the edges some checked function walks.
+        self._walked: typing.Dict[str, typing.Set[_Edge]] = {
+            name: set() for name in TABLES
+        }
         #: (rel, table name -> line) of the linted ``repro/protocol.py``.
         self._protocol: typing.Optional[
             typing.Tuple[str, typing.Dict[str, int]]
@@ -115,8 +117,6 @@ class Proto001(ProjectRule):
             self._protocol = (module.rel, table_lines(module.tree))
         if not module.in_package(*PROTOCOL_PATH_SUFFIXES):
             return
-        from repro.lint.graph import module_name_for
-
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 trackers = self._tracker_vars(node)
@@ -129,38 +129,24 @@ class Proto001(ProjectRule):
                     )
                     yield from findings
                     for var, table in trackers.items():
-                        self._walks.append((
-                            module_name_for(module.rel), node.lineno,
-                            table.name, _walked_edges(table, walked[var]),
-                        ))
+                        self._walked[table.name] |= _walked_edges(
+                            table, walked[var]
+                        )
 
-    def check_project(self, project: "Project") -> typing.Iterator[Finding]:
-        """Dead edges: declared transitions no live call site walks."""
+    def check_project(self) -> typing.Iterator[Finding]:
+        """Dead edges: declared transitions no call site walks."""
         if self._protocol is None:
             return
-        from repro.lint.graph import ALL_KINDS
-
         rel, lines = self._protocol
-        fid_at = {
-            (func.module, func.line): fid
-            for fid, func in project.functions.items()
-        }
-        walked: typing.Dict[str, typing.Set[_Edge]] = {name: set() for name in TABLES}
-        for module_name, line, table_name, edges in self._walks:
-            fid = fid_at.get((module_name, line))
-            if fid is not None and not project.in_edges(fid, kinds=ALL_KINDS):
-                continue  # nothing calls it: dead code walks nothing
-            walked[table_name] |= edges
         for name in sorted(TABLES):
             table = TABLES[name]
             for src in sorted(table.transitions):
                 for dst in sorted(table.transitions[src]):
-                    if (src, dst) not in walked[name]:
+                    if (src, dst) not in self._walked[name]:
                         yield Finding(
                             self.name, rel, lines.get(name, 1),
                             f"declared transition {src!r} -> {dst!r} of "
-                            f"protocol {name!r} is walked by no live "
-                            "call site",
+                            f"protocol {name!r} is walked by no call site",
                         )
 
     def _tracker_vars(

@@ -16,13 +16,7 @@ event loop's callback dispatch, so they must never:
   forever.
 
 A callback class is one defining ``__call__`` or ``_on_*`` methods in a
-hot module.  The syntactic pass checks those method bodies directly; the
-*transitive* pass (``check_project``) additionally follows the resolved
-call graph outward from every callback method, so a process spawn or a
-discarded blocking call hidden one helper down is flagged with the call
-chain that reaches it.  Only resolved (``call``/``ref``) edges are
-followed — a by-name heuristic edge would manufacture false positives
-(any unrelated method that happens to be called ``process``).
+hot module; the rule checks those method bodies.
 
 Unique catch in the mutation set (``tests/mutants.py``): ``_RemoteSend``
 spawning a delivery process instead of building a ``_Delivery``.
@@ -35,10 +29,7 @@ from __future__ import annotations
 import ast
 import typing
 
-from repro.lint.core import Finding, ParsedModule, ProjectRule, rel_matches
-
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.graph import Project
+from repro.lint.core import Finding, ParsedModule, Rule
 
 #: Modules that host callback-compiled classes.
 CALLBACK_PATH_SUFFIXES = ("repro/executors/", "repro/sim/")
@@ -56,7 +47,7 @@ def _callback_methods(cls: ast.ClassDef) -> typing.List[ast.FunctionDef]:
     ]
 
 
-class Sim001(ProjectRule):
+class Sim001(Rule):
     name = "SIM001"
     description = "callback-compiled delivery paths never block or yield"
 
@@ -111,58 +102,3 @@ class Sim001(ProjectRule):
                     "discards the returned event — chain a callback onto "
                     "it or the continuation is lost",
                 )
-
-    # -- transitive pass over the call graph ---------------------------------
-
-    def check_project(self, project: "Project") -> typing.Iterator[Finding]:
-        from repro.lint.graph import (
-            FACT_AWAIT,
-            FACT_BLOCKING_DISCARD,
-            FACT_PROCESS_SPAWN,
-            RESOLVED_KINDS,
-        )
-
-        entries: typing.List[str] = []
-        for summary in project.modules.values():
-            if not rel_matches(summary.rel, CALLBACK_PATH_SUFFIXES):
-                continue
-            for cls in summary.classes:
-                for method in cls.methods:
-                    if method == "__call__" or method.startswith("_on_"):
-                        fid = f"{summary.module}:{cls.qualname}.{method}"
-                        if fid in project.functions:
-                            entries.append(fid)
-        forest = project.reach_forest(sorted(entries), kinds=RESOLVED_KINDS)
-        flagged_facts = {FACT_PROCESS_SPAWN, FACT_BLOCKING_DISCARD, FACT_AWAIT}
-        for fid in sorted(forest):
-            depth = forest[fid][1]
-            chain = " -> ".join(
-                f.split(":", 1)[1] for f in project.chain(forest, fid)
-            )
-            func = project.functions[fid]
-            rel = project.rel_of(fid)
-            if depth > 0:
-                # Depth 0 is the callback body itself: the syntactic pass
-                # above already covers it with more specific messages.
-                for fact in func.facts:
-                    if fact.kind in flagged_facts:
-                        yield Finding(
-                            self.name, rel, fact.line,
-                            f"{fact.detail} is reachable from callback "
-                            f"dispatch (call chain: {chain})",
-                        )
-            for edge in project.out_edges(fid, kinds=RESOLVED_KINDS):
-                callee = project.functions.get(edge.callee)
-                if (
-                    edge.kind == "call"
-                    and edge.discarded
-                    and callee is not None
-                    and callee.is_generator
-                ):
-                    callee_name = edge.callee.split(":", 1)[1]
-                    yield Finding(
-                        self.name, rel, edge.line,
-                        f"calls generator function {callee_name} and "
-                        "discards the result on a callback path (chain: "
-                        f"{chain}) — the body never runs",
-                    )

@@ -19,7 +19,7 @@ explicit data:
 
 - :class:`ProtocolTable` checks each table's shape when it is built, so
   a table that cannot terminate fails at import.  PROTO001 additionally
-  reports a declared edge that no live call site walks.
+  reports a declared edge that no call site walks.
 
 The tables are therefore the single source of truth: changing a protocol
 means changing its table here, and both the runtime assertion and the

@@ -50,7 +50,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TIER1 = (
     "tests",
     "--ignore=tests/test_lint.py",
-    "--ignore=tests/test_lint_graph.py",
     "--ignore=tests/test_lint_model.py",
     "--ignore=tests/test_mutants.py",
 )
@@ -276,6 +275,37 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
         "src/repro/executors/gate.py",
         (('proto.close("stalled")', 'proto.close("aborted")'),),
         lint=frozenset({"PROTO001"}),
+    ),
+    Mutant(
+        "recovery-stall-unclosed",
+        "a node-crash recovery whose restarts all failed returns without closing as stalled",
+        "src/repro/faults/recovery.py",
+        ((
+            '                span.finish(status="stalled", restarts=len(restarts))\n'
+            '                proto.close("stalled")\n',
+            '                span.finish(status="stalled", restarts=len(restarts))\n',
+        ),),
+        lint=frozenset({"PROTO001"}),
+    ),
+    Mutant(
+        "hybrid-split-unsynchronized",
+        "the hybrid split moves half the key subspace without a global sync round",
+        "src/repro/executors/hybrid.py",
+        ((
+            "        yield from self.barrier.synchronize(\n"
+            "            self._split_move(executor, slots, target_node, reservation),\n"
+            "            NULL_SPAN,\n"
+            "        )\n",
+            "        yield from self._split_move(executor, slots, target_node, reservation)\n",
+        ),),
+        caught=frozenset({"tier-1", "sanitized"}),
+    ),
+    Mutant(
+        "rc-sync-skips-drain",
+        "the global sync round moves state without waiting for in-flight tuples to drain",
+        "src/repro/executors/gate.py",
+        (("            yield self.in_flight.wait_zero()\n", ""),),
+        caught=frozenset({"tier-1", "sanitized"}),
     ),
     Mutant(
         "builtin-hash-placement",

@@ -120,6 +120,13 @@ class TestExecution:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_report_without_an_export_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such"
+        assert main(["report", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: error: no events.jsonl under {missing}\n"
+        assert captured.out == ""
+
     def test_skew_reaches_the_sse_workload(self, monkeypatch):
         from repro.runtime import StreamSystem
 

@@ -2,7 +2,7 @@
 
 The tables in :mod:`repro.protocol` check their own shape when they are
 built (termination, reachability, no wedged state), and PROTO001 ties
-every declared edge to a live runtime call site (dead edges).  The
+every declared edge to a tracker call site (dead edges).  The
 checked-in tables must pass both; mutated tables must be rejected with
 the offending state and the path to it, and dead edges must be named at
 the table's line in ``protocol.py``.
@@ -48,17 +48,15 @@ def lint_tree(tmp_path, walks_source=None):
 
 
 def edge_walker(skip=()):
-    """Source walking every declared edge (bar ``skip``) from a live
-    function.  Each walk sits in an exception handler, which starts from
+    """Source walking every declared edge (bar ``skip``), one function
+    per edge.  Each walk sits in an exception handler, which starts from
     an unknown state, so walking ``src`` first is not itself checked."""
     lines = ["from repro.protocol import " + ", ".join(
         name.upper() for name in sorted(TABLES)
     )]
-    walks = []
     for i, (name, src, dst) in enumerate(all_edges()):
         if (name, src, dst) in skip:
             continue
-        walks.append(f"walk_{i}")
         lines += [
             f"def walk_{i}():",
             f"    proto = {name.upper()}.tracker()",
@@ -68,7 +66,6 @@ def edge_walker(skip=()):
             f"        proto.advance({src!r})",
             f"        proto.advance({dst!r})",
         ]
-    lines += ["def caller():"] + [f"    {walk}()" for walk in walks]
     return "\n".join(lines) + "\n"
 
 
@@ -177,13 +174,9 @@ class TestEvidence:
             finally:
                 proto.close("aborted")
     """
-    CALLER = """
-        def caller():
-            return run(False)
-    """
 
     def test_sequence_is_source_ordered(self, tmp_path):
-        findings = lint_tree(tmp_path, self.TRACKER_SRC + self.CALLER)
+        findings = lint_tree(tmp_path, self.TRACKER_SRC)
         # Only the stall edge goes unwalked.
         assert dead_edges(findings, "rc_sync") == [
             "declared transition 'drain' -> 'stalled'"
@@ -192,41 +185,10 @@ class TestEvidence:
     def test_pairs_skip_the_interleaved_close(self, tmp_path):
         # drain -> migration is walked even though a close("aborted")
         # branch sits between them in source order.
-        findings = lint_tree(tmp_path, self.TRACKER_SRC + self.CALLER)
+        findings = lint_tree(tmp_path, self.TRACKER_SRC)
         assert not any(
             "'drain' -> 'migration'" in edge
             for edge in dead_edges(findings, "rc_sync")
-        )
-
-    def test_dead_call_site_contributes_no_evidence(self, tmp_path):
-        # Nothing calls run(): its walk counts for nothing.
-        findings = lint_tree(tmp_path, self.TRACKER_SRC)
-        assert len(dead_edges(findings, "rc_sync")) == len(
-            [e for e in all_edges() if e[0] == "rc_sync"]
-        )
-
-    def test_live_call_site_contributes_evidence(self, tmp_path):
-        findings = lint_tree(tmp_path, self.TRACKER_SRC + self.CALLER)
-        assert len(dead_edges(findings, "rc_sync")) == 1
-
-    def test_fid_points_into_the_graph(self, tmp_path):
-        # A method's walk is live through its self-dispatch caller.
-        source = """
-            from repro.protocol import RC_SYNC
-
-            class Controller:
-                def split(self):
-                    proto = RC_SYNC.tracker()
-                    proto.advance("pause")
-                    proto.advance("drain")
-                    proto.close("stalled")
-
-                def run(self):
-                    return self.split()
-        """
-        findings = lint_tree(tmp_path, source)
-        assert "declared transition 'drain' -> 'stalled'" not in dead_edges(
-            findings, "rc_sync"
         )
 
 
@@ -240,7 +202,3 @@ class TestCli:
 
         assert main(["lint", "--select", "PROTO001", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == []
-
-    def test_graph_report_runs(self, capsys):
-        assert main(["lint", "--graph-report", "src/repro/lint"]) == 0
-        assert "unresolved" in capsys.readouterr().out
