@@ -10,6 +10,7 @@ executor scaling across nodes under a dynamic workload.
 import pytest
 
 from repro.analysis import ResultTable
+from repro.analysis.single_executor import QueueLatencyRecorder
 from repro.cluster import Cluster, TransferPurpose
 from repro.executors import ElasticExecutor
 from repro.executors.config import ExecutorConfig
@@ -44,7 +45,8 @@ def run_variant(external: bool):
         config=ExecutorConfig(balance_interval=0.5),
         external_state=service,
     )
-    executor.connect([], sink_recorder=lambda b, n: None)
+    latency = QueueLatencyRecorder()
+    executor.connect([], sink_recorder=latency)
     executor.start(initial_cores=1)
 
     def grow():
@@ -80,7 +82,7 @@ def run_variant(external: bool):
 
     def reset_latency():
         yield env.timeout(8.0)
-        executor.metrics.queue_latency = QuantileSketch()
+        latency.sketch = QuantileSketch()
 
     env.process(reset_latency())
     marks = {}
@@ -94,8 +96,8 @@ def run_variant(external: bool):
     processed = executor.metrics.processed_tuples.total - marks["warm"]
     return {
         "throughput": processed / 12.0,
-        "mean_latency": executor.metrics.queue_latency.mean,
-        "p99_latency": executor.metrics.queue_latency.quantile(0.99),
+        "mean_latency": latency.sketch.mean,
+        "p99_latency": latency.sketch.quantile(0.99),
         "migrated": cluster.network.bytes_by_purpose[
             TransferPurpose.STATE_MIGRATION
         ].total,

@@ -6,14 +6,18 @@ Two checks per scenario:
    *exactly*.  Scenarios are deterministic, so any difference means the
    kernel's behaviour changed — that is a correctness failure, not a perf
    regression, and no tolerance applies.
-2. **Speed (soft)**: events/sec must be within ``tolerance`` (default 30%)
-   of the baseline.  Wall-clock numbers move with hardware, so the gate is
-   deliberately loose; it exists to catch order-of-magnitude slips (an
-   accidental O(n) scan in the hot path), not 5% wobble.
+2. **Speed (soft)**: batches/sec must be within ``tolerance`` (default
+   30%) of the baseline.  Batches are the work the data path does; the
+   kernel events per batch are not fixed across builds (a build that
+   schedules fewer events per batch does the same work), so events/sec
+   does not measure throughput.  Wall-clock numbers move with hardware,
+   so the gate is deliberately loose; it exists to catch
+   order-of-magnitude slips (an accidental O(n) scan in the hot path),
+   not 5% wobble.
 
 Override knobs (both documented in docs/performance.md):
 
-- ``REPRO_PERF_TOLERANCE``: fractional allowed events/sec regression
+- ``REPRO_PERF_TOLERANCE``: fractional allowed batches/sec regression
   (e.g. ``0.5`` allows a 50% drop — useful on slow CI runners).
 - ``REPRO_PERF_SKIP=1``: skip the speed check entirely (the behaviour
   check still runs; it is hardware-independent).
@@ -92,8 +96,8 @@ def check(report: dict, baseline: dict, tolerance: float, skip_speed: bool) -> i
                 f"{base['events']:,} — kernel behaviour changed"
             )
             continue
-        floor = base["events_per_sec"] * (1.0 - tolerance)
-        rate = row["events_per_sec"]
+        floor = base["batches_per_sec"] * (1.0 - tolerance)
+        rate = row["batches_per_sec"]
         verdict = "ok"
         if rate < floor:
             if skip_speed:
@@ -101,13 +105,13 @@ def check(report: dict, baseline: dict, tolerance: float, skip_speed: bool) -> i
             else:
                 verdict = "FAIL"
                 failures.append(
-                    f"{name}: {rate:,.0f} events/s is below the floor "
-                    f"{floor:,.0f} (baseline {base['events_per_sec']:,.0f} "
+                    f"{name}: {rate:,.0f} batches/s is below the floor "
+                    f"{floor:,.0f} (baseline {base['batches_per_sec']:,.0f} "
                     f"- {tolerance:.0%})"
                 )
         print(
             f"{name:<10} events={row['events']:,} "
-            f"rate={rate:,.0f}/s floor={floor:,.0f}/s {verdict}"
+            f"batches/s={rate:,.0f} floor={floor:,.0f} {verdict}"
         )
     allowed = float(
         os.environ.get(
@@ -128,7 +132,7 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=None,
-        help="allowed fractional events/sec drop "
+        help="allowed fractional batches/sec drop "
         "(default REPRO_PERF_TOLERANCE or 0.30)",
     )
     args = parser.parse_args(argv)

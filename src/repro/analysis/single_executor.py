@@ -22,6 +22,23 @@ from repro.topology import OperatorSpec, TupleBatch
 from repro.workloads import KeyShuffler, ZipfKeyDistribution
 
 
+class QueueLatencyRecorder:
+    """Sink recorder sketching each batch's wait from admission (creation
+    if never admitted) to completion; a fresh ``sketch`` restarts it."""
+
+    __slots__ = ("sketch",)
+
+    def __init__(self) -> None:
+        self.sketch = QuantileSketch()
+
+    def __call__(self, batch: TupleBatch, now: float) -> None:
+        reference = batch.admitted_at
+        if reference is None:
+            reference = batch.created_at
+        waited = now - reference
+        self.sketch.add(waited if waited > 0.0 else 0.0)
+
+
 class SingleExecutorHarness:
     """Measures one elastic executor's capacity at a given core count."""
 
@@ -81,7 +98,8 @@ class SingleExecutorHarness:
         executor = ElasticExecutor(
             env, cluster, spec, index=0, local_node=0, config=self.config
         )
-        executor.connect([], sink_recorder=lambda batch, now: None)
+        latency = QueueLatencyRecorder()
+        executor.connect([], sink_recorder=latency)
         executor.start(initial_cores=1)
 
         def grow():
@@ -145,7 +163,7 @@ class SingleExecutorHarness:
             yield env.timeout(warmup)
             marks["processed_at_warmup"] = executor.metrics.processed_tuples.total
             # Fresh sketch: percentile over the measurement window only.
-            executor.metrics.queue_latency = QuantileSketch()
+            latency.sketch = QuantileSketch()
 
         env.process(marker())
         env.run(until=feed_started + duration)
@@ -155,14 +173,14 @@ class SingleExecutorHarness:
             - marks.get("processed_at_warmup", 0)
         )
         window = duration - warmup
-        latency = executor.metrics.queue_latency
+        sketch = latency.sketch
         return {
             "cores": cores,
             "throughput": processed / window,
             "nominal_capacity": nominal_capacity,
             "efficiency": (processed / window) / nominal_capacity,
-            "latency_mean": latency.mean,
-            "latency_p99": latency.quantile(0.99),
+            "latency_mean": sketch.mean,
+            "latency_p99": sketch.quantile(0.99),
             "migrated_bytes": cluster.network.bytes_by_purpose[
                 TransferPurpose.STATE_MIGRATION
             ].total,

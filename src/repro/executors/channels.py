@@ -14,72 +14,41 @@ import typing
 
 from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.sim import Environment, Event, Resource, Store
-from repro.sim.events import PENDING
 
 
 class _Delivery:
     """Callback-driven remote delivery (one per in-flight window slot).
 
-    Functionally this is the generator process ``transfer -> queue.put ->
-    window.release`` — but hand-compiled to three callbacks on a slotted
-    object, which skips a generator frame, a Process object and a
-    StopIteration unwind per remote message.  The event/sequence footprint
-    is identical to the generator version it replaced (bootstrap event at
-    creation, a hop on the transfer, a hop on the destination put, then a
-    completion event), so simulation ordering is bit-for-bit unchanged.
+    The generator process ``transfer -> queue.put -> window.release``
+    hand-compiled to two callbacks on a slotted object, costing two
+    kernel events: the transfer and the put.  The generator also ran a
+    bootstrap and a completion event; neither scheduled anything or
+    touched state another event reads, so dropping them kept the
+    ``(time, seq)`` order of every remaining event.
     """
 
-    __slots__ = ("sender", "transfer", "queue", "item", "completion")
+    __slots__ = ("sender", "queue", "item")
 
     def __init__(
         self, sender: "WindowedSender", transfer: Event, queue: Store, item: typing.Any
     ) -> None:
         self.sender = sender
-        self.transfer = transfer
         self.queue = queue
         self.item = item
-        env = sender.env
-        # Both events inlined (__new__ + slot writes): one delivery per
-        # remote message makes even Event.__init__ frames measurable.
-        completion = Event.__new__(Event)
-        completion.env = env
-        completion.callbacks = []
-        completion._value = PENDING
-        completion._ok = None
-        self.completion = completion
-        bootstrap = Event.__new__(Event)
-        bootstrap.env = env
-        bootstrap.callbacks = [self._on_bootstrap]
-        bootstrap._ok = True
-        bootstrap._value = None
-        env._ready.append((env._seq, bootstrap))
-        env._seq += 1
-
-    def _on_bootstrap(self, _event: Event) -> None:
-        transfer = self.transfer
-        if transfer.callbacks is None:  # zero-latency fabric: already fired
-            self._on_transfer(transfer)
-        else:
-            transfer.callbacks.append(self._on_transfer)
+        # The caller has just created ``transfer``: it has not fired yet.
+        transfer.callbacks.append(self._on_transfer)
 
     def _on_transfer(self, _event: Event) -> None:
         self.queue.put(self.item).callbacks.append(self._on_put)
 
     def _on_put(self, _event: Event) -> None:
-        sender = self.sender
         # Inlined Resource.release fast path (a held slot is guaranteed,
         # so the no-slot error check is unreachable here).
-        window = sender._window
+        window = self.sender._window
         if window._waiters:
             window._waiters.popleft().succeed()
         else:
             window._in_use -= 1
-        completion = self.completion
-        completion._ok = True
-        completion._value = None
-        env = sender.env
-        env._ready.append((env._seq, completion))
-        env._seq += 1
 
 
 class _RemoteSend:

@@ -181,7 +181,7 @@ class ElasticExecutor:
         "_receiver_sender", "_emitter_sender", "_remote_senders", "_control",
         "_balancer", "_shard_cost_accum", "_shard_load", "_downstream_groups",
         "_sink_recorder", "_started", "_enable_balancer", "_receiver", "_emitter",
-        "_balance_daemon", "alive",
+        "_balance_daemon", "alive", "_stranded",
         "stall_factor", "operator_in_flight", "_san", "latency_probe",
     )
 
@@ -249,6 +249,8 @@ class ElasticExecutor:
         self._balancer = ShardBalancer(theta=THETA)
         self._shard_cost_accum = [0.0] * self.num_shards
         self._shard_load = [0.0] * self.num_shards
+        #: Shards orphaned mid-move, for the next :meth:`rehome_orphans`.
+        self._stranded: typing.List[int] = []
         self._downstream_groups: typing.List[typing.Any] = []
         self._sink_recorder: typing.Optional[typing.Callable] = None
         self._started = False
@@ -633,6 +635,13 @@ class ElasticExecutor:
                 copy_delay = 2 * self.migration_clock.serialization_delay(state_bytes)
                 if copy_delay > 0:
                     yield self.env.timeout(copy_delay)
+            if dst.stopped or dst.task_id not in self.tasks:
+                # The destination died with the state in flight: leave the
+                # shard paused and orphaned for recovery to re-home.
+                if entry.task is src_task:
+                    self.routing.orphan_shard(shard_id)
+                    self._stranded.append(shard_id)
+                return False
             migration_done = self.env.now
             span.mark("migration")
             proto.advance("migration")
@@ -772,6 +781,7 @@ class ElasticExecutor:
         self.routing = RoutingTable(self.num_shards)
         self._shard_cost_accum = [0.0] * self.num_shards
         self._shard_load = [0.0] * self.num_shards
+        self._stranded = []
         if spawn_delay > 0:
             yield self.env.timeout(spawn_delay)
         tasks = []
@@ -829,8 +839,10 @@ class ElasticExecutor:
                 self._remote_senders.pop(failed_node, None)
             survivors = [t for t in self.tasks.values() if not t.stopped]
             orphans = [
-                s for s in sorted(orphan_shards) if self.routing.entry(s).task is None
+                s for s in sorted({*orphan_shards, *self._stranded})
+                if self.routing.entry(s).task is None
             ]
+            self._stranded.clear()
             if not survivors or not orphans:
                 return
             shard_loads = {i: self._shard_load[i] for i in range(self.num_shards)}

@@ -135,6 +135,14 @@ class RoutingTable:
             entry.paused = True
         return shards
 
+    def orphan_shard(self, shard_id: int) -> None:
+        """Detach one shard from its owner: it pauses with no owner."""
+        entry = self._entries[shard_id]
+        if entry.task is not None:
+            self._shards_by_task[entry.task].discard(shard_id)
+            entry.task = None
+        entry.paused = True
+
     def shards_of(self, task: "Task") -> typing.Set[int]:
         return set(self._shards_by_task.get(task, set()))
 

@@ -6,7 +6,6 @@ import dataclasses
 import typing
 
 from repro.metrics import EWMA, Counter, PairedWindowedRate, WindowedRate
-from repro.telemetry.sketch import QuantileSketch
 
 
 class ExecutorMetrics:
@@ -14,12 +13,13 @@ class ExecutorMetrics:
 
     λ (arrival rate, tuples/s), the per-tuple service cost (whose inverse
     is µ, the per-core processing rate), processed counts, and the data
-    rates that define data intensity (paper §4.2).
+    rates that define data intensity (paper §4.2).  No queueing latency:
+    nothing reads it here, and a harness sketches it in its sink recorder.
     """
 
     __slots__ = (
         "_in_rates", "output_bytes", "service_cost",
-        "processed_tuples", "processed_batches", "queue_latency",
+        "processed_tuples", "processed_batches",
     )
 
     def __init__(self, window: float = 5.0, cost_half_life: float = 5.0) -> None:
@@ -30,7 +30,6 @@ class ExecutorMetrics:
         self.service_cost = EWMA(half_life=cost_half_life, initial=1e-3)
         self.processed_tuples = Counter()
         self.processed_batches = Counter()
-        self.queue_latency = QuantileSketch()
 
     def on_arrival(self, now: float, count: int, nbytes: int) -> None:
         self._in_rates.record(now, count, nbytes)

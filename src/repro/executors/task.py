@@ -239,13 +239,7 @@ class _TaskPipeline(Event):
         if logic is not None:
             emissions = logic.process(batch, StateAccess(shard))
         now = env._now
-        metrics = ex.metrics
-        metrics.on_processed(now, batch.count, cost)
-        reference = batch.admitted_at
-        if reference is None:
-            reference = batch.created_at
-        waited = now - reference
-        metrics.queue_latency.add(waited if waited > 0.0 else 0.0)
+        ex.metrics.on_processed(now, batch.count, cost)
         if ex.operator_in_flight is not None:
             ex.operator_in_flight.decrement()
         if batch.trace is not None:

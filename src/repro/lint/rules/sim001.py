@@ -18,10 +18,10 @@ event loop's callback dispatch, so they must never:
 A callback class is one defining ``__call__`` or ``_on_*`` methods in a
 hot module; the rule checks those method bodies.
 
-Unique catch in the mutation set (``tests/mutants.py``): ``_RemoteSend``
-spawning a delivery process instead of building a ``_Delivery``.
-Results stay correct; only the per-message frames the compilation
-removed come back.
+Catch in the mutation set (``tests/mutants.py``): ``_RemoteSend``
+spawning a delivery process instead of building a ``_Delivery``.  No
+longer unique: the process schedules more events than the callbacks,
+so the event-count pins of tier-1 fail too.
 """
 
 from __future__ import annotations

@@ -268,6 +268,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             ),
         ),
         lint=frozenset({"SIM001"}),
+        caught=frozenset({"sanitized", "tier-1"}),
     ),
     Mutant(
         "stall-closed-aborted",

@@ -65,6 +65,24 @@ class TestSingleExecutorHarness:
         result = harness.measure(4, duration=6.0, warmup=3.0)
         assert result["migrated_bytes"] > 0  # shards spread to other nodes
 
+    @pytest.mark.parametrize(
+        "cores_per_node, cores, window, mean, p99",
+        [
+            (8, 2, {}, 0.14000915750915446, 0.18822717415038345),
+            (2, 4, {"duration": 6.0, "warmup": 3.0},
+             0.10434702870588008, 0.2392855495976778),
+        ],
+    )
+    def test_queue_latency_is_pinned(self, cores_per_node, cores, window, mean, p99):
+        # The sink recorder sketches queueing latency exactly as the task
+        # loop once did: same values, same order, same warm-up reset.
+        harness = SingleExecutorHarness(
+            cost_per_tuple=1e-3, cores_per_node=cores_per_node
+        )
+        result = harness.measure(cores, **window)
+        assert result["latency_mean"] == mean
+        assert result["latency_p99"] == p99
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SingleExecutorHarness(cost_per_tuple=0.0)

@@ -162,6 +162,33 @@ class TestWindowedSender:
         assert deliveries[1] == pytest.approx(1.0)
         assert deliveries[2] == pytest.approx(2.0)
 
+    def test_remote_delivery_costs_three_events(self, env):
+        # The window grant, the network transfer and the destination put:
+        # a remote message schedules no other kernel event.
+        cluster = Cluster(env, num_nodes=2)
+        sender = WindowedSender(env, cluster.network, src_node=0)
+        queue = Store(env)
+        sender.send_event(1, queue, "item", 1000, TransferPurpose.STREAM)
+        assert sender.in_flight == 1
+        env.run()
+        assert env.events_processed == 3
+        assert queue.items == ("item",)
+        assert sender.in_flight == 0
+
+    def test_zero_delay_remote_delivery_is_fifo(self, env):
+        # Zero latency and zero bytes: every transfer fires in the instant
+        # it is issued; sends past the window wait for a released slot.
+        cluster = Cluster(env, num_nodes=2, network_latency=0.0)
+        sender = WindowedSender(env, cluster.network, src_node=0, window=2)
+        queue = Store(env)
+        for i in range(5):
+            sender.send_event(1, queue, i, 0, TransferPurpose.STREAM)
+        env.run()
+        assert env.now == 0.0
+        assert env.events_processed == 5 * 3
+        assert queue.items == tuple(range(5))
+        assert sender.in_flight == 0
+
 
 class _RecordingLogic(OperatorLogic):
     """Charges a fixed cost per batch and records what it processed."""

@@ -33,6 +33,7 @@ from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
 from repro.faults.spec import FaultSpecError
 from repro.sim import Environment
+from repro.sweep import TrialConfig, build_system
 
 
 class TestFaultSpec:
@@ -401,6 +402,26 @@ class TestConservationUnderFaults:
         assert stalled.recovery["tuples_lost"] == 0  # gray failure, no loss
         # The stalled executor backs work up: tail latency must suffer.
         assert stalled.latency["p99"] > healthy.latency["p99"]
+
+    def test_move_onto_a_task_killed_mid_migration(self):
+        # A core the scheduler just added on node 2 is still receiving a
+        # shard's state when the node crashes.  The move must leave the
+        # shard orphaned for recovery, not install it on the dead task.
+        trial = TrialConfig(
+            omega=8.0, duration=14.0, warmup=4.0,
+            system_args={
+                "fault_spec": "node_crash@8:node=2", "network_profile": "wan",
+            },
+        )
+        system = build_system(trial)
+        result = system.run(duration=trial.duration, warmup=trial.warmup)
+        assert result.recovery["recoveries"] == 1
+        # The sources' schedules are over: let every queue drain, the
+        # re-homed shard's pause buffer included.
+        system.env.run(until=40.0)
+        lost = system.recovery_stats.snapshot()["tuples_lost"]
+        assert lost > 0
+        assert processed_tuples(system) + lost == emitted_tuples(system)
 
     def test_static_cannot_restart_and_bleeds_tuples(self):
         _, static = run_faulted(Paradigm.STATIC, "node_crash@10:node=3")
