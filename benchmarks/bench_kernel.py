@@ -38,20 +38,18 @@ from perf.harness import (  # noqa: E402
 #: The prior kernel (generator coroutines + C-heapq event queue + scalar
 #: ``random.Random`` workloads) measured with this same harness, best of
 #: 5, same machine as perf/baseline.json.  Kept inline so the speedup a
-#: run reports is against a fixed, committed reference.
+#: run reports is against a fixed, committed reference.  The speedup is
+#: the ratio of wall times for the same scenario: the kernel events per
+#: batch are not fixed across builds, so events/sec would not compare
+#: like with like.
 #:
-#: The ``events`` counts are the *current* build invariants — the
-#: batch-compiled kernel's vectorized numpy RNG streams draw different
-#: keys than the prior scalar streams, so counts were re-pinned when the
-#: streams changed (micro moved ~0.5%; burst/faulted moved more because
-#: the drawn key sequences drive shuffle and recovery event volumes).
-#: The per-event work profile is unchanged, which keeps the rate
-#: comparison meaningful.  A DRIFT flag means *this* build changed
-#: behaviour.
+#: The ``events`` counts are the *current* build invariants and equal
+#: perf/baseline.json's (``tests/test_perf_pins.py``): re-pin both
+#: together.  A DRIFT flag means *this* build changed behaviour.
 PRE_OPTIMIZATION_REFERENCE = {
-    "micro": {"events": 206022, "wall_seconds": 0.4128, "events_per_sec": 496533},
-    "burst": {"events": 82823, "wall_seconds": 0.1475, "events_per_sec": 478275},
-    "faulted": {"events": 66194, "wall_seconds": 0.1278, "events_per_sec": 455236},
+    "micro": {"events": 155687, "wall_seconds": 0.4128},
+    "burst": {"events": 64197, "wall_seconds": 0.1475},
+    "faulted": {"events": 51330, "wall_seconds": 0.1278},
 }
 
 
@@ -96,26 +94,25 @@ def main(argv=None) -> int:
     drift = False
     header = (
         f"{'scenario':<10} {'events':>9} {'wall (s)':>9} {'events/s':>10} "
-        f"{'ref ev/s':>10} {'speedup':>8}"
+        f"{'ref wall':>10} {'speedup':>8}"
     )
     print(header)
     print("-" * len(header))
     for name, row in report["scenarios"].items():
         reference = PRE_OPTIMIZATION_REFERENCE.get(name)
         speedup = ""
-        ref_rate = ""
+        ref_wall = ""
         if reference is not None:
-            ref_rate = f"{reference['events_per_sec']:,}"
-            speedup = f"{row['events_per_sec'] / reference['events_per_sec']:.2f}x"
-            row["speedup_vs_reference"] = round(
-                row["events_per_sec"] / reference["events_per_sec"], 3
-            )
+            ref_wall = f"{reference['wall_seconds']:.4f}"
+            ratio = reference["wall_seconds"] / row["wall_seconds"]
+            speedup = f"{ratio:.2f}x"
+            row["speedup_vs_reference"] = round(ratio, 3)
             if row["events"] != reference["events"]:
                 drift = True
                 speedup += " DRIFT"
         print(
             f"{name:<10} {row['events']:>9,} {row['wall_seconds']:>9.4f} "
-            f"{row['events_per_sec']:>10,.0f} {ref_rate:>10} {speedup:>8}"
+            f"{row['events_per_sec']:>10,.0f} {ref_wall:>10} {speedup:>8}"
         )
 
     if args.profile:

@@ -856,11 +856,10 @@ class ElasticExecutor:
             # died with its process (lose_state) is rebuilt.
             recovery = _Recovery({} if lose_state else self.stores, stats, rebuild_rate)
             for shard_id, dst_task in sorted(placement.items()):
-                moved = yield from self._move_shard(
+                # Unmoved shards stay orphaned; stranded ones wait for the next re-home.
+                yield from self._move_shard(
                     shard_id, None, dst_task, recovery=recovery
                 )
-                if not moved:
-                    return
             span.finish(status="ok", orphans=len(orphans))
         finally:
             span.finish(status="aborted")

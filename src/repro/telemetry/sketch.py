@@ -294,9 +294,9 @@ class LatencyProbe:
     Recording is read-only with respect to the simulation: no virtual
     time, no events, no RNG — results stay bit-identical with probes on.
 
-    Recording is also *deferred*: :meth:`record` extends a flat buffer by
-    three plain scalars in one step (the triple dies at once — nothing
-    tracked survives to pressure the garbage collector) and the bucket
+    Recording is also *deferred*: :meth:`record` appends the observation
+    to a flat buffer (three plain-scalar appends — no tracked allocation,
+    so no garbage-collector pressure on the data plane) and the bucket
     math folds into the per-shard sketches either when a reader asks or
     when the buffer reaches :data:`FOLD_THRESHOLD` observations, which
     bounds memory for long runs.  Folding preserves record order, so
@@ -330,7 +330,9 @@ class LatencyProbe:
         if now < self.warmup:
             return
         pending = self._pending
-        pending += (shard_id, latency if latency > 0.0 else 0.0, count)
+        pending.append(shard_id)
+        pending.append(latency if latency > 0.0 else 0.0)
+        pending.append(count)
         if len(pending) >= _PENDING_LIMIT:
             self._fold()
 

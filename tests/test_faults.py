@@ -31,9 +31,15 @@ from repro.cluster import Cluster
 from repro.cluster.cores import CoreAllocationError, CoreManager
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
+from repro.executors import ElasticExecutor
+from repro.executors.config import ExecutorConfig
+from repro.faults.recovery import DeadLetterReaper
 from repro.faults.spec import FaultSpecError
+from repro.logic import SyntheticLogic
+from repro.metrics.recovery import RecoveryStats
 from repro.sim import Environment
 from repro.sweep import TrialConfig, build_system
+from repro.topology import OperatorSpec, TupleBatch
 
 
 class TestFaultSpec:
@@ -422,6 +428,65 @@ class TestConservationUnderFaults:
         lost = system.recovery_stats.snapshot()["tuples_lost"]
         assert lost > 0
         assert processed_tuples(system) + lost == emitted_tuples(system)
+
+    def test_rehome_destination_killed_during_restore(self):
+        # A node crash orphans four shards; their state is rebuilt at a
+        # third of a second per shard.  A core failure kills the first
+        # re-home destination (the node-0 task) mid-rebuild.  That shard
+        # is stranded for the next re-home, and the rest of the plan
+        # still moves: no shard may stay orphaned with a growing buffer.
+        env = Environment()
+        cluster = Cluster(env, num_nodes=3, cores_per_node=4)
+        spec = OperatorSpec("op", logic=SyntheticLogic(), num_executors=1,
+                            shards_per_executor=16)
+        executor = ElasticExecutor(
+            env, cluster, spec, index=0, local_node=0,
+            config=ExecutorConfig(balance_interval=1000.0),
+        )
+        processed = []
+        executor.connect([], sink_recorder=lambda batch, now: processed.append(batch))
+        executor.start(initial_cores=1)
+        stats = RecoveryStats()
+        lost = []
+        reaper = DeadLetterReaper(env, stats, on_lost=lost.append)
+        fed = 2000
+        stranded = []
+
+        def feeder():
+            for i in range(fed):
+                yield executor.input_queue.put(TupleBatch(
+                    key=i % 16, count=1, cpu_cost=0.2e-3, size_bytes=64,
+                    created_at=env.now, payload=i,
+                ))
+                yield env.timeout(0.005)
+
+        def script():
+            for node in (1, 2, 2):
+                yield from executor.add_core(node)
+            victim = next(t for t in executor.tasks.values() if t.node_id == 1)
+            orphans = executor.crash_tasks([victim], reaper)
+            first = env.process(executor.rehome_orphans(
+                orphans, 1, stats, rebuild_rate=1e5, lose_state=True
+            ))
+            yield env.timeout(0.1)
+            destination = next(
+                t for t in executor.tasks.values() if t.node_id == 0
+            )
+            dead_shards = executor.crash_tasks([destination], reaper)
+            yield first
+            stranded.extend(executor._stranded)
+            yield from executor.rehome_orphans(
+                dead_shards, 0, stats, rebuild_rate=1e5, lose_state=False
+            )
+
+        env.process(feeder())
+        env.process(script())
+        env.run(until=40.0)
+        assert len(stranded) == 1  # the move bound for the dead task
+        entries = [executor.routing.entry(s) for s in range(16)]
+        assert all(e.task is not None and not e.paused for e in entries)
+        assert executor.routing.buffered_items() == 0
+        assert len(processed) + len(lost) == fed
 
     def test_static_cannot_restart_and_bleeds_tuples(self):
         _, static = run_faulted(Paradigm.STATIC, "node_crash@10:node=3")
