@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cProfile
 import dataclasses
+import gc
 import io
 import json
 import pathlib
@@ -162,8 +163,13 @@ class ScenarioResult:
 def _run_once(
     scenario: Scenario,
 ) -> typing.Tuple[float, int, int, int, float]:
-    """One timed run: ``(wall, events, batches, processed, throughput)``."""
+    """One timed run: ``(wall, events, batches, processed, throughput)``.
+
+    The previous run's garbage is collected before the timer starts, so
+    no run pays the collector for the one before it.
+    """
     system = scenario.build()
+    gc.collect()
     start = time.perf_counter()
     result = system.run(duration=scenario.duration, warmup=scenario.warmup)
     wall = time.perf_counter() - start

@@ -52,6 +52,10 @@ class TransferPurpose(enum.Enum):
     STATE_MIGRATION = "state_migration"  # shard state movement
     CONTROL = "control"  # protocol/control messages
 
+    # ``Enum.__hash__`` is a Python frame per transfer's byte accounting.
+    # No output depends on hash values: never iterate a set of members.
+    __hash__ = object.__hash__
+
 
 class _Link:
     """A FIFO link: transfers queue back-to-back at fixed bandwidth."""
@@ -104,8 +108,7 @@ class _GuardedDelivery:
             self.callbacks = [self._on_fire]
             env.push_at(horizon, typing.cast(Event, self))  # duck-typed
             return
-        env._ready.append((env._seq, self.event))
-        env._seq += 1
+        env._ready.append(self.event)
 
 
 class NetworkFabric:

@@ -110,7 +110,9 @@ class _ReceiverLoop:
             batch.trace["received"] = env._now
         count = batch.count
         self.on_arrival(env._now, count, count * batch.size_bytes)
-        shard_id = self.lookup[batch.key]
+        key = batch.key
+        lookup = self.lookup  # indexed inline: a frame per batch
+        shard_id = lookup.table[key] if 0 <= key < lookup.num_keys else lookup[key]
         entry = self.entries[shard_id]
         if entry.paused:
             entry.buffer.append(batch)
@@ -288,10 +290,6 @@ class ElasticExecutor:
         self._sink_recorder = sink_recorder
 
     @property
-    def is_sink(self) -> bool:
-        return not self._downstream_groups
-
-    @property
     def node_id(self) -> int:
         """The main process's node (upstream-synchronization address)."""
         return self.local_node
@@ -389,13 +387,21 @@ class ElasticExecutor:
         """Grow by one task on ``node_id`` and rebalance shards onto it.
 
         Simulation process body.  Core accounting is the scheduler's job.
+        Gives up once this executor has crashed (a crash clears ``alive``,
+        a restart replaces the control lock): a restart rebuilds it from
+        scratch.
         """
-        yield self._control.request()
+        control = self._control
+        yield control.request()
         try:
+            if not self.alive or self._control is not control:
+                return
             if not self.cluster.node(node_id).alive:
                 return  # the node crashed after this growth was planned
             if self._open_process(node_id):
                 yield self.env.timeout(REMOTE_PROCESS_SPAWN_SECONDS)
+                if not self.alive or self._control is not control:
+                    return
                 if not self.cluster.node(node_id).alive:
                     self.stores.pop(node_id, None)
                     self._remote_senders.pop(node_id, None)
@@ -407,12 +413,18 @@ class ElasticExecutor:
             )
             yield from self._rebalance_locked()
         finally:
-            self._control.release()
+            control.release()
 
     def remove_core(self, node_id: int) -> typing.Generator:
-        """Shrink by one task on ``node_id``, evacuating its shards first."""
-        yield self._control.request()
+        """Shrink by one task on ``node_id``, evacuating its shards first.
+
+        Gives up once this executor has crashed, like :meth:`add_core`.
+        """
+        control = self._control
+        yield control.request()
         try:
+            if not self.alive or self._control is not control:
+                return
             candidates = [t for t in self.tasks.values() if t.node_id == node_id]
             if not candidates:
                 raise ValueError(f"{self.name} has no task on node {node_id}")
@@ -429,6 +441,8 @@ class ElasticExecutor:
             )
             for shard_id, dst_task in sorted(placement.items()):
                 yield from self._move_shard(shard_id, victim, dst_task, draining=victim)
+            if not self.alive or self._control is not control:
+                return
             if self.routing.shards_of(victim):
                 # Every other task crashed mid-evacuation, so the victim
                 # kept the shards it could not hand over: it is the last
@@ -448,7 +462,7 @@ class ElasticExecutor:
                 cores=len(self.tasks),
             )
         finally:
-            self._control.release()
+            control.release()
 
     # -- elasticity: intra-executor load balancing ------------------------
 
@@ -777,6 +791,7 @@ class ElasticExecutor:
         )
         self._remote_senders = {}
         self._control = Resource(self.env)
+        self.tasks.clear()
         self.stores = {new_node: ProcessStateStore(self.name, new_node)}
         self.routing = RoutingTable(self.num_shards)
         self._shard_cost_accum = [0.0] * self.num_shards

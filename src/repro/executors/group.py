@@ -27,7 +27,7 @@ import typing
 from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.executors.channels import WindowedSender
 from repro.executors.config import SEND_WINDOW
-from repro.sim import Environment, Event, Process, Timeout
+from repro.sim import Environment, Event, Process
 from repro.topology.batch import TupleBatch
 from repro.topology.keys import executor_lookup
 
@@ -88,10 +88,13 @@ class ElasticGroup:
         if gate is not None and gate.closed:
             return None
         router = self.router
+        key = batch.key
         if router is not None:
-            executor = router.route(batch.key)
+            executor = router.route(key)
         else:
-            executor = self.executors[self._lookup[batch.key]]
+            lookup = self._lookup  # indexed inline: a frame per batch
+            index = lookup.table[key] if 0 <= key < lookup.num_keys else lookup[key]
+            executor = self.executors[index]
         if self.in_flight is not None:
             self.in_flight.increment()
         if executor.local_node == src_node:
@@ -130,9 +133,11 @@ class RCGroup:
         manager = self.manager
         if manager.gate.closed:
             return None
-        shard_id = manager.shard_lookup[batch.key]
+        key = batch.key
+        lookup = manager.shard_lookup  # indexed inline: a frame per batch
+        shard_id = lookup.table[key] if 0 <= key < lookup.num_keys else lookup[key]
         executor = manager._assignment[shard_id]
-        manager.record_arrival(executor, batch)
+        manager.record_arrival(executor, batch, shard_id)
         manager.in_flight.increment()
         if executor.node_id == src_node:
             return executor.input_queue.put(batch)
@@ -315,8 +320,15 @@ class _SourceLoop:
             now = env._now
             if emit_time > now:
                 self._batch = batch
-                timeout = Timeout(env, emit_time - now)
-                timeout.callbacks.append(self._on_time_cb)
+                # Inlined timeout, like the task loop's wake event.  The
+                # time stays ``now + (emit_time - now)``, which may round
+                # away from ``emit_time``: event order depends on it.
+                wake = Event.__new__(Event)
+                wake.env = env
+                wake.callbacks = [self._on_time_cb]
+                wake._ok = True
+                wake._value = None
+                env.push_at(now + (emit_time - now), wake)
                 return
             self._emit(batch)
             if self._batch is not None:

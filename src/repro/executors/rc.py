@@ -123,10 +123,6 @@ class RCExecutor:
         self._downstream_groups = list(downstream_groups)
         self._sink_recorder = sink_recorder
 
-    @property
-    def is_sink(self) -> bool:
-        return not self._downstream_groups
-
     def crash(self, reaper: typing.Any) -> None:
         """Fail-stop this executor: its core (or whole node) died.
 
@@ -273,11 +269,12 @@ class RCOperatorManager:
             self._stores[node_id] = store
         return store
 
-    def record_arrival(self, executor: RCExecutor, batch: TupleBatch) -> None:
-        """Called by :class:`RCGroup` when a batch is admitted."""
+    def record_arrival(
+        self, executor: RCExecutor, batch: TupleBatch, shard_id: int
+    ) -> None:
+        """Called by :class:`RCGroup` when a batch of ``shard_id`` is admitted."""
         now = self.env.now
         executor.metrics.on_arrival(now, batch.count, batch.count * batch.size_bytes)
-        shard_id = self.shard_lookup[batch.key]
         cost = executor.logic.cpu_seconds(batch) if executor.logic else 0.0
         self._shard_cost_accum[shard_id] += cost
 

@@ -113,7 +113,8 @@ class _TaskPipeline(Event):
       when the owner charges load elsewhere (RC, at admission);
     - ``_san`` (shard sanitizer, which reads ``routing``), ``external_state``,
       ``operator_in_flight`` and ``latency_probe``, each ``None`` when off;
-    - ``is_sink``, ``_sink_recorder``, ``_emitter_queue``, ``local_node``
+    - ``_downstream_groups`` (empty for a sink), ``_sink_recorder``,
+      ``_emitter_queue``, ``local_node``
       and ``_remote_senders`` (node -> sender back to ``local_node``).
     """
 
@@ -219,7 +220,9 @@ class _TaskPipeline(Event):
         logic = ex.logic
         shard = self._shard
         if shard is None:
-            shard_id = ex._shard_lookup[batch.key]
+            key = batch.key
+            lookup = ex._shard_lookup  # indexed inline: a frame per batch
+            shard_id = lookup.table[key] if 0 <= key < lookup.num_keys else lookup[key]
             if ex._shard_cost_accum is not None:
                 ex._shard_cost_accum[shard_id] += cost
             if ex._san is not None:
@@ -247,7 +250,7 @@ class _TaskPipeline(Event):
         # Commit point: state applied and accounted.  A crash from here
         # on must not count the batch as lost (and must not re-apply it).
         task.current_item = None
-        if ex.is_sink:
+        if not ex._downstream_groups:  # a sink
             probe = ex.latency_probe
             if probe is not None:
                 probe.record(shard_id, now - batch.created_at, batch.count, now)

@@ -18,8 +18,6 @@ TEL001    Every telemetry span is closed on all paths, and no expensive
 PROTO001  Control-plane state machines only perform transitions declared
           in :mod:`repro.protocol` (the checked-in tables), and call
           sites walk every declared edge.
-SIM001    Callback-compiled delivery paths never block, spawn processes,
-          or turn into generators.
 SUP001    Framework rule: every inline suppression carries a
           justification (not suppressible).
 SUP002    Framework rule: every justified suppression still silences a

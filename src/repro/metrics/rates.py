@@ -127,11 +127,20 @@ class EWMA:
         return self._value
 
     def update(self, now: float, sample: float) -> float:
-        """Blend ``sample`` in; the weight of history decays with elapsed time."""
+        """Blend ``sample`` in; the weight of history decays with elapsed time.
+
+        A sample equal to the value skips the blend: ``value + alpha *
+        0.0`` is exactly ``value`` for every finite value but -0.0, so
+        only the time is stored.  On the data plane (a constant per-tuple
+        cost) nearly every update takes this path.
+        """
         if not self._initialized:
             self._value = float(sample)
             self._last_time = now
             self._initialized = True
+            return self._value
+        if sample == self._value:
+            self._last_time = now
             return self._value
         elapsed = max(0.0, now - self._last_time)
         alpha = 1.0 - math.exp(-self._decay_rate * elapsed) if elapsed > 0 else 0.5

@@ -38,6 +38,10 @@ SOURCE_OWNER = "__sources__"
 #: the ``REPRO_FLIGHT_DIR`` environment variable names another directory.
 FLIGHT_RECORDER_DIR = "flight-recorder"
 
+#: Sink observations buffered before a fold into the latency sketches:
+#: two lists of this many floats bound the buffer's memory.
+SINK_FOLD_LIMIT = 4096
+
 
 class PlacementError(ValueError):
     """The cluster has too few free cores for the initial executors."""
@@ -225,8 +229,12 @@ class StreamSystem:
             # before any channel is built so every transfer is re-checked.
             self.cluster.network.enable_delivery_guard()
         self.reassignment_stats = ReassignmentStats()
-        self.sink_latency = QuantileSketch()
-        self.sink_residence = QuantileSketch()
+        self._sink_latency = QuantileSketch()
+        self._sink_residence = QuantileSketch()
+        #: Post-warmup sink ages and residences not yet folded into the
+        #: two sketches above (see :meth:`_fold_sink`).
+        self._sink_ages: typing.List[float] = []
+        self._sink_residences: typing.List[float] = []
         self.sink_completions = TimeSeries("sink_completions")
         #: Completed latency-breakdown traces (config.trace_every > 0).
         self.traces: typing.List[typing.Dict[str, float]] = []
@@ -529,18 +537,45 @@ class StreamSystem:
 
     # -- measurement ---------------------------------------------------------
 
+    @property
+    def sink_latency(self) -> QuantileSketch:
+        """Post-warmup sink ages (creation to sink), one per batch."""
+        self._fold_sink()
+        return self._sink_latency
+
+    @property
+    def sink_residence(self) -> QuantileSketch:
+        """Post-warmup sink residences (admission to sink), one per batch."""
+        self._fold_sink()
+        return self._sink_residence
+
     def _record_sink(self, batch, now: float) -> None:
         self.sink_completions.record(now, batch.count)
         if batch.trace is not None:
             self.traces.append(dict(batch.trace))
         if now >= self._warmup:
+            ages = self._sink_ages
             age = now - batch.created_at
-            self.sink_latency.add(age if age > 0.0 else 0.0)
+            ages.append(age if age > 0.0 else 0.0)
             admitted = batch.admitted_at
             if admitted is None:
                 admitted = batch.created_at
             residence = now - admitted
-            self.sink_residence.add(residence if residence > 0.0 else 0.0)
+            self._sink_residences.append(residence if residence > 0.0 else 0.0)
+            if len(ages) >= SINK_FOLD_LIMIT:
+                self._fold_sink()
+
+    def _fold_sink(self) -> None:
+        """Fold the buffered sink observations into their sketches.
+
+        In record order, so the sketches are exactly what per-batch
+        ``add`` calls would have built.
+        """
+        if self._sink_ages:
+            self._sink_latency.add_all(self._sink_ages)
+            self._sink_residence.add_all(self._sink_residences)
+            self._sink_ages.clear()
+            self._sink_residences.clear()
 
     def _sampler(self) -> typing.Generator:
         """Instantaneous system throughput.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import heapq
+import math
 import typing
 
 from repro.sim.events import AllOf, Event, SimulationError, Timeout
@@ -14,27 +15,32 @@ from repro.telemetry.events import NULL_BUS
 class Environment:
     """Owns virtual time and drives event processing.
 
-    Events scheduled at equal times are processed in schedule order
-    (FIFO tie-breaking via a sequence counter), which makes every run
-    deterministic.
+    Events scheduled at equal times are processed in schedule order, which
+    makes every run deterministic: the processing order is the global
+    ``(time, seq)`` order of one heap keyed by time and a schedule
+    counter.
 
-    Two queues back the clock.  Future events (``delay > 0``) live on a
-    binary heap of ``(time, seq, event)`` tuples (``heapq``).  Already-due
-    events (``delay == 0`` — the overwhelming majority: store hand-offs,
-    process wakeups) go to a plain FIFO deque of ``(seq, event)`` instead,
-    which skips the heap entirely.  The merge rule in :meth:`run` compares
-    sequence numbers whenever the heap's head is due at the current time,
-    so the combined processing order is exactly the global ``(time, seq)``
-    order a single heap would produce:
+    Two queues back the clock.  Future events live on a binary heap of
+    ``(time, seq, event)`` tuples (``heapq``); events due now (store
+    hand-offs, process wakeups: the overwhelming majority) go to a plain
+    FIFO deque of bare events and skip the heap entirely.  Only heap
+    pushes take a sequence number.  One invariant makes the deque's FIFO
+    order the global order:
 
-    - every deque entry was scheduled *at* the current time, so its time
-      component equals ``now``;
-    - heap entries are never in the past (``delay > 0`` at insertion and
-      the clock only advances by popping the heap minimum), so a heap
-      entry competes with the deque only when its time == ``now`` — and
-      then the smaller sequence number wins, same as the heap tie-break.
+    - the clock advances only when the deque is empty, so every deque
+      entry was scheduled at the current time ``now``;
+    - a heap entry is never due at or before ``now`` when it is pushed
+      (an event whose ``now + delay`` rounds to ``now``, a sub-ulp delay,
+      goes to the deque, which is the position the heap tie-break gave
+      it), so every heap entry due at ``T`` was pushed before the clock
+      reached ``T`` and carries a smaller seq than any deque entry made
+      at ``T``.
 
-    Only :mod:`repro.sim` touches the heap directly; code elsewhere
+    So when the clock advances to ``T``, :meth:`run` moves every heap
+    entry due at ``T`` into the empty deque, in heap order, and then
+    drains the deque FIFO.
+
+    Only :mod:`repro.sim` touches the queues directly; code elsewhere
     schedules future events through :meth:`schedule` or :meth:`push_at`.
     """
 
@@ -43,8 +49,9 @@ class Environment:
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         #: heapq of ``(time, seq, event)``; like the deque's entries, the
-        #: events are duck-typed — the loop only reads ``callbacks``.
+        #: events are duck-typed: the loop only reads ``callbacks``.
         self._timers: typing.List[typing.Tuple[float, int, typing.Any]] = []
+        #: Bare events due at ``now``, in processing order.
         self._ready: collections.deque = collections.deque()
         self._seq = 0
         self._processed = 0
@@ -71,12 +78,16 @@ class Environment:
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Queue a triggered event for processing ``delay`` seconds from now."""
         if delay > 0.0:
-            heapq.heappush(self._timers, (self._now + delay, self._seq, event))
+            time = self._now + delay
+            if time > self._now:
+                heapq.heappush(self._timers, (time, self._seq, event))
+                self._seq += 1
+                return
+            self._ready.append(event)  # sub-ulp delay: due now
         elif delay == 0.0:
-            self._ready.append((self._seq, event))
+            self._ready.append(event)
         else:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
 
     def push_at(self, time: float, event: Event) -> None:
         """Queue a triggered event for processing at absolute virtual ``time``.
@@ -87,8 +98,7 @@ class Environment:
         """
         if time <= self._now:
             if time == self._now:
-                self._ready.append((self._seq, event))
-                self._seq += 1
+                self._ready.append(event)
                 return
             raise SimulationError(
                 f"cannot schedule into the past (time={time} < now={self._now})"
@@ -102,59 +112,27 @@ class Environment:
         When ``until`` is given, all events scheduled at or before that time
         are processed and the clock is left at exactly ``until``.
         """
-        # The innermost loop of the whole simulator, written out twice
-        # (with and without ``until``) with locals bound outside the loop.
-        # ``now`` mirrors self._now — only this loop advances the clock
-        # (callbacks schedule events but never move time), so the merge
-        # rule reads a local instead of a slot on every event.  A heap
-        # entry beats the ready deque only when it is due now and was
-        # scheduled first (smaller seq).
+        # The innermost loop of the whole simulator, with locals bound
+        # outside it.  The clock advances only here and only with the
+        # deque empty; every heap entry due at the new time then joins the
+        # deque in heap order (see the class docstring).
+        limit = math.inf if until is None else float(until)
+        now = self._now
+        if limit < now:
+            raise SimulationError(f"cannot run to {until}: already at {now}")
         ready = self._ready
+        popleft = ready.popleft
         timers = self._timers
         pop = heapq.heappop
         processed = 0
-        now = self._now
         try:
-            if until is None:
-                while True:
-                    if ready:
-                        if (
-                            timers
-                            and timers[0][0] <= now
-                            and timers[0][1] < ready[0][0]
-                        ):
-                            now, _, event = pop(timers)
-                            self._now = now
-                        else:
-                            _, event = ready.popleft()
-                    elif timers:
-                        now, _, event = pop(timers)
-                        self._now = now
-                    else:
-                        return
-                    processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-            until = float(until)
-            if until < now:
-                raise SimulationError(
-                    f"cannot run to {until}: already at {now}"
-                )
             while True:
                 if ready:
-                    if (
-                        timers
-                        and timers[0][0] <= now
-                        and timers[0][1] < ready[0][0]
-                    ):
-                        now, _, event = pop(timers)
-                        self._now = now
-                    else:
-                        _, event = ready.popleft()
-                elif timers and timers[0][0] <= until:
+                    event = popleft()
+                elif timers and timers[0][0] <= limit:
                     now, _, event = pop(timers)
+                    while timers and timers[0][0] == now:
+                        ready.append(pop(timers)[2])
                     self._now = now
                 else:
                     break
@@ -163,7 +141,8 @@ class Environment:
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
-            self._now = until
+            if until is not None:
+                self._now = limit
         finally:
             self._processed += processed
 

@@ -80,9 +80,7 @@ class Event:
             # Inlined Environment.schedule zero-delay path: succeed() with
             # no delay is the hottest call in the kernel (every store
             # hand-off and process wakeup lands here).
-            env = self.env
-            env._ready.append((env._seq, self))
-            env._seq += 1
+            self.env._ready.append(self)
         else:
             self.env.schedule(self, delay)
         return self
@@ -127,10 +125,13 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         if delay > 0.0:
-            heappush(env._timers, (env._now + delay, env._seq, self))
-        else:
-            env._ready.append((env._seq, self))
-        env._seq += 1
+            time = env._now + delay
+            if time > env._now:
+                heappush(env._timers, (time, env._seq, self))
+                env._seq += 1
+                return
+        # Due now (zero or sub-ulp delay): the ready deque, see Environment.
+        env._ready.append(self)
 
 
 class AllOf(Event):

@@ -48,8 +48,7 @@ class Process(Event):
         bootstrap._ok = True
         bootstrap._value = None
         bootstrap.callbacks.append(self._on_event)
-        env._ready.append((env._seq, bootstrap))
-        env._seq += 1
+        env._ready.append(bootstrap)
 
     @property
     def is_alive(self) -> bool:

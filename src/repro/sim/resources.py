@@ -51,8 +51,7 @@ class Resource:
             # on the data plane (sender windows rarely fill).
             event._ok = True
             event._value = None
-            env._ready.append((env._seq, event))
-            env._seq += 1
+            env._ready.append(event)
         else:
             event._ok = None
             event._value = PENDING

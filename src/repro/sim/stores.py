@@ -80,14 +80,12 @@ class Store:
             # getter receives this very item.
             event._ok = True
             event._value = None
-            env._ready.append((env._seq, event))
-            env._seq += 1
+            env._ready.append(event)
             if self._get_waiters:
                 getter = self._get_waiters.popleft()
                 getter._ok = True
                 getter._value = item
-                env._ready.append((env._seq, getter))
-                env._seq += 1
+                env._ready.append(getter)
             else:
                 self._items.append(item)
         else:
@@ -106,8 +104,7 @@ class Store:
             getter = self._get_waiters.popleft()
             getter._ok = True
             getter._value = item
-            env._ready.append((env._seq, getter))
-            env._seq += 1
+            env._ready.append(getter)
             return
         if len(self._items) >= self.capacity:
             raise StoreFull(f"store at capacity {self.capacity}")
@@ -126,15 +123,13 @@ class Store:
             # blocked putter is admitted.
             event._ok = True
             event._value = self._items.popleft()
-            env._ready.append((env._seq, event))
-            env._seq += 1
+            env._ready.append(event)
             if self._put_waiters and len(self._items) < self.capacity:
                 putter, pitem = self._put_waiters.popleft()
                 self._items.append(pitem)
                 putter._ok = True
                 putter._value = None
-                env._ready.append((env._seq, putter))
-                env._seq += 1
+                env._ready.append(putter)
         else:
             event._ok = None
             event._value = PENDING

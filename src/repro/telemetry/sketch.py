@@ -112,6 +112,50 @@ class QuantileSketch:
         if len(buckets) > self.max_buckets:
             self._collapse()
 
+    def add_all(self, values: typing.Iterable[float]) -> None:
+        """Record each of ``values`` once, in order.
+
+        Exactly ``for value in values: self.add(value)`` (the same
+        left-to-right ``_sum``, zero bucket, min, max and collapses, and
+        the same state when a negative value raises) with the per-value
+        call frame and the ``count`` arithmetic folded away: the bulk path
+        for recorders that buffer observations.
+        """
+        added = zeros = 0
+        total = self._sum
+        low = self._min
+        high = self._max
+        buckets = self._buckets
+        scale = self._inv_log_gamma
+        max_buckets = self.max_buckets
+        try:
+            for value in values:
+                if value < 0.0:
+                    raise ValueError(f"value must be >= 0, got {value}")
+                added += 1
+                total += value
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+                if value < MIN_TRACKED:
+                    zeros += 1
+                    continue
+                index = _ceil(_log(value) * scale)
+                if index in buckets:
+                    buckets[index] += 1
+                else:
+                    buckets[index] = 1
+                    # Only a new bucket can overflow the budget.
+                    if len(buckets) > max_buckets:
+                        self._collapse()
+        finally:
+            self._count += added
+            self._zero_count += zeros
+            self._sum = total
+            self._min = low
+            self._max = high
+
     def _collapse(self) -> None:
         """Merge the lowest buckets until within the memory budget.
 

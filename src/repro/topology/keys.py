@@ -94,7 +94,7 @@ class DenseLookup:
     depends on the declared key space being exhaustive.
     """
 
-    __slots__ = ("num_keys", "num_buckets", "salt", "_list")
+    __slots__ = ("num_keys", "num_buckets", "salt", "table")
 
     def __init__(self, num_keys: int, num_buckets: int, salt: int) -> None:
         if num_buckets < 1:
@@ -105,11 +105,13 @@ class DenseLookup:
         self.num_keys = min(num_keys, _DENSE_TABLE_LIMIT)
         self.num_buckets = num_buckets
         self.salt = salt
-        self._list = _dense_table(self.num_keys, num_buckets, salt)
+        #: The shared bucket list.  Per-batch sites index it directly
+        #: for keys in ``0..num_keys-1`` and call the lookup otherwise.
+        self.table = _dense_table(self.num_keys, num_buckets, salt)
 
     def __getitem__(self, key: int) -> int:
         if 0 <= key < self.num_keys:
-            return self._list[key]
+            return self.table[key]
         return stable_hash(key, self.salt) % self.num_buckets
 
     def __repr__(self) -> str:

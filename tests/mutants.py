@@ -245,7 +245,6 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            self._pump()\n"
             "            return\n",
         ),),
-        lint=frozenset({"SIM001"}),
         caught=frozenset({"tier-1", "sanitized"}),
     ),
     Mutant(
@@ -267,7 +266,6 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
                 "        sender.env.process(_deliver(sender, hop, self.queue, self.item))\n",
             ),
         ),
-        lint=frozenset({"SIM001"}),
         caught=frozenset({"sanitized", "tier-1"}),
     ),
     Mutant(

@@ -429,6 +429,36 @@ class TestConservationUnderFaults:
         assert lost > 0
         assert processed_tuples(system) + lost == emitted_tuples(system)
 
+    @pytest.mark.parametrize(
+        "fault_spec, executor",
+        [
+            ("node_crash@10:node=2", 2),
+            ("node_crash@8:node=2;node_crash@9.5:node=3", 3),
+        ],
+    )
+    def test_core_added_as_its_executor_dies_does_not_survive_restart(
+        self, fault_spec, executor
+    ):
+        # A growth of the executor holds its control lock when the node
+        # of its main process crashes.  The growth must give up, so the
+        # restarted executor does not inherit tasks of the dead one.
+        trial = TrialConfig(
+            paradigm="elasticutor", omega=8.0, duration=14.0, warmup=4.0,
+            system_args={"fault_spec": fault_spec},
+        )
+        system = build_system(trial)
+        system.run(duration=trial.duration, warmup=trial.warmup)
+        restarted = system.executors_by_operator["calculator"][executor]
+        assert restarted.alive
+        assert all(
+            task.node_id in restarted.stores
+            for task in restarted.tasks.values()
+        )
+        system.env.run(until=40.0)
+        lost = system.recovery_stats.snapshot()["tuples_lost"]
+        assert lost > 0
+        assert processed_tuples(system) + lost == emitted_tuples(system)
+
     def test_rehome_destination_killed_during_restore(self):
         # A node crash orphans four shards; their state is rebuilt at a
         # third of a second per shard.  A core failure kills the first

@@ -2,9 +2,9 @@
 
 Each fixture under ``tests/fixtures/lint/`` violates exactly one rule;
 the committed tree under ``src/repro/`` must be clean.  Fixtures that
-exercise path-scoped rules (HOT001, PROTO001, SIM001, the DET001
-allowlist) live under synthetic ``repro/...`` subdirectories so the
-package matcher sees the suffix it keys on.
+exercise path-scoped rules (HOT001, PROTO001, the DET001 allowlist)
+live under synthetic ``repro/...`` subdirectories so the package
+matcher sees the suffix it keys on.
 """
 
 import json
@@ -149,11 +149,6 @@ def caller():
         source = self.RC_SYNC_WALK.replace("    sync(False)\n", "    pass\n")
         assert "sync(False)" not in source
         assert self.proto001_dead_edges(tmp_path, source) == []
-
-    def test_sim001_fixture(self):
-        findings = lint_fixture("repro/executors/sim001_bad.py")
-        assert rules_of(findings) == {"SIM001"}
-        assert len(findings) == 3
 
     def test_sup002_fixture(self):
         findings = lint_fixture("sup002_stale.py")

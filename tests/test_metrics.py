@@ -1,6 +1,7 @@
 """Unit and property tests for the metrics package."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,27 @@ class TestEWMA:
     def test_invalid_half_life(self):
         with pytest.raises(ValueError):
             EWMA(half_life=0.0)
+
+    @given(
+        # Every finite value but -0.0 (the blend turns it into +0.0).
+        value=st.floats(allow_nan=False, allow_infinity=False).filter(
+            lambda v: math.copysign(1.0, v) > 0.0 or v != 0.0
+        ),
+        elapsed=st.floats(0.0, 1e6),
+        half_life=st.floats(1e-3, 1e3),
+    )
+    def test_equal_sample_update_matches_the_full_blend(
+        self, value, elapsed, half_life
+    ):
+        # The blend written out: what update() computes for any sample.
+        decay_rate = math.log(2.0) / half_life
+        alpha = 1.0 - math.exp(-decay_rate * elapsed) if elapsed > 0 else 0.5
+        expected = value + alpha * (value - value)
+        ewma = EWMA(half_life=half_life)
+        ewma.update(1.0, value)
+        assert ewma.update(1.0 + elapsed, value) == expected
+        assert struct.pack("<d", ewma.value) == struct.pack("<d", expected)
+        assert ewma._last_time == 1.0 + elapsed
 
 
 class TestTimeSeries:

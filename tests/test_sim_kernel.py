@@ -123,10 +123,41 @@ class TestEnvironment:
         env.run()
         assert order == ["timer-1", "timer-2", "ready"]
 
+    def test_sub_ulp_delay_runs_in_fifo_position(self, env):
+        # 1.0 + 5e-324 == 1.0: each of the three sub-ulp schedules must run
+        # where a zero-delay event scheduled at that moment would.
+        order = []
+
+        def record(ev):
+            order.append((ev.value, env.now))
+
+        def at_one(_):
+            env.timeout(0.0, value="a").callbacks.append(record)
+            env.timeout(5e-324, value="timeout").callbacks.append(record)
+            env.timeout(0.0, value="b").callbacks.append(record)
+            event = env.event()
+            event.callbacks.append(record)
+            event.succeed("succeed", delay=5e-324)
+            env.timeout(0.0, value="c").callbacks.append(record)
+            bare_event = bare(env, "schedule", [])
+            bare_event.callbacks = [record]
+            env.schedule(bare_event, 5e-324)
+            env.timeout(0.0, value="d").callbacks.append(record)
+
+        env.timeout(1.0).callbacks.append(at_one)
+        env.timeout(2.0, value="later").callbacks.append(record)
+        env.run()
+        assert order == [
+            ("a", 1.0), ("timeout", 1.0), ("b", 1.0), ("succeed", 1.0),
+            ("c", 1.0), ("schedule", 1.0), ("d", 1.0), ("later", 2.0),
+        ]
+
     @settings(max_examples=100, deadline=None)
     @given(
         fanout=st.lists(
-            st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), max_size=3),
+            st.lists(
+                st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, 5e-324]), max_size=3
+            ),
             min_size=1,
             max_size=40,
         )
@@ -136,7 +167,9 @@ class TestEnvironment:
 
         Each processed event schedules ``fanout[i]`` children (zero and
         positive delays mixed), so same-time ties between the two queues
-        are frequent.  A new event always sorts after the one being
+        are frequent.  A 5e-324 delay lands on ``now`` once the clock is
+        past the subnormal range: it keys at ``now`` and must run in
+        schedule order among the zero-delay events.  A new event always sorts after the one being
         processed, so the processed keys must be strictly increasing.
         """
         env = Environment()

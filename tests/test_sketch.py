@@ -16,6 +16,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry.report import percentile
 from repro.telemetry.sketch import (
@@ -109,6 +111,45 @@ class TestAccuracy:
         )
         weighted_payload.pop("sum")
         assert flat_payload == weighted_payload
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefix=st.lists(st.floats(0.0, 1e3), max_size=20),
+        values=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(0.0, MIN_TRACKED * 2),
+                # Exact bucket boundaries: gamma**i for a = 0.01.
+                st.integers(-60, 60).map(lambda i: (1.01 / 0.99) ** i),
+                st.floats(0.0, 1e6),
+            ),
+            max_size=300,
+        ),
+        max_buckets=st.sampled_from([16, 2048]),
+    )
+    def test_add_all_equals_a_loop_of_add(self, prefix, values, max_buckets):
+        # max_buckets=16 makes collapses frequent, mid-fold included.
+        looped = QuantileSketch(max_buckets=max_buckets)
+        folded = QuantileSketch(max_buckets=max_buckets)
+        for value in prefix:
+            looped.add(value)
+            folded.add(value)
+        for value in values:
+            looped.add(value)
+        folded.add_all(values)
+        assert json.dumps(folded.to_dict()) == json.dumps(looped.to_dict())
+
+    def test_add_all_stops_at_a_negative_value_like_add(self):
+        values = [0.5, 0.0, 2.0, -1.0, 3.0]
+        looped = QuantileSketch()
+        with pytest.raises(ValueError):
+            for value in values:
+                looped.add(value)
+        folded = QuantileSketch()
+        with pytest.raises(ValueError):
+            folded.add_all(values)
+        assert folded.to_dict() == looped.to_dict()
+        assert folded.count == 3
 
     def test_extremes_clamp_to_observed_min_max(self):
         sketch = QuantileSketch()

@@ -4,6 +4,9 @@ Scaled-down versions of the paper's setups: small cluster, short runs.
 Each test checks behaviour the evaluation section depends on.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,22 @@ class TestStreamSystemBasics:
         for age in ages:
             total += age
         assert result.latency["mean"] == total / len(ages)
+
+    def test_sink_sketch_payloads_are_pinned(self):
+        # 4,952 post-warmup sink batches: one fold mid-run, one at read.
+        system = make_micro(Paradigm.ELASTICUTOR, omega=8.0)
+        system.run(duration=20.0, warmup=4.0)
+        digests = [
+            hashlib.sha256(
+                json.dumps(sketch.to_dict(), sort_keys=True).encode()
+            ).hexdigest()
+            for sketch in (system.sink_latency, system.sink_residence)
+        ]
+        assert system.sink_latency.count == 4952
+        assert digests == [
+            "695d24180386edbfa8abcc0264f30195833b103272564e6a0f4b87d15e4c7699",
+            "2abdc1c3adad54ec522fab6d323150341ab048d632503372b6c0bfbe44058ea1",
+        ]
 
     def test_result_summary_renders(self):
         result = make_micro(Paradigm.ELASTICUTOR).run(10.0, warmup=4.0)
