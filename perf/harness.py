@@ -141,7 +141,9 @@ class ScenarioResult:
     cleanest estimate of kernel speed on a quiet machine); the median
     fields summarize the *typical* repeat, so a run whose best and
     median disagree wildly is telling you the machine was noisy, not
-    the kernel slow.
+    the kernel slow.  ``walls`` keeps every repeat's wall time in run
+    order; :func:`run_harness` interleaves scenarios, so the i-th walls
+    of two scenarios come from the same round.
     """
 
     name: str
@@ -155,6 +157,7 @@ class ScenarioResult:
     repeats: int
     median_wall_seconds: float
     median_events_per_sec: float
+    walls: typing.List[float]
 
     def to_dict(self) -> typing.Dict[str, typing.Any]:
         return dataclasses.asdict(self)
@@ -203,6 +206,7 @@ def _to_result(
         # The work is deterministic, so every repeat processes the same
         # event count — the median rate is just events over median wall.
         median_events_per_sec=events / median_wall,
+        walls=[sample[0] for sample in samples],
     )
 
 
@@ -251,7 +255,7 @@ def run_harness(
     throttling, noisy neighbours) then lands on every scenario evenly,
     which keeps *ratios* between scenarios — in particular the
     ``micro_telemetry`` vs ``micro`` overhead bound checked by
-    ``perf.check`` — honest.
+    ``perf.check``, a median of per-round ratios — honest.
 
     With ``profile=True`` each scenario gets one extra cProfile'd run
     (after the timed repeats, so the instrumentation never pollutes the

@@ -17,6 +17,8 @@ Public API highlights:
   workloads.
 """
 
+import typing
+
 from repro.executors import ElasticExecutor, RCOperatorManager, StaticExecutor
 from repro.executors.config import ExecutorConfig
 from repro.faults import FaultEvent, FaultKind, FaultSpec
@@ -29,7 +31,6 @@ from repro.logic import (
 )
 from repro.runtime import Paradigm, StreamSystem, SystemConfig, SystemResult
 from repro.scheduler import DynamicScheduler, GreedyAllocator
-from repro.sweep import SweepRunner, SweepSpec, TrialConfig
 from repro.topology import KeySpace, Topology, TopologyBuilder, TupleBatch
 from repro.workloads import (
     BurstEvent,
@@ -42,6 +43,20 @@ from repro.workloads import (
 )
 
 __version__ = "1.0.0"
+
+#: Loaded on first use (PEP 562): ``repro.sweep`` pulls in
+#: ``concurrent.futures`` and ``multiprocessing``, which only sweeps and
+#: the CLI need.
+_SWEEP_NAMES = frozenset({"SweepRunner", "SweepSpec", "TrialConfig"})
+
+
+def __getattr__(name: str) -> typing.Any:
+    if name in _SWEEP_NAMES:
+        from repro import sweep
+
+        return getattr(sweep, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BurstEvent",

@@ -39,6 +39,7 @@ import numpy as np
 from repro.cluster.profile import LatencySpec, NetworkProfile
 from repro.metrics import Counter
 from repro.sim import Environment, Event
+from repro.sim.events import armed_error
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import NodeProfile
@@ -271,19 +272,26 @@ class NetworkFabric:
         dst_node: int,
         nbytes: float,
         purpose: TransferPurpose = TransferPurpose.STREAM,
+        event: typing.Optional[Event] = None,
     ) -> Event:
         """Move ``nbytes`` from ``src_node`` to ``dst_node``.
 
-        Returns an event firing at delivery time.  Same-node transfers cost
-        only the local delivery latency, consume no link bandwidth, and are
-        accounted under ``local_bytes_by_purpose`` (they never cross a NIC,
-        so they stay out of the Table-2 network byte totals).
+        Returns an event firing at delivery time: ``event`` re-armed with
+        no callbacks when given (it must be processed, see
+        :class:`~repro.sim.events.Event`), else a fresh one.  Same-node
+        transfers cost only the local delivery latency, consume no link
+        bandwidth, and are accounted under ``local_bytes_by_purpose``
+        (they never cross a NIC, so they stay out of the Table-2 network
+        byte totals).
         """
         if nbytes < 0:
             raise ValueError(f"transfer size must be >= 0, got {nbytes}")
         env = self.env
-        event = Event.__new__(Event)
-        event.env = env
+        if event is None:
+            event = Event.__new__(Event)
+            event.env = env
+        elif event.callbacks is not None:
+            raise armed_error(event)
         event.callbacks = []
         event._ok = True
         event._value = None

@@ -6,6 +6,12 @@ FIFO delivery order per destination — the simulation-level equivalent of
 a Netty connection with a bounded outstanding-message window.  The window
 is what couples backpressure across the network: when downstream queues
 stop draining, deliveries hold window slots and the sender blocks.
+
+A send allocates at most one object.  A local send re-arms the caller's
+own put-ack event (:meth:`WindowedSender.send`); a remote send is one
+:class:`_Delivery`, an event that is re-armed through the grant, the
+transfer and the put (:class:`~repro.sim.events.Event` states the
+re-arm rule).
 """
 
 from __future__ import annotations
@@ -14,51 +20,19 @@ import typing
 
 from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.sim import Environment, Event, Resource, Store
+from repro.sim.events import spare_event
 
 
-class _Delivery:
-    """Callback-driven remote delivery (one per in-flight window slot).
+class _Delivery(Event):
+    """One remote hop, as one event object (one per in-flight window slot).
 
-    The generator process ``transfer -> queue.put -> window.release``
-    hand-compiled to two callbacks on a slotted object, costing two
-    kernel events: the transfer and the put.  The generator also ran a
-    bootstrap and a completion event; neither scheduled anything or
-    touched state another event reads, so dropping them kept the
-    ``(time, seq)`` order of every remaining event.
-    """
-
-    __slots__ = ("sender", "queue", "item")
-
-    def __init__(
-        self, sender: "WindowedSender", transfer: Event, queue: Store, item: typing.Any
-    ) -> None:
-        self.sender = sender
-        self.queue = queue
-        self.item = item
-        # The caller has just created ``transfer``: it has not fired yet.
-        transfer.callbacks.append(self._on_transfer)
-
-    def _on_transfer(self, _event: Event) -> None:
-        self.queue.put(self.item).callbacks.append(self._on_put)
-
-    def _on_put(self, _event: Event) -> None:
-        # Inlined Resource.release fast path (a held slot is guaranteed,
-        # so the no-slot error check is unreachable here).
-        window = self.sender._window
-        if window._waiters:
-            window._waiters.popleft().succeed()
-        else:
-            window._in_use -= 1
-
-
-class _RemoteSend:
-    """Callback registered on the window-grant event.
-
-    Starts the network transfer and hands off to :class:`_Delivery` the
-    moment the window slot is granted.  It runs during the grant event's
-    processing, *before* the waiting caller's resume callback (callbacks
-    fire in append order), so the transfer is issued before the caller
-    continues.
+    The generator process ``window.request -> transfer -> queue.put ->
+    window.release`` hand-compiled to callbacks on the hop's own event:
+    the same object serves, in turn, as the window grant, the transfer
+    event and the put-ack, re-armed after each (three kernel events, one
+    allocation).  The grant's first callback starts the transfer, so the
+    transfer is issued before the waiting sender resumes (callbacks fire
+    in append order), exactly as when each step had its own event.
     """
 
     __slots__ = ("sender", "dst_node", "queue", "item", "nbytes", "purpose")
@@ -72,6 +46,10 @@ class _RemoteSend:
         nbytes: float,
         purpose: TransferPurpose,
     ) -> None:
+        # Event.__init__ inlined, in the processed state the arm forms
+        # require: one delivery per remote batch.
+        self.env = sender.env
+        self.callbacks = None
         self.sender = sender
         self.dst_node = dst_node
         self.queue = queue
@@ -79,20 +57,41 @@ class _RemoteSend:
         self.nbytes = nbytes
         self.purpose = purpose
 
-    def __call__(self, _event: Event) -> None:
+    def _on_grant(self, _event: Event) -> None:
         sender = self.sender
-        hop = sender.fabric.transfer(
-            sender.src_node, self.dst_node, self.nbytes, self.purpose
-        )
-        _Delivery(sender, hop, self.queue, self.item)
+        sender.fabric.transfer(
+            sender.src_node, self.dst_node, self.nbytes, self.purpose, self
+        ).callbacks.append(self._on_transfer)
+
+    def _on_transfer(self, _event: Event) -> None:
+        self.queue.arm_put(self, self.item, self._on_put)
+
+    def _on_put(self, _event: Event) -> None:
+        # Inlined Resource.release fast path (a held slot is guaranteed,
+        # so the no-slot error check is unreachable here).
+        window = self.sender._window
+        if window._waiters:
+            window._waiters.popleft().succeed()
+        else:
+            window._in_use -= 1
+
+    def withdraw(self) -> typing.Any:
+        """Take back a send still waiting for its window grant (its
+        sender died): the batch is never transferred and the grant, if
+        already made, is returned.  Returns the item."""
+        self.callbacks.remove(self._on_grant)
+        window = self.sender._window
+        if not window.cancel(self):
+            window.release()
+        return self.item
 
 
 class WindowedSender:
     """Pipelined sends from a fixed source node.
 
-    FIFO guarantee: a single caller that issues ``send_event`` calls in
-    order gets in-order delivery per (source, destination-node) pair — the
-    fabric's links are FIFO and destination-store put-waiters are FIFO.
+    FIFO guarantee: a single caller that issues sends in order gets
+    in-order delivery per (source, destination-node) pair — the fabric's
+    links are FIFO and destination-store put-waiters are FIFO.
     Same-node sends bypass the network and block directly on the queue.
     """
 
@@ -114,6 +113,33 @@ class WindowedSender:
     def in_flight(self) -> int:
         return self._window.in_use
 
+    def send(
+        self,
+        dst_node: int,
+        queue: Store,
+        item: typing.Any,
+        nbytes: float,
+        purpose: TransferPurpose,
+        ack: Event,
+        callback: typing.Optional[typing.Callable],
+    ) -> Event:
+        """Deliver ``item`` into ``queue`` on ``dst_node``.
+
+        Returns the one event to wait on, with ``callback`` (if any) as
+        its last callback: the caller's processed ``ack`` armed as the
+        put (local), or a new :class:`_Delivery` waiting for its window
+        grant (remote).  It fires once the send is admitted (local:
+        enqueued; remote: window slot acquired and transfer started), so
+        the caller can pipeline subsequent sends.
+        """
+        if dst_node == self.src_node:
+            return queue.arm_put(ack, item, callback)
+        delivery = _Delivery(self, dst_node, queue, item, nbytes, purpose)
+        self._window.arm_request(delivery, delivery._on_grant)
+        if callback is not None:
+            delivery.callbacks.append(callback)
+        return delivery
+
     def send_event(
         self,
         dst_node: int,
@@ -122,18 +148,7 @@ class WindowedSender:
         nbytes: float,
         purpose: TransferPurpose,
     ) -> Event:
-        """Deliver ``item`` into ``queue`` on ``dst_node``.
-
-        Returns the one event to wait on: the put (local) or the window
-        grant (remote, with a :class:`_RemoteSend` callback starting the
-        transfer).  It fires once the send is admitted (local: enqueued;
-        remote: window slot acquired and transfer started), so the caller
-        can pipeline subsequent sends.
-        """
-        if dst_node == self.src_node:
-            return queue.put(item)
-        request = self._window.request()
-        request.callbacks.append(
-            _RemoteSend(self, dst_node, queue, item, nbytes, purpose)
+        """:meth:`send` with a fresh event and no callback."""
+        return self.send(
+            dst_node, queue, item, nbytes, purpose, spare_event(self.env), None
         )
-        return request

@@ -39,6 +39,7 @@ from repro.logic.base import OperatorLogic
 from repro.protocol import SHARD_REASSIGN
 from repro.sanitize import ShardSanitizer
 from repro.sim import Environment, Event, Resource, Store
+from repro.sim.events import spare_event
 from repro.state import (
     MigrationClock,
     ProcessStateStore,
@@ -61,7 +62,9 @@ class _ReceiverLoop:
     The event footprint per batch is exactly the generator's (the get,
     then the put or the window grant), so simulation ordering is
     unchanged; what disappears is the Process frame, the generator
-    resume and the StopIteration machinery on every hop.
+    resume and the StopIteration machinery on every hop.  The loop
+    re-arms its own get and put-ack events; a remote batch travels as
+    one :class:`_Delivery`, built when the window is requested.
 
     Plumbing handles are bound once at construction, mirroring the
     generator's locals: crash recovery replaces the executor's plumbing
@@ -69,95 +72,77 @@ class _ReceiverLoop:
     """
 
     __slots__ = (
-        "env", "input_queue", "lookup", "entries", "on_arrival",
-        "local_node", "sender", "window_request", "transfer",
-        "_waiting", "_batch", "_task", "_dead",
-        "_on_batch_cb", "_on_put_cb", "_on_window_cb",
+        "env", "input_queue", "get", "lookup", "entries", "record_arrival",
+        "local_node", "sender", "window_request",
+        "_waiting", "_dead", "_get", "_ack",
+        "_on_batch_cb", "_on_put_cb",
     )
 
     def __init__(self, executor: "ElasticExecutor") -> None:
-        self.env = executor.env
+        env = executor.env
+        self.env = env
         self.input_queue = executor.input_queue
+        self.get = executor.input_queue.arm_get
         self.lookup = executor._shard_lookup
         self.entries = executor.routing._entries
-        self.on_arrival = executor.metrics.on_arrival
+        # ExecutorMetrics.on_arrival's one line, bound here: a frame per batch.
+        self.record_arrival = executor.metrics._in_rates.record
         self.local_node = executor.local_node
         sender = executor._receiver_sender
         self.sender = sender
-        self.window_request = sender._window.request
-        self.transfer = sender.fabric.transfer
-        self._waiting: typing.Optional[Event] = None
-        self._batch: typing.Optional[TupleBatch] = None
-        self._task: typing.Optional[Task] = None
+        self.window_request = sender._window.arm_request
         self._dead = False
+        self._get = spare_event(env)
+        self._ack = spare_event(env)
         self._on_batch_cb = self._on_batch
         self._on_put_cb = self._on_put
-        self._on_window_cb = self._on_window
-        self._pump()
-
-    def _pump(self) -> None:
-        event = self.input_queue.get()
-        self._waiting = event
-        event.callbacks.append(self._on_batch_cb)
+        self._waiting: typing.Optional[Event] = self.get(self._get, self._on_batch_cb)
 
     def _on_batch(self, event: Event) -> None:
         if self._dead:
             return
-        self._waiting = None
         batch = event._value
         env = self.env
         if batch.trace is not None:
             batch.trace["received"] = env._now
         count = batch.count
-        self.on_arrival(env._now, count, count * batch.size_bytes)
+        self.record_arrival(env._now, count, count * batch.size_bytes)
         key = batch.key
         lookup = self.lookup  # indexed inline: a frame per batch
         shard_id = lookup.table[key] if 0 <= key < lookup.num_keys else lookup[key]
         entry = self.entries[shard_id]
         if entry.paused:
             entry.buffer.append(batch)
-            self._pump()
+            self._waiting = self.get(self._get, self._on_batch_cb)
             return
         task = entry.task
         if task.node_id == self.local_node:
-            put = task.queue.put(batch)
-            self._waiting = put
-            put.callbacks.append(self._on_put_cb)
+            self._waiting = task.queue.arm_put(self._ack, batch, self._on_put_cb)
             return
-        self._batch = batch
-        self._task = task
-        request = self.window_request()
-        self._waiting = request
-        request.callbacks.append(self._on_window_cb)
+        delivery = _Delivery(
+            self.sender, task.node_id, task.queue, batch,
+            count * batch.size_bytes, TransferPurpose.REMOTE_TASK,
+        )
+        self.window_request(delivery, delivery._on_grant)
+        delivery.callbacks.append(self._on_put_cb)
+        self._waiting = delivery
 
     def _on_put(self, _event: Event) -> None:
+        """The put (local) or the window grant (remote) went through:
+        wait on the next batch."""
         if self._dead:
             return
-        self._waiting = None
-        self._pump()
-
-    def _on_window(self, _event: Event) -> None:
-        if self._dead:
-            return
-        self._waiting = None
-        batch = self._batch
-        task = self._task
-        self._batch = None
-        self._task = None
-        hop = self.transfer(
-            self.local_node, task.node_id,
-            batch.count * batch.size_bytes, TransferPurpose.REMOTE_TASK,
-        )
-        _Delivery(self.sender, hop, task.queue, batch)
-        self._pump()
+        self._waiting = self.get(self._get, self._on_batch_cb)
 
     def kill(self) -> typing.List[typing.Any]:
         """Stop the loop (crash semantics); returns the batch its get
-        held (see :func:`stop_loop`)."""
-        return stop_loop(
-            self, self.input_queue, self._on_batch_cb, self._on_put_cb,
-            self._on_window_cb,
-        )
+        held (see :func:`stop_loop`), or the batch of a remote send
+        still waiting for its window grant, which is then withdrawn."""
+        waiting = self._waiting
+        held = stop_loop(self, self.input_queue, self._on_batch_cb, self._on_put_cb)
+        if isinstance(waiting, _Delivery) and waiting.callbacks is not None:
+            held.append(waiting.withdraw())
+        return held
 
 
 class _Recovery(typing.NamedTuple):

@@ -14,10 +14,11 @@ emitter and the downstream executor live on different nodes).
   operator, driven by a workload schedule.
 
 The compiled loops that submit into groups live here too: the source
-emit loop and the executor emitter loop share :func:`submit_or_wait`,
-and every compiled loop (task, receiver, emitter) dies through
-:func:`stop_loop`, which hands back a batch its get took in the crash's
-instant.
+emit loop and the executor emitter loop submit on their own re-armed
+put-ack event, falling back to a :func:`submit_when_open` process while
+a gate is closed, and every compiled loop (task, receiver, emitter) dies
+through :func:`stop_loop`, which hands back a batch its get took in the
+crash's instant.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.executors.channels import WindowedSender
 from repro.executors.config import SEND_WINDOW
 from repro.sim import Environment, Event, Process
+from repro.sim.events import spare_event
 from repro.topology.batch import TupleBatch
 from repro.topology.keys import executor_lookup
 
@@ -76,13 +78,19 @@ class ElasticGroup:
         return self.executors[self._lookup[key]]
 
     def submit_event(
-        self, batch: TupleBatch, src_node: int, sender: WindowedSender
-    ) -> typing.Optional[typing.Any]:
+        self,
+        batch: TupleBatch,
+        src_node: int,
+        sender: WindowedSender,
+        ack: Event,
+        callback: typing.Optional[typing.Callable],
+    ) -> typing.Optional[Event]:
         """Deliver ``batch`` into the owning executor's input queue.
 
-        Returns the one event to wait on (the put, or the window grant of
-        a remote send), or ``None`` when the gate is closed — see
-        :func:`submit_when_open`.
+        Returns the one event to wait on, as :meth:`WindowedSender.send`
+        does (the caller's processed ``ack`` armed as the put, or the
+        remote send's delivery), or ``None`` when the gate is closed —
+        see :func:`submit_when_open`.
         """
         gate = self.gate
         if gate is not None and gate.closed:
@@ -98,13 +106,15 @@ class ElasticGroup:
         if self.in_flight is not None:
             self.in_flight.increment()
         if executor.local_node == src_node:
-            return executor.input_queue.put(batch)
-        return sender.send_event(
+            return executor.input_queue.arm_put(ack, batch, callback)
+        return sender.send(
             executor.local_node,
             executor.input_queue,
             batch,
             batch.count * batch.size_bytes,
             TransferPurpose.STREAM,
+            ack,
+            callback,
         )
 
 
@@ -127,8 +137,13 @@ class RCGroup:
         return self.manager.gate
 
     def submit_event(
-        self, batch: TupleBatch, src_node: int, sender: WindowedSender
-    ) -> typing.Optional[typing.Any]:
+        self,
+        batch: TupleBatch,
+        src_node: int,
+        sender: WindowedSender,
+        ack: Event,
+        callback: typing.Optional[typing.Callable],
+    ) -> typing.Optional[Event]:
         """Same contract as :meth:`ElasticGroup.submit_event`."""
         manager = self.manager
         if manager.gate.closed:
@@ -140,13 +155,15 @@ class RCGroup:
         manager.record_arrival(executor, batch, shard_id)
         manager.in_flight.increment()
         if executor.node_id == src_node:
-            return executor.input_queue.put(batch)
-        return sender.send_event(
+            return executor.input_queue.arm_put(ack, batch, callback)
+        return sender.send(
             executor.node_id,
             executor.input_queue,
             batch,
             batch.count * batch.size_bytes,
             TransferPurpose.STREAM,
+            ack,
+            callback,
         )
 
 
@@ -161,28 +178,13 @@ def submit_when_open(
     per tuple.
     """
     while True:
-        event = group.submit_event(batch, src_node, sender)
+        event = group.submit_event(
+            batch, src_node, sender, spare_event(sender.env), None
+        )
         if event is not None:
             yield event
             return
         yield group.gate.wait_open()
-
-
-def submit_or_wait(
-    group: typing.Any, batch: TupleBatch, src_node: int, sender: WindowedSender
-) -> Event:
-    """Submit ``batch`` to ``group``; returns the one event to wait on.
-
-    The compiled emitters' single submit path: ``submit_event``'s own
-    event, or — when the gate is closed — a short-lived
-    :func:`submit_when_open` process that waits the gate open.
-    """
-    event = group.submit_event(batch, src_node, sender)
-    if event is None:
-        event = sender.env.process(
-            submit_when_open(group, batch, src_node, sender)
-        )
-    return event
 
 
 def stop_loop(
@@ -289,12 +291,14 @@ class _SourceLoop:
     group in order, repeat.  Per-batch event footprint matches the
     generator version (the timeout when ahead of schedule, one submit
     event per group); the Process frame and a generator resume per event
-    disappear.  ``src.sender``/``src.node_id`` are read per batch on
-    purpose: ``relocate()`` swaps them when the hosting node crashes.
+    disappear, and the loop re-arms its own wake and put-ack events.
+    ``src.sender``/``src.node_id`` are read per batch on purpose:
+    ``relocate()`` swaps them when the hosting node crashes.
     """
 
     __slots__ = (
-        "src", "env", "schedule", "_batch", "_gi", "_on_time_cb", "_on_sent_cb",
+        "src", "env", "schedule", "_batch", "_gi", "_wake", "_ack",
+        "_on_time_cb", "_next_group_cb",
     )
 
     def __init__(self, src: SourceInstance, schedule: typing.Iterator) -> None:
@@ -303,8 +307,10 @@ class _SourceLoop:
         self.schedule = schedule
         self._batch: typing.Optional[TupleBatch] = None
         self._gi = 0
+        self._wake = spare_event(src.env)
+        self._ack = spare_event(src.env)
         self._on_time_cb = self._on_time
-        self._on_sent_cb = self._on_sent
+        self._next_group_cb = self._next_group
         self._pump()
 
     def _pump(self) -> None:
@@ -320,15 +326,9 @@ class _SourceLoop:
             now = env._now
             if emit_time > now:
                 self._batch = batch
-                # Inlined timeout, like the task loop's wake event.  The
-                # time stays ``now + (emit_time - now)``, which may round
-                # away from ``emit_time``: event order depends on it.
-                wake = Event.__new__(Event)
-                wake.env = env
-                wake.callbacks = [self._on_time_cb]
-                wake._ok = True
-                wake._value = None
-                env.push_at(now + (emit_time - now), wake)
+                # The time stays ``now + (emit_time - now)``, which may
+                # round away from ``emit_time``: event order depends on it.
+                env.arm_at(now + (emit_time - now), self._wake, self._on_time_cb)
                 return
             self._emit(batch)
             if self._batch is not None:
@@ -358,7 +358,9 @@ class _SourceLoop:
         self._gi = 0
         self._next_group()
 
-    def _next_group(self) -> None:
+    def _next_group(self, _event: typing.Any = None) -> None:
+        """Submit to the next group, resuming on its event; after the
+        last, count the batch and pump the schedule."""
         src = self.src
         groups = src._groups
         gi = self._gi
@@ -368,24 +370,30 @@ class _SourceLoop:
             self._pump()
             return
         self._gi = gi + 1
-        event = submit_or_wait(groups[gi], self._batch, src.node_id, src.sender)
-        event.callbacks.append(self._on_sent_cb)
-
-    def _on_sent(self, _event: typing.Any) -> None:
-        self._next_group()
+        group = groups[gi]
+        batch = self._batch
+        if group.submit_event(
+            batch, src.node_id, src.sender, self._ack, self._next_group_cb
+        ) is None:
+            # The gate is closed: a short-lived process waits it open.
+            self.env.process(
+                submit_when_open(group, batch, src.node_id, src.sender)
+            ).callbacks.append(self._next_group_cb)
 
 
 class _EmitterLoop:
     """Callback-compiled emitter daemon of an elastic or RC executor.
 
     Pulls finished batches off the emitter queue and submits them to
-    every downstream group through :func:`submit_or_wait`.  Kill
+    every downstream group, on its own re-armed get and put-ack events
+    (a closed gate falls back to :func:`submit_when_open`).  Kill
     contract matches ``Process.kill``.
     """
 
     __slots__ = (
         "ex", "queue", "local_node", "sender",
-        "_waiting", "_batch", "_gi", "_dead", "_on_batch_cb", "_on_sent_cb",
+        "_waiting", "_batch", "_gi", "_dead", "_get", "_ack",
+        "_on_batch_cb", "_next_group_cb",
     )
 
     def __init__(self, executor: typing.Any) -> None:
@@ -396,44 +404,48 @@ class _EmitterLoop:
         self.queue = executor._emitter_queue
         self.local_node = executor.local_node
         self.sender = executor._emitter_sender
-        self._waiting: typing.Optional[Event] = None
         self._batch: typing.Optional[TupleBatch] = None
         self._gi = 0
         self._dead = False
+        self._get = spare_event(executor.env)
+        self._ack = spare_event(executor.env)
         self._on_batch_cb = self._on_batch
-        self._on_sent_cb = self._on_sent
-        self._pump()
-
-    def _pump(self) -> None:
-        event = self.queue.get()
-        self._waiting = event
-        event.callbacks.append(self._on_batch_cb)
+        self._next_group_cb = self._next_group
+        self._waiting: typing.Optional[Event] = self.queue.arm_get(
+            self._get, self._on_batch_cb
+        )
 
     def _on_batch(self, event: Event) -> None:
         if self._dead:
             return
-        self._waiting = None
         self._batch = event._value
         self._gi = 0
         self._next_group()
 
-    def _next_group(self) -> None:
-        groups = self.ex._downstream_groups
-        gi = self._gi
-        if gi >= len(groups):
-            self._batch = None
-            self._pump()
-            return
-        self._gi = gi + 1
-        event = submit_or_wait(groups[gi], self._batch, self.local_node, self.sender)
-        self._waiting = event
-        event.callbacks.append(self._on_sent_cb)
-
-    def _on_sent(self, _event: Event) -> None:
+    def _next_group(self, _event: typing.Any = None) -> None:
+        """Submit to the next group and wait on its event; after the
+        last, wait on the next batch."""
         if self._dead:
             return
-        self._waiting = None
-        self._next_group()
+        gi = self._gi
+        groups = self.ex._downstream_groups
+        if gi >= len(groups):
+            self._batch = None
+            self._waiting = self.queue.arm_get(self._get, self._on_batch_cb)
+            return
+        self._gi = gi + 1
+        group = groups[gi]
+        event = group.submit_event(
+            self._batch, self.local_node, self.sender, self._ack,
+            self._next_group_cb,
+        )
+        if event is None:
+            # The gate is closed: a short-lived process waits it open.
+            event = self.ex.env.process(
+                submit_when_open(group, self._batch, self.local_node, self.sender)
+            )
+            event.callbacks.append(self._next_group_cb)
+        self._waiting = event
 
     def kill(self) -> typing.List[typing.Any]:
         """Stop the loop (crash semantics); returns the batch its get held.
@@ -442,7 +454,7 @@ class _EmitterLoop:
         submitted from the dead process.
         """
         waiting = self._waiting
-        held = stop_loop(self, self.queue, self._on_batch_cb, self._on_sent_cb)
+        held = stop_loop(self, self.queue, self._on_batch_cb, self._next_group_cb)
         if isinstance(waiting, Process):
             waiting.kill()
         return held

@@ -15,7 +15,7 @@ from repro.cluster.network import TransferPurpose
 from repro.executors.group import stop_loop
 from repro.logic.base import StateAccess
 from repro.sim import Environment, Event, Store
-from repro.sim.events import PENDING
+from repro.sim.events import PENDING, spare_event
 from repro.state import ShardState
 from repro.topology.batch import LabelTuple, TupleBatch
 
@@ -93,9 +93,11 @@ class _TaskPipeline(Event):
     """Callback-compiled task loop + batch execution (one per task).
 
     The only data path of every paradigm: a slotted FSM driven entirely
-    by event callbacks.  Get an item, burn the CPU cost (a bare wake
-    event on the timer heap), apply state + logic, then hand emissions to
-    the emitter queue.  With an external state store the state access is
+    by event callbacks.  Get an item, burn the CPU cost (a wake event on
+    the timer heap), apply state + logic, then hand emissions to the
+    emitter queue.  The get, wake and put-ack events belong to the loop
+    and are re-armed per batch, and one :class:`StateAccess` is re-aimed
+    at each batch's shard.  With an external state store the state access is
     the :meth:`ExternalStateService.access` generator, stepped from a
     callback exactly as ``Process._resume`` steps a process body.
 
@@ -121,8 +123,8 @@ class _TaskPipeline(Event):
     __slots__ = (
         "task", "ex", "queue",
         "_waiting", "_item", "_cost", "_started", "_emissions", "_ei", "_dead",
-        "_access", "_shard",
-        "_on_item_cb", "_on_wake_cb", "_on_eput_cb", "_on_access_cb",
+        "_access", "_shard", "_state", "_get", "_wake", "_ack",
+        "_on_item_cb", "_execute_cb", "_on_eput_cb", "_on_access_cb",
     )
 
     def __init__(self, executor: typing.Any, task: Task) -> None:
@@ -141,16 +143,20 @@ class _TaskPipeline(Event):
         #: returned (set only while ``_execute`` resumes after it).
         self._access: typing.Optional[typing.Generator] = None
         self._shard: typing.Optional[ShardState] = None
+        #: Handed to the logic for every batch, aimed at its shard first.
+        self._state = StateAccess.__new__(StateAccess)
+        env = executor.env
+        self._get = spare_event(env)
+        self._wake = spare_event(env)
+        self._ack = spare_event(env)
         self._on_item_cb = self._on_item
-        self._on_wake_cb = self._on_wake
+        self._execute_cb = self._execute
         self._on_eput_cb = self._on_emit_put
         self._on_access_cb = self._on_access
         self._pump()
 
     def _pump(self) -> None:
-        event = self.queue.get()
-        self._waiting = event
-        event.callbacks.append(self._on_item_cb)
+        self._waiting = self.queue.arm_get(self._get, self._on_item_cb)
 
     def _on_item(self, event: Event) -> None:
         if self._dead:
@@ -193,25 +199,19 @@ class _TaskPipeline(Event):
         self._item = item
         self._cost = cost
         if cost > 0:
-            # Inlined timeout (one per processed batch): a bare triggered
-            # event pushed at now + cost, skipping the Timeout frames.
-            wake = Event.__new__(Event)
-            wake.env = env
-            wake.callbacks = [self._on_wake_cb]
-            wake._ok = True
-            wake._value = None
-            env.push_at(env._now + cost, wake)
-            self._waiting = wake
+            # The CPU cost as the loop's wake event at now + cost, not a
+            # Timeout (one per processed batch).
+            env.arm_at(env._now + cost, self._wake, self._execute_cb)
+            self._waiting = self._wake
             return
         self._execute()
 
-    def _on_wake(self, _event: Event) -> None:
+    def _execute(self, _event: typing.Optional[Event] = None) -> None:
+        """Apply state and logic (on waking from the CPU cost, or
+        directly), then emit or take the next item."""
         if self._dead:
             return
         self._waiting = None
-        self._execute()
-
-    def _execute(self) -> None:
         ex = self.ex
         env = ex.env
         task = self.task
@@ -240,7 +240,9 @@ class _TaskPipeline(Event):
             shard_id = shard.shard_id
         emissions: typing.Sequence[typing.Any] = ()
         if logic is not None:
-            emissions = logic.process(batch, StateAccess(shard))
+            state = self._state
+            state._shard = shard
+            emissions = logic.process(batch, state)
         now = env._now
         ex.metrics.on_processed(now, batch.count, cost)
         if ex.operator_in_flight is not None:
@@ -318,15 +320,15 @@ class _TaskPipeline(Event):
         )
         ex.metrics.on_emit(ex.env._now, out.total_bytes)
         if task.node_id == ex.local_node:
-            event = ex._emitter_queue.put(out)
+            self._waiting = ex._emitter_queue.arm_put(
+                self._ack, out, self._on_eput_cb
+            )
         else:
-            sender = ex._remote_senders[task.node_id]
-            event = sender.send_event(
+            self._waiting = ex._remote_senders[task.node_id].send(
                 ex.local_node, ex._emitter_queue, out,
                 out.total_bytes, TransferPurpose.REMOTE_TASK,
+                self._ack, self._on_eput_cb,
             )
-        self._waiting = event
-        event.callbacks.append(self._on_eput_cb)
 
     def _on_emit_put(self, _event: Event) -> None:
         if self._dead:
@@ -335,10 +337,11 @@ class _TaskPipeline(Event):
         self._next_emission()
 
     def _finish(self) -> None:
+        """Account the batch's busy time and wait on the next item."""
         task = self.task
         task.busy_seconds += self.ex.env._now - self._started
         self._item = None
-        self._pump()
+        self._waiting = self.queue.arm_get(self._get, self._on_item_cb)
 
     def kill(self) -> typing.List[typing.Any]:
         """Terminate abruptly (crash semantics); same contract as
@@ -348,7 +351,7 @@ class _TaskPipeline(Event):
         if self._value is not PENDING:
             return []
         held = stop_loop(
-            self, self.queue, self._on_item_cb, self._on_wake_cb,
+            self, self.queue, self._on_item_cb, self._execute_cb,
             self._on_eput_cb, self._on_access_cb,
         )
         if self._access is not None:

@@ -8,7 +8,8 @@ runs in *virtual time* on this kernel instead (see DESIGN.md, section 2).
 The design follows the classic event/process model (as in SimPy):
 
 - :class:`Environment` owns the virtual clock and the event queue.
-- :class:`Event` is a one-shot occurrence that other entities can wait on.
+- :class:`Event` is an occurrence that other entities can wait on.  Each
+  trigger is one-shot; once processed, the event's owner may re-arm it.
 - :class:`Process` wraps a generator that ``yield``\\ s events; the process
   resumes when the yielded event fires.
 - :class:`Store` is a bounded FIFO channel — the building block for task
@@ -20,6 +21,10 @@ Processes drive the control plane (reassignment, scheduling, recovery).
 The per-batch data path instead runs as callback state machines that
 append to ``Event.callbacks`` directly (see :mod:`repro.executors`); they
 wait on the same events a process would, so the event order is the same.
+Each loop owns its events and re-arms them through the arm forms
+(:meth:`Store.arm_get`, :meth:`Store.arm_put`, :meth:`Resource.arm_request`,
+:meth:`Environment.arm_at`): the queue entries are the ones the allocating
+forms would make, at the same points, so only object identity changes.
 
 Event ordering is fully deterministic: ties in time are broken by a
 monotonically increasing sequence number, so two runs with the same seed

@@ -7,7 +7,7 @@ import heapq
 import math
 import typing
 
-from repro.sim.events import AllOf, Event, SimulationError, Timeout
+from repro.sim.events import AllOf, Event, SimulationError, Timeout, armed_error
 from repro.sim.process import Process
 from repro.telemetry.events import NULL_BUS
 
@@ -96,6 +96,27 @@ class Environment:
         ``schedule(event, time - now)``.  ``time == now`` goes to the ready
         deque; a time in the past raises.
         """
+        if time <= self._now:
+            if time == self._now:
+                self._ready.append(event)
+                return
+            raise SimulationError(
+                f"cannot schedule into the past (time={time} < now={self._now})"
+            )
+        heapq.heappush(self._timers, (time, self._seq, event))
+        self._seq += 1
+
+    def arm_at(self, time: float, event: Event, callback: typing.Callable) -> None:
+        """:meth:`push_at` for the caller's processed ``event``, re-armed
+        to fire with ``callback`` (see :class:`~repro.sim.events.Event`).
+
+        The data-path loops' wake events; ``event`` keeps the value it
+        was made with (:func:`~repro.sim.events.spare_event`).
+        """
+        if event.callbacks is not None:
+            raise armed_error(event)
+        event.callbacks = [callback]
+        # push_at inlined: one wake per processed batch.
         if time <= self._now:
             if time == self._now:
                 self._ready.append(event)

@@ -28,12 +28,24 @@ PENDING = _Pending()
 
 
 class Event:
-    """A one-shot occurrence in virtual time.
+    """An occurrence in virtual time.
 
     An event starts *pending*.  Calling :meth:`succeed` or :meth:`fail`
     *triggers* it, which schedules it on the environment's queue; when the
     environment pops it, the event is *processed* and its callbacks run.
     Processes wait on events by ``yield``-ing them.
+
+    Each trigger is one-shot, but the object may be recycled: once the
+    run loop has processed it (``callbacks is None``), its owner may
+    *re-arm* it through an arm form (:meth:`Store.arm_get`,
+    :meth:`Store.arm_put`, :meth:`Resource.arm_request`,
+    :meth:`Environment.arm_at`, ``NetworkFabric.transfer(event=)``) and
+    wait on it again.  The data-path loops do this to skip an allocation
+    per hand-off.  Arming an event that is still queued or pending
+    raises :class:`SimulationError`; :func:`spare_event` makes a fresh
+    event in the processed state.  Whoever re-arms an event must be its
+    only waiter: a callback still holding a processed event reads the
+    re-armed value.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok")
@@ -106,6 +118,21 @@ class Event:
         elif self.triggered:
             state = "triggered"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
+
+
+def spare_event(env: "Environment") -> Event:
+    """A new event in the processed state, for its owner to arm."""
+    event = Event.__new__(Event)
+    event.env = env
+    event.callbacks = None
+    event._ok = True
+    event._value = None
+    return event
+
+
+def armed_error(event: Event) -> SimulationError:
+    """The error for arming ``event`` while it is queued or pending."""
+    return SimulationError(f"cannot arm {event!r}: it is still queued or pending")
 
 
 class Timeout(Event):

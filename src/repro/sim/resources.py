@@ -5,7 +5,7 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.events import PENDING, Event, SimulationError
+from repro.sim.events import PENDING, Event, SimulationError, armed_error, spare_event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -41,22 +41,41 @@ class Resource:
 
     def request(self) -> Event:
         """The returned event fires when a slot is granted."""
-        env = self.env
-        event = Event.__new__(Event)
-        event.env = env
-        event.callbacks = []
+        return self.arm_request(spare_event(self.env))
+
+    def arm_request(
+        self, event: Event, callback: typing.Optional[typing.Callable] = None
+    ) -> Event:
+        """:meth:`request` on the caller's processed ``event``; returns it.
+
+        ``callback`` (if any) becomes the event's one callback; see
+        :meth:`Store.arm_put <repro.sim.stores.Store.arm_put>`.
+        """
+        if event.callbacks is not None:
+            raise armed_error(event)
+        event.callbacks = [] if callback is None else [callback]
         if self._in_use < self.capacity:
             self._in_use += 1
             # Inlined zero-delay succeed: a free slot is the common case
             # on the data plane (sender windows rarely fill).
             event._ok = True
             event._value = None
-            env._ready.append(event)
+            self.env._ready.append(event)
         else:
             event._ok = None
             event._value = PENDING
             self._waiters.append(event)
         return event
+
+    def cancel(self, event: Event) -> bool:
+        """Withdraw a request still waiting for a slot (see
+        :meth:`Store.cancel <repro.sim.stores.Store.cancel>`); True when
+        it was waiting here."""
+        try:
+            self._waiters.remove(event)
+        except ValueError:
+            return False
+        return True
 
     def release(self) -> None:
         """Return a slot, handing it to the next waiter if any."""

@@ -13,7 +13,7 @@ import collections
 import math
 import typing
 
-from repro.sim.events import PENDING, Event, SimulationError
+from repro.sim.events import PENDING, Event, SimulationError, armed_error, spare_event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -33,10 +33,12 @@ class Store:
     ordering — a correctness requirement for stateful stream processing
     (same-key tuples must be processed in arrival order).
 
-    ``put``/``get``/``put_nowait`` take zero-allocation fast paths (no
-    heap traffic, direct waiter hand-off) that replicate the succeed
-    ordering of the general :meth:`_dispatch` fixpoint loop exactly; see
-    the invariants documented on :meth:`_dispatch`.
+    ``put``/``get`` are wrappers over their arm forms :meth:`arm_put`/
+    :meth:`arm_get`, which wait on a caller-owned event.  The arm forms
+    and ``put_nowait`` take fast paths (no heap traffic, direct waiter
+    hand-off) that replicate the succeed ordering of the general
+    :meth:`_dispatch` fixpoint loop exactly; see the invariants
+    documented on :meth:`_dispatch`.
     """
 
     __slots__ = ("env", "capacity", "_items", "_put_waiters", "_get_waiters")
@@ -65,13 +67,22 @@ class Store:
 
     def put(self, item: typing.Any) -> Event:
         """Add ``item``; the returned event fires once the item is accepted."""
-        # Event construction is inlined (__new__ + slot writes): put/get
-        # together allocate an event per data-plane hop, so even the
-        # __init__ call frame is measurable.
+        return self.arm_put(spare_event(self.env), item)
+
+    def arm_put(
+        self, event: Event, item: typing.Any,
+        callback: typing.Optional[typing.Callable] = None,
+    ) -> Event:
+        """:meth:`put` on the caller's processed ``event``; returns it.
+
+        ``callback`` (if any) becomes the event's one callback.  The data
+        path re-arms one event per loop instead of allocating one per
+        hand-off (see :class:`~repro.sim.events.Event`).
+        """
+        if event.callbacks is not None:
+            raise armed_error(event)
+        event.callbacks = [] if callback is None else [callback]
         env = self.env
-        event = Event.__new__(Event)
-        event.env = env
-        event.callbacks = []
         if len(self._items) < self.capacity:
             # Below capacity ⇒ no blocked putters ahead of us (invariant),
             # so the put is accepted immediately.  Succeed order matches
@@ -112,15 +123,22 @@ class Store:
 
     def get(self) -> Event:
         """The returned event fires with the next item in FIFO order."""
-        env = self.env
-        event = Event.__new__(Event)
-        event.env = env
-        event.callbacks = []
+        return self.arm_get(spare_event(self.env))
+
+    def arm_get(
+        self, event: Event, callback: typing.Optional[typing.Callable] = None
+    ) -> Event:
+        """:meth:`get` on the caller's processed ``event``; returns it
+        (``callback`` as in :meth:`arm_put`)."""
+        if event.callbacks is not None:
+            raise armed_error(event)
+        event.callbacks = [] if callback is None else [callback]
         if self._items:
             # Items buffered ⇒ no blocked getters ahead of us (invariant).
             # Succeed order matches _dispatch: the get event first, then —
             # if taking an item freed a slot of a full store — exactly one
             # blocked putter is admitted.
+            env = self.env
             event._ok = True
             event._value = self._items.popleft()
             env._ready.append(event)

@@ -237,15 +237,27 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
         "the receiver drops the event of a local put and pumps on at once",
         ELASTIC,
         ((
-            "            put = task.queue.put(batch)\n"
-            "            self._waiting = put\n"
-            "            put.callbacks.append(self._on_put_cb)\n"
+            "            self._waiting = task.queue.arm_put(self._ack, batch, self._on_put_cb)\n"
             "            return\n",
             "            task.queue.put(batch)\n"
-            "            self._pump()\n"
+            "            self._waiting = self.get(self._get, self._on_batch_cb)\n"
             "            return\n",
         ),),
         caught=frozenset({"tier-1", "sanitized"}),
+    ),
+    Mutant(
+        "rearm-while-queued",
+        "the receiver pumps on without waiting for its local put, so the next"
+        " local batch re-arms the put-ack while that put is still queued",
+        ELASTIC,
+        ((
+            "            self._waiting = task.queue.arm_put(self._ack, batch, self._on_put_cb)\n"
+            "            return\n",
+            "            task.queue.arm_put(self._ack, batch)\n"
+            "            self._waiting = self.get(self._get, self._on_batch_cb)\n"
+            "            return\n",
+        ),),
+        caught=frozenset({"tier-1", "sanitized", "sanitizer"}),
     ),
     Mutant(
         "spawn-in-callback",
@@ -253,16 +265,21 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
         "src/repro/executors/channels.py",
         (
             (
-                "class _RemoteSend:\n",
+                "class _Delivery(Event):\n",
                 "def _deliver(sender, hop, queue, item):\n"
                 "    yield hop\n"
                 "    yield queue.put(item)\n"
                 "    sender._window.release()\n"
                 "\n\n"
-                "class _RemoteSend:\n",
+                "class _Delivery(Event):\n",
             ),
             (
-                "        _Delivery(sender, hop, self.queue, self.item)\n",
+                "        sender.fabric.transfer(\n"
+                "            sender.src_node, self.dst_node, self.nbytes, self.purpose, self\n"
+                "        ).callbacks.append(self._on_transfer)\n",
+                "        hop = sender.fabric.transfer(\n"
+                "            sender.src_node, self.dst_node, self.nbytes, self.purpose\n"
+                "        )\n"
                 "        sender.env.process(_deliver(sender, hop, self.queue, self.item))\n",
             ),
         ),

@@ -164,13 +164,17 @@ class TestWindowedSender:
 
     def test_remote_delivery_costs_three_events(self, env):
         # The window grant, the network transfer and the destination put:
-        # a remote message schedules no other kernel event.
+        # a remote message schedules no other kernel event, and all three
+        # are one re-armed object.
         cluster = Cluster(env, num_nodes=2)
         sender = WindowedSender(env, cluster.network, src_node=0)
         queue = Store(env)
-        sender.send_event(1, queue, "item", 1000, TransferPurpose.STREAM)
+        hop = sender.send_event(1, queue, "item", 1000, TransferPurpose.STREAM)
         assert sender.in_flight == 1
+        env.run(until=0.0)  # the grant: the transfer is now in flight
+        assert [entry[2] for entry in env._timers] == [hop]
         env.run()
+        assert hop.processed
         assert env.events_processed == 3
         assert queue.items == ("item",)
         assert sender.in_flight == 0

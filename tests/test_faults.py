@@ -29,7 +29,7 @@ from repro import (
 )
 from repro.cluster import Cluster
 from repro.cluster.cores import CoreAllocationError, CoreManager
-from repro.cluster.network import NetworkFabric
+from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.cluster.node import Node
 from repro.executors import ElasticExecutor
 from repro.executors.config import ExecutorConfig
@@ -517,6 +517,52 @@ class TestConservationUnderFaults:
         assert all(e.task is not None and not e.paused for e in entries)
         assert executor.routing.buffered_items() == 0
         assert len(processed) + len(lost) == fed
+
+    def test_receiver_waiting_for_a_window_grant_dead_letters_its_batch(self):
+        # The receiver holds a batch for a remote task while every slot of
+        # its send window is taken.  When the main process crashes, that
+        # batch must be dead-lettered once, and never transferred later.
+        env = Environment()
+        cluster = Cluster(env, num_nodes=2, cores_per_node=4)
+        spec = OperatorSpec("op", logic=SyntheticLogic(), num_executors=1,
+                            shards_per_executor=16)
+        executor = ElasticExecutor(
+            env, cluster, spec, index=0, local_node=0,
+            config=ExecutorConfig(balance_interval=1000.0),
+        )
+        executor.connect([], sink_recorder=lambda batch, now: None)
+        executor.start(initial_cores=1)
+        env.process(executor.add_core(1))
+        env.run(until=5.0)
+        remote = next(t for t in executor.tasks.values() if t.node_id == 1)
+        shard = next(
+            s for s in range(16) if executor.routing.entry(s).task is remote
+        )
+        key = next(
+            k for k in range(spec.key_space.num_keys)
+            if executor._shard_lookup[k] == shard
+        )
+        window = executor._receiver_sender._window
+        for _ in range(window.capacity):
+            window.request()
+        executor.input_queue.put(TupleBatch(
+            key=key, count=3, cpu_cost=0.2e-3, size_bytes=64,
+            created_at=env.now, payload="held",
+        ))
+        env.run(until=6.0)
+        assert window.queued == 1  # the receiver waits for a slot
+        lost = []
+        reaper = DeadLetterReaper(env, RecoveryStats(), on_lost=lost.append)
+        executor.crash_main(reaper)
+        assert [batch.payload for batch in lost] == ["held"]
+        assert window.queued == 0
+        for _ in range(window.capacity):
+            window.release()
+        env.run(until=10.0)
+        assert [batch.payload for batch in lost] == ["held"]
+        assert cluster.network.bytes_by_purpose[
+            TransferPurpose.REMOTE_TASK
+        ].total == 0
 
     def test_static_cannot_restart_and_bleeds_tuples(self):
         _, static = run_faulted(Paradigm.STATIC, "node_crash@10:node=3")

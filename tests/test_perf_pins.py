@@ -28,3 +28,29 @@ def test_reference_events_match_the_baseline():
     assert reference
     for name, row in reference.items():
         assert row["events"] == baseline["scenarios"][name]["events"], name
+
+
+def _telemetry_report(plain_walls, telemetry_walls):
+    def row(walls):
+        return {"wall_seconds": min(walls), "walls": walls}
+
+    return {"scenarios": {
+        "micro": row(plain_walls), "micro_telemetry": row(telemetry_walls),
+    }}
+
+
+def test_telemetry_gate_reads_the_median_per_round_ratio():
+    import sys
+
+    sys.path.insert(0, str(ROOT))
+    from perf.check import check_telemetry_overhead
+
+    # Round 2's plain run was quick, so the best walls differ by 20%;
+    # the per-round ratios are 1.02, 1.25 and 1.03, median 1.03.
+    report = _telemetry_report([1.0, 0.85, 1.0], [1.02, 1.0625, 1.03])
+    assert check_telemetry_overhead(report, 0.05, skip_speed=False) == []
+    failures = check_telemetry_overhead(report, 0.02, skip_speed=False)
+    assert len(failures) == 1 and "median of 3 per-round ratios" in failures[0]
+    # A report without per-round walls falls back to the best walls.
+    del report["scenarios"]["micro"]["walls"]
+    assert check_telemetry_overhead(report, 0.05, skip_speed=False)

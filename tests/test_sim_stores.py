@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.network import NetworkFabric
 from repro.sim import Environment, Resource, SimulationError, Store, StoreFull
+from repro.sim.events import spare_event
 
 
 @pytest.fixture
@@ -309,3 +311,136 @@ class TestResource:
         env.process(worker("b", 3.0))
         env.run()
         assert spans == [("a", 0.0, 2.0), ("b", 2.0, 5.0)]
+
+
+class _Agent:
+    """A callback loop running a script of store/resource operations.
+
+    ``arm`` selects the form: the arm forms on events the agent owns
+    (one per kind, re-armed), or the allocating ``get``/``put``/
+    ``request`` with the callback appended.  Every processed event is
+    traced as ``(time, agent, step, value)``.
+    """
+
+    def __init__(self, env, store, resource, name, ops, trace, arm):
+        self.env = env
+        self.store = store
+        self.resource = resource
+        self.name = name
+        self.ops = ops
+        self.trace = trace
+        self.arm = arm
+        self.step = 0
+        self.held = 0
+        self.events = {kind: spare_event(env) for kind in ("get", "put", "req", "wake")}
+        self.resume()
+
+    def resume(self, event=None):
+        env = self.env
+        if event is not None:
+            self.trace.append((env.now, self.name, self.step - 1, event.value))
+        while self.step < len(self.ops):
+            kind, arg = self.ops[self.step]
+            self.step += 1
+            if kind == "rel":
+                if self.held:
+                    self.held -= 1
+                    self.resource.release()
+                continue
+            if kind == "req":
+                self.held += 1
+            if not self.arm:
+                if kind == "get":
+                    event = self.store.get()
+                elif kind == "put":
+                    event = self.store.put(arg)
+                elif kind == "req":
+                    event = self.resource.request()
+                else:
+                    event = env.timeout(arg)
+                event.callbacks.append(self.resume)
+            elif kind == "get":
+                self.store.arm_get(self.events["get"], self.resume)
+            elif kind == "put":
+                self.store.arm_put(self.events["put"], arg, self.resume)
+            elif kind == "req":
+                self.resource.arm_request(self.events["req"], self.resume)
+            else:
+                env.arm_at(env.now + arg, self.events["wake"], self.resume)
+            return
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("get"), st.none()),
+    st.tuples(st.just("put"), st.integers(0, 99)),
+    st.tuples(st.just("req"), st.none()),
+    st.tuples(st.just("rel"), st.none()),
+    st.tuples(st.just("sleep"), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+)
+
+
+class TestArmForms:
+    """The arm forms are the allocating forms on a caller-owned event."""
+
+    @staticmethod
+    def _run(scripts, capacity, slots, arm):
+        env = Environment()
+        store = Store(env, capacity=capacity)
+        resource = Resource(env, capacity=slots)
+        trace = []
+        for name, ops in enumerate(scripts):
+            _Agent(env, store, resource, name, ops, trace, arm)
+        env.run()
+        return trace, env.events_processed, store.items, resource.in_use
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scripts=st.lists(st.lists(_OPS, max_size=12), min_size=1, max_size=5),
+        capacity=st.integers(min_value=1, max_value=3),
+        slots=st.integers(min_value=1, max_value=2),
+    )
+    def test_arm_forms_trace_like_allocating_forms(self, scripts, capacity, slots):
+        # Small stores and one or two slots: puts block on a full store,
+        # gets on an empty one and requests on a full resource.
+        allocating = self._run(scripts, capacity, slots, arm=False)
+        armed = self._run(scripts, capacity, slots, arm=True)
+        assert armed == allocating
+
+    def test_arming_a_queued_event_raises(self, env):
+        store = Store(env, capacity=1)
+        event = spare_event(env)
+        store.arm_put(event, "a")  # accepted: queued on the ready deque
+        for arm in (
+            lambda: store.arm_put(event, "b"),
+            lambda: store.arm_get(event),
+            lambda: Resource(env).arm_request(event),
+            lambda: env.arm_at(1.0, event, print),
+            lambda: NetworkFabric(env, 2).transfer(0, 1, 10.0, event=event),
+        ):
+            with pytest.raises(SimulationError, match="still queued or pending"):
+                arm()
+        env.run()
+        assert event.processed
+        store.arm_get(event)  # processed: may be re-armed
+        env.run()
+        assert event.value == "a"
+
+    def test_arming_a_pending_event_raises(self, env):
+        store = Store(env, capacity=1)
+        getter = store.arm_get(spare_event(env))  # empty store: pending
+        with pytest.raises(SimulationError):
+            store.arm_get(getter)
+        resource = Resource(env, capacity=1)
+        resource.request()
+        waiter = resource.arm_request(spare_event(env))  # no slot: pending
+        with pytest.raises(SimulationError):
+            resource.arm_request(waiter)
+        assert resource.cancel(waiter)
+        assert resource.queued == 0
+        assert not resource.cancel(waiter)
+
+    def test_fresh_events_from_allocating_forms_cannot_be_armed(self, env):
+        # A fresh event is pending with an empty callbacks list, not
+        # processed: only spare_event() makes an armable event.
+        with pytest.raises(SimulationError):
+            Store(env).arm_get(env.event())

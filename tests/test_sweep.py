@@ -554,3 +554,31 @@ class TestAcceptance:
         # …but never reaches the deterministic artifact.
         assert "scheduler_mean_wall_seconds" not in record.result
         assert "timing" not in json.loads(record.to_json_line())
+
+
+def test_import_repro_loads_the_sweep_package_on_first_use():
+    # ``repro.sweep`` brings concurrent.futures and multiprocessing; only
+    # sweeps and the CLI need them, so ``import repro`` leaves it out.
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys, repro\n"
+        "assert 'repro.sweep' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert {'SweepRunner', 'SweepSpec', 'TrialConfig'} <= set(repro.__all__)\n"
+        "from repro import SweepRunner, SweepSpec, TrialConfig\n"
+        "from repro.sweep import runner, spec\n"
+        "assert SweepRunner is runner.SweepRunner\n"
+        "assert (SweepSpec, TrialConfig) == (spec.SweepSpec, spec.TrialConfig)\n"
+        "try:\n"
+        "    repro.NoSuchName\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('missing attribute did not raise')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
