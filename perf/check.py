@@ -61,21 +61,27 @@ def check_telemetry_overhead(
     left.  The harness interleaves the scenarios, so each round gives
     one ratio of two runs made back to back; the overhead is the median
     of those ratios, which one noisy run cannot move the way it moves a
-    ratio of two best-of-N walls.  A report without per-round ``walls``
-    gives one ratio, of the best walls.  Skipped unless both scenarios
-    are present.
+    ratio of two best-of-N walls.  A report without matching per-round
+    ``walls`` fails: it was written by an older harness.  Skipped unless
+    both scenarios are present.
     """
     scenarios = report.get("scenarios", {})
     plain = scenarios.get("micro")
     instrumented = scenarios.get("micro_telemetry")
     if plain is None or instrumented is None:
         return []
+    plain_walls = plain.get("walls")
+    telemetry_walls = instrumented.get("walls")
+    if not plain_walls or not telemetry_walls or (
+        len(plain_walls) != len(telemetry_walls)
+    ):
+        return [
+            "telemetry: micro and micro_telemetry lack matching per-round "
+            "walls; regenerate the report with benchmarks/bench_kernel.py"
+        ]
     ratios = [
         with_telemetry / without
-        for with_telemetry, without in zip(
-            instrumented.get("walls") or [instrumented["wall_seconds"]],
-            plain.get("walls") or [plain["wall_seconds"]],
-        )
+        for with_telemetry, without in zip(telemetry_walls, plain_walls)
     ]
     overhead = statistics.median(ratios) - 1.0
     verdict = "ok"

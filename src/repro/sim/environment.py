@@ -108,24 +108,16 @@ class Environment:
 
     def arm_at(self, time: float, event: Event, callback: typing.Callable) -> None:
         """:meth:`push_at` for the caller's processed ``event``, re-armed
-        to fire with ``callback`` (see :class:`~repro.sim.events.Event`).
-
-        The data-path loops' wake events; ``event`` keeps the value it
-        was made with (:func:`~repro.sim.events.spare_event`).
+        to succeed with ``None`` and fire ``callback`` (see
+        :class:`~repro.sim.events.Event`).  The data-path loops' wake
+        events.
         """
         if event.callbacks is not None:
             raise armed_error(event)
         event.callbacks = [callback]
-        # push_at inlined: one wake per processed batch.
-        if time <= self._now:
-            if time == self._now:
-                self._ready.append(event)
-                return
-            raise SimulationError(
-                f"cannot schedule into the past (time={time} < now={self._now})"
-            )
-        heapq.heappush(self._timers, (time, self._seq, event))
-        self._seq += 1
+        event._ok = True
+        event._value = None
+        self.push_at(time, event)
 
     def run(self, until: typing.Optional[float] = None) -> None:
         """Run until the queue drains, or until virtual time ``until``.

@@ -51,6 +51,7 @@ def test_telemetry_gate_reads_the_median_per_round_ratio():
     assert check_telemetry_overhead(report, 0.05, skip_speed=False) == []
     failures = check_telemetry_overhead(report, 0.02, skip_speed=False)
     assert len(failures) == 1 and "median of 3 per-round ratios" in failures[0]
-    # A report without per-round walls falls back to the best walls.
+    # A report without per-round walls on both sides fails clearly.
     del report["scenarios"]["micro"]["walls"]
-    assert check_telemetry_overhead(report, 0.05, skip_speed=False)
+    failures = check_telemetry_overhead(report, 0.05, skip_speed=False)
+    assert len(failures) == 1 and "per-round walls" in failures[0]

@@ -425,6 +425,17 @@ class TestArmForms:
         env.run()
         assert event.value == "a"
 
+    def test_arm_at_clears_what_the_event_last_carried(self, env):
+        store = Store(env)
+        store.put("item")
+        event = store.arm_get(spare_event(env))
+        env.run()
+        assert event.value == "item"
+        seen = []
+        env.arm_at(2.0, event, lambda fired: seen.append((env.now, fired.value)))
+        env.run()
+        assert seen == [(2.0, None)] and event.ok
+
     def test_arming_a_pending_event_raises(self, env):
         store = Store(env, capacity=1)
         getter = store.arm_get(spare_event(env))  # empty store: pending
