@@ -6,8 +6,8 @@ Two checks per scenario:
    *exactly*.  Scenarios are deterministic, so any difference means the
    kernel's behaviour changed — that is a correctness failure, not a perf
    regression, and no tolerance applies.
-2. **Speed (soft)**: batches/sec must be within ``tolerance`` (default
-   30%) of the baseline.  Batches are the work the data path does; the
+2. **Speed (soft)**: batches/sec must be within :data:`TOLERANCE` (30%)
+   of the baseline.  Batches are the work the data path does; the
    kernel events per batch are not fixed across builds (a build that
    schedules fewer events per batch does the same work), so events/sec
    does not measure throughput.  Wall-clock numbers move with hardware,
@@ -15,17 +15,11 @@ Two checks per scenario:
    order-of-magnitude slips (an accidental O(n) scan in the hot path),
    not 5% wobble.
 
-Override knobs (both documented in docs/performance.md):
-
-- ``REPRO_PERF_TOLERANCE``: fractional allowed batches/sec regression
-  (e.g. ``0.5`` allows a 50% drop — useful on slow CI runners).
-- ``REPRO_PERF_SKIP=1``: skip the speed check entirely (the behaviour
-  check still runs; it is hardware-independent).
-- ``REPRO_PERF_TELEMETRY_OVERHEAD``: allowed fractional wall-clock cost
-  of the telemetry layer, measured as ``micro_telemetry`` vs ``micro``
-  within the *same* report (default 5%): the median over rounds of the
-  two scenarios' wall ratio in that round.  A same-machine ratio, so it
-  stays meaningful where absolute floors do not.
+The telemetry layer may cost at most :data:`TELEMETRY_OVERHEAD` (5%) of
+wall clock, measured as ``micro_telemetry`` vs ``micro`` within the
+*same* report: the median over rounds of the two scenarios' wall ratio
+in that round.  A same-machine ratio, so it stays meaningful where
+absolute floors do not.
 
 Usage::
 
@@ -37,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
 import sys
@@ -46,14 +39,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from perf.harness import BASELINE_PATH, RESULT_PATH  # noqa: E402
 
-DEFAULT_TOLERANCE = 0.30
+#: Allowed fractional batches/sec drop against the baseline.
+TOLERANCE = 0.30
 #: Telemetry-on vs telemetry-off wall-clock ratio allowed for ``micro``.
-DEFAULT_TELEMETRY_OVERHEAD = 0.05
+TELEMETRY_OVERHEAD = 0.05
 
 
-def check_telemetry_overhead(
-    report: dict, allowed: float, skip_speed: bool
-) -> list:
+def check_telemetry_overhead(report: dict, allowed: float = TELEMETRY_OVERHEAD) -> list:
     """``micro_telemetry`` may cost at most ``allowed`` over ``micro``.
 
     Both scenarios come from the same report (same machine, same run), so
@@ -87,16 +79,13 @@ def check_telemetry_overhead(
     verdict = "ok"
     failures = []
     if overhead > allowed:
-        if skip_speed:
-            verdict = "SLOW (ignored: REPRO_PERF_SKIP)"
-        else:
-            verdict = "FAIL"
-            failures.append(
-                f"telemetry overhead {overhead:+.1%} exceeds the "
-                f"{allowed:.0%} budget (median of {len(ratios)} per-round "
-                f"ratios; best walls micro {plain['wall_seconds']:.3f}s, "
-                f"micro_telemetry {instrumented['wall_seconds']:.3f}s)"
-            )
+        verdict = "FAIL"
+        failures.append(
+            f"telemetry overhead {overhead:+.1%} exceeds the "
+            f"{allowed:.0%} budget (median of {len(ratios)} per-round "
+            f"ratios; best walls micro {plain['wall_seconds']:.3f}s, "
+            f"micro_telemetry {instrumented['wall_seconds']:.3f}s)"
+        )
     print(
         f"{'telemetry':<10} overhead={overhead:+.1%} "
         f"(median of {len(ratios)} rounds) budget={allowed:.0%} {verdict}"
@@ -104,7 +93,7 @@ def check_telemetry_overhead(
     return failures
 
 
-def check(report: dict, baseline: dict, tolerance: float, skip_speed: bool) -> int:
+def check(report: dict, baseline: dict) -> int:
     failures = []
     for name, base in baseline["scenarios"].items():
         row = report["scenarios"].get(name)
@@ -117,29 +106,21 @@ def check(report: dict, baseline: dict, tolerance: float, skip_speed: bool) -> i
                 f"{base['events']:,} — kernel behaviour changed"
             )
             continue
-        floor = base["batches_per_sec"] * (1.0 - tolerance)
+        floor = base["batches_per_sec"] * (1.0 - TOLERANCE)
         rate = row["batches_per_sec"]
         verdict = "ok"
         if rate < floor:
-            if skip_speed:
-                verdict = "SLOW (ignored: REPRO_PERF_SKIP)"
-            else:
-                verdict = "FAIL"
-                failures.append(
-                    f"{name}: {rate:,.0f} batches/s is below the floor "
-                    f"{floor:,.0f} (baseline {base['batches_per_sec']:,.0f} "
-                    f"- {tolerance:.0%})"
-                )
+            verdict = "FAIL"
+            failures.append(
+                f"{name}: {rate:,.0f} batches/s is below the floor "
+                f"{floor:,.0f} (baseline {base['batches_per_sec']:,.0f} "
+                f"- {TOLERANCE:.0%})"
+            )
         print(
             f"{name:<10} events={row['events']:,} "
             f"batches/s={rate:,.0f} floor={floor:,.0f} {verdict}"
         )
-    allowed = float(
-        os.environ.get(
-            "REPRO_PERF_TELEMETRY_OVERHEAD", DEFAULT_TELEMETRY_OVERHEAD
-        )
-    )
-    failures.extend(check_telemetry_overhead(report, allowed, skip_speed))
+    failures.extend(check_telemetry_overhead(report))
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -149,27 +130,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--report", type=pathlib.Path, default=RESULT_PATH)
     parser.add_argument("--baseline", type=pathlib.Path, default=BASELINE_PATH)
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional batches/sec drop "
-        "(default REPRO_PERF_TOLERANCE or 0.30)",
-    )
     args = parser.parse_args(argv)
-
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = float(os.environ.get("REPRO_PERF_TOLERANCE", DEFAULT_TOLERANCE))
-    if not 0.0 <= tolerance < 1.0:
-        parser.error(f"tolerance must be in [0, 1), got {tolerance}")
-    skip_speed = os.environ.get("REPRO_PERF_SKIP", "") not in ("", "0")
 
     with open(args.report, "r", encoding="utf-8") as handle:
         report = json.load(handle)
     with open(args.baseline, "r", encoding="utf-8") as handle:
         baseline = json.load(handle)
-    return check(report, baseline, tolerance, skip_speed)
+    return check(report, baseline)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from repro.executors.routing import RoutingTable
 from repro.executors.stats import ExecutorMetrics, ReassignmentRecord, ReassignmentStats
 from repro.executors.task import STOP, Task
 from repro.logic.base import OperatorLogic
-from repro.protocol import SHARD_REASSIGN
 from repro.sanitize import ShardSanitizer
 from repro.sim import Environment, Event, Resource, Store
 from repro.sim.events import spare_event
@@ -573,7 +572,6 @@ class ElasticExecutor:
         span = NULL_SPAN if src_task is None else bus.begin_span(
             "reassign", source=self.name, shard=shard_id
         )
-        proto = SHARD_REASSIGN.tracker()
         try:
             started = self.env.now
             if src_task is not None:
@@ -584,7 +582,6 @@ class ElasticExecutor:
                     self._san.on_pause(entry)
                 entry.paused = True
             span.mark("pause")
-            proto.advance("pause")
             if src_task is not None:
                 # 2. Drain: a labeling tuple chases all pending tuples of
                 # the shard.
@@ -593,7 +590,6 @@ class ElasticExecutor:
                 yield label_event
             sync_done = self.env.now
             span.mark("drain")
-            proto.advance("drain")
             # Re-validate after the drain: a crash may have intervened (dead
             # queues succeed their labels via the dead-letter reaper).
             if entry.task is not src_task:
@@ -643,11 +639,9 @@ class ElasticExecutor:
                 return False
             migration_done = self.env.now
             span.mark("migration")
-            proto.advance("migration")
             # 4. Update the routing table, flush buffered tuples, resume.
             flushed = yield from self._install(entry, dst)
             span.mark("routing_update")
-            proto.advance("routing_update")
             if src_task is None:
                 if flushed:
                     recovery.stats.tuples_rerouted.add(flushed)
@@ -670,13 +664,11 @@ class ElasticExecutor:
                     migration_seconds=migration_done - sync_done,
                     migrated_bytes=migrated_bytes, started=started,
                 )
-            proto.advance("done")
             return True
         finally:
             # Early returns and crash kills land here with the span still
             # open: close it as aborted so exported logs stay well-formed.
             span.finish(status="aborted")
-            proto.close("aborted")
 
     # -- fault recovery (fail-stop crashes, see repro.faults) --------------
 
@@ -760,7 +752,8 @@ class ElasticExecutor:
         routing table is rebuilt from scratch *before* the daemons start,
         shards spread over all tasks with no reassignment protocol, and
         the per-process rebuilds overlap — both the spawn delay and the
-        state rebuild are paid once, not per core.
+        state rebuild are paid once, not per core.  Returns False when
+        ``new_node`` crashed under the restart (nothing started).
         """
         started = self.env.now
         self.local_node = new_node
@@ -784,29 +777,42 @@ class ElasticExecutor:
         self._stranded = []
         if spawn_delay > 0:
             yield self.env.timeout(spawn_delay)
+        # A node that crashes under the restart takes the core reserved on
+        # it: the rebuild starts over on the nodes left.  Nothing runs
+        # before the rebuild lands, so nothing is lost with it.
+        nodes = [new_node, *extra_nodes]
+        while True:
+            nodes = [n for n in nodes if self.cluster.is_alive(n)]
+            if new_node not in nodes:
+                return False  # the main process died again
+            per_store: typing.Dict[int, int] = {}
+            if self.external_state is None:
+                for shard_id in range(self.num_shards):
+                    node_id = nodes[shard_id % len(nodes)]
+                    per_store[node_id] = (
+                        per_store.get(node_id, 0) + self.spec.shard_state_bytes
+                    )
+            rebuilt_bytes = sum(per_store.values())
+            if rebuilt_bytes and rebuild_rate > 0:
+                # One rebuild stream per process, all running concurrently.
+                yield self.env.timeout(max(per_store.values()) / rebuild_rate)
+            if all(self.cluster.is_alive(n) for n in nodes):
+                break
         tasks = []
-        for node_id in [new_node, *extra_nodes]:
+        for node_id in nodes:
             self._open_process(node_id)
             tasks.append(self._create_task(node_id))
         self._assign_round_robin(tasks)
-        per_store: typing.Dict[int, int] = {}
         if self.external_state is None:
             for shard_id, task in self.routing.assignment().items():
-                shard = ShardState.fresh(shard_id, self.spec)
-                self.stores[task.node_id].add(shard)
-                per_store[task.node_id] = (
-                    per_store.get(task.node_id, 0) + shard.nominal_bytes
-                )
-        rebuilt_bytes = sum(per_store.values())
-        if rebuilt_bytes and rebuild_rate > 0:
-            # One rebuild stream per process, all running concurrently.
-            yield self.env.timeout(max(per_store.values()) / rebuild_rate)
+                self.stores[task.node_id].add(ShardState.fresh(shard_id, self.spec))
         if rebuilt_bytes:
             stats.shards_rebuilt.add(self.num_shards)
             stats.state_bytes_rebuilt.add(rebuilt_bytes)
         self.alive = True
         self._start_daemons()
         stats.add_downtime(self.env.now - started)
+        return True
 
     def rehome_orphans(
         self,

@@ -11,7 +11,7 @@ middle, so they share one :class:`OperatorBarrier`:
   the operator: while closed, sends block until the gate reopens.
 - :class:`InFlightCounter` counts tuples admitted but not yet processed;
   the drain step waits for it to reach zero.
-- :meth:`OperatorBarrier.synchronize` walks the ``RC_SYNC`` table.
+- :meth:`OperatorBarrier.synchronize` runs the four phases of one round.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import typing
 
 from repro.cluster.network import TransferPurpose
 from repro.executors.config import CONTROL_BYTES
-from repro.protocol import RC_SYNC
 from repro.sim import Environment, Event
 
 #: A move step returns this when it found no capacity to move state onto:
@@ -144,33 +143,25 @@ class OperatorBarrier:
         receives a mark per phase.  Returns the virtual time the drain
         finished, or None when ``move`` returned :data:`STALLED`.
         """
-        proto = RC_SYNC.tracker()
         try:
             # (a) Pause all upstream executors.
             self.gate.close()
             yield from self._control_round()
             span.mark("pause")
-            proto.advance("pause")
             # (b) Wait for all in-flight tuples to be processed.
             yield self.in_flight.wait_zero()
             drained = self.env.now
             span.mark("drain")
-            proto.advance("drain")
             # (c) The caller's state move.
             if (yield from move) == STALLED:
-                proto.close("stalled")
                 return None
             span.mark("migration")
-            proto.advance("migration")
             # (d) Update the routing tables of all upstream executors.
             yield from self._control_round()
             self.gate.open()
             span.mark("routing_update")
-            proto.advance("routing_update")
-            proto.advance("done")
             return drained
         finally:
-            proto.close("aborted")
             # Upstreams keep flowing after a stall or an abort instead of
             # deadlocking on a gate nobody will open.
             self.gate.open()

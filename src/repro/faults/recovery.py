@@ -30,7 +30,6 @@ import typing
 from repro.cluster.cores import CoreAllocationError
 from repro.executors.config import REMOTE_PROCESS_SPAWN_SECONDS
 from repro.faults.spec import FaultEvent, FaultKind
-from repro.protocol import FAULT_RECOVERY
 from repro.topology.batch import LabelTuple, TupleBatch
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -250,7 +249,6 @@ class FaultCoordinator:
         span = self.env.telemetry.begin_span(
             "recovery", source="faults", fault=fault, detail=detail
         )
-        proto = FAULT_RECOVERY.tracker()
         try:
             if not victims and not node_dead:
                 return  # the executor ran no task on the failed core
@@ -278,11 +276,9 @@ class FaultCoordinator:
                 executor.crash_main(reaper)
                 restarts.append((executor, prev_cores))
             span.mark("destroyed")
-            proto.advance("destroyed")
 
             yield self.env.timeout(self.detection_delay)
             span.mark("detected")
-            proto.advance("detected")
 
             if node_dead:
                 # Sources are backed by a replayable input; they re-host
@@ -309,16 +305,14 @@ class FaultCoordinator:
                 executor.alive for executor, _ in restarts
             ):
                 # Every repair was a restart and none found capacity
-                # anywhere: park in the table's declared escape hatch
-                # instead of claiming a repair happened.  Losses keep
-                # counting; conservation remains exact.
+                # anywhere: finish the span as stalled instead of claiming
+                # a repair happened.  Losses keep counting; conservation
+                # remains exact.
                 if node_dead:
                     self._event("recovery_stalled", f"node={node}")
                 span.finish(status="stalled", restarts=len(restarts))
-                proto.close("stalled")
                 return
             span.mark("repaired")
-            proto.advance("repaired")
 
             if node_dead:
                 # Re-run global allocation over the surviving cores.
@@ -327,11 +321,9 @@ class FaultCoordinator:
                 self._event("node_recovered", f"node={node}")
             span.finish(status="ok", rehomes=len(rehomes),
                         restarts=len(restarts), rc_operators=len(rc_dead))
-            proto.advance("done")
         finally:
             # A kill mid-recovery lands here with the span still open.
             span.finish(status="aborted")
-            proto.close("aborted")
 
     # -- transient faults --------------------------------------------------
 
@@ -455,17 +447,31 @@ class FaultCoordinator:
             spawn_delay = REMOTE_PROCESS_SPAWN_SECONDS
             if isinstance(executor, StaticExecutor):
                 spawn_delay += self.static_restart_seconds
-            yield self.env.process(
+            landed = yield self.env.process(
                 executor.restart_on_node(
                     node, self.stats, self.rebuild_rate, spawn_delay=spawn_delay,
                     extra_nodes=extras,
                 )
             )
+            if not landed:
+                # The new main node crashed under the restart, with the
+                # input it had buffered: dead-letter that, hand back the
+                # cores reserved elsewhere and start over.
+                executor.crash_main(self._reaper_for(executor))
+                cluster = self.system.cluster
+                for extra in extras:
+                    if cluster.is_alive(extra):
+                        cluster.cores.release(owner, extra, 1)
+                span.finish(status="aborted")
+                yield from self._restart_executor(
+                    executor, target_cores, parent_span
+                )
+                return
+            cores = len(executor.tasks)
             self._event(
-                "executor_restarted",
-                f"executor={owner} node={node} cores={1 + len(extras)}",
+                "executor_restarted", f"executor={owner} node={node} cores={cores}"
             )
-            span.finish(status="ok", node=node, cores=1 + len(extras))
+            span.finish(status="ok", node=node, cores=cores)
         finally:
             # A kill mid-restart (second crash) must not leak the span.
             span.finish(status="aborted")

@@ -15,23 +15,16 @@ HOT001    Classes in hot modules declare ``__slots__`` and never grow
 TEL001    Every telemetry span is closed on all paths, and no expensive
           argument construction reaches a bus call unguarded by the
           ``NULL_BUS`` fast path.
-PROTO001  Control-plane state machines only perform transitions declared
-          in :mod:`repro.protocol` (the checked-in tables), and call
-          sites walk every declared edge.
 SUP001    Framework rule: every inline suppression carries a
           justification (not suppressible).
 SUP002    Framework rule: every justified suppression still silences a
           finding; stale waivers must be deleted (not suppressible).
 ========  ==============================================================
 
-PROTO001's dead-edge check runs once over the whole linted tree, after
-every file is checked.  The protocol tables check their own shape
-(termination, reachability, no wedged state) when they are built.
-
 Each project rule catches at least one real bug that nothing else
-catches: ``tests/mutants.py`` scores each rule, the test suite, the
-protocol tracker and the ``REPRO_SANITIZE=1`` sanitizer against a set of
-this repository's real bugs (table in ``docs/static-analysis.md``).
+catches: ``tests/mutants.py`` scores each rule, the test suite and the
+``REPRO_SANITIZE=1`` sanitizer against a set of this repository's real
+bugs (table in ``docs/static-analysis.md``).
 
 Findings are suppressed inline with ``# repro: allow[RULE]: reason`` on
 the offending line; the reason is mandatory.  See
@@ -43,7 +36,6 @@ from __future__ import annotations
 from repro.lint.core import (
     Finding,
     ParsedModule,
-    ProjectRule,
     Rule,
     run_lint,
 )
@@ -53,7 +45,6 @@ __all__ = [
     "ALL_RULES",
     "Finding",
     "ParsedModule",
-    "ProjectRule",
     "Rule",
     "run_lint",
 ]

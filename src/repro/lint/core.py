@@ -140,18 +140,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A rule with a verdict over the whole linted tree.
-
-    ``check`` runs per module as usual and may collect evidence;
-    ``check_project`` runs once after every file is checked and reports
-    what only the whole tree can show (PROTO001's dead edges).
-    """
-
-    def check_project(self) -> typing.Iterator[Finding]:
-        raise NotImplementedError
-
-
 def _relpath(path: pathlib.Path) -> str:
     """Stable repo-relative display path, anchored at ``src/`` if present."""
     parts = path.resolve().parts
@@ -225,18 +213,6 @@ def run_lint(
                     used.add((module.rel, finding.line, finding.rule))
                 else:
                     findings.append(finding)
-    by_rel = {module.rel: module for module in parsed}
-    for rule in rules:
-        if not isinstance(rule, ProjectRule):
-            continue
-        for finding in rule.check_project():
-            module_or_none = by_rel.get(finding.path)
-            if module_or_none is not None and (
-                module_or_none.suppressions.allows(finding.rule, finding.line)
-            ):
-                used.add((finding.path, finding.line, finding.rule))
-            else:
-                findings.append(finding)
     if full_audit:
         known_rules = {rule.name for rule in rules} | {
             SUPPRESSION_RULE, STALE_SUPPRESSION_RULE, "PARSE",

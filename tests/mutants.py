@@ -10,8 +10,6 @@ fire:
 - ``tier-1``: the test suite, without the lint tests and the patch check
   in ``tests/test_mutants.py``;
 - ``sanitized``: the ``REPRO_SANITIZE=1`` subset and CLI smoke run by CI;
-- ``tracker``: a ``ProtocolError`` raised by a ``ProtocolTracker`` in
-  either test run;
 - ``sanitizer``: a ``ShardRaceError`` raised in either test run.
 
 :data:`MUTANTS` is the committed score table (``docs/static-analysis.md``
@@ -50,7 +48,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TIER1 = (
     "tests",
     "--ignore=tests/test_lint.py",
-    "--ignore=tests/test_lint_model.py",
     "--ignore=tests/test_mutants.py",
 )
 
@@ -102,18 +99,6 @@ class Mutant:
 ELASTIC = "src/repro/executors/elastic.py"
 
 MUTANTS: typing.Tuple[Mutant, ...] = (
-    Mutant(
-        "shard-move-untracked",
-        "the one shard move of balancing, shrinking and re-homing loses its tracker",
-        ELASTIC,
-        ((
-            "        proto = SHARD_REASSIGN.tracker()\n        try:\n            started",
-            "        proto = type(\"Untracked\", (), {\"advance\": lambda s, state: None,"
-            " \"close\": lambda s, state: None})()\n        try:\n            started",
-        ),),
-        lint=frozenset({"PROTO001"}),
-        caught=frozenset({"tier-1"}),
-    ),
     Mutant(
         "remove-core-bare-migrate",
         "remove_core evacuates by bare migrate_shard + assign, as before the moves were unified",
@@ -174,19 +159,6 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            migrated_bytes = 0\n            inter_node =",
         ),),
         caught=frozenset({"tier-1", "sanitized"}),
-    ),
-    Mutant(
-        "swapped-advance-literals",
-        "the move reports routing_update before migration to its tracker",
-        ELASTIC,
-        (
-            ('            proto.advance("migration")\n',
-             '            proto.advance("routing_update")\n'),
-            ('            span.mark("routing_update")\n            proto.advance("routing_update")\n',
-             '            span.mark("routing_update")\n            proto.advance("migration")\n'),
-        ),
-        lint=frozenset({"PROTO001"}),
-        caught=frozenset({"sanitized", "sanitizer", "tier-1", "tracker"}),
     ),
     Mutant(
         "remove-core-hole",
@@ -287,21 +259,17 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
     ),
     Mutant(
         "stall-closed-aborted",
-        "a stalled global sync closes its tracker as aborted",
-        "src/repro/executors/gate.py",
-        (('proto.close("stalled")', 'proto.close("aborted")'),),
-        lint=frozenset({"PROTO001"}),
+        "an RC recovery that found no capacity finishes its span as aborted",
+        "src/repro/executors/rc.py",
+        (('span.finish(status="stalled")', 'span.finish(status="aborted")'),),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "recovery-stall-unclosed",
-        "a node-crash recovery whose restarts all failed returns without closing as stalled",
+        "a node-crash recovery whose restarts all failed returns without finishing as stalled",
         "src/repro/faults/recovery.py",
-        ((
-            '                span.finish(status="stalled", restarts=len(restarts))\n'
-            '                proto.close("stalled")\n',
-            '                span.finish(status="stalled", restarts=len(restarts))\n',
-        ),),
-        lint=frozenset({"PROTO001"}),
+        (('                span.finish(status="stalled", restarts=len(restarts))\n', ""),),
+        caught=frozenset({"tier-1", "sanitized"}),
     ),
     Mutant(
         "hybrid-split-unsynchronized",
@@ -483,8 +451,6 @@ def score(tree: pathlib.Path, lint_only: bool) -> Score:
     if sanitized_failed or smoke_failed:
         caught.add("sanitized")
     text = "\n".join(output)
-    if "ProtocolError" in text:
-        caught.add("tracker")
     if "ShardRaceError" in text:
         caught.add("sanitizer")
     failures = sorted(set(re.findall(r"^FAILED (\S+)", text, re.MULTILINE)))

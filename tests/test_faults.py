@@ -459,6 +459,51 @@ class TestConservationUnderFaults:
         assert lost > 0
         assert processed_tuples(system) + lost == emitted_tuples(system)
 
+    @pytest.mark.parametrize(
+        "fault_spec",
+        [
+            # calculator[1] restarts onto nodes 6, 5, 2 and 0 from t=9.1998;
+            # node 2 dies during the spawn, node 6 (its new main node)
+            # during the spawn, node 5 during the state rebuild.
+            "node_crash@8:node=1;node_crash@9.2:node=2",
+            "node_crash@8:node=1;node_crash@9.21:node=6",
+            "node_crash@8:node=1;node_crash@9.221:node=5",
+        ],
+        ids=["spawn", "main-node", "rebuild"],
+    )
+    def test_second_crash_during_a_restart(self, fault_spec):
+        # The restart used to start a task on the node that died under
+        # it, and the next scheduler round refused the assignment.
+        trial = TrialConfig(
+            paradigm="elasticutor", omega=8.0, duration=14.0, warmup=4.0,
+            system_args={"fault_spec": fault_spec},
+        )
+        system = build_system(trial)
+        cluster = system.cluster
+        strategy = system.scheduler.strategy
+        assign = strategy.assign
+        on_dead = []
+
+        def checked_assign(inp):
+            matrix, phi = assign(inp)
+            for columns in (inp.current, matrix):
+                on_dead.extend(
+                    (name, node)
+                    for name, column in columns.items()
+                    for node, cores in column.items()
+                    if cores and not cluster.is_alive(node)
+                )
+            return matrix, phi
+
+        strategy.assign = checked_assign
+        result = system.run(duration=trial.duration, warmup=trial.warmup)
+        assert result.recovery["recoveries"] == 2
+        assert system.scheduler.report.rounds
+        assert on_dead == []
+        system.env.run(until=40.0)
+        lost = system.recovery_stats.snapshot()["tuples_lost"]
+        assert processed_tuples(system) + lost == emitted_tuples(system)
+
     def test_rehome_destination_killed_during_restore(self):
         # A node crash orphans four shards; their state is rebuilt at a
         # third of a second per shard.  A core failure kills the first
@@ -563,6 +608,26 @@ class TestConservationUnderFaults:
         assert cluster.network.bytes_by_purpose[
             TransferPurpose.REMOTE_TASK
         ].total == 0
+
+    def test_recovery_stalls_when_no_restart_finds_a_core(self):
+        # Static executors fill the cluster, so the executor whose node
+        # crashed finds no core in its forty attempts: the span's status
+        # is the one record of the stall.
+        trial = TrialConfig(
+            paradigm="static", num_nodes=3, cores_per_node=2,
+            source_instances=2, executors_per_operator=4,
+            shards_per_executor=16, rate=3000, duration=20.0, warmup=4.0,
+            system_args={"fault_spec": "node_crash@6:node=1"},
+        )
+        system = build_system(trial, telemetry=True)
+        system.run(duration=trial.duration, warmup=trial.warmup)
+        bus = system.env.telemetry
+        (span,) = bus.spans_named("recovery")
+        assert span.attrs["status"] == "stalled"
+        assert span.attrs["restarts"] == 1
+        events = [e.attrs["event"] for e in bus.events_of("fault_event")]
+        assert "recovery_stalled" in events
+        assert "node_recovered" not in events
 
     def test_static_cannot_restart_and_bleeds_tuples(self):
         _, static = run_faulted(Paradigm.STATIC, "node_crash@10:node=3")

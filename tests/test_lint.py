@@ -2,7 +2,7 @@
 
 Each fixture under ``tests/fixtures/lint/`` violates exactly one rule;
 the committed tree under ``src/repro/`` must be clean.  Fixtures that
-exercise path-scoped rules (HOT001, PROTO001, the DET001 allowlist)
+exercise path-scoped rules (HOT001, the DET001 allowlist)
 live under synthetic ``repro/...`` subdirectories so the package
 matcher sees the suffix it keys on.
 """
@@ -15,7 +15,6 @@ import pytest
 from repro.cli import main
 from repro.lint import ALL_RULES, run_lint
 from repro.lint.core import SUPPRESSION_RULE, ParsedModule, Suppressions, _relpath
-from repro.lint.rules.proto001 import Proto001
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint"
 SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
@@ -88,67 +87,6 @@ class TestFixturesTripRules:
         cold = tmp_path / "cold_module.py"
         cold.write_text(source)
         assert run_lint([str(cold)]) == []
-
-    def test_proto001_fixture(self):
-        findings = lint_fixture("repro/executors/proto001_bad.py")
-        assert rules_of(findings) == {"PROTO001"}
-        messages = " | ".join(f.message for f in findings)
-        assert "undeclared transition" in messages
-        assert "not a declared state" in messages
-        assert "terminal" in messages
-
-    RC_SYNC_WALK = """
-from repro.protocol import RC_SYNC
-
-
-def sync(stall):
-    proto = RC_SYNC.tracker()
-    try:
-        proto.advance("pause")
-        proto.advance("drain")
-        if stall:
-            proto.close("stalled")
-            return
-        proto.advance("migration")
-        proto.advance("routing_update")
-        proto.advance("done")
-    finally:
-        proto.close("aborted")
-
-
-def caller():
-    sync(False)
-"""
-
-    def proto001_dead_edges(self, tmp_path, source):
-        """PROTO001's rc_sync dead edges for one executors module linted
-        next to a copy of ``repro/protocol.py``."""
-        import shutil
-
-        root = tmp_path / "src" / "repro"
-        (root / "executors").mkdir(parents=True)
-        shutil.copy(SRC / "protocol.py", root / "protocol.py")
-        (root / "executors" / "sync.py").write_text(source)
-        findings = run_lint([str(root)], rules=[Proto001()])
-        assert {f.path for f in findings} == {"src/repro/protocol.py"}
-        return [f.message for f in findings if "protocol 'rc_sync'" in f.message]
-
-    def test_proto001_walked_table_is_clean(self, tmp_path):
-        assert self.proto001_dead_edges(tmp_path, self.RC_SYNC_WALK) == []
-
-    def test_proto001_unwalked_edge(self, tmp_path):
-        source = self.RC_SYNC_WALK.replace(
-            '        if stall:\n            proto.close("stalled")\n            return\n', ""
-        )
-        assert "stalled" not in source
-        (message,) = self.proto001_dead_edges(tmp_path, source)
-        assert "'drain' -> 'stalled'" in message
-
-    def test_proto001_edge_walked_only_by_callerless_function(self, tmp_path):
-        # Nothing calls sync(): its walk still counts as evidence.
-        source = self.RC_SYNC_WALK.replace("    sync(False)\n", "    pass\n")
-        assert "sync(False)" not in source
-        assert self.proto001_dead_edges(tmp_path, source) == []
 
     def test_sup002_fixture(self):
         findings = lint_fixture("sup002_stale.py")

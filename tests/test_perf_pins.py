@@ -48,10 +48,10 @@ def test_telemetry_gate_reads_the_median_per_round_ratio():
     # Round 2's plain run was quick, so the best walls differ by 20%;
     # the per-round ratios are 1.02, 1.25 and 1.03, median 1.03.
     report = _telemetry_report([1.0, 0.85, 1.0], [1.02, 1.0625, 1.03])
-    assert check_telemetry_overhead(report, 0.05, skip_speed=False) == []
-    failures = check_telemetry_overhead(report, 0.02, skip_speed=False)
+    assert check_telemetry_overhead(report) == []
+    failures = check_telemetry_overhead(report, 0.02)
     assert len(failures) == 1 and "median of 3 per-round ratios" in failures[0]
     # A report without per-round walls on both sides fails clearly.
     del report["scenarios"]["micro"]["walls"]
-    failures = check_telemetry_overhead(report, 0.05, skip_speed=False)
+    failures = check_telemetry_overhead(report)
     assert len(failures) == 1 and "per-round walls" in failures[0]

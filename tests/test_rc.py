@@ -8,8 +8,11 @@ from repro.cluster import Cluster, TransferPurpose
 from repro.executors import RCGroup, RCOperatorManager
 from repro.executors.channels import WindowedSender
 from repro.executors.group import submit_when_open
+from repro.faults.recovery import DeadLetterReaper
 from repro.logic.base import OperatorLogic
+from repro.metrics.recovery import RecoveryStats
 from repro.sim import Environment
+from repro.telemetry.events import EventBus
 from repro.topology import OperatorSpec, TupleBatch
 
 
@@ -226,6 +229,40 @@ class TestRCScaling:
         drive(env, cluster, group, [batch(key=k % 32) for k in range(200)], spacing=2e-3)
         env.run(until=3.0)
         assert cluster.cores.total_free == before - 2
+
+
+class TestRCRecovery:
+    def test_recovery_without_capacity_finishes_stalled(self):
+        # The only executor dies with its node and no core is free
+        # anywhere: the round ends at the drain, and the span says so.
+        env = Environment()
+        env.telemetry = EventBus(env)
+        cluster = Cluster(env, num_nodes=2, cores_per_node=1)
+        manager, group = make_rc(env, cluster, RecordingLogic(),
+                                 num_executors=1, manage_interval=1e9)
+        cluster.cores.allocate("filler", 1, 1)
+        drive(env, cluster, group, [batch(key=k % 16) for k in range(300)],
+              spacing=5e-3)
+        stats = RecoveryStats()
+
+        def crash():
+            yield env.timeout(0.8)
+            executor = manager.executors[0]
+            cluster.fail_node(executor.node_id)
+            executor.crash(DeadLetterReaper(
+                env, stats, on_lost=lambda item: manager.in_flight.forget(1)
+            ))
+            yield from manager.recover_from_crash(
+                [executor], stats, rebuild_rate=50e6, state_lost=True
+            )
+
+        env.process(crash())
+        env.run(until=3.0)
+        (span,) = env.telemetry.spans_named("rc_recovery")
+        assert span.attrs["status"] == "stalled"
+        assert [label for label, _ in span.marks] == ["pause", "drain"]
+        assert [e.kind for e in stats.events] == ["rc_recovery_stalled"]
+        assert not manager.gate.closed
 
 
 class TestInFlightCounter:
