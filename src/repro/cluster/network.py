@@ -44,6 +44,10 @@ from repro.sim.events import armed_error
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import NodeProfile
 
+#: Jitter values drawn from a fabric's stream at once (see
+#: :meth:`NetworkFabric._draw_latency`).
+DRAW_BLOCK = 256
+
 
 class TransferPurpose(enum.Enum):
     """Why bytes crossed the network (for evaluation accounting)."""
@@ -128,10 +132,17 @@ class NetworkFabric:
         "_bandwidth_factor",
         "_latency_factor",
         "_latency_spike",
+        "_latency_scale",
         "_outage_until",
         "_rng",
+        "_fill",
+        "_block",
+        "_drawn",
+        "_block_start",
         "_flat_latency",
+        "_flat_after",
         "_last_delivery",
+        "_num_nodes",
         "_guard_deliveries",
         "bytes_by_purpose",
         "local_bytes_by_purpose",
@@ -182,20 +193,38 @@ class NetworkFabric:
         # touching the node may start.
         self._bandwidth_factor = [1.0] * num_nodes
         self._latency_spike = [1.0] * num_nodes
+        #: ``latency_scale(n)`` per node, kept current by the setters so a
+        #: draw reads two list items instead of calling it twice.
+        self._latency_scale = list(self._latency_factor)
         self._outage_until = [0.0] * num_nodes
         # One deterministic jitter stream per fabric.  Always constructed
         # (so serialization is uniform), never drawn from on the constant
         # fast path — a plain fabric's stream state stays at its seed.
         self._rng = np.random.Generator(np.random.PCG64(seed))
+        # Draws are taken ``DRAW_BLOCK`` at a time: ``_block`` holds the
+        # current block, ``_drawn`` how many of it are used (a full count
+        # when there is none, so the next draw refills) and
+        # ``_block_start`` the stream state it was drawn from (for
+        # ``rng_state``).  ``_fill`` names the ``Generator`` method that
+        # draws a block, None for a constant distribution.
+        spec = self.latency_spec
+        self._fill: typing.Optional[str] = None
+        if not spec.is_constant():
+            self._fill = "random" if spec.distribution == "uniform" else "standard_normal"
+        self._block: typing.List[float] = []
+        self._drawn = DRAW_BLOCK
+        self._block_start: typing.Dict[str, typing.Any] = {}
         # TCP-style per-connection ordering: stochastic draws must not let
         # a later message on the same ordered (src, dst) pair overtake an
         # earlier one (docs/faults.md).  Constant-latency deliveries are
-        # monotonic by construction, so this is only consulted when a
-        # distribution is active.
-        self._last_delivery: typing.Dict[typing.Tuple[int, int], float] = {}
+        # monotonic by construction and go unrecorded; see
+        # ``_refresh_fast_path`` for the hand-over between the two modes.
+        # Indexed ``src * num_nodes + dst``.
+        self._num_nodes = num_nodes
+        self._last_delivery = [0.0] * (num_nodes * num_nodes)
         self._guard_deliveries = False
-        self._flat_latency = True
-        self._refresh_fast_path()
+        self._flat_after = math.inf
+        self._flat_latency = self._latency_is_constant()
         self.bytes_by_purpose: typing.Dict[TransferPurpose, Counter] = {
             purpose: Counter() for purpose in TransferPurpose
         }
@@ -207,38 +236,114 @@ class NetworkFabric:
 
     # -- realism state -------------------------------------------------
 
+    def _latency_is_constant(self) -> bool:
+        return self._fill is None and all(s == 1.0 for s in self._latency_scale)
+
     def _refresh_fast_path(self) -> None:
-        """Recompute whether latency is a single constant (the hot path)."""
-        self._flat_latency = (
-            self.latency_spec.is_constant()
-            and all(f == 1.0 for f in self._latency_factor)
-            and all(f == 1.0 for f in self._latency_spike)
-        )
+        """Recompute whether latency is a single constant (the hot path).
+
+        Constant-latency (flat) transfers skip the FIFO clamp and record
+        no delivery, so each change of mode hands ordering over:
+
+        - leaving the flat mode, every pair is seeded with a bound on its
+          flat deliveries still in flight: the earlier of its egress and
+          ingress reservation ends, plus the base latency;
+        - returning to it, transfers keep the clamp until the last
+          recorded delivery is in the past (``_flat_after``).
+        """
+        now = self.env._now
+        if not self._latency_is_constant():
+            if self._flat_latency:
+                self._seed_flat_deliveries(now)
+            self._flat_latency = False
+            self._flat_after = math.inf
+            return
+        if self._flat_latency:
+            return
+        horizon = max(self._last_delivery, default=0.0)
+        self._flat_after = horizon
+        self._flat_latency = horizon <= now
+
+    def _seed_flat_deliveries(self, now: float) -> None:
+        """Record, per ordered pair, a bound on its in-flight flat deliveries.
+
+        A flat delivery on ``(src, dst)`` lands at its finish plus the base
+        latency, and its finish is at most both ``src``'s egress and
+        ``dst``'s ingress ``busy_until``.
+        """
+        base = self.base_latency
+        egress = [
+            (node, link.busy_until + base)
+            for node, link in enumerate(self._egress)
+            if link.busy_until + base > now
+        ]
+        ingress = [
+            (node, link.busy_until + base)
+            for node, link in enumerate(self._ingress)
+            if link.busy_until + base > now
+        ]
+        last = self._last_delivery
+        for src, out_bound in egress:
+            for dst, in_bound in ingress:
+                if src != dst:
+                    pair = src * self._num_nodes + dst
+                    bound = out_bound if out_bound < in_bound else in_bound
+                    if bound > last[pair]:
+                        last[pair] = bound
 
     def rng_state(self) -> typing.Dict[str, typing.Any]:
-        """Serializable jitter-stream state (PCG64 bit-generator state)."""
+        """Serializable jitter-stream state (PCG64 bit-generator state).
+
+        The state after exactly the draws used so far: the unused rest of
+        the current block is not counted (it is replayed from the block's
+        start state on a scratch generator).
+        """
+        fill = self._fill
+        if fill is not None and self._drawn < len(self._block):
+            scratch = np.random.Generator(np.random.PCG64(0))  # state set next
+            scratch.bit_generator.state = self._block_start
+            getattr(scratch, fill)(self._drawn)
+            return typing.cast(typing.Dict[str, typing.Any], scratch.bit_generator.state)
         state = self._rng.bit_generator.state
         return typing.cast(typing.Dict[str, typing.Any], state)
 
     def set_rng_state(self, state: typing.Dict[str, typing.Any]) -> None:
         """Restore a jitter stream captured via :meth:`rng_state`."""
         self._rng.bit_generator.state = state
+        self._block = []
+        self._drawn = DRAW_BLOCK
+        self._block_start = {}
 
     def _draw_latency(self, src_node: int, dst_node: int) -> float:
-        """One stochastic latency draw for the ``src -> dst`` link."""
+        """One stochastic latency draw for the ``src -> dst`` link.
+
+        The jitter stream is read ``DRAW_BLOCK`` values at a time; a block
+        draw yields the same values, and leaves the same stream state, as
+        that many scalar draws.
+        """
         spec = self.latency_spec
-        distribution = spec.distribution
-        if distribution == "uniform" and spec.jitter > 0.0:
-            latency = spec.base + spec.jitter * (2.0 * float(self._rng.random()) - 1.0)
-        elif distribution == "lognormal" and spec.sigma > 0.0:
-            sigma = spec.sigma
-            latency = spec.base * math.exp(
-                sigma * float(self._rng.standard_normal()) - 0.5 * sigma * sigma
-            )
-        else:
+        fill = self._fill
+        if fill is None:
             latency = spec.base
-        scale = self.latency_scale(src_node)
-        other = self.latency_scale(dst_node)
+        else:
+            block = self._block
+            drawn = self._drawn
+            if drawn == DRAW_BLOCK:
+                rng = self._rng
+                self._block_start = rng.bit_generator.state
+                block = self._block = getattr(rng, fill)(DRAW_BLOCK).tolist()
+                drawn = 0
+            self._drawn = drawn + 1
+            if fill == "random":
+                latency = spec.base + spec.jitter * (2.0 * block[drawn] - 1.0)
+            else:
+                sigma = spec.sigma
+                latency = spec.base * math.exp(
+                    sigma * block[drawn] - 0.5 * sigma * sigma
+                )
+        scales = self._latency_scale
+        scale = scales[src_node]
+        other = scales[dst_node]
         if other > scale:
             scale = other
         if scale != 1.0:
@@ -247,7 +352,7 @@ class NetworkFabric:
 
     def latency_scale(self, node_id: int) -> float:
         """Combined latency multiplier on a node (class x active spike)."""
-        return self._latency_factor[node_id] * self._latency_spike[node_id]
+        return self._latency_scale[node_id]
 
     def expected_latency(self, src_node: int, dst_node: int) -> float:
         """Mean propagation latency ``src -> dst`` under the distribution.
@@ -336,13 +441,18 @@ class NetworkFabric:
             # FIFO clamp: a lucky low draw must not overtake an earlier
             # in-flight message on the same ordered pair (TCP semantics —
             # the executor protocols rely on per-link ordering).
-            pair = (src_node, dst_node)
+            last = self._last_delivery
+            pair = src_node * self._num_nodes + dst_node
             delivery = now + delay
-            previous = self._last_delivery.get(pair, 0.0)
+            previous = last[pair]
             if delivery < previous:
                 delivery = previous
                 delay = delivery - now
-            self._last_delivery[pair] = delivery
+            last[pair] = delivery
+            if now >= self._flat_after:
+                # Back to constant latency and every recorded delivery
+                # has landed: later transfers take the flat path.
+                self._flat_latency = True
         payload: typing.Any = event
         if self._guard_deliveries:
             payload = _GuardedDelivery(self, event, src_node, dst_node)
@@ -387,6 +497,7 @@ class NetworkFabric:
         if factor <= 0:
             raise ValueError(f"latency factor must be positive, got {factor}")
         self._latency_spike[node_id] = factor
+        self._latency_scale[node_id] = self._latency_factor[node_id] * factor
         self._refresh_fast_path()
 
     def latency_spike(self, node_id: int) -> float:

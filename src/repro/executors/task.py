@@ -17,6 +17,7 @@ from repro.logic.base import StateAccess
 from repro.sim import Environment, Event, Store
 from repro.sim.events import PENDING, spare_event
 from repro.state import ShardState
+from repro.telemetry.sketch import PENDING_LIMIT
 from repro.topology.batch import LabelTuple, TupleBatch
 
 
@@ -254,8 +255,12 @@ class _TaskPipeline(Event):
         task.current_item = None
         if not ex._downstream_groups:  # a sink
             probe = ex.latency_probe
-            if probe is not None:
-                probe.record(shard_id, now - batch.created_at, batch.count, now)
+            if probe is not None and now >= probe.warmup:
+                # LatencyProbe.record, inline: no frame per delivered batch.
+                pending = probe._pending
+                pending += (shard_id, now - batch.created_at, batch.count)
+                if len(pending) >= PENDING_LIMIT:
+                    probe._fold()
             if ex._sink_recorder is not None:
                 ex._sink_recorder(batch, now)
             self._finish()

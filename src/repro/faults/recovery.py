@@ -92,6 +92,10 @@ class DeadLetterReaper:
             self.account(item, committed=committed)
 
 
+def _set_stall_factor(executor: typing.Any, factor: float) -> None:
+    executor.stall_factor = factor
+
+
 class FaultCoordinator:
     """Applies fault events to a :class:`~repro.runtime.system.StreamSystem`.
 
@@ -117,6 +121,10 @@ class FaultCoordinator:
             getattr(config, "static_restart_seconds", 5.0)
         )
         self._reapers: typing.Dict[int, DeadLetterReaper] = {}
+        self._gray_active: typing.Dict[
+            typing.Tuple[typing.Any, typing.Any],
+            typing.List[typing.Tuple[object, float]],
+        ] = {}
 
     def _event(self, kind: str, detail: str) -> None:
         """Record to recovery stats and mirror onto the telemetry bus."""
@@ -134,9 +142,19 @@ class FaultCoordinator:
         elif event.kind is FaultKind.CORE_FAILURE:
             self.env.process(self._core_failure(event))
         elif event.kind is FaultKind.LINK_DEGRADE:
-            self.env.process(self._link_degrade(event))
+            network = self.system.cluster.network
+            self.env.process(self._gray_fault(
+                network.set_bandwidth_factor, event.node, event,
+                "link_degrade", f"node={event.node} factor={event.factor}",
+                "link_restored", f"node={event.node}",
+            ))
         elif event.kind is FaultKind.LATENCY_SPIKE:
-            self.env.process(self._latency_spike(event))
+            network = self.system.cluster.network
+            self.env.process(self._gray_fault(
+                network.set_latency_spike, event.node, event,
+                "latency_spike", f"node={event.node} factor={event.factor}",
+                "latency_restored", f"node={event.node}",
+            ))
         elif event.kind is FaultKind.PARTITION:
             self.env.process(self._partition(event))
         elif event.kind is FaultKind.EXECUTOR_STALL:
@@ -327,29 +345,34 @@ class FaultCoordinator:
 
     # -- transient faults --------------------------------------------------
 
-    def _link_degrade(self, event: FaultEvent) -> typing.Generator:
-        network = self.system.cluster.network
-        previous = network.bandwidth_factor(event.node)
-        network.set_bandwidth_factor(event.node, event.factor)
-        self._event("link_degrade",
-            f"node={event.node} factor={event.factor}",
-        )
-        yield self.env.timeout(event.duration)
-        network.set_bandwidth_factor(event.node, previous)
-        self._event("link_restored", f"node={event.node}"
-        )
+    def _gray_fault(
+        self,
+        setter: typing.Callable[[typing.Any, float], None],
+        target: typing.Any,
+        event: FaultEvent,
+        started: str,
+        detail: str,
+        ended: str,
+        end_detail: str,
+    ) -> typing.Generator:
+        """Hold ``setter(target, event.factor)`` for ``event.duration``.
 
-    def _latency_spike(self, event: FaultEvent) -> typing.Generator:
-        network = self.system.cluster.network
-        previous = network.latency_spike(event.node)
-        network.set_latency_spike(event.node, event.factor)
-        self._event("latency_spike",
-            f"node={event.node} factor={event.factor}",
-        )
+        Overlap rule (docs/faults.md): the newest fault still active on a
+        target sets its multiplier; when the last one ends it returns to
+        1.0.  ``_gray_active`` maps (setter, target) to its active faults.
+        """
+        key = (setter, target)
+        active = self._gray_active.setdefault(key, [])
+        token = (object(), event.factor)
+        active.append(token)
+        setter(target, event.factor)
+        self._event(started, detail)
         yield self.env.timeout(event.duration)
-        network.set_latency_spike(event.node, previous)
-        self._event("latency_restored", f"node={event.node}"
-        )
+        active.remove(token)
+        setter(target, active[-1][1] if active else 1.0)
+        if not active:
+            del self._gray_active[key]
+        self._event(ended, end_detail)
 
     def _partition(self, event: FaultEvent) -> typing.Generator:
         network = self.system.cluster.network
@@ -367,14 +390,10 @@ class FaultCoordinator:
             self._event("stall_target_missing", f"target={event.target}"
             )
             return
-        previous = executor.stall_factor
-        executor.stall_factor = event.factor
-        self._event("executor_stall",
-            f"target={event.target} factor={event.factor}",
-        )
-        yield self.env.timeout(event.duration)
-        executor.stall_factor = previous
-        self._event("stall_cleared", f"target={event.target}"
+        yield from self._gray_fault(
+            _set_stall_factor, executor, event,
+            "executor_stall", f"target={event.target} factor={event.factor}",
+            "stall_cleared", f"target={event.target}",
         )
 
     def _resolve_stall_target(self, target: str) -> typing.Optional[typing.Any]:

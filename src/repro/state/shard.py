@@ -7,6 +7,21 @@ import typing
 from repro.state.flat import SpillableKeyStore
 
 
+class ByteTotal:
+    """The running ``nominal_bytes`` sum of one store's shards.
+
+    Shared by a :class:`~repro.state.store.ProcessStateStore` and each
+    shard it holds, so :meth:`ShardState.resize` keeps it current.  A
+    shard refers to this, not to its store: a store-to-shard cycle would
+    keep a dropped store's shards alive until the cyclic collector ran.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
 class ShardState:
     """State of one shard (a mini-partition of an executor's key subspace).
 
@@ -15,9 +30,11 @@ class ShardState:
     footprint used by the migration cost model — the paper's experiments
     parameterize shard state size directly (32 KB default, up to 32 MB),
     so the footprint is explicit rather than estimated from ``data``.
+    It changes only through :meth:`resize`, which keeps ``total``, the
+    :class:`ByteTotal` of the store holding the shard, current.
     """
 
-    __slots__ = ("shard_id", "nominal_bytes", "data")
+    __slots__ = ("shard_id", "nominal_bytes", "data", "total")
 
     def __init__(
         self,
@@ -29,6 +46,7 @@ class ShardState:
             raise ValueError(f"nominal_bytes must be >= 0, got {nominal_bytes}")
         self.shard_id = shard_id
         self.nominal_bytes = nominal_bytes
+        self.total: typing.Optional[ByteTotal] = None
         # With ``hot_entries`` the per-key store bounds its live-object
         # tier and spills the LRU excess to pickled bytes — same mapping
         # semantics, bounded memory at million-key scale.
@@ -48,6 +66,8 @@ class ShardState:
     def resize(self, nominal_bytes: int) -> None:
         if nominal_bytes < 0:
             raise ValueError(f"nominal_bytes must be >= 0, got {nominal_bytes}")
+        if self.total is not None:
+            self.total.value += nominal_bytes - self.nominal_bytes
         self.nominal_bytes = nominal_bytes
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.state.shard import ShardState
+from repro.state.shard import ByteTotal, ShardState
 
 
 class StateError(RuntimeError):
@@ -22,12 +22,15 @@ class ProcessStateStore:
     remote node where it runs remote tasks.
     """
 
-    __slots__ = ("executor_name", "node_id", "_shards")
+    __slots__ = ("executor_name", "node_id", "_shards", "_total")
 
     def __init__(self, executor_name: str, node_id: int) -> None:
         self.executor_name = executor_name
         self.node_id = node_id
         self._shards: typing.Dict[int, ShardState] = {}
+        #: Sum of the held shards' ``nominal_bytes``, kept by ``add``,
+        #: ``remove`` and :meth:`ShardState.resize`.
+        self._total = ByteTotal()
 
     def __contains__(self, shard_id: int) -> bool:
         return shard_id in self._shards
@@ -46,6 +49,8 @@ class ProcessStateStore:
                 f"({self.executor_name}@node{self.node_id})"
             )
         self._shards[shard.shard_id] = shard
+        shard.total = self._total
+        self._total.value += shard.nominal_bytes
 
     def get(self, shard_id: int) -> ShardState:
         try:
@@ -58,13 +63,17 @@ class ProcessStateStore:
 
     def remove(self, shard_id: int) -> ShardState:
         try:
-            return self._shards.pop(shard_id)
+            shard = self._shards.pop(shard_id)
         except KeyError:
             raise StateError(
                 f"shard {shard_id} not in store "
                 f"({self.executor_name}@node{self.node_id})"
             ) from None
+        self._total.value -= shard.nominal_bytes
+        if shard.total is self._total:
+            shard.total = None
+        return shard
 
     def total_bytes(self) -> int:
         """Aggregate state size s_j contribution of this store."""
-        return sum(shard.nominal_bytes for shard in self._shards.values())
+        return self._total.value

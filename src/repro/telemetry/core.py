@@ -20,7 +20,7 @@ import typing
 
 from repro.telemetry.events import EventBus, NULL_BUS, Span, TelemetryEvent
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.registry import MetricRegistry, RingSeries
+from repro.telemetry.registry import MetricRegistry, RingSeries, record_row
 from repro.telemetry.sketch import LatencyProbe
 
 #: Metric-registry sampling period (virtual seconds).
@@ -46,7 +46,7 @@ class Telemetry:
         # Sampler fast path: (name, labels) -> RingSeries lookups are a
         # measurable share of a tick, so the per-executor and per-shard
         # series are resolved once and cached by executor name.
-        self._executor_series: typing.Dict[str, typing.Any] = {}
+        self._executor_series: typing.Dict[str, typing.List[RingSeries]] = {}
         self._shard_series: typing.Dict[str, typing.List[RingSeries]] = {}
 
     # -- wiring ------------------------------------------------------------
@@ -200,8 +200,7 @@ class Telemetry:
                 shard_series = self._shard_series_for(
                     op_name, len(manager._shard_load)
                 )
-                for shard_id, load in enumerate(manager._shard_load):
-                    shard_series[shard_id].record(now, load)
+                record_row(shard_series, now, manager._shard_load)
         self.registry.sample(now)
         flight = self.flight
         if flight is not None and system is not None:
@@ -234,35 +233,36 @@ class Telemetry:
         cached = self._executor_series.get(name)
         if cached is None:
             registry = self.registry
-            cached = (
-                registry.series("executor_arrival_rate", executor=name),
-                registry.series("executor_service_rate", executor=name),
-                registry.series("executor_queue_depth", executor=name),
-                registry.series("executor_backpressure", executor=name),
-                registry.series("executor_cores", executor=name),
-                registry.series("executor_processed_tuples", executor=name),
-                (
-                    registry.series("executor_state_bytes", executor=name)
-                    if getattr(executor, "state_bytes", None) is not None
-                    else None
-                ),
-            )
+            names = [
+                "executor_arrival_rate",
+                "executor_service_rate",
+                "executor_queue_depth",
+                "executor_backpressure",
+                "executor_cores",
+                "executor_processed_tuples",
+            ]
+            if getattr(executor, "state_bytes", None) is not None:
+                names.append("executor_state_bytes")
+            cached = [registry.series(series, executor=name) for series in names]
             self._executor_series[name] = cached
         metrics = executor.metrics
         queue = executor.input_queue
-        cached[0].record(now, metrics.arrival_rate(now))
-        cached[1].record(now, metrics.service_rate())
-        cached[2].record(now, float(len(queue)))
-        cached[3].record(now, float(queue.pending_puts))
-        cached[4].record(now, float(getattr(executor, "num_cores", 1)))
-        cached[5].record(now, float(metrics.processed_tuples.total))
-        if cached[6] is not None:
-            cached[6].record(now, float(executor.state_bytes()))
+        values = [
+            metrics.arrival_rate(now),
+            metrics.service_rate(),
+            float(len(queue)),
+            float(queue.pending_puts),
+            float(getattr(executor, "num_cores", 1)),
+            float(metrics.processed_tuples.total),
+        ]
+        if len(cached) > len(values):  # executor_state_bytes is tracked
+            values.append(float(executor.state_bytes()))
+        record_row(cached, now, values)
         shard_load = getattr(executor, "_shard_load", None)
         if shard_load is not None:
-            shard_series = self._shard_series_for(name, len(shard_load))
-            for shard_id, load in enumerate(shard_load):
-                shard_series[shard_id].record(now, load)
+            record_row(
+                self._shard_series_for(name, len(shard_load)), now, shard_load
+            )
 
     # -- convenience views -------------------------------------------------
 

@@ -21,6 +21,10 @@ import typing
 Labels = typing.Tuple[typing.Tuple[str, str], ...]
 
 
+class GaugeError(RuntimeError):
+    """A registered gauge raised while being sampled (names the gauge)."""
+
+
 def _labels_key(labels: typing.Mapping[str, typing.Any]) -> Labels:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
@@ -31,6 +35,8 @@ class RingSeries:
     Trimming drops ``capacity // 8`` points at once so appends stay
     amortized O(1) instead of shifting the list on every record.
     """
+
+    __slots__ = ("name", "labels", "capacity", "dropped", "_times", "_values")
 
     def __init__(self, name: str, labels: Labels = (), capacity: int = 4096) -> None:
         if capacity < 8:
@@ -58,17 +64,7 @@ class RingSeries:
         return self._values[-1] if self._values else None
 
     def record(self, time: float, value: float) -> None:
-        if self._times and time < self._times[-1]:
-            raise ValueError(
-                f"timestamps must be nondecreasing ({time} < {self._times[-1]})"
-            )
-        if len(self._times) >= self.capacity:
-            chunk = max(1, self.capacity // 8)
-            del self._times[:chunk]
-            del self._values[:chunk]
-            self.dropped += chunk
-        self._times.append(time)
-        self._values.append(value)
+        record_row((self,), time, (value,))
 
     def to_rows(self) -> typing.List[typing.Tuple[float, float]]:
         return list(zip(self._times, self._values))
@@ -78,6 +74,33 @@ class RingSeries:
 
     def __repr__(self) -> str:
         return f"RingSeries({self.name!r}, {self.label_text()!r}, n={len(self)})"
+
+
+def record_row(
+    series: typing.Iterable[RingSeries],
+    time: float,
+    values: typing.Iterable[float],
+) -> None:
+    """Record ``values[i]`` into ``series[i]`` at ``time``, in order.
+
+    Exactly ``ring.record(time, value)`` for each pair, without a call
+    frame per point: the sampler writes a whole tick this way.
+    """
+    for ring, value in zip(series, values):
+        times = ring._times
+        stored = ring._values
+        if times:
+            if time < times[-1]:
+                raise ValueError(
+                    f"timestamps must be nondecreasing ({time} < {times[-1]})"
+                )
+            if len(times) >= ring.capacity:
+                chunk = max(1, ring.capacity // 8)
+                del times[:chunk]
+                del stored[:chunk]
+                ring.dropped += chunk
+        times.append(time)
+        stored.append(value)
 
 
 class _Gauge:
@@ -122,13 +145,24 @@ class MetricRegistry:
         self._gauges.pop((name, _labels_key(labels)), None)
 
     def sample(self, now: float) -> None:
-        """One sampler tick: evaluate every gauge at virtual time ``now``."""
-        for gauge in self._gauges.values():
-            try:
-                value = float(gauge.fn())
-            except Exception:
-                continue  # a gauge over a mid-restart executor may glitch
-            gauge.series.record(now, value)
+        """One sampler tick: evaluate every gauge at virtual time ``now``.
+
+        A gauge that raises fails the tick, and so the run, with a
+        :class:`GaugeError` naming it (the flight-recorder dump's reason)
+        rather than leaving a silent gap in the series.
+        """
+        gauges = list(self._gauges.values())
+        values: typing.List[float] = []
+        try:
+            for gauge in gauges:
+                values.append(float(gauge.fn()))
+        except Exception as exc:
+            series = gauge.series
+            raise GaugeError(
+                f"gauge {series.name}{{{series.label_text()}}} failed at "
+                f"t={now}: {type(exc).__name__}: {exc}"
+            ) from exc
+        record_row([gauge.series for gauge in gauges], now, values)
 
     def all_series(self) -> typing.List[RingSeries]:
         return [

@@ -47,7 +47,9 @@ _ceil = math.ceil
 #: the memory bound for arbitrarily long runs; short runs fold at read).
 FOLD_THRESHOLD = 65536
 
-_PENDING_LIMIT = 3 * FOLD_THRESHOLD  # interleaved triples
+#: Length of :attr:`LatencyProbe._pending` (interleaved triples) at
+#: which a recorder folds it.
+PENDING_LIMIT = 3 * FOLD_THRESHOLD
 
 
 class SketchMergeError(ValueError):
@@ -338,13 +340,16 @@ class LatencyProbe:
     Recording is read-only with respect to the simulation: no virtual
     time, no events, no RNG — results stay bit-identical with probes on.
 
-    Recording is also *deferred*: :meth:`record` appends the observation
-    to a flat buffer (three plain-scalar appends — no tracked allocation,
-    so no garbage-collector pressure on the data plane) and the bucket
-    math folds into the per-shard sketches either when a reader asks or
-    when the buffer reaches :data:`FOLD_THRESHOLD` observations, which
-    bounds memory for long runs.  Folding preserves record order, so
-    payloads stay deterministic.
+    Recording is also *deferred*: :meth:`record` extends a flat buffer
+    with the plain scalars ``(shard_id, latency, count)`` — no object kept
+    per batch, so no garbage-collector pressure on the data plane — and
+    the bucket math (including the clamp of negative latencies to 0)
+    folds into the per-shard sketches either when a reader asks or when
+    the buffer reaches :data:`FOLD_THRESHOLD` observations, which bounds
+    memory for long runs.  Folding preserves record order, so payloads
+    stay deterministic.  The task loop performs :meth:`record` inline
+    (``repro.executors.task``): one ``+=`` of the triple and a length
+    test against :data:`PENDING_LIMIT`, with no call frame per batch.
     """
 
     __slots__ = (
@@ -374,10 +379,8 @@ class LatencyProbe:
         if now < self.warmup:
             return
         pending = self._pending
-        pending.append(shard_id)
-        pending.append(latency if latency > 0.0 else 0.0)
-        pending.append(count)
-        if len(pending) >= _PENDING_LIMIT:
+        pending += (shard_id, latency, count)
+        if len(pending) >= PENDING_LIMIT:
             self._fold()
 
     def _fold(self) -> None:
@@ -394,7 +397,8 @@ class LatencyProbe:
             if sketch is None:
                 sketch = QuantileSketch(accuracy, max_buckets)
                 sketches[shard_id] = sketch
-            sketch.add(pending[i + 1], pending[i + 2])
+            latency = pending[i + 1]
+            sketch.add(latency if latency > 0.0 else 0.0, pending[i + 2])
         del pending[:]
 
     @property

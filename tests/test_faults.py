@@ -325,6 +325,37 @@ def processed_tuples(system):
     return int(system.sink_completions.window_sum(0.0, float("inf")))
 
 
+class TestGrayFaultOverlap:
+    @pytest.mark.parametrize(
+        "kind, first, second, read",
+        [
+            ("link_degrade", 0.5, 0.25,
+             lambda system: system.cluster.network.bandwidth_factor(1)),
+            ("latency_spike", 8.0, 4.0,
+             lambda system: system.cluster.network.latency_spike(1)),
+            ("executor_stall", 0.5, 0.25,
+             lambda system: system.executors_by_operator["calculator"][0].stall_factor),
+        ],
+        ids=["link_degrade", "latency_spike", "executor_stall"],
+    )
+    def test_overlapping_gray_faults_restore_fully(self, kind, first, second, read):
+        """The newest active fault sets the multiplier; 1.0 comes back
+        only when the last overlapping fault ends."""
+        where = "target=calculator:0" if kind == "executor_stall" else "node=1"
+        spec = (
+            f"{kind}@5:{where},factor={first},duration=2;"
+            f"{kind}@6:{where},factor={second},duration=6"
+        )
+        # t=10: the first fault has ended, the second still holds.
+        during, _ = run_faulted(Paradigm.ELASTICUTOR, spec, rate=2000, duration=10.0)
+        assert read(during) == second
+        after, result = run_faulted(
+            Paradigm.ELASTICUTOR, spec, rate=2000, duration=14.0
+        )
+        assert read(after) == 1.0
+        assert result.recovery["faults_injected"] == 2
+
+
 class TestConservationUnderFaults:
     """Every admitted tuple is processed, queued, or explicitly lost."""
 

@@ -140,6 +140,29 @@ class TestDumpOnFault:
         assert header["meta"]["virtual_time"] == pytest.approx(3.0)
         assert records, "the ring tail must survive the crash"
 
+    def test_failing_gauge_fails_the_run_and_the_dump_names_it(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+        system = small_system(telemetry=True)
+        clock = system.env
+
+        def broken():
+            if clock.now >= 3.0:
+                raise ZeroDivisionError("gauge input vanished")
+            return 0.0
+
+        system.telemetry.registry.register_gauge(
+            "broken_gauge", broken, executor="calculator-0"
+        )
+        with pytest.raises(ProcessCrash, match="broken_gauge"):
+            system.run(duration=8, warmup=2)
+        header, _ = load_dump(tmp_path / DUMP_FILE)
+        assert "GaugeError" in header["reason"]
+        assert "broken_gauge{executor=calculator-0}" in header["reason"]
+        assert "ZeroDivisionError: gauge input vanished" in header["reason"]
+        assert header["meta"]["virtual_time"] == pytest.approx(3.0)
+
     def test_no_dump_when_telemetry_disabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
         system = small_system(telemetry=False)

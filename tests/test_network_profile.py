@@ -9,7 +9,9 @@ based scheduler cost model, and end-to-end profile threading through
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.cluster import (
     NetworkProfile,
     NodeProfile,
 )
+from repro.cluster.network import DRAW_BLOCK
 from repro.scheduler.assignment import AssignmentInput
 from repro.sim import Environment
 
@@ -259,6 +262,122 @@ class TestJitterStream:
         times = [t for _, t in deliveries]
         assert order == sorted(order)
         assert times == sorted(times)
+
+
+JITTERED = [
+    pytest.param(LatencySpec("uniform", base=25e-3, jitter=10e-3), "random", id="uniform"),
+    pytest.param(
+        LatencySpec("lognormal", base=5e-3, sigma=1.0), "standard_normal", id="lognormal"
+    ),
+]
+
+
+def reference_stream(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def reference_latency(spec, draw):
+    """Today's scalar latency expression for one raw draw."""
+    if spec.distribution == "uniform":
+        return spec.base + spec.jitter * (2.0 * draw - 1.0)
+    sigma = spec.sigma
+    return spec.base * math.exp(sigma * draw - 0.5 * sigma * sigma)
+
+
+class TestBlockDraws:
+    """Jitter is read from the stream a block at a time, yet every value,
+    ``rng_state`` and resume matches one scalar draw per latency."""
+
+    @pytest.mark.parametrize("spec, method", JITTERED)
+    def test_latencies_equal_scalar_draws_across_a_block_boundary(
+        self, env, spec, method
+    ):
+        fabric = make_fabric(env, NetworkProfile(latency=spec, seed=11))
+        reference = reference_stream(11)
+        count = DRAW_BLOCK * 2 + 7
+        expected = [
+            reference_latency(spec, float(getattr(reference, method)()))
+            for _ in range(count)
+        ]
+        assert [fabric._draw_latency(0, 1) for _ in range(count)] == expected
+        assert fabric.rng_state() == reference.bit_generator.state
+
+    @pytest.mark.parametrize("used", [1, DRAW_BLOCK // 2, DRAW_BLOCK + 3])
+    @pytest.mark.parametrize("spec, method", JITTERED)
+    def test_rng_state_mid_block_counts_only_used_draws(
+        self, env, spec, method, used
+    ):
+        fabric = make_fabric(env, NetworkProfile(latency=spec, seed=11))
+        reference = reference_stream(11)
+        for _ in range(used):
+            fabric._draw_latency(0, 1)
+            getattr(reference, method)()
+        assert 0 < fabric._drawn < len(fabric._block)  # mid-block
+        assert fabric.rng_state() == reference.bit_generator.state
+
+    @pytest.mark.parametrize("spec, method", JITTERED)
+    def test_set_rng_state_mid_block_resumes_the_sequence(self, env, spec, method):
+        fabric = make_fabric(env, NetworkProfile(latency=spec, seed=11))
+        for _ in range(DRAW_BLOCK // 2):
+            fabric._draw_latency(0, 1)
+        state = fabric.rng_state()
+        expected = [fabric._draw_latency(0, 1) for _ in range(DRAW_BLOCK)]
+        resumed = make_fabric(Environment(), NetworkProfile(latency=spec, seed=99))
+        resumed.set_rng_state(state)
+        assert [resumed._draw_latency(0, 1) for _ in range(DRAW_BLOCK)] == expected
+        fabric.set_rng_state(state)
+        assert [fabric._draw_latency(0, 1) for _ in range(DRAW_BLOCK)] == expected
+
+
+class TestFifoAcrossLatencyChanges:
+    """A spike starting or ending on a constant-latency fabric must not
+    let a later transfer overtake an earlier one on the same pair."""
+
+    def deliveries(self, first_spike, second_spike, gap):
+        env = Environment()
+        fabric = NetworkFabric(env, 4)
+        landed = []
+
+        def send(label):
+            fabric.transfer(0, 1, 100).callbacks.append(
+                lambda _ev: landed.append((label, env.now))
+            )
+
+        def script():
+            for node in (0, 1):  # the larger endpoint factor applies
+                fabric.set_latency_spike(node, first_spike)
+            send("first")
+            yield env.timeout(gap)
+            for node in (0, 1):
+                fabric.set_latency_spike(node, second_spike)
+            send("second")
+
+        env.process(script())
+        env.run()
+        return landed
+
+    def test_restoring_a_spike_does_not_let_later_transfers_overtake(self):
+        landed = self.deliveries(8.0, 1.0, gap=1e-3)
+        assert [label for label, _ in landed] == ["first", "second"]
+        assert landed[0][1] == pytest.approx(4.0008e-3)
+        assert landed[1][1] == landed[0][1]  # held behind the first
+
+    def test_a_faster_spike_after_flat_transfers_does_not_overtake(self):
+        landed = self.deliveries(1.0, 0.1, gap=0.1e-3)
+        assert [label for label, _ in landed] == ["first", "second"]
+        assert landed[0][1] == pytest.approx(0.5008e-3)
+        assert landed[1][1] == landed[0][1]  # held behind the first
+
+    def test_flat_path_returns_once_spiked_deliveries_land(self):
+        env = Environment()
+        fabric = NetworkFabric(env, 4)
+        fabric.set_latency_spike(1, 8.0)
+        fabric.transfer(0, 1, 100)
+        fabric.set_latency_spike(1, 1.0)
+        assert not fabric._flat_latency  # a spiked delivery is in flight
+        env.run()
+        fabric.transfer(0, 1, 100)
+        assert fabric._flat_latency
 
 
 class TestHeterogeneousFabric:

@@ -57,6 +57,19 @@ class TestProcessStateStore:
         assert store.total_bytes() == 300
         assert store.shard_ids == (1, 2)
 
+    def test_total_bytes_follows_resize_and_moves(self):
+        src = ProcessStateStore("ex0", node_id=0)
+        dst = ProcessStateStore("ex0", node_id=1)
+        shard = ShardState(1, nominal_bytes=100)
+        src.add(shard)
+        src.add(ShardState(2, nominal_bytes=200))
+        shard.resize(150)
+        assert src.total_bytes() == 350
+        dst.add(src.remove(1))
+        shard.resize(40)
+        assert (src.total_bytes(), dst.total_bytes()) == (200, 40)
+        assert src.total_bytes() == sum(src.get(i).nominal_bytes for i in src.shard_ids)
+
 
 class TestMigration:
     def test_cross_node_migration_moves_state_and_pays_network(self, env):

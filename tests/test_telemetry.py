@@ -8,14 +8,17 @@ The two load-bearing properties (docs/observability.md):
   (the ``repro report`` path and the live benchmarks are one code path).
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro import FaultSpec, MicroBenchmarkWorkload, Paradigm, StreamSystem, SystemConfig
+from repro.cli import main
 from repro.sim import Environment
 from repro.telemetry import NULL_BUS, NULL_SPAN, EventBus, MetricRegistry, RingSeries
 from repro.telemetry.exporters import export_run, load_artifact
+from repro.telemetry.registry import GaugeError, record_row
 from repro.telemetry.report import (
     REASSIGN_PHASES,
     phase_breakdown,
@@ -125,6 +128,26 @@ class TestRegistry:
         assert series.to_rows() == [(0.0, 1.0), (1.0, 2.0)]
         assert "executor=e0" in series.label_text()
 
+    def test_failing_gauge_raises_naming_it(self):
+        registry = MetricRegistry()
+        registry.register_gauge("ok", lambda: 1.0)
+        registry.register_gauge("bad", lambda: 1 / 0, executor="e0")
+        with pytest.raises(GaugeError, match=r"bad\{executor=e0\}.*ZeroDivisionError"):
+            registry.sample(0.0)
+
+    def test_record_row_matches_record(self):
+        by_point = [RingSeries("a", capacity=8), RingSeries("b", capacity=8)]
+        by_row = [RingSeries("a", capacity=8), RingSeries("b", capacity=8)]
+        for i in range(20):
+            for series, value in zip(by_point, (i, -i)):
+                series.record(float(i), float(value))
+            record_row(by_row, float(i), (float(i), float(-i)))
+        for point, row in zip(by_point, by_row):
+            assert row.to_rows() == point.to_rows()
+            assert row.dropped == point.dropped
+        with pytest.raises(ValueError, match="nondecreasing"):
+            record_row(by_row, 3.0, (0.0, 0.0))
+
 
 # -- determinism ------------------------------------------------------------
 
@@ -170,6 +193,38 @@ class TestTelemetryDeterminism:
 
 
 # -- exporters --------------------------------------------------------------
+
+
+class TestExportPins:
+    """Byte pins of the sampled and sketched exports of a wan + faults run
+    (jittered fabric, a latency spike and a crash).  Telemetry only reads
+    the simulation, so a refactor of how it records must leave these
+    files as they are; a change meant to move them re-pins them here."""
+
+    PINS = {
+        "series.csv":
+            "031c4c8e4ad27e4864b2c19cb7a7cf352d87854ebcb68b4608b262b063ca5091",
+        "sketches.json":
+            "0b9ac7707ef804a8bf81dc3b790fad150cea69e429e4911af1a745d85456994f",
+        "metrics.prom":
+            "a320f7ff8f412821ea809094385efc9860cb22095bd372b2f69d3c385e5dafc2",
+    }
+
+    def test_wan_faults_exports_are_byte_identical(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([
+            "run", "--paradigm", "elasticutor", "--net-profile", "wan",
+            "--rate", "8000", "--duration", "20", "--warmup", "5",
+            "--fault-spec",
+            "latency_spike@6:node=1,factor=8,duration=3;node_crash@12:node=3",
+            "--telemetry-out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in self.PINS
+        }
+        assert digests == self.PINS
 
 
 class TestExporters:
