@@ -36,8 +36,6 @@ from repro.workloads import (
     BurstEvent,
     HotspotBurst,
     MicroBenchmarkWorkload,
-    RecordedWorkload,
-    ScheduledBurst,
     SSEWorkload,
     ZipfKeyDistribution,
 )
@@ -74,9 +72,7 @@ __all__ = [
     "OrderBook",
     "Paradigm",
     "RCOperatorManager",
-    "RecordedWorkload",
     "SSEWorkload",
-    "ScheduledBurst",
     "StateAccess",
     "StaticExecutor",
     "StreamSystem",

@@ -28,7 +28,6 @@ import typing
 from repro.analysis import ResultTable, SingleExecutorHarness
 from repro.faults import FaultSpec
 from repro.runtime import Paradigm, SystemResult
-from repro.scheduler.strategies import STRATEGY_NAMES
 from repro.sweep import TrialConfig, build_system
 from repro.sweep.spec import PARADIGM_ALIASES
 from repro.sweep.trial import export_trial
@@ -73,7 +72,6 @@ def _trial(args: argparse.Namespace, paradigm: str) -> TrialConfig:
         system_args={
             "latency_target": args.latency_target_ms / 1000.0,
             "enable_hybrid": args.hybrid,
-            "scheduler_strategy": args.scheduler,
             "fault_spec": args.fault_spec,
             "network_profile": args.net_profile,
             "detection_delay": args.detection_delay,
@@ -395,12 +393,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--latency-target-ms", type=float, default=50.0)
     parser.add_argument("--hybrid", action="store_true",
                         help="enable the hybrid split/merge controller")
-    parser.add_argument(
-        "--scheduler", choices=STRATEGY_NAMES, default="reactive",
-        help="scheduling strategy for the executor-centric paradigms "
-             "(docs/scheduling.md); naive-ec is forced for the naive-ec "
-             "paradigm",
-    )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--fault-spec", default=None,

@@ -43,11 +43,6 @@ class SystemConfig:
     scheduler_interval: float = 1.0
     latency_target: float = 0.05
     phi: float = 512 * 1024.0
-    #: Scheduling strategy for the executor-centric paradigms
-    #: (docs/scheduling.md): "reactive" (the paper's scheduler),
-    #: "predictive" (forecast-driven allocation + DRR placement), or
-    #: "naive-ec" (forced when the paradigm is NAIVE_EC).
-    scheduler_strategy: str = "reactive"
     #: RC manager cadence.
     rc_manage_interval: float = 1.0
     #: Static paradigm: optional per-operator weights for splitting the
@@ -91,13 +86,8 @@ class SystemConfig:
             raise ValueError("need at least one source instance")
         if self.scheduler_interval <= 0 or self.rc_manage_interval <= 0:
             raise ValueError("scheduler intervals must be positive")
-        from repro.scheduler.strategies import STRATEGY_NAMES
-
-        if self.scheduler_strategy not in STRATEGY_NAMES:
-            raise ValueError(
-                f"scheduler_strategy must be one of {STRATEGY_NAMES}, "
-                f"got {self.scheduler_strategy!r}"
-            )
+        if self.phi <= 0:
+            raise ValueError(f"phi must be positive, got {self.phi!r}")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
         if self.detection_delay < 0:

@@ -25,7 +25,7 @@ from repro.faults.spec import FaultKind
 from repro.logic.base import replicate
 from repro.metrics import RecoveryStats, TimeSeries
 from repro.runtime.config import Paradigm, SystemConfig
-from repro.scheduler import DynamicScheduler
+from repro.scheduler import DynamicScheduler, NaiveECStrategy, ReactiveStrategy
 from repro.scheduler.model import MMKModel
 from repro.sim import Environment
 from repro.telemetry import QuantileSketch, Telemetry
@@ -374,13 +374,6 @@ class StreamSystem:
                 for executors in self.executors_by_operator.values()
                 for executor in executors
             ]
-            from repro.scheduler.strategies import make_strategy
-
-            strategy_name = (
-                "naive-ec"
-                if config.paradigm is Paradigm.NAIVE_EC
-                else config.scheduler_strategy
-            )
             self.scheduler = DynamicScheduler(
                 self.env,
                 self.cluster,
@@ -389,12 +382,13 @@ class StreamSystem:
                 latency_target=config.latency_target,
                 phi=config.phi,
                 reserved_by_node=self._reserved_by_node,
-                strategy=make_strategy(strategy_name),
+                strategy=(
+                    NaiveECStrategy()
+                    if config.paradigm is Paradigm.NAIVE_EC
+                    else ReactiveStrategy()
+                ),
             )
             self.scheduler.start()
-            # attach() ran before the scheduler existed; forecast gauges
-            # need the strategy's bank, so they register here.
-            self.telemetry.attach_scheduler(self.scheduler)
             if config.enable_hybrid:
                 self._build_hybrid_controllers(non_source_ops, groups)
 

@@ -15,11 +15,9 @@ Pipeline per scheduling round:
 :class:`NaiveAssigner` implements the paper's naive-EC ablation: the same
 k_j allocation but placement that ignores migration cost and locality.
 
-Steps 2 and 3 are strategy hooks (:mod:`repro.scheduler.strategies`):
-besides the reactive default and the naive-EC ablation, the
-``predictive`` strategy allocates against Holt forecast demand
-and places by dominant remaining resource
-(:func:`~repro.scheduler.predictive.drr_assignment`; docs/scheduling.md).
+Step 3 is a strategy hook (:mod:`repro.scheduler.strategies`) that the
+paradigm picks: :class:`ReactiveStrategy` for Elasticutor,
+:class:`NaiveECStrategy` for naive-EC (docs/scheduling.md).
 """
 
 from repro.scheduler.model import JacksonNetworkModel, MMKModel, erlang_c
@@ -31,15 +29,11 @@ from repro.scheduler.assignment import (
     greedy_assignment,
     solve_assignment,
 )
-from repro.scheduler.predictive import drr_assignment
 from repro.scheduler.scheduler import DynamicScheduler, SchedulerReport
 from repro.scheduler.strategies import (
-    STRATEGY_NAMES,
     NaiveECStrategy,
-    PredictiveStrategy,
     ReactiveStrategy,
     SchedulingStrategy,
-    make_strategy,
 )
 
 __all__ = [
@@ -53,14 +47,10 @@ __all__ = [
     "MMKModel",
     "NaiveAssigner",
     "NaiveECStrategy",
-    "PredictiveStrategy",
     "ReactiveStrategy",
-    "STRATEGY_NAMES",
     "SchedulerReport",
     "SchedulingStrategy",
-    "drr_assignment",
     "erlang_c",
     "greedy_assignment",
-    "make_strategy",
     "solve_assignment",
 ]

@@ -38,9 +38,6 @@ class SchedulerRound:
     cores_added: int
     cores_removed: int
     strategy: str = "reactive"
-    #: Mean absolute one-step forecast error (0.0 for non-forecasting
-    #: strategies — the reactive baseline has no forecast to be wrong).
-    forecast_error: float = 0.0
 
 
 class SchedulerReport:
@@ -151,9 +148,7 @@ class DynamicScheduler:
             strategy = self.strategy
             demands = []
             for executor in live:
-                measured = executor.metrics.arrival_rate(now)
-                strategy.observe(executor.name, now, measured)
-                arrival = measured * self.demand_headroom
+                arrival = executor.metrics.arrival_rate(now) * self.demand_headroom
                 service = executor.metrics.service_rate()
                 if executor.is_congested():
                     self._last_congested_round[executor.name] = self._round
@@ -163,7 +158,7 @@ class DynamicScheduler:
                 demands.append(
                     ExecutorDemand(
                         name=executor.name,
-                        arrival_rate=strategy.demand(executor.name, arrival),
+                        arrival_rate=arrival,
                         service_rate=service,
                     )
                 )
@@ -211,7 +206,6 @@ class DynamicScheduler:
                     cores_added=cores_added,
                     cores_removed=cores_removed,
                     strategy=strategy.name,
-                    forecast_error=strategy.forecast_error(),
                 )
             )
             span.mark("planned")
@@ -225,7 +219,6 @@ class DynamicScheduler:
                 cores_added=cores_added,
                 cores_removed=cores_removed,
                 strategy=strategy.name,
-                forecast_error=strategy.forecast_error(),
             )
         finally:
             span.finish(status="aborted")

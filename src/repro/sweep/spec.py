@@ -160,6 +160,8 @@ class TrialConfig:
             raise ValueError(f"rate must be positive, got {self.rate}")
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if not 0 <= self.warmup < self.duration:

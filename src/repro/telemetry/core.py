@@ -143,33 +143,6 @@ class Telemetry:
             return None
         return self.flight.dump(directory, reason, meta=meta)
 
-    def attach_scheduler(self, scheduler: typing.Any) -> None:
-        """Register forecast gauges for a forecasting scheduler strategy.
-
-        Called after the scheduler exists (it is built after
-        :meth:`attach` runs).  Strategies without a forecast bank —
-        reactive, naive-EC — register nothing, so those runs stay
-        bit-identical to builds without this hook.
-        """
-        if not self.enabled:
-            return
-        bank = getattr(scheduler.strategy, "bank", None)
-        if bank is None:
-            return
-        registry = self.registry
-        for executor in scheduler.executors:
-            name = executor.name
-            registry.register_gauge(
-                "forecast_demand",
-                lambda n=name: bank.predict(n),
-                executor=name,
-            )
-            registry.register_gauge(
-                "forecast_abs_error",
-                lambda n=name: bank.abs_error(n),
-                executor=name,
-            )
-
     def start(self) -> None:
         """Spawn the sampler process (idempotent; no-op when disabled)."""
         if not self.enabled or self._started:

@@ -9,9 +9,7 @@
   (boosts follow keys across shuffles).
 - :class:`MicroBenchmarkWorkload`: the generator→calculator topology of §5.1.
 - :class:`SSEWorkload`: a synthetic substitute for the proprietary
-  Shanghai Stock Exchange order trace of §5.4 (see DESIGN.md), with
-  optional deterministic :class:`ScheduledBurst` envelopes for A/B
-  scheduler benchmarks.
+  Shanghai Stock Exchange order trace of §5.4 (see DESIGN.md).
 """
 
 from repro.workloads.zipf import (
@@ -22,16 +20,13 @@ from repro.workloads.zipf import (
 )
 from repro.workloads.join import StatelessMapWorkload, WindowedJoinWorkload
 from repro.workloads.micro import MicroBenchmarkWorkload
-from repro.workloads.replay import RecordedWorkload
-from repro.workloads.sse import ScheduledBurst, SSEWorkload
+from repro.workloads.sse import SSEWorkload
 
 __all__ = [
     "BurstEvent",
     "HotspotBurst",
     "KeyShuffler",
     "MicroBenchmarkWorkload",
-    "RecordedWorkload",
-    "ScheduledBurst",
     "SSEWorkload",
     "StatelessMapWorkload",
     "WindowedJoinWorkload",

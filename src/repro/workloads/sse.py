@@ -47,7 +47,6 @@ keyed by stock id throughout.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 import typing
@@ -68,34 +67,6 @@ from repro.topology import KeySpace, Topology, TopologyBuilder, TupleBatch
 
 #: Order sizes drawn uniformly (shares per limit order).
 _VOLUMES = np.array([100, 200, 300, 500, 1000])
-
-
-@dataclasses.dataclass(frozen=True)
-class ScheduledBurst:
-    """A deterministic hotspot burst on one stock (A/B benchmarking).
-
-    Unlike the random bursts drawn per tick, a scheduled burst consumes
-    no RNG: its envelope ramps linearly from 0 to ``magnitude`` over
-    ``ramp`` seconds starting at ``start``, holds for ``hold`` seconds,
-    then decays geometrically (the workload's ``burst_decay``).  Runs
-    that differ only in scheduled bursts stay on identical RNG streams.
-    """
-
-    start: float
-    stock: int
-    magnitude: float
-    ramp: float = 5.0
-    hold: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError("burst start must be >= 0")
-        if self.stock < 0:
-            raise ValueError("burst stock must be >= 0")
-        if self.magnitude <= 0:
-            raise ValueError("burst magnitude must be positive")
-        if self.ramp < 0 or self.hold < 0:
-            raise ValueError("burst ramp/hold must be >= 0")
 
 
 class _InFlightTick:
@@ -146,7 +117,6 @@ class SSEWorkload:
         burst_probability: float = 0.01,
         burst_magnitude: float = 8.0,
         burst_decay: float = 0.92,
-        scheduled_bursts: typing.Optional[typing.Sequence[ScheduledBurst]] = None,
         real_payloads: bool = False,
         track_arrivals: bool = True,
         weights_window: typing.Optional[int] = None,
@@ -175,13 +145,6 @@ class SSEWorkload:
         self.burst_probability = burst_probability
         self.burst_magnitude = burst_magnitude
         self.burst_decay = burst_decay
-        self.scheduled_bursts = list(scheduled_bursts) if scheduled_bursts else []
-        for burst in self.scheduled_bursts:
-            if burst.stock >= num_stocks:
-                raise ValueError(
-                    f"scheduled burst targets stock {burst.stock}, but the "
-                    f"workload has stocks 0..{num_stocks - 1}"
-                )
         self.real_payloads = real_payloads
         #: Record per-tick per-stock arrival counts (Figure 15's data).
         #: Off by default at million-key scale: the counters would
@@ -223,7 +186,6 @@ class SSEWorkload:
         #: Scratch every tick's full-width draws land in.
         self._draws = np.empty(num_stocks)
         self._onset_mask = np.empty(num_stocks, dtype=bool)
-        self._boosted_stocks = sorted({b.stock for b in self.scheduled_bursts})
         self._advanced_ticks = 0
         #: tick index -> cumulative weight table (None once evicted).
         self._tick_tables: typing.List[typing.Optional[np.ndarray]] = []
@@ -238,30 +200,6 @@ class SSEWorkload:
         self.arrival_counts: typing.Dict[int, np.ndarray] = {}
 
     # -- time-varying rates -------------------------------------------------
-
-    def _scheduled_envelope(self, stock: int, time: float) -> float:
-        """Deterministic scheduled-burst boost for ``stock`` at ``time``."""
-        boost = 0.0
-        for burst in self.scheduled_bursts:
-            if burst.stock != stock or time < burst.start:
-                continue
-            plateau_at = burst.start + burst.ramp
-            end = plateau_at + burst.hold
-            if time < plateau_at:
-                boost += burst.magnitude * (time - burst.start) / burst.ramp
-            elif time < end:
-                boost += burst.magnitude
-            else:
-                tail = burst.magnitude * self.burst_decay ** (time - end)
-                if tail > 0.05:
-                    boost += tail
-        return boost
-
-    def _scheduled_boost(self, time: float) -> np.ndarray:
-        """Scheduled-burst boosts of ``_boosted_stocks`` at ``time``."""
-        return np.array(
-            [self._scheduled_envelope(stock, time) for stock in self._boosted_stocks]
-        )
 
     def _step(self, tick_index: int, table: np.ndarray) -> None:
         """Draw one market tick and write its cumulative weight table.
@@ -282,7 +220,6 @@ class SSEWorkload:
         multiplier = self._multiplier
         burst = self._burst
         draws = self._draws
-        boosted = self._boosted_stocks
         # Same values as exp(rng.normal(0.0, sigma, n)), without the
         # per-tick array.
         if sigma > 0:
@@ -303,16 +240,11 @@ class SSEWorkload:
         burst[onset] = self.burst_magnitude * (0.5 + draws[onset])
         bursting = np.concatenate((bursting, fresh))
         self._bursting = bursting
-        # weights = popularity * multiplier * ((1 + burst) + boost):
-        # the factor is exactly 1.0 off the bursting and boosted
-        # stocks, so only those are touched after the dense product.
+        # weights = popularity * multiplier * (1 + burst): the factor is
+        # exactly 1.0 off the bursting stocks, so only those are touched
+        # after the dense product.
         np.multiply(popularity, multiplier, out=table)
         table[bursting] *= 1.0 + burst[bursting]
-        if boosted:
-            boost = self._scheduled_boost(tick_index * self.tick)
-            table[boosted] = (popularity[boosted] * multiplier[boosted]) * (
-                (1.0 + burst[boosted]) + boost
-            )
         np.cumsum(table, out=table)
 
     def _advance_to(self, tick_index: int) -> None:

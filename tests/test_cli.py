@@ -108,10 +108,11 @@ class TestExecution:
         (["run", "--sources", "0"], "source_instances must be >= 1, got 0"),
         (["run", "--executors", "0"], "executors_per_operator must be >= 1, got 0"),
         (["run", "--net-profile", "bogus"], "unknown network profile 'bogus'"),
+        (["run", "--seed", "-1"], "seed must be >= 0, got -1"),
     ], ids=[
         "run", "compare", "faults", "sse-default", "warmup-past-duration",
         "negative-rate", "no-keys", "no-sources", "no-executors",
-        "unknown-net-profile",
+        "unknown-net-profile", "negative-seed",
     ])
     def test_malformed_flags_are_a_usage_error(self, argv, message, capsys):
         assert main(argv) == 2

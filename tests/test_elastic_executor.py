@@ -307,6 +307,87 @@ class TestConsistency:
         assert executor.imbalance() <= 1.35  # theta=1.2 plus slack
 
 
+class TestCrashDuringFlush:
+    def test_destination_crashed_mid_flush_stays_paused_for_recovery(
+        self, env, cluster, monkeypatch
+    ):
+        """A shard move's last step routes the shard to its destination and
+        flushes the batches its pause buffered there.  Should the
+        destination die after the first one is sent, the shard is orphaned:
+        it must stay paused for recovery, not resume with no owner."""
+        from repro.executors import elastic
+        from repro.faults.recovery import DeadLetterReaper
+        from repro.metrics.recovery import RecoveryStats
+
+        logic = RecordingLogic()
+        # No balancing rounds: the only moves are add_core's spread, and
+        # 4 MiB of state per shard keeps each pause open long enough for
+        # arrivals to buffer.
+        executor = make_executor(
+            env, cluster, logic, cores=1,
+            config=ExecutorConfig(balance_interval=1000.0),
+            state_bytes=4 * 1024 * 1024,
+        )
+        stats = RecoveryStats()
+        lost: typing.List[TupleBatch] = []
+        reaper = DeadLetterReaper(env, stats, on_lost=lost.append)
+        crashed = []  # the flushed shard's entry, and its dead destination
+        at_detection = []
+
+        def recover(orphans, node):
+            yield env.timeout(0.05)  # detection delay
+            entry, _ = crashed[0]
+            at_detection.append((entry.task, entry.paused, list(entry.buffer)))
+            yield from executor.rehome_orphans(
+                orphans, node, stats, rebuild_rate=100e6, lose_state=False
+            )
+
+        forward = elastic.ElasticExecutor._forward
+
+        def forward_then_crash(self, item, task):
+            event = forward(self, item, task)
+            # Only a move's flush forwards tuple batches.
+            if isinstance(item, TupleBatch) and not crashed:
+                crashed.append((self.routing.entry(self._shard_lookup[item.key]), task))
+                orphans = self.crash_tasks([task], reaper)
+                env.process(recover(orphans, task.node_id))
+            return event
+
+        monkeypatch.setattr(elastic.ElasticExecutor, "_forward", forward_then_crash)
+        feed(env, executor, [batch(key=k % 16, payload=k) for k in range(400)],
+             spacing=0.002)
+
+        def grow():
+            yield env.timeout(0.1)
+            yield from executor.add_core(1)
+
+        env.process(grow())
+        env.run(until=5.0)
+
+        (entry, dead), = crashed
+        assert dead.stopped and dead.task_id not in executor.tasks
+        # Orphaned and paused until the re-home: the batches that arrived
+        # for the shard in between were buffered, not routed to the dead
+        # task.
+        (owner, paused, buffered), = at_detection
+        assert owner is None and paused
+        assert buffered
+        assert {executor._shard_lookup[b.key] for b in buffered} == {entry.shard_id}
+        # Only what the flush sent onto the dying task is lost.
+        assert {executor._shard_lookup[b.key] for b in lost} == {entry.shard_id}
+        assert not set(map(id, lost)) & set(map(id, buffered))
+
+        # Exactly once or counted lost, in per-key order.
+        assert executor.routing.buffered_items() == 0
+        assert stats.batches_lost.total == len(lost)
+        seen = [payload for _, payload in logic.seen]
+        assert len(seen) + len(lost) == 400
+        assert sorted(seen + [b.payload for b in lost]) == list(range(400))
+        for key in range(16):
+            mine = [payload for k, payload in logic.seen if k == key]
+            assert mine == sorted(mine)
+
+
 class TestStaticExecutor:
     def test_rejects_scaling(self, env, cluster):
         spec = OperatorSpec("op", logic=RecordingLogic(), num_executors=1,

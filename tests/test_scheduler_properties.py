@@ -1,7 +1,7 @@
-"""Property battery over ALL scheduling strategies (docs/scheduling.md).
+"""Property battery over both scheduling strategies (docs/scheduling.md).
 
-One parametrized fixture drives every strategy — reactive, predictive,
-naive-EC — through the same invariants:
+One parametrized fixture drives each strategy — reactive and naive-EC —
+through the same invariants:
 
 - core conservation: every assignment plan grants each executor exactly
   its target and never oversubscribes a node;
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-# The strategy_name fixture is an immutable string shared across
+# The strategy_cls fixture is an immutable class shared across
 # generated examples, so it is safe to keep function scope.
 battery_settings = settings(
     max_examples=40,
@@ -30,23 +30,17 @@ from repro.logic.base import OperatorLogic
 from repro.scheduler import DynamicScheduler, GreedyAllocator
 from repro.scheduler.allocation import ExecutorDemand
 from repro.scheduler.assignment import AssignmentInput
-from repro.scheduler.strategies import (
-    STRATEGY_NAMES,
-    PredictiveStrategy,
-    make_strategy,
-)
+from repro.scheduler.strategies import NaiveECStrategy, ReactiveStrategy
 from repro.sim import Environment
 from repro.topology import OperatorSpec, TupleBatch
 
 
-@pytest.fixture(params=STRATEGY_NAMES)
-def strategy_name(request):
-    """Every scheduling strategy, by name — THE battery axis."""
+@pytest.fixture(
+    params=[ReactiveStrategy, NaiveECStrategy], ids=lambda cls: cls.name
+)
+def strategy_cls(request):
+    """Each scheduling strategy — THE battery axis."""
     return request.param
-
-
-def fresh_strategy(name):
-    return make_strategy(name)
 
 
 # -- hypothesis scenario generation ------------------------------------------
@@ -115,8 +109,8 @@ def assignment_scenarios(draw):
 class TestCoreConservation:
     @battery_settings
     @given(inp=assignment_scenarios())
-    def test_plan_meets_targets_within_capacity(self, strategy_name, inp):
-        strategy = fresh_strategy(strategy_name)
+    def test_plan_meets_targets_within_capacity(self, strategy_cls, inp):
+        strategy = strategy_cls()
         matrix, phi_used = strategy.assign(inp)
         # Exactly the target for every executor — no more, no less.
         for name, target in inp.targets.items():
@@ -135,11 +129,11 @@ class TestCoreConservation:
 
     @battery_settings
     @given(inp=assignment_scenarios())
-    def test_plan_is_deterministic(self, strategy_name, inp):
+    def test_plan_is_deterministic(self, strategy_cls, inp):
         import copy
 
-        a = fresh_strategy(strategy_name).assign(copy.deepcopy(inp))
-        b = fresh_strategy(strategy_name).assign(copy.deepcopy(inp))
+        a = strategy_cls().assign(copy.deepcopy(inp))
+        b = strategy_cls().assign(copy.deepcopy(inp))
         assert a == b
 
 
@@ -150,26 +144,6 @@ class TestMonotonicity:
     @battery_settings
     @given(
         arrivals=st.lists(
-            st.floats(min_value=0.0, max_value=5_000.0),
-            min_size=1,
-            max_size=4,
-        ),
-        scale=st.floats(min_value=1.0, max_value=4.0),
-    )
-    def test_demand_hook_monotone_in_arrival(self, strategy_name, arrivals, scale):
-        """strategy.demand never shrinks when the measured rate grows."""
-        strategy = fresh_strategy(strategy_name)
-        for round_index in range(5):  # give forecasters some history
-            for j, arrival in enumerate(arrivals):
-                strategy.observe(f"ex{j}", float(round_index), arrival)
-        for j, arrival in enumerate(arrivals):
-            base = strategy.demand(f"ex{j}", arrival)
-            scaled = strategy.demand(f"ex{j}", arrival * scale)
-            assert scaled >= base
-
-    @battery_settings
-    @given(
-        arrivals=st.lists(
             st.floats(min_value=1.0, max_value=3_000.0),
             min_size=1,
             max_size=4,
@@ -177,23 +151,35 @@ class TestMonotonicity:
         scale=st.floats(min_value=1.0, max_value=3.0),
     )
     def test_allocated_cores_monotone_under_scaled_demand(
-        self, strategy_name, arrivals, scale
+        self, strategy_cls, arrivals, scale
     ):
-        """Uniformly scaling every arrival never shrinks the total grant."""
-        strategy = fresh_strategy(strategy_name)
+        """Uniformly scaling every arrival never shrinks the cores a round
+        places: the allocation's targets, through the strategy's plan."""
+        strategy = strategy_cls()
         allocator = GreedyAllocator(latency_target=0.05)
-        total_cores = 16
+        node_capacity = {node: 4 for node in range(4)}
 
         def allocate(factor):
             demands = [
                 ExecutorDemand(
                     name=f"ex{j}",
-                    arrival_rate=strategy.demand(f"ex{j}", arrival * factor),
+                    arrival_rate=arrival * factor,
                     service_rate=1000.0,
                 )
                 for j, arrival in enumerate(arrivals)
             ]
-            return allocator.allocate(demands, total_cores).total_cores
+            targets = allocator.allocate(demands, total_cores=16).cores
+            matrix, _ = strategy.assign(
+                AssignmentInput(
+                    targets=targets,
+                    current={},
+                    local_node={name: 0 for name in targets},
+                    state_bytes={name: 0.0 for name in targets},
+                    data_rates={name: 0.0 for name in targets},
+                    node_capacity=node_capacity,
+                )
+            )
+            return sum(sum(placement.values()) for placement in matrix.values())
 
         assert allocate(scale) >= allocate(1.0)
 
@@ -265,7 +251,7 @@ def feed(env, executor, rate, cost=1e-3, batch_size=10, ramp=0.0):
     return env.process(body())
 
 
-def run_world(strategy_name, until=8.0):
+def run_world(strategy_cls, until=8.0):
     env, cluster, executors = make_world(num_executors=2)
     feed(env, executors[0], rate=800, ramp=250.0)
     feed(env, executors[1], rate=400)
@@ -274,11 +260,7 @@ def run_world(strategy_name, until=8.0):
         cluster,
         executors,
         interval=0.5,
-        strategy=(
-            PredictiveStrategy(horizon=2)
-            if strategy_name == "predictive"
-            else make_strategy(strategy_name)
-        ),
+        strategy=strategy_cls(),
     )
     scheduler.start()
     env.run(until=until)
@@ -306,8 +288,8 @@ def assert_shard_integrity(executor):
 
 
 class TestShardIntegrity:
-    def test_no_orphan_or_double_ownership_after_rounds(self, strategy_name):
-        env, cluster, executors, scheduler = run_world(strategy_name)
+    def test_no_orphan_or_double_ownership_after_rounds(self, strategy_cls):
+        env, cluster, executors, scheduler = run_world(strategy_cls)
         assert len(scheduler.report.rounds) >= 10
         # The ramped executor must actually have been resized (the plan
         # paths under test are the reassignment paths).
@@ -315,10 +297,10 @@ class TestShardIntegrity:
         for executor in executors:
             assert_shard_integrity(executor)
 
-    def test_bit_identical_plans_across_seeded_runs(self, strategy_name):
+    def test_bit_identical_plans_across_seeded_runs(self, strategy_cls):
         outcomes = []
         for _ in range(2):
-            env, cluster, executors, scheduler = run_world(strategy_name)
+            env, cluster, executors, scheduler = run_world(strategy_cls)
             outcomes.append(
                 (
                     [
@@ -328,7 +310,6 @@ class TestShardIntegrity:
                             r.cores_added,
                             r.cores_removed,
                             r.strategy,
-                            r.forecast_error,
                         )
                         for r in scheduler.report.rounds
                     ],
@@ -337,7 +318,7 @@ class TestShardIntegrity:
             )
         assert outcomes[0] == outcomes[1]
 
-    def test_round_records_carry_strategy_name(self, strategy_name):
-        env, cluster, executors, scheduler = run_world(strategy_name, until=3.0)
+    def test_round_records_carry_strategy_name(self, strategy_cls):
+        env, cluster, executors, scheduler = run_world(strategy_cls, until=3.0)
         assert scheduler.report.rounds
-        assert all(r.strategy == strategy_name for r in scheduler.report.rounds)
+        assert all(r.strategy == strategy_cls.name for r in scheduler.report.rounds)

@@ -220,6 +220,7 @@ class TestSweepSpec:
         ({"name": "x", "base": {"seed": True}}, "seed must be an integer, got True"),
         ({"name": "x", "base": {"system_args": []}}, "system_args must be an object"),
         ([], "a sweep spec must be an object, got []"),
+        ({"name": "x", "base": {"seed": -1}}, "seed must be >= 0, got -1"),
     ])
     def test_malformed_spec_names_the_key(self, bad, names):
         with pytest.raises(ValueError) as exc_info:

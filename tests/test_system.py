@@ -172,6 +172,12 @@ class TestStreamSystemBasics:
         with pytest.raises(ValueError, match=r"warmup must lie in \[0, duration\)"):
             system.run(10.0, warmup=30.0)
 
+    @pytest.mark.parametrize("phi", [0.0, -1.0])
+    def test_nonpositive_phi_rejected_at_load(self, phi):
+        # Rejected at load, not at the run's first scheduler round.
+        with pytest.raises(ValueError, match=f"phi must be positive, got {phi}"):
+            SystemConfig(phi=phi)
+
     def test_multiple_sources_rejected(self):
         from repro.logic import SyntheticLogic
         from repro.topology import TopologyBuilder

@@ -14,7 +14,6 @@ from repro.workloads import (
     BurstEvent,
     HotspotBurst,
     KeyShuffler,
-    ScheduledBurst,
     MicroBenchmarkWorkload,
     SSEWorkload,
     ZipfKeyDistribution,
@@ -293,17 +292,6 @@ class TestSSEStreamIdentity:
 
     CASES = [
         (dict(num_stocks=500, seed=3), "64aa1d932d73c74b"),
-        (
-            dict(
-                num_stocks=2000,
-                seed=5,
-                scheduled_bursts=[
-                    ScheduledBurst(start=1.0, stock=3, magnitude=6.0, ramp=1.0, hold=2.0),
-                    ScheduledBurst(start=2.0, stock=1500, magnitude=20.0),
-                ],
-            ),
-            "70b7912a6dda804d",
-        ),
         (dict(num_stocks=300, drift_sigma=0.0, seed=9), "cffbda54fbab85fd"),
         (dict(num_stocks=300, burst_probability=0.0, seed=11), "6b9042ce841d6f19"),
         (
@@ -313,8 +301,9 @@ class TestSSEStreamIdentity:
         (dict(num_stocks=1000, weights_window=2, seed=17), "cbeab33c3ed28752"),
     ]
 
+    # The ids keep the numbers the digests were pinned under.
     @pytest.mark.parametrize(
-        "params, expected", CASES, ids=[f"case{i}" for i in range(len(CASES))]
+        "params, expected", CASES, ids=[f"case{i}" for i in (0, 2, 3, 4, 5)]
     )
     def test_stream_digest(self, params, expected):
         workload = SSEWorkload(rate=20_000, batch_size=10, **params)
@@ -663,69 +652,6 @@ class TestHotspotBurst:
         dist.shuffle()
         hot_now = set(dist.hottest_keys(2))
         assert hot_now == set(keys)
-
-
-class TestScheduledBurst:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScheduledBurst(start=-1.0, stock=0, magnitude=2.0)
-        with pytest.raises(ValueError):
-            ScheduledBurst(start=0.0, stock=-1, magnitude=2.0)
-        with pytest.raises(ValueError):
-            ScheduledBurst(start=0.0, stock=0, magnitude=0.0)
-        with pytest.raises(ValueError):
-            SSEWorkload(
-                num_stocks=10,
-                scheduled_bursts=[ScheduledBurst(start=0.0, stock=10, magnitude=2.0)],
-            )
-
-    def test_envelope_shape(self):
-        workload = SSEWorkload(
-            num_stocks=10,
-            burst_probability=0.0,
-            scheduled_bursts=[
-                ScheduledBurst(start=5.0, stock=2, magnitude=8.0, ramp=4.0, hold=6.0)
-            ],
-        )
-        env = workload._scheduled_envelope
-        assert env(2, 0.0) == 0.0
-        assert env(2, 7.0) == pytest.approx(4.0)  # halfway up the ramp
-        assert env(2, 10.0) == pytest.approx(8.0)  # holding
-        assert env(2, 15.0) == pytest.approx(8.0)  # end of hold
-        assert 0.0 < env(2, 17.0) < 8.0  # decaying
-        assert env(2, 500.0) == 0.0  # decayed below the floor, cut off
-        assert env(3, 10.0) == 0.0  # other stocks untouched
-
-    def test_scheduled_burst_consumes_no_rng(self):
-        """An empty burst list must leave the RNG stream untouched."""
-        quiet = SSEWorkload(num_stocks=20, burst_probability=0.0, seed=5)
-        scheduled = SSEWorkload(
-            num_stocks=20,
-            burst_probability=0.0,
-            seed=5,
-            scheduled_bursts=[
-                ScheduledBurst(start=2.0, stock=0, magnitude=4.0)
-            ],
-        )
-        quiet_rates = [quiet.stock_rate(1, t) for t in range(100)]
-        burst_rates = [scheduled.stock_rate(1, t) for t in range(100)]
-        # Stock 1 is never boosted: identical streams except for the
-        # normalization shift while stock 0's burst is active.
-        assert quiet_rates[:15] == burst_rates[:15]
-
-    def test_burst_raises_target_stock_rate(self):
-        workload = SSEWorkload(
-            rate=1000.0,
-            num_stocks=10,
-            burst_probability=0.0,
-            drift_sigma=0.0,
-            scheduled_bursts=[
-                ScheduledBurst(start=2.0, stock=4, magnitude=9.0, ramp=2.0, hold=20.0)
-            ],
-        )
-        before = workload.stock_rate(4, 10)  # t = 1.0 s, pre-burst
-        during = workload.stock_rate(4, 100)  # t = 10.0 s, holding
-        assert during > 5 * before
 
 
 class TestMillionKeyScale:
