@@ -36,7 +36,6 @@ from repro.executors.routing import RoutingTable
 from repro.executors.stats import ExecutorMetrics, ReassignmentRecord, ReassignmentStats
 from repro.executors.task import STOP, Task
 from repro.logic.base import OperatorLogic
-from repro.sanitize import ShardSanitizer
 from repro.sim import Environment, Event, Resource, Store
 from repro.sim.events import spare_event
 from repro.state import (
@@ -168,7 +167,7 @@ class ElasticExecutor:
         "_balancer", "_shard_cost_accum", "_shard_load", "_downstream_groups",
         "_sink_recorder", "_started", "_enable_balancer", "_receiver", "_emitter",
         "_balance_daemon", "alive", "_stranded",
-        "stall_factor", "operator_in_flight", "_san", "latency_probe",
+        "stall_factor", "operator_in_flight", "latency_probe",
     )
 
     def __init__(
@@ -255,9 +254,6 @@ class ElasticExecutor:
         #: Set by the hybrid controller: operator-level in-flight counter
         #: decremented as this executor completes batches.
         self.operator_in_flight: typing.Optional[typing.Any] = None
-        #: Shard-ownership race detector; None unless REPRO_SANITIZE is set
-        #: (each check site is a single ``is not None`` test).
-        self._san = ShardSanitizer.from_env(self.name, env)
         #: Per-shard end-to-end latency sketches; None unless telemetry is
         #: enabled (the sink path pays a single ``is not None`` test).
         self.latency_probe: typing.Optional[typing.Any] = None
@@ -578,8 +574,6 @@ class ElasticExecutor:
                 yield self.env.timeout(REASSIGNMENT_OVERHEAD)
                 # 1. Pause routing for the shard; new arrivals buffer in the
                 # entry.  (The crash already paused an orphan.)
-                if self._san is not None:
-                    self._san.on_pause(entry)
                 entry.paused = True
             span.mark("pause")
             if src_task is not None:

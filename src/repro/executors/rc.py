@@ -62,7 +62,7 @@ class RCExecutor:
         "_emitter_queue", "_emitter_sender", "_downstream_groups",
         "_sink_recorder", "alive", "stall_factor", "_emitter",
         "_shard_lookup", "stores", "operator_in_flight", "_shard_cost_accum",
-        "_remote_senders", "_san", "external_state",
+        "_remote_senders", "external_state",
     )
 
     def __init__(
@@ -91,7 +91,6 @@ class RCExecutor:
         #: Shard load is charged at admission (:meth:`RCOperatorManager.record_arrival`).
         self._shard_cost_accum = None
         self._remote_senders: typing.Dict[int, WindowedSender] = {}
-        self._san = None
         self.external_state = None
         self._emitter_queue = Store(env, capacity=EMITTER_QUEUE_CAPACITY)
         self._emitter_sender = WindowedSender(

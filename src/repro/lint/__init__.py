@@ -22,9 +22,9 @@ SUP002    Framework rule: every justified suppression still silences a
 ========  ==============================================================
 
 Each project rule catches at least one real bug that nothing else
-catches: ``tests/mutants.py`` scores each rule, the test suite and the
-``REPRO_SANITIZE=1`` sanitizer against a set of this repository's real
-bugs (table in ``docs/static-analysis.md``).
+catches: ``tests/mutants.py`` scores each rule and the test suite
+against a set of this repository's real bugs (table in
+``docs/static-analysis.md``).
 
 Findings are suppressed inline with ``# repro: allow[RULE]: reason`` on
 the offending line; the reason is mandatory.  See

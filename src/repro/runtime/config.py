@@ -6,7 +6,18 @@ import dataclasses
 import enum
 import typing
 
+from repro.cluster.node import check_finite
 from repro.executors.config import ExecutorConfig
+
+#: Numeric fields that must be finite and > 0, and finite and >= 0.
+_POSITIVE = (
+    "bandwidth_bps", "scheduler_interval", "latency_target", "phi",
+    "rc_manage_interval", "sample_interval", "hybrid_interval",
+    "state_rebuild_bytes_per_s",
+)
+_NON_NEGATIVE = (
+    "network_latency", "trace_every", "detection_delay", "static_restart_seconds",
+)
 
 
 class Paradigm(enum.Enum):
@@ -84,18 +95,16 @@ class SystemConfig:
             raise ValueError("cluster must have at least one node and core")
         if self.source_instances < 1:
             raise ValueError("need at least one source instance")
-        if self.scheduler_interval <= 0 or self.rc_manage_interval <= 0:
-            raise ValueError("scheduler intervals must be positive")
-        if self.phi <= 0:
-            raise ValueError(f"phi must be positive, got {self.phi!r}")
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        if self.detection_delay < 0:
-            raise ValueError("detection_delay must be >= 0")
-        if self.state_rebuild_bytes_per_s <= 0:
-            raise ValueError("state_rebuild_bytes_per_s must be positive")
-        if self.static_restart_seconds < 0:
-            raise ValueError("static_restart_seconds must be >= 0")
+        for field in _POSITIVE:
+            value = getattr(self, field)
+            check_finite(field, value)
+            if value <= 0:
+                raise ValueError(f"{field} must be positive, got {value!r}")
+        for field in _NON_NEGATIVE:
+            value = getattr(self, field)
+            check_finite(field, value)
+            if value < 0:
+                raise ValueError(f"{field} must be >= 0, got {value!r}")
         if self.network_profile is not None:
             from repro.cluster.profile import NetworkProfile
 

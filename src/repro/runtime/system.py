@@ -8,6 +8,7 @@ import statistics
 import typing
 
 from repro.cluster import Cluster, TransferPurpose
+from repro.cluster.node import check_finite
 from repro.executors import (
     ElasticExecutor,
     ElasticGroup,
@@ -286,6 +287,19 @@ class StreamSystem:
         non_source_ops = [
             spec for spec in self.topology if not spec.is_source
         ]
+        if config.static_weights:
+            names = {spec.name for spec in non_source_ops}
+            for name, weight in config.static_weights.items():
+                if name not in names:
+                    raise ValueError(
+                        f"static_weights key {name!r} names no operator of the "
+                        f"topology (operators: {', '.join(sorted(names))})"
+                    )
+                check_finite(f"static_weights[{name!r}]", weight)
+                if weight <= 0:
+                    raise ValueError(
+                        f"static_weights[{name!r}] must be positive, got {weight!r}"
+                    )
         counts = {
             spec.name: (
                 self._static_executor_count(
@@ -616,8 +630,8 @@ class StreamSystem:
             self.env.run(until=duration)
         except BaseException as exc:
             # Post-mortem: anything escaping the run — a fault-coordinator
-            # abort, a REPRO_SANITIZE violation, a bug — dumps the flight
-            # ring before propagating (no-op when telemetry is off).
+            # abort, a process crash, a bug — dumps the flight ring before
+            # propagating (no-op when telemetry is off).
             self.telemetry.flight_dump(
                 os.environ.get("REPRO_FLIGHT_DIR", FLIGHT_RECORDER_DIR),
                 reason=f"{type(exc).__name__}: {exc}",

@@ -86,6 +86,8 @@ class Environment:
             self._ready.append(event)  # sub-ulp delay: due now
         elif delay == 0.0:
             self._ready.append(event)
+        elif delay != delay:
+            raise SimulationError(f"cannot schedule at a delay that is not a number ({delay})")
         else:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
 
@@ -94,12 +96,14 @@ class Environment:
 
         The sanctioned future-event fast path: equivalent to
         ``schedule(event, time - now)``.  ``time == now`` goes to the ready
-        deque; a time in the past raises.
+        deque; a time in the past, or one that is not a number, raises.
         """
-        if time <= self._now:
+        if not time > self._now:  # NaN fails this too
             if time == self._now:
                 self._ready.append(event)
                 return
+            if time != time:
+                raise SimulationError(f"cannot schedule at a time that is not a number ({time})")
             raise SimulationError(
                 f"cannot schedule into the past (time={time} < now={self._now})"
             )

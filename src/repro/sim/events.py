@@ -144,8 +144,10 @@ class Timeout(Event):
         # Inlined Event.__init__ + Environment.schedule: one Timeout is
         # created per processed batch (the CPU-cost wait), so the extra
         # call frames showed up in profiles.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # NaN fails this too
+            raise SimulationError(
+                f"timeout delay must be a non-negative number, got {delay}"
+            )
         self.env = env
         self.callbacks = []
         self.delay = delay

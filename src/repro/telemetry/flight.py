@@ -4,9 +4,8 @@ Full event logs for a long run are large; the part that explains a crash
 is the last few hundred records.  The :class:`FlightRecorder` subscribes
 to the :class:`~repro.telemetry.events.EventBus` and keeps the most
 recent events, finished spans, and metric-sampler notes in a fixed-size
-ring.  When the run dies — a fault-coordinator abort, a
-``REPRO_SANITIZE=1`` :class:`~repro.sanitize.ShardRaceError`, any
-uncaught exception escaping the simulation loop —
+ring.  When the run dies — a fault-coordinator abort, a process crash,
+any uncaught exception escaping the simulation loop —
 :meth:`dump` writes the ring as JSONL so the tail of the run survives
 the process.
 

@@ -8,9 +8,7 @@ fire:
 
 - each ``repro lint`` rule, by id;
 - ``tier-1``: the test suite, without the lint tests and the patch check
-  in ``tests/test_mutants.py``;
-- ``sanitized``: the ``REPRO_SANITIZE=1`` subset and CLI smoke run by CI;
-- ``sanitizer``: a ``ShardRaceError`` raised in either test run.
+  in ``tests/test_mutants.py``.
 
 :data:`MUTANTS` is the committed score table (``docs/static-analysis.md``
 shows it): ``lint`` is what ``repro lint`` reports, ``caught`` what the
@@ -19,7 +17,7 @@ differs from the committed one, or when a patch no longer applies.
 
 Usage (from the repository root)::
 
-    python tests/mutants.py                # every column, ~2.5 min a mutant
+    python tests/mutants.py                # every column, ~1.5 min a mutant
     python tests/mutants.py --lint-only    # the lint column, ~3 s a mutant
     python tests/mutants.py route-before-migrate skip-pause
 
@@ -49,19 +47,6 @@ TIER1 = (
     "tests",
     "--ignore=tests/test_lint.py",
     "--ignore=tests/test_mutants.py",
-)
-
-#: The sanitized subset of the CI lint job.
-SANITIZED = (
-    "tests/test_sanitizer.py", "tests/test_protocol_fuzz.py",
-    "tests/test_hybrid.py", "tests/test_faults.py", "tests/test_sync_pins.py",
-    "tests/test_elastic_executor.py", "tests/test_conservation.py",
-)
-
-#: The sanitized CLI smoke of the CI lint job.
-SMOKE = (
-    "run", "--paradigm", "elasticutor", "--rate", "8000", "--duration", "20",
-    "--warmup", "5", "--json",
 )
 
 #: Wall-clock cap of one test run; a wedged mutant counts as caught.
@@ -114,17 +99,18 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "                    )\n"
             "                self.routing.assign(shard_id, dst_task)\n",
         ),),
-        caught=frozenset({"tier-1", "sanitized", "sanitizer"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "skip-pause",
         "the move never pauses routing for the shard (§3.3 step 1)",
         ELASTIC,
         ((
-            "                    self._san.on_pause(entry)\n                entry.paused = True\n",
-            "                    self._san.on_pause(entry)\n",
+            "                # entry.  (The crash already paused an orphan.)\n"
+            "                entry.paused = True\n",
+            "                # entry.  (The crash already paused an orphan.)\n",
         ),),
-        caught=frozenset({"tier-1", "sanitized", "sanitizer"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "skip-label-chase",
@@ -136,18 +122,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "                yield label_event\n",
             "                pass\n",
         ),),
-        caught=frozenset({"tier-1", "sanitized", "sanitizer"}),
-    ),
-    Mutant(
-        "skip-on-pause-hook",
-        "the sanitizer's drain-start hook is never called",
-        ELASTIC,
-        ((
-            "                if self._san is not None:\n"
-            "                    self._san.on_pause(entry)\n",
-            "",
-        ),),
-        caught=frozenset({"sanitized", "tier-1"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "route-before-migrate",
@@ -158,7 +133,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            self.routing.assign(shard_id, dst)\n"
             "            migrated_bytes = 0\n            inter_node =",
         ),),
-        caught=frozenset({"tier-1", "sanitized"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "remove-core-hole",
@@ -177,7 +152,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
                 "",
             ),
         ),
-        caught=frozenset({"tier-1", "sanitized"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "install-resumes-orphan",
@@ -190,7 +165,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            entry.paused = False\n",
             "        entry.paused = False\n",
         ),),
-        caught=frozenset({"tier-1", "sanitized"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "lost-get-batch",
@@ -202,7 +177,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "        if callback is on_get and not queue.cancel(waiting):\n"
             "            return []\n",
         ),),
-        caught=frozenset({"tier-1", "sanitized"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "discarded-put",
@@ -215,7 +190,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            self._waiting = self.get(self._get, self._on_batch_cb)\n"
             "            return\n",
         ),),
-        caught=frozenset({"tier-1", "sanitized"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "rearm-while-queued",
@@ -229,7 +204,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            self._waiting = self.get(self._get, self._on_batch_cb)\n"
             "            return\n",
         ),),
-        caught=frozenset({"tier-1", "sanitized", "sanitizer"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "spawn-in-callback",
@@ -255,7 +230,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
                 "        sender.env.process(_deliver(sender, hop, self.queue, self.item))\n",
             ),
         ),
-        caught=frozenset({"sanitized", "tier-1"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "stall-closed-aborted",
@@ -269,7 +244,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
         "a node-crash recovery whose restarts all failed returns without finishing as stalled",
         "src/repro/faults/recovery.py",
         (('                span.finish(status="stalled", restarts=len(restarts))\n', ""),),
-        caught=frozenset({"tier-1", "sanitized"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "hybrid-split-unsynchronized",
@@ -282,14 +257,14 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "        )\n",
             "        yield from self._split_move(executor, slots, target_node, reservation)\n",
         ),),
-        caught=frozenset({"tier-1", "sanitized"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "rc-sync-skips-drain",
         "the global sync round moves state without waiting for in-flight tuples to drain",
         "src/repro/executors/gate.py",
         (("            yield self.in_flight.wait_zero()\n", ""),),
-        caught=frozenset({"tier-1", "sanitized"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "builtin-hash-placement",
@@ -395,29 +370,25 @@ class Score:
     failures: typing.List[str]
 
 
-def _env(tree: pathlib.Path, sanitize: bool) -> typing.Dict[str, str]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    env.pop("REPRO_SANITIZE", None)
-    if sanitize:
-        env["REPRO_SANITIZE"] = "1"
-    return env
+def _env(tree: pathlib.Path) -> typing.Dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"))
 
 
 def lint_rules(tree: pathlib.Path) -> typing.FrozenSet[str]:
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "lint", "--json", "src/repro"],
-        cwd=tree, env=_env(tree, False), capture_output=True, text=True,
+        cwd=tree, env=_env(tree), capture_output=True, text=True,
     )
     if proc.returncode not in (0, 1):
         return frozenset({"PARSE"})
     return frozenset(f["rule"] for f in json.loads(proc.stdout))
 
 
-def _run(tree: pathlib.Path, argv: typing.Sequence[str], sanitize: bool) -> typing.Tuple[bool, str]:
+def _run(tree: pathlib.Path, argv: typing.Sequence[str]) -> typing.Tuple[bool, str]:
     """(failed, output) of one command; a timeout counts as a failure."""
     try:
         proc = subprocess.run(
-            argv, cwd=tree, env=_env(tree, sanitize), capture_output=True,
+            argv, cwd=tree, env=_env(tree), capture_output=True,
             text=True, timeout=RUN_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
@@ -436,27 +407,10 @@ def score(tree: pathlib.Path, lint_only: bool) -> Score:
     lint = lint_rules(tree)
     if lint_only:
         return Score(lint, frozenset(), [])
-    caught: typing.Set[str] = set()
-    output = []
-    tier1_failed, out = _run(tree, _pytest(*TIER1), sanitize=False)
-    output.append(out)
-    if tier1_failed:
-        caught.add("tier-1")
-    sanitized_failed, out = _run(tree, _pytest(*SANITIZED), sanitize=True)
-    output.append(out)
-    smoke_failed, out = _run(
-        tree, [sys.executable, "-m", "repro", *SMOKE], sanitize=True
-    )
-    output.append(out)
-    if sanitized_failed or smoke_failed:
-        caught.add("sanitized")
-    text = "\n".join(output)
-    if "ShardRaceError" in text:
-        caught.add("sanitizer")
-    failures = sorted(set(re.findall(r"^FAILED (\S+)", text, re.MULTILINE)))
-    if smoke_failed:
-        failures.append("sanitized CLI smoke")
-    return Score(lint, frozenset(caught), failures)
+    tier1_failed, out = _run(tree, _pytest(*TIER1))
+    caught = frozenset({"tier-1"}) if tier1_failed else frozenset()
+    failures = sorted(set(re.findall(r"^FAILED (\S+)", out, re.MULTILINE)))
+    return Score(lint, caught, failures)
 
 
 def _copy_tree(dst: pathlib.Path) -> None:
@@ -518,6 +472,8 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             )
             caught = "" if args.lint_only else _cell(got.caught)
             print(f"| {mutant.name} | {_cell(got.lint)} | {caught}{flag} |", flush=True)
+            if got.failures:
+                print(f"{mutant.name}: tier-1 failures: {len(got.failures)}", file=sys.stderr)
             for failure in got.failures[:5]:
                 print(f"{mutant.name}: {failure}", file=sys.stderr)
     return 1 if mismatches else 0

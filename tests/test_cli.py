@@ -109,10 +109,13 @@ class TestExecution:
         (["run", "--executors", "0"], "executors_per_operator must be >= 1, got 0"),
         (["run", "--net-profile", "bogus"], "unknown network profile 'bogus'"),
         (["run", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["run", "--latency-target-ms", "nan"], "latency_target must be a finite number"),
+        (["run", "--detection-delay", "nan"], "detection_delay must be a finite number"),
     ], ids=[
         "run", "compare", "faults", "sse-default", "warmup-past-duration",
         "negative-rate", "no-keys", "no-sources", "no-executors",
-        "unknown-net-profile", "negative-seed",
+        "unknown-net-profile", "negative-seed", "nan-latency-target",
+        "nan-detection-delay",
     ])
     def test_malformed_flags_are_a_usage_error(self, argv, message, capsys):
         assert main(argv) == 2

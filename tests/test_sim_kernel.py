@@ -72,8 +72,14 @@ class TestEnvironment:
         assert order == [0, 1, 2, 3, 4]
 
     def test_negative_delay_rejected(self, env):
-        with pytest.raises(SimulationError):
-            env.timeout(-1.0)
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(SimulationError):
+                env.timeout(delay)
+        with pytest.raises(SimulationError, match="not a number"):
+            env.schedule(env.event(), float("nan"))
+        with pytest.raises(SimulationError, match="not a number"):
+            env.push_at(float("nan"), env.event())
+        assert not env._timers and not env._ready
 
     def test_environment_push_at(self, env):
         order = []

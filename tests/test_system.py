@@ -178,6 +178,40 @@ class TestStreamSystemBasics:
         with pytest.raises(ValueError, match=f"phi must be positive, got {phi}"):
             SystemConfig(phi=phi)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "bandwidth_bps", "network_latency", "scheduler_interval",
+            "latency_target", "phi", "rc_manage_interval", "sample_interval",
+            "hybrid_interval", "trace_every", "detection_delay",
+            "state_rebuild_bytes_per_s", "static_restart_seconds",
+        ],
+    )
+    def test_malformed_number_rejected_at_load_by_name(self, field, value):
+        # Rejected at load, by name: a NaN interval would only fail inside
+        # the run, and a NaN bandwidth would finish with garbage throughput.
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ({"calculater": 2.0}, "static_weights key 'calculater' names no operator"),
+            ({"calculator": 0.0}, r"static_weights\['calculator'\] must be positive"),
+            ({"calculator": float("nan")}, r"static_weights\['calculator'\] must be a finite"),
+        ],
+        ids=["unknown-key", "zero-weight", "nan-weight"],
+    )
+    def test_malformed_static_weights_rejected_at_build(self, weights, match):
+        workload = MicroBenchmarkWorkload(rate=1000, num_keys=100)
+        config = SystemConfig(
+            paradigm=Paradigm.STATIC, num_nodes=4, cores_per_node=4,
+            source_instances=2, static_weights=weights,
+        )
+        with pytest.raises(ValueError, match=match):
+            StreamSystem(workload.build_topology(), workload, config)
+
     def test_multiple_sources_rejected(self):
         from repro.logic import SyntheticLogic
         from repro.topology import TopologyBuilder
