@@ -15,6 +15,7 @@ import typing
 from repro.cluster import Cluster, TransferPurpose
 from repro.executors import ElasticExecutor
 from repro.executors.config import ExecutorConfig
+from repro.fields import COUNT, NON_NEGATIVE, POSITIVE, check_fields, check_number, check_window
 from repro.logic.base import SyntheticLogic
 from repro.sim import Environment
 from repro.telemetry import QuantileSketch
@@ -39,6 +40,13 @@ class QueueLatencyRecorder:
         self.sketch.add(waited if waited > 0.0 else 0.0)
 
 
+_HARNESS_RULES = {
+    "cost_per_tuple": POSITIVE, "tuple_bytes": NON_NEGATIVE,
+    "shard_state_bytes": NON_NEGATIVE, "num_shards": COUNT, "omega": NON_NEGATIVE,
+    "num_keys": COUNT, "skew": NON_NEGATIVE, "cores_per_node": COUNT,
+}
+
+
 class SingleExecutorHarness:
     """Measures one elastic executor's capacity at a given core count."""
 
@@ -56,8 +64,6 @@ class SingleExecutorHarness:
         seed: int = 1,
         config: typing.Optional[ExecutorConfig] = None,
     ) -> None:
-        if cost_per_tuple <= 0:
-            raise ValueError("cost_per_tuple must be positive")
         self.cost_per_tuple = cost_per_tuple
         self.tuple_bytes = tuple_bytes
         self.shard_state_bytes = shard_state_bytes
@@ -65,11 +71,19 @@ class SingleExecutorHarness:
         self.omega = omega
         self.num_keys = num_keys
         self.skew = skew
+        self.cores_per_node = cores_per_node
+        check_fields(self, _HARNESS_RULES)
         # Keep event counts manageable for cheap tuples: larger batches.
         self.batch_size = batch_size or max(10, int(0.002 / cost_per_tuple))
-        self.cores_per_node = cores_per_node
         self.seed = seed
         self.config = config or ExecutorConfig(balance_interval=0.5)
+
+    @staticmethod
+    def check_measure(cores: int, duration: float, warmup: float) -> None:
+        """``ValueError`` naming the argument that makes
+        ``measure(cores, duration, warmup)`` describe no run."""
+        check_number("cores", cores, COUNT)
+        check_window(duration, warmup)
 
     def measure(
         self,
@@ -83,8 +97,7 @@ class SingleExecutorHarness:
         Drives the executor above its nominal capacity (saturation) so the
         measured admission rate is its effective capacity.
         """
-        if cores < 1:
-            raise ValueError("cores must be >= 1")
+        self.check_measure(cores, duration, warmup)
         env = Environment()
         num_nodes = max(2, math.ceil(cores / self.cores_per_node) + 1)
         cluster = Cluster(env, num_nodes=num_nodes, cores_per_node=self.cores_per_node)

@@ -27,6 +27,7 @@ import typing
 
 from repro.analysis import ResultTable, SingleExecutorHarness
 from repro.faults import FaultSpec
+from repro.fields import INDEX, check_number
 from repro.runtime import Paradigm, SystemResult
 from repro.sweep import TrialConfig, build_system
 from repro.sweep.spec import PARADIGM_ALIASES
@@ -289,18 +290,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.sweep import SweepRunner, SweepSpec
 
-    with _load_step():
-        spec = SweepSpec.from_file(args.spec)
-    if args.dry_run:
-        print(f"sweep {spec.name!r}: {len(spec)} trials")
-        for trial in spec:
-            print(f"  {trial.trial_id}  {json.dumps(trial.to_dict(), sort_keys=True)}")
-        return 0
-    out = pathlib.Path(args.out or f"sweep_results/{spec.name}")
-    cache_dir = pathlib.Path(args.cache) if args.cache else out / "cache"
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    workers = min(workers, len(spec))
-
     def progress(done: int, total: int, record, cached: bool) -> None:
         source = "cached" if cached else "ran"
         print(
@@ -309,16 +298,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    runner = SweepRunner(
-        spec,
-        workers=max(1, workers),
-        timeout=args.timeout,
-        retries=args.retries,
-        cache_dir=cache_dir,
-        reuse_failures=not args.retry_failed,
-        telemetry_dir=args.telemetry_out,
-        progress=progress,
-    )
+    with _load_step():
+        spec = SweepSpec.from_file(args.spec)
+        out = pathlib.Path(args.out or f"sweep_results/{spec.name}")
+        cache_dir = pathlib.Path(args.cache) if args.cache else out / "cache"
+        workers = check_number("workers", args.workers, INDEX) or os.cpu_count() or 1
+        runner = SweepRunner(
+            spec,
+            workers=min(workers, len(spec)),
+            timeout=args.timeout,
+            retries=args.retries,
+            cache_dir=cache_dir,
+            reuse_failures=not args.retry_failed,
+            telemetry_dir=args.telemetry_out,
+            progress=progress,
+        )
+    if args.dry_run:
+        print(f"sweep {spec.name!r}: {len(spec)} trials")
+        for trial in spec:
+            print(f"  {trial.trial_id}  {json.dumps(trial.to_dict(), sort_keys=True)}")
+        return 0
     result = runner.run()
     results_path, summary_path = result.write(out)
     if args.json:
@@ -349,11 +348,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_scale_out(args: argparse.Namespace) -> int:
-    harness = SingleExecutorHarness(
-        cost_per_tuple=args.cost_ms / 1000.0,
-        tuple_bytes=args.tuple_bytes,
-        omega=args.omega,
-    )
+    with _load_step():
+        harness = SingleExecutorHarness(
+            cost_per_tuple=args.cost_ms / 1000.0,
+            tuple_bytes=args.tuple_bytes,
+            omega=args.omega,
+        )
+        for cores in args.cores:
+            harness.check_measure(cores, args.duration, args.warmup)
     table = ResultTable(
         "single elastic executor scale-out",
         ["cores", "throughput (t/s)", "efficiency", "p99 (ms)"],

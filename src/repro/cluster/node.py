@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 import typing
 
+from repro.fields import COUNT, POSITIVE, check_fields, check_number, unknown_keys
 from repro.sim import Environment
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -15,28 +14,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.profile import NetworkProfile
 
 
-def check_finite(field: str, value: typing.Any) -> None:
-    """``ValueError`` naming ``field`` unless ``value`` is a finite real
-    number (bools are not numbers here)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
-        raise ValueError(f"{field} must be a finite number, got {value!r}")
-
-
-def checked_fields(
-    kind: str, payload: typing.Any, known: typing.Collection[str]
-) -> typing.Dict[str, typing.Any]:
-    """``payload`` as a dict, or ``ValueError`` if it is not a mapping or
-    has keys outside ``known``."""
-    if not isinstance(payload, typing.Mapping):
-        raise ValueError(f"{kind} must be an object, got {payload!r}")
-    unknown = sorted(str(key) for key in payload if key not in known)
-    if unknown:
-        raise ValueError(f"unknown {kind} keys: {unknown}")
-    return dict(payload)
+_NODE_PROFILE_RULES = dict.fromkeys(
+    ("speed_factor", "egress_factor", "ingress_factor", "latency_factor"), POSITIVE
+)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -60,11 +40,7 @@ class NodeProfile:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ValueError(f"node class name must be a string, got {self.name!r}")
-        for field in ("speed_factor", "egress_factor", "ingress_factor", "latency_factor"):
-            value = getattr(self, field)
-            check_finite(field, value)
-            if value <= 0:
-                raise ValueError(f"{field} must be positive, got {value}")
+        check_fields(self, _NODE_PROFILE_RULES)
 
     def to_dict(self) -> typing.Dict[str, typing.Any]:
         return dataclasses.asdict(self)
@@ -72,7 +48,9 @@ class NodeProfile:
     @classmethod
     def from_dict(cls, payload: typing.Any) -> "NodeProfile":
         known = {field.name for field in dataclasses.fields(cls)}
-        return cls(**checked_fields("NodeProfile", payload, known))
+        if unknown := unknown_keys("NodeProfile", payload, known):
+            raise ValueError(f"unknown NodeProfile keys: {unknown}")
+        return cls(**payload)
 
 
 class Node:
@@ -97,13 +75,9 @@ class Node:
         speed_factor: float = 1.0,
         profile: typing.Optional[NodeProfile] = None,
     ) -> None:
-        if num_cores < 1:
-            raise ValueError(f"node needs at least one core, got {num_cores}")
-        if speed_factor <= 0:
-            raise ValueError(f"speed_factor must be positive, got {speed_factor}")
+        self.num_cores = check_number("num_cores", num_cores, COUNT)
+        self.speed_factor = check_number("speed_factor", speed_factor, POSITIVE)
         self.node_id = node_id
-        self.num_cores = num_cores
-        self.speed_factor = speed_factor
         self.alive = True
         #: Heterogeneity class this node was built from (None = default).
         self.profile = profile
@@ -130,8 +104,7 @@ class Cluster:
         from repro.cluster.network import NetworkFabric
         from repro.cluster.profile import NetworkProfile
 
-        if num_nodes < 1:
-            raise ValueError(f"cluster needs at least one node, got {num_nodes}")
+        check_number("num_nodes", num_nodes, COUNT)
         profile: typing.Optional[NetworkProfile] = None
         if network_profile is not None:
             profile = NetworkProfile.load(network_profile)
@@ -183,9 +156,9 @@ class Cluster:
 
     def set_node_speed(self, node_id: int, speed_factor: float) -> None:
         """Degrade or restore a node (straggler injection)."""
-        if speed_factor <= 0:
-            raise ValueError(f"speed_factor must be positive, got {speed_factor}")
-        self.nodes[node_id].speed_factor = speed_factor
+        self.nodes[node_id].speed_factor = check_number(
+            "speed_factor", speed_factor, POSITIVE
+        )
 
     def is_alive(self, node_id: int) -> bool:
         return self.nodes[node_id].alive

@@ -30,14 +30,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 import os
 import typing
 
-from repro.cluster.node import NodeProfile, check_finite, checked_fields
+from repro.cluster.node import NodeProfile
+from repro.fields import INDEX, NON_NEGATIVE, POSITIVE, check_fields, check_number, unknown_keys
 
 #: Supported latency distribution families.
 DISTRIBUTIONS: typing.Tuple[str, ...] = ("constant", "uniform", "lognormal")
+
+
+_LATENCY_RULES = dict.fromkeys(("base", "jitter", "sigma"), NON_NEGATIVE)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -61,14 +64,7 @@ class LatencySpec:
                 f"unknown latency distribution {self.distribution!r}; "
                 f"expected one of {DISTRIBUTIONS}"
             )
-        for field in ("base", "jitter", "sigma"):
-            check_finite(field, getattr(self, field))
-        if self.base < 0:
-            raise ValueError(f"base latency must be >= 0, got {self.base}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        check_fields(self, _LATENCY_RULES)
         if self.distribution == "uniform" and self.jitter > self.base:
             raise ValueError(
                 f"uniform jitter {self.jitter} exceeds base {self.base}; "
@@ -97,7 +93,9 @@ class LatencySpec:
     @classmethod
     def from_dict(cls, payload: typing.Any) -> "LatencySpec":
         known = {field.name for field in dataclasses.fields(cls)}
-        return cls(**checked_fields("LatencySpec", payload, known))
+        if unknown := unknown_keys("LatencySpec", payload, known):
+            raise ValueError(f"unknown LatencySpec keys: {unknown}")
+        return cls(**payload)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -124,19 +122,13 @@ class NetworkProfile:
         if not isinstance(self.name, str):
             raise ValueError(f"profile name must be a string, got {self.name!r}")
         if self.bandwidth_bps is not None:
-            check_finite("bandwidth_bps", self.bandwidth_bps)
-            if self.bandwidth_bps <= 0:
-                raise ValueError(
-                    f"bandwidth_bps must be positive, got {self.bandwidth_bps}"
-                )
-        for name, values in (("seed", (self.seed,)), ("assignment", self.assignment)):
-            for value in values:
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_number("bandwidth_bps", self.bandwidth_bps, POSITIVE)
+        check_number("seed", self.seed, INDEX)
         if self.assignment and not self.classes:
             raise ValueError("assignment given without node classes")
         for index in self.assignment:
-            if not 0 <= index < len(self.classes):
+            check_number("assignment", index, INDEX)
+            if index >= len(self.classes):
                 raise ValueError(
                     f"assignment index {index} out of range for "
                     f"{len(self.classes)} classes"
@@ -167,7 +159,9 @@ class NetworkProfile:
         """A profile from its dict form; ``ValueError`` naming the field
         for anything malformed."""
         known = {field.name for field in dataclasses.fields(cls)}
-        data = checked_fields("NetworkProfile", payload, known)
+        if unknown := unknown_keys("NetworkProfile", payload, known):
+            raise ValueError(f"unknown NetworkProfile keys: {unknown}")
+        data = dict(payload)
         latency = data.get("latency", LatencySpec())
         if not isinstance(latency, LatencySpec):
             if not isinstance(latency, typing.Mapping):

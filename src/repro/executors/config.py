@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.fields import POSITIVE, check_number
+
 #: Capacity (batches) of an executor's input queue.
 INPUT_QUEUE_CAPACITY = 16
 #: Capacity (batches) of each task's pending queue.
@@ -43,3 +45,9 @@ class ExecutorConfig:
     #: between tasks in the same process (serialization cost, no network).
     #: Disables the paper's intra-process state-sharing optimization.
     disable_state_sharing: bool = False
+
+    def __post_init__(self) -> None:
+        check_number("balance_interval", self.balance_interval, POSITIVE)
+        sharing = self.disable_state_sharing
+        if not isinstance(sharing, bool):
+            raise ValueError(f"disable_state_sharing must be a bool, got {sharing!r}")

@@ -452,7 +452,7 @@ class ElasticExecutor:
     def _snapshot_loads(self) -> typing.Dict[int, float]:
         """Blend the accumulated per-shard cost into smoothed loads."""
         alpha = LOAD_SMOOTHING
-        interval = max(self.config.balance_interval, 1e-9)
+        interval = self.config.balance_interval
         for shard_id in range(self.num_shards):
             observed = self._shard_cost_accum[shard_id] / interval
             self._shard_load[shard_id] = (

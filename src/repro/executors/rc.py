@@ -323,7 +323,7 @@ class RCOperatorManager:
 
     def _snapshot_loads(self) -> typing.Dict[int, float]:
         alpha = self.LOAD_SMOOTHING
-        interval = max(self.manage_interval, 1e-9)
+        interval = self.manage_interval
         for shard_id in range(self.total_shards):
             observed = self._shard_cost_accum[shard_id] / interval
             self._shard_load[shard_id] = (

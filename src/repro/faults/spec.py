@@ -23,9 +23,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import math
 import random
 import typing
+
+from repro.fields import INDEX, NON_NEGATIVE, POSITIVE, check_fields, check_number, unknown_keys
 
 
 class FaultSpecError(ValueError):
@@ -54,6 +55,9 @@ TRANSIENT_KINDS = frozenset(
 )
 
 
+_EVENT_RULES = {"time": NON_NEGATIVE, "factor": POSITIVE, "duration": NON_NEGATIVE}
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault.
@@ -71,19 +75,13 @@ class FaultEvent:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("time", "factor", "duration"):
-            if not math.isfinite(getattr(self, name)):
-                raise FaultSpecError(
-                    f"fault {name} must be finite, got {getattr(self, name)}"
-                )
-        if self.time < 0:
-            raise FaultSpecError(f"fault time must be >= 0, got {self.time}")
-        if self.factor <= 0:
-            raise FaultSpecError(f"fault factor must be positive, got {self.factor}")
-        if self.duration < 0:
-            raise FaultSpecError(f"fault duration must be >= 0, got {self.duration}")
+        check_fields(self, _EVENT_RULES, FaultSpecError)
+        if self.node is not None:
+            check_number("node", self.node, INDEX, FaultSpecError)
         if self.kind in TRANSIENT_KINDS and self.duration == 0:
-            raise FaultSpecError(f"{self.kind.value} requires duration > 0")
+            raise FaultSpecError(
+                f"duration must be positive for {self.kind.value}, got {self.duration!r}"
+            )
         if self.kind is FaultKind.EXECUTOR_STALL:
             if not self.target:
                 raise FaultSpecError("executor_stall requires target=operator:index")
@@ -109,11 +107,8 @@ class FaultEvent:
     def from_dict(cls, data: typing.Any) -> "FaultEvent":
         """One event from its dict form (:class:`FaultSpecError` for any
         malformed field; callers add which event it was)."""
-        if not isinstance(data, typing.Mapping):
-            raise FaultSpecError("a fault event must be an object")
-        unknown = sorted(str(key) for key in data if key not in _EVENT_KEYS)
-        if unknown:
-            raise FaultSpecError(f"unknown key(s) {unknown}")
+        if unknown := unknown_keys("a fault event", data, _EVENT_KEYS, FaultSpecError):
+            raise FaultSpecError(f"unknown fault event keys: {unknown}")
         try:
             kind = FaultKind(data["kind"])
         except (KeyError, TypeError, ValueError):
@@ -142,10 +137,15 @@ def _number(
     default: typing.Any,
     convert: typing.Callable[[typing.Any], typing.Any],
 ) -> typing.Any:
+    """``data[key]`` converted if it is the DSL's text or a JSON integer;
+    anything else (a bool, ``1.9`` for a node) reaches the event's checks
+    as it is."""
     value = data.get(key, default)
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        return value
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         raise FaultSpecError(f"bad {key} {value!r}") from None
 
 

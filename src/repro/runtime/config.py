@@ -6,18 +6,18 @@ import dataclasses
 import enum
 import typing
 
-from repro.cluster.node import check_finite
 from repro.executors.config import ExecutorConfig
+from repro.fields import COUNT, INDEX, NON_NEGATIVE, POSITIVE, check_fields, unknown_keys
 
-#: Numeric fields that must be finite and > 0, and finite and >= 0.
-_POSITIVE = (
-    "bandwidth_bps", "scheduler_interval", "latency_target", "phi",
-    "rc_manage_interval", "sample_interval", "hybrid_interval",
-    "state_rebuild_bytes_per_s",
-)
-_NON_NEGATIVE = (
-    "network_latency", "trace_every", "detection_delay", "static_restart_seconds",
-)
+#: Each numeric field's load rule (repro.fields).
+_RULES = {
+    "num_nodes": COUNT, "cores_per_node": COUNT, "source_instances": COUNT,
+    "bandwidth_bps": POSITIVE, "network_latency": NON_NEGATIVE,
+    "scheduler_interval": POSITIVE, "latency_target": POSITIVE, "phi": POSITIVE,
+    "rc_manage_interval": POSITIVE, "sample_interval": POSITIVE,
+    "hybrid_interval": POSITIVE, "trace_every": INDEX, "detection_delay": NON_NEGATIVE,
+    "state_rebuild_bytes_per_s": POSITIVE, "static_restart_seconds": NON_NEGATIVE,
+}
 
 
 class Paradigm(enum.Enum):
@@ -60,6 +60,8 @@ class SystemConfig:
     #: core budget (e.g. give the transactor half the cluster).  A fair
     #: "well-tuned" static deployment; operators not listed get weight 1.
     static_weights: typing.Optional[typing.Dict[str, float]] = None
+    #: An :class:`ExecutorConfig`, or its dict form (a sweep spec's
+    #: ``system_args.executor``).
     executor: ExecutorConfig = dataclasses.field(default_factory=ExecutorConfig)
     #: Sampling period for instantaneous-throughput time series.
     sample_interval: float = 0.5
@@ -91,20 +93,12 @@ class SystemConfig:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1 or self.cores_per_node < 1:
-            raise ValueError("cluster must have at least one node and core")
-        if self.source_instances < 1:
-            raise ValueError("need at least one source instance")
-        for field in _POSITIVE:
-            value = getattr(self, field)
-            check_finite(field, value)
-            if value <= 0:
-                raise ValueError(f"{field} must be positive, got {value!r}")
-        for field in _NON_NEGATIVE:
-            value = getattr(self, field)
-            check_finite(field, value)
-            if value < 0:
-                raise ValueError(f"{field} must be >= 0, got {value!r}")
+        check_fields(self, _RULES)
+        if not isinstance(self.executor, ExecutorConfig):
+            known = {field.name for field in dataclasses.fields(ExecutorConfig)}
+            if unknown := unknown_keys("ExecutorConfig", self.executor, known):
+                raise ValueError(f"unknown ExecutorConfig keys: {unknown}")
+            self.executor = ExecutorConfig(**self.executor)
         if self.network_profile is not None:
             from repro.cluster.profile import NetworkProfile
 

@@ -8,7 +8,6 @@ import statistics
 import typing
 
 from repro.cluster import Cluster, TransferPurpose
-from repro.cluster.node import check_finite
 from repro.executors import (
     ElasticExecutor,
     ElasticGroup,
@@ -23,6 +22,7 @@ from repro.executors import (
 )
 from repro.faults import FaultCoordinator, FaultInjector
 from repro.faults.spec import FaultKind
+from repro.fields import POSITIVE, check_number, check_window
 from repro.logic.base import replicate
 from repro.metrics import RecoveryStats, TimeSeries
 from repro.runtime.config import Paradigm, SystemConfig
@@ -295,11 +295,7 @@ class StreamSystem:
                         f"static_weights key {name!r} names no operator of the "
                         f"topology (operators: {', '.join(sorted(names))})"
                     )
-                check_finite(f"static_weights[{name!r}]", weight)
-                if weight <= 0:
-                    raise ValueError(
-                        f"static_weights[{name!r}] must be positive, got {weight!r}"
-                    )
+                check_number(f"static_weights[{name!r}]", weight, POSITIVE)
         counts = {
             spec.name: (
                 self._static_executor_count(
@@ -606,13 +602,8 @@ class StreamSystem:
         self, duration: float, warmup: typing.Optional[float] = None
     ) -> SystemResult:
         """Drive the workload for ``duration`` simulated seconds."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
         self._warmup = duration * 0.25 if warmup is None else warmup
-        if not 0 <= self._warmup < duration:
-            raise ValueError(
-                f"warmup must lie in [0, duration), got {self._warmup}"
-            )
+        check_window(duration, self._warmup)
         try:
             if hasattr(self.workload, "start_dynamics"):
                 self.workload.start_dynamics(self.env)

@@ -40,6 +40,7 @@ import time
 import typing
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.fields import COUNT, INDEX, POSITIVE, check_number
 from repro.sweep.cache import ResultCache, code_fingerprint
 from repro.sweep.spec import SweepSpec, TrialConfig, canonical_json
 from repro.sweep.trial import TELEMETRY_KEY, TIMING_KEY, execute_trial
@@ -318,12 +319,10 @@ class SweepRunner:
         progress: typing.Optional[ProgressFn] = None,
         mp_context: typing.Optional[str] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        check_number("workers", workers, COUNT)
+        check_number("retries", retries, INDEX)
+        if timeout is not None:
+            check_number("timeout", timeout, POSITIVE)
         self.spec = spec
         self.workers = workers
         self.timeout = timeout

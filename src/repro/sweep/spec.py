@@ -30,11 +30,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
-import numbers
 import pathlib
 import typing
 
+from repro.fields import (
+    COUNT, INDEX, NON_NEGATIVE, POSITIVE, Rule, check_number, check_window, unknown_keys,
+)
 from repro.runtime.config import Paradigm, SystemConfig
 
 #: Accepted ``paradigm`` spellings -> canonical value.
@@ -50,40 +51,26 @@ _TRIAL_SET_SYSTEM_FIELDS = (
 )
 
 
-#: TrialConfig fields by the type a loaded spec must give them.
-_STRING_FIELDS = ("workload", "paradigm")
-_NUMBER_FIELDS = ("rate", "omega", "duration", "warmup", "skew", "cost_ms")
-_INTEGER_FIELDS = (
-    "seed", "num_nodes", "cores_per_node", "source_instances",
-    "executors_per_operator", "shards_per_executor", "num_keys",
-    "tuple_bytes", "batch_size",
-)
-_DICT_FIELDS = ("workload_args", "topology_args", "system_args")
-
-
-_KINDS = {
-    "string": "a string",
-    "integer": "an integer",
-    "number": "a finite number",
-    "object": "an object",
+#: Each TrialConfig field's load rule: a numeric :class:`Rule`, or the
+#: type a loaded spec must give it.
+_RULES: typing.Dict[str, typing.Any] = {
+    "workload": str, "paradigm": str, "rate": POSITIVE, "omega": NON_NEGATIVE,
+    "seed": INDEX, "duration": POSITIVE, "warmup": NON_NEGATIVE,
+    "num_nodes": COUNT, "cores_per_node": COUNT, "source_instances": COUNT,
+    "executors_per_operator": COUNT, "shards_per_executor": COUNT,
+    "num_keys": COUNT, "skew": NON_NEGATIVE, "cost_ms": POSITIVE,
+    "tuple_bytes": COUNT, "batch_size": COUNT, "workload_args": typing.Mapping,
+    "topology_args": typing.Mapping, "system_args": typing.Mapping,
 }
 
 
-def _check_type(name: str, value: typing.Any, kind: str) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is of ``kind``
-    (a key of ``_KINDS``); bools are neither integers nor numbers."""
-    if kind == "string":
-        ok = isinstance(value, str)
-    elif kind == "object":
-        ok = isinstance(value, typing.Mapping)
-    elif isinstance(value, bool):
-        ok = False
-    elif kind == "integer":
-        ok = isinstance(value, numbers.Integral)
-    else:
-        ok = isinstance(value, numbers.Real) and math.isfinite(value)
-    if not ok:
-        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+def _check(name: str, value: typing.Any, rule: typing.Any) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` keeps ``rule``."""
+    if isinstance(rule, Rule):
+        check_number(name, value, rule)
+    elif not isinstance(value, rule):
+        kind = "a string" if rule is str else "an object"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def canonical_json(value: typing.Any) -> str:
@@ -135,16 +122,10 @@ class TrialConfig:
     )
 
     def __post_init__(self) -> None:
-        for names, kind in (
-            (_STRING_FIELDS, "string"),
-            (_NUMBER_FIELDS, "number"),
-            (_INTEGER_FIELDS, "integer"),
-            (_DICT_FIELDS, "object"),
-        ):
-            for name in names:
-                _check_type(name, getattr(self, name), kind)
+        for name, rule in _RULES.items():
+            _check(name, getattr(self, name), rule)
         if self.timeout_seconds is not None:
-            _check_type("timeout_seconds", self.timeout_seconds, "number")
+            check_number("timeout_seconds", self.timeout_seconds, POSITIVE)
         if self.workload not in _WORKLOADS:
             raise ValueError(
                 f"workload must be one of {_WORKLOADS}, got {self.workload!r}"
@@ -156,43 +137,15 @@ class TrialConfig:
                 f"expected one of {sorted(PARADIGM_ALIASES)}"
             )
         object.__setattr__(self, "paradigm", paradigm)
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if not 0 <= self.warmup < self.duration:
-            raise ValueError(
-                f"warmup must lie in [0, duration), got {self.warmup}"
-            )
-        for name in (
-            "num_nodes", "cores_per_node", "source_instances",
-            "executors_per_operator", "shards_per_executor", "num_keys",
-            "batch_size", "tuple_bytes",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.cost_ms <= 0:
-            raise ValueError(f"cost_ms must be positive, got {self.cost_ms}")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError(
-                f"timeout_seconds must be positive, got {self.timeout_seconds}"
-            )
-        for name in _DICT_FIELDS:
+        check_window(self.duration, self.warmup)
+        for name in ("workload_args", "topology_args", "system_args"):
             object.__setattr__(self, name, dict(getattr(self, name)))
         system_fields = {field.name for field in dataclasses.fields(SystemConfig)}
+        if unknown := unknown_keys("system_args", self.system_args, system_fields):
+            raise ValueError(f"unknown system_args keys: {unknown}")
         for key in sorted(self.system_args):
-            if key not in system_fields:
-                raise ValueError(
-                    f"system_args key {key!r} is not a SystemConfig field"
-                )
             if key in _TRIAL_SET_SYSTEM_FIELDS:
-                raise ValueError(
-                    f"system_args key {key!r} is set by the trial itself"
-                )
+                raise ValueError(f"system_args key {key!r} is set by the trial itself")
 
     def to_dict(self) -> typing.Dict[str, typing.Any]:
         """JSON-safe dict of every field (the hashed identity)."""
@@ -206,12 +159,10 @@ class TrialConfig:
 
     @classmethod
     def from_dict(cls, data: typing.Any) -> "TrialConfig":
-        _check_type("a trial", data, "object")
         known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(str(key) for key in data if key not in known)
-        if unknown:
+        if unknown := unknown_keys("a trial", data, known):
             raise ValueError(f"unknown trial parameters: {unknown}")
-        return cls(**dict(data))
+        return cls(**data)
 
 
 def _set_path(
@@ -312,26 +263,23 @@ class SweepSpec:
     def from_dict(cls, data: typing.Any) -> "SweepSpec":
         """A spec from its JSON form; ``ValueError`` naming the key for
         anything malformed."""
-        _check_type("a sweep spec", data, "object")
-        known = {"name", "base", "grid", "trials"}
-        unknown = sorted(str(key) for key in data if key not in known)
-        if unknown:
+        if unknown := unknown_keys("a sweep spec", data, {"name", "base", "grid", "trials"}):
             raise ValueError(f"unknown spec keys: {unknown}")
         if "name" not in data:
             raise ValueError("spec needs a 'name'")
-        _check_type("name", data["name"], "string")
+        _check("name", data["name"], str)
         base = data.get("base", {})
         axes = data.get("grid", {})
         trials = data.get("trials", [])
-        _check_type("base", base, "object")
-        _check_type("grid", axes, "object")
+        _check("base", base, typing.Mapping)
+        _check("grid", axes, typing.Mapping)
         for axis, values in axes.items():
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"grid axis {axis!r} must be a list, got {values!r}")
         if not isinstance(trials, (list, tuple)):
             raise ValueError(f"trials must be a list, got {trials!r}")
         for index, entry in enumerate(trials):
-            _check_type(f"trials[{index}]", entry, "object")
+            _check(f"trials[{index}]", entry, typing.Mapping)
         return cls.grid(data["name"], base=base, axes=axes, trials=trials)
 
     @classmethod

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.fields import NON_NEGATIVE, check_number
 from repro.logic.base import SyntheticLogic
 from repro.topology import KeySpace, Topology, TopologyBuilder
 from repro.workloads.micro import MicroBenchmarkWorkload
@@ -79,9 +80,9 @@ class WindowedJoinWorkload(MicroBenchmarkWorkload):
         **kwargs: typing.Any,
     ) -> None:
         super().__init__(*args, **kwargs)
-        if window_bytes_per_shard < 0:
-            raise ValueError("window_bytes_per_shard must be >= 0")
-        self.window_bytes_per_shard = window_bytes_per_shard
+        self.window_bytes_per_shard = check_number(
+            "window_bytes_per_shard", window_bytes_per_shard, NON_NEGATIVE
+        )
 
     def build_topology(
         self,

@@ -12,6 +12,7 @@ import typing
 
 import numpy as np
 
+from repro.fields import COUNT, NON_NEGATIVE, POSITIVE, check_fields
 from repro.logic.base import SyntheticLogic
 from repro.sim import Environment
 from repro.topology import KeySpace, Topology, TopologyBuilder, TupleBatch
@@ -21,6 +22,14 @@ from repro.workloads.zipf import (
     KeyShuffler,
     ZipfKeyDistribution,
 )
+
+
+#: Load rules of the generator's own numbers (the key distribution checks
+#: ``num_keys`` and ``skew``).
+_MICRO_RULES = {
+    "rate": POSITIVE, "cost_per_tuple": NON_NEGATIVE, "tuple_bytes": NON_NEGATIVE,
+    "omega": NON_NEGATIVE, "batch_size": COUNT, "tick": POSITIVE,
+}
 
 
 class MicroBenchmarkWorkload:
@@ -39,12 +48,6 @@ class MicroBenchmarkWorkload:
         bursts: typing.Optional[typing.Sequence[BurstEvent]] = None,
         seed: int = 42,
     ) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if tick <= 0:
-            raise ValueError("tick must be positive")
         self.rate = rate
         self.num_keys = num_keys
         self.skew = skew
@@ -55,6 +58,7 @@ class MicroBenchmarkWorkload:
         self.tick = tick
         self.seed = seed
         self.bursts = list(bursts) if bursts else []
+        check_fields(self, _MICRO_RULES)
         self.distribution = ZipfKeyDistribution(num_keys, skew, seed=seed)
         self.burst_generator: typing.Optional[HotspotBurst] = None
         self.generated_tuples = 0

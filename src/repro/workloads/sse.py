@@ -53,6 +53,7 @@ import typing
 
 import numpy as np
 
+from repro.fields import COUNT, NON_NEGATIVE, POSITIVE, check_fields, check_number
 from repro.logic import (
     CompositeIndexLogic,
     FraudDetectionLogic,
@@ -90,6 +91,16 @@ class _InFlightTick:
             self.error = exc
 
 
+#: Load rules of the generator's kept numbers (``popularity_skew`` only
+#: shapes the initial weights and is checked beside them).
+_SSE_RULES = {
+    "rate": POSITIVE, "num_stocks": COUNT, "order_cost": NON_NEGATIVE,
+    "analytics_cost": NON_NEGATIVE, "match_ratio": NON_NEGATIVE, "batch_size": COUNT,
+    "tick": POSITIVE, "drift_sigma": NON_NEGATIVE, "burst_probability": NON_NEGATIVE,
+    "burst_magnitude": POSITIVE, "burst_decay": POSITIVE,
+}
+
+
 class SSEWorkload:
     """Synthetic order stream plus the market-clearing/analytics topology."""
 
@@ -122,18 +133,6 @@ class SSEWorkload:
         weights_window: typing.Optional[int] = None,
         seed: int = 7,
     ) -> None:
-        if rate <= 0 or num_stocks < 1 or batch_size < 1 or tick <= 0:
-            raise ValueError("invalid workload parameters")
-        for name, value, valid, rule in (
-            ("burst_decay", burst_decay, 0 < burst_decay <= 1, "in (0, 1]"),
-            ("burst_probability", burst_probability, burst_probability >= 0, ">= 0"),
-            ("drift_sigma", drift_sigma, drift_sigma >= 0, ">= 0"),
-            ("burst_magnitude", burst_magnitude, burst_magnitude > 0, "> 0"),
-            ("popularity_skew", popularity_skew, popularity_skew >= 0, ">= 0"),
-            ("match_ratio", match_ratio, 0 <= match_ratio <= 1, "in [0, 1]"),
-        ):
-            if not valid:
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
         self.rate = rate
         self.num_stocks = num_stocks
         self.order_cost = order_cost
@@ -145,6 +144,11 @@ class SSEWorkload:
         self.burst_probability = burst_probability
         self.burst_magnitude = burst_magnitude
         self.burst_decay = burst_decay
+        check_fields(self, _SSE_RULES)
+        check_number("popularity_skew", popularity_skew, NON_NEGATIVE)
+        for name in ("match_ratio", "burst_decay"):
+            if getattr(self, name) > 1:
+                raise ValueError(f"{name} must be <= 1, got {getattr(self, name)!r}")
         self.real_payloads = real_payloads
         #: Record per-tick per-stock arrival counts (Figure 15's data).
         #: Off by default at million-key scale: the counters would

@@ -26,6 +26,7 @@ import typing
 
 import numpy as np
 
+from repro.fields import COUNT, NON_NEGATIVE, check_number
 from repro.sim import Environment
 
 
@@ -40,12 +41,8 @@ class ZipfKeyDistribution:
     """
 
     def __init__(self, num_keys: int, skew: float = 0.5, seed: int = 0) -> None:
-        if num_keys < 1:
-            raise ValueError(f"num_keys must be >= 1, got {num_keys}")
-        if skew < 0:
-            raise ValueError(f"skew must be >= 0, got {skew}")
-        self.num_keys = num_keys
-        self.skew = skew
+        self.num_keys = check_number("num_keys", num_keys, COUNT)
+        self.skew = check_number("skew", skew, NON_NEGATIVE)
         self._rng = np.random.Generator(np.random.PCG64(seed))
         ranks = np.arange(1, num_keys + 1, dtype=np.float64)
         weights = ranks ** -skew

@@ -89,3 +89,21 @@ class TestSingleExecutorHarness:
         harness = SingleExecutorHarness()
         with pytest.raises(ValueError):
             harness.measure(0)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"cost_per_tuple": float("nan")}, "cost_per_tuple"),
+        ({"tuple_bytes": -5}, "tuple_bytes"),
+        ({"omega": -1.0}, "omega"),
+        ({"num_shards": 2.5}, "num_shards"),
+    ])
+    def test_malformed_parameter_rejected_by_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            SingleExecutorHarness(**kwargs)
+
+    @pytest.mark.parametrize("cores, duration, warmup, field", [
+        (1, float("nan"), 3.0, "duration"),
+        (1, 2.0, 5.0, "warmup"),
+    ])
+    def test_measure_window_checked_before_running(self, cores, duration, warmup, field):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            SingleExecutorHarness().measure(cores, duration=duration, warmup=warmup)

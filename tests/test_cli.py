@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SMOKE_SPEC = str(pathlib.Path(__file__).parents[1] / "benchmarks" / "specs" / "smoke.json")
 
 
 class TestParser:
@@ -111,11 +115,23 @@ class TestExecution:
         (["run", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["run", "--latency-target-ms", "nan"], "latency_target must be a finite number"),
         (["run", "--detection-delay", "nan"], "detection_delay must be a finite number"),
+        (["scale-out", "--cores", "0"], "cores must be >= 1, got 0"),
+        (["scale-out", "--omega", "-1"], "omega must be >= 0, got -1.0"),
+        (["scale-out", "--cost-ms", "nan"], "cost_per_tuple must be a finite number"),
+        (["scale-out", "--warmup", "5", "--duration", "2"],
+         "warmup must lie in [0, duration), got 5.0"),
+        (["scale-out", "--tuple-bytes", "-5"], "tuple_bytes must be >= 0, got -5"),
+        (["sweep", SMOKE_SPEC, "--timeout", "nan"], "timeout must be a finite number"),
+        (["sweep", SMOKE_SPEC, "--retries", "-1"], "retries must be >= 0, got -1"),
+        (["sweep", SMOKE_SPEC, "--workers", "-1"], "workers must be >= 0, got -1"),
     ], ids=[
         "run", "compare", "faults", "sse-default", "warmup-past-duration",
         "negative-rate", "no-keys", "no-sources", "no-executors",
         "unknown-net-profile", "negative-seed", "nan-latency-target",
-        "nan-detection-delay",
+        "nan-detection-delay", "scale-out-no-cores", "scale-out-negative-omega",
+        "scale-out-nan-cost", "scale-out-warmup-past-duration",
+        "scale-out-negative-tuple-bytes", "sweep-nan-timeout",
+        "sweep-negative-retries", "sweep-negative-workers",
     ])
     def test_malformed_flags_are_a_usage_error(self, argv, message, capsys):
         assert main(argv) == 2

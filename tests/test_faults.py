@@ -157,8 +157,11 @@ class TestFaultSpec:
             ('{"events": 5}', "got 5"),
             ("node_crash@x:node=1", "'node_crash@x:node=1'"),
             ("node_crash@5:node=abc", "'node_crash@5:node=abc'"),
-            ("node_crash@nan:node=1", "must be finite"),
-            ("node_crash@5:node=1,bogus=2", "unknown key(s) ['bogus']"),
+            ("node_crash@nan:node=1", "must be a finite number"),
+            ("node_crash@5:node=1,bogus=2", "unknown fault event keys: ['bogus']"),
+            ('[{"kind": "node_crash", "time": 5, "node": 1.9}]', "node must be an integer, got 1.9"),
+            ('[{"kind": "node_crash", "time": 5, "node": true}]', "node must be an integer, got True"),
+            ('[{"kind": "node_crash", "time": true, "node": 1}]', "time must be a finite number, got True"),
         ],
     )
     def test_malformed_input_names_the_culprit(self, bad, names):

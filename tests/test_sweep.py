@@ -15,14 +15,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.executors.config import ExecutorConfig
 from repro.sweep import (
     ResultCache,
     SweepRunner,
     SweepSpec,
     TrialConfig,
+    build_system,
     code_fingerprint,
+    run_trial,
 )
 from repro.sweep.trial import TELEMETRY_KEY
+
+#: A 3 s micro run on a 2 x 4 cluster.
+SMALL_RUN = dict(
+    rate=2000, duration=3.0, warmup=1.0, num_nodes=2, cores_per_node=4,
+    source_instances=1, executors_per_operator=2, shards_per_executor=8,
+    num_keys=500,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +160,27 @@ class TestTrialConfig:
         # The Table 3 benchmark's weighted static deployment.
         weights = {"static_weights": {"transactor": 10.0}}
         assert TrialConfig(system_args=weights).system_args == weights
+
+    def test_system_args_executor_dict_runs_as_executor_config(self):
+        # The JSON spelling of ExecutorConfig is the same experiment as
+        # the object.
+        def run(executor):
+            trial = TrialConfig(**SMALL_RUN, system_args={"executor": executor})
+            assert build_system(trial).config.executor == ExecutorConfig(0.5)
+            payload = run_trial(trial)[0].to_dict()
+            payload.pop("scheduler_mean_wall_seconds")  # wall clock
+            return payload
+
+        assert run({"balance_interval": 0.5}) == run(ExecutorConfig(0.5))
+
+    @pytest.mark.parametrize("executor, message", [
+        ({"balance_intervall": 0.5}, r"unknown ExecutorConfig keys: \['balance_intervall'\]"),
+        ({"balance_interval": 0}, "balance_interval must be positive, got 0"),
+    ], ids=["unknown-key", "bad-value"])
+    def test_system_args_executor_dict_fails_at_build_by_name(self, executor, message):
+        trial = TrialConfig(**SMALL_RUN, system_args={"executor": executor})
+        with pytest.raises(ValueError, match=message):
+            build_system(trial)
 
 
 class TestSweepSpec:

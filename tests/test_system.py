@@ -4,8 +4,12 @@ Scaled-down versions of the paper's setups: small cluster, short runs.
 Each test checks behaviour the evaluation section depends on.
 """
 
+import contextlib
+import dataclasses
 import hashlib
 import json
+import signal
+import typing
 
 import numpy as np
 import pytest
@@ -17,6 +21,10 @@ from repro import (
     StreamSystem,
     SystemConfig,
 )
+from repro.cluster import LatencySpec, NetworkProfile, NodeProfile
+from repro.executors.config import ExecutorConfig
+from repro.faults import FaultEvent, FaultKind, FaultSpec
+from repro.sweep import TrialConfig, run_trial
 from repro.telemetry.report import percentile
 
 
@@ -49,6 +57,77 @@ def make_micro(
         paradigm=paradigm, num_nodes=4, cores_per_node=4, source_instances=2,
     )
     return system_cls(topology, workload, config)
+
+
+def _numeric_fields(cls):
+    """``(name, int | float)`` for each numeric (or optional numeric)
+    dataclass field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        if typing.get_origin(hint) is typing.Union:
+            (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+        if hint in (int, float):
+            yield field.name, hint
+
+
+#: Each config class under the load-time rule: the keyword arguments of a
+#: valid instance to vary one field of, and the ``system_args`` that put a
+#: loaded instance into a small run (None: the construction outcome alone).
+_LOADERS = {
+    SystemConfig: ({}, lambda config, field: {field: getattr(config, field)}),
+    ExecutorConfig: ({}, lambda config, field: {"executor": config}),
+    NetworkProfile: ({}, lambda profile, field: {"network_profile": profile}),
+    LatencySpec: ({}, lambda latency, field: {
+        "network_profile": NetworkProfile(latency=latency)
+    }),
+    NodeProfile: ({}, lambda node_class, field: {
+        "network_profile": NetworkProfile(classes=(node_class,))
+    }),
+    FaultEvent: (
+        {"time": 1.0, "kind": FaultKind.LINK_DEGRADE, "node": 1, "factor": 0.5,
+         "duration": 1.0},
+        lambda event, field: {"fault_spec": FaultSpec([event])},
+    ),
+    TrialConfig: ({}, None),
+}
+#: Values no numeric field takes: each must be rejected by name.
+_INVALID = {
+    float: [float("nan"), float("inf"), float("-inf"), True],
+    int: [float("nan"), float("inf"), float("-inf"), 1e308, 1.5, True],
+}
+#: Values some fields take and some reject by their sign bound.
+_SIGN_DEPENDENT = {float: [0.0, -1.0, 1e308], int: [0, -1]}
+_LOAD_CASES = [
+    (cls, field, value, invalid)
+    for cls in _LOADERS
+    for field, kind in _numeric_fields(cls)
+    for values, invalid in ((_INVALID[kind], True), (_SIGN_DEPENDENT[kind], False))
+    for value in values
+]
+#: Wall seconds a valid case's 3 s run may take.
+LOAD_CASE_WALL_BOUND = 20.0
+
+
+def _load_case_id(cls, field, value, invalid):
+    # SystemConfig, the first class under the rule, keeps its bare ids.
+    case = f"{field}-{value}"
+    return case if cls is SystemConfig else f"{cls.__name__}.{case}"
+
+
+@contextlib.contextmanager
+def _wall_clock_bound(seconds):
+    """Fail the block with ``TimeoutError`` after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"run did not finish in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestStreamSystemBasics:
@@ -178,21 +257,33 @@ class TestStreamSystemBasics:
         with pytest.raises(ValueError, match=f"phi must be positive, got {phi}"):
             SystemConfig(phi=phi)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     @pytest.mark.parametrize(
-        "field",
-        [
-            "bandwidth_bps", "network_latency", "scheduler_interval",
-            "latency_target", "phi", "rc_manage_interval", "sample_interval",
-            "hybrid_interval", "trace_every", "detection_delay",
-            "state_rebuild_bytes_per_s", "static_restart_seconds",
-        ],
+        "cls, field, value, invalid", _LOAD_CASES,
+        ids=[_load_case_id(*c) for c in _LOAD_CASES],
     )
-    def test_malformed_number_rejected_at_load_by_name(self, field, value):
-        # Rejected at load, by name: a NaN interval would only fail inside
-        # the run, and a NaN bandwidth would finish with garbage throughput.
-        with pytest.raises(ValueError, match=f"^{field} must be "):
-            SystemConfig(**{field: value})
+    def test_malformed_number_rejected_at_load_by_name(self, cls, field, value, invalid):
+        # Every numeric field of every config class, set to each value in
+        # the malformed-number tables: NaN, ±inf, a bool or a float for an
+        # int is rejected at load by the field's name (a NaN interval would
+        # hang the run; a NaN bandwidth would finish with garbage
+        # throughput).  A sign-dependent value is rejected by name too, or
+        # it is valid and a short run still finishes.
+        base, system_args = _LOADERS[cls]
+        try:
+            loaded = cls(**{**base, field: value})
+        except ValueError as exc:
+            assert str(exc).startswith(f"{field} must "), str(exc)
+            return
+        assert not invalid, f"{cls.__name__}({field}={value!r}) was accepted"
+        if system_args is None:  # it sizes the run itself
+            return
+        trial = TrialConfig(
+            rate=2000, duration=3.0, warmup=1.0, num_nodes=2, cores_per_node=4,
+            source_instances=1, executors_per_operator=2, shards_per_executor=8,
+            num_keys=500, system_args=system_args(loaded, field),
+        )
+        with _wall_clock_bound(LOAD_CASE_WALL_BOUND):
+            run_trial(trial)
 
     @pytest.mark.parametrize(
         "weights, match",

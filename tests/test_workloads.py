@@ -18,6 +18,7 @@ from repro.workloads import (
     SSEWorkload,
     ZipfKeyDistribution,
 )
+from repro.workloads.join import WindowedJoinWorkload
 
 
 class TestZipfKeyDistribution:
@@ -718,3 +719,22 @@ class TestMillionKeyScale:
         first = dist.sample(1000)
         dist.set_rng_state(state)
         assert dist.sample(1000) == first
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: MicroBenchmarkWorkload(rate=float("nan")), "rate"),
+    (lambda: SSEWorkload(rate=-1), "rate"),
+    (lambda: SSEWorkload(num_stocks=2.5), "num_stocks"),
+    (lambda: ZipfKeyDistribution(True), "num_keys"),
+    (lambda: ZipfKeyDistribution(10, skew=float("nan")), "skew"),
+    (lambda: WindowedJoinWorkload(window_bytes_per_shard=float("inf")),
+     "window_bytes_per_shard"),
+], ids=[
+    "micro-nan-rate", "sse-negative-rate", "sse-float-stocks",
+    "zipf-bool-keys", "zipf-nan-skew", "join-inf-window",
+])
+def test_malformed_parameter_rejected_at_construction_by_name(make, field):
+    # At construction, by name: a NaN rate once died mid-run converting
+    # the tick's tuple count to an integer.
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        make()
