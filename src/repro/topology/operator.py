@@ -5,10 +5,16 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.fields import COUNT, INDEX, check_fields, check_number
 from repro.topology.keys import KeySpace
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.logic.base import OperatorLogic
+
+
+#: Load rules of an operator's numbers (``hot_state_entries``, None or a
+#: count, is checked beside them).
+_SPEC_RULES = {"num_executors": COUNT, "shards_per_executor": COUNT, "shard_state_bytes": INDEX}
 
 
 @dataclasses.dataclass
@@ -38,10 +44,9 @@ class OperatorSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("operator name must be non-empty")
-        if self.num_executors < 1:
-            raise ValueError(f"{self.name}: num_executors must be >= 1")
-        if self.shards_per_executor < 1:
-            raise ValueError(f"{self.name}: shards_per_executor must be >= 1")
+        check_fields(self, _SPEC_RULES)
+        if self.hot_state_entries is not None:
+            check_number("hot_state_entries", self.hot_state_entries, COUNT)
         if not self.is_source and self.logic is None:
             raise ValueError(f"{self.name}: non-source operators need logic")
 

@@ -24,16 +24,16 @@ The draws stay full-width, but the state derived from them is sparse:
 decay, the burst cut-off and onsets touch only the bursting stocks.
 Each tick ends in one cumulative weight table, written into a recycled
 buffer and shared by every source instance, which sample stocks from it
-by inverse CDF; the draws themselves land in preallocated scratch, so a
-tick allocates nothing per stock.
+by inverse CDF; the draws themselves land in that buffer before the
+table overwrites it, so a tick allocates nothing per stock.
 
 Ticks are pipelined.  While a ``schedule(duration=...)`` is registered,
 handing out the newest tick starts the next one on a worker thread
 (``_step``), so the draws overlap the simulator consuming the current
 tick: numpy's draws and passes release the GIL.  The worker owns the
 market state -- ``_rng``, ``_multiplier``, ``_burst``, ``_bursting``,
-``_draws``, ``_onset_mask`` -- and writes only the table buffer it was
-given.  The main thread owns the bookkeeping: ``_tick_tables``,
+``_onset_mask`` -- and writes only the table buffer it was given.
+The main thread owns the bookkeeping: ``_tick_tables``,
 ``_spare_tables``, ``_evict``, ``_instance_ticks``, ``_horizons`` and
 ``_advanced_ticks``.  At most one tick is in flight and none past the
 last tick a registered schedule reads, and ticks draw in order, so the
@@ -160,8 +160,9 @@ class SSEWorkload:
         #: within a tick or two of each other, so a small window suffices
         #: for generation, and evicted tables are recycled for new ticks.
         #: None keeps every tick (analysis).
-        if weights_window is not None and weights_window < 2:
-            raise ValueError("weights_window must be >= 2")
+        if weights_window is not None:
+            if check_number("weights_window", weights_window, COUNT) < 2:
+                raise ValueError(f"weights_window must be >= 2, got {weights_window!r}")
         self.weights_window = weights_window
         self._evicted_ticks = 0
         #: Source-instance progress (instance -> current tick).  Eviction
@@ -187,8 +188,6 @@ class SSEWorkload:
         self._burst = np.zeros(num_stocks)
         #: Stocks whose burst is nonzero: ``_burst[s] != 0`` iff s is here.
         self._bursting = np.empty(0, dtype=np.intp)
-        #: Scratch every tick's full-width draws land in.
-        self._draws = np.empty(num_stocks)
         self._onset_mask = np.empty(num_stocks, dtype=bool)
         self._advanced_ticks = 0
         #: tick index -> cumulative weight table (None once evicted).
@@ -211,8 +210,10 @@ class SSEWorkload:
         Three vectorized draws over all stocks (drift, burst-onset mask,
         burst magnitudes) -- the RNG stream shape never depends on the
         data, only on the tick count -- and one pass that writes
-        ``table``.  Runs on the worker thread when pipelined, so it
-        touches only the market state and ``table``.
+        ``table``.  The draws land in ``table`` itself, each read before
+        the next draw or the pass overwrites it.  Runs on the worker
+        thread when pipelined, so it touches only the market state and
+        ``table``.
         """
         rng = self._rng
         n = self.num_stocks
@@ -223,7 +224,7 @@ class SSEWorkload:
         popularity = self.popularity
         multiplier = self._multiplier
         burst = self._burst
-        draws = self._draws
+        draws = table
         # Same values as exp(rng.normal(0.0, sigma, n)), without the
         # per-tick array.
         if sigma > 0:
@@ -496,9 +497,9 @@ class SSEWorkload:
         hot_state_entries: typing.Optional[int] = None,
     ) -> Topology:
         """orders -> transactor -> 6 statistics + 5 event operators."""
-        analytics_executors = analytics_executors or max(
-            1, executors_per_operator // 4
-        )
+        if analytics_executors is None:
+            analytics_executors = max(1, executors_per_operator // 4)
+        check_number("analytics_executors", analytics_executors, COUNT)
         key_space = KeySpace(self.num_stocks)
         builder = TopologyBuilder()
         builder.add_source(
@@ -514,7 +515,9 @@ class SSEWorkload:
             shard_state_bytes=shard_state_bytes,
             hot_state_entries=hot_state_entries,
         )
-        reference = self._reference_price
+        # One snapshot of the reference prices, shared (read-only) by the
+        # three alarm operators at their own multiples of it.
+        reference = self._reference_price.copy()
         analytics: typing.Dict[str, typing.Any] = {
             "moving_average": MovingAverageLogic(window=60.0, cost_per_record=self.analytics_cost),
             "minute_bars": MovingAverageLogic(window=300.0, cost_per_record=self.analytics_cost),
@@ -523,16 +526,13 @@ class SSEWorkload:
             "turnover_stats": TradeStatisticsLogic(cost_per_record=self.analytics_cost),
             "composite_index": CompositeIndexLogic(cost_per_record=self.analytics_cost),
             "price_alarm": PriceAlarmLogic(
-                thresholds=reference * 1.05,
-                cost_per_record=self.analytics_cost,
+                thresholds=reference, cost_per_record=self.analytics_cost, factor=1.05,
             ),
             "circuit_breaker": PriceAlarmLogic(
-                thresholds=reference * 1.10,
-                cost_per_record=self.analytics_cost,
+                thresholds=reference, cost_per_record=self.analytics_cost, factor=1.10,
             ),
             "volume_spike": PriceAlarmLogic(
-                thresholds=reference * 1.02,
-                cost_per_record=self.analytics_cost,
+                thresholds=reference, cost_per_record=self.analytics_cost, factor=1.02,
             ),
             "fraud_detection": FraudDetectionLogic(cost_per_record=self.analytics_cost),
             "momentum": MovingAverageLogic(window=10.0, cost_per_record=self.analytics_cost),

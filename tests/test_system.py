@@ -24,8 +24,10 @@ from repro import (
 from repro.cluster import LatencySpec, NetworkProfile, NodeProfile
 from repro.executors.config import ExecutorConfig
 from repro.faults import FaultEvent, FaultKind, FaultSpec
+from repro.logic import OperatorLogic, SyntheticLogic
 from repro.sweep import TrialConfig, run_trial
 from repro.telemetry.report import percentile
+from repro.topology.operator import OperatorSpec
 
 
 class AgeRecordingSystem(StreamSystem):
@@ -62,7 +64,7 @@ def make_micro(
 def _numeric_fields(cls):
     """``(name, int | float)`` for each numeric (or optional numeric)
     dataclass field of ``cls``."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, localns={"OperatorLogic": OperatorLogic})
     for field in dataclasses.fields(cls):
         hint = hints[field.name]
         if typing.get_origin(hint) is typing.Union:
@@ -90,6 +92,7 @@ _LOADERS = {
         lambda event, field: {"fault_spec": FaultSpec([event])},
     ),
     TrialConfig: ({}, None),
+    OperatorSpec: ({"name": "op", "logic": SyntheticLogic()}, None),
 }
 #: Values no numeric field takes: each must be rejected by name.
 _INVALID = {
@@ -304,7 +307,6 @@ class TestStreamSystemBasics:
             StreamSystem(workload.build_topology(), workload, config)
 
     def test_multiple_sources_rejected(self):
-        from repro.logic import SyntheticLogic
         from repro.topology import TopologyBuilder
 
         builder = TopologyBuilder()

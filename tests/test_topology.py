@@ -1,5 +1,6 @@
 """Unit and property tests for keys, batches, and the topology DAG."""
 
+import array
 import collections
 
 import pytest
@@ -79,6 +80,23 @@ class TestShardLookup:
             keys_module.executor_lookup(-1, 100)
         with pytest.raises(ValueError):
             keys_module.shard_lookup(4, 0)
+
+    # Each width's edges: the table takes the narrowest unsigned type
+    # whose items hold every bucket index (0..buckets-1).
+    @pytest.mark.parametrize("buckets, itemsize", [
+        (1, 1), (255, 1), (256, 1), (257, 2), (65_535, 2), (65_536, 2), (65_537, 4),
+    ])
+    def test_table_is_compact_and_exact(self, buckets, itemsize):
+        num_keys, salt = 3000, 5
+        lookup = keys_module.DenseLookup(num_keys, buckets, salt)
+        table = lookup.table
+        assert isinstance(table, array.array)
+        assert table.itemsize == itemsize
+        assert len(table) == num_keys
+        assert list(table) == [stable_hash(k, salt) % buckets for k in range(num_keys)]
+        # Keys past the table take the scalar hash.
+        for key in range(num_keys, num_keys + 500):
+            assert lookup[key] == stable_hash(key, salt) % buckets
 
     def test_table_is_capped(self, monkeypatch):
         # A declared key space past the cap tabulates only the cap; the

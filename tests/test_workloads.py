@@ -232,6 +232,24 @@ class TestSSEWorkload:
         assert len(topology.downstream("transactor")) == 11
         assert len(topology.sinks()) == 11
 
+    ALARMS = {"price_alarm": 1.05, "circuit_breaker": 1.10, "volume_spike": 1.02}
+
+    def test_alarm_operators_share_one_price_snapshot(self):
+        workload = SSEWorkload(num_stocks=100_000, seed=4)
+        reference = workload._reference_price.copy()
+        topology = workload.build_topology(
+            executors_per_operator=4, shards_per_executor=4
+        )
+        logics = [topology.spec(name).logic for name in self.ALARMS]
+        for logic in logics[1:]:
+            assert np.shares_memory(logic.thresholds, logics[0].thresholds)
+        assert not np.shares_memory(logics[0].thresholds, workload._reference_price)
+        for logic, factor in zip(logics, self.ALARMS.values()):
+            assert logic.factor == factor
+            # The per-lookup product is the pre-scaled array, bit for bit.
+            effective = np.array([float(price) * factor for price in logic.thresholds])
+            assert effective.tobytes() == (reference * factor).tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SSEWorkload(rate=0)
@@ -729,12 +747,24 @@ class TestMillionKeyScale:
     (lambda: ZipfKeyDistribution(10, skew=float("nan")), "skew"),
     (lambda: WindowedJoinWorkload(window_bytes_per_shard=float("inf")),
      "window_bytes_per_shard"),
+    (lambda: SSEWorkload(weights_window=2.5), "weights_window"),
+    (lambda: SSEWorkload(weights_window=float("nan")), "weights_window"),
+    (lambda: SSEWorkload(weights_window=1), "weights_window"),
+    (lambda: SSEWorkload().build_topology(hot_state_entries=2.5), "hot_state_entries"),
+    (lambda: SSEWorkload().build_topology(hot_state_entries=float("nan")),
+     "hot_state_entries"),
+    (lambda: SSEWorkload().build_topology(shards_per_executor=2.5), "shards_per_executor"),
+    (lambda: SSEWorkload().build_topology(analytics_executors=0), "analytics_executors"),
 ], ids=[
     "micro-nan-rate", "sse-negative-rate", "sse-float-stocks",
     "zipf-bool-keys", "zipf-nan-skew", "join-inf-window",
+    "sse-float-window", "sse-nan-window", "sse-window-1",
+    "sse-float-hot-entries", "sse-nan-hot-entries", "sse-float-shards",
+    "sse-zero-analytics-executors",
 ])
 def test_malformed_parameter_rejected_at_construction_by_name(make, field):
-    # At construction, by name: a NaN rate once died mid-run converting
-    # the tick's tuple count to an integer.
+    # At construction (or topology build), by name: a NaN rate once died
+    # mid-run converting the tick's tuple count to an integer, and a
+    # float weights_window mid-run evicting tables.
     with pytest.raises(ValueError, match=f"^{field} must be "):
         make()
