@@ -372,6 +372,9 @@ class _SourceLoop:
         self._gi = gi + 1
         group = groups[gi]
         batch = self._batch
+        if batch.trace is not None and gi + 1 < len(groups):
+            # Every branch but the last stamps its own trace copy.
+            batch = batch.branch()
         if group.submit_event(
             batch, src.node_id, src.sender, self._ack, self._next_group_cb
         ) is None:
@@ -435,14 +438,17 @@ class _EmitterLoop:
             return
         self._gi = gi + 1
         group = groups[gi]
+        batch = self._batch
+        if batch.trace is not None and gi + 1 < len(groups):
+            # Every branch but the last stamps its own trace copy.
+            batch = batch.branch()
         event = group.submit_event(
-            self._batch, self.local_node, self.sender, self._ack,
-            self._next_group_cb,
+            batch, self.local_node, self.sender, self._ack, self._next_group_cb,
         )
         if event is None:
             # The gate is closed: a short-lived process waits it open.
             event = self.ex.env.process(
-                submit_when_open(group, self._batch, self.local_node, self.sender)
+                submit_when_open(group, batch, self.local_node, self.sender)
             )
             event.callbacks.append(self._next_group_cb)
         self._waiting = event

@@ -311,6 +311,9 @@ class _TaskPipeline(Event):
             return
         self._ei = ei + 1
         emission = emissions[ei]
+        trace = batch.trace
+        if trace is not None and ei + 1 < len(emissions):
+            trace = dict(trace)  # each emission stamps its own stages
         out = TupleBatch(
             key=emission.key,
             count=emission.count,
@@ -319,7 +322,7 @@ class _TaskPipeline(Event):
             created_at=batch.created_at,
             payload=emission.payload,
             admitted_at=batch.admitted_at,
-            trace=batch.trace,
+            trace=trace,
         )
         ex.metrics.on_emit(ex.env._now, out.total_bytes)
         if task.node_id == ex.local_node:

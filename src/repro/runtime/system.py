@@ -30,6 +30,7 @@ from repro.scheduler import DynamicScheduler, NaiveECStrategy, ReactiveStrategy
 from repro.scheduler.model import MMKModel
 from repro.sim import Environment
 from repro.telemetry import QuantileSketch, Telemetry
+from repro.telemetry.sketch import FOLD_THRESHOLD
 from repro.topology import Topology
 from repro.topology.batch import reset_batch_ids
 
@@ -38,10 +39,6 @@ SOURCE_OWNER = "__sources__"
 #: Where the flight-recorder post-mortem lands when a run dies, unless
 #: the ``REPRO_FLIGHT_DIR`` environment variable names another directory.
 FLIGHT_RECORDER_DIR = "flight-recorder"
-
-#: Sink observations buffered before a fold into the latency sketches:
-#: two lists of this many floats bound the buffer's memory.
-SINK_FOLD_LIMIT = 4096
 
 
 class PlacementError(ValueError):
@@ -65,6 +62,8 @@ class SystemResult:
     #: system.  Bounded by queue capacities even under saturation.
     residence: typing.Dict[str, float]
     throughput_series: TimeSeries
+    #: Tuples delivered to the sink per sample interval: one point per
+    #: non-empty interval, stamped at its first completion.
     sink_completions: TimeSeries
     migration_bytes: int
     remote_task_bytes: int
@@ -236,7 +235,11 @@ class StreamSystem:
         #: two sketches above (see :meth:`_fold_sink`).
         self._sink_ages: typing.List[float] = []
         self._sink_residences: typing.List[float] = []
+        #: Tuples delivered to the sink per non-empty sample interval
+        #: ``int(now / sample_interval)``, stamped at the interval's first
+        #: completion: O(duration) points, not one per batch.
         self.sink_completions = TimeSeries("sink_completions")
+        self._completion_bin = -1
         #: Completed latency-breakdown traces (config.trace_every > 0).
         self.traces: typing.List[typing.Dict[str, float]] = []
         self.throughput_series = TimeSeries("instantaneous_throughput")
@@ -554,7 +557,12 @@ class StreamSystem:
         return self._sink_residence
 
     def _record_sink(self, batch, now: float) -> None:
-        self.sink_completions.record(now, batch.count)
+        index = int(now / self.config.sample_interval)
+        if index == self._completion_bin:
+            self.sink_completions.add_to_last(batch.count)
+        else:
+            self._completion_bin = index
+            self.sink_completions.record(now, batch.count)
         if batch.trace is not None:
             self.traces.append(dict(batch.trace))
         if now >= self._warmup:
@@ -566,7 +574,7 @@ class StreamSystem:
                 admitted = batch.created_at
             residence = now - admitted
             self._sink_residences.append(residence if residence > 0.0 else 0.0)
-            if len(ages) >= SINK_FOLD_LIMIT:
+            if len(ages) >= FOLD_THRESHOLD:
                 self._fold_sink()
 
     def _fold_sink(self) -> None:

@@ -102,6 +102,18 @@ class TupleBatch:
             _next_batch_id += 1
         self.batch_id = batch_id
 
+    def branch(self) -> "TupleBatch":
+        """A copy of a traced batch for one more branch of a fan-out.
+
+        Sibling branches must not stamp their stages into one shared
+        trace dict, so the copy has its own.  It keeps ``batch_id``.
+        """
+        return TupleBatch(
+            self.key, self.count, self.cpu_cost, self.size_bytes,
+            self.created_at, self.payload, self.admitted_at,
+            dict(self.trace), self.batch_id,
+        )
+
     @property
     def total_bytes(self) -> int:
         return self.count * self.size_bytes

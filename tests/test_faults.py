@@ -36,6 +36,7 @@ from repro.executors.config import ExecutorConfig
 from repro.faults.recovery import DeadLetterReaper
 from repro.faults.spec import FaultSpecError
 from repro.logic import SyntheticLogic
+from repro.metrics import TimeSeries
 from repro.metrics.recovery import RecoveryStats
 from repro.sim import Environment
 from repro.sweep import TrialConfig, build_system
@@ -669,3 +670,87 @@ class TestConservationUnderFaults:
         # With no spare cores and no elasticity protocol, the static
         # paradigm's dead key range keeps dead-lettering until the end.
         assert static.recovery["tuples_lost"] > elastic.recovery["tuples_lost"]
+
+
+class CompletionRecordingSystem(StreamSystem):
+    """Keeps every sink batch's ``(now, count)`` beside the binned series,
+    as the series was kept before it was binned."""
+
+    def __init__(self, *args, **kwargs):
+        self.per_batch = TimeSeries("per_batch_completions")
+        super().__init__(*args, **kwargs)
+
+    def _record_sink(self, batch, now):
+        super()._record_sink(batch, now)
+        self.per_batch.record(now, batch.count)
+
+
+def bin_completions(series, interval, nbins):
+    """The binning loop of ``steady_state_after``, kept here as the
+    reference: the last bin also takes every later completion."""
+    completions = [0.0] * nbins
+    for time, value in zip(series.times, series.values):
+        completions[min(nbins - 1, int(time / interval))] += value
+    return completions
+
+
+class TestBinnedCompletions:
+    """Sink completions are kept per sample interval: exact, and bounded
+    by the run's length rather than its batch count."""
+
+    DURATION = 600.0
+    INTERVAL = 0.3  # not a power of two: bin edges round
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        workload = MicroBenchmarkWorkload(
+            rate=1500, num_keys=1000, skew=0.9, omega=4.0, batch_size=20,
+            seed=13,
+        )
+        topology = workload.build_topology(
+            executors_per_operator=4, shards_per_executor=16
+        )
+        config = SystemConfig(
+            paradigm=Paradigm.ELASTICUTOR, num_nodes=4, cores_per_node=4,
+            source_instances=2, sample_interval=self.INTERVAL,
+            fault_spec="link_degrade@150:node=1,factor=0.2,duration=20;"
+            "node_crash@300:node=3",
+        )
+        system = CompletionRecordingSystem(topology, workload, config)
+        return system, system.run(duration=self.DURATION, warmup=30.0)
+
+    def test_series_is_bounded_and_sums_exactly(self, run):
+        system, result = run
+        series = result.sink_completions
+        assert len(system.per_batch) > 10 * (self.DURATION / self.INTERVAL)
+        assert len(series) <= self.DURATION / self.INTERVAL + 1
+        total = system.per_batch.window_sum(0.0, float("inf"))
+        assert series.window_sum(0.0, float("inf")) == total
+        for nbins in (1, 7, 1999, 2000, 2001):
+            assert bin_completions(
+                series, self.INTERVAL, nbins
+            ) == bin_completions(system.per_batch, self.INTERVAL, nbins)
+
+    def test_steady_state_matches_per_batch_series(self, run, monkeypatch):
+        system, result = run
+        grid = [
+            dict(t0=t0, baseline_until=until, stable=stable,
+                 threshold=threshold, window=window)
+            for t0 in (150.1, 300.0, 450.05)
+            for until in (None, 149.95)
+            for stable in (False, True)
+            for threshold in (0.5, 0.9)
+            for window in (1, 4)
+        ]
+        actual = [
+            system.steady_state_after(duration=self.DURATION, **kw) for kw in grid
+        ]
+        monkeypatch.setattr(system, "sink_completions", system.per_batch)
+        expected = [
+            system.steady_state_after(duration=self.DURATION, **kw) for kw in grid
+        ]
+        assert actual == expected
+        assert len(set(actual)) > 1  # the grid reaches more than one answer
+        assert result.time_to_steady_state == system._time_to_steady_state(
+            self.DURATION
+        )
