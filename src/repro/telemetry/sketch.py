@@ -42,11 +42,10 @@ PAYLOAD_KIND = "ddsketch"
 _log = math.log
 _ceil = math.ceil
 
-#: Observations a run buffer holds before folding them into its sketches
-#: mid-run: a :class:`LatencyProbe`'s triples and the run's sink ages and
-#: residences.  The memory bound for arbitrarily long runs (~0.13 MB of
-#: floats per buffered value at the limit; short runs fold at read).
-FOLD_THRESHOLD = 4096
+#: Buffered observations a :class:`LatencyProbe` holds before folding
+#: them into its sketches mid-run (~1.5 MB of scalars at the limit —
+#: the memory bound for arbitrarily long runs; short runs fold at read).
+FOLD_THRESHOLD = 65536
 
 #: Length of :attr:`LatencyProbe._pending` (interleaved triples) at
 #: which a recorder folds it.
