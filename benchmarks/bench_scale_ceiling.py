@@ -44,7 +44,15 @@ if str(SRC) not in sys.path:  # direct script invocation
 
 @dataclasses.dataclass(frozen=True)
 class Cell:
-    """One point on the (workload, key count, cluster size) grid."""
+    """One point on the (workload, key count, cluster size) grid.
+
+    An SSE cell's peak is mostly per-stock workload state, 8 bytes a
+    stock per array: the retained tick tables (``weights_window``), the
+    popularity and drift arrays, and the initial reference prices that
+    the three alarm operators share.  Burst state is held only for the
+    bursting stocks and a pause buffer only for a shard that has paused,
+    so neither grows with the key or shard count.
+    """
 
     name: str
     workload: str          # "sse" | "micro"

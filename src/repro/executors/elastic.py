@@ -574,7 +574,7 @@ class ElasticExecutor:
                 yield self.env.timeout(REASSIGNMENT_OVERHEAD)
                 # 1. Pause routing for the shard; new arrivals buffer in the
                 # entry.  (The crash already paused an orphan.)
-                entry.paused = True
+                entry.pause()
             span.mark("pause")
             if src_task is not None:
                 # 2. Drain: a labeling tuple chases all pending tuples of
@@ -715,10 +715,10 @@ class ElasticExecutor:
             reaper.watch(task.queue)
         self.tasks.clear()
         for entry in self.routing._entries:
-            while entry.buffer:
-                reaper.account(entry.buffer.popleft())
+            buffer = entry.pause()
+            while buffer:
+                reaper.account(buffer.popleft())
             entry.task = None
-            entry.paused = True
         for item in [*held_input, *self.input_queue.drain()]:
             reaper.account(item)
         reaper.watch(self.input_queue)
@@ -887,8 +887,9 @@ class ElasticExecutor:
         if entry.task is not task:
             self.routing.assign(entry.shard_id, task)
         flushed = 0
-        while entry.buffer:
-            item = entry.buffer.popleft()
+        buffer = entry.buffer
+        while buffer:
+            item = buffer.popleft()
             if isinstance(item, TupleBatch):
                 flushed += item.count
             yield self._forward(item, task)

@@ -63,19 +63,32 @@ class _CountedBuffer(collections.deque):
 
 
 class ShardEntry:
-    """Routing state of one shard."""
+    """Routing state of one shard.
 
-    __slots__ = ("shard_id", "task", "paused", "buffer")
+    The pause buffer is created when the shard first pauses: most shards
+    never move, and a million-key run has thousands of them.
+    """
 
-    def __init__(
-        self, shard_id: int, buffer: typing.Optional[collections.deque] = None
-    ) -> None:
+    __slots__ = ("shard_id", "task", "paused", "_table", "_buffer")
+
+    def __init__(self, shard_id: int, table: "RoutingTable") -> None:
         self.shard_id = shard_id
         self.task: typing.Optional["Task"] = None
         self.paused = False
-        self.buffer: collections.deque = (
-            buffer if buffer is not None else collections.deque()
-        )
+        self._table = table
+        self._buffer: typing.Optional[_CountedBuffer] = None
+
+    @property
+    def buffer(self) -> collections.deque:
+        """The pause buffer, created on first use."""
+        if self._buffer is None:
+            self._buffer = _CountedBuffer(self._table)
+        return self._buffer
+
+    def pause(self) -> collections.deque:
+        """Hold the shard's arrivals from now on; returns its pause buffer."""
+        self.paused = True
+        return self.buffer
 
     def __repr__(self) -> str:
         state = "paused" if self.paused else "active"
@@ -92,9 +105,7 @@ class RoutingTable:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = num_shards
         self._buffered = 0
-        self._entries = [
-            ShardEntry(i, _CountedBuffer(self)) for i in range(num_shards)
-        ]
+        self._entries = [ShardEntry(i, self) for i in range(num_shards)]
         self._shards_by_task: typing.Dict["Task", set] = {}
 
     def entry(self, shard_id: int) -> ShardEntry:
@@ -132,7 +143,7 @@ class RoutingTable:
         for shard_id in shards:
             entry = self._entries[shard_id]
             entry.task = None
-            entry.paused = True
+            entry.pause()
         return shards
 
     def orphan_shard(self, shard_id: int) -> None:
@@ -141,7 +152,7 @@ class RoutingTable:
         if entry.task is not None:
             self._shards_by_task[entry.task].discard(shard_id)
             entry.task = None
-        entry.paused = True
+        entry.pause()
 
     def shards_of(self, task: "Task") -> typing.Set[int]:
         return set(self._shards_by_task.get(task, set()))

@@ -13,15 +13,28 @@ trace's relevant structure:
   reference price, so the real order-book transactor produces plausible
   match rates.
 
-All per-stock state lives in flat numpy arrays and every tick advances
-the whole market in a handful of vectorized draws from seeded
-``numpy.random.Generator`` streams, so the generator stays usable at
-million-stock key spaces.  The per-tick RNG consumption is *fixed shape*
-(three full-width vectors) regardless of which stocks burst, which keeps
-parameter changes from silently desynchronizing unrelated draws.
+Every tick advances the whole market in a handful of vectorized draws
+from seeded ``numpy.random.Generator`` streams, so the generator stays
+usable at million-stock key spaces.  The per-tick RNG consumption is
+*fixed shape* (three full-width vectors) regardless of which stocks
+burst, which keeps parameter changes from silently desynchronizing
+unrelated draws.
 
-The draws stay full-width, but the state derived from them is sparse:
-decay, the burst cut-off and onsets touch only the bursting stocks.
+The draws stay full-width, but the state is kept only where it varies:
+
+- ``_multiplier`` (the drift) and ``popularity`` are dense per-stock
+  arrays, since every stock drifts;
+- the bursts are a sorted id array ``_bursting`` and a parallel factor
+  array ``_factors`` holding only the bursting stocks.  At the defaults
+  that is 6% of them after 6 s, a share that grows with the run toward
+  ~45% (a burst lasts about a minute).  Decay and the cut-off compress
+  both; onsets merge in by ``searchsorted``, overwriting a bursting
+  stock's factor;
+- ``_initial_price``, the reference prices at the start, is one
+  read-only array that the three alarm operators share as thresholds.
+  Real-payload orders walk a stock's price from there, and
+  ``_walked_price`` keeps the walked prices in a dict keyed by stock.
+
 Each tick ends in one cumulative weight table, written into a recycled
 buffer and shared by every source instance, which sample stocks from it
 by inverse CDF; the draws themselves land in that buffer before the
@@ -31,15 +44,17 @@ Ticks are pipelined.  While a ``schedule(duration=...)`` is registered,
 handing out the newest tick starts the next one on a worker thread
 (``_step``), so the draws overlap the simulator consuming the current
 tick: numpy's draws and passes release the GIL.  The worker owns the
-market state -- ``_rng``, ``_multiplier``, ``_burst``, ``_bursting``,
+market state -- ``_rng``, ``_multiplier``, ``_bursting``, ``_factors``,
 ``_onset_mask`` -- and writes only the table buffer it was given.
 The main thread owns the bookkeeping: ``_tick_tables``,
 ``_spare_tables``, ``_evict``, ``_instance_ticks``, ``_horizons`` and
-``_advanced_ticks``.  At most one tick is in flight and none past the
-last tick a registered schedule reads, and ticks draw in order, so the
-stream is bit-identical to drawing every tick inline.  :meth:`close`
-joins the tick in flight (``StreamSystem.run`` calls it); afterwards
-ticks run inline.
+``_advanced_ticks``; and the order synthesis: ``_order_rng``,
+``_walked_price`` and ``_next_order_id``.  ``_initial_price`` is never
+written after construction, so any thread may read it.  At most one
+tick is in flight and none past the last tick a registered schedule
+reads, and ticks draw in order, so the stream is bit-identical to
+drawing every tick inline.  :meth:`close` joins the tick in flight
+(``StreamSystem.run`` calls it); afterwards ticks run inline.
 
 Topology: orders -> transactor -> 6 statistics + 5 event operators,
 keyed by stock id throughout.
@@ -185,15 +200,21 @@ class SSEWorkload:
         # Stock 0 is the most popular, 1 next, etc. (ids are ranks).
         self.popularity = weights / weights.sum()
         self._multiplier = np.ones(num_stocks)
-        self._burst = np.zeros(num_stocks)
-        #: Stocks whose burst is nonzero: ``_burst[s] != 0`` iff s is here.
+        #: The bursting stocks, sorted, and each one's burst factor (the
+        #: rest burst by 0).
         self._bursting = np.empty(0, dtype=np.intp)
+        self._factors = np.empty(0)
         self._onset_mask = np.empty(num_stocks, dtype=bool)
         self._advanced_ticks = 0
         #: tick index -> cumulative weight table (None once evicted).
         self._tick_tables: typing.List[typing.Optional[np.ndarray]] = []
         self._spare_tables: typing.List[np.ndarray] = []
-        self._reference_price = 10.0 + 90.0 * self._rng.random(num_stocks)
+        #: Reference prices at the start, read-only: the alarm operators'
+        #: thresholds share this array.  Orders walk a stock's price from
+        #: here; ``_walked_price`` holds the walked ones by stock.
+        self._initial_price = 10.0 + 90.0 * self._rng.random(num_stocks)
+        self._initial_price.flags.writeable = False
+        self._walked_price: typing.Dict[int, float] = {}
         self._next_order_id = 0
         self.generated_tuples = 0
         #: Generator-side ingest watermark: newest nominal creation time
@@ -223,7 +244,6 @@ class SSEWorkload:
         onset_probability = self.burst_probability * self.tick
         popularity = self.popularity
         multiplier = self._multiplier
-        burst = self._burst
         draws = table
         # Same values as exp(rng.normal(0.0, sigma, n)), without the
         # per-tick array.
@@ -233,23 +253,32 @@ class SSEWorkload:
             np.exp(draws, out=draws)
             multiplier *= draws
             np.clip(multiplier, 0.2, 5.0, out=multiplier)
-        bursting = self._bursting
-        decayed = burst[bursting] * decay_per_tick
-        alive = decayed > floor
-        burst[bursting] = np.where(alive, decayed, 0.0)
-        bursting = bursting[alive]
+        # Decay and cut-off: only the bursting stocks' factors move.
+        factors = self._factors * decay_per_tick
+        alive = factors > floor
+        bursting = self._bursting[alive]
+        factors = factors[alive]
         rng.random(n, out=draws)
         onset = np.flatnonzero(np.less(draws, onset_probability, out=self._onset_mask))
         rng.random(n, out=draws)
-        fresh = onset[burst[onset] == 0.0]
-        burst[onset] = self.burst_magnitude * (0.5 + draws[onset])
-        bursting = np.concatenate((bursting, fresh))
+        if onset.size:
+            # An onset overwrites a bursting stock's factor and merges a
+            # new stock in, keeping the ids sorted.
+            onset_factors = self.burst_magnitude * (0.5 + draws[onset])
+            at = np.searchsorted(bursting, onset)
+            found = at < bursting.size
+            found[found] = bursting[at[found]] == onset[found]
+            factors[at[found]] = onset_factors[found]
+            fresh = ~found
+            bursting = np.insert(bursting, at[fresh], onset[fresh])
+            factors = np.insert(factors, at[fresh], onset_factors[fresh])
         self._bursting = bursting
+        self._factors = factors
         # weights = popularity * multiplier * (1 + burst): the factor is
         # exactly 1.0 off the bursting stocks, so only those are touched
         # after the dense product.
         np.multiply(popularity, multiplier, out=table)
-        table[bursting] *= 1.0 + burst[bursting]
+        table[bursting] *= 1.0 + factors
         np.cumsum(table, out=table)
 
     def _advance_to(self, tick_index: int) -> None:
@@ -361,10 +390,12 @@ class SSEWorkload:
 
     def _make_orders(self, stock: int, count: int, time: float) -> typing.List[LimitOrder]:
         rng = self._order_rng
-        reference = self._reference_price[stock]
+        reference = self._walked_price.get(stock)
+        if reference is None:
+            reference = float(self._initial_price[stock])
         # Reference price itself random-walks slowly.
         reference = max(1.0, reference * math.exp(rng.normal(0.0, 0.001)))
-        self._reference_price[stock] = reference
+        self._walked_price[stock] = reference
         # All numeric draws for the batch are vectorized; the python loop
         # only assembles the (immutable) order records.
         buys = rng.random(count) < 0.5
@@ -468,6 +499,7 @@ class SSEWorkload:
         self, stocks: typing.Sequence[int], window_ticks: int = 10
     ) -> typing.Dict[int, typing.List[typing.Tuple[float, float]]]:
         """Per-stock (time, rate tuples/s) curves — Figure 15's data."""
+        check_number("window_ticks", window_ticks, COUNT)
         series: typing.Dict[int, typing.List[typing.Tuple[float, float]]] = {
             stock: [] for stock in stocks
         }
@@ -515,9 +547,9 @@ class SSEWorkload:
             shard_state_bytes=shard_state_bytes,
             hot_state_entries=hot_state_entries,
         )
-        # One snapshot of the reference prices, shared (read-only) by the
-        # three alarm operators at their own multiples of it.
-        reference = self._reference_price.copy()
+        # The initial reference prices, shared (read-only) by the three
+        # alarm operators at their own multiples of them.
+        reference = self._initial_price
         analytics: typing.Dict[str, typing.Any] = {
             "moving_average": MovingAverageLogic(window=60.0, cost_per_record=self.analytics_cost),
             "minute_bars": MovingAverageLogic(window=300.0, cost_per_record=self.analytics_cost),

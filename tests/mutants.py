@@ -107,7 +107,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
         ELASTIC,
         ((
             "                # entry.  (The crash already paused an orphan.)\n"
-            "                entry.paused = True\n",
+            "                entry.pause()\n",
             "                # entry.  (The crash already paused an orphan.)\n",
         ),),
         caught=frozenset({"tier-1"}),

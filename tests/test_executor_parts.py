@@ -406,6 +406,47 @@ class TestRoutingTable:
         buf1.clear()  # clearing an already-empty buffer must not drift
         assert table.buffered_items() == resum() == 1
 
+    def test_pause_buffers_exist_only_for_paused_shards(self, env):
+        # A buffer is made when its shard first pauses; buffered_items()
+        # stays exact through the pause, the flush and a crash's drain.
+        logic = _RecordingLogic(0.001)
+        spec = OperatorSpec("op", logic=logic, num_executors=1, shards_per_executor=3840)
+        executor = ElasticExecutor(env, Cluster(env, num_nodes=1), spec, 0, 0)
+        executor.connect([], sink_recorder=lambda batch, now: None)
+        executor.start(initial_cores=2)
+        routing = executor.routing
+        env.run(until=0.1)
+
+        def allocated():
+            return [e.shard_id for e in routing._entries if e._buffer is not None]
+
+        assert allocated() == []
+        moving, orphaned = (executor._shard_lookup[key] for key in (3, 5))
+        assert moving != orphaned
+        routing.entry(moving).pause()
+        routing.orphan_shard(orphaned)
+        assert allocated() == sorted((moving, orphaned))
+        for key in (3, 5, 3, 5, 5):
+            executor.input_queue.put_nowait(batch(key=key))
+        env.run(until=0.2)
+        assert logic.processed == []
+        assert routing.buffered_items() == 5
+        assert [len(routing.entry(s).buffer) for s in (moving, orphaned)] == [2, 3]
+
+        entry = routing.entry(moving)
+        env.process(executor._install(entry, entry.task))
+        env.run(until=0.3)
+        assert not entry.paused
+        assert len(logic.processed) == 2
+        assert routing.buffered_items() == 3
+        assert allocated() == sorted((moving, orphaned))
+
+        stats = RecoveryStats()
+        executor.crash_main(DeadLetterReaper(env, stats))
+        assert routing.buffered_items() == 0
+        assert stats.batches_lost.total == 3
+        assert all(e.paused and not e.buffer for e in routing._entries)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RoutingTable(0)

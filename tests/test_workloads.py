@@ -1,6 +1,7 @@
 """Unit tests for the workload generators."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -235,20 +236,36 @@ class TestSSEWorkload:
     ALARMS = {"price_alarm": 1.05, "circuit_breaker": 1.10, "volume_spike": 1.02}
 
     def test_alarm_operators_share_one_price_snapshot(self):
-        workload = SSEWorkload(num_stocks=100_000, seed=4)
-        reference = workload._reference_price.copy()
+        # The three alarms share the workload's read-only initial prices,
+        # not a copy; orders walk prices elsewhere and leave them alone.
+        workload = SSEWorkload(num_stocks=100_000, real_payloads=True, seed=4)
+        initial = workload._initial_price
+        reference = initial.copy()
+        assert not initial.flags.writeable
         topology = workload.build_topology(
             executors_per_operator=4, shards_per_executor=4
         )
         logics = [topology.spec(name).logic for name in self.ALARMS]
-        for logic in logics[1:]:
-            assert np.shares_memory(logic.thresholds, logics[0].thresholds)
-        assert not np.shares_memory(logics[0].thresholds, workload._reference_price)
+        for logic in logics:
+            assert np.shares_memory(logic.thresholds, initial)
+        for _ in workload.schedule(Environment(), 0, 1, duration=2.0):
+            pass
+        walked = workload._walked_price
+        assert len(walked) > 1000
+        assert all(walked[stock] != reference[stock] for stock in walked)
         for logic, factor in zip(logics, self.ALARMS.values()):
             assert logic.factor == factor
             # The per-lookup product is the pre-scaled array, bit for bit.
             effective = np.array([float(price) * factor for price in logic.thresholds])
             assert effective.tobytes() == (reference * factor).tobytes()
+
+    @pytest.mark.parametrize("window_ticks", [0, -1, 2.5, float("nan")])
+    def test_arrival_series_rejects_malformed_window(self, window_ticks):
+        workload = SSEWorkload(rate=10_000, num_stocks=20, seed=1)
+        for _ in workload.schedule(Environment(), 0, 1, duration=1.0):
+            pass
+        with pytest.raises(ValueError, match="^window_ticks must be "):
+            workload.arrival_series([0], window_ticks=window_ticks)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -329,6 +346,123 @@ class TestSSEStreamIdentity:
         digest = hashlib.sha256()
         for record in _stream(workload):
             digest.update(repr(record).encode())
+        assert digest.hexdigest()[:16] == expected
+
+
+class _DenseMarket:
+    """The dense market of the generator before its bursts went sparse:
+    a per-stock burst array beside the ids of the bursting stocks, and
+    that generator's ``_step`` copied verbatim.  Built from a fresh
+    workload, so its RNG and drift start where the workload's do."""
+
+    def __init__(self, **params):
+        workload = SSEWorkload(**params)
+        self.num_stocks = workload.num_stocks
+        self.drift_sigma = workload.drift_sigma
+        self.tick = workload.tick
+        self.burst_decay = workload.burst_decay
+        self.burst_probability = workload.burst_probability
+        self.burst_magnitude = workload.burst_magnitude
+        self.popularity = workload.popularity
+        self._rng = workload._rng
+        self._multiplier = workload._multiplier
+        self._burst = np.zeros(workload.num_stocks)
+        self._bursting = np.empty(0, dtype=np.intp)
+        self._onset_mask = np.empty(workload.num_stocks, dtype=bool)
+
+    def _step(self, table):
+        rng = self._rng
+        n = self.num_stocks
+        sigma = self.drift_sigma * math.sqrt(self.tick)
+        decay_per_tick = self.burst_decay ** self.tick
+        floor = 0.05 * decay_per_tick
+        onset_probability = self.burst_probability * self.tick
+        popularity = self.popularity
+        multiplier = self._multiplier
+        burst = self._burst
+        draws = table
+        if sigma > 0:
+            rng.standard_normal(n, out=draws)
+            draws *= sigma
+            np.exp(draws, out=draws)
+            multiplier *= draws
+            np.clip(multiplier, 0.2, 5.0, out=multiplier)
+        bursting = self._bursting
+        decayed = burst[bursting] * decay_per_tick
+        alive = decayed > floor
+        burst[bursting] = np.where(alive, decayed, 0.0)
+        bursting = bursting[alive]
+        rng.random(n, out=draws)
+        onset = np.flatnonzero(np.less(draws, onset_probability, out=self._onset_mask))
+        rng.random(n, out=draws)
+        fresh = onset[burst[onset] == 0.0]
+        burst[onset] = self.burst_magnitude * (0.5 + draws[onset])
+        bursting = np.concatenate((bursting, fresh))
+        self._bursting = bursting
+        np.multiply(popularity, multiplier, out=table)
+        table[bursting] *= 1.0 + burst[bursting]
+        np.cumsum(table, out=table)
+
+
+class TestSSESparseBursts:
+    """The sparse burst state reproduces the dense market tick by tick."""
+
+    @pytest.mark.parametrize("params, ticks", [
+        (dict(num_stocks=5000, burst_probability=2.0, burst_decay=0.5, seed=13), 200),
+        (dict(num_stocks=2000, drift_sigma=0.0, seed=9), 200),
+        (dict(num_stocks=2000, burst_probability=0.0, seed=11), 50),
+        (dict(num_stocks=3000, weights_window=2, seed=17), 200),
+        (dict(num_stocks=1_000_000, seed=7), 20),
+    ], ids=["frequent-onsets", "no-drift", "no-bursts", "window-2", "million-stocks"])
+    def test_matches_dense_reference(self, params, ticks):
+        sparse = SSEWorkload(**params)
+        dense = _DenseMarket(**params)
+        expected = np.empty(sparse.num_stocks)
+        for tick in range(ticks):
+            dense._step(expected)
+            assert np.array_equal(sparse._table(tick), expected)
+            assert sparse._rng.bit_generator.state == dense._rng.bit_generator.state
+            # Only the bursting stocks are held, sorted, with their factors.
+            assert np.array_equal(sparse._bursting, np.flatnonzero(dense._burst))
+            assert np.array_equal(sparse._factors, dense._burst[sparse._bursting])
+        if params.get("burst_probability", 0.01) > 0:
+            assert sparse._bursting.size > 0
+
+
+class TestSSEOrderStreamIdentity:
+    """Golden digests of the real-payload orders, pinned while the walked
+    reference prices still lived in one dense per-stock array."""
+
+    CASES = [
+        (dict(num_stocks=50, seed=1), "1f75a84de44d1ddc"),
+        (dict(num_stocks=2000, seed=5), "5a245264a2fce911"),
+        (
+            dict(num_stocks=500, burst_probability=2.0, burst_decay=0.5, seed=13),
+            "2928c8005a80ad27",
+        ),
+    ]
+
+    @pytest.mark.parametrize("params, expected", CASES, ids=["small", "wide", "bursty"])
+    def test_order_digest(self, params, expected):
+        workload = SSEWorkload(rate=4_000, batch_size=10, real_payloads=True, **params)
+        env = Environment()
+        live = [workload.schedule(env, i, 2, duration=5.0) for i in range(2)]
+        digest = hashlib.sha256()
+        orders = 0
+        while live:  # round-robin: order ids interleave across instances
+            for generator in list(live):
+                try:
+                    _, batch = next(generator)
+                except StopIteration:
+                    live.remove(generator)
+                    continue
+                for order in batch.payload:
+                    digest.update(repr((
+                        order.order_id, order.user_id, order.side, order.price,
+                        order.volume, order.time,
+                    )).encode())
+                    orders += 1
+        assert orders == workload.generated_tuples > 0
         assert digest.hexdigest()[:16] == expected
 
 
