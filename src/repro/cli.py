@@ -416,7 +416,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry-out", default=None, metavar="DIR",
         help="enable telemetry and export events.jsonl / series.csv / "
-             "metrics.prom / summary.json to DIR (per-paradigm "
+             "sketches.json / summary.json to DIR (per-paradigm "
              "subdirectories for compare/faults)",
     )
 
@@ -491,8 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--telemetry-out", default=None, metavar="DIR",
-        help="export per-trial telemetry (render with 'repro report "
-             "DIR/<trial_id>')",
+        help="export each trial's events.jsonl / series.csv / "
+             "sketches.json / summary.json to DIR/<trial_id> (render "
+             "with 'repro report DIR/<trial_id>')",
     )
     sweep_parser.add_argument("--json", action="store_true",
                               help="machine-readable summary on stdout")

@@ -229,7 +229,7 @@ class SourceInstance:
 
     __slots__ = (
         "env", "name", "index", "node_id", "sender", "_groups",
-        "emitted_tuples", "trace_every", "_emitted_batches", "last_created",
+        "emitted_tuples", "trace_every", "_emitted_batches",
     )
 
     def __init__(
@@ -251,10 +251,6 @@ class SourceInstance:
         #: Attach a latency-breakdown trace to every Nth batch (0 = off).
         self.trace_every = trace_every
         self._emitted_batches = 0
-        #: Ingest watermark: nominal creation time of the newest batch
-        #: emitted.  ``env.now - last_created`` is this source's schedule
-        #: lag under backpressure (gauged by telemetry).
-        self.last_created = 0.0
 
     def connect(self, downstream_groups: typing.Sequence[typing.Any]) -> None:
         self._groups = list(downstream_groups)
@@ -344,7 +340,6 @@ class _SourceLoop:
     def _emit(self, batch: TupleBatch) -> None:
         src = self.src
         batch.admitted_at = self.env._now
-        src.last_created = batch.created_at
         src._emitted_batches += 1
         if src.trace_every and src._emitted_batches % src.trace_every == 0:
             batch.trace = {

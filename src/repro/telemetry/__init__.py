@@ -6,8 +6,8 @@ The observability layer of the reproduction (see ``docs/observability.md``):
   zero-overhead-when-disabled event stream threaded through the sim
   kernel (``env.telemetry``), the executors, the scheduler and the fault
   coordinator.
-- :class:`MetricRegistry` / :class:`RingSeries` — per-executor and
-  per-shard series sampled on a configurable interval.
+- :class:`MetricRegistry` / :class:`RingSeries` — the per-executor
+  ``executor_cores`` series, sampled every 0.5 s of virtual time.
 - :class:`QuantileSketch` / :class:`LatencyProbe` — deterministic,
   mergeable, fixed-memory per-tuple latency sketches recorded in the
   executor delivery path (:mod:`repro.telemetry.sketch`).

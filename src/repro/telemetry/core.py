@@ -3,12 +3,14 @@
 One :class:`Telemetry` object lives on each
 :class:`~repro.runtime.system.StreamSystem`.  Disabled (the default) it
 costs nothing: the bus is the no-op :data:`~repro.telemetry.events.NULL_BUS`,
-no sampler process is spawned, and no instrument is registered.  Enabled,
+no sampler process is spawned, and no series is registered.  Enabled,
 it attaches a live :class:`~repro.telemetry.events.EventBus` to the
 simulation environment (``env.telemetry`` — how the bus is *threaded
 through the sim kernel*: every component holding the environment reaches
-the same bus), registers the standard gauges over the system's executors
-and cluster, and runs a sampler process every :data:`SAMPLE_INTERVAL`.
+the same bus), and runs a sampler process every :data:`SAMPLE_INTERVAL`
+that records one ``executor_cores`` series per executor — the core
+allocation timeline ``repro report`` renders.  The scheduler's own
+inputs come from ``ExecutorMetrics``, not from these series.
 
 The sampler only *reads* simulation state, so enabling telemetry never
 perturbs results: same seed → bit-identical ``SystemResult`` either way.
@@ -20,7 +22,7 @@ import typing
 
 from repro.telemetry.events import EventBus, NULL_BUS, Span, TelemetryEvent
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.registry import MetricRegistry, RingSeries, record_row
+from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.sketch import LatencyProbe
 
 #: Metric-registry sampling period (virtual seconds).
@@ -41,61 +43,17 @@ class Telemetry:
             self.bus.subscribe(self.flight.on_record)
         self._probes: typing.Dict[str, LatencyProbe] = {}
         self._probe_warmup = 0.0
-        self._system: typing.Optional[typing.Any] = None
+        self._system: typing.Any = None
         self._started = False
-        # Sampler fast path: (name, labels) -> RingSeries lookups are a
-        # measurable share of a tick, so the per-executor and per-shard
-        # series are resolved once and cached by executor name.
-        self._executor_series: typing.Dict[str, typing.List[RingSeries]] = {}
-        self._shard_series: typing.Dict[str, typing.List[RingSeries]] = {}
 
     # -- wiring ------------------------------------------------------------
 
     def attach(self, system: typing.Any) -> None:
-        """Install the bus on the environment and register system gauges."""
+        """Install the bus on the environment; the sampler reads ``system``."""
         if not self.enabled:
             return
         self.env.telemetry = self.bus
         self._system = system
-        registry = self.registry
-        cluster = system.cluster
-        stats = system.recovery_stats
-        network = cluster.network
-        registry.register_gauge(
-            "cluster_free_cores", lambda: cluster.cores.total_free
-        )
-        registry.register_gauge(
-            "tuples_lost", lambda: stats.tuples_lost.total
-        )
-        registry.register_gauge(
-            "tuples_rerouted", lambda: stats.tuples_rerouted.total
-        )
-        registry.register_gauge(
-            "migrated_state_bytes",
-            lambda: sum(
-                counter.total for purpose, counter in network.bytes_by_purpose.items()
-                if purpose.name == "STATE_MIGRATION"
-            ),
-        )
-        registry.register_gauge(
-            "admitted_tuples",
-            lambda: sum(source.emitted_tuples for source in system.sources),
-        )
-        # Ingest watermark: the newest nominal creation time emitted by
-        # any source.  `env.now - watermark` is the end-to-end ingest lag
-        # the backpressure literature keys on.
-        registry.register_gauge(
-            "ingest_watermark",
-            lambda: max(
-                (source.last_created for source in system.sources), default=0.0
-            ),
-        )
-        for source in system.sources:
-            registry.register_gauge(
-                "source_schedule_lag",
-                lambda s=source: max(0.0, self.env.now - s.last_created),
-                source=source.name,
-            )
 
     # -- per-tuple latency probes ------------------------------------------
 
@@ -158,84 +116,14 @@ class Telemetry:
             self.sample()
 
     def sample(self) -> None:
-        """One tick: per-executor and per-shard series plus every
-        registered gauge.  Read-only by construction."""
+        """One tick: each executor's core allocation.  Read-only by
+        construction."""
         now = self.env.now
-        system = self._system
-        if system is not None:
-            for op_name in system.executors_by_operator:
-                for executor in system.executors_by_operator[op_name]:
-                    self._sample_executor(now, executor)
-            # RC tracks shard loads at the operator manager, not the
-            # (single-core) executors.
-            for op_name in getattr(system, "rc_managers", {}):
-                manager = system.rc_managers[op_name]
-                shard_series = self._shard_series_for(
-                    op_name, len(manager._shard_load)
+        for executors in self._system.executors_by_operator.values():
+            for executor in executors:
+                self.registry.series("executor_cores", executor=executor.name).record(
+                    now, float(getattr(executor, "num_cores", 1))
                 )
-                record_row(shard_series, now, manager._shard_load)
-        self.registry.sample(now)
-        flight = self.flight
-        if flight is not None and system is not None:
-            flight.note(
-                now,
-                "metric_sample",
-                free_cores=system.cluster.cores.total_free,
-                admitted=sum(s.emitted_tuples for s in system.sources),
-            )
-
-    def _shard_series_for(
-        self, owner: str, count: int
-    ) -> typing.List[RingSeries]:
-        """The cached per-shard ``shard_load`` series for ``owner``, grown
-        on demand (elastic executors gain shards mid-run)."""
-        shard_series = self._shard_series.get(owner)
-        if shard_series is None:
-            shard_series = self._shard_series[owner] = []
-        registry = self.registry
-        while len(shard_series) < count:
-            shard_series.append(
-                registry.series(
-                    "shard_load", executor=owner, shard=len(shard_series)
-                )
-            )
-        return shard_series
-
-    def _sample_executor(self, now: float, executor: typing.Any) -> None:
-        name = executor.name
-        cached = self._executor_series.get(name)
-        if cached is None:
-            registry = self.registry
-            names = [
-                "executor_arrival_rate",
-                "executor_service_rate",
-                "executor_queue_depth",
-                "executor_backpressure",
-                "executor_cores",
-                "executor_processed_tuples",
-            ]
-            if getattr(executor, "state_bytes", None) is not None:
-                names.append("executor_state_bytes")
-            cached = [registry.series(series, executor=name) for series in names]
-            self._executor_series[name] = cached
-        metrics = executor.metrics
-        queue = executor.input_queue
-        values = [
-            metrics.arrival_rate(now),
-            metrics.service_rate(),
-            float(len(queue)),
-            float(queue.pending_puts),
-            float(getattr(executor, "num_cores", 1)),
-            float(metrics.processed_tuples.total),
-        ]
-        if len(cached) > len(values):  # executor_state_bytes is tracked
-            values.append(float(executor.state_bytes()))
-        record_row(cached, now, values)
-        shard_load = getattr(executor, "_shard_load", None)
-        if shard_load is not None:
-            record_row(
-                self._shard_series_for(name, len(shard_load)), now, shard_load
-            )
 
     # -- convenience views -------------------------------------------------
 
@@ -252,6 +140,3 @@ class Telemetry:
 
     def events_of(self, kind: str) -> typing.List[TelemetryEvent]:
         return self.bus.events_of(kind)
-
-    def series(self, name: str, **labels: typing.Any) -> RingSeries:
-        return self.registry.series(name, **labels)

@@ -1,10 +1,9 @@
-"""Telemetry exporters: JSONL event/span log, CSV series, Prometheus text.
+"""Telemetry exporters: JSONL event/span log, CSV series, JSON summaries.
 
 One run exports into one directory::
 
     events.jsonl   meta line + every event and finished span, time-ordered
-    series.csv     name,labels,time,value rows for every registered series
-    metrics.prom   Prometheus-style text snapshot of final values
+    series.csv     name,labels,time,value rows for every sampled series
     summary.json   ``SystemResult.to_dict()`` — the machine-readable summary
     sketches.json  per-operator latency-sketch payloads (runs with probes)
 
@@ -27,12 +26,8 @@ ARTIFACT_VERSION = 1
 
 EVENTS_FILE = "events.jsonl"
 SERIES_FILE = "series.csv"
-PROM_FILE = "metrics.prom"
 SUMMARY_FILE = "summary.json"
 SKETCHES_FILE = "sketches.json"
-
-#: The Prometheus family name for per-tuple end-to-end latency sketches.
-LATENCY_FAMILY = "repro_tuple_latency_seconds"
 
 
 def _json_default(value: typing.Any) -> typing.Any:
@@ -54,9 +49,6 @@ def export_run(
     write_series_csv(out / SERIES_FILE, telemetry.registry)
     payload_fn = getattr(telemetry, "sketches_payload", None)
     sketches = payload_fn() if payload_fn is not None else {}
-    write_prometheus(
-        out / PROM_FILE, telemetry.registry, summary=summary, sketches=sketches
-    )
     if sketches:
         write_sketches(out / SKETCHES_FILE, sketches)
     if summary is not None:
@@ -100,18 +92,6 @@ def write_series_csv(
                 writer.writerow([series.name, labels, repr(time), repr(value)])
 
 
-def _escape_label_value(value: str) -> str:
-    """Escape a label value per the Prometheus text exposition rules:
-    backslash, double quote, and newline must be backslash-escaped."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _render_labels(labels: typing.Iterable[typing.Tuple[str, str]]) -> str:
-    return ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in labels)
-
-
 def write_sketches(
     path: typing.Union[str, pathlib.Path],
     sketches: typing.Dict[str, typing.Any],
@@ -139,59 +119,6 @@ def load_sketches(
     data = json.loads(pathlib.Path(path).read_text())
     probes = data.get("probes", {})
     return dict(probes)
-
-
-def write_prometheus(
-    path: typing.Union[str, pathlib.Path],
-    registry: typing.Any,
-    summary: typing.Optional[typing.Dict[str, typing.Any]] = None,
-    sketches: typing.Optional[typing.Dict[str, typing.Any]] = None,
-) -> None:
-    """Final-value snapshot in the Prometheus text exposition format.
-
-    Every family gets a ``# TYPE`` line and escaped label values; the
-    latency sketches render as one ``summary`` family with ``quantile``
-    labels plus ``_count``/``_sum`` children (promtool conventions).
-    """
-    lines: typing.List[str] = []
-    by_name: typing.Dict[str, typing.List[typing.Any]] = {}
-    for series in registry.all_series():
-        if series.last is not None:
-            by_name.setdefault(series.name, []).append(series)
-    for name in sorted(by_name):
-        metric = f"repro_{name}"
-        lines.append(f"# TYPE {metric} gauge")
-        for series in by_name[name]:
-            rendered = _render_labels(series.labels)
-            if rendered:
-                lines.append(f"{metric}{{{rendered}}} {series.last:g}")
-            else:
-                lines.append(f"{metric} {series.last:g}")
-    if sketches:
-        lines.append(f"# TYPE {LATENCY_FAMILY} summary")
-        for probe_name in sorted(sketches):
-            payload = sketches[probe_name]
-            stats = payload["summary"]
-            operator = _escape_label_value(str(probe_name))
-            for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
-                lines.append(
-                    f'{LATENCY_FAMILY}{{operator="{operator}",quantile="{quantile}"}}'
-                    f" {float(stats[key]):g}"
-                )
-            lines.append(
-                f'{LATENCY_FAMILY}_count{{operator="{operator}"}}'
-                f" {float(payload['count']):g}"
-            )
-            lines.append(
-                f'{LATENCY_FAMILY}_sum{{operator="{operator}"}}'
-                f" {float(payload['merged']['sum']):g}"
-            )
-    if summary:
-        for key in ("throughput_tps", "processed_tuples", "generated_tuples"):
-            if key in summary:
-                lines.append(f"# TYPE repro_{key} gauge")
-                lines.append(f"repro_{key} {float(summary[key]):g}")
-    pathlib.Path(path).write_text("\n".join(lines) + "\n")
 
 
 # -- loading -----------------------------------------------------------------

@@ -3,11 +3,10 @@
 Full event logs for a long run are large; the part that explains a crash
 is the last few hundred records.  The :class:`FlightRecorder` subscribes
 to the :class:`~repro.telemetry.events.EventBus` and keeps the most
-recent events, finished spans, and metric-sampler notes in a fixed-size
-ring.  When the run dies — a fault-coordinator abort, a process crash,
-any uncaught exception escaping the simulation loop —
-:meth:`dump` writes the ring as JSONL so the tail of the run survives
-the process.
+recent events and finished spans in a fixed-size ring.  When the run
+dies — a fault-coordinator abort, a process crash, any uncaught
+exception escaping the simulation loop — :meth:`dump` writes the ring
+as JSONL so the tail of the run survives the process.
 
 The dump filename is fixed (:data:`DUMP_FILE`): no wall clock, no
 randomness (DET001 holds here too), so repeated crashes of the same run
@@ -47,8 +46,8 @@ class FlightRecorder:
         self.dropped = 0
         #: Paths written by :meth:`dump`, newest last.
         self.dumped: typing.List[pathlib.Path] = []
-        #: Event/Span objects as delivered plus note dicts; serialized
-        #: lazily (see :meth:`on_record`).
+        #: Event/Span objects as delivered; serialized lazily (see
+        #: :meth:`on_record`).
         self._ring: typing.Deque[typing.Any] = collections.deque(maxlen=capacity)
 
     def __len__(self) -> int:
@@ -67,20 +66,8 @@ class FlightRecorder:
             self.dropped += 1
         self._ring.append(record)
 
-    def note(self, time: float, kind: str, **attrs: typing.Any) -> None:
-        """A recorder-local record (metric samples, lifecycle breadcrumbs)."""
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(
-            {"type": "note", "time": time, "kind": kind, "attrs": attrs}
-        )
-
-    @staticmethod
-    def _as_dict(record: typing.Any) -> typing.Dict[str, typing.Any]:
-        return record if isinstance(record, dict) else record.to_dict()
-
     def records(self) -> typing.List[typing.Dict[str, typing.Any]]:
-        return [self._as_dict(record) for record in self._ring]
+        return [record.to_dict() for record in self._ring]
 
     def dump(
         self,
@@ -112,7 +99,7 @@ class FlightRecorder:
             for record in self._ring:
                 fh.write(
                     json.dumps(
-                        self._as_dict(record), sort_keys=True, default=_json_default
+                        record.to_dict(), sort_keys=True, default=_json_default
                     )
                     + "\n"
                 )

@@ -1,17 +1,13 @@
-"""Per-executor / per-shard metric registry with ring-buffered series.
+"""Named, labeled metric series held in bounded rings.
 
-The registry holds two kinds of instruments:
-
-- :class:`RingSeries` — bounded (time, value) series.  When full, the
-  oldest chunk is dropped so a long-running system keeps a recent window
-  instead of growing without bound.
-- gauges — callables sampled by the telemetry sampler process on a
-  configurable interval into a ring series (arrival rate, service rate,
-  queue depth, core allocation, ...).
+A :class:`RingSeries` is a bounded (time, value) series: when full, the
+oldest chunk is dropped so a long-running system keeps a recent window
+instead of growing without bound.  The telemetry sampler
+(:mod:`repro.telemetry.core`) records one ``executor_cores`` series per
+executor into a :class:`MetricRegistry`; ``series.csv`` exports them.
 
 Counters already exist elsewhere in the system (``ExecutorMetrics``,
-``RecoveryStats``); the registry snapshots them rather than duplicating
-their bookkeeping.
+``RecoveryStats``); the registry does not duplicate their bookkeeping.
 """
 
 from __future__ import annotations
@@ -19,10 +15,6 @@ from __future__ import annotations
 import typing
 
 Labels = typing.Tuple[typing.Tuple[str, str], ...]
-
-
-class GaugeError(RuntimeError):
-    """A registered gauge raised while being sampled (names the gauge)."""
 
 
 def _labels_key(labels: typing.Mapping[str, typing.Any]) -> Labels:
@@ -64,7 +56,19 @@ class RingSeries:
         return self._values[-1] if self._values else None
 
     def record(self, time: float, value: float) -> None:
-        record_row((self,), time, (value,))
+        times = self._times
+        if times:
+            if time < times[-1]:
+                raise ValueError(
+                    f"timestamps must be nondecreasing ({time} < {times[-1]})"
+                )
+            if len(times) >= self.capacity:
+                chunk = max(1, self.capacity // 8)
+                del times[:chunk]
+                del self._values[:chunk]
+                self.dropped += chunk
+        times.append(time)
+        self._values.append(value)
 
     def to_rows(self) -> typing.List[typing.Tuple[float, float]]:
         return list(zip(self._times, self._values))
@@ -76,48 +80,12 @@ class RingSeries:
         return f"RingSeries({self.name!r}, {self.label_text()!r}, n={len(self)})"
 
 
-def record_row(
-    series: typing.Iterable[RingSeries],
-    time: float,
-    values: typing.Iterable[float],
-) -> None:
-    """Record ``values[i]`` into ``series[i]`` at ``time``, in order.
-
-    Exactly ``ring.record(time, value)`` for each pair, without a call
-    frame per point: the sampler writes a whole tick this way.
-    """
-    for ring, value in zip(series, values):
-        times = ring._times
-        stored = ring._values
-        if times:
-            if time < times[-1]:
-                raise ValueError(
-                    f"timestamps must be nondecreasing ({time} < {times[-1]})"
-                )
-            if len(times) >= ring.capacity:
-                chunk = max(1, ring.capacity // 8)
-                del times[:chunk]
-                del stored[:chunk]
-                ring.dropped += chunk
-        times.append(time)
-        stored.append(value)
-
-
-class _Gauge:
-    __slots__ = ("series", "fn")
-
-    def __init__(self, series: RingSeries, fn: typing.Callable[[], float]) -> None:
-        self.series = series
-        self.fn = fn
-
-
 class MetricRegistry:
-    """Named, labeled series plus the gauges sampled into them."""
+    """Named, labeled series, created on first use."""
 
     def __init__(self, ring_capacity: int = 4096) -> None:
         self.ring_capacity = ring_capacity
         self._series: typing.Dict[typing.Tuple[str, Labels], RingSeries] = {}
-        self._gauges: typing.Dict[typing.Tuple[str, Labels], _Gauge] = {}
 
     def series(self, name: str, **labels: typing.Any) -> RingSeries:
         """Get or create the series for (name, labels)."""
@@ -128,53 +96,8 @@ class MetricRegistry:
             self._series[key] = series
         return series
 
-    def register_gauge(
-        self, name: str, fn: typing.Callable[[], float], **labels: typing.Any
-    ) -> RingSeries:
-        """Sample ``fn()`` into ``series(name, **labels)`` on every tick.
-
-        Re-registering the same (name, labels) replaces the callable —
-        executor churn (RC create/delete, restarts) keeps one series per
-        executor name across incarnations.
-        """
-        series = self.series(name, **labels)
-        self._gauges[(name, series.labels)] = _Gauge(series, fn)
-        return series
-
-    def unregister_gauge(self, name: str, **labels: typing.Any) -> None:
-        self._gauges.pop((name, _labels_key(labels)), None)
-
-    def sample(self, now: float) -> None:
-        """One sampler tick: evaluate every gauge at virtual time ``now``.
-
-        A gauge that raises fails the tick, and so the run, with a
-        :class:`GaugeError` naming it (the flight-recorder dump's reason)
-        rather than leaving a silent gap in the series.
-        """
-        gauges = list(self._gauges.values())
-        values: typing.List[float] = []
-        try:
-            for gauge in gauges:
-                values.append(float(gauge.fn()))
-        except Exception as exc:
-            series = gauge.series
-            raise GaugeError(
-                f"gauge {series.name}{{{series.label_text()}}} failed at "
-                f"t={now}: {type(exc).__name__}: {exc}"
-            ) from exc
-        record_row([gauge.series for gauge in gauges], now, values)
-
     def all_series(self) -> typing.List[RingSeries]:
         return [
             self._series[key]
             for key in sorted(self._series, key=lambda k: (k[0], k[1]))
         ]
-
-    def snapshot(self) -> typing.Dict[str, typing.Dict[str, float]]:
-        """name -> {label_text -> last value} for the Prometheus dump."""
-        out: typing.Dict[str, typing.Dict[str, float]] = {}
-        for series in self.all_series():
-            if series.last is None:
-                continue
-            out.setdefault(series.name, {})[series.label_text()] = series.last
-        return out

@@ -128,7 +128,7 @@ def sparkline(values: typing.Sequence[float], width: int = 40) -> str:
     if not values:
         return ""
     buckets: typing.List[float] = []
-    per_bucket = max(1, len(values) // width)
+    per_bucket = -(-len(values) // width)  # ceiling: at most ``width`` buckets
     for i in range(0, len(values), per_bucket):
         chunk = values[i : i + per_bucket]
         buckets.append(sum(chunk) / len(chunk))
@@ -155,6 +155,24 @@ def executor_series(
             if part.startswith("executor="):
                 executor = part[len("executor="):]
         out.setdefault(executor, []).append((time, value))
+    return out
+
+
+def core_timeline(
+    artifact: RunArtifact,
+) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
+    """Per executor, its sampled ``executor_cores`` values with their
+    count, mean and max (the report's core allocation timeline)."""
+    out: typing.Dict[str, typing.Dict[str, typing.Any]] = {}
+    cores = executor_series(artifact, "executor_cores")
+    for executor in sorted(cores):
+        values = [v for _, v in cores[executor]]
+        out[executor] = {
+            "samples": len(values),
+            "mean": sum(values) / len(values),
+            "max": max(values),
+            "values": values,
+        }
     return out
 
 
@@ -283,17 +301,16 @@ def render_report(
         sections.append(table.render())
 
     # Per-executor utilization timeline (core allocation over time).
-    cores = executor_series(artifact, "executor_cores")
-    if cores:
+    timeline = core_timeline(artifact)
+    if timeline:
         table = ResultTable(
             "per-executor core allocation timeline",
             ["executor", "samples", "mean", "max", "timeline"],
         )
-        for executor in sorted(cores):
-            values = [v for _, v in cores[executor]]
+        for executor, row in timeline.items():
             table.add_row(
-                executor, len(values), sum(values) / len(values), max(values),
-                sparkline(values, width=sparkline_width),
+                executor, row["samples"], row["mean"], row["max"],
+                sparkline(row["values"], width=sparkline_width),
             )
         sections.append(table.render())
 
@@ -345,6 +362,10 @@ def report_dict(
             if artifact.spans_named(name)
         },
         "span_histogram": span_histogram(artifact.spans),
+        "core_timeline": {
+            executor: {k: row[k] for k in ("samples", "mean", "max")}
+            for executor, row in core_timeline(artifact).items()
+        },
         "recovery": recovery_timeline(artifact),
         "sketches": {
             name: payload["summary"]

@@ -62,9 +62,6 @@ class MicroBenchmarkWorkload:
         self.distribution = ZipfKeyDistribution(num_keys, skew, seed=seed)
         self.burst_generator: typing.Optional[HotspotBurst] = None
         self.generated_tuples = 0
-        #: Generator-side ingest watermark: newest nominal creation time
-        #: drawn by any instance (the stamp the latency probes trace).
-        self.last_created = 0.0
 
     def build_topology(
         self,
@@ -137,9 +134,6 @@ class MicroBenchmarkWorkload:
                 created_times = (
                     tick_start + spacing * np.arange(num_batches)
                 ).tolist()
-                last = created_times[-1]
-                if last > self.last_created:
-                    self.last_created = last
                 self.generated_tuples += num_batches * batch_size
                 for created, key in zip(created_times, keys):
                     yield created, TupleBatch(

@@ -217,9 +217,6 @@ class SSEWorkload:
         self._walked_price: typing.Dict[int, float] = {}
         self._next_order_id = 0
         self.generated_tuples = 0
-        #: Generator-side ingest watermark: newest nominal creation time
-        #: drawn by any instance (the stamp the latency probes trace).
-        self.last_created = 0.0
         #: tick index -> per-stock tuple counts (drives Figure 15).
         self.arrival_counts: typing.Dict[int, np.ndarray] = {}
 
@@ -464,9 +461,6 @@ class SSEWorkload:
                     created_times = (
                         tick_start + spacing * np.arange(num_batches)
                     ).tolist()
-                    last = created_times[-1]
-                    if last > self.last_created:
-                        self.last_created = last
                     if self.track_arrivals:
                         counts = np.bincount(stocks, minlength=self.num_stocks)
                         counts *= batch_size

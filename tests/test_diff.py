@@ -1,5 +1,5 @@
 """``repro diff`` and the exporters it reads: regression detection,
-deterministic reports, Prometheus escaping, sketch artifacts.
+deterministic reports, sketch artifacts.
 
 The diff's contract (docs/observability.md): direction-aware (latency up
 is bad, throughput down is bad, everything else neutral), wall-clock
@@ -23,13 +23,10 @@ from repro.telemetry.diff import (
     render_markdown,
 )
 from repro.telemetry.exporters import (
-    LATENCY_FAMILY,
     RunArtifact,
-    _escape_label_value,
     export_run,
     load_artifact,
     load_sketches,
-    write_prometheus,
     write_sketches,
 )
 
@@ -215,45 +212,6 @@ class TestCli:
         assert main(
             ["diff", str(base_path), str(bad_path), "--threshold", "0.5"]
         ) == 0
-
-
-class TestPrometheus:
-    def test_label_escaping(self):
-        assert _escape_label_value('calc"1"') == 'calc\\"1\\"'
-        assert _escape_label_value("a\\b") == "a\\\\b"
-        assert _escape_label_value("two\nlines") == "two\\nlines"
-
-    def test_every_family_gets_a_type_line(self, tmp_path):
-        out = run_exported(tmp_path, "run")
-        lines = (out / "metrics.prom").read_text().splitlines()
-        families = set()
-        for line in lines:
-            if line.startswith("# TYPE "):
-                families.add(line.split()[2])
-            elif line and not line.startswith("#"):
-                name = line.split("{")[0].split(" ")[0]
-                root = name
-                for suffix in ("_count", "_sum"):
-                    if name.endswith(suffix):
-                        root = name[: -len(suffix)]
-                assert root in families, f"sample before # TYPE: {line}"
-        assert f"# TYPE {LATENCY_FAMILY} summary" in lines
-
-    def test_hostile_label_values_round_trip(self, tmp_path):
-        class FakeSeries:
-            name = "executor_queue_depth"
-            labels = (("executor", 'calc"0"\n'),)
-            last = 4.0
-
-        class FakeRegistry:
-            def all_series(self):
-                return [FakeSeries()]
-
-        path = tmp_path / "metrics.prom"
-        write_prometheus(path, FakeRegistry())
-        text = path.read_text()
-        assert 'executor="calc\\"0\\"\\n"' in text
-        assert "\n\n" not in text  # the newline never leaks raw
 
 
 class TestSketchArtifacts:

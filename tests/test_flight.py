@@ -13,8 +13,13 @@ import pytest
 from repro import MicroBenchmarkWorkload, Paradigm, StreamSystem, SystemConfig
 from repro.sim import Environment
 from repro.sim.process import ProcessCrash
-from repro.telemetry.events import EventBus
+from repro.telemetry.events import EventBus, TelemetryEvent
 from repro.telemetry.flight import DUMP_FILE, FlightRecorder, load_dump
+
+
+def tick(i, kind="tick"):
+    """A bus event as the recorder receives it."""
+    return TelemetryEvent(time=float(i), kind=kind, source="test", attrs={"i": i})
 
 
 def small_system(telemetry=True):
@@ -35,7 +40,7 @@ class TestRing:
     def test_capacity_bound_and_dropped_count(self):
         recorder = FlightRecorder(capacity=4)
         for i in range(10):
-            recorder.note(float(i), "tick", i=i)
+            recorder.on_record(tick(i))
         assert len(recorder) == 4
         assert recorder.dropped == 6
         kept = [record["attrs"]["i"] for record in recorder.records()]
@@ -77,7 +82,7 @@ class TestDump:
     def test_dump_and_load_round_trip(self, tmp_path):
         recorder = FlightRecorder(capacity=8)
         for i in range(12):
-            recorder.note(float(i), "tick", i=i)
+            recorder.on_record(tick(i))
         path = recorder.dump(
             tmp_path, reason="unit test", meta={"paradigm": "elasticutor"}
         )
@@ -94,7 +99,7 @@ class TestDump:
 
     def test_dump_is_jsonl(self, tmp_path):
         recorder = FlightRecorder(capacity=4)
-        recorder.note(1.0, "tick")
+        recorder.on_record(tick(1))
         path = recorder.dump(tmp_path, reason="x")
         lines = path.read_text().splitlines()
         assert len(lines) == 2
@@ -105,9 +110,9 @@ class TestDump:
         """DET001 discipline: fixed filename, so repeated crashes of the
         same run overwrite rather than accumulate."""
         recorder = FlightRecorder(capacity=4)
-        recorder.note(1.0, "first")
+        recorder.on_record(tick(1, "first"))
         first = recorder.dump(tmp_path, reason="one")
-        recorder.note(2.0, "second")
+        recorder.on_record(tick(2, "second"))
         second = recorder.dump(tmp_path, reason="two")
         assert first == second
         header, records = load_dump(second)
@@ -139,29 +144,6 @@ class TestDumpOnFault:
         assert header["meta"]["paradigm"] == "elasticutor"
         assert header["meta"]["virtual_time"] == pytest.approx(3.0)
         assert records, "the ring tail must survive the crash"
-
-    def test_failing_gauge_fails_the_run_and_the_dump_names_it(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        system = small_system(telemetry=True)
-        clock = system.env
-
-        def broken():
-            if clock.now >= 3.0:
-                raise ZeroDivisionError("gauge input vanished")
-            return 0.0
-
-        system.telemetry.registry.register_gauge(
-            "broken_gauge", broken, executor="calculator-0"
-        )
-        with pytest.raises(ProcessCrash, match="broken_gauge"):
-            system.run(duration=8, warmup=2)
-        header, _ = load_dump(tmp_path / DUMP_FILE)
-        assert "GaugeError" in header["reason"]
-        assert "broken_gauge{executor=calculator-0}" in header["reason"]
-        assert "ZeroDivisionError: gauge input vanished" in header["reason"]
-        assert header["meta"]["virtual_time"] == pytest.approx(3.0)
 
     def test_no_dump_when_telemetry_disabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))

@@ -1,6 +1,8 @@
 """Unit and property tests for the queueing model and greedy allocation."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -227,3 +229,73 @@ class TestGreedyAllocator:
             assert allocation.cores[demand.name] >= 1
         if allocation.feasible:
             assert allocation.expected_latency <= target_ms / 1000.0 + 1e-12
+
+
+def _greedy_instance(rng):
+    """A small allocation problem whose minimum stable demand fits the
+    cluster: 1-4 executors, at most 14 cores, a latency target drawn
+    from the allocations' own latencies (so some are unreachable)."""
+    num_executors = rng.randint(1, 4)
+    total_cores = rng.randint(num_executors, 14)
+    while True:
+        demands = [
+            ExecutorDemand(
+                f"e{j}",
+                rng.choice([0.0, rng.uniform(0.0, 4000.0)]),
+                rng.uniform(200.0, 2000.0),
+            )
+            for j in range(num_executors)
+        ]
+        floor = sum(
+            MMKModel.min_stable_cores(d.arrival_rate, d.service_rate)
+            for d in demands
+        )
+        busy = any(d.arrival_rate > 0 for d in demands)
+        if busy and floor <= total_cores:
+            return demands, total_cores
+
+
+def _exhaustive(demands, total_cores):
+    """Modelled latency of every allocation with k_j >= 1 and at most
+    ``total_cores`` in all: ``{cores tuple: E[T]}``."""
+    model = JacksonNetworkModel(max(d.arrival_rate for d in demands))
+    arrivals = [d.arrival_rate for d in demands]
+    services = [d.service_rate for d in demands]
+    return {
+        cores: model.mean_latency(arrivals, services, cores)
+        for cores in itertools.product(
+            range(1, total_cores + 1), repeat=len(demands)
+        )
+        if sum(cores) <= total_cores
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_allocator_matches_exhaustive_optimum(seed):
+    """DRS's claim for the greedy (Fu et al., ICDCS'15), checked by brute
+    force: at its own core total no allocation has lower modelled
+    latency, no smaller allocation meets the target, and it reports
+    infeasible only when no allocation within the cluster is feasible."""
+    rng = random.Random(seed)
+    for _ in range(250):
+        demands, total_cores = _greedy_instance(rng)
+        latencies = _exhaustive(demands, total_cores)
+        finite = sorted(v for v in latencies.values() if math.isfinite(v))
+        target = rng.choice(finite) * rng.uniform(0.97, 1.03)
+        allocation = GreedyAllocator(target).allocate(demands, total_cores)
+        used = allocation.total_cores
+
+        best_at_used = min(
+            latency for cores, latency in latencies.items() if sum(cores) == used
+        )
+        assert allocation.expected_latency == pytest.approx(
+            best_at_used, rel=1e-12
+        )
+        meeting = [
+            sum(cores) for cores, latency in latencies.items()
+            if latency <= target
+        ]
+        if meeting:
+            assert allocation.feasible
+            assert used <= min(meeting)
+

@@ -16,15 +16,15 @@ import pytest
 from repro import FaultSpec, MicroBenchmarkWorkload, Paradigm, StreamSystem, SystemConfig
 from repro.cli import main
 from repro.sim import Environment
-from repro.telemetry import NULL_BUS, NULL_SPAN, EventBus, MetricRegistry, RingSeries
+from repro.telemetry import NULL_BUS, NULL_SPAN, EventBus, RingSeries
 from repro.telemetry.exporters import export_run, load_artifact
-from repro.telemetry.registry import GaugeError, record_row
 from repro.telemetry.report import (
     REASSIGN_PHASES,
     phase_breakdown,
     reassignment_breakdown,
     render_report,
     report_dict,
+    sparkline,
 )
 
 FAULTY_SPEC = "core_failure@6:node=1; node_crash@9:node=3"
@@ -117,36 +117,17 @@ class TestRegistry:
         assert list(series.times) == sorted(series.times)
         assert series.times[-1] == 39.0
 
-    def test_gauge_sampling(self):
-        registry = MetricRegistry()
-        state = {"v": 1.0}
-        registry.register_gauge("g", lambda: state["v"], executor="e0")
-        registry.sample(0.0)
-        state["v"] = 2.0
-        registry.sample(1.0)
-        (series,) = registry.all_series()
-        assert series.to_rows() == [(0.0, 1.0), (1.0, 2.0)]
-        assert "executor=e0" in series.label_text()
-
-    def test_failing_gauge_raises_naming_it(self):
-        registry = MetricRegistry()
-        registry.register_gauge("ok", lambda: 1.0)
-        registry.register_gauge("bad", lambda: 1 / 0, executor="e0")
-        with pytest.raises(GaugeError, match=r"bad\{executor=e0\}.*ZeroDivisionError"):
-            registry.sample(0.0)
-
-    def test_record_row_matches_record(self):
-        by_point = [RingSeries("a", capacity=8), RingSeries("b", capacity=8)]
-        by_row = [RingSeries("a", capacity=8), RingSeries("b", capacity=8)]
+    def test_record_trims_by_chunk_and_keeps_time_order(self):
+        series = RingSeries("a", capacity=8)
         for i in range(20):
-            for series, value in zip(by_point, (i, -i)):
-                series.record(float(i), float(value))
-            record_row(by_row, float(i), (float(i), float(-i)))
-        for point, row in zip(by_point, by_row):
-            assert row.to_rows() == point.to_rows()
-            assert row.dropped == point.dropped
+            series.record(float(i), float(-i))
+        # Each trim drops capacity // 8 = 1 point: the newest 8 remain.
+        assert series.to_rows() == [(float(i), float(-i)) for i in range(12, 20)]
+        assert series.dropped == 12
+        series.record(19.0, 0.0)  # an equal timestamp is allowed
         with pytest.raises(ValueError, match="nondecreasing"):
-            record_row(by_row, 3.0, (0.0, 0.0))
+            series.record(3.0, 0.0)
+        assert series.last == 0.0  # the rejected point was not stored
 
 
 # -- determinism ------------------------------------------------------------
@@ -199,15 +180,17 @@ class TestExportPins:
     """Byte pins of the sampled and sketched exports of a wan + faults run
     (jittered fabric, a latency spike and a crash).  Telemetry only reads
     the simulation, so a refactor of how it records must leave these
-    files as they are; a change meant to move them re-pins them here."""
+    files as they are; a change meant to move them re-pins them here.
+
+    ``series.csv`` was re-pinned when the sampler stopped writing every
+    series but ``executor_cores``: the new file is the old one's header
+    plus its ``executor_cores`` rows, byte for byte."""
 
     PINS = {
         "series.csv":
-            "031c4c8e4ad27e4864b2c19cb7a7cf352d87854ebcb68b4608b262b063ca5091",
+            "c714f617c4833c6d25b8e596484ed0cb3760a6120f75629022412ac602e34650",
         "sketches.json":
             "0b9ac7707ef804a8bf81dc3b790fad150cea69e429e4911af1a745d85456994f",
-        "metrics.prom":
-            "a320f7ff8f412821ea809094385efc9860cb22095bd372b2f69d3c385e5dafc2",
     }
 
     def test_wan_faults_exports_are_byte_identical(self, tmp_path, capsys):
@@ -282,6 +265,56 @@ class TestExporters:
         d = report_dict(out)
         assert d["counts"]["spans"] > 0
         assert set(d["reassignment"]) == {"intra_node", "inter_node"}
+
+    def test_sampler_records_one_cores_series_per_executor(self, exported):
+        _, system, _ = exported
+        executors = [
+            executor.name
+            for group in system.executors_by_operator.values()
+            for executor in group
+        ]
+        series = system.telemetry.registry.all_series()
+        assert {s.name for s in series} == {"executor_cores"}
+        assert sorted(s.label_text() for s in series) == sorted(
+            f"executor={name}" for name in executors
+        )
+
+    def test_core_timeline_reads_back_from_the_artifact(self, exported):
+        _, system, out = exported
+        artifact = load_artifact(out)
+        live = {
+            dict(s.labels)["executor"]: list(s.values)
+            for s in system.telemetry.registry.all_series()
+        }
+        timeline = report_dict(artifact)["core_timeline"]
+        assert sorted(timeline) == sorted(live)
+        (section,) = [
+            block for block in render_report(artifact).split("\n\n")
+            if block.startswith("per-executor core allocation timeline")
+        ]
+        rendered = {
+            line.split()[0]: line.split()
+            for line in section.splitlines()[4:]
+        }
+        assert sorted(rendered) == sorted(live)
+        for executor, values in live.items():
+            mean = sum(values) / len(values)
+            assert timeline[executor] == {
+                "samples": len(values), "mean": mean, "max": max(values),
+            }
+            assert rendered[executor] == [
+                executor, str(len(values)), f"{mean:.2f}",
+                f"{max(values):.2f}", sparkline(values),
+            ]
+
+
+@pytest.mark.parametrize("width", [1, 7, 40])
+def test_sparkline_never_overruns_its_width(width):
+    for n in range(1, 3 * width + 1):
+        line = sparkline([float(i % 5) for i in range(n)], width=width)
+        assert len(line) <= width
+        if n <= width:
+            assert len(line) == n
 
 
 # -- span semantics under fault injection -----------------------------------
