@@ -31,6 +31,7 @@ re-homes remain auditable.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import typing
 
@@ -456,7 +457,14 @@ class NetworkFabric:
         payload: typing.Any = event
         if self._guard_deliveries:
             payload = _GuardedDelivery(self, event, src_node, dst_node)
-        env.push_at(now + delay, payload)
+        time = now + delay
+        if time > now:
+            # Environment.push_at's future branch, inlined: a frame per
+            # remote batch.
+            heapq.heappush(env._timers, (time, env._seq, payload))
+            env._seq += 1
+        else:
+            env.push_at(time, payload)
         return event
 
     def transfer_duration_estimate(self, src_node: int, dst_node: int, nbytes: float) -> float:

@@ -70,7 +70,7 @@ class _ReceiverLoop:
     """
 
     __slots__ = (
-        "env", "input_queue", "get", "lookup", "entries", "record_arrival",
+        "env", "input_queue", "get", "lookup", "entries", "in_rates",
         "local_node", "sender", "window_request",
         "_waiting", "_dead", "_get", "_ack",
         "_on_batch_cb", "_on_put_cb",
@@ -83,8 +83,7 @@ class _ReceiverLoop:
         self.get = executor.input_queue.arm_get
         self.lookup = executor._shard_lookup
         self.entries = executor.routing._entries
-        # ExecutorMetrics.on_arrival's one line, bound here: a frame per batch.
-        self.record_arrival = executor.metrics._in_rates.record
+        self.in_rates = executor.metrics._in_rates
         self.local_node = executor.local_node
         sender = executor._receiver_sender
         self.sender = sender
@@ -103,8 +102,23 @@ class _ReceiverLoop:
         env = self.env
         if batch.trace is not None:
             batch.trace["received"] = env._now
+        # ExecutorMetrics.on_arrival (PairedWindowedRate.record), inline:
+        # a frame per batch.
+        now = env._now
         count = batch.count
-        self.record_arrival(env._now, count, count * batch.size_bytes)
+        nbytes = count * batch.size_bytes
+        rates = self.in_rates
+        events = rates._events
+        events.append((now, count, nbytes))
+        total_a = rates._sum_a + count
+        total_b = rates._sum_b + nbytes
+        horizon = now - rates.window
+        while events[0][0] <= horizon:
+            _, old_a, old_b = events.popleft()
+            total_a -= old_a
+            total_b -= old_b
+        rates._sum_a = total_a
+        rates._sum_b = total_b
         key = batch.key
         lookup = self.lookup  # indexed inline: a frame per batch
         shard_id = lookup.table[key] if 0 <= key < lookup.num_keys else lookup[key]
@@ -119,7 +133,7 @@ class _ReceiverLoop:
             return
         delivery = _Delivery(
             self.sender, task.node_id, task.queue, batch,
-            count * batch.size_bytes, TransferPurpose.REMOTE_TASK,
+            nbytes, TransferPurpose.REMOTE_TASK,
         )
         self.window_request(delivery, delivery._on_grant)
         delivery.callbacks.append(self._on_put_cb)

@@ -293,75 +293,90 @@ class _SourceLoop:
     """
 
     __slots__ = (
-        "src", "env", "schedule", "_batch", "_gi", "_wake", "_ack",
-        "_on_time_cb", "_next_group_cb",
+        "src", "env", "schedule", "_batch", "_gi", "_due", "_wake", "_ack",
+        "_pump_cb", "_next_group_cb",
     )
 
     def __init__(self, src: SourceInstance, schedule: typing.Iterator) -> None:
         self.src = src
         self.env = src.env
         self.schedule = schedule
+        #: The batch being submitted, group ``_gi`` next.
         self._batch: typing.Optional[TupleBatch] = None
         self._gi = 0
+        #: The batch the loop sleeps on until its emit time.
+        self._due: typing.Optional[TupleBatch] = None
         self._wake = spare_event(src.env)
         self._ack = spare_event(src.env)
-        self._on_time_cb = self._on_time
+        self._pump_cb = self._pump
         self._next_group_cb = self._next_group
         self._pump()
 
-    def _pump(self) -> None:
-        # A trampoline, not recursion: a source with no downstream groups
-        # emits its whole backlog synchronously, which must not grow the
-        # stack per batch.
+    def _pump(self, _event: typing.Any = None) -> None:
+        """Count the submitted batch, then emit every due batch of the
+        schedule until one waits on a submit event or lies in the future.
+
+        The callback of the wake event, which first emits the batch the
+        loop slept on, and of the one submit of an untraced batch.  A
+        trampoline, not recursion: a source with no downstream groups
+        emits its whole backlog synchronously, which must not grow the
+        stack per batch.
+        """
         env = self.env
-        while True:
-            try:
-                emit_time, batch = next(self.schedule)
-            except StopIteration:
-                return  # schedule exhausted: the source simply stops
-            now = env._now
-            if emit_time > now:
-                self._batch = batch
-                # The time stays ``now + (emit_time - now)``, which may
-                # round away from ``emit_time``: event order depends on it.
-                env.arm_at(now + (emit_time - now), self._wake, self._on_time_cb)
-                return
-            self._emit(batch)
-            if self._batch is not None:
-                return  # waiting on a group submit event
-
-    def _on_time(self, _event: typing.Any) -> None:
-        batch = self._batch
-        self._batch = None
-        self._emit(batch)
-        if self._batch is None:
-            self._pump()
-
-    def _emit(self, batch: TupleBatch) -> None:
         src = self.src
-        batch.admitted_at = self.env._now
-        src._emitted_batches += 1
-        if src.trace_every and src._emitted_batches % src.trace_every == 0:
-            batch.trace = {
-                "created": batch.created_at,
-                "admitted": batch.admitted_at,
-            }
-        if not src._groups:
-            src.emitted_tuples += batch.count
+        if self._batch is not None:
+            src.emitted_tuples += self._batch.count
+            self._batch = None
+        batch = self._due
+        self._due = None
+        while True:
+            if batch is None:
+                try:
+                    emit_time, batch = next(self.schedule)
+                except StopIteration:
+                    return  # schedule exhausted: the source simply stops
+                now = env._now
+                if emit_time > now:
+                    self._due = batch
+                    # The time stays ``now + (emit_time - now)``, which may
+                    # round away from ``emit_time``: event order depends on it.
+                    env.arm_at(now + (emit_time - now), self._wake, self._pump_cb)
+                    return
+            batch.admitted_at = env._now
+            src._emitted_batches += 1
+            groups = src._groups
+            if src.trace_every and src._emitted_batches % src.trace_every == 0:
+                batch.trace = {
+                    "created": batch.created_at,
+                    "admitted": batch.admitted_at,
+                }
+            elif len(groups) == 1:
+                # The one submit of an untraced batch, inline and resuming
+                # here: three frames per batch.
+                self._batch = batch
+                self._gi = 1
+                group = groups[0]
+                if group.submit_event(
+                    batch, src.node_id, src.sender, self._ack, self._pump_cb
+                ) is None:
+                    self._wait_open(group, batch)
+                return
+            if not groups:
+                src.emitted_tuples += batch.count
+                batch = None
+                continue
+            self._batch = batch
+            self._gi = 0
+            self._next_group()
             return
-        self._batch = batch
-        self._gi = 0
-        self._next_group()
 
     def _next_group(self, _event: typing.Any = None) -> None:
         """Submit to the next group, resuming on its event; after the
-        last, count the batch and pump the schedule."""
+        last, pump the schedule."""
         src = self.src
         groups = src._groups
         gi = self._gi
         if gi >= len(groups):
-            src.emitted_tuples += self._batch.count
-            self._batch = None
             self._pump()
             return
         self._gi = gi + 1
@@ -373,10 +388,14 @@ class _SourceLoop:
         if group.submit_event(
             batch, src.node_id, src.sender, self._ack, self._next_group_cb
         ) is None:
-            # The gate is closed: a short-lived process waits it open.
-            self.env.process(
-                submit_when_open(group, batch, src.node_id, src.sender)
-            ).callbacks.append(self._next_group_cb)
+            self._wait_open(group, batch)
+
+    def _wait_open(self, group: typing.Any, batch: TupleBatch) -> None:
+        """The gate is closed: a short-lived process waits it open."""
+        src = self.src
+        self.env.process(
+            submit_when_open(group, batch, src.node_id, src.sender)
+        ).callbacks.append(self._next_group_cb)
 
 
 class _EmitterLoop:

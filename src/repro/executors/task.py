@@ -45,7 +45,7 @@ class Task:
 
     __slots__ = (
         "env", "task_id", "node_id", "owner", "queue", "stopped",
-        "busy_seconds", "current_item", "process",
+        "current_item", "process",
     )
 
     def __init__(
@@ -62,7 +62,6 @@ class Task:
         self.owner = owner
         self.queue = Store(env, capacity=queue_capacity)
         self.stopped = False
-        self.busy_seconds = 0.0
         # Batch currently being processed but not yet committed to state.
         # The loop clears it at the commit point, so a crash knows
         # whether the in-progress batch was applied or must count as lost.
@@ -123,7 +122,7 @@ class _TaskPipeline(Event):
 
     __slots__ = (
         "task", "ex", "queue",
-        "_waiting", "_item", "_cost", "_started", "_emissions", "_ei", "_dead",
+        "_waiting", "_item", "_cost", "_emissions", "_ei", "_dead",
         "_access", "_shard", "_state", "_get", "_wake", "_ack",
         "_on_item_cb", "_execute_cb", "_on_eput_cb", "_on_access_cb",
     )
@@ -136,7 +135,6 @@ class _TaskPipeline(Event):
         self._waiting: typing.Optional[Event] = None
         self._item: typing.Optional[TupleBatch] = None
         self._cost = 0.0
-        self._started = 0.0
         self._emissions: typing.Sequence[typing.Any] = ()
         self._ei = 0
         self._dead = False
@@ -181,7 +179,6 @@ class _TaskPipeline(Event):
                 return
         ex = self.ex
         env = ex.env
-        self._started = env._now
         task.current_item = item
         trace = item.trace
         if trace is not None:
@@ -194,9 +191,9 @@ class _TaskPipeline(Event):
         # Wall time on this core; slow nodes (stragglers) and injected
         # stalls take longer, and everything downstream — shard loads, µ,
         # the scheduler — sees the measured reality, not the nominal
-        # cost.  cluster.speed is read per batch on purpose: straggler
-        # injection changes it mid-run.
-        cost = cost / (ex.cluster.speed(task.node_id) * ex.stall_factor)
+        # cost.  The node's speed is read per batch on purpose: straggler
+        # injection changes it mid-run (Cluster.speed, inline).
+        cost = cost / (ex.cluster.nodes[task.node_id].speed_factor * ex.stall_factor)
         self._item = item
         self._cost = cost
         if cost > 0:
@@ -233,7 +230,10 @@ class _TaskPipeline(Event):
                     )
                     self._on_access(None)
                     return
-                shard = ex.stores[task.node_id].get(shard_id)
+                # ProcessStateStore.get, inline; its StateError still
+                # names a missing shard.
+                store = ex.stores[task.node_id]
+                shard = store._shards.get(shard_id) or store.get(shard_id)
         else:
             self._shard = None
             shard_id = shard.shard_id
@@ -243,7 +243,19 @@ class _TaskPipeline(Event):
             state._shard = shard
             emissions = logic.process(batch, state)
         now = env._now
-        ex.metrics.on_processed(now, batch.count, cost)
+        # ExecutorMetrics.on_processed with EWMA.update's equal-sample
+        # path, inline: a frame each per batch.
+        metrics = ex.metrics
+        count = batch.count
+        metrics.processed_tuples._total += count
+        metrics.processed_batches._total += 1
+        if count > 0:
+            service_cost = metrics.service_cost
+            sample = cost / count
+            if sample == service_cost._value and service_cost._initialized:
+                service_cost._last_time = now
+            else:
+                service_cost.update(now, sample)
         if ex.operator_in_flight is not None:
             ex.operator_in_flight.decrement()
         if batch.trace is not None:
@@ -261,7 +273,9 @@ class _TaskPipeline(Event):
                     probe._fold()
             if ex._sink_recorder is not None:
                 ex._sink_recorder(batch, now)
-            self._finish()
+            # _finish, inline: a frame per delivered batch.
+            self._item = None
+            self._waiting = self.queue.arm_get(self._get, self._on_item_cb)
             return
         if emissions:
             if not isinstance(emissions, (list, tuple)):
@@ -343,9 +357,7 @@ class _TaskPipeline(Event):
         self._next_emission()
 
     def _finish(self) -> None:
-        """Account the batch's busy time and wait on the next item."""
-        task = self.task
-        task.busy_seconds += self.ex.env._now - self._started
+        """Drop the finished batch and wait on the next item."""
         self._item = None
         self._waiting = self.queue.arm_get(self._get, self._on_item_cb)
 

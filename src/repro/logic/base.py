@@ -109,7 +109,9 @@ class SyntheticLogic(OperatorLogic):
         self, batch: TupleBatch, state: StateAccess
     ) -> typing.List[Emission]:
         if self.touch_state:
-            state.put(batch.key, state.get(batch.key, 0) + batch.count)
+            # StateAccess.get/put, inline: a frame each per batch.
+            data = state._shard.data
+            data[batch.key] = data.get(batch.key, 0) + batch.count
         wanted = batch.count * self.selectivity + self._carry
         out_count = int(wanted)
         self._carry = wanted - out_count

@@ -132,7 +132,8 @@ class EWMA:
         A sample equal to the value skips the blend: ``value + alpha *
         0.0`` is exactly ``value`` for every finite value but -0.0, so
         only the time is stored.  On the data plane (a constant per-tuple
-        cost) nearly every update takes this path.
+        cost) nearly every update takes this path, which the task commit
+        runs inline and calls this method only for the others.
         """
         if not self._initialized:
             self._value = float(sample)

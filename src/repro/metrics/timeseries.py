@@ -37,10 +37,6 @@ class TimeSeries:
         self._times.append(time)
         self._values.append(value)
 
-    def add_to_last(self, value: float) -> None:
-        """Add ``value`` to the latest observation (a running bin total)."""
-        self._values[-1] += value
-
     def window_sum(self, start: float, end: float) -> float:
         """Sum of values with timestamps in ``[start, end)``."""
         lo = bisect.bisect_left(self._times, start)

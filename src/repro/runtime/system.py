@@ -31,7 +31,6 @@ from repro.scheduler.model import MMKModel
 from repro.sim import Environment
 from repro.telemetry import QuantileSketch, Telemetry
 from repro.topology import Topology
-from repro.topology.batch import reset_batch_ids
 
 SOURCE_OWNER = "__sources__"
 
@@ -211,9 +210,6 @@ class StreamSystem:
         self.topology = topology
         self.workload = workload
         self.config = config or SystemConfig()
-        # Batch ids restart at 0 for every system so repeated runs in one
-        # interpreter see identical ids (cross-run determinism).
-        reset_batch_ids()
         self.env = Environment()
         self.cluster = Cluster(
             self.env,
@@ -243,6 +239,10 @@ class StreamSystem:
         #: completion: O(duration) points, not one per batch.
         self.sink_completions = TimeSeries("sink_completions")
         self._completion_bin = -1
+        #: The series' values and the bin width, bound once for
+        #: :meth:`_record_sink` (a frame and a lookup per batch).
+        self._completion_values = self.sink_completions._values
+        self._sample_interval = self.config.sample_interval
         #: Completed latency-breakdown traces (config.trace_every > 0).
         self.traces: typing.List[typing.Dict[str, float]] = []
         self.throughput_series = TimeSeries("instantaneous_throughput")
@@ -560,9 +560,9 @@ class StreamSystem:
         return self._sink_residence
 
     def _record_sink(self, batch, now: float) -> None:
-        index = int(now / self.config.sample_interval)
+        index = int(now / self._sample_interval)
         if index == self._completion_bin:
-            self.sink_completions.add_to_last(batch.count)
+            self._completion_values[-1] += batch.count
         else:
             self._completion_bin = index
             self.sink_completions.record(now, batch.count)

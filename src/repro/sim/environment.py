@@ -40,8 +40,10 @@ class Environment:
     entry due at ``T`` into the empty deque, in heap order, and then
     drains the deque FIFO.
 
-    Only :mod:`repro.sim` touches the queues directly; code elsewhere
-    schedules future events through :meth:`schedule` or :meth:`push_at`.
+    Only :mod:`repro.sim` and ``NetworkFabric.transfer`` (once per
+    delivery, the same future branch as :meth:`push_at`) touch the queues
+    directly; code elsewhere schedules future events through
+    :meth:`schedule` or :meth:`push_at`.
     """
 
     __slots__ = ("_now", "_timers", "_ready", "_seq", "_processed", "telemetry")
@@ -121,6 +123,11 @@ class Environment:
         event.callbacks = [callback]
         event._ok = True
         event._value = None
+        if time > self._now:
+            # push_at's future branch, inlined: a frame per batch.
+            heapq.heappush(self._timers, (time, self._seq, event))
+            self._seq += 1
+            return
         self.push_at(time, event)
 
     def run(self, until: typing.Optional[float] = None) -> None:

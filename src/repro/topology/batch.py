@@ -17,8 +17,6 @@ from __future__ import annotations
 import os
 import typing
 
-_next_batch_id = 0
-
 #: Debug-gated validation for the hot constructors.  Off by default; the
 #: test suite switches it on around the cases that exercise it.
 _debug_validation = bool(os.environ.get("REPRO_DEBUG"))
@@ -36,19 +34,6 @@ def validation_enabled() -> bool:
     return _debug_validation
 
 
-def reset_batch_ids(start: int = 0) -> None:
-    """Restart the batch-id sequence.
-
-    Batch ids come from a module-level counter; without a reset, a second
-    run in the same interpreter would observe different ids than the
-    first, which is exactly the kind of cross-run nondeterminism the
-    kernel promises not to have.  :class:`repro.runtime.system.StreamSystem`
-    calls this at construction so every run starts from id 0.
-    """
-    global _next_batch_id
-    _next_batch_id = start
-
-
 class TupleBatch:
     """``count`` consecutive tuples sharing one key.
 
@@ -60,7 +45,7 @@ class TupleBatch:
 
     __slots__ = (
         "key", "count", "cpu_cost", "size_bytes", "created_at",
-        "payload", "admitted_at", "trace", "batch_id",
+        "payload", "admitted_at", "trace",
     )
 
     def __init__(
@@ -73,7 +58,6 @@ class TupleBatch:
         payload: typing.Any = None,
         admitted_at: typing.Optional[float] = None,
         trace: typing.Optional[typing.Dict[str, float]] = None,
-        batch_id: typing.Optional[int] = None,
     ) -> None:
         if _debug_validation:
             if count < 1:
@@ -96,22 +80,16 @@ class TupleBatch:
         #: Optional latency-breakdown trace (sampled batches only): stage-name
         #: -> timestamp, carried across operators so a sink sees the full path.
         self.trace = trace
-        if batch_id is None:
-            global _next_batch_id
-            batch_id = _next_batch_id
-            _next_batch_id += 1
-        self.batch_id = batch_id
 
     def branch(self) -> "TupleBatch":
         """A copy of a traced batch for one more branch of a fan-out.
 
         Sibling branches must not stamp their stages into one shared
-        trace dict, so the copy has its own.  It keeps ``batch_id``.
+        trace dict, so the copy has its own.
         """
         return TupleBatch(
             self.key, self.count, self.cpu_cost, self.size_bytes,
-            self.created_at, self.payload, self.admitted_at,
-            dict(self.trace), self.batch_id,
+            self.created_at, self.payload, self.admitted_at, dict(self.trace),
         )
 
     @property
@@ -126,7 +104,7 @@ class TupleBatch:
         return (
             f"TupleBatch(key={self.key}, count={self.count}, "
             f"cpu_cost={self.cpu_cost}, size_bytes={self.size_bytes}, "
-            f"created_at={self.created_at}, batch_id={self.batch_id})"
+            f"created_at={self.created_at})"
         )
 
 

@@ -82,6 +82,7 @@ class Mutant:
 
 
 ELASTIC = "src/repro/executors/elastic.py"
+TASK = "src/repro/executors/task.py"
 
 MUTANTS: typing.Tuple[Mutant, ...] = (
     Mutant(
@@ -332,12 +333,67 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
         caught=frozenset({"tier-1"}),
     ),
     Mutant(
+        "service-cost-unrecorded",
+        "the task commit, which updates the service-cost EWMA inline, drops the update",
+        TASK,
+        ((
+            "        if count > 0:\n"
+            "            service_cost = metrics.service_cost\n"
+            "            sample = cost / count\n"
+            "            if sample == service_cost._value and service_cost._initialized:\n"
+            "                service_cost._last_time = now\n"
+            "            else:\n"
+            "                service_cost.update(now, sample)\n",
+            "",
+        ),),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
+        "arrival-unrecorded",
+        "the receiver, which records λ inline, drops the arrival record",
+        ELASTIC,
+        ((
+            "        rates = self.in_rates\n"
+            "        events = rates._events\n"
+            "        events.append((now, count, nbytes))\n"
+            "        total_a = rates._sum_a + count\n"
+            "        total_b = rates._sum_b + nbytes\n"
+            "        horizon = now - rates.window\n"
+            "        while events[0][0] <= horizon:\n"
+            "            _, old_a, old_b = events.popleft()\n"
+            "            total_a -= old_a\n"
+            "            total_b -= old_b\n"
+            "        rates._sum_a = total_a\n"
+            "        rates._sum_b = total_b\n",
+            "",
+        ),),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
+        "shard-cost-uncharged",
+        "the task commit stops charging its cost to the batch's shard",
+        TASK,
+        ((
+            "            if ex._shard_cost_accum is not None:\n"
+            "                ex._shard_cost_accum[shard_id] += cost\n",
+            "",
+        ),),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
+        "sink-bin-unadded",
+        "a sink completion in an open sample interval is not added to its bin",
+        "src/repro/runtime/system.py",
+        (("            self._completion_values[-1] += batch.count\n", "            pass\n"),),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
         "lost-slots",
         "TupleBatch loses __slots__",
         "src/repro/topology/batch.py",
         ((
             '    __slots__ = (\n        "key", "count", "cpu_cost", "size_bytes", "created_at",\n'
-            '        "payload", "admitted_at", "trace", "batch_id",\n    )\n',
+            '        "payload", "admitted_at", "trace",\n    )\n',
             "",
         ),),
         lint=frozenset({"HOT001"}),

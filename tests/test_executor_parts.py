@@ -12,6 +12,7 @@ from repro.executors import ElasticExecutor, RCOperatorManager
 from repro.executors.channels import WindowedSender
 from repro.executors.gate import OperatorGate
 from repro.executors.routing import RoutingTable
+from repro.executors.stats import ExecutorMetrics
 from repro.executors.task import STOP, StopSignal, Task
 from repro.faults.recovery import DeadLetterReaper
 from repro.logic.base import OperatorLogic
@@ -278,12 +279,24 @@ class TestTask:
     def test_stop_signal_is_singleton(self):
         assert StopSignal() is STOP
 
-    def test_busy_seconds_accumulates(self):
-        for env, task, put in each_paradigm(0.25):
-            put(batch())
-            put(batch())
+    def test_commit_accounts_as_executor_metrics_on_processed(self):
+        # The commit does on_processed's bookkeeping inline.  Fed the same
+        # batches at the same times, a reference must end identical: the
+        # counts 5, 5, 2 take the first-sample, equal-sample and blend
+        # paths of the service-cost EWMA.
+        for env, task, put in each_paradigm(0.01):
+            reference = ExecutorMetrics()
+            now = 0.0
+            for count in (5, 5, 2):
+                put(batch(count=count))
+                now += 0.01
+                reference.on_processed(now, count, 0.01)
             env.run(until=1.0)
-            assert task.busy_seconds == pytest.approx(0.5)
+            metrics = task.owner.metrics
+            assert metrics.processed_tuples.total == reference.processed_tuples.total == 12
+            assert metrics.processed_batches.total == reference.processed_batches.total == 3
+            assert metrics.service_cost.value == reference.service_cost.value
+            assert metrics.service_cost._last_time == reference.service_cost._last_time
 
     def test_kill_returns_the_batch_handed_over_in_the_same_instant(self):
         # The put hands the batch to the idle loop's pending get; the kill

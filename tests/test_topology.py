@@ -142,20 +142,6 @@ class TestTupleBatch:
         batch = TupleBatch(key=1, count=0, cpu_cost=-1.0, size_bytes=0, created_at=0.0)
         assert batch.count == 0
 
-    def test_batch_ids_reset_per_run(self):
-        from repro.topology.batch import reset_batch_ids
-
-        reset_batch_ids()
-        first = TupleBatch(key=1, count=1, cpu_cost=0, size_bytes=0, created_at=0.0)
-        reset_batch_ids()
-        second = TupleBatch(key=1, count=1, cpu_cost=0, size_bytes=0, created_at=0.0)
-        assert first.batch_id == second.batch_id == 0
-
-    def test_ids_unique(self):
-        a = TupleBatch(key=1, count=1, cpu_cost=0, size_bytes=0, created_at=0.0)
-        b = TupleBatch(key=1, count=1, cpu_cost=0, size_bytes=0, created_at=0.0)
-        assert a.batch_id != b.batch_id
-
 
 class TestOperatorSpec:
     def test_total_shards(self):
