@@ -72,7 +72,6 @@ def _trial(args: argparse.Namespace, paradigm: str) -> TrialConfig:
         batch_size=10 if args.workload == "sse" else 20,
         system_args={
             "latency_target": args.latency_target_ms / 1000.0,
-            "enable_hybrid": args.hybrid,
             "fault_spec": args.fault_spec,
             "network_profile": args.net_profile,
             "detection_delay": args.detection_delay,
@@ -393,8 +392,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration", type=float, default=60.0)
     parser.add_argument("--warmup", type=float, default=20.0)
     parser.add_argument("--latency-target-ms", type=float, default=50.0)
-    parser.add_argument("--hybrid", action="store_true",
-                        help="enable the hybrid split/merge controller")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--fault-spec", default=None,

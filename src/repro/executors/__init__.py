@@ -19,12 +19,10 @@ differ only in how they move keys.
 from repro.executors.balancer import BalanceMove, ShardBalancer
 from repro.executors.elastic import ElasticExecutor
 from repro.executors.gate import OperatorGate
-from repro.executors.group import ElasticGroup, RCGroup, SourceInstance, StaticGroup
-from repro.executors.hybrid import HybridController
+from repro.executors.group import ElasticGroup, RCGroup, SourceInstance
 from repro.executors.rc import RCExecutor, RCOperatorManager
 from repro.executors.static import StaticExecutor
 from repro.executors.stats import ExecutorMetrics, ReassignmentStats
-from repro.executors.subspace import SubspaceRouter, slot_of_key
 from repro.executors.task import StopSignal, Task
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "ElasticExecutor",
     "ElasticGroup",
     "ExecutorMetrics",
-    "HybridController",
     "OperatorGate",
     "RCExecutor",
     "RCGroup",
@@ -41,9 +38,6 @@ __all__ = [
     "ShardBalancer",
     "SourceInstance",
     "StaticExecutor",
-    "StaticGroup",
     "StopSignal",
-    "SubspaceRouter",
     "Task",
-    "slot_of_key",
 ]

@@ -265,8 +265,9 @@ class ElasticExecutor:
         self.alive = True
         #: Gray-failure hook: relative processing speed (0.25 = 4x slower).
         self.stall_factor = 1.0
-        #: Set by the hybrid controller: operator-level in-flight counter
-        #: decremented as this executor completes batches.
+        #: Always None: part of the task loop's owner contract (see
+        #: :class:`repro.executors.task._TaskPipeline`), which RC
+        #: executors meet with their operator's in-flight ledger.
         self.operator_in_flight: typing.Optional[typing.Any] = None
         #: Per-shard end-to-end latency sketches; None unless telemetry is
         #: enabled (the sink path pays a single ``is not None`` test).

@@ -2,10 +2,10 @@
 
 The resource-centric repartitioning protocol must "pause all the upstream
 executors sending tuples downstream" (paper §1), wait for the operator's
-in-flight tuples, move state, and push new routing tables upstream.  RC
-repartitioning, RC crash recovery and the hybrid controller's
-split/merge are all that one protocol with a different move step in the
-middle, so they share one :class:`OperatorBarrier`:
+in-flight tuples, move state, and push new routing tables upstream.  It
+serves the RC baseline alone: RC repartitioning and RC crash recovery
+are that one protocol with a different move step in the middle, so they
+share one :class:`OperatorBarrier`:
 
 - :class:`OperatorGate` is the object emitters consult before sending to
   the operator: while closed, sends block until the gate reopens.

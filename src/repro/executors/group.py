@@ -5,7 +5,7 @@ resolves a tuple's key to the executor owning it and delivers the batch
 into that executor's input queue (over the network when the upstream
 emitter and the downstream executor live on different nodes).
 
-- :class:`ElasticGroup` / :class:`StaticGroup`: static tier-1 hash
+- :class:`ElasticGroup`: the elastic and static paradigms' tier-1 hash
   partition (key -> executor), fixed for the topology's lifetime.
 - :class:`RCGroup`: the resource-centric operator — routing consults the
   dynamic operator-level shard map and the repartitioning gate, and tracks
@@ -16,9 +16,9 @@ emitter and the downstream executor live on different nodes).
 The compiled loops that submit into groups live here too: the source
 emit loop and the executor emitter loop submit on their own re-armed
 put-ack event, falling back to a :func:`submit_when_open` process while
-a gate is closed, and every compiled loop (task, receiver, emitter) dies
-through :func:`stop_loop`, which hands back a batch its get took in the
-crash's instant.
+an RC gate is closed, and every compiled loop (task, receiver, emitter)
+dies through :func:`stop_loop`, which hands back a batch its get took in
+the crash's instant.
 """
 
 from __future__ import annotations
@@ -41,41 +41,24 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ElasticGroup:
     """Static key partition over elastic (or static) executors.
 
-    With a :class:`repro.executors.subspace.SubspaceRouter` attached,
-    tier-1 routing goes through the (rarely updated) slot table instead
-    of the bare hash, and the optional ``gate``/``in_flight`` hooks give
-    the hybrid controller the global-synchronization machinery it needs
-    for executor split/merge.  All three hooks default to off and cost
-    nothing on the fast path.
+    The executor list, and so the tier-1 hash, is fixed for the
+    topology's lifetime: the operator never pauses its upstreams.
     """
 
-    __slots__ = ("name", "executors", "router", "gate", "in_flight", "_lookup")
+    __slots__ = ("name", "executors", "_lookup")
 
     def __init__(
-        self,
-        name: str,
-        executors: typing.Sequence["ElasticExecutor"],
-        router: typing.Optional[typing.Any] = None,
+        self, name: str, executors: typing.Sequence["ElasticExecutor"]
     ) -> None:
         if not executors:
             raise ValueError(f"group {name!r} needs at least one executor")
         self.name = name
         self.executors = list(executors)
-        self.router = router
-        self.gate: typing.Optional[typing.Any] = None
-        self.in_flight: typing.Optional[typing.Any] = None
-        #: Tier-1 table, used when no dynamic router is attached (the
-        #: executor list — and thus the static hash — is then fixed for
-        #: the topology's lifetime).  Precomputed over the operator's
-        #: dense key space and shared between groups with one geometry.
+        #: Tier-1 table, precomputed over the operator's dense key space
+        #: and shared between groups with one geometry.
         self._lookup = executor_lookup(
             len(self.executors), self.executors[0].spec.key_space.num_keys
         )
-
-    def route(self, key: int) -> "ElasticExecutor":
-        if self.router is not None:
-            return self.router.route(key)
-        return self.executors[self._lookup[key]]
 
     def submit_event(
         self,
@@ -84,27 +67,17 @@ class ElasticGroup:
         sender: WindowedSender,
         ack: Event,
         callback: typing.Optional[typing.Callable],
-    ) -> typing.Optional[Event]:
+    ) -> Event:
         """Deliver ``batch`` into the owning executor's input queue.
 
         Returns the one event to wait on, as :meth:`WindowedSender.send`
-        does (the caller's processed ``ack`` armed as the put, or the
-        remote send's delivery), or ``None`` when the gate is closed —
-        see :func:`submit_when_open`.
+        does: the caller's processed ``ack`` armed as the put, or the
+        remote send's delivery.  Never ``None``: this group has no gate.
         """
-        gate = self.gate
-        if gate is not None and gate.closed:
-            return None
-        router = self.router
         key = batch.key
-        if router is not None:
-            executor = router.route(key)
-        else:
-            lookup = self._lookup  # indexed inline: a frame per batch
-            index = lookup.table[key] if 0 <= key < lookup.num_keys else lookup[key]
-            executor = self.executors[index]
-        if self.in_flight is not None:
-            self.in_flight.increment()
+        lookup = self._lookup  # indexed inline: a frame per batch
+        index = lookup.table[key] if 0 <= key < lookup.num_keys else lookup[key]
+        executor = self.executors[index]
         if executor.local_node == src_node:
             return executor.input_queue.arm_put(ack, batch, callback)
         return sender.send(
@@ -116,10 +89,6 @@ class ElasticGroup:
             ack,
             callback,
         )
-
-
-#: The static paradigm routes identically; only executor behaviour differs.
-StaticGroup = ElasticGroup
 
 
 class RCGroup:
@@ -144,7 +113,8 @@ class RCGroup:
         ack: Event,
         callback: typing.Optional[typing.Callable],
     ) -> typing.Optional[Event]:
-        """Same contract as :meth:`ElasticGroup.submit_event`."""
+        """As :meth:`ElasticGroup.submit_event`, but ``None`` while the
+        manager's gate is closed (see :func:`submit_when_open`)."""
         manager = self.manager
         if manager.gate.closed:
             return None
@@ -175,7 +145,8 @@ def submit_when_open(
     A generator (``yield from`` it, or run it as a process): the
     callback-compiled emitters use it only when ``submit_event`` reports
     the gate closed, so the wait costs a process frame per reopen, not
-    per tuple.
+    per tuple.  Only an :class:`RCGroup` has a gate; an
+    :class:`ElasticGroup` never reports one closed.
     """
     while True:
         event = group.submit_event(

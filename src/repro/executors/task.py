@@ -103,8 +103,7 @@ class _TaskPipeline(Event):
 
     The pipeline *is* the task's completion event (like ``Process``): it
     succeeds when a :class:`StopSignal` is consumed, so ``remove_core``'s
-    ``yield victim.process`` and the hybrid controller's drain waits work
-    unmodified.
+    ``yield victim.process`` works unmodified.
 
     The owning executor provides, read per batch:
 

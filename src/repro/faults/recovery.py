@@ -169,12 +169,7 @@ class FaultCoordinator:
         reaper = self._reapers.get(id(executor))
         if reaper is not None:
             return reaper
-        counter = None
-        manager = getattr(executor, "manager", None)
-        if manager is not None:  # RC executor
-            counter = manager.in_flight
-        else:  # elastic/static; hybrid wires operator_in_flight
-            counter = getattr(executor, "operator_in_flight", None)
+        counter = executor.operator_in_flight  # RC's ledger, else None
         on_lost = None
         if counter is not None:
             on_lost = lambda item, c=counter: c.forget(1)  # noqa: E731

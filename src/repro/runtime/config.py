@@ -15,7 +15,7 @@ _RULES = {
     "bandwidth_bps": POSITIVE, "network_latency": NON_NEGATIVE,
     "scheduler_interval": POSITIVE, "latency_target": POSITIVE, "phi": POSITIVE,
     "rc_manage_interval": POSITIVE, "sample_interval": POSITIVE,
-    "hybrid_interval": POSITIVE, "trace_every": INDEX, "detection_delay": NON_NEGATIVE,
+    "trace_every": INDEX, "detection_delay": NON_NEGATIVE,
     "state_rebuild_bytes_per_s": POSITIVE, "static_restart_seconds": NON_NEGATIVE,
 }
 
@@ -65,13 +65,6 @@ class SystemConfig:
     executor: ExecutorConfig = dataclasses.field(default_factory=ExecutorConfig)
     #: Sampling period for instantaneous-throughput time series.
     sample_interval: float = 0.5
-    #: Enable the hybrid framework (paper §4.2 future work): coarse
-    #: operator-level executor split/merge on top of rapid elasticity.
-    #: Elasticutor/naive-EC only.
-    enable_hybrid: bool = False
-    #: Hybrid controller cadence (the paper suggests minutes; scaled down
-    #: with everything else here).
-    hybrid_interval: float = 20.0
     #: Latency-breakdown tracing: attach a trace to every Nth source batch
     #: (0 = off).  Completed traces land in ``SystemResult.traces``.
     trace_every: int = 0

@@ -11,14 +11,11 @@ from repro.cluster import Cluster, TransferPurpose
 from repro.executors import (
     ElasticExecutor,
     ElasticGroup,
-    HybridController,
     RCGroup,
     RCOperatorManager,
     ReassignmentStats,
     SourceInstance,
     StaticExecutor,
-    StaticGroup,
-    SubspaceRouter,
 )
 from repro.faults import FaultCoordinator, FaultInjector
 from repro.faults.spec import FaultKind
@@ -250,7 +247,6 @@ class StreamSystem:
         self.sources: typing.List[SourceInstance] = []
         self.executors_by_operator: typing.Dict[str, typing.List] = {}
         self.rc_managers: typing.Dict[str, RCOperatorManager] = {}
-        self.hybrid_controllers: typing.Dict[str, HybridController] = {}
         self.scheduler: typing.Optional[DynamicScheduler] = None
         self._reserved_by_node: typing.Dict[int, int] = {}
         self.recovery_stats = RecoveryStats()
@@ -280,6 +276,16 @@ class StreamSystem:
         self._measure_operator = self.topology.downstream(self._source_name)[0]
 
         # Source instances on round-robin nodes, one reserved core each.
+        free = self.cluster.cores.free_by_node()
+        for i in range(config.source_instances):
+            node = i % config.num_nodes
+            free[node] -= 1
+            if free[node] < 0:
+                raise PlacementError(
+                    f"source_instances={config.source_instances} does not fit: "
+                    f"round-robin puts more sources on node {node} than its "
+                    f"{self.cluster.cores.capacity(node)} cores"
+                )
         for i in range(config.source_instances):
             node = i % config.num_nodes
             instance = SourceInstance(
@@ -349,18 +355,7 @@ class StreamSystem:
                     for i, node in enumerate(self._place_on_free_cores(count))
                 ]
                 self.executors_by_operator[spec.name] = executors
-                group_cls = (
-                    StaticGroup if config.paradigm is Paradigm.STATIC else ElasticGroup
-                )
-                router = None
-                if (
-                    config.enable_hybrid
-                    and config.paradigm is not Paradigm.STATIC
-                ):
-                    router = SubspaceRouter(
-                        max(16, 4 * len(executors)), executors
-                    )
-                groups[spec.name] = group_cls(spec.name, executors, router=router)
+                groups[spec.name] = ElasticGroup(spec.name, executors)
 
         # Wire downstream edges and sink recording.
         for spec in non_source_ops:
@@ -405,32 +400,6 @@ class StreamSystem:
                 ),
             )
             self.scheduler.start()
-            if config.enable_hybrid:
-                self._build_hybrid_controllers(non_source_ops, groups)
-
-    def _build_hybrid_controllers(self, non_source_ops, groups) -> None:
-        """The paper's §4.2 hybrid framework: coarse split/merge on top of
-        the rapid elasticity of the elastic executors."""
-        for spec in non_source_ops:
-            group = groups[spec.name]
-            downstream_groups = [
-                groups[name] for name in self.topology.downstream(spec.name)
-            ]
-            recorder = None if downstream_groups else self._record_sink
-            controller = HybridController(
-                self.env,
-                self.cluster,
-                group,
-                group.router,
-                executor_factory=self._make_hybrid_factory(
-                    spec, downstream_groups, recorder
-                ),
-                interval=self.config.hybrid_interval,
-                scheduler=self.scheduler,
-            )
-            controller.connect_upstreams(self._upstream_instances(spec.name))
-            controller.start()
-            self.hybrid_controllers[spec.name] = controller
 
     def _upstream_instances(self, name: str) -> typing.List[typing.Any]:
         """Every source instance or executor feeding operator ``name``."""
@@ -444,7 +413,7 @@ class StreamSystem:
 
     def _start_executor(self, executor_cls, spec, index: int, node: int):
         """Build executor ``index`` of ``spec`` on ``node``, give it one
-        core there and start it (initial placement and hybrid splits)."""
+        core there and start it."""
         executor = executor_cls(
             self.env, self.cluster, spec, index=index, local_node=node,
             logic=replicate(spec.logic),
@@ -455,15 +424,6 @@ class StreamSystem:
         self.cluster.cores.allocate(executor.name, node, 1)
         executor.start(initial_cores=1)
         return executor
-
-    def _make_hybrid_factory(self, spec, downstream_groups, recorder):
-        def factory(index: int, node: int) -> ElasticExecutor:
-            executor = self._start_executor(ElasticExecutor, spec, index, node)
-            executor.connect(downstream_groups, recorder)
-            self.executors_by_operator[spec.name].append(executor)
-            return executor
-
-        return factory
 
     def _place_on_free_cores(self, count: int) -> typing.List[int]:
         """Round-robin node placement that respects remaining free cores.

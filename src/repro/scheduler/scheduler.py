@@ -115,12 +115,6 @@ class DynamicScheduler:
         self._running = True
         self.env.process(self._loop())
 
-    def remove_executor(self, executor: ElasticExecutor) -> None:
-        """Forget a retired executor (hybrid merge support)."""
-        self.executors = [e for e in self.executors if e is not executor]
-        self._below_target_rounds.pop(executor.name, None)
-        self._last_congested_round.pop(executor.name, None)
-
     @property
     def live_executors(self) -> typing.List[ElasticExecutor]:
         """Executors currently alive — crashed ones rejoin after restart."""

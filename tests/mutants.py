@@ -248,19 +248,6 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
         caught=frozenset({"tier-1"}),
     ),
     Mutant(
-        "hybrid-split-unsynchronized",
-        "the hybrid split moves half the key subspace without a global sync round",
-        "src/repro/executors/hybrid.py",
-        ((
-            "        yield from self.barrier.synchronize(\n"
-            "            self._split_move(executor, slots, target_node, reservation),\n"
-            "            NULL_SPAN,\n"
-            "        )\n",
-            "        yield from self._split_move(executor, slots, target_node, reservation)\n",
-        ),),
-        caught=frozenset({"tier-1"}),
-    ),
-    Mutant(
         "rc-sync-skips-drain",
         "the global sync round moves state without waiting for in-flight tuples to drain",
         "src/repro/executors/gate.py",

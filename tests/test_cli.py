@@ -63,15 +63,6 @@ class TestExecution:
         assert code == 0
         assert "resource-centric" in capsys.readouterr().out
 
-    def test_run_with_hybrid(self, capsys):
-        code = main([
-            "run", "--paradigm", "elasticutor", "--rate", "2000",
-            "--keys", "500", "--nodes", "4", "--cores-per-node", "2",
-            "--sources", "2", "--executors", "2", "--shards", "8",
-            "--duration", "6", "--warmup", "2", "--hybrid",
-        ])
-        assert code == 0
-
     def test_scale_out(self, capsys):
         code = main([
             "scale-out", "--cores", "1", "2", "--duration", "4",
@@ -110,6 +101,10 @@ class TestExecution:
         (["run", "--rate", "-5"], "rate must be positive, got -5.0"),
         (["run", "--keys", "0"], "num_keys must be >= 1, got 0"),
         (["run", "--sources", "0"], "source_instances must be >= 1, got 0"),
+        # More sources than round-robin placement fits, before any allocation.
+        (["run", "--nodes", "1", "--sources", "8"],
+         "source_instances=8 does not fit: round-robin puts more sources on "
+         "node 0 than its 4 cores"),
         (["run", "--executors", "0"], "executors_per_operator must be >= 1, got 0"),
         (["run", "--net-profile", "bogus"], "unknown network profile 'bogus'"),
         (["run", "--seed", "-1"], "seed must be >= 0, got -1"),
@@ -126,7 +121,7 @@ class TestExecution:
         (["sweep", SMOKE_SPEC, "--workers", "-1"], "workers must be >= 0, got -1"),
     ], ids=[
         "run", "compare", "faults", "sse-default", "warmup-past-duration",
-        "negative-rate", "no-keys", "no-sources", "no-executors",
+        "negative-rate", "no-keys", "no-sources", "too-many-sources", "no-executors",
         "unknown-net-profile", "negative-seed", "nan-latency-target",
         "nan-detection-delay", "scale-out-no-cores", "scale-out-negative-omega",
         "scale-out-nan-cost", "scale-out-warmup-past-duration",

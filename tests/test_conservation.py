@@ -1,6 +1,6 @@
 """End-to-end conservation properties.
 
-Whatever the paradigm does — rebalance, repartition, scale, split — no
+Whatever the paradigm does — rebalance, repartition, scale — no
 tuple may be lost or duplicated.  These tests run each paradigm under
 churn-heavy conditions and check exact accounting: every admitted tuple
 is either processed or still queued when the clock stops.
@@ -11,7 +11,7 @@ import pytest
 from repro import MicroBenchmarkWorkload, Paradigm, StreamSystem, SystemConfig
 
 
-def build(paradigm, omega=8.0, rate=6000, enable_hybrid=False):
+def build(paradigm, omega=8.0, rate=6000):
     workload = MicroBenchmarkWorkload(
         rate=rate, num_keys=1000, skew=0.9, omega=omega, batch_size=10, seed=13
     )
@@ -20,7 +20,6 @@ def build(paradigm, omega=8.0, rate=6000, enable_hybrid=False):
     )
     config = SystemConfig(
         paradigm=paradigm, num_nodes=4, cores_per_node=4, source_instances=2,
-        enable_hybrid=enable_hybrid, hybrid_interval=5.0,
     )
     return StreamSystem(topology, workload, config)
 
@@ -48,17 +47,6 @@ class TestConservation:
         assert processed <= emitted
         in_flight = emitted - processed
         assert in_flight < 5000, f"{in_flight} tuples unaccounted for"
-
-    def test_conservation_with_hybrid_splits(self):
-        system = build(
-            Paradigm.ELASTICUTOR, rate=9000, enable_hybrid=True
-        )
-        system.run(duration=30.0, warmup=5.0)
-        controller = system.hybrid_controllers["calculator"]
-        emitted = emitted_tuples(system)
-        processed = processed_tuples(system)
-        assert processed <= emitted
-        assert emitted - processed < 5000
 
     def test_rc_drains_completely_when_source_stops(self):
         system = build(Paradigm.RC, rate=3000)

@@ -17,7 +17,7 @@ import pytest
 from repro import MicroBenchmarkWorkload, Paradigm, StreamSystem, SystemConfig
 
 PARADIGMS = (Paradigm.STATIC, Paradigm.RC, Paradigm.NAIVE_EC, Paradigm.ELASTICUTOR)
-FABRICS = (None, "wan")
+FABRICS = (None, "lan", "wan", "cloud")
 EMIT_SECONDS = 10.0
 #: Virtual time by which every run has drained (asserted, not assumed).
 DRAINED_BY = 25.0

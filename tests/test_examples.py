@@ -20,7 +20,7 @@ class TestExampleHygiene:
     def test_examples_exist(self):
         names = {path.name for path in EXAMPLES}
         assert {"quickstart.py", "stock_exchange.py", "hotspot_shift.py",
-                "executor_scale_out.py", "hybrid_framework.py"} <= names
+                "executor_scale_out.py"} <= names
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
     def test_example_parses_with_main_and_docstring(self, path):

@@ -3,20 +3,14 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.executors import (
-    ElasticExecutor,
-    ElasticGroup,
-    OperatorGate,
-    RCOperatorManager,
-    SubspaceRouter,
-)
+from repro.executors import ElasticExecutor, ElasticGroup, RCGroup, RCOperatorManager
 from repro.executors.channels import WindowedSender
 from repro.executors.group import SourceInstance, submit_when_open
-from repro.executors.gate import InFlightCounter
 from repro.faults.recovery import DeadLetterReaper
 from repro.logic.base import SyntheticLogic
 from repro.metrics.recovery import RecoveryStats
 from repro.sim import Environment
+from repro.sim.events import spare_event
 from repro.topology import OperatorSpec, TupleBatch
 from repro.topology.keys import executor_of_key
 
@@ -43,30 +37,40 @@ def make_executors(env, cluster, n=2):
     return executors
 
 
+def make_rc_group(env, cluster, name="op", n=2):
+    """An RC operator of ``n`` executors behind its gated group."""
+    spec = OperatorSpec(name, logic=SyntheticLogic(selectivity=0.0),
+                        num_executors=n, shards_per_executor=4)
+    manager = RCOperatorManager(env, cluster, spec)
+    manager.connect([], sink_recorder=lambda b, now: None)
+    manager.bootstrap(n, nodes=list(range(n)))
+    return manager, RCGroup(name, manager)
+
+
 class TestElasticGroup:
     def test_static_hash_routing(self, env):
         cluster = Cluster(env, num_nodes=2, cores_per_node=2)
         executors = make_executors(env, cluster)
         group = ElasticGroup("op", executors)
+        sender = WindowedSender(env, cluster.network, 0)
         for key in range(50):
-            expected = executors[executor_of_key(key, 2)]
-            assert group.route(key) is expected
-
-    def test_router_overrides_hash(self, env):
-        cluster = Cluster(env, num_nodes=2, cores_per_node=2)
-        executors = make_executors(env, cluster)
-        router = SubspaceRouter(8, executors)
-        group = ElasticGroup("op", executors, router=router)
-        router.reassign_slots(range(8), executors[1])  # everything to [1]
-        for key in range(50):
-            assert group.route(key) is executors[1]
+            event = group.submit_event(batch(key), 0, sender, spare_event(env), None)
+            assert event is not None  # an elastic group has no gate
+        env.run(until=1.0)
+        for index, executor in enumerate(executors):
+            landed = {
+                key
+                for store in executor.stores.values()
+                for shard_id in store.shard_ids
+                for key in store.get(shard_id).data
+            }
+            assert landed == {k for k in range(50) if executor_of_key(k, 2) == index}
 
     def test_gate_blocks_submission(self, env):
+        # Only an RC group has a gate: submit_when_open waits it open.
         cluster = Cluster(env, num_nodes=2, cores_per_node=2)
-        executors = make_executors(env, cluster)
-        group = ElasticGroup("op", executors)
-        group.gate = OperatorGate(env)
-        group.gate.close()
+        manager, group = make_rc_group(env, cluster)
+        manager.gate.close()
         sender = WindowedSender(env, cluster.network, 0)
         delivered = []
 
@@ -76,7 +80,7 @@ class TestElasticGroup:
 
         def opener():
             yield env.timeout(2.0)
-            group.gate.open()
+            manager.gate.open()
 
         env.process(producer())
         env.process(opener())
@@ -87,9 +91,6 @@ class TestElasticGroup:
         cluster = Cluster(env, num_nodes=2, cores_per_node=2)
         executors = make_executors(env, cluster)
         group = ElasticGroup("op", executors)
-        group.in_flight = InFlightCounter(env)
-        for executor in executors:
-            executor.operator_in_flight = group.in_flight
         sender = WindowedSender(env, cluster.network, 0)
 
         def producer():
@@ -98,7 +99,9 @@ class TestElasticGroup:
 
         env.process(producer())
         env.run(until=2.0)
-        assert group.in_flight.count == 0  # everything processed
+        # Every submitted batch is processed; no operator ledger is kept.
+        assert sum(ex.metrics.processed_batches.total for ex in executors) == 10
+        assert all(ex.operator_in_flight is None for ex in executors)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
@@ -108,10 +111,8 @@ class TestElasticGroup:
 class TestEmitterLoop:
     def test_crash_drops_the_batch_waiting_on_a_closed_gate(self, env):
         cluster = Cluster(env, num_nodes=2, cores_per_node=2)
-        downstream = make_executors(env, cluster)
-        group = ElasticGroup("down", downstream)
-        group.gate = OperatorGate(env)
-        group.gate.close()
+        down_manager, group = make_rc_group(env, cluster, name="down")
+        down_manager.gate.close()
         spec = OperatorSpec("up", logic=SyntheticLogic(), num_executors=1,
                             shards_per_executor=4)
         manager = RCOperatorManager(env, cluster, spec)
@@ -121,10 +122,13 @@ class TestEmitterLoop:
         upstream._emitter_queue.put_nowait(batch(key=1))
         env.run(until=1.0)  # the emitter now holds the batch at the gate
         upstream.crash(DeadLetterReaper(env, RecoveryStats()))
-        group.gate.open()
+        down_manager.gate.open()
         env.run(until=2.0)
         # A dead emitter submits nothing, gate wait included.
-        assert all(ex.metrics.processed_batches.total == 0 for ex in downstream)
+        assert all(
+            ex.metrics.processed_batches.total == 0
+            for ex in down_manager.executors
+        )
 
 
 class TestSourceInstance:

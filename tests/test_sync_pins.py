@@ -1,9 +1,9 @@
 """Pinned outputs of the synchronization and repair paths no benchmark runs.
 
 RC crash recovery (node crash and core failure, state lost and kept, and
-the no-capacity stall), RC scale-in (executors retire right after the
-gate reopens) and a hybrid split followed by a merge all walk the one
-operator barrier of :mod:`repro.executors.gate`.  The executor-centric
+the no-capacity stall) and RC scale-in (executors retire right after the
+gate reopens) all walk the one operator barrier of
+:mod:`repro.executors.gate`.  The executor-centric
 repairs walk the one shard move and the fault coordinator's one repair
 step: an Elasticutor core failure (state kept, re-homed on the same node
 and across nodes), a crash of a node hosting only remote tasks (state
@@ -12,8 +12,8 @@ seized from other executors), re-homing over an external state store,
 and a static core failure whose restart finds no free core.
 
 Each scenario here reduces a run to plain numbers — recovery counters,
-reassignment records, final per-key state, shard owners, the subspace
-slot table and the simulator's event count — and compares them with
+reassignment records, final per-key state, shard owners and the
+simulator's event count — and compares them with
 ``fixtures/sync_pins.json``.  Any refactor of those paths must leave
 every number where it is.
 
@@ -38,8 +38,6 @@ from repro.sim import Environment
 from repro.state import ExternalStateService
 from repro.topology import OperatorSpec, TupleBatch
 from tests.test_external_state import CountingLogic
-from tests.test_hybrid import World
-from tests.test_hybrid import batch as hybrid_batch
 from tests.test_rc import RecordingLogic, batch, drive, make_rc
 
 PINS = pathlib.Path(__file__).parent / "fixtures" / "sync_pins.json"
@@ -252,50 +250,6 @@ def rc_scale_in() -> dict:
     }
 
 
-def hybrid_split_merge() -> dict:
-    """Split one executor, then merge the sibling back."""
-    world = World(num_executors=1, interval=1e9)
-    env, controller = world.env, world.controller
-    original = world.executors[0]
-    siblings = []
-    marks: typing.Dict[str, typing.Any] = {}
-    world.drive([hybrid_batch(key=k % 48, count=2, payload=k) for k in range(600)],
-                spacing=4e-3)
-
-    def script():
-        yield env.timeout(0.5)
-        yield from controller.split(original)
-        siblings.extend(world.group.executors[1:])
-        marks["split_done"] = env.now
-        marks["split_slots"] = slot_table()
-        yield env.timeout(0.7)
-        yield from controller.merge(original, siblings[0])
-        marks["merge_done"] = env.now
-
-    def slot_table() -> typing.List[str]:
-        router = world.router
-        return [router.executor_for_slot(s).name for s in range(router.num_slots)]
-
-    env.process(script())
-    env.run(until=4.0)
-    executors = [(e.name, e) for e in [original, *siblings]]
-    return {
-        **marks,
-        "events": env.events_processed,
-        "splits": controller.splits,
-        "merges": controller.merges,
-        "slots": slot_table(),
-        "state": {
-            name: _state(e.stores.values()) for name, e in executors
-        },
-        "reassignments": {
-            name: _records(e.reassignment_stats) for name, e in executors
-        },
-        "free_cores": world.cluster.cores.total_free,
-        "seen": len(world.logic.seen),
-    }
-
-
 SCENARIOS: typing.Dict[str, typing.Callable[[], dict]] = {
     "rc_node_crash": lambda: rc_system("node_crash@8:node=3", 4, 2),
     "rc_core_failure": lambda: rc_system("core_failure@8:node=1", 4, 2),
@@ -306,7 +260,6 @@ SCENARIOS: typing.Dict[str, typing.Callable[[], dict]] = {
     "rc_node_crash_full": lambda: rc_system("node_crash@8:node=0", 2, 3),
     "rc_stalled": rc_stalled,
     "rc_scale_in": rc_scale_in,
-    "hybrid_split_merge": hybrid_split_merge,
     # Node 1's task failure re-homes onto the same node for free; node 2's
     # migrates its shard's state across nodes.
     "elastic_core_failure": lambda: executor_system(

@@ -463,10 +463,9 @@ class TestLogicReplicas:
         )
         return workload, topology
 
-    def make_system(self, paradigm, workload, topology, enable_hybrid=False):
+    def make_system(self, paradigm, workload, topology):
         config = SystemConfig(
             paradigm=paradigm, num_nodes=8, cores_per_node=7, source_instances=2,
-            enable_hybrid=enable_hybrid,
         )
         return StreamSystem(topology, workload, config)
 
@@ -491,22 +490,6 @@ class TestLogicReplicas:
             ]
             assert len(replicas) == self.REPLICAS
             self.assert_thresholds_shared(topology.spec(name).logic, replicas)
-
-    def test_hybrid_split_replica_shares_read_only_thresholds(self):
-        workload, topology = self.make_topology()
-        system = self.make_system(
-            Paradigm.ELASTICUTOR, workload, topology, enable_hybrid=True
-        )
-        free = system.cluster.cores.free_by_node()
-        node = next(node for node, cores in free.items() if cores)
-        controller = system.hybrid_controllers["price_alarm"]
-        sibling = controller.executor_factory(self.REPLICAS, node)
-        replicas = [
-            executor.logic
-            for executor in system.executors_by_operator["price_alarm"]
-        ]
-        assert sibling.logic is replicas[-1]
-        self.assert_thresholds_shared(topology.spec("price_alarm").logic, replicas)
 
     def test_writable_arrays_are_copied_per_replica(self):
         workload, topology = self.make_topology()
