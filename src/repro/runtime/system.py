@@ -27,6 +27,7 @@ from repro.scheduler import DynamicScheduler, NaiveECStrategy, ReactiveStrategy
 from repro.scheduler.model import MMKModel
 from repro.sim import Environment
 from repro.telemetry import QuantileSketch, Telemetry
+from repro.telemetry.sketch import FOLD_THRESHOLD
 from repro.topology import Topology
 
 SOURCE_OWNER = "__sources__"
@@ -34,11 +35,6 @@ SOURCE_OWNER = "__sources__"
 #: Where the flight-recorder post-mortem lands when a run dies, unless
 #: the ``REPRO_FLIGHT_DIR`` environment variable names another directory.
 FLIGHT_RECORDER_DIR = "flight-recorder"
-
-#: Sink observations buffered before a fold into the latency sketches:
-#: two lists of this many floats bound the buffer's memory.
-SINK_FOLD_LIMIT = 4096
-
 
 class PlacementError(ValueError):
     """The cluster has too few free cores for the initial executors."""
@@ -537,7 +533,7 @@ class StreamSystem:
                 admitted = batch.created_at
             residence = now - admitted
             self._sink_residences.append(residence if residence > 0.0 else 0.0)
-            if len(ages) >= SINK_FOLD_LIMIT:
+            if len(ages) >= FOLD_THRESHOLD:
                 self._fold_sink()
 
     def _fold_sink(self) -> None:

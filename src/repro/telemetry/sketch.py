@@ -28,8 +28,13 @@ against is :func:`repro.telemetry.report.percentile`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import typing
+
+import numpy as np
 
 #: Observations below this are counted in the zero bucket and reported
 #: as 0.0 — a 1 ns floor, far below any simulated latency of interest.
@@ -37,15 +42,19 @@ MIN_TRACKED = 1e-9
 
 PAYLOAD_KIND = "ddsketch"
 
-# Module-local aliases skip the `math.` attribute lookup in `add`, the
-# one sketch method on the per-batch delivery path.
+# Module-local aliases skip the attribute lookups in `add`, which runs
+# once per observation, and in the bulk folds.
 _log = math.log
 _ceil = math.ceil
+_reduce = functools.reduce
+_add = operator.add
+_mul = operator.mul
 
-#: Buffered observations a :class:`LatencyProbe` holds before folding
-#: them into its sketches mid-run (~1.5 MB of scalars at the limit —
-#: the memory bound for arbitrarily long runs; short runs fold at read).
-FOLD_THRESHOLD = 65536
+#: Buffered observations a recorder holds before folding them into its
+#: sketches: the run's sink age and residence buffers, and each
+#: :class:`LatencyProbe`.  It bounds a recorder's buffer for any run
+#: length.
+FOLD_THRESHOLD = 4096
 
 #: Length of :attr:`LatencyProbe._pending` (interleaved triples) at
 #: which a recorder folds it.
@@ -114,49 +123,84 @@ class QuantileSketch:
         if len(buckets) > self.max_buckets:
             self._collapse()
 
-    def add_all(self, values: typing.Iterable[float]) -> None:
-        """Record each of ``values`` once, in order.
+    def add_all(
+        self,
+        values: typing.Sequence[float],
+        counts: typing.Optional[typing.Sequence[int]] = None,
+    ) -> None:
+        """Record each of ``values`` once, or ``counts[i]`` times, in order.
 
-        Exactly ``for value in values: self.add(value)`` (the same
-        left-to-right ``_sum``, zero bucket, min, max and collapses, and
-        the same state when a negative value raises) with the per-value
-        call frame and the ``count`` arithmetic folded away: the bulk path
-        for recorders that buffer observations.
+        Exactly ``for value, count in zip(values, counts): self.add(value,
+        count)``: the same buckets, left-to-right ``_sum``, zero bucket,
+        min, max and collapses, and the same state when an entry raises.
+        The bulk path for recorders that buffer observations: every bucket
+        index comes from one pass of libm's ``log`` (the function ``add``
+        calls; ``np.log`` differs from it in the last bit for some inputs)
+        and the counts land with one ``bincount``.
         """
-        added = zeros = 0
-        total = self._sum
-        low = self._min
-        high = self._max
-        buckets = self._buckets
-        scale = self._inv_log_gamma
-        max_buckets = self.max_buckets
-        try:
-            for value in values:
-                if value < 0.0:
-                    raise ValueError(f"value must be >= 0, got {value}")
-                added += 1
-                total += value
-                if value < low:
-                    low = value
-                if value > high:
-                    high = value
-                if value < MIN_TRACKED:
-                    zeros += 1
-                    continue
-                index = _ceil(_log(value) * scale)
-                if index in buckets:
-                    buckets[index] += 1
-                else:
-                    buckets[index] = 1
-                    # Only a new bucket can overflow the budget.
-                    if len(buckets) > max_buckets:
-                        self._collapse()
-        finally:
-            self._count += added
-            self._zero_count += zeros
-            self._sum = total
+        if counts is not None and len(counts) != len(values):
+            raise ValueError(f"{len(values)} values but {len(counts)} counts")
+        if not values:
+            return
+        low = min(values)
+        high = max(values)
+        # Left to right, as `add` accumulates; builtin `sum` may compensate.
+        if counts is None:
+            total = _reduce(_add, values, self._sum)
+        else:
+            total = _reduce(_add, map(_mul, values, counts), self._sum)
+        if not (
+            low >= 0.0 and total - total == 0.0  # no NaN, no infinity
+            and (counts is None or min(counts) >= 1)
+        ):
+            # An entry `add` rejects (or a sum that overflowed): the loop
+            # itself, which raises where and as `add` does.
+            for value, count in zip(
+                values, itertools.repeat(1) if counts is None else counts
+            ):
+                self.add(value, count)
+            return
+        added = len(values) if counts is None else sum(counts)
+        tracked: typing.Sequence[float] = values
+        if low < MIN_TRACKED:
+            keep = [value >= MIN_TRACKED for value in values]
+            tracked = list(itertools.compress(values, keep))
+            if counts is not None:
+                counts = list(itertools.compress(counts, keep))
+            self._zero_count += added - (len(tracked) if counts is None else sum(counts))
+        self._count += added
+        self._sum = total
+        if low < self._min:
             self._min = low
+        if high > self._max:
             self._max = high
+        if not tracked:
+            return
+        indices = np.fromiter(map(_log, tracked), np.float64, len(tracked))
+        indices *= self._inv_log_gamma
+        indices = np.ceil(indices, out=indices).astype(np.intp)
+        base = int(indices.min())
+        tallies = np.bincount(indices - base, counts)
+        hits = np.flatnonzero(tallies)
+        keys = (hits + base).tolist()
+        buckets = self._buckets
+        max_buckets = self.max_buckets
+        if len(buckets) + len(keys) > max_buckets and len(buckets) + sum(
+            1 for key in keys if key not in buckets
+        ) > max_buckets:
+            # A collapse falls inside this run, and what it merges depends
+            # on record order: take the observations one at a time.
+            for index, count in zip(
+                indices.tolist(),
+                itertools.repeat(1) if counts is None else counts,
+            ):
+                buckets[index] = buckets.get(index, 0) + count
+                if len(buckets) > max_buckets:
+                    self._collapse()
+            return
+        get = buckets.get
+        for key, tally in zip(keys, tallies[hits].astype(np.int64).tolist()):
+            buckets[key] = get(key, 0) + tally
 
     def _collapse(self) -> None:
         """Merge the lowest buckets until within the memory budget.
@@ -229,28 +273,45 @@ class QuantileSketch:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {q}")
-        if self._count == 0:
-            return 0.0
-        rank = max(0, min(self._count - 1, math.ceil(q * self._count) - 1))
-        if rank < self._zero_count:
-            return 0.0
-        cumulative = self._zero_count
+        return self._quantiles((q,))[0]
+
+    def _quantiles(self, qs: typing.Sequence[float]) -> typing.List[float]:
+        """:meth:`quantile` of each of ``qs`` (ascending), in one sorted pass."""
+        count = self._count
+        if count == 0:
+            return [0.0] * len(qs)
+        found: typing.List[float] = []
         gamma = self._gamma
-        for index in sorted(self._buckets):
-            cumulative += self._buckets[index]
+        walk = iter(sorted(self._buckets.items()))
+        cumulative = self._zero_count
+        index = 0
+        for q in qs:
+            rank = max(0, min(count - 1, math.ceil(q * count) - 1))
+            if rank < self._zero_count:
+                found.append(0.0)
+                continue
+            while cumulative <= rank:
+                bucket = next(walk, None)
+                if bucket is None:
+                    break
+                index, tally = bucket
+                cumulative += tally
             if cumulative > rank:
                 value = 2.0 * gamma ** index / (gamma + 1.0)
-                return min(self._max, max(self._min, value))
-        return self._max
+                found.append(min(self._max, max(self._min, value)))
+            else:
+                found.append(self._max)
+        return found
 
     def summary(self) -> typing.Dict[str, float]:
         """The standard latency summary: count/mean/p50/p95/p99/max."""
+        p50, p95, p99 = self._quantiles((0.50, 0.95, 0.99))
         return {
             "count": float(self._count),
             "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
             "max": self.max,
         }
 
@@ -346,10 +407,11 @@ class LatencyProbe:
     the bucket math (including the clamp of negative latencies to 0)
     folds into the per-shard sketches either when a reader asks or when
     the buffer reaches :data:`FOLD_THRESHOLD` observations, which bounds
-    memory for long runs.  Folding preserves record order, so payloads
-    stay deterministic.  The task loop performs :meth:`record` inline
-    (``repro.executors.task``): one ``+=`` of the triple and a length
-    test against :data:`PENDING_LIMIT`, with no call frame per batch.
+    memory for any run length.  Folding preserves record order, so
+    payloads stay deterministic.  The task loop performs :meth:`record`
+    inline (``repro.executors.task``): one ``+=`` of the triple and a
+    length test against :data:`PENDING_LIMIT`, with no call frame per
+    batch.
     """
 
     __slots__ = (
@@ -384,22 +446,35 @@ class LatencyProbe:
             self._fold()
 
     def _fold(self) -> None:
-        """Drain the observation buffer into the per-shard sketches."""
+        """Drain the observation buffer into the per-shard sketches.
+
+        Exactly a per-triple ``sketch.add(latency if latency > 0.0 else
+        0.0, count)``: one clamp over the whole buffer, then each shard's
+        triples, in record order, through one
+        :meth:`QuantileSketch.add_all`.  Shards are taken in order of first
+        appearance, so new sketches join :attr:`_sketches` in the order the
+        loop would add them (the order :meth:`merged` merges in).
+        """
         pending = self._pending
         if not pending:
             return
-        sketches = self._sketches
-        accuracy = self.relative_accuracy
-        max_buckets = self.max_buckets
-        for i in range(0, len(pending), 3):
-            shard_id = pending[i]
-            sketch = sketches.get(shard_id)
-            if sketch is None:
-                sketch = QuantileSketch(accuracy, max_buckets)
-                sketches[shard_id] = sketch
-            latency = pending[i + 1]
-            sketch.add(latency if latency > 0.0 else 0.0, pending[i + 2])
+        latencies = [latency if latency > 0.0 else 0.0 for latency in pending[1::3]]
+        runs: typing.Dict[int, typing.Tuple[typing.List[float], typing.List[int]]] = {}
+        for shard, latency, count in zip(pending[0::3], latencies, pending[2::3]):
+            run = runs.get(shard)
+            if run is None:
+                runs[shard] = ([latency], [count])
+            else:
+                run[0].append(latency)
+                run[1].append(count)
         del pending[:]
+        sketches = self._sketches
+        for shard, (values, counts) in runs.items():
+            sketch = sketches.get(shard)
+            if sketch is None:
+                sketch = QuantileSketch(self.relative_accuracy, self.max_buckets)
+                sketches[shard] = sketch
+            sketch.add_all(values, counts)
 
     @property
     def count(self) -> int:
@@ -421,15 +496,16 @@ class LatencyProbe:
         )
 
     def to_dict(self) -> typing.Dict[str, typing.Any]:
+        merged = self.merged()
         return {
             "name": self.name,
             "relative_accuracy": self.relative_accuracy,
-            "count": self.count,
-            "summary": self.merged().summary(),
-            "merged": self.merged().to_dict(),
+            "count": merged.count,
+            "summary": merged.summary(),
+            "merged": merged.to_dict(),
             "shards": {
-                str(shard): sketch.to_dict()
-                for shard, sketch in self.sketches().items()
+                str(shard): self._sketches[shard].to_dict()
+                for shard in sorted(self._sketches)
             },
         }
 

@@ -83,6 +83,7 @@ class Mutant:
 
 ELASTIC = "src/repro/executors/elastic.py"
 TASK = "src/repro/executors/task.py"
+SKETCH = "src/repro/telemetry/sketch.py"
 
 MUTANTS: typing.Tuple[Mutant, ...] = (
     Mutant(
@@ -372,6 +373,23 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
         "a sink completion in an open sample interval is not added to its bin",
         "src/repro/runtime/system.py",
         (("            self._completion_values[-1] += batch.count\n", "            pass\n"),),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
+        "probe-fold-unclamped",
+        "the latency probe's fold drops the clamp of negative (and NaN) latencies to 0",
+        SKETCH,
+        ((
+            "        latencies = [latency if latency > 0.0 else 0.0 for latency in pending[1::3]]\n",
+            "        latencies = pending[1::3]\n",
+        ),),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
+        "probe-fold-at-65536",
+        "the latency probe buffers 65,536 observations before it folds, as before the bulk fold",
+        SKETCH,
+        (("PENDING_LIMIT = 3 * FOLD_THRESHOLD\n", "PENDING_LIMIT = 3 * 65536\n"),),
         caught=frozenset({"tier-1"}),
     ),
     Mutant(

@@ -13,6 +13,7 @@ against the exact nearest-rank oracle
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -47,6 +48,19 @@ def assert_within_accuracy(sketch, values, quantiles=QUANTILES):
         else:
             rel = abs(estimate - exact) / exact
             assert rel <= bound, f"q={q}: {estimate} vs {exact} (rel {rel:.4%})"
+
+
+def assert_add_all_equals_a_loop_of_add(prefix, values, counts, max_buckets):
+    """``add_all`` builds byte for byte what a loop of ``add`` builds."""
+    looped = QuantileSketch(max_buckets=max_buckets)
+    folded = QuantileSketch(max_buckets=max_buckets)
+    for value in prefix:
+        looped.add(value)
+        folded.add(value)
+    for i, value in enumerate(values):
+        looped.add(value, 1 if counts is None else counts[i])
+    folded.add_all(values, counts)
+    assert json.dumps(folded.to_dict()) == json.dumps(looped.to_dict())
 
 
 def samples(kind, n, seed=11):
@@ -126,18 +140,52 @@ class TestAccuracy:
             max_size=300,
         ),
         max_buckets=st.sampled_from([16, 2048]),
+        weighted=st.booleans(),
+        data=st.data(),
     )
-    def test_add_all_equals_a_loop_of_add(self, prefix, values, max_buckets):
+    def test_add_all_equals_a_loop_of_add(
+        self, prefix, values, max_buckets, weighted, data
+    ):
         # max_buckets=16 makes collapses frequent, mid-fold included.
-        looped = QuantileSketch(max_buckets=max_buckets)
-        folded = QuantileSketch(max_buckets=max_buckets)
-        for value in prefix:
-            looped.add(value)
-            folded.add(value)
-        for value in values:
-            looped.add(value)
-        folded.add_all(values)
-        assert json.dumps(folded.to_dict()) == json.dumps(looped.to_dict())
+        counts = None
+        if weighted:
+            counts = data.draw(st.lists(
+                st.integers(1, 1000), min_size=len(values), max_size=len(values),
+            ))
+        assert_add_all_equals_a_loop_of_add(prefix, values, counts, max_buckets)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("max_buckets", [64, 2048])
+    def test_long_add_all_equals_a_loop_of_add(self, weighted, max_buckets):
+        # A sink-sized fold and more: the whole list goes through one
+        # vectorised pass (64 buckets also collapses inside it).
+        rng = random.Random(17)
+        for n in (4096, 20_000):
+            values = samples("zero_spike", n, seed=n) + samples("uniform_wide", n)
+            rng.shuffle(values)
+            counts = [rng.randint(1, 50) for _ in values] if weighted else None
+            prefix = samples("lognormal", 100, seed=3)
+            assert_add_all_equals_a_loop_of_add(prefix, values, counts, max_buckets)
+
+    def test_add_all_indexes_every_bucket_boundary_like_add(self):
+        # Every gamma**i from ~3e-10 (below MIN_TRACKED) to ~9e6 and both
+        # float neighbours of each: the values where a last-bit difference
+        # in log would move an observation to the next bucket.
+        gamma = 1.01 / 0.99
+        values = []
+        for i in range(-1100, 801):
+            value = gamma ** i
+            values += (
+                math.nextafter(value, 0.0), value, math.nextafter(value, math.inf)
+            )
+        assert_add_all_equals_a_loop_of_add([], values, None, 2048)
+        assert_add_all_equals_a_loop_of_add(
+            [], values, [1 + i % 7 for i in range(len(values))], 2048
+        )
+
+    def test_add_all_rejects_mismatched_counts(self):
+        with pytest.raises(ValueError):
+            QuantileSketch().add_all([1.0, 2.0], [1])
 
     def test_add_all_stops_at_a_negative_value_like_add(self):
         values = [0.5, 0.0, 2.0, -1.0, 3.0]
@@ -150,6 +198,39 @@ class TestAccuracy:
             folded.add_all(values)
         assert folded.to_dict() == looped.to_dict()
         assert folded.count == 3
+
+    @pytest.mark.parametrize("bad", [
+        (float("nan"), 1), (math.inf, 1), (-1e-300, 1), (2.0, 0), (2.0, -3),
+    ])
+    def test_add_all_stops_at_any_entry_add_rejects(self, bad):
+        # `add` half-applies a NaN or an infinity (count and sum) before
+        # it raises; the bulk path must leave the same state.
+        values = [0.5, 0.0, 2.0, bad[0], 3.0]
+        counts = [2, 1, 4, bad[1], 1]
+        looped = QuantileSketch()
+        with pytest.raises((ValueError, OverflowError)) as scalar:
+            for value, count in zip(values, counts):
+                looped.add(value, count)
+        folded = QuantileSketch()
+        with pytest.raises(scalar.type):
+            folded.add_all(values, counts)
+        assert repr(folded.to_dict()) == repr(looped.to_dict())
+        assert repr(folded.sum) == repr(looped.sum)
+
+    def test_summary_reads_the_quantiles_quantile_reads(self):
+        # One sorted pass for p50/p95/p99, including a p50 that falls in
+        # the zero bucket and a sketch that collapsed.
+        for values, max_buckets in (
+            (samples("zero_spike", 5_000), 2048),
+            ([0.0] * 600 + samples("lognormal", 400), 2048),
+            (samples("uniform_wide", 5_000), 16),
+        ):
+            sketch = QuantileSketch(max_buckets=max_buckets)
+            sketch.add_all(values)
+            summary = sketch.summary()
+            for key, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+                assert summary[key] == sketch.quantile(q)
+        assert QuantileSketch().summary()["p99"] == 0.0
 
     def test_extremes_clamp_to_observed_min_max(self):
         sketch = QuantileSketch()
@@ -327,12 +408,57 @@ class TestLatencyProbe:
         assert probe.merged().quantile(0.5) == 0.0
 
     def test_fold_threshold_bounds_the_buffer(self):
+        # One threshold for the sink buffers and the probe: 4,096
+        # observations bound a probe's buffer for any run length.
+        assert FOLD_THRESHOLD == 4096
         probe = LatencyProbe("sink")
-        for i in range(FOLD_THRESHOLD + 10):
+        for i in range(4096 + 10):
             probe.record(i % 4, 0.001, 1, now=1.0)
         # The buffer folded mid-run without any reader asking.
         assert len(probe._pending) == 3 * 10
-        assert probe.count == FOLD_THRESHOLD + 10
+        assert probe.count == 4096 + 10
+
+    # One shard, many, and sparse shard ids.
+    @pytest.mark.parametrize("shards,stride", [(1, 3), (64, 3), (300, 1009)])
+    def test_fold_equals_per_triple_add(self, shards, stride):
+        # The bulk fold against the loop it replaced: per shard, a
+        # `sketch.add` of each clamped latency in record order, sketches
+        # created in order of first appearance.
+        rng = random.Random(shards)
+        clamped = (-1.0, -0.0, float("nan"), 0.0, -1e-12, MIN_TRACKED / 2)
+        probe = LatencyProbe("sink")
+        expected = {}
+        for i in range(3 * FOLD_THRESHOLD + 123):
+            shard = rng.randrange(shards) * stride + 1
+            latency = (
+                clamped[i % len(clamped)] if rng.random() < 0.05
+                else rng.lognormvariate(-5.0, 2.0)
+            )
+            count = rng.randint(1, 40)
+            probe.record(shard, latency, count, now=1.0)
+            sketch = expected.setdefault(shard, QuantileSketch())
+            sketch.add(latency if latency > 0.0 else 0.0, count)
+        assert probe._pending  # the last partial buffer folds at read
+        payload = probe.to_dict()
+        assert list(probe._sketches) == list(expected)
+        assert payload["shards"] == {
+            str(shard): expected[shard].to_dict() for shard in sorted(expected)
+        }
+        merged = merge_all(expected.values())
+        assert json.dumps(payload["merged"]) == json.dumps(merged.to_dict())
+        assert payload["summary"] == merged.summary()
+        assert payload["count"] == merged.count
+
+    def test_fold_clamps_negative_zero_and_nan_to_zero(self):
+        probe = LatencyProbe("sink")
+        for shard, latency in enumerate((-1.0, -0.0, float("nan"))):
+            probe.record(shard, latency, 2, now=1.0)
+            probe.record(shard, 0.5, 1, now=1.0)
+        for sketch in probe.sketches().values():
+            payload = sketch.to_dict()
+            assert payload["zero_count"] == 2
+            assert repr(payload["min"]) == "0.0"
+            assert payload["sum"] == 0.5
 
     def test_merged_equals_union_of_shards(self):
         probe = LatencyProbe("sink")

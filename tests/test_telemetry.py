@@ -10,11 +10,13 @@ The two load-bearing properties (docs/observability.md):
 
 import hashlib
 import json
+import sys
 
 import pytest
 
 from repro import FaultSpec, MicroBenchmarkWorkload, Paradigm, StreamSystem, SystemConfig
 from repro.cli import main
+from repro.executors import task as task_module
 from repro.sim import Environment
 from repro.telemetry import NULL_BUS, NULL_SPAN, EventBus, RingSeries
 from repro.telemetry.exporters import export_run, load_artifact
@@ -26,6 +28,7 @@ from repro.telemetry.report import (
     report_dict,
     sparkline,
 )
+from repro.telemetry.sketch import FOLD_THRESHOLD
 
 FAULTY_SPEC = "core_failure@6:node=1; node_crash@9:node=3"
 
@@ -208,6 +211,42 @@ class TestExportPins:
             for name in self.PINS
         }
         assert digests == self.PINS
+
+
+class TestProbeFoldTiming:
+    """When a latency probe folds must not change what it exports: a run
+    whose probes fold mid-run (every 4,096 batches) writes the same
+    ``sketches.json`` bytes as the same run folded only when read."""
+
+    def export(self, out):
+        workload = MicroBenchmarkWorkload(
+            rate=8000, num_keys=1000, skew=0.8, omega=4.0, batch_size=10, seed=7
+        )
+        topology = workload.build_topology(
+            executors_per_operator=2, shards_per_executor=32
+        )
+        config = SystemConfig(
+            paradigm=Paradigm.ELASTICUTOR, num_nodes=4, cores_per_node=4,
+            source_instances=2, telemetry=True,
+        )
+        system = StreamSystem(topology, workload, config)
+        system.run(duration=20.0, warmup=3.0)
+        # Read the buffers before anything asks a probe (which folds it).
+        probes = list(system.telemetry.probes().values())
+        folded = [sum(s.count for s in p._sketches.values()) for p in probes]
+        buffered = [len(p._pending) // 3 for p in probes]
+        export_run(str(out), system.telemetry)
+        return (out / "sketches.json").read_bytes(), folded, buffered
+
+    def test_mid_run_folds_export_the_same_sketches(self, tmp_path, monkeypatch):
+        mid_run, folded, buffered = self.export(tmp_path / "mid-run")
+        assert all(folded), "every probe folds inside the run"
+        assert max(buffered) < FOLD_THRESHOLD
+        monkeypatch.setattr(task_module, "PENDING_LIMIT", sys.maxsize)
+        at_read, folded, buffered = self.export(tmp_path / "at-read")
+        assert not any(folded)
+        assert min(buffered) >= FOLD_THRESHOLD  # post-warmup batches per probe
+        assert at_read == mid_run
 
 
 class TestExporters:
