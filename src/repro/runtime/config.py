@@ -87,6 +87,13 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, _RULES)
+        if self.static_weights is not None and not isinstance(
+            self.static_weights, typing.Mapping
+        ):
+            raise ValueError(
+                "static_weights must map operator names to weights, "
+                f"got {self.static_weights!r}"
+            )
         if not isinstance(self.executor, ExecutorConfig):
             known = {field.name for field in dataclasses.fields(ExecutorConfig)}
             if unknown := unknown_keys("ExecutorConfig", self.executor, known):
@@ -100,8 +107,13 @@ class SystemConfig:
         if self.fault_spec is not None:
             from repro.faults.spec import FaultSpec, FaultSpecError
 
-            if not hasattr(self.fault_spec, "events"):
+            if isinstance(self.fault_spec, str):
                 self.fault_spec = FaultSpec.load(self.fault_spec)
+            elif not isinstance(self.fault_spec, FaultSpec):
+                raise ValueError(
+                    "fault_spec must be a FaultSpec, DSL/JSON text or a spec "
+                    f"file path, got {self.fault_spec!r}"
+                )
             for event in self.fault_spec.events:
                 if event.node is not None and not 0 <= event.node < self.num_nodes:
                     raise FaultSpecError(

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import statistics
 import typing
+import weakref
 
 from repro.cluster import Cluster, TransferPurpose
 from repro.executors import (
@@ -35,6 +37,11 @@ SOURCE_OWNER = "__sources__"
 #: Where the flight-recorder post-mortem lands when a run dies, unless
 #: the ``REPRO_FLIGHT_DIR`` environment variable names another directory.
 FLIGHT_RECORDER_DIR = "flight-recorder"
+
+#: Systems whose run has ended.  Each is one large reference cycle that
+#: only a full collection frees, and the recycled-event data path
+#: allocates too little for one to start by itself.
+_FINISHED: weakref.WeakSet[StreamSystem] = weakref.WeakSet()
 
 class PlacementError(ValueError):
     """The cluster has too few free cores for the initial executors."""
@@ -571,6 +578,10 @@ class StreamSystem:
         """Drive the workload for ``duration`` simulated seconds."""
         self._warmup = duration * 0.25 if warmup is None else warmup
         check_window(duration, self._warmup)
+        if _FINISHED:
+            # Free the finished systems nothing references any more, so
+            # back-to-back runs hold one system at a time.
+            gc.collect()
         try:
             if hasattr(self.workload, "start_dynamics"):
                 self.workload.start_dynamics(self.env)
@@ -601,6 +612,7 @@ class StreamSystem:
             )
             raise
         finally:
+            _FINISHED.add(self)
             # The workload may draw ahead on a worker thread (SSE ticks):
             # no thread outlives the run, however it ends.
             close = getattr(self.workload, "close", None)

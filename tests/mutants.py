@@ -393,6 +393,19 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
         caught=frozenset({"tier-1"}),
     ),
     Mutant(
+        "keep-finished-systems",
+        "a run starts without collecting the finished systems, so back-to-back runs stack up in memory",
+        "src/repro/runtime/system.py",
+        ((
+            "        if _FINISHED:\n"
+            "            # Free the finished systems nothing references any more, so\n"
+            "            # back-to-back runs hold one system at a time.\n"
+            "            gc.collect()\n",
+            "",
+        ),),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
         "lost-slots",
         "TupleBatch loses __slots__",
         "src/repro/topology/batch.py",

@@ -6,10 +6,16 @@ Each test checks behaviour the evaluation section depends on.
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 import typing
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from repro.cluster import LatencySpec, NetworkProfile, NodeProfile
 from repro.executors.config import ExecutorConfig
 from repro.faults import FaultEvent, FaultKind, FaultSpec
 from repro.logic import OperatorLogic, SyntheticLogic
+from repro.runtime import system as system_module
 from repro.sweep import TrialConfig, run_trial
 from repro.telemetry.report import percentile
 from repro.topology.operator import OperatorSpec
@@ -294,17 +301,23 @@ class TestStreamSystemBasics:
             ({"calculater": 2.0}, "static_weights key 'calculater' names no operator"),
             ({"calculator": 0.0}, r"static_weights\['calculator'\] must be positive"),
             ({"calculator": float("nan")}, r"static_weights\['calculator'\] must be a finite"),
+            (5, "static_weights must map operator names to weights, got 5"),
         ],
-        ids=["unknown-key", "zero-weight", "nan-weight"],
+        ids=["unknown-key", "zero-weight", "nan-weight", "not-a-mapping"],
     )
     def test_malformed_static_weights_rejected_at_build(self, weights, match):
         workload = MicroBenchmarkWorkload(rate=1000, num_keys=100)
-        config = SystemConfig(
-            paradigm=Paradigm.STATIC, num_nodes=4, cores_per_node=4,
-            source_instances=2, static_weights=weights,
-        )
         with pytest.raises(ValueError, match=match):
+            config = SystemConfig(
+                paradigm=Paradigm.STATIC, num_nodes=4, cores_per_node=4,
+                source_instances=2, static_weights=weights,
+            )
             StreamSystem(workload.build_topology(), workload, config)
+
+    def test_fault_spec_object_rejected_at_load(self):
+        # JSON text is a spec; a JSON object is not (it used to reach os.stat).
+        with pytest.raises(ValueError, match="fault_spec must be a FaultSpec"):
+            SystemConfig(fault_spec={"events": [{"kind": "node_crash", "time": 5}]})
 
     def test_multiple_sources_rejected(self):
         from repro.topology import TopologyBuilder
@@ -346,6 +359,95 @@ class TestStreamSystemBasics:
             match=f"cannot place {free + 1} executors: only {free} free cores",
         ):
             system._place_on_free_cores(free + 1)
+
+
+#: Runs each paradigm named on the command line in turn, in one process,
+#: and prints ``paradigm collections result-json`` per run.
+_RUN_PARADIGMS = """
+import gc, json, sys
+from repro.sweep import TrialConfig, run_trial
+
+collect, calls = gc.collect, []
+gc.collect = lambda *args: calls.append(args) or collect(*args)
+
+def summary(paradigm):
+    result, _ = run_trial(TrialConfig(paradigm=paradigm, **json.loads(sys.argv[1])))
+    out = result.to_dict()
+    del out["scheduler_mean_wall_seconds"]  # wall clock
+    return json.dumps(out, sort_keys=True)
+
+for paradigm in sys.argv[2:]:
+    before = len(calls)
+    out = summary(paradigm)
+    print(paradigm, len(calls) - before, out)
+"""
+
+
+class TestBackToBackRuns:
+    """Each finished system is one reference cycle; the next run's start
+    collects the ones nothing references any more."""
+
+    @pytest.fixture
+    def collections(self, monkeypatch):
+        monkeypatch.setattr(system_module, "_FINISHED", weakref.WeakSet())
+        calls = []
+        collect = gc.collect
+        monkeypatch.setattr(
+            system_module.gc, "collect", lambda *args: calls.append(args) or collect(*args)
+        )
+        return calls
+
+    def test_only_a_run_after_a_finished_one_collects(self, collections):
+        first = make_micro(Paradigm.STATIC)
+        first.run(duration=2.0, warmup=0.5)
+        assert len(collections) == 0  # a lone run has nothing to free
+        make_micro(Paradigm.STATIC).run(duration=2.0, warmup=0.5)
+        assert len(collections) == 1  # ``first`` is finished (and still live)
+
+    def test_finished_system_freed_when_next_run_starts(self, collections):
+        enabled = gc.isenabled()
+        gc.disable()  # only the run's own collection may free it
+        try:
+            first = make_micro(Paradigm.ELASTICUTOR)
+            first.run(duration=2.0, warmup=0.5)
+            previous = weakref.ref(first)
+            del first
+            assert previous() is not None  # a cycle: dropping it frees nothing
+            make_micro(Paradigm.ELASTICUTOR).run(duration=2.0, warmup=0.5)
+        finally:
+            if enabled:
+                gc.enable()
+        # The one full collection was the second run's, at its start.
+        assert len(collections) == 1
+        assert previous() is None
+
+    def test_back_to_back_runs_match_fresh_runs(self):
+        # Collecting closes the dead systems' generators and runs their
+        # ``finally`` blocks: none of that may reach the next run.
+        trial = json.dumps({
+            "rate": 3000, "omega": 8.0, "duration": 4.0, "warmup": 1.0,
+            "num_nodes": 2, "cores_per_node": 4, "source_instances": 1,
+            "executors_per_operator": 2, "shards_per_executor": 8, "num_keys": 500,
+        })
+        paradigms = ["static", "resource-centric", "naive-ec", "elasticutor"]
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _RUN_PARADIGMS, trial, *names],
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            for names in [paradigms] + [[p] for p in paradigms]
+        ]
+        outputs = [proc.communicate(timeout=300)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * len(procs)
+        back_to_back = [line.split(" ", 2) for line in outputs[0].splitlines()]
+        fresh = [line.split(" ", 2) for out in outputs[1:] for line in out.splitlines()]
+        assert [collected for _, collected, _ in back_to_back] == ["0", "1", "1", "1"]
+        assert [(name, out) for name, _, out in back_to_back] == [
+            (name, out) for name, _, out in fresh
+        ]
 
 
 class TestWorkloadDynamicsResponse:
