@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.cluster.profile import LatencySpec, NetworkProfile
 from repro.metrics import Counter
-from repro.sim import Environment, Event
+from repro.sim import Callbacks, Environment, Event
 from repro.sim.events import armed_error
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -98,7 +98,7 @@ class _GuardedDelivery:
         self.event = event
         self.src_node = src_node
         self.dst_node = dst_node
-        self.callbacks: typing.Optional[typing.List[typing.Any]] = [self._on_fire]
+        self.callbacks: typing.Optional[typing.Callable] = self._on_fire
 
     def _on_fire(self, _event: typing.Any) -> None:
         fabric = self.fabric
@@ -111,7 +111,7 @@ class _GuardedDelivery:
         if horizon > env._now:
             # Mid-flight partition: re-arm and retry when it heals (the
             # horizon may move again if the partition is extended).
-            self.callbacks = [self._on_fire]
+            self.callbacks = self._on_fire
             env.push_at(horizon, typing.cast(Event, self))  # duck-typed
             return
         env._ready.append(self.event)
@@ -379,12 +379,14 @@ class NetworkFabric:
         nbytes: float,
         purpose: TransferPurpose = TransferPurpose.STREAM,
         event: typing.Optional[Event] = None,
+        callback: typing.Optional[typing.Callable] = None,
     ) -> Event:
         """Move ``nbytes`` from ``src_node`` to ``dst_node``.
 
-        Returns an event firing at delivery time: ``event`` re-armed with
-        no callbacks when given (it must be processed, see
-        :class:`~repro.sim.events.Event`), else a fresh one.  Same-node
+        Returns an event firing at delivery time, with ``callback`` (if
+        any) as its one callback: ``event`` re-armed when given (it must
+        be processed, see :class:`~repro.sim.events.Event`), else a
+        fresh one.  Same-node
         transfers cost only the local delivery latency, consume no link
         bandwidth, and are accounted under ``local_bytes_by_purpose``
         (they never cross a NIC, so they stay out of the Table-2 network
@@ -398,7 +400,7 @@ class NetworkFabric:
             event.env = env
         elif event.callbacks is not None:
             raise armed_error(event)
-        event.callbacks = []
+        event.callbacks = Callbacks() if callback is None else callback
         event._ok = True
         event._value = None
         if src_node == dst_node:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import typing
 
 from repro.cluster.network import NetworkFabric, TransferPurpose
-from repro.sim import Environment, Event, Resource, Store
+from repro.sim import Callbacks, Environment, Event, Resource, Store
 from repro.sim.events import spare_event
 
 
@@ -30,12 +30,13 @@ class _Delivery(Event):
     window.release`` hand-compiled to callbacks on the hop's own event:
     the same object serves, in turn, as the window grant, the transfer
     event and the put-ack, re-armed after each (three kernel events, one
-    allocation).  The grant's first callback starts the transfer, so the
-    transfer is issued before the waiting sender resumes (callbacks fire
-    in append order), exactly as when each step had its own event.
+    allocation).  The grant's one callback starts the transfer and then
+    calls ``then``, the waiting sender's resume (if any), so the transfer
+    is issued before the sender resumes, exactly as when each step had
+    its own event.
     """
 
-    __slots__ = ("sender", "dst_node", "queue", "item", "nbytes", "purpose")
+    __slots__ = ("sender", "dst_node", "queue", "item", "nbytes", "purpose", "then")
 
     def __init__(
         self,
@@ -45,6 +46,7 @@ class _Delivery(Event):
         item: typing.Any,
         nbytes: float,
         purpose: TransferPurpose,
+        then: typing.Optional[typing.Callable],
     ) -> None:
         # Event.__init__ inlined, in the processed state the arm forms
         # require: one delivery per remote batch.
@@ -56,12 +58,21 @@ class _Delivery(Event):
         self.item = item
         self.nbytes = nbytes
         self.purpose = purpose
+        self.then = then
 
     def _on_grant(self, _event: Event) -> None:
         sender = self.sender
         sender.fabric.transfer(
-            sender.src_node, self.dst_node, self.nbytes, self.purpose, self
-        ).callbacks.append(self._on_transfer)
+            sender.src_node, self.dst_node, self.nbytes, self.purpose, self,
+            self._on_transfer,
+        )
+        then = self.then
+        if then is None:
+            # Nothing calls ``then`` after the grant: a waiter that comes
+            # later must wait on the transfer, as on any other event.
+            del self.then
+        else:
+            then(self)
 
     def _on_transfer(self, _event: Event) -> None:
         self.queue.arm_put(self, self.item, self._on_put)
@@ -78,8 +89,14 @@ class _Delivery(Event):
     def withdraw(self) -> typing.Any:
         """Take back a send still waiting for its window grant (its
         sender died): the batch is never transferred and the grant, if
-        already made, is returned.  Returns the item."""
-        self.callbacks.remove(self._on_grant)
+        already made, is returned.  Returns the item.
+
+        ``then`` (or no callback) takes the grant's place, so a grant
+        already queued still resumes the sender, as a no-op now.  Only
+        ``then`` may wait on a withdrawn delivery.
+        """
+        then = self.then
+        self.callbacks = Callbacks() if then is None else then
         window = self.sender._window
         if not window.cancel(self):
             window.release()
@@ -126,18 +143,17 @@ class WindowedSender:
         """Deliver ``item`` into ``queue`` on ``dst_node``.
 
         Returns the one event to wait on, with ``callback`` (if any) as
-        its last callback: the caller's processed ``ack`` armed as the
-        put (local), or a new :class:`_Delivery` waiting for its window
-        grant (remote).  It fires once the send is admitted (local:
-        enqueued; remote: window slot acquired and transfer started), so
-        the caller can pipeline subsequent sends.
+        its waiter: the caller's processed ``ack`` armed as the put
+        (local), or a new :class:`_Delivery` waiting for its window grant
+        (remote; ``callback`` is the delivery's ``then``).  It fires once
+        the send is admitted (local: enqueued; remote: window slot
+        acquired and transfer started), so the caller can pipeline
+        subsequent sends.
         """
         if dst_node == self.src_node:
             return queue.arm_put(ack, item, callback)
-        delivery = _Delivery(self, dst_node, queue, item, nbytes, purpose)
+        delivery = _Delivery(self, dst_node, queue, item, nbytes, purpose, callback)
         self._window.arm_request(delivery, delivery._on_grant)
-        if callback is not None:
-            delivery.callbacks.append(callback)
         return delivery
 
     def send_event(

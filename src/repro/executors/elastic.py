@@ -133,10 +133,9 @@ class _ReceiverLoop:
             return
         delivery = _Delivery(
             self.sender, task.node_id, task.queue, batch,
-            nbytes, TransferPurpose.REMOTE_TASK,
+            nbytes, TransferPurpose.REMOTE_TASK, self._on_put_cb,
         )
         self.window_request(delivery, delivery._on_grant)
-        delivery.callbacks.append(self._on_put_cb)
         self._waiting = delivery
 
     def _on_put(self, _event: Event) -> None:

@@ -28,7 +28,7 @@ import typing
 from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.executors.channels import WindowedSender
 from repro.executors.config import SEND_WINDOW
-from repro.sim import Environment, Event, Process
+from repro.sim import Environment, Event, Process, add_callback, remove_callback
 from repro.sim.events import spare_event
 from repro.topology.batch import TupleBatch
 from repro.topology.keys import executor_lookup
@@ -178,9 +178,7 @@ def stop_loop(
     if waiting is None or waiting.callbacks is None:
         return []
     for callback in (on_get, *callbacks):
-        try:
-            waiting.callbacks.remove(callback)
-        except ValueError:
+        if not remove_callback(waiting, callback):
             continue
         if callback is on_get and not queue.cancel(waiting):
             return [waiting._value]
@@ -364,9 +362,9 @@ class _SourceLoop:
     def _wait_open(self, group: typing.Any, batch: TupleBatch) -> None:
         """The gate is closed: a short-lived process waits it open."""
         src = self.src
-        self.env.process(
+        add_callback(self.env.process(
             submit_when_open(group, batch, src.node_id, src.sender)
-        ).callbacks.append(self._next_group_cb)
+        ), self._next_group_cb)
 
 
 class _EmitterLoop:
@@ -435,7 +433,7 @@ class _EmitterLoop:
             event = self.ex.env.process(
                 submit_when_open(group, batch, self.local_node, self.sender)
             )
-            event.callbacks.append(self._next_group_cb)
+            add_callback(event, self._next_group_cb)
         self._waiting = event
 
     def kill(self) -> typing.List[typing.Any]:

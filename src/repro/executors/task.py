@@ -14,7 +14,7 @@ import typing
 from repro.cluster.network import TransferPurpose
 from repro.executors.group import stop_loop
 from repro.logic.base import StateAccess
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Event, Store, add_callback
 from repro.sim.events import PENDING, spare_event
 from repro.state import ShardState
 from repro.telemetry.sketch import PENDING_LIMIT
@@ -309,7 +309,7 @@ class _TaskPipeline(Event):
                 event = target
                 continue
             self._waiting = target
-            target.callbacks.append(self._on_access_cb)
+            add_callback(target, self._on_access_cb)
             return
 
     def _next_emission(self) -> None:

@@ -18,12 +18,16 @@ The design follows the classic event/process model (as in SimPy):
 - :class:`AllOf` fires once every one of several events has fired.
 
 Processes drive the control plane (reassignment, scheduling, recovery).
-The per-batch data path instead runs as callback state machines that
-append to ``Event.callbacks`` directly (see :mod:`repro.executors`); they
-wait on the same events a process would, so the event order is the same.
-Each loop owns its events and re-arms them through the arm forms
-(:meth:`Store.arm_get`, :meth:`Store.arm_put`, :meth:`Resource.arm_request`,
-:meth:`Environment.arm_at`): the queue entries are the ones the allocating
+The per-batch data path instead runs as callback state machines (see
+:mod:`repro.executors`); they wait on the same events a process would, so
+the event order is the same.  An event's ``callbacks`` slot holds one
+callable: a lone waiter bare, none or several in a :class:`Callbacks`
+that runs them in append order.  :func:`add_callback` and
+:func:`remove_callback` are the general path; the run loop just calls
+the slot.  Each loop owns its events and re-arms them through the arm
+forms (:meth:`Store.arm_get`, :meth:`Store.arm_put`,
+:meth:`Resource.arm_request`, :meth:`Environment.arm_at`), which store
+the loop's callback bare: the queue entries are the ones the allocating
 forms would make, at the same points, so only object identity changes.
 
 Event ordering is fully deterministic: ties in time are broken by a
@@ -31,7 +35,15 @@ monotonically increasing sequence number, so two runs with the same seed
 produce identical traces.
 """
 
-from repro.sim.events import AllOf, Event, SimulationError, Timeout
+from repro.sim.events import (
+    AllOf,
+    Callbacks,
+    Event,
+    SimulationError,
+    Timeout,
+    add_callback,
+    remove_callback,
+)
 from repro.sim.environment import Environment
 from repro.sim.process import Process, ProcessCrash
 from repro.sim.resources import Resource
@@ -39,6 +51,7 @@ from repro.sim.stores import Store, StoreFull
 
 __all__ = [
     "AllOf",
+    "Callbacks",
     "Environment",
     "Event",
     "Process",
@@ -48,4 +61,6 @@ __all__ = [
     "Store",
     "StoreFull",
     "Timeout",
+    "add_callback",
+    "remove_callback",
 ]

@@ -51,7 +51,8 @@ class Environment:
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         #: heapq of ``(time, seq, event)``; like the deque's entries, the
-        #: events are duck-typed: the loop only reads ``callbacks``.
+        #: events are duck-typed: the loop only reads ``callbacks``, one
+        #: callable, and calls it with the event.
         self._timers: typing.List[typing.Tuple[float, int, typing.Any]] = []
         #: Bare events due at ``now``, in processing order.
         self._ready: collections.deque = collections.deque()
@@ -120,7 +121,7 @@ class Environment:
         """
         if event.callbacks is not None:
             raise armed_error(event)
-        event.callbacks = [callback]
+        event.callbacks = callback
         event._ok = True
         event._value = None
         if time > self._now:
@@ -161,10 +162,9 @@ class Environment:
                 else:
                     break
                 processed += 1
-                callbacks = event.callbacks
+                callback = event.callbacks
                 event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
+                callback(event)
             if until is not None:
                 self._now = limit
         finally:

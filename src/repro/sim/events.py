@@ -46,15 +46,26 @@ class Event:
     event in the processed state.  Whoever re-arms an event must be its
     only waiter: a callback still holding a processed event reads the
     re-armed value.
+
+    ``callbacks`` holds **one callable**, which the run loop calls with
+    the event.  A lone waiter is stored bare (the arm forms store the
+    caller's callback so); none or several share a :class:`Callbacks`,
+    which runs them in append order.  Add and remove waiters with
+    :func:`add_callback` and :func:`remove_callback`; never store a
+    plain list.  An event whose bare callback is its own step (a
+    hand-compiled hop) may declare a ``then`` slot that the step calls
+    last: while ``then`` is ``None``, the first waiter added goes there,
+    so the event still holds one callable.  A step that re-arms its
+    event for a next step deletes an unused ``then``.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        #: Callables invoked with this event once it is processed.  ``None``
-        #: after processing (appending then is a kernel bug).
-        self.callbacks: typing.Optional[list] = []
+        #: The callable invoked with this event once it is processed.
+        #: ``None`` after processing (adding a waiter then is a kernel bug).
+        self.callbacks: typing.Optional[typing.Callable] = Callbacks()
         self._value: typing.Any = PENDING
         self._ok: typing.Optional[bool] = None
 
@@ -120,6 +131,61 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+class Callbacks(list):
+    """Several waiters on one event, called in append order.
+
+    The callable an event's ``callbacks`` slot holds when none or more
+    than one waiter waits on it (see :class:`Event`).
+    """
+
+    __slots__ = ()
+
+    def __call__(self, event: Event) -> None:
+        for callback in self:
+            callback(event)
+
+
+def add_callback(event: Event, callback: typing.Callable) -> None:
+    """Make ``callback`` the last waiter on the pending or queued ``event``.
+
+    A lone waiter is stored bare.  Next to a bare one, it goes to an empty
+    ``then`` slot (see :class:`Event`) or promotes the slot to a
+    :class:`Callbacks`.
+    """
+    callbacks = event.callbacks
+    if callbacks is None:
+        raise SimulationError(f"{event!r} is already processed")
+    if callbacks.__class__ is Callbacks:
+        if callbacks:
+            callbacks.append(callback)
+        else:
+            event.callbacks = callback
+    elif getattr(event, "then", False) is None:
+        event.then = callback  # type: ignore[attr-defined]
+    else:
+        event.callbacks = Callbacks((callbacks, callback))
+
+
+def remove_callback(event: Event, callback: typing.Callable) -> bool:
+    """Unhook ``callback`` from ``event``; True when it was waiting there."""
+    callbacks = event.callbacks
+    if callbacks.__class__ is Callbacks:
+        try:
+            callbacks.remove(callback)
+        except ValueError:
+            return False
+        return True
+    if callbacks is None:
+        return False
+    if callbacks == callback:
+        event.callbacks = Callbacks()
+        return True
+    if getattr(event, "then", None) == callback:
+        event.then = None  # type: ignore[attr-defined]
+        return True
+    return False
+
+
 def spare_event(env: "Environment") -> Event:
     """A new event in the processed state, for its owner to arm."""
     event = Event.__new__(Event)
@@ -149,7 +215,7 @@ class Timeout(Event):
                 f"timeout delay must be a non-negative number, got {delay}"
             )
         self.env = env
-        self.callbacks = []
+        self.callbacks = Callbacks()
         self.delay = delay
         self._ok = True
         self._value = value
@@ -182,7 +248,7 @@ class AllOf(Event):
             if event.processed:
                 self._on_child(event)
             else:
-                event.callbacks.append(self._on_child)
+                add_callback(event, self._on_child)
 
     def _collect(self) -> dict:
         return {

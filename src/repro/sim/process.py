@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import Event, SimulationError
+from repro.sim.events import Callbacks, Event, SimulationError, remove_callback
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -42,12 +42,12 @@ class Process(Event):
         self._waiting_on: typing.Optional[Event] = None
         # The one bound-method object registered as a callback everywhere;
         # caching it avoids re-binding per suspension and keeps
-        # ``callbacks.remove`` in kill() matching by identity.
+        # ``remove_callback`` in kill() matching by identity.
         self._on_event = self._resume
         bootstrap = Event(env)
         bootstrap._ok = True
         bootstrap._value = None
-        bootstrap.callbacks.append(self._on_event)
+        bootstrap.callbacks = self._on_event
         env._ready.append(bootstrap)
 
     @property
@@ -68,10 +68,7 @@ class Process(Event):
             return None
         waiting = self._waiting_on
         if waiting is not None:
-            try:
-                waiting.callbacks.remove(self._on_event)
-            except ValueError:
-                pass
+            remove_callback(waiting, self._on_event)
             self._waiting_on = None
         self._generator.close()
         self.succeed(None)
@@ -110,5 +107,14 @@ class Process(Event):
                 event = target
                 continue
             self._waiting_on = target
-            callbacks.append(self._on_event)
+            # add_callback, inline: a frame per suspension.
+            if callbacks.__class__ is Callbacks:
+                if callbacks:
+                    callbacks.append(self._on_event)
+                else:
+                    target.callbacks = self._on_event
+            elif getattr(target, "then", False) is None:
+                target.then = self._on_event
+            else:
+                target.callbacks = Callbacks((callbacks, self._on_event))
             return

@@ -5,7 +5,9 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.events import PENDING, Event, SimulationError, armed_error, spare_event
+from repro.sim.events import (
+    PENDING, Callbacks, Event, SimulationError, armed_error, spare_event,
+)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -53,7 +55,7 @@ class Resource:
         """
         if event.callbacks is not None:
             raise armed_error(event)
-        event.callbacks = [] if callback is None else [callback]
+        event.callbacks = Callbacks() if callback is None else callback
         if self._in_use < self.capacity:
             self._in_use += 1
             # Inlined zero-delay succeed: a free slot is the common case

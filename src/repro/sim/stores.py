@@ -13,7 +13,9 @@ import collections
 import math
 import typing
 
-from repro.sim.events import PENDING, Event, SimulationError, armed_error, spare_event
+from repro.sim.events import (
+    PENDING, Callbacks, Event, SimulationError, armed_error, spare_event,
+)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -81,7 +83,7 @@ class Store:
         """
         if event.callbacks is not None:
             raise armed_error(event)
-        event.callbacks = [] if callback is None else [callback]
+        event.callbacks = Callbacks() if callback is None else callback
         env = self.env
         if len(self._items) < self.capacity:
             # Below capacity ⇒ no blocked putters ahead of us (invariant),
@@ -132,7 +134,7 @@ class Store:
         (``callback`` as in :meth:`arm_put`)."""
         if event.callbacks is not None:
             raise armed_error(event)
-        event.callbacks = [] if callback is None else [callback]
+        event.callbacks = Callbacks() if callback is None else callback
         if self._items:
             # Items buffered ⇒ no blocked getters ahead of us (invariant).
             # Succeed order matches _dispatch: the get event first, then —

@@ -14,7 +14,9 @@ trial:
   without ``SIGALRM`` timeouts are not enforced.
 - **Bounded retry** — failed trials re-execute up to ``retries`` extra
   times (timeouts only when ``retry_timeouts`` is set: a deterministic
-  simulation that ran out of budget once will again).
+  simulation that ran out of budget once will again).  A trial that
+  raised ``ValueError`` or ``TypeError``, as a description that cannot
+  be built does, fails once: every attempt would fail the same way.
 - **Resume** — with a ``cache_dir``, finished cells are reloaded from
   disk and never re-executed; an interrupted sweep picks up where it
   left off.  See :mod:`repro.sweep.cache` for the keying.
@@ -192,7 +194,9 @@ def _guarded(
         failure = TrialFailure(
             kind="exception", type=type(exc).__name__, message=str(exc)
         )
-        return "failed", None, failure.to_dict()
+        # "invalid" is recorded as "failed" but never retried.
+        status = "invalid" if isinstance(exc, (ValueError, TypeError)) else "failed"
+        return status, None, failure.to_dict()
     return "ok", result, None
 
 
@@ -392,6 +396,8 @@ class SweepRunner:
             result: typing.Any,
             error: typing.Optional[typing.Dict[str, str]],
         ) -> None:
+            if status == "invalid":
+                status = "failed"
             timing = None
             if isinstance(result, dict) and TIMING_KEY in result:
                 result = dict(result)

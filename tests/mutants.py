@@ -224,8 +224,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             ),
             (
                 "        sender.fabric.transfer(\n"
-                "            sender.src_node, self.dst_node, self.nbytes, self.purpose, self\n"
-                "        ).callbacks.append(self._on_transfer)\n",
+                "            sender.src_node, self.dst_node, self.nbytes, self.purpose, self,\n"
+                "            self._on_transfer,\n"
+                "        )\n",
                 "        hop = sender.fabric.transfer(\n"
                 "            sender.src_node, self.dst_node, self.nbytes, self.purpose\n"
                 "        )\n"
@@ -415,6 +416,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "",
         ),),
         lint=frozenset({"HOT001"}),
+        caught=frozenset({"tier-1"}),
     ),
     Mutant(
         "span-left-open",
@@ -430,6 +432,37 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            raise\n",
         ),),
         lint=frozenset({"TEL001"}),
+    ),
+    Mutant(
+        "delivery-resumes-before-transfer",
+        "a remote hop's grant resumes the sender before it starts the transfer",
+        "src/repro/executors/channels.py",
+        ((
+            "        sender = self.sender\n"
+            "        sender.fabric.transfer(\n",
+            "        if self.then is not None:\n"
+            "            self.then(self)\n"
+            "        sender = self.sender\n"
+            "        sender.fabric.transfer(\n",
+        ), (
+            "        else:\n"
+            "            then(self)\n",
+            "",
+        )),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
+        "fanout-runs-first-only",
+        "an event with several waiters resumes only the first",
+        "src/repro/sim/events.py",
+        ((
+            "        for callback in self:\n"
+            "            callback(event)\n",
+            "        for callback in self:\n"
+            "            callback(event)\n"
+            "            break\n",
+        ),),
+        caught=frozenset({"tier-1"}),
     ),
 )
 

@@ -4,12 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
+from repro.cluster.network import TransferPurpose
+from repro.executors.channels import WindowedSender
+from repro.executors.group import stop_loop
 from repro.sim import (
+    Callbacks,
     Environment,
     Event,
     ProcessCrash,
     SimulationError,
+    Store,
+    add_callback,
+    remove_callback,
 )
+from repro.sim.events import spare_event
 
 
 @pytest.fixture
@@ -22,7 +31,7 @@ def bare(env, value, sink):
     # push_at exists for (compiled pipelines build these).
     event = Event.__new__(Event)
     event.env = env
-    event.callbacks = [lambda e: sink.append(e.value)]
+    event.callbacks = lambda e: sink.append(e.value)
     event._ok = True
     event._value = value
     return event
@@ -146,7 +155,7 @@ class TestEnvironment:
             event.succeed("succeed", delay=5e-324)
             env.timeout(0.0, value="c").callbacks.append(record)
             bare_event = bare(env, "schedule", [])
-            bare_event.callbacks = [record]
+            bare_event.callbacks = record
             env.schedule(bare_event, 5e-324)
             env.timeout(0.0, value="d").callbacks.append(record)
 
@@ -415,3 +424,238 @@ class TestConditions:
         proc = env.process(body())
         env.run()
         assert proc.value == "failed"
+
+
+class TestCallbackSlot:
+    """An event's ``callbacks`` slot holds one callable (see ``Event``)."""
+
+    def test_waiters_fire_in_append_order_within_the_event(self, env):
+        order = []
+        event = env.event()
+
+        def first(ev):
+            order.append("first")
+            # Queued now, so it runs after every waiter of ``event``.
+            later = env.event()
+            add_callback(later, lambda e: order.append("next event"))
+            later.succeed()
+
+        add_callback(event, first)
+        add_callback(event, lambda ev: order.append("second"))
+        add_callback(event, lambda ev: order.append("third"))
+
+        def waiter(tag):
+            yield event
+            order.append(tag)
+
+        env.process(waiter("process-a"))
+        env.process(waiter("process-b"))
+        env.run()  # the processes suspend on ``event``
+        assert order == []
+        event.succeed()
+        env.run()
+        assert order == [
+            "first", "second", "third", "process-a", "process-b", "next event",
+        ]
+
+    def test_lone_waiter_is_bare_and_a_second_promotes(self, env):
+        event = env.event()
+        assert type(event.callbacks) is Callbacks and not event.callbacks
+
+        def first(ev):
+            pass
+
+        def second(ev):
+            pass
+
+        add_callback(event, first)
+        assert event.callbacks is first
+        add_callback(event, second)
+        assert type(event.callbacks) is Callbacks
+        assert list(event.callbacks) == [first, second]
+        event.succeed()
+        env.run()
+        with pytest.raises(SimulationError, match="already processed"):
+            add_callback(event, first)
+
+    def test_a_suspended_process_is_stored_bare(self, env):
+        event = env.event()
+
+        def body():
+            yield event
+
+        process = env.process(body())
+        env.run()
+        assert event.callbacks == process._resume
+        process2 = env.process(body())
+        env.run()
+        assert list(event.callbacks) == [process._resume, process2._resume]
+
+    def test_remove_callback(self, env):
+        fired = []
+
+        def waiter(ev):
+            fired.append(ev)
+
+        def other(ev):
+            fired.append("other")
+
+        bare_slot = env.event()
+        add_callback(bare_slot, waiter)
+        assert not remove_callback(bare_slot, other)  # absent
+        assert bare_slot.callbacks is waiter
+        assert remove_callback(bare_slot, waiter)
+        assert type(bare_slot.callbacks) is Callbacks and not bare_slot.callbacks
+        assert not remove_callback(bare_slot, waiter)
+
+        shared = env.event()
+        add_callback(shared, waiter)
+        add_callback(shared, other)
+        assert remove_callback(shared, waiter)
+        assert list(shared.callbacks) == [other]
+        assert not remove_callback(shared, waiter)  # absent
+
+        bare_slot.succeed()
+        shared.succeed()
+        env.run()
+        assert fired == ["other"]
+        assert not remove_callback(shared, other)  # processed
+
+    def test_kill_unhooks_the_process_from_a_bare_slot(self, env):
+        event = env.event()
+        resumed = []
+
+        def body():
+            yield event
+            resumed.append(env.now)
+
+        process = env.process(body())
+        env.run()
+        assert event.callbacks == process._resume
+        assert process.kill() is event
+        assert type(event.callbacks) is Callbacks and not event.callbacks
+        event.succeed()
+        env.run()  # a stale resume would step a closed generator and raise
+        assert resumed == []
+
+    def test_stop_loop_unhooks_a_bare_get(self, env):
+        class Loop:
+            _dead = False
+
+        store = Store(env)
+        loop = Loop()
+
+        def on_get(ev):
+            raise AssertionError("a dead loop was handed an item")
+
+        loop._waiting = store.arm_get(spare_event(env), on_get)
+        assert loop._waiting.callbacks is on_get
+        waiting = loop._waiting
+        assert stop_loop(loop, store, on_get) == []
+        assert loop._dead and loop._waiting is None
+        assert not waiting.callbacks
+        store.put_nowait("later")
+        env.run()
+        assert store.items == ("later",)
+
+        # A get that fired in the crash's instant hands its item back.
+        loop = Loop()
+        loop._waiting = store.arm_get(spare_event(env), on_get)
+        assert stop_loop(loop, store, on_get) == ["later"]
+        env.run()
+
+
+class TestDeliveryGrant:
+    """A remote hop's window grant runs one callable: the grant step,
+    which starts the transfer and then calls ``then``."""
+
+    def sender(self, env):
+        cluster = Cluster(env, num_nodes=2, cores_per_node=1, bandwidth_bps=1e6)
+        return cluster.network, WindowedSender(env, cluster.network, 0, window=1)
+
+    def test_grant_starts_the_transfer_before_the_sender_resumes(self, env):
+        fabric, sender = self.sender(env)
+        queue = Store(env)
+        seen = []
+
+        def resume(delivery):
+            # The transfer is already issued: the event is re-armed to it.
+            seen.append((fabric.bytes_by_purpose[TransferPurpose.STREAM].total,
+                         delivery.callbacks))
+
+        delivery = sender.send(
+            1, queue, "item", 100, TransferPurpose.STREAM, spare_event(env), resume
+        )
+        assert delivery.callbacks == delivery._on_grant
+        assert delivery.then is resume
+        env.run()
+        assert seen == [(100, delivery._on_transfer)]
+        assert queue.items == ("item",)
+
+    def test_a_process_waiting_on_a_send_event_waits_in_then(self, env):
+        fabric, sender = self.sender(env)
+        queue = Store(env)
+        order = []
+
+        def body():
+            delivery = sender.send_event(1, queue, "item", 100, TransferPurpose.STREAM)
+            order.append(delivery)
+            yield delivery
+            order.append(fabric.bytes_by_purpose[TransferPurpose.STREAM].total)
+
+        process = env.process(body())
+        env.run(until=0.0)
+        delivery = order[0]
+        assert order == [delivery, 100]
+
+        # Killed while waiting for its grant: unhooked from ``then``.
+        sender.send(1, queue, "held", 100, TransferPurpose.STREAM, spare_event(env), None)
+        process = env.process(body())
+        env.run(until=0.0)
+        waiting = order[2]
+        assert waiting.then == process._resume
+        assert process.kill() is waiting
+        assert waiting.then is None and waiting.callbacks == waiting._on_grant
+        env.run()
+        assert queue.items == ("item", "held", "item")
+
+    def test_a_waiter_after_the_grant_waits_on_the_transfer(self, env):
+        fabric, sender = self.sender(env)
+        queue = Store(env)
+        delivery = sender.send_event(1, queue, "item", 100, TransferPurpose.STREAM)
+        env.run(until=0.0)  # the grant ran: the event is the transfer now
+        assert delivery.callbacks == delivery._on_transfer
+        resumed = []
+
+        def body():
+            yield delivery
+            resumed.append((env.now, queue.items))
+
+        env.process(body())
+        env.run()
+        assert len(resumed) == 1
+        when, items = resumed[0]
+        assert when > 0.0 and items == ("item",)
+
+    def test_withdraw_after_the_grant_is_queued_leaves_a_no_op_resume(self, env):
+        fabric, sender = self.sender(env)
+        queue = Store(env)
+        resumed = []
+        dead = True
+
+        def resume(delivery):
+            # A dead sender's resume returns at once (``_ReceiverLoop._on_put``).
+            if dead:
+                resumed.append("no-op")
+
+        delivery = sender.send(
+            1, queue, "item", 100, TransferPurpose.STREAM, spare_event(env), resume
+        )
+        assert delivery in env._ready  # the free window slot's grant is queued
+        assert delivery.withdraw() == "item"
+        assert delivery.callbacks is resume
+        assert sender.in_flight == 0
+        env.run()
+        assert resumed == ["no-op"]
+        assert queue.items == ()
+        assert fabric.bytes_by_purpose[TransferPurpose.STREAM].total == 0

@@ -358,6 +358,18 @@ class TestSerialFailures:
         assert result.records[0].status == "ok"
         assert result.records[0].result["runs"] == 2
 
+    def test_trial_that_cannot_be_built_runs_once(self):
+        # The real trial function: the workload rejects the unknown
+        # argument with a TypeError, the same way on every attempt.
+        trial = micro(workload_args={"bogus": 1})
+        result = SweepRunner(SweepSpec("s", [trial])).run()
+        record = result.records[0]
+        assert record.status == "failed"
+        assert record.error["kind"] == "exception"
+        assert record.error["type"] == "TypeError"
+        assert "bogus" in record.error["message"]
+        assert result.executed == 1 and result.retried == 0
+
     def test_timeout_not_retried_by_default(self, tmp_path):
         counter = str(tmp_path / "runs")
         spec = SweepSpec("s", [tiny(counter=counter, hang=True)])
