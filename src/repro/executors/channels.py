@@ -7,11 +7,12 @@ a Netty connection with a bounded outstanding-message window.  The window
 is what couples backpressure across the network: when downstream queues
 stop draining, deliveries hold window slots and the sender blocks.
 
-A send allocates at most one object.  A local send re-arms the caller's
-own put-ack event (:meth:`WindowedSender.send`); a remote send is one
+A send allocates at most one object, and a steady send none.  A local
+send re-arms the caller's own put-ack event; a remote send is one
 :class:`_Delivery`, an event that is re-armed through the grant, the
 transfer and the put (:class:`~repro.sim.events.Event` states the
-re-arm rule).
+re-arm rule).  A sender keeps its finished deliveries and re-arms them
+for later sends (:meth:`WindowedSender.send_remote`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import typing
 
 from repro.cluster.network import NetworkFabric, TransferPurpose
 from repro.sim import Callbacks, Environment, Event, Resource, Store
-from repro.sim.events import spare_event
 
 
 class _Delivery(Event):
@@ -34,37 +34,38 @@ class _Delivery(Event):
     calls ``then``, the waiting sender's resume (if any), so the transfer
     is issued before the sender resumes, exactly as when each step had
     its own event.
+
+    A hop built with a ``pool`` (its sender's free list) goes back to it
+    after the put's window release, its last kernel event, and drops its
+    item there; the sender re-arms it for a later send.  Only a hop sent
+    with a resume callback has a pool: its sender moved on at the grant,
+    so nothing reads the hop after the put.  The three step callbacks
+    are bound once, when the hop is built.
     """
 
-    __slots__ = ("sender", "dst_node", "queue", "item", "nbytes", "purpose", "then")
+    __slots__ = (
+        "sender", "pool", "dst_node", "queue", "item", "nbytes", "purpose",
+        "then", "_on_grant_cb", "_on_transfer_cb", "_on_put_cb",
+    )
 
     def __init__(
-        self,
-        sender: "WindowedSender",
-        dst_node: int,
-        queue: Store,
-        item: typing.Any,
-        nbytes: float,
-        purpose: TransferPurpose,
-        then: typing.Optional[typing.Callable],
+        self, sender: "WindowedSender", pool: typing.Optional[typing.List["_Delivery"]]
     ) -> None:
         # Event.__init__ inlined, in the processed state the arm forms
-        # require: one delivery per remote batch.
+        # require; the send fills in the rest.
         self.env = sender.env
         self.callbacks = None
         self.sender = sender
-        self.dst_node = dst_node
-        self.queue = queue
-        self.item = item
-        self.nbytes = nbytes
-        self.purpose = purpose
-        self.then = then
+        self.pool = pool
+        self._on_grant_cb = self._on_grant
+        self._on_transfer_cb = self._on_transfer
+        self._on_put_cb = self._on_put
 
     def _on_grant(self, _event: Event) -> None:
         sender = self.sender
         sender.fabric.transfer(
             sender.src_node, self.dst_node, self.nbytes, self.purpose, self,
-            self._on_transfer,
+            self._on_transfer_cb,
         )
         then = self.then
         if then is None:
@@ -75,7 +76,27 @@ class _Delivery(Event):
             then(self)
 
     def _on_transfer(self, _event: Event) -> None:
-        self.queue.arm_put(self, self.item, self._on_put)
+        # Store.arm_put, inline.  The transfer left the hop processed,
+        # succeeded and valueless, as a put that is accepted at once
+        # leaves it; the succeed order is the one Store._dispatch
+        # documents: the put first, then a blocked getter (which implies
+        # an empty buffer) receives this very item.
+        queue = self.queue
+        items = queue._items
+        if len(items) < queue.capacity:
+            self.callbacks = self._on_put_cb
+            ready = self.env._ready
+            ready.append(self)
+            getters = queue._get_waiters
+            if getters:
+                getter = getters.popleft()
+                getter._ok = True
+                getter._value = self.item
+                ready.append(getter)
+            else:
+                items.append(self.item)
+        else:
+            queue.arm_put(self, self.item, self._on_put_cb)
 
     def _on_put(self, _event: Event) -> None:
         # Inlined Resource.release fast path (a held slot is guaranteed,
@@ -85,6 +106,10 @@ class _Delivery(Event):
             window._waiters.popleft().succeed()
         else:
             window._in_use -= 1
+        pool = self.pool
+        if pool is not None:
+            self.item = None
+            pool.append(self)
 
     def withdraw(self) -> typing.Any:
         """Take back a send still waiting for its window grant (its
@@ -93,7 +118,8 @@ class _Delivery(Event):
 
         ``then`` (or no callback) takes the grant's place, so a grant
         already queued still resumes the sender, as a no-op now.  Only
-        ``then`` may wait on a withdrawn delivery.
+        ``then`` may wait on a withdrawn delivery, and it never goes
+        back to its pool.
         """
         then = self.then
         self.callbacks = Callbacks() if then is None else then
@@ -112,7 +138,7 @@ class WindowedSender:
     Same-node sends bypass the network and block directly on the queue.
     """
 
-    __slots__ = ("env", "fabric", "src_node", "_window")
+    __slots__ = ("env", "fabric", "src_node", "_window", "_free")
 
     def __init__(
         self,
@@ -125,36 +151,56 @@ class WindowedSender:
         self.fabric = fabric
         self.src_node = src_node
         self._window = Resource(env, capacity=window)
+        #: Finished deliveries, re-armed by :meth:`send_remote`: at most
+        #: one per window slot and per caller waiting for one.
+        self._free: typing.List[_Delivery] = []
 
     @property
     def in_flight(self) -> int:
         return self._window.in_use
 
-    def send(
+    def send_remote(
         self,
         dst_node: int,
         queue: Store,
         item: typing.Any,
         nbytes: float,
         purpose: TransferPurpose,
-        ack: Event,
-        callback: typing.Optional[typing.Callable],
-    ) -> Event:
-        """Deliver ``item`` into ``queue`` on ``dst_node``.
+        then: typing.Optional[typing.Callable],
+    ) -> _Delivery:
+        """Deliver ``item`` into ``queue`` on another node, ``dst_node``.
 
-        Returns the one event to wait on, with ``callback`` (if any) as
-        its waiter: the caller's processed ``ack`` armed as the put
-        (local), or a new :class:`_Delivery` waiting for its window grant
-        (remote; ``callback`` is the delivery's ``then``).  It fires once
-        the send is admitted (local: enqueued; remote: window slot
-        acquired and transfer started), so the caller can pipeline
-        subsequent sends.
+        Returns the :class:`_Delivery` waiting for its window grant, with
+        ``then`` (if any) as the waiter it resumes once the send is
+        admitted (window slot acquired and transfer started), so the
+        caller can pipeline subsequent sends.  With ``then``, the hop is
+        a finished one of this sender's, re-armed, and goes back to it
+        after its put: the caller must not touch it past ``then``.
         """
-        if dst_node == self.src_node:
-            return queue.arm_put(ack, item, callback)
-        delivery = _Delivery(self, dst_node, queue, item, nbytes, purpose, callback)
-        self._window.arm_request(delivery, delivery._on_grant)
-        return delivery
+        if then is None:
+            hop = _Delivery(self, None)
+        else:
+            free = self._free
+            hop = free.pop() if free else _Delivery(self, free)
+        hop.dst_node = dst_node
+        hop.queue = queue
+        hop.item = item
+        hop.nbytes = nbytes
+        hop.purpose = purpose
+        hop.then = then
+        window = self._window
+        if hop.callbacks is None and window._in_use < window.capacity:
+            # Resource.arm_request's free-slot branch, inline: a free slot
+            # is the common case (sender windows rarely fill).  A hop
+            # still armed takes the general path, which raises.
+            window._in_use += 1
+            hop.callbacks = hop._on_grant_cb
+            hop._ok = True
+            hop._value = None
+            self.env._ready.append(hop)
+        else:
+            window.arm_request(hop, hop._on_grant_cb)
+        return hop
 
     def send_event(
         self,
@@ -164,7 +210,10 @@ class WindowedSender:
         nbytes: float,
         purpose: TransferPurpose,
     ) -> Event:
-        """:meth:`send` with a fresh event and no callback."""
-        return self.send(
-            dst_node, queue, item, nbytes, purpose, spare_event(self.env), None
-        )
+        """Deliver ``item`` into ``queue`` on ``dst_node``; returns a fresh
+        event, which fires once the send is admitted (local: enqueued;
+        remote: as in :meth:`send_remote`).  Its holder may keep it: it
+        is never re-armed."""
+        if dst_node == self.src_node:
+            return queue.put(item)
+        return self.send_remote(dst_node, queue, item, nbytes, purpose, None)

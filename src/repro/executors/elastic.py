@@ -62,7 +62,7 @@ class _ReceiverLoop:
     unchanged; what disappears is the Process frame, the generator
     resume and the StopIteration machinery on every hop.  The loop
     re-arms its own get and put-ack events; a remote batch travels as
-    one :class:`_Delivery`, built when the window is requested.
+    one of its sender's recycled :class:`_Delivery` hops.
 
     Plumbing handles are bound once at construction, mirroring the
     generator's locals: crash recovery replaces the executor's plumbing
@@ -71,7 +71,7 @@ class _ReceiverLoop:
 
     __slots__ = (
         "env", "input_queue", "get", "lookup", "entries", "in_rates",
-        "local_node", "sender", "window_request",
+        "local_node", "sender",
         "_waiting", "_dead", "_get", "_ack",
         "_on_batch_cb", "_on_put_cb",
     )
@@ -85,9 +85,7 @@ class _ReceiverLoop:
         self.entries = executor.routing._entries
         self.in_rates = executor.metrics._in_rates
         self.local_node = executor.local_node
-        sender = executor._receiver_sender
-        self.sender = sender
-        self.window_request = sender._window.arm_request
+        self.sender = executor._receiver_sender
         self._dead = False
         self._get = spare_event(env)
         self._ack = spare_event(env)
@@ -131,12 +129,10 @@ class _ReceiverLoop:
         if task.node_id == self.local_node:
             self._waiting = task.queue.arm_put(self._ack, batch, self._on_put_cb)
             return
-        delivery = _Delivery(
-            self.sender, task.node_id, task.queue, batch,
-            nbytes, TransferPurpose.REMOTE_TASK, self._on_put_cb,
+        self._waiting = self.sender.send_remote(
+            task.node_id, task.queue, batch, nbytes, TransferPurpose.REMOTE_TASK,
+            self._on_put_cb,
         )
-        self.window_request(delivery, delivery._on_grant)
-        self._waiting = delivery
 
     def _on_put(self, _event: Event) -> None:
         """The put (local) or the window grant (remote) went through:

@@ -70,9 +70,11 @@ class ElasticGroup:
     ) -> Event:
         """Deliver ``batch`` into the owning executor's input queue.
 
-        Returns the one event to wait on, as :meth:`WindowedSender.send`
-        does: the caller's processed ``ack`` armed as the put, or the
-        remote send's delivery.  Never ``None``: this group has no gate.
+        Returns the one event to wait on, with ``callback`` (if any) as
+        its waiter: the caller's processed ``ack`` armed as the put
+        (local), or the remote send's delivery (see
+        :meth:`WindowedSender.send_remote`).  Never ``None``: this group
+        has no gate.
         """
         key = batch.key
         lookup = self._lookup  # indexed inline: a frame per batch
@@ -80,13 +82,12 @@ class ElasticGroup:
         executor = self.executors[index]
         if executor.local_node == src_node:
             return executor.input_queue.arm_put(ack, batch, callback)
-        return sender.send(
+        return sender.send_remote(
             executor.local_node,
             executor.input_queue,
             batch,
             batch.count * batch.size_bytes,
             TransferPurpose.STREAM,
-            ack,
             callback,
         )
 
@@ -126,13 +127,12 @@ class RCGroup:
         manager.in_flight.increment()
         if executor.node_id == src_node:
             return executor.input_queue.arm_put(ack, batch, callback)
-        return sender.send(
+        return sender.send_remote(
             executor.node_id,
             executor.input_queue,
             batch,
             batch.count * batch.size_bytes,
             TransferPurpose.STREAM,
-            ack,
             callback,
         )
 

@@ -343,10 +343,9 @@ class _TaskPipeline(Event):
                 self._ack, out, self._on_eput_cb
             )
         else:
-            self._waiting = ex._remote_senders[task.node_id].send(
+            self._waiting = ex._remote_senders[task.node_id].send_remote(
                 ex.local_node, ex._emitter_queue, out,
-                out.total_bytes, TransferPurpose.REMOTE_TASK,
-                self._ack, self._on_eput_cb,
+                out.total_bytes, TransferPurpose.REMOTE_TASK, self._on_eput_cb,
             )
 
     def _on_emit_put(self, _event: Event) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import pathlib
@@ -37,12 +38,26 @@ from repro.fields import (
     COUNT, INDEX, NON_NEGATIVE, POSITIVE, Rule, check_number, check_window, unknown_keys,
 )
 from repro.runtime.config import Paradigm, SystemConfig
+from repro.workloads import MicroBenchmarkWorkload, SSEWorkload
 
 #: Accepted ``paradigm`` spellings -> canonical value.
 PARADIGM_ALIASES = {p.value: p.value for p in Paradigm}
 PARADIGM_ALIASES.update({"rc": Paradigm.RC.value, "naive": Paradigm.NAIVE_EC.value})
 
-_WORKLOADS = ("micro", "sse")
+#: Each workload's class, and the constructor arguments a trial sets
+#: itself (``sweep.trial.build_system``).
+_WORKLOADS: typing.Dict[str, typing.Tuple[typing.Any, typing.Tuple[str, ...]]] = {
+    "micro": (MicroBenchmarkWorkload, (
+        "rate", "num_keys", "skew", "cost_per_tuple", "tuple_bytes", "omega",
+        "batch_size", "seed",
+    )),
+    "sse": (SSEWorkload, (
+        "rate", "num_stocks", "popularity_skew", "order_cost", "batch_size", "seed",
+    )),
+}
+
+#: ``build_topology`` arguments every trial sets itself.
+_TRIAL_SET_TOPOLOGY_ARGS = ("executors_per_operator", "shards_per_executor")
 
 #: SystemConfig fields every trial sets itself (``sweep.trial.build_system``):
 #: a ``system_args`` entry for one of them would collide.
@@ -128,7 +143,7 @@ class TrialConfig:
             check_number("timeout_seconds", self.timeout_seconds, POSITIVE)
         if self.workload not in _WORKLOADS:
             raise ValueError(
-                f"workload must be one of {_WORKLOADS}, got {self.workload!r}"
+                f"workload must be one of {tuple(_WORKLOADS)}, got {self.workload!r}"
             )
         paradigm = PARADIGM_ALIASES.get(self.paradigm)
         if paradigm is None:
@@ -159,10 +174,39 @@ class TrialConfig:
 
     @classmethod
     def from_dict(cls, data: typing.Any) -> "TrialConfig":
+        """A trial from its JSON form, checked whole: a nested
+        ``workload_args`` or ``topology_args`` key that the workload's
+        builder does not take, or that the trial sets itself, raises
+        ``ValueError`` naming its dotted path.  (A trial built in Python
+        may carry any ``workload_args``, for a custom trial function.)"""
         known = {field.name for field in dataclasses.fields(cls)}
         if unknown := unknown_keys("a trial", data, known):
             raise ValueError(f"unknown trial parameters: {unknown}")
-        return cls(**data)
+        trial = cls(**data)
+        workload, trial_set = _WORKLOADS[trial.workload]
+        _check_args("workload_args", trial.workload_args, workload, trial_set)
+        _check_args(
+            "topology_args", trial.topology_args, workload.build_topology,
+            _TRIAL_SET_TOPOLOGY_ARGS,
+        )
+        return trial
+
+
+def _check_args(
+    name: str,
+    args: typing.Mapping[str, typing.Any],
+    builder: typing.Callable[..., typing.Any],
+    trial_set: typing.Tuple[str, ...],
+) -> None:
+    """``ValueError`` naming ``name.key`` for the first key of ``args``
+    that ``builder`` does not take or that the trial sets itself."""
+    taken = inspect.signature(builder).parameters
+    for key in sorted(args, key=str):
+        path = f"{name}.{key}"
+        if key in trial_set:
+            raise ValueError(f"{path} is set by the trial itself")
+        if key not in taken or key == "self":
+            raise ValueError(f"{path} is not an argument of {builder.__qualname__}")
 
 
 def _set_path(

@@ -225,7 +225,7 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             (
                 "        sender.fabric.transfer(\n"
                 "            sender.src_node, self.dst_node, self.nbytes, self.purpose, self,\n"
-                "            self._on_transfer,\n"
+                "            self._on_transfer_cb,\n"
                 "        )\n",
                 "        hop = sender.fabric.transfer(\n"
                 "            sender.src_node, self.dst_node, self.nbytes, self.purpose\n"
@@ -449,6 +449,44 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            then(self)\n",
             "",
         )),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
+        "hop-recycled-before-put",
+        "a remote hop goes back to its sender's pool when its transfer lands,"
+        " before its put event is processed",
+        "src/repro/executors/channels.py",
+        ((
+            "        queue = self.queue\n"
+            "        items = queue._items\n",
+            "        pool = self.pool\n"
+            "        if pool is not None:\n"
+            "            pool.append(self)\n"
+            "        queue = self.queue\n"
+            "        items = queue._items\n",
+        ), (
+            "        pool = self.pool\n"
+            "        if pool is not None:\n"
+            "            self.item = None\n"
+            "            pool.append(self)\n",
+            "",
+        )),
+        caught=frozenset({"tier-1"}),
+    ),
+    Mutant(
+        "withdrawn-hop-recycled",
+        "a withdrawn remote hop goes back to its sender's pool",
+        "src/repro/executors/channels.py",
+        ((
+            "        if not window.cancel(self):\n"
+            "            window.release()\n"
+            "        return self.item\n",
+            "        if not window.cancel(self):\n"
+            "            window.release()\n"
+            "        if self.pool is not None:\n"
+            "            self.pool.append(self)\n"
+            "        return self.item\n",
+        ),),
         caught=frozenset({"tier-1"}),
     ),
     Mutant(

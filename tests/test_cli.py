@@ -195,6 +195,24 @@ class TestSweepCommand:
         assert "repro: error: grid axis 'rate' must be a list, got 5" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("nested, path", [
+        ({"workload_args": {"bogus": 1}}, "workload_args.bogus"),
+        ({"topology_args": {"shards_per_executor": 8}}, "topology_args.shards_per_executor"),
+    ], ids=["workload-args", "topology-args"])
+    def test_unknown_nested_key_exits_2_before_any_trial(self, tmp_path, capsys, nested, path):
+        import json
+
+        spec = json.loads(self.spec_file(tmp_path).read_text())
+        spec["trials"] = [nested]
+        bad = tmp_path / "nested.json"
+        bad.write_text(json.dumps(spec))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", str(bad), "--workers", "1", "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {path}" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_sweep_dry_run(self, tmp_path, capsys):
         code = main(["sweep", str(self.spec_file(tmp_path)), "--dry-run"])
         assert code == 0

@@ -4,12 +4,15 @@ Task behaviour is checked on the real tasks of an elastic and an RC
 executor: both paradigms run the one compiled task loop.
 """
 
+import collections
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.network import TransferPurpose
-from repro.executors import ElasticExecutor, RCOperatorManager
+from repro.executors import ElasticExecutor, RCOperatorManager, channels
 from repro.executors.channels import WindowedSender
+from repro.executors.config import SEND_WINDOW
 from repro.executors.gate import OperatorGate
 from repro.executors.routing import RoutingTable
 from repro.executors.stats import ExecutorMetrics
@@ -20,6 +23,7 @@ from repro.metrics.recovery import RecoveryStats
 from repro.sim import Environment, Store
 from repro.topology import OperatorSpec
 from repro.topology.batch import LabelTuple, TupleBatch
+from tests.test_frame_budget import steady_system
 
 
 @pytest.fixture
@@ -193,6 +197,85 @@ class TestWindowedSender:
         assert env.events_processed == 5 * 3
         assert queue.items == tuple(range(5))
         assert sender.in_flight == 0
+
+
+class TestDeliveryPool:
+    """A sender re-arms its finished remote hops (``_free``) for sends
+    made with a resume callback; other hops are never re-armed."""
+
+    def sender(self, env, window=32, **cluster):
+        return WindowedSender(env, Cluster(env, num_nodes=2, **cluster).network,
+                              src_node=0, window=window)
+
+    def test_steady_run_builds_at_most_a_window_and_one_per_sender(self, monkeypatch):
+        built = collections.Counter()
+        build = channels._Delivery.__init__
+
+        def counting(hop, sender, pool):
+            if pool is not None:
+                built[sender] += 1
+            build(hop, sender, pool)
+
+        monkeypatch.setattr(channels._Delivery, "__init__", counting)
+        system = steady_system()
+        system.run(duration=20.0, warmup=10.0)
+        remote = system.cluster.network.bytes_by_purpose
+        assert remote[TransferPurpose.REMOTE_TASK].total > 0
+        assert built and max(built.values()) <= SEND_WINDOW + 1
+        batches = sum(
+            executor.metrics.processed_batches.total
+            for executors in system.executors_by_operator.values()
+            for executor in executors
+        )
+        assert sum(built.values()) < batches / 10
+
+    def test_send_event_hop_is_never_rearmed(self, env):
+        sender = self.sender(env)
+        queue = Store(env)
+        held = sender.send_event(1, queue, "held", 100, TransferPurpose.STREAM)
+        env.run()
+        hops = [
+            sender.send_remote(1, queue, i, 100, TransferPurpose.STREAM, lambda hop: None)
+            for i in range(3)
+        ]
+        env.run()
+        assert all(hop is not held for hop in hops)
+        assert held.processed and held.item == "held"
+        assert queue.items == ("held", 0, 1, 2)
+
+    def test_withdrawn_hop_is_never_handed_out_again(self, env):
+        # The receiver's kill withdraws the remote send still waiting
+        # for its window grant (``_ReceiverLoop.kill``).
+        sender = self.sender(env, window=1, bandwidth_bps=8e3)
+        queue = Store(env)
+
+        def resume(_hop):
+            return None
+
+        sender.send_remote(1, queue, "first", 1000, TransferPurpose.STREAM, resume)
+        waiting = sender.send_remote(1, queue, "held", 1000, TransferPurpose.STREAM, resume)
+        env.run(until=0.5)
+        assert waiting.callbacks == waiting._on_grant
+        assert waiting.withdraw() == "held"
+        env.run()
+        later = [
+            sender.send_remote(1, queue, i, 1000, TransferPurpose.STREAM, resume)
+            for i in range(3)
+        ]
+        env.run()
+        assert all(hop is not waiting for hop in later)
+        assert waiting not in sender._free
+        assert queue.items == ("first", 0, 1, 2)
+
+    def test_pooled_hop_holds_no_batch_after_its_put(self, env):
+        sender = self.sender(env)
+        queue = Store(env)
+        sent = batch()
+        hop = sender.send_remote(1, queue, sent, 100, TransferPurpose.STREAM, lambda hop: None)
+        env.run()
+        assert queue.items == (sent,)
+        assert hop.item is None
+        assert sender._free == [hop]
 
 
 class _RecordingLogic(OperatorLogic):

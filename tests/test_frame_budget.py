@@ -21,15 +21,20 @@ REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 #: Kernel events of the 20 s run below.
 EVENTS = 66_697
 
-#: ``repro`` frames per processed batch: 26.43 when measured.  A batch
-#: cost 40.74 while the path still forwarded through one-line methods
-#: (``Environment.push_at`` under ``arm_at`` and the fabric's transfer,
-#: ``Cluster.speed``, ``ProcessStateStore.get``, ``StateAccess.get`` and
-#: ``put``, ``ExecutorMetrics.on_processed``, ``EWMA.update``,
-#: ``PairedWindowedRate.record``, ``TimeSeries.add_to_last``, the task's
-#: sink-side ``_finish``, the source loop's ``_emit`` and ``_next_group``).
-#: Python 3.12 inlines comprehensions, which only lowers the count.
-FRAMES_PER_BATCH = 26.44
+#: ``repro`` frames per processed batch: 24.46 when measured.  A batch
+#: cost 26.44 while each remote hop was built afresh: the group path
+#: entered ``WindowedSender.send``, every hop ``_Delivery.__init__`` and
+#: ``Resource.arm_request`` for its grant, and ``Store.arm_put`` under
+#: ``_Delivery._on_transfer`` (one ``WindowedSender.send_remote`` frame
+#: replaced them).  It cost 40.74 while the path still forwarded through
+#: one-line methods (``Environment.push_at`` under ``arm_at`` and the
+#: fabric's transfer, ``Cluster.speed``, ``ProcessStateStore.get``,
+#: ``StateAccess.get`` and ``put``, ``ExecutorMetrics.on_processed``,
+#: ``EWMA.update``, ``PairedWindowedRate.record``,
+#: ``TimeSeries.add_to_last``, the task's sink-side ``_finish``, the
+#: source loop's ``_emit`` and ``_next_group``).  Python 3.12 inlines
+#: comprehensions, which only lowers the count.
+FRAMES_PER_BATCH = 24.46
 
 
 def steady_system():

@@ -583,8 +583,8 @@ class TestDeliveryGrant:
             seen.append((fabric.bytes_by_purpose[TransferPurpose.STREAM].total,
                          delivery.callbacks))
 
-        delivery = sender.send(
-            1, queue, "item", 100, TransferPurpose.STREAM, spare_event(env), resume
+        delivery = sender.send_remote(
+            1, queue, "item", 100, TransferPurpose.STREAM, resume
         )
         assert delivery.callbacks == delivery._on_grant
         assert delivery.then is resume
@@ -609,7 +609,7 @@ class TestDeliveryGrant:
         assert order == [delivery, 100]
 
         # Killed while waiting for its grant: unhooked from ``then``.
-        sender.send(1, queue, "held", 100, TransferPurpose.STREAM, spare_event(env), None)
+        sender.send_remote(1, queue, "held", 100, TransferPurpose.STREAM, None)
         process = env.process(body())
         env.run(until=0.0)
         waiting = order[2]
@@ -648,8 +648,8 @@ class TestDeliveryGrant:
             if dead:
                 resumed.append("no-op")
 
-        delivery = sender.send(
-            1, queue, "item", 100, TransferPurpose.STREAM, spare_event(env), resume
+        delivery = sender.send_remote(
+            1, queue, "item", 100, TransferPurpose.STREAM, resume
         )
         assert delivery in env._ready  # the free window slot's grant is queued
         assert delivery.withdraw() == "item"

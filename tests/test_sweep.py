@@ -134,6 +134,30 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match="unknown trial parameters"):
             TrialConfig.from_dict({"workload": "micro", "warp_factor": 9})
 
+    @pytest.mark.parametrize("data, message", [
+        ({"workload_args": {"bogus": 1}},
+         "workload_args.bogus is not an argument of MicroBenchmarkWorkload"),
+        ({"workload": "sse", "workload_args": {"omega": 2}},
+         "workload_args.omega is not an argument of SSEWorkload"),
+        ({"workload_args": {"seed": 3}}, "workload_args.seed is set by the trial"),
+        ({"topology_args": {"bogus": 1}},
+         "topology_args.bogus is not an argument of MicroBenchmarkWorkload.build_topology"),
+        ({"topology_args": {"shards_per_executor": 4}},
+         "topology_args.shards_per_executor is set by the trial"),
+    ], ids=["workload-unknown", "workload-other-kind", "workload-trial-set",
+            "topology-unknown", "topology-trial-set"])
+    def test_nested_keys_fail_at_load_by_dotted_path(self, data, message):
+        # Before, the trial loaded and build_system raised a TypeError.
+        with pytest.raises(ValueError, match=message):
+            TrialConfig.from_dict(data)
+
+    def test_nested_builder_keys_load(self):
+        trial = TrialConfig.from_dict({
+            "workload": "sse", "workload_args": {"burst_magnitude": 4.0},
+            "topology_args": {"analytics_executors": 1, "hot_state_entries": 64},
+        })
+        assert trial.topology_args == {"analytics_executors": 1, "hot_state_entries": 64}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrialConfig(rate=0.0)
@@ -209,10 +233,10 @@ class TestSweepSpec:
         spec = SweepSpec.grid(
             "g",
             base={"rate": 100.0, "duration": 1.0, "warmup": 0.0,
-                  "workload_args": {"a": 1}},
-            trials=[{"workload_args": {"b": 2}}, {"seed": 7}],
+                  "workload_args": {"tick": 0.5}},
+            trials=[{"workload_args": {"bursts": []}}, {"seed": 7}],
         )
-        assert spec.trials[0].workload_args == {"a": 1, "b": 2}
+        assert spec.trials[0].workload_args == {"tick": 0.5, "bursts": []}
         assert spec.trials[1].seed == 7
 
     def test_duplicate_trials_rejected(self):
@@ -359,15 +383,15 @@ class TestSerialFailures:
         assert result.records[0].result["runs"] == 2
 
     def test_trial_that_cannot_be_built_runs_once(self):
-        # The real trial function: the workload rejects the unknown
-        # argument with a TypeError, the same way on every attempt.
+        # The real trial function: loading the trial rejects the unknown
+        # argument with a ValueError, the same way on every attempt.
         trial = micro(workload_args={"bogus": 1})
         result = SweepRunner(SweepSpec("s", [trial])).run()
         record = result.records[0]
         assert record.status == "failed"
         assert record.error["kind"] == "exception"
-        assert record.error["type"] == "TypeError"
-        assert "bogus" in record.error["message"]
+        assert record.error["type"] == "ValueError"
+        assert "workload_args.bogus" in record.error["message"]
         assert result.executed == 1 and result.retried == 0
 
     def test_timeout_not_retried_by_default(self, tmp_path):
