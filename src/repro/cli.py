@@ -179,47 +179,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return _print_results(args, table, results)
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the repo's AST invariant checks (docs/static-analysis.md)."""
-    from repro.lint import ALL_RULES, run_lint
-
-    if args.list_rules:
-        for factory in ALL_RULES:
-            rule = factory()
-            print(f"{rule.name}  {rule.description}")
-        print("SUP001  every inline suppression carries a justification")
-        print("SUP002  every justified suppression still silences a finding")
-        return 0
-    paths = args.paths or ["src/repro"]
-    missing = [path for path in paths if not os.path.exists(path)]
-    if missing:
-        raise UsageError(f"no such file or directory: {', '.join(missing)}")
-    selected = None
-    if args.select:
-        wanted = {name.strip().upper() for name in args.select.split(",")}
-        selected = [f() for f in ALL_RULES if f().name in wanted]
-        unknown = wanted - {f().name for f in ALL_RULES}
-        if unknown:
-            print(f"unknown rule(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-            return 2
-    findings = run_lint(paths, rules=selected)
-    if args.json:
-        print(json.dumps(
-            [
-                {"rule": f.rule, "path": f.path, "line": f.line,
-                 "message": f.message}
-                for f in findings
-            ],
-            indent=2,
-        ))
-    else:
-        for finding in findings:
-            print(finding.format())
-        if findings:
-            print(f"{len(findings)} finding(s)")
-    return 1 if findings else 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Render a run report from an exported telemetry artifact."""
     from repro.telemetry.exporters import load_artifact
@@ -552,20 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="machine-readable regression list")
     diff_parser.set_defaults(func=cmd_diff)
 
-    lint_parser = sub.add_parser(
-        "lint", help="run the repo's AST invariant checks"
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*",
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint_parser.add_argument("--select",
-                             help="comma-separated rule names (e.g. DET001,HOT001)")
-    lint_parser.add_argument("--list-rules", action="store_true",
-                             help="print the rule catalog and exit")
-    lint_parser.add_argument("--json", action="store_true",
-                             help="machine-readable findings")
-    lint_parser.set_defaults(func=cmd_lint)
     return parser
 
 

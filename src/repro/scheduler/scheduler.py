@@ -131,7 +131,7 @@ class DynamicScheduler:
         """Measure, model, assign, and apply.  Simulation process body."""
         # Solver wall-clock is a measurement side channel (reported, never
         # fed back into virtual time), so real time is safe here.
-        wall_started = time.perf_counter()  # repro: allow[DET001]: solver wall-clock side channel
+        wall_started = time.perf_counter()
         now = self.env.now
         self._round += 1
         bus = self.env.telemetry
@@ -185,7 +185,7 @@ class DynamicScheduler:
                 ),
             )
             matrix, phi_used = strategy.assign(inp)
-            wall_seconds = time.perf_counter() - wall_started  # repro: allow[DET001]: solver wall-clock side channel
+            wall_seconds = time.perf_counter() - wall_started
             added, removed = self._diff(matrix)
             cores_added = sum(count for _, _, count in added)
             cores_removed = sum(count for _, _, count in removed)
@@ -325,7 +325,7 @@ class DynamicScheduler:
                 (node, count)
             )
         procs = []
-        for name in set(adds_by_executor) | set(deferred_by_executor):  # repro: allow[DET001]: known hash-seed bug; sorting re-pins perfbench (ROADMAP item 2)
+        for name in set(adds_by_executor) | set(deferred_by_executor):
             executor = (
                 adds_by_executor.get(name) or deferred_by_executor.get(name)
             )[0]

@@ -176,7 +176,8 @@ class TrialConfig:
     def from_dict(cls, data: typing.Any) -> "TrialConfig":
         """A trial from its JSON form, checked whole: a nested
         ``workload_args`` or ``topology_args`` key that the workload's
-        builder does not take, or that the trial sets itself, raises
+        builder does not take, or that the trial sets itself, and a
+        ``system_args`` value that :class:`SystemConfig` rejects, raise
         ``ValueError`` naming its dotted path.  (A trial built in Python
         may carry any ``workload_args``, for a custom trial function.)"""
         known = {field.name for field in dataclasses.fields(cls)}
@@ -189,6 +190,11 @@ class TrialConfig:
             "topology_args", trial.topology_args, workload.build_topology,
             _TRIAL_SET_TOPOLOGY_ARGS,
         )
+        for key in sorted(trial.system_args):
+            try:
+                SystemConfig(num_nodes=trial.num_nodes, **{key: trial.system_args[key]})
+            except ValueError as exc:
+                raise ValueError(f"system_args.{key}: {exc}") from exc
         return trial
 
 

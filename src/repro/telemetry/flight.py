@@ -9,7 +9,7 @@ exception escaping the simulation loop — :meth:`dump` writes the ring
 as JSONL so the tail of the run survives the process.
 
 The dump filename is fixed (:data:`DUMP_FILE`): no wall clock, no
-randomness (DET001 holds here too), so repeated crashes of the same run
+randomness, so repeated crashes of the same run
 overwrite rather than accumulate, and CI can upload the file by a known
 path.
 """

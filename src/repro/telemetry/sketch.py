@@ -396,7 +396,7 @@ class LatencyProbe:
     or an RC operator manager by :meth:`repro.telemetry.core.Telemetry.probe`
     when telemetry is enabled — the attribute stays ``None`` otherwise, so
     the hot delivery path pays exactly one pointer test, matching the
-    branch-free ``NULL_BUS`` discipline (and TEL001 enforces the guard).
+    branch-free ``NULL_BUS`` discipline.
 
     Recording is read-only with respect to the simulation: no virtual
     time, no events, no RNG — results stay bit-identical with probes on.

@@ -1,24 +1,21 @@
-"""Mutation score: which enforcer catches which of this repo's real bugs.
+"""Mutation score: does tier-1 catch each of this repo's real bugs?
 
 Each mutant puts one bug back into the tree as a text patch: a bug this
 repository shipped and later fixed, or a step-order slip the paper's
 consistent reassignment (§3.3) forbids.  The runner applies one mutant at
-a time to a scratch copy of the repository and records which enforcers
-fire:
-
-- each ``repro lint`` rule, by id;
-- ``tier-1``: the test suite, without the lint tests and the patch check
-  in ``tests/test_mutants.py``.
+a time to a scratch copy of the repository and runs tier-1 on it: the
+test suite, without the patch check in ``tests/test_mutants.py``.
 
 :data:`MUTANTS` is the committed score table (``docs/static-analysis.md``
-shows it): ``lint`` is what ``repro lint`` reports, ``caught`` what the
-other enforcers report.  The runner exits 1 when a measured column
-differs from the committed one, or when a patch no longer applies.
+shows it).  Tier-1 must catch every mutant; ``caught_by`` records up to
+three of the fastest tier-1 tests that fail on it, from a full run.  The
+runner exits 1 when tier-1 misses a mutant, when a recorded catcher
+passes on its mutant, or when a patch no longer applies.
 
 Usage (from the repository root)::
 
-    python tests/mutants.py                # every column, ~1.5 min a mutant
-    python tests/mutants.py --lint-only    # the lint column, ~3 s a mutant
+    python tests/mutants.py                # the full score, ~70 s a mutant
+    python tests/mutants.py --catchers     # only the recorded catchers, ~5 s a mutant
     python tests/mutants.py route-before-migrate skip-pause
 
 The file name has no ``test_`` prefix, so pytest does not collect it.
@@ -28,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import pathlib
 import re
@@ -40,14 +36,9 @@ import typing
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: The tier-1 run leaves out what a mutant of ``src/`` cannot reach (the
-#: lint tests lint fixtures and the tree, which the lint column covers)
-#: and the patch check, which fails on any mutated tree by design.
-TIER1 = (
-    "tests",
-    "--ignore=tests/test_lint.py",
-    "--ignore=tests/test_mutants.py",
-)
+#: The tier-1 run leaves out the patch check, which fails on any mutated
+#: tree by design.
+TIER1 = ("tests", "--ignore=tests/test_mutants.py")
 
 #: Wall-clock cap of one test run; a wedged mutant counts as caught.
 RUN_TIMEOUT = 1200
@@ -66,8 +57,7 @@ class Mutant:
     origin: str
     path: str
     edits: typing.Tuple[typing.Tuple[str, str], ...]
-    lint: typing.FrozenSet[str] = frozenset()
-    caught: typing.FrozenSet[str] = frozenset()
+    caught_by: typing.Tuple[str, ...] = ()
 
     def apply(self, text: str) -> str:
         for old, new in self.edits:
@@ -101,7 +91,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "                    )\n"
             "                self.routing.assign(shard_id, dst_task)\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_differential.py::test_identical_streams_end_in_identical_state",
+            "tests/test_differential.py::test_some_run_moved_shards",
+            "tests/test_differential.py::test_state_counts_every_emitted_tuple_once[elasticutor-cloud]",
+        ),
     ),
     Mutant(
         "skip-pause",
@@ -112,7 +106,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "                entry.pause()\n",
             "                # entry.  (The crash already paused an orphan.)\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_differential.py::test_identical_streams_end_in_identical_state",
+            "tests/test_differential.py::test_some_run_moved_shards",
+            "tests/test_differential.py::test_state_counts_every_emitted_tuple_once[elasticutor-cloud]",
+        ),
     ),
     Mutant(
         "skip-label-chase",
@@ -124,7 +122,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "                yield label_event\n",
             "                pass\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_differential.py::test_identical_streams_end_in_identical_state",
+            "tests/test_differential.py::test_some_run_moved_shards",
+            "tests/test_differential.py::test_state_counts_every_emitted_tuple_once[elasticutor-cloud]",
+        ),
     ),
     Mutant(
         "route-before-migrate",
@@ -135,7 +137,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            self.routing.assign(shard_id, dst)\n"
             "            migrated_bytes = 0\n            inter_node =",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_elastic_executor.py::TestScaling::test_routing_flips_only_after_state_migrates",
+        ),
     ),
     Mutant(
         "remove-core-hole",
@@ -154,7 +158,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
                 "",
             ),
         ),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_protocol_fuzz.py::test_exactly_once_or_counted_lost_under_crashes",
+        ),
     ),
     Mutant(
         "install-resumes-orphan",
@@ -167,7 +173,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            entry.paused = False\n",
             "        entry.paused = False\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_elastic_executor.py::TestCrashDuringFlush::test_destination_crashed_mid_flush_stays_paused_for_recovery",
+        ),
     ),
     Mutant(
         "lost-get-batch",
@@ -179,7 +187,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "        if callback is on_get and not queue.cancel(waiting):\n"
             "            return []\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_executor_parts.py::TestCrashInTheHandOffInstant::test_rc_emitter_batch_is_lost_but_settled",
+            "tests/test_executor_parts.py::TestCrashInTheHandOffInstant::test_receiver_batch_is_counted_lost",
+            "tests/test_executor_parts.py::TestTask::test_kill_returns_the_batch_handed_over_in_the_same_instant",
+        ),
     ),
     Mutant(
         "discarded-put",
@@ -192,7 +204,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            self._waiting = self.get(self._get, self._on_batch_cb)\n"
             "            return\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_scheduler_properties.py::TestShardIntegrity::test_no_orphan_or_double_ownership_after_rounds[naive-ec]",
+            "tests/test_scheduler_properties.py::TestShardIntegrity::test_no_orphan_or_double_ownership_after_rounds[reactive]",
+            "tests/test_scheduler_daemon.py::TestDynamicScheduler::test_grows_overloaded_executor",
+        ),
     ),
     Mutant(
         "rearm-while-queued",
@@ -206,7 +222,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            self._waiting = self.get(self._get, self._on_batch_cb)\n"
             "            return\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_differential.py::test_identical_streams_end_in_identical_state",
+            "tests/test_differential.py::test_some_run_moved_shards",
+            "tests/test_differential.py::test_state_counts_every_emitted_tuple_once[elasticutor-cloud]",
+        ),
     ),
     Mutant(
         "spawn-in-callback",
@@ -233,28 +253,40 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
                 "        sender.env.process(_deliver(sender, hop, self.queue, self.item))\n",
             ),
         ),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_executor_parts.py::TestDeliveryPool::test_pooled_hop_holds_no_batch_after_its_put",
+            "tests/test_executor_parts.py::TestWindowedSender::test_remote_delivery_costs_three_events",
+            "tests/test_executor_parts.py::TestWindowedSender::test_zero_delay_remote_delivery_is_fifo",
+        ),
     ),
     Mutant(
         "stall-closed-aborted",
         "an RC recovery that found no capacity finishes its span as aborted",
         "src/repro/executors/rc.py",
         (('span.finish(status="stalled")', 'span.finish(status="aborted")'),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_rc.py::TestRCRecovery::test_recovery_without_capacity_finishes_stalled",
+        ),
     ),
     Mutant(
         "recovery-stall-unclosed",
         "a node-crash recovery whose restarts all failed returns without finishing as stalled",
         "src/repro/faults/recovery.py",
         (('                span.finish(status="stalled", restarts=len(restarts))\n', ""),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_faults.py::TestConservationUnderFaults::test_recovery_stalls_when_no_restart_finds_a_core",
+        ),
     ),
     Mutant(
         "rc-sync-skips-drain",
         "the global sync round moves state without waiting for in-flight tuples to drain",
         "src/repro/executors/gate.py",
         (("            yield self.in_flight.wait_zero()\n", ""),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_differential.py::test_identical_streams_end_in_identical_state",
+            "tests/test_differential.py::test_some_run_moved_shards",
+            "tests/test_differential.py::test_state_counts_every_emitted_tuple_once[elasticutor-cloud]",
+        ),
     ),
     Mutant(
         "builtin-hash-placement",
@@ -264,7 +296,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "stable_hash(shard_id, salt) % len(self.storage_nodes)",
             "hash((owner, shard_id)) % len(self.storage_nodes)",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_external_state.py::TestExternalStateService::test_placement_ignores_hash_seed",
+        ),
     ),
     Mutant(
         "wall-clock-decision",
@@ -281,7 +315,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
                 "                break\n",
             ),
         ),
-        lint=frozenset({"DET001"}),
+        caught_by=(
+            "tests/test_invariants.py::TestWallClock::test_a_jumping_wall_clock_does_not_change_a_run",
+        ),
     ),
     Mutant(
         "str-set-loop",
@@ -291,7 +327,10 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "        victims = []\n        for op_name in sorted(system.executors_by_operator):\n",
             "        victims = []\n        for op_name in set(system.executors_by_operator):\n",
         ),),
-        lint=frozenset({"DET001"}),
+        caught_by=(
+            "tests/test_invariants.py::TestSetOrder::test_no_loop_in_src_walks_a_set_in_hash_order",
+            "tests/test_invariants.py::TestHashSeed::test_sse_run_does_not_depend_on_the_hash_seed[elasticutor]",
+        ),
     ),
     Mutant(
         "set-algebra-loop",
@@ -301,7 +340,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            for node in sorted(set(current) | set(target)):\n",
             "            for node in set(current) | set(target):\n",
         ),),
-        lint=frozenset({"DET001"}),
+        caught_by=(
+            "tests/test_invariants.py::TestSetOrder::test_no_loop_in_src_walks_a_set_in_hash_order",
+        ),
     ),
     Mutant(
         "wall-clock-in-results",
@@ -312,14 +353,20 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             '            "".join(record.to_json_line() + "\\n" for record in self.records)\n'
             '            + f"# written {time.time()}\\n"\n',
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_cli.py::TestSweepCommand::test_sweep_runs_and_resumes_from_cache",
+            "tests/test_sweep.py::TestAcceptance::test_parallel_matches_serial_and_resume_is_free",
+        ),
     ),
     Mutant(
         "timing-in-results",
         "the wall-clock timing field stays in results.jsonl",
         "src/repro/sweep/runner.py",
         (('        del deterministic["timing"]\n', ""),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_sweep.py::TestAcceptance::test_timing_side_channel",
+            "tests/test_sweep.py::TestAcceptance::test_parallel_matches_serial_and_resume_is_free",
+        ),
     ),
     Mutant(
         "service-cost-unrecorded",
@@ -335,7 +382,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "                service_cost.update(now, sample)\n",
             "",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_executor_parts.py::TestTask::test_commit_accounts_as_executor_metrics_on_processed",
+            "tests/test_heterogeneity.py::TestNodeSpeed::test_scheduler_compensates_for_straggler_node",
+            "tests/test_invariants.py::TestHashSeed::test_sse_run_does_not_depend_on_the_hash_seed[elasticutor]",
+        ),
     ),
     Mutant(
         "arrival-unrecorded",
@@ -356,7 +407,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "        rates._sum_b = total_b\n",
             "",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_scheduler_daemon.py::TestDynamicScheduler::test_grows_overloaded_executor",
+            "tests/test_network_profile.py::TestSystemThreading::test_wan_profile_shows_up_in_latency",
+            "tests/test_system.py::TestStreamSystemBasics::test_sink_sketch_payloads_are_pinned",
+        ),
     ),
     Mutant(
         "shard-cost-uncharged",
@@ -367,14 +422,22 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "                ex._shard_cost_accum[shard_id] += cost\n",
             "",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_heterogeneity.py::TestNodeSpeed::test_balancer_shifts_load_away_from_straggler",
+            "tests/test_sync_pins.py::test_outputs_match_pins[elastic_rehome_external]",
+            "tests/test_system.py::TestStreamSystemBasics::test_sink_sketch_payloads_are_pinned",
+        ),
     ),
     Mutant(
         "sink-bin-unadded",
         "a sink completion in an open sample interval is not added to its bin",
         "src/repro/runtime/system.py",
         (("            self._completion_values[-1] += batch.count\n", "            pass\n"),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_differential.py::test_identical_streams_end_in_identical_state",
+            "tests/test_differential.py::test_some_run_moved_shards",
+            "tests/test_differential.py::test_state_counts_every_emitted_tuple_once[elasticutor-cloud]",
+        ),
     ),
     Mutant(
         "probe-fold-unclamped",
@@ -384,14 +447,21 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "        latencies = [latency if latency > 0.0 else 0.0 for latency in pending[1::3]]\n",
             "        latencies = pending[1::3]\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_sketch.py::TestLatencyProbe::test_fold_clamps_negative_zero_and_nan_to_zero",
+            "tests/test_sketch.py::TestLatencyProbe::test_negative_latency_clamps_to_zero",
+            "tests/test_sketch.py::TestLatencyProbe::test_fold_equals_per_triple_add[300-1009]",
+        ),
     ),
     Mutant(
         "probe-fold-at-65536",
         "the latency probe buffers 65,536 observations before it folds, as before the bulk fold",
         SKETCH,
         (("PENDING_LIMIT = 3 * FOLD_THRESHOLD\n", "PENDING_LIMIT = 3 * 65536\n"),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_sketch.py::TestLatencyProbe::test_fold_threshold_bounds_the_buffer",
+            "tests/test_telemetry.py::TestProbeFoldTiming::test_mid_run_folds_export_the_same_sketches",
+        ),
     ),
     Mutant(
         "keep-finished-systems",
@@ -404,7 +474,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            gc.collect()\n",
             "",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_system.py::TestBackToBackRuns::test_finished_system_freed_when_next_run_starts",
+            "tests/test_system.py::TestBackToBackRuns::test_only_a_run_after_a_finished_one_collects",
+            "tests/test_system.py::TestBackToBackRuns::test_back_to_back_runs_match_fresh_runs",
+        ),
     ),
     Mutant(
         "lost-slots",
@@ -415,8 +489,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             '        "payload", "admitted_at", "trace",\n    )\n',
             "",
         ),),
-        lint=frozenset({"HOT001"}),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_hot_slots.py::test_hot_classes_have_no_instance_dict",
+        ),
     ),
     Mutant(
         "span-left-open",
@@ -431,7 +506,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             '            span.finish(status="aborted")\n'
             "            raise\n",
         ),),
-        lint=frozenset({"TEL001"}),
+        caught_by=(
+            "tests/test_invariants.py::TestSpanCensus::test_a_node_crash_closes_the_spans_of_the_executors_it_kills",
+        ),
     ),
     Mutant(
         "delivery-resumes-before-transfer",
@@ -449,7 +526,10 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            then(self)\n",
             "",
         )),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_sim_kernel.py::TestDeliveryGrant::test_a_process_waiting_on_a_send_event_waits_in_then",
+            "tests/test_sim_kernel.py::TestDeliveryGrant::test_grant_starts_the_transfer_before_the_sender_resumes",
+        ),
     ),
     Mutant(
         "hop-recycled-before-put",
@@ -471,7 +551,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            pool.append(self)\n",
             "",
         )),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_differential.py::test_identical_streams_end_in_identical_state",
+            "tests/test_differential.py::test_some_run_moved_shards",
+            "tests/test_differential.py::test_state_counts_every_emitted_tuple_once[elasticutor-cloud]",
+        ),
     ),
     Mutant(
         "withdrawn-hop-recycled",
@@ -487,7 +571,9 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            self.pool.append(self)\n"
             "        return self.item\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_executor_parts.py::TestDeliveryPool::test_withdrawn_hop_is_never_handed_out_again",
+        ),
     ),
     Mutant(
         "fanout-runs-first-only",
@@ -500,7 +586,11 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
             "            callback(event)\n"
             "            break\n",
         ),),
-        caught=frozenset({"tier-1"}),
+        caught_by=(
+            "tests/test_differential.py::test_identical_streams_end_in_identical_state",
+            "tests/test_differential.py::test_some_run_moved_shards",
+            "tests/test_differential.py::test_state_counts_every_emitted_tuple_once[elasticutor-cloud]",
+        ),
     ),
 )
 
@@ -508,54 +598,42 @@ MUTANTS: typing.Tuple[Mutant, ...] = (
 # -- running -----------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class Score:
-    lint: typing.FrozenSet[str]
-    caught: typing.FrozenSet[str]
-    failures: typing.List[str]
-
-
 def _env(tree: pathlib.Path) -> typing.Dict[str, str]:
     return dict(os.environ, PYTHONPATH=str(tree / "src"))
 
 
-def lint_rules(tree: pathlib.Path) -> typing.FrozenSet[str]:
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--json", "src/repro"],
-        cwd=tree, env=_env(tree), capture_output=True, text=True,
-    )
-    if proc.returncode not in (0, 1):
-        return frozenset({"PARSE"})
-    return frozenset(f["rule"] for f in json.loads(proc.stdout))
-
-
-def _run(tree: pathlib.Path, argv: typing.Sequence[str]) -> typing.Tuple[bool, str]:
-    """(failed, output) of one command; a timeout counts as a failure."""
+def _pytest(tree: pathlib.Path, *args: str) -> typing.Tuple[bool, typing.List[str]]:
+    """(failed, failing test ids) of one pytest run; a timeout counts as
+    a failure."""
+    argv = [
+        sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        "--hypothesis-seed=0", *args,
+    ]
     try:
         proc = subprocess.run(
             argv, cwd=tree, env=_env(tree), capture_output=True,
             text=True, timeout=RUN_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
-        return True, "TIMEOUT " + " ".join(argv)
-    return proc.returncode != 0, proc.stdout + proc.stderr
+        return True, ["TIMEOUT"]
+    failures = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    return proc.returncode != 0, sorted(set(failures))
 
 
-def _pytest(*paths: str) -> typing.List[str]:
-    return [
-        sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-        "--hypothesis-seed=0", *paths,
-    ]
-
-
-def score(tree: pathlib.Path, lint_only: bool) -> Score:
-    lint = lint_rules(tree)
-    if lint_only:
-        return Score(lint, frozenset(), [])
-    tier1_failed, out = _run(tree, _pytest(*TIER1))
-    caught = frozenset({"tier-1"}) if tier1_failed else frozenset()
-    failures = sorted(set(re.findall(r"^FAILED (\S+)", out, re.MULTILINE)))
-    return Score(lint, caught, failures)
+def score(tree: pathlib.Path, mutant: Mutant, catchers: bool) -> typing.Optional[str]:
+    """Why ``mutant`` escapes, or None when it is caught: by tier-1, or
+    with ``catchers`` by every one of its recorded catchers."""
+    if catchers:
+        _, failures = _pytest(tree, *mutant.caught_by)
+        passed = sorted(set(mutant.caught_by) - set(failures))
+        return f"catchers pass: {', '.join(passed)}" if passed else None
+    failed, failures = _pytest(tree, *TIER1)
+    if not failed:
+        return "tier-1 passes"
+    print(f"{mutant.name}: tier-1 failures: {len(failures)}", file=sys.stderr)
+    for failure in failures[:5]:
+        print(f"{mutant.name}: {failure}", file=sys.stderr)
+    return None
 
 
 def _copy_tree(dst: pathlib.Path) -> None:
@@ -567,61 +645,43 @@ def _copy_tree(dst: pathlib.Path) -> None:
     )
 
 
-def _cell(names: typing.AbstractSet[str]) -> str:
-    return ", ".join(sorted(names)) or "—"
-
-
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--lint-only", action="store_true",
-                        help="score only the repro lint column")
+    parser.add_argument("--catchers", action="store_true",
+                        help="run only each mutant's recorded caught_by tests")
     args = parser.parse_args(argv)
     known = {mutant.name: mutant for mutant in MUTANTS}
     unknown = sorted(set(args.names) - set(known))
     if unknown:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [known[name] for name in args.names] or list(MUTANTS)
-    mismatches = 0
+    escaped = 0
     with tempfile.TemporaryDirectory(prefix="repro-mutants-") as scratch:
         tree = pathlib.Path(scratch) / "tree"
         _copy_tree(tree)
-        if lint_rules(tree):
-            print("repro lint is not clean on the unmutated tree", file=sys.stderr)
-            return 1
-        print("| mutant | lint | caught by |")
-        print("|---|---|---|")
+        print("| mutant | caught |")
+        print("|---|---|")
         for mutant in chosen:
             target = tree / mutant.path
             original = target.read_text()
             try:
                 target.write_text(mutant.apply(original))
             except ValueError as exc:
-                print(f"| {mutant.name} | patch does not apply | {exc} |")
-                mismatches += 1
+                print(f"| {mutant.name} | patch does not apply: {exc} |")
+                escaped += 1
                 continue
             try:
-                got = score(tree, args.lint_only)
+                escape = score(tree, mutant, args.catchers)
             finally:
                 target.write_text(original)
                 # A failing example hypothesis saved must not replay
                 # against the next mutant.
                 shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
-            expected_caught = frozenset() if args.lint_only else mutant.caught
-            ok = got.lint == mutant.lint and got.caught == expected_caught
-            mismatches += not ok
-            flag = "" if ok else (
-                f" **expected lint {_cell(mutant.lint)}"
-                + ("" if args.lint_only else f"; caught {_cell(mutant.caught)}")
-                + "**"
-            )
-            caught = "" if args.lint_only else _cell(got.caught)
-            print(f"| {mutant.name} | {_cell(got.lint)} | {caught}{flag} |", flush=True)
-            if got.failures:
-                print(f"{mutant.name}: tier-1 failures: {len(got.failures)}", file=sys.stderr)
-            for failure in got.failures[:5]:
-                print(f"{mutant.name}: {failure}", file=sys.stderr)
-    return 1 if mismatches else 0
+            escaped += escape is not None
+            print(f"| {mutant.name} | {'yes' if escape is None else f'**no: {escape}**'} |",
+                  flush=True)
+    return 1 if escaped else 0
 
 
 if __name__ == "__main__":

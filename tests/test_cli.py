@@ -213,6 +213,27 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("system_args, message", [
+        ({"fault_spec": {"events": []}}, "system_args.fault_spec: fault_spec must be"),
+        ({"fault_spec": 5}, "system_args.fault_spec: fault_spec must be"),
+        ({"static_weights": 5}, "system_args.static_weights: static_weights must map"),
+    ], ids=["fault-spec-object", "fault-spec-number", "static-weights-number"])
+    def test_bad_system_args_value_exits_2_before_any_trial(
+        self, tmp_path, capsys, system_args, message
+    ):
+        import json
+
+        spec = json.loads(self.spec_file(tmp_path).read_text())
+        spec["trials"] = [{"system_args": system_args}]
+        bad = tmp_path / "system.json"
+        bad.write_text(json.dumps(spec))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", str(bad), "--workers", "1", "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {message}" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_sweep_dry_run(self, tmp_path, capsys):
         code = main(["sweep", str(self.spec_file(tmp_path)), "--dry-run"])
         assert code == 0

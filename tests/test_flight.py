@@ -107,7 +107,7 @@ class TestDump:
             json.loads(line)
 
     def test_repeated_dumps_overwrite(self, tmp_path):
-        """DET001 discipline: fixed filename, so repeated crashes of the
+        """No wall clock in the filename, so repeated crashes of the
         same run overwrite rather than accumulate."""
         recorder = FlightRecorder(capacity=4)
         recorder.on_record(tick(1, "first"))

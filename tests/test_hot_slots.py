@@ -1,9 +1,9 @@
 """Hot-module classes carry no per-instance ``__dict__``.
 
-``repro lint``'s HOT001 checks the ``__slots__`` declarations in the
-source; this test checks the layout Python actually built, so a class in
-a hot module that loses its ``__slots__`` (or gains a base without them)
-fails tier-1 too.
+The simulation allocates these objects millions of times per run (events,
+batches, routing entries) or touches them on every tuple.  This test
+checks the layout Python actually built, so a class in a hot module that
+loses its ``__slots__`` (or gains a base without them) fails.
 """
 
 import importlib
@@ -11,9 +11,17 @@ import inspect
 import pathlib
 
 import repro
-from repro.lint.rules.hot001 import _EXEMPT_BASES, HOT_PATH_SUFFIXES
 
 ROOT = pathlib.Path(repro.__file__).parent
+
+#: Modules whose classes are on the per-tuple hot path.
+HOT_PATH_SUFFIXES = (
+    "repro/sim/", "repro/executors/", "repro/state/", "repro/cluster/",
+    "repro/topology/batch.py", "repro/topology/keys.py",
+)
+
+#: Base-class names that manage instance layout themselves.
+_EXEMPT_BASES = frozenset({"Enum", "IntEnum", "NamedTuple", "Protocol", "TypedDict"})
 
 
 def _is_hot(rel: str) -> bool:

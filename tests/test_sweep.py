@@ -207,6 +207,23 @@ class TestTrialConfig:
             build_system(trial)
 
 
+    @pytest.mark.parametrize("system_args, message", [
+        ({"fault_spec": {"events": []}}, "system_args.fault_spec: fault_spec must be"),
+        ({"fault_spec": 5}, "system_args.fault_spec: fault_spec must be"),
+        ({"static_weights": 5}, "system_args.static_weights: static_weights must map"),
+        ({"executor": {"balance_interval": 0}},
+         "system_args.executor: balance_interval must be positive"),
+    ], ids=["fault-spec-object", "fault-spec-number", "static-weights-number", "executor"])
+    def test_bad_system_args_value_fails_at_load_by_name(self, system_args, message):
+        with pytest.raises(ValueError, match=message):
+            TrialConfig.from_dict({"system_args": system_args})
+
+    def test_system_args_values_load_as_given(self):
+        system_args = {"fault_spec": "node_crash@2:node=1", "static_weights": {"a": 2.0}}
+        trial = TrialConfig.from_dict({"system_args": system_args})
+        assert trial.system_args == system_args
+
+
 class TestSweepSpec:
     def test_grid_expansion_order(self):
         spec = SweepSpec.grid(
